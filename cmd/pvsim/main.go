@@ -23,29 +23,28 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
+	"govhdl"
 	"govhdl/internal/circuits"
 	"govhdl/internal/ckptio"
 	"govhdl/internal/faultinject"
-	"govhdl/internal/kernel"
 	"govhdl/internal/pdes"
 	"govhdl/internal/runopts"
 	"govhdl/internal/supervise"
 	"govhdl/internal/trace"
 	"govhdl/internal/transport"
-	"govhdl/internal/vhdl"
 	"govhdl/internal/vhdl/lint"
-	"govhdl/internal/vtime"
 )
 
-// runOpts carries every CLI tunable into run. The shared surface (the
-// tunables govhdld also exposes, and their validation) lives in
-// internal/runopts; the fields here are pvsim-only.
+// runOpts carries every CLI tunable into run. The option surface, its
+// flags, its validation and its mapping onto session options live in
+// internal/runopts; the fields here are pvsim's reporting switches and the
+// deployment settings of the seams it hands the session.
 type runOpts struct {
 	runopts.Opts
 
@@ -56,71 +55,38 @@ type runOpts struct {
 	compare   bool
 	vetJSON   bool
 
-	gvtAdapt bool
-
 	hosted     string
-	gvtEvery   int
 	hbInterval time.Duration
 	hbTimeout  time.Duration
 
-	ckptFile string
-	ckptKeep int
-
-	maxFailovers int
-
+	ckptKeep  int
 	faultSeed int64
 
 	files []string
+
+	// stdout and stderr receive run's report and diagnostics (the process's
+	// own streams, except under test).
+	stdout, stderr io.Writer
+}
+
+func (o *runOpts) registerFlags(fs *flag.FlagSet) {
+	o.Opts.RegisterFlags(fs)
+	fs.StringVar(&o.vcd, "vcd", "", "write a value change dump to this file")
+	fs.BoolVar(&o.showTrace, "trace", false, "print committed value changes")
+	fs.BoolVar(&o.showStats, "stats", true, "print protocol metrics")
+	fs.BoolVar(&o.verify, "verify", true, "verify built-in circuits against their reference models")
+	fs.BoolVar(&o.compare, "compare", false, "also run the sequential kernel and require identical committed traces")
+	fs.BoolVar(&o.vetJSON, "vet-json", false, "with -vet: write the report as JSON to stdout instead of vet lines to stderr")
+	fs.StringVar(&o.hosted, "hosted", "", "distributed: comma-separated endpoint ids hosted here")
+	fs.DurationVar(&o.hbInterval, "hb-interval", time.Second, "distributed: heartbeat interval (<=0 disables liveness checking)")
+	fs.DurationVar(&o.hbTimeout, "hb-timeout", 5*time.Second, "distributed: declare a silent peer dead after this long")
+	fs.IntVar(&o.ckptKeep, "checkpoint-keep", 3, "checkpoint generations to keep on disk (file, file.1, ...); -restore falls back past corrupt newer generations")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault injection: PRNG seed (replayable schedules)")
 }
 
 func main() {
-	var o runOpts
-	flag.StringVar(&o.Top, "top", "", "top entity to elaborate (with VHDL files)")
-	flag.StringVar(&o.Circuit, "circuit", "", "built-in benchmark circuit: fsm, iir or dct")
-	flag.StringVar(&o.Protocol, "protocol", "dynamic", "seq, cons, opt, mixed or dynamic")
-	flag.IntVar(&o.Workers, "workers", 1, "number of parallel workers")
-	flag.StringVar(&o.Until, "until", "", "simulation horizon, e.g. 100ns, 2us (default: circuit default or 1ms)")
-	flag.BoolVar(&o.Lookahead, "lookahead", false, "enable null messages (conservative lookahead)")
-	flag.BoolVar(&o.User, "user", false, "user-consistent simultaneous-event ordering")
-	flag.StringVar(&o.Throttle, "throttle", "", "optimism bound beyond GVT, e.g. 40ns (0 = unbounded)")
-	flag.IntVar(&o.SaveEvery, "checkpoint", 1, "optimistic state-saving interval (events per snapshot)")
-	flag.StringVar(&o.vcd, "vcd", "", "write a value change dump to this file")
-	flag.BoolVar(&o.showTrace, "trace", false, "print committed value changes")
-	flag.BoolVar(&o.showStats, "stats", true, "print protocol metrics")
-	flag.BoolVar(&o.verify, "verify", true, "verify built-in circuits against their reference models")
-	flag.BoolVar(&o.compare, "compare", false, "also run the sequential kernel and require identical committed traces")
-	flag.BoolVar(&o.Vet, "vet", false, "lint the VHDL design instead of simulating: exit 0 if clean, 1 on error findings, 2 on usage/parse errors")
-	flag.BoolVar(&o.VetStrict, "vet-strict", false, "like -vet, but warning findings also exit 1")
-	flag.BoolVar(&o.vetJSON, "vet-json", false, "with -vet: write the report as JSON to stdout instead of vet lines to stderr")
-
-	flag.StringVar(&o.Listen, "listen", "", "distributed: listen address (this process hosts the controller)")
-	flag.StringVar(&o.Connect, "connect", "", "distributed: hub address to join")
-	flag.IntVar(&o.Endpoints, "endpoints", 0, "distributed: total endpoint count (controller + workers)")
-	flag.StringVar(&o.hosted, "hosted", "", "distributed: comma-separated endpoint ids hosted here")
-	flag.IntVar(&o.Shards, "shards", 0, "cluster LPs into this many shards that execute sequentially inside the shard, with the PDES protocol running only between shards (0 = no sharding, one LP per signal/process)")
-	flag.StringVar(&o.Partition, "partition", "", "LP-to-worker / shard-membership partitioning: rr (round-robin), block, or topo (graph-aware edge-cut); default topo when -shards is set, rr otherwise")
-	flag.IntVar(&o.gvtEvery, "gvt-every", 0, "events per worker between GVT round requests (0 = engine default)")
-	flag.BoolVar(&o.gvtAdapt, "gvt-adapt", false, "retune the GVT cadence each round from observed cut traffic (bounded by 16x the base interval)")
-	flag.DurationVar(&o.hbInterval, "hb-interval", time.Second, "distributed: heartbeat interval (<=0 disables liveness checking)")
-	flag.DurationVar(&o.hbTimeout, "hb-timeout", 5*time.Second, "distributed: declare a silent peer dead after this long")
-
-	flag.StringVar(&o.ckptFile, "checkpoint-file", "", "write a GVT-consistent checkpoint (with the trace-so-far) to this file, atomically, at every cut")
-	flag.IntVar(&o.ckptKeep, "checkpoint-keep", 3, "checkpoint generations to keep on disk (file, file.1, ...); -restore falls back past corrupt newer generations")
-	flag.IntVar(&o.CkptRounds, "checkpoint-rounds", 0, "committed GVT rounds between checkpoint cuts (default 1 when -checkpoint-file is set; pass the same value to every distributed process)")
-	flag.StringVar(&o.Restore, "restore", "", "resume from a checkpoint file written by -checkpoint-file (every distributed process needs the file)")
-
-	flag.BoolVar(&o.Failover, "failover", false, "on a transport failure, automatically absorb the dead node's LPs and resume from the latest checkpoint (controller process only; needs checkpointing)")
-	flag.IntVar(&o.maxFailovers, "max-failovers", supervise.DefaultMaxFailovers, "give up after this many automatic failovers")
-	flag.StringVar(&o.MigratePolicy, "migrate-policy", "", "live LP migration at GVT rounds: off, on-death (recovery migrates the dead node's LPs onto the survivors) or balance (sustained load imbalance triggers rebalancing moves)")
-	flag.IntVar(&o.MinNodes, "min-nodes", 0, "with -migrate-policy=on-death: migrate only while at least this many cluster nodes survive; below it recovery falls back to a full local absorb")
-	flag.DurationVar(&o.StallTimeout, "stall-timeout", 0, "fail (or rescue, see -stall-policy) the run if committed GVT does not advance for this long; 0 disables the watchdog")
-	flag.StringVar(&o.StallPolicy, "stall-policy", "fail", "stall remedy: fail (dump diagnostics and exit nonzero) or force-opt (force the blocked conservative LP optimistic, then fail if still stuck)")
-	flag.Int64Var(&o.MemBudget, "mem-budget", 0, "bound tracked optimistic memory (events, snapshots, anti-message records) to this many bytes; 0 = unbounded")
-
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault injection: PRNG seed (replayable schedules)")
-	flag.IntVar(&o.FaultKillWrites, "fault-kill-writes", 0, "fault injection, distributed: hard-close this process's connection after N writes")
-	flag.IntVar(&o.FaultDieSends, "fault-die-sends", 0, "fault injection, single-process: kill the fabric after N sends from any endpoint")
-	flag.IntVar(&o.FaultMuteSends, "fault-mute-sends", 0, "fault injection, single-process: silently drop each endpoint's sends after its Nth (stalls the run without killing it)")
+	o := runOpts{stdout: os.Stdout, stderr: os.Stderr}
+	o.registerFlags(flag.CommandLine)
 	flag.Parse()
 	o.files = flag.Args()
 
@@ -137,6 +103,19 @@ func main() {
 	}
 }
 
+// readSources loads the VHDL files named on the command line.
+func (o *runOpts) readSources() ([]govhdl.Source, error) {
+	srcs := make([]govhdl.Source, len(o.files))
+	for i, f := range o.files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = govhdl.Source{Name: f, Text: string(text)}
+	}
+	return srcs, nil
+}
+
 // runVet is the -vet mode: parse the given VHDL files, run every registered
 // design-lint rule, report, and exit without simulating. Exit codes follow
 // govhdlvet: 0 clean (or warnings without -vet-strict), 1 findings, 2 usage
@@ -148,29 +127,20 @@ func runVet(o runOpts) int {
 		fmt.Fprintln(os.Stderr, "pvsim:", err)
 		return 2
 	}
-	proto, err := runopts.ParseProtocol(o.Protocol)
-	if err != nil {
-		return usage(err)
-	}
-	if err := o.Opts.Validate(proto); err != nil {
+	if _, err := o.Resolve(); err != nil {
 		return usage(err)
 	}
 	if len(o.files) == 0 {
 		return usage(fmt.Errorf("-vet needs VHDL files to analyze"))
 	}
-	var dfs []*vhdl.DesignFile
-	for _, f := range o.files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			return usage(err)
-		}
-		df, err := vhdl.Parse(f, string(src))
-		if err != nil {
-			return usage(err)
-		}
-		dfs = append(dfs, df)
+	srcs, err := o.readSources()
+	if err != nil {
+		return usage(err)
 	}
-	diags := lint.Analyze(dfs...)
+	_, diags, err := lint.ParseAndAnalyze(srcs)
+	if err != nil {
+		return usage(err)
+	}
 	if o.vetJSON {
 		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
 			return usage(err)
@@ -185,200 +155,100 @@ func runVet(o runOpts) int {
 	return 0
 }
 
-// Checkpoint files are written through internal/ckptio: a versioned,
-// sha256-framed container written atomically, with the previous cuts kept
-// as a generation lineage (-checkpoint-keep) so a corrupt or torn latest
-// image falls back to the newest generation that still verifies.
+// build makes one fresh model of the selected design — a session consumes
+// one per attempt, -compare one more — along with the circuit it came from
+// (nil for VHDL), for -verify.
+func (o *runOpts) build(quiet bool) (*govhdl.Model, *circuits.Circuit, error) {
+	switch {
+	case o.Circuit != "":
+		build, _, err := circuits.ByName(o.Circuit)
+		if err != nil {
+			return nil, nil, err
+		}
+		bench := build()
+		if !quiet {
+			fmt.Fprintf(o.stdout, "circuit: %v\n", bench)
+		}
+		return govhdl.FromDesign(bench.Design), bench, nil
+	case len(o.files) > 0:
+		if o.Top == "" {
+			return nil, nil, fmt.Errorf("-top is required with VHDL files")
+		}
+		srcs, err := o.readSources()
+		if err != nil {
+			return nil, nil, err
+		}
+		m, err := govhdl.Compile(o.Top, srcs...)
+		if err == nil && !quiet {
+			d := m.Design
+			fmt.Fprintf(o.stdout, "design: %s (%d signals + %d processes = %d LPs)\n",
+				o.Top, d.NumSignals(), d.NumProcesses(), d.NumLPs())
+		}
+		return m, nil, err
+	}
+	return nil, nil, fmt.Errorf("nothing to simulate: give VHDL files with -top, or -circuit")
+}
 
+// run is flags -> runopts.Resolve -> session options, plus the seams only a
+// CLI process has (a transport node or fault-wrapped fabric for the first
+// attempt, checkpoint files, -restore) and the reporting around the run.
 func run(o runOpts) error {
-	// buildDesign is reusable so -compare can construct an identical fresh
-	// model for the sequential reference run.
-	buildDesign := func(quiet bool) (*kernel.Design, *circuits.Circuit, vtime.Time, error) {
-		switch {
-		case o.Circuit != "":
-			var bench *circuits.Circuit
-			switch strings.ToLower(o.Circuit) {
-			case "fsm":
-				bench = circuits.BuildFSM(circuits.FSMOpts{})
-			case "iir":
-				bench = circuits.BuildIIR(circuits.IIROpts{})
-			case "dct":
-				bench = circuits.BuildDCT(circuits.DCTOpts{})
-			default:
-				return nil, nil, 0, fmt.Errorf("unknown circuit %q (fsm, iir or dct)", o.Circuit)
-			}
-			if !quiet {
-				fmt.Printf("circuit: %v\n", bench)
-			}
-			return bench.Design, bench, bench.DefaultHorizon, nil
-		case len(o.files) > 0:
-			if o.Top == "" {
-				return nil, nil, 0, fmt.Errorf("-top is required with VHDL files")
-			}
-			lib := vhdl.NewLibrary()
-			for _, f := range o.files {
-				src, err := os.ReadFile(f)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				if err := lib.ParseAndAdd(f, string(src)); err != nil {
-					return nil, nil, 0, err
-				}
-			}
-			d, err := lib.Elaborate(o.Top)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if !quiet {
-				fmt.Printf("design: %s (%d signals + %d processes = %d LPs)\n",
-					o.Top, d.NumSignals(), d.NumProcesses(), d.NumLPs())
-			}
-			return d, nil, 1 * vtime.MS, nil
-		}
-		return nil, nil, 0, fmt.Errorf("nothing to simulate: give VHDL files with -top, or -circuit")
-	}
-
-	design, bench, until, err := buildDesign(false)
+	so, err := o.Resolve()
 	if err != nil {
 		return err
 	}
+	// Every attempt gets a fresh model; only the first announces itself.
+	var bench *circuits.Circuit
+	quiet := false
+	factory := func() (m *govhdl.Model, err error) {
+		m, bench, err = o.build(quiet)
+		quiet = true
+		return m, err
+	}
 
-	if o.Until != "" {
-		t, err := runopts.ParseTime(o.Until)
-		if err != nil {
-			return err
+	so.StallDump = func(r *pdes.StallReport) { fmt.Fprint(o.stderr, r.String()) }
+	if o.CkptFile != "" {
+		// Checkpoint files go through internal/ckptio: a versioned,
+		// sha256-framed container written atomically, with the previous cuts
+		// kept as a generation lineage (-checkpoint-keep) so a corrupt or
+		// torn latest image falls back to the newest one that still verifies.
+		so.OnCheckpoint = func(ck *pdes.Checkpoint, committed []trace.Entry) error {
+			return ckptio.Write(o.CkptFile, o.ckptKeep, &ckptio.File{
+				Ckpt: ck, Trace: committed, Shards: so.Shards, Partition: so.Partition,
+			})
 		}
-		until = t
-	}
-
-	cfg := pdes.Config{
-		Workers:         o.Workers,
-		Lookahead:       o.Lookahead,
-		CheckpointEvery: o.SaveEvery,
-		GVTEvery:        o.gvtEvery,
-		GVTAdapt:        o.gvtAdapt,
-	}
-	cfg.Protocol, err = runopts.ParseProtocol(o.Protocol)
-	if err != nil {
-		return err
-	}
-	if o.User {
-		cfg.Ordering = pdes.OrderUserConsistent
-	}
-	if o.Throttle != "" {
-		t, err := runopts.ParseTime(o.Throttle)
-		if err != nil {
-			return err
-		}
-		cfg.ThrottleWindow = t
-	}
-
-	distributed := o.Listen != "" || o.Connect != ""
-	hostsController := o.Connect == "" // single-process, or the -listen hub
-
-	if o.ckptFile != "" && o.CkptRounds <= 0 {
-		o.CkptRounds = 1
-	}
-	if err := o.Validate(cfg.Protocol); err != nil {
-		return err
-	}
-	cfg.StallTimeout = o.StallTimeout
-	if o.StallPolicy == "force-opt" {
-		cfg.StallPolicy = pdes.StallForceOpt
-	}
-	elastic := o.MigratePolicy == "on-death" || o.MigratePolicy == "balance"
-	if o.MigratePolicy == "balance" {
-		// Every distributed process needs the planner set (workers keep the
-		// commit/load accounting only when migration is configured); the
-		// controller is the one that actually emits plans.
-		cfg.Migrate = pdes.NewBalancePlanner(pdes.BalanceConfig{})
-	}
-	cfg.StallDump = func(r *pdes.StallReport) { fmt.Fprint(os.Stderr, r.String()) }
-	cfg.MemBudget = o.MemBudget
-
-	// Checkpoints (in-memory ones included) carry gob-encoded event payloads
-	// and trace items; make sure every wire type is registered first.
-	if o.ckptFile != "" || o.Restore != "" || o.CkptRounds > 0 {
-		transport.RegisterGob()
-	}
-
-	if o.CkptRounds > 0 {
-		if cfg.Protocol == pdes.ProtoSequential {
-			return fmt.Errorf("-checkpoint-rounds needs a parallel protocol (the sequential kernel has no GVT rounds)")
-		}
-		cfg.CheckpointRounds = o.CkptRounds
-		if hostsController && o.ckptFile == "" && !o.Failover {
-			return fmt.Errorf("-checkpoint-rounds needs -checkpoint-file on the controller process (or -failover, which keeps cuts in memory)")
-		}
-	}
-	if distributed {
-		cfg.Workers = o.Endpoints - 1
-	}
-
-	sup := &supervise.Supervisor{
-		MaxFailovers: o.maxFailovers,
-		OnFailover: func(attempt int, err error, ck *pdes.Checkpoint) {
-			if ck != nil {
-				fmt.Fprintf(os.Stderr, "pvsim: failover: attempt %d died (%v); absorbing all LPs locally from the checkpoint at GVT %v\n",
-					attempt, err, ck.GVT)
-			} else {
-				fmt.Fprintf(os.Stderr, "pvsim: failover: attempt %d died (%v) before the first checkpoint cut; restarting locally from scratch\n",
-					attempt, err)
-			}
-		},
 	}
 	if o.Restore != "" {
-		// The checkpoint carries the committed prefix as replayable per-LP
-		// logs: the restored run re-emits the full trace itself, so the
-		// recorder starts empty (and failover seeds from the same cut).
-		// SeedFromLineage verifies the frame checksum and falls back past
-		// torn or corrupted newer generations; every skipped generation is
-		// surfaced — a corrupt latest checkpoint deserves attention even
-		// when an older one recovers the run.
-		cf, gen, skipped, err := sup.SeedFromLineage(o.Restore)
+		// Recover verifies the frame checksum and falls back past torn or
+		// corrupted newer generations; every skipped generation is surfaced —
+		// a corrupt latest checkpoint deserves attention even when an older
+		// one recovers the run.
+		cf, gen, skipped, err := ckptio.Recover(o.Restore)
 		if err != nil {
 			return err
 		}
 		for _, s := range skipped {
-			fmt.Fprintf(os.Stderr, "pvsim: checkpoint generation skipped: %v\n", s)
+			fmt.Fprintf(o.stderr, "pvsim: checkpoint generation skipped: %v\n", s)
 		}
 		if gen != o.Restore {
-			fmt.Fprintf(os.Stderr, "pvsim: newest checkpoint unusable; falling back to generation %s\n", gen)
+			fmt.Fprintf(o.stderr, "pvsim: newest checkpoint unusable; falling back to generation %s\n", gen)
 		}
 		// Sharding is part of the checkpoint's identity: the cut was taken
 		// over shard-level LPs, so the restored system must be sharded the
 		// same way (Validate rejects explicit flags with -restore).
-		o.Shards, o.Partition = cf.Shards, cf.Partition
-		if o.Shards > 0 {
-			fmt.Printf("restoring from %s (GVT %v, round %d, %d shards)\n", gen, cf.Ckpt.GVT, cf.Ckpt.Round, o.Shards)
+		so.Restore, so.Shards, so.Partition = cf.Ckpt, cf.Shards, cf.Partition
+		if so.Shards > 0 {
+			fmt.Fprintf(o.stdout, "restoring from %s (GVT %v, round %d, %d shards)\n", gen, cf.Ckpt.GVT, cf.Ckpt.Round, so.Shards)
 		} else {
-			fmt.Printf("restoring from %s (GVT %v, round %d)\n", gen, cf.Ckpt.GVT, cf.Ckpt.Round)
+			fmt.Fprintf(o.stdout, "restoring from %s (GVT %v, round %d)\n", gen, cf.Ckpt.GVT, cf.Ckpt.Round)
 		}
 	}
-
-	// Resolve the partitioner once -restore has had its say: the same name
-	// drives shard membership and (when given explicitly) LP-to-worker
-	// placement. Sharded runs default to the topology-aware partitioner —
-	// minimizing the cut is the point of sharding — while unsharded runs keep
-	// the engine's round-robin default.
-	shardPart := pdes.PartitionTopo
-	switch strings.ToLower(o.Partition) {
-	case "":
-		// keep defaults
-	case "rr", "roundrobin", "round-robin":
-		shardPart = pdes.PartitionRoundRobin
-		cfg.Partition = pdes.PartitionRoundRobin
-	case "block":
-		shardPart = pdes.PartitionBlock
-		cfg.Partition = pdes.PartitionBlock
-	case "topo":
-		cfg.Partition = pdes.PartitionTopo
-	default:
-		return fmt.Errorf("unknown partition %q in checkpoint", o.Partition)
-	}
-	if o.Shards > 0 {
-		fmt.Printf("sharding: %d shards, intra-shard sequential, %s membership\n",
-			o.Shards, map[pdes.Partition]string{pdes.PartitionRoundRobin: "round-robin", pdes.PartitionBlock: "block", pdes.PartitionTopo: "topology-aware"}[shardPart])
+	if so.Shards > 0 {
+		part := so.Partition
+		if part == "" {
+			part = "topo"
+		}
+		fmt.Fprintf(o.stdout, "sharding: %d shards, intra-shard sequential, %s membership\n", so.Shards, part)
 	}
 
 	// With an elastic migrate policy the transport maintains an epoch-numbered
@@ -391,200 +261,126 @@ func run(o runOpts) error {
 		viewMu    sync.Mutex
 		deathView transport.View
 	)
-	firstDeathView := func() transport.View {
-		viewMu.Lock()
-		defer viewMu.Unlock()
-		return deathView
-	}
-
-	// Every attempt gets fresh model state and a fresh recorder: attempt 0
-	// is the primary (distributed or fault-injected) run, attempts >= 1 are
-	// failover recoveries that absorb every LP into this process.
-	var (
-		sys *pdes.System
-		rec *trace.Recorder
-	)
-	runAttempt := func(attempt int, restore *pdes.Checkpoint) (*pdes.Result, error) {
-		if attempt > 0 {
-			d, b, _, berr := buildDesign(true)
-			if berr != nil {
-				return nil, berr
-			}
-			design, bench = d, b
+	switch {
+	case o.Listen != "" || o.Connect != "":
+		hosted, perr := runopts.ParseInts(o.hosted)
+		if perr != nil || len(hosted) == 0 {
+			return fmt.Errorf("distributed mode needs -hosted (comma-separated endpoint ids)")
 		}
-		sys = design.Build()
-		rec = trace.NewRecorder()
-		// The engine runs the shard-level system while verification, -compare,
-		// -trace and -vcd keep working on the original member-level system:
-		// the wrapped sink re-attributes every record to its member LP.
-		runSys := sys
-		var sink pdes.TraceSink = rec
-		if o.Shards > 0 {
-			shd, serr := pdes.ShardSystem(sys, o.Shards, shardPart)
-			if serr != nil {
-				return nil, serr
-			}
-			runSys = shd.Sys()
-			sink = shd.WrapSink(rec)
-		}
-		acfg := cfg
-		acfg.Restore = restore
-		if acfg.CheckpointRounds > 0 && (hostsController || attempt > 0) {
-			acfg.CheckpointSink = func(ck *pdes.Checkpoint) error {
-				sup.Checkpoint(ck)
-				if o.ckptFile != "" {
-					return ckptio.Write(o.ckptFile, o.ckptKeep, &ckptio.File{
-						Ckpt: ck, Trace: rec.Entries(), Shards: o.Shards, Partition: o.Partition,
-					})
+		topts := []transport.Option{transport.WithHeartbeat(o.hbInterval, o.hbTimeout)}
+		if o.MigratePolicy == "on-death" || o.MigratePolicy == "balance" {
+			topts = append(topts, transport.WithOnViewChange(func(v transport.View) {
+				viewMu.Lock()
+				if deathView.Epoch == 0 && v.AliveCount() < len(v.Members) {
+					deathView = v
 				}
-				return nil
-			}
+				viewMu.Unlock()
+				fmt.Fprintf(o.stderr, "pvsim: cluster view epoch %d: %d/%d members alive\n",
+					v.Epoch, v.AliveCount(), len(v.Members))
+			}))
 		}
-		if attempt > 0 {
-			// Recovery run: same partition, same config, local fabric. The
-			// worker count is NOT blindly inherited — the surviving host may
-			// have fewer cores than the dead cluster had workers, so the
-			// shape is clamped to GOMAXPROCS and, under -migrate-policy=
-			// on-death, to the survivors of the first recorded death. The
-			// checkpoint is remapped to the new shape; either way the
-			// committed trace is the one the dead cluster would have emitted.
-			avail := runtime.GOMAXPROCS(0)
-			if o.MigratePolicy == "on-death" {
-				v := firstDeathView()
-				survivors, hostedW := 0, 0
-				for _, m := range v.Members {
-					if !m.Alive {
-						continue
-					}
-					survivors++
-					for _, ep := range m.Hosted {
-						if ep != 0 {
-							hostedW++
-						}
-					}
-				}
-				if w, migrate := supervise.SurvivorWorkers(acfg.Workers, hostedW, survivors, o.MinNodes); migrate {
-					if w < avail {
-						avail = w
-					}
-					fmt.Fprintf(os.Stderr, "pvsim: failover: migrating the dead node's LPs onto %d surviving workers (view epoch %d)\n",
-						w, v.Epoch)
-				} else {
-					fmt.Fprintf(os.Stderr, "pvsim: failover: too few survivors (view epoch %d); absorbing every LP locally\n", v.Epoch)
-				}
-			}
-			plan, perr := supervise.PlanRecovery(runSys, restore, acfg.Workers, avail, acfg.Partition)
-			if perr != nil {
-				return nil, perr
-			}
-			sup.RecordPlan(attempt, plan)
-			if plan.Clamped {
-				fmt.Fprintf(os.Stderr, "pvsim: failover: clamping %d workers to %d for the recovery run\n",
-					acfg.Workers, plan.Workers)
-			}
-			acfg.Workers = plan.Workers
-			acfg.Restore = plan.Restore
-			return pdes.RunOn(runSys, acfg, until, sink, pdes.NewLocalFabric(acfg.Workers+1))
+		if o.FaultKillWrites > 0 {
+			plan := faultinject.Plan{Seed: o.faultSeed, KillAfterWrites: o.FaultKillWrites}
+			topts = append(topts, transport.WithConnWrapper(plan.Conn()))
+			fmt.Fprintf(o.stdout, "fault injection: killing this process's connection after %d writes\n", o.FaultKillWrites)
 		}
-		switch {
-		case distributed:
-			hosted, perr := runopts.ParseInts(o.hosted)
-			if perr != nil || len(hosted) == 0 {
-				return nil, fmt.Errorf("distributed mode needs -hosted (comma-separated endpoint ids)")
-			}
-			topts := []transport.Option{transport.WithHeartbeat(o.hbInterval, o.hbTimeout)}
-			if elastic {
-				topts = append(topts, transport.WithOnViewChange(func(v transport.View) {
-					viewMu.Lock()
-					if deathView.Epoch == 0 && v.AliveCount() < len(v.Members) {
-						deathView = v
-					}
-					viewMu.Unlock()
-					fmt.Fprintf(os.Stderr, "pvsim: cluster view epoch %d: %d/%d members alive\n",
-						v.Epoch, v.AliveCount(), len(v.Members))
-				}))
-			}
-			if o.FaultKillWrites > 0 {
-				plan := faultinject.Plan{Seed: o.faultSeed, KillAfterWrites: o.FaultKillWrites}
-				topts = append(topts, transport.WithConnWrapper(plan.Conn()))
-				fmt.Printf("fault injection: killing this process's connection after %d writes\n", o.FaultKillWrites)
-			}
+		so.Fabric = func(int) ([]pdes.Endpoint, func(), error) {
 			var node *transport.Node
-			var terr error
+			var err error
 			if o.Listen != "" {
-				fmt.Printf("listening on %s for %d endpoints...\n", o.Listen, o.Endpoints)
-				node, terr = transport.Listen(o.Listen, o.Endpoints, hosted, topts...)
+				fmt.Fprintf(o.stdout, "listening on %s for %d endpoints...\n", o.Listen, o.Endpoints)
+				node, err = transport.Listen(o.Listen, o.Endpoints, hosted, topts...)
 			} else {
-				node, terr = transport.Dial(o.Connect, o.Endpoints, hosted, topts...)
+				node, err = transport.Dial(o.Connect, o.Endpoints, hosted, topts...)
 			}
-			if terr != nil {
-				return nil, terr
+			if err != nil {
+				return nil, nil, err
 			}
-			defer node.Close()
-			return pdes.RunOn(runSys, acfg, until, sink, node.Endpoints())
-		case o.FaultDieSends > 0 || o.FaultMuteSends > 0:
-			plan := faultinject.Plan{Seed: o.faultSeed, DieAfterSends: o.FaultDieSends, MuteAfterSends: o.FaultMuteSends}
-			eps, _ := faultinject.WrapFabric(pdes.NewLocalFabric(acfg.Workers+1), plan)
-			if o.FaultDieSends > 0 {
-				fmt.Printf("fault injection: fabric dies after %d sends from any endpoint (seed %d)\n",
-					o.FaultDieSends, o.faultSeed)
-			}
-			if o.FaultMuteSends > 0 {
-				fmt.Printf("fault injection: each endpoint goes silent after %d sends (seed %d)\n",
-					o.FaultMuteSends, o.faultSeed)
-			}
-			return pdes.RunOn(runSys, acfg, until, sink, eps)
-		case cfg.Protocol == pdes.ProtoSequential:
-			return pdes.RunSequential(sys, until, rec)
-		default:
-			return pdes.Run(runSys, acfg, until, sink)
+			return node.Endpoints(), func() { node.Close() }, nil
 		}
+	case o.FaultDieSends > 0 || o.FaultMuteSends > 0:
+		plan := faultinject.Plan{Seed: o.faultSeed, DieAfterSends: o.FaultDieSends, MuteAfterSends: o.FaultMuteSends}
+		if o.FaultDieSends > 0 {
+			fmt.Fprintf(o.stdout, "fault injection: fabric dies after %d sends from any endpoint (seed %d)\n",
+				o.FaultDieSends, o.faultSeed)
+		}
+		if o.FaultMuteSends > 0 {
+			fmt.Fprintf(o.stdout, "fault injection: each endpoint goes silent after %d sends (seed %d)\n",
+				o.FaultMuteSends, o.faultSeed)
+		}
+		so.Fabric = plan.Fabric
 	}
 
-	var res *pdes.Result
-	if o.Failover {
-		res, err = sup.Run(runAttempt)
-	} else {
-		res, err = runAttempt(0, sup.Latest())
+	so.OnFailover = func(attempt int, err error, ck *pdes.Checkpoint) int {
+		if ck != nil {
+			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v); absorbing all LPs locally from the checkpoint at GVT %v\n",
+				attempt, err, ck.GVT)
+		} else {
+			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v) before the first checkpoint cut; restarting locally from scratch\n",
+				attempt, err)
+		}
+		// The recovery run may not fit the dead cluster's worker count on
+		// this host, and under -migrate-policy=on-death it is further bounded
+		// by the workers the survivors of the first recorded death hosted.
+		avail := runtime.GOMAXPROCS(0)
+		if o.MigratePolicy == "on-death" {
+			viewMu.Lock()
+			v := deathView
+			viewMu.Unlock()
+			if w, migrate := supervise.SurvivorWorkers(so.Workers, v.AliveWorkers(), v.AliveCount(), o.MinNodes); migrate {
+				if w < avail {
+					avail = w
+				}
+				fmt.Fprintf(o.stderr, "pvsim: failover: migrating the dead node's LPs onto %d surviving workers (view epoch %d)\n",
+					w, v.Epoch)
+			} else {
+				fmt.Fprintf(o.stderr, "pvsim: failover: too few survivors (view epoch %d); absorbing every LP locally\n", v.Epoch)
+			}
+		}
+		if so.Workers > avail {
+			fmt.Fprintf(o.stderr, "pvsim: failover: clamping %d workers to %d for the recovery run\n", so.Workers, avail)
+		}
+		return avail
 	}
+
+	res, err := govhdl.NewSession(factory, so).Run()
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("simulated to %v in %v (GVT %v)\n", until, res.Wall.Round(1e6), res.GVT)
+	fmt.Fprintf(o.stdout, "simulated to %v in %v (GVT %v)\n", so.Until, res.Run.Wall.Round(1e6), res.Run.GVT)
 	if o.showStats {
-		fmt.Printf("metrics: %v\n", res.Metrics)
+		fmt.Fprintf(o.stdout, "metrics: %v\n", res.Run.Metrics)
 		if o.MemBudget > 0 {
-			fmt.Printf("memory: peak tracked optimistic bytes %d (budget %d)\n", res.MemPeak, o.MemBudget)
+			fmt.Fprintf(o.stdout, "memory: peak tracked optimistic bytes %d (budget %d)\n", res.Run.MemPeak, o.MemBudget)
 		}
-		if res.Makespan > 0 {
-			fmt.Printf("modeled makespan: %.0f cost units\n", res.Makespan)
+		if res.Run.Makespan > 0 {
+			fmt.Fprintf(o.stdout, "modeled makespan: %.0f cost units\n", res.Run.Makespan)
 		}
 	}
 	if bench != nil && o.verify {
-		if err := bench.Verify(until); err != nil {
+		if err := bench.Verify(so.Until); err != nil {
 			return fmt.Errorf("verification FAILED: %w", err)
 		}
-		fmt.Println("verification: OK (matches the bit-true reference model)")
+		fmt.Fprintln(o.stdout, "verification: OK (matches the bit-true reference model)")
 	}
 	if o.compare {
-		refDesign, _, _, err := buildDesign(true)
+		ref, _, err := o.build(true)
 		if err != nil {
 			return err
 		}
-		refSys := refDesign.Build()
-		refRec := trace.NewRecorder()
-		if _, err := pdes.RunSequential(refSys, until, refRec); err != nil {
+		refRes, err := ref.Simulate(govhdl.Options{Protocol: govhdl.Sequential, Until: so.Until})
+		if err != nil {
 			return err
 		}
-		if ok, diff := trace.Equal(sys, rec, refRec); !ok {
+		if ok, diff := trace.Equal(ref.System(), res.Trace, refRes.Trace); !ok {
 			return fmt.Errorf("trace comparison FAILED: %s", diff)
 		}
-		fmt.Printf("compare: OK (%d committed records identical to the sequential kernel)\n", rec.Len())
+		fmt.Fprintf(o.stdout, "compare: OK (%d committed records identical to the sequential kernel)\n", res.Trace.Len())
 	}
 	if o.showTrace {
-		for _, line := range rec.Lines(sys) {
-			fmt.Println(line)
+		for _, line := range res.TraceLines() {
+			fmt.Fprintln(o.stdout, line)
 		}
 	}
 	if o.vcd != "" {
@@ -593,10 +389,10 @@ func run(o runOpts) error {
 			return err
 		}
 		defer f.Close()
-		if err := trace.WriteVCD(f, sys, rec, design.Name); err != nil {
+		if err := res.WriteVCD(f); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", o.vcd)
+		fmt.Fprintf(o.stdout, "wrote %s\n", o.vcd)
 	}
 	return nil
 }

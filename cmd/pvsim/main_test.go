@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"govhdl/internal/faultinject"
 	"govhdl/internal/pdes"
 	"govhdl/internal/runopts"
-	"govhdl/internal/supervise"
 	"govhdl/internal/trace"
 	"govhdl/internal/transport"
 	"govhdl/internal/vtime"
@@ -21,7 +21,7 @@ import (
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	base := func(mutate func(*runOpts)) runOpts {
-		o := runOpts{Opts: runopts.Opts{Protocol: "dynamic", Workers: 1, SaveEvery: 1}}
+		o := runOpts{Opts: runopts.Opts{Protocol: "dynamic", Workers: 1, SaveEvery: 1}, stdout: io.Discard, stderr: io.Discard}
 		mutate(&o)
 		return o
 	}
@@ -38,7 +38,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		o.Circuit = "fsm"
 		o.Protocol = "seq"
 		o.CkptRounds = 1
-		o.ckptFile = "x"
+		o.CkptFile = "x"
 	})); err == nil {
 		t.Error("checkpoint rounds under the sequential kernel accepted")
 	}
@@ -68,7 +68,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 // TestCheckpointLineageThroughCLI covers pvsim's ckptio wiring: the sink's
 // writes rotate a generation lineage, a torn .tmp from a crashed write never
-// leaks into a read, and -restore's SeedFromLineage falls back past a
+// leaks into a read, and -restore's ckptio.Recover falls back past a
 // corrupted newest generation to the previous cut.
 func TestCheckpointLineageThroughCLI(t *testing.T) {
 	transport.RegisterGob()
@@ -127,10 +127,9 @@ func TestCheckpointLineageThroughCLI(t *testing.T) {
 	if _, err := ckptio.Read(path); err == nil || !strings.Contains(err.Error(), "sha256") {
 		t.Fatalf("corrupt file error = %v", err)
 	}
-	sup := &supervise.Supervisor{}
-	cf, gen, skipped, err := sup.SeedFromLineage(path)
+	cf, gen, skipped, err := ckptio.Recover(path)
 	if err != nil {
-		t.Fatalf("SeedFromLineage: %v", err)
+		t.Fatalf("Recover: %v", err)
 	}
 	if gen != ckptio.GenPath(path, 1) || !cf.Ckpt.GVT.Equal(ckA.GVT) {
 		t.Fatalf("recovered %v from %s, want checkpoint A from generation 1", cf.Ckpt.GVT, gen)

@@ -42,6 +42,13 @@ import (
 	"govhdl/internal/vtime"
 )
 
+// Checkpoint cuts, migration blobs and checkpoint files all gob-encode the
+// kernel's event payloads and trace items, in-process runs included. This is
+// the run path's one registration: whatever links the simulator can cut,
+// migrate and decode them, before any Session exists (pvsim -restore reads
+// its file first).
+func init() { transport.RegisterGob() }
+
 // Time is a physical simulation time in femtoseconds.
 type Time = vtime.Time
 
@@ -67,10 +74,7 @@ const (
 )
 
 // Source is one VHDL source file.
-type Source struct {
-	Name string
-	Text string
-}
+type Source = vhdl.Source
 
 // Options parameterizes a simulation run.
 type Options struct {
@@ -102,31 +106,62 @@ type Options struct {
 	// committed GVT stops advancing for this long fails with a diagnostic
 	// instead of hanging.
 	StallTimeout time.Duration
+	// StallPolicy selects the remedy when GVT stalls (default: fail).
+	StallPolicy pdes.StallPolicy
+	// StallDump receives the stall watchdog's diagnostic report; nil
+	// discards it.
+	StallDump func(*pdes.StallReport)
 	// Rebalance enables live LP migration between workers at GVT rounds:
 	// when one worker's committed-event load sustains above another's, the
 	// controller moves LPs at the next quiescent cut. Committed traces are
 	// unaffected (migration changes placement, never event order); the
 	// Result metrics count the moves. Needs Workers >= 2.
 	Rebalance bool
+	// Migrate, when set, is the migration planner consulted at GVT rounds;
+	// it takes precedence over Rebalance's built-in policy.
+	Migrate pdes.MigrationPlanner
+	// Shards, when positive, clusters the LPs into this many shards that
+	// execute sequentially inside the shard, with the protocol running only
+	// between shards. Traces stay member-level. Ignored for Sequential.
+	Shards int
+	// Partition names the partitioner — "rr", "block" or "topo" — for both
+	// LP-to-worker placement and shard membership. Empty keeps the defaults:
+	// round-robin placement, topology-aware shards.
+	Partition string
+	// GVTEvery is the number of events per worker between GVT round
+	// requests (0 = engine default); GVTAdapt retunes it each round from the
+	// observed cut traffic.
+	GVTEvery int
+	GVTAdapt bool
+	// CheckpointRounds, when positive, cuts a GVT-consistent checkpoint
+	// every this many committed GVT rounds. A Session retains the latest cut
+	// and resumes a retry from it; see SessionOptions.OnCheckpoint for
+	// persistence. In distributed runs every process passes the same value.
+	CheckpointRounds int
 }
 
-func (o Options) config() pdes.Config {
-	cfg := pdes.Config{
-		Workers:         o.Workers,
-		Protocol:        o.Protocol,
-		Lookahead:       o.Lookahead,
-		ThrottleWindow:  o.ThrottleWindow,
-		CheckpointEvery: o.CheckpointEvery,
-		MemBudget:       o.MemBudget,
-		StallTimeout:    o.StallTimeout,
+// config is the one options-to-engine mapping: every frontend's run reaches
+// pdes through it. It also resolves the shard-membership partitioner.
+func (o Options) config() (cfg pdes.Config, shardPart pdes.Partition, err error) {
+	cfg = pdes.Config{
+		Workers:          o.Workers,
+		Protocol:         o.Protocol,
+		Lookahead:        o.Lookahead,
+		ThrottleWindow:   o.ThrottleWindow,
+		CheckpointEvery:  o.CheckpointEvery,
+		MemBudget:        o.MemBudget,
+		StallTimeout:     o.StallTimeout,
+		StallPolicy:      o.StallPolicy,
+		StallDump:        o.StallDump,
+		GVTEvery:         o.GVTEvery,
+		GVTAdapt:         o.GVTAdapt,
+		CheckpointRounds: o.CheckpointRounds,
+		Migrate:          o.Migrate,
 	}
 	if o.UserConsistent {
 		cfg.Ordering = pdes.OrderUserConsistent
 	}
-	if o.Rebalance {
-		// Migration ships LP state as gob-encoded checkpoint blobs, so the
-		// payload types must be registered even for in-process runs.
-		transport.RegisterGob()
+	if o.Rebalance && cfg.Migrate == nil {
 		// In-process runs are short compared to cluster runs, so the policy
 		// thresholds are aggressive: any sustained >10% imbalance moves an LP,
 		// re-evaluated every round.
@@ -134,7 +169,18 @@ func (o Options) config() pdes.Config {
 			Ratio: 1.1, Cooldown: 1, MaxMoves: 2, MinEvents: 1,
 		})
 	}
-	return cfg
+	// Minimizing the cut is the point of sharding, so shard membership
+	// defaults to the topology-aware partitioner while LP-to-worker placement
+	// keeps the engine's round-robin default; an explicit name drives both.
+	shardPart = pdes.PartitionTopo
+	if o.Partition != "" {
+		p, ok := pdes.ParsePartition(o.Partition)
+		if !ok {
+			return cfg, 0, fmt.Errorf("govhdl: unknown partition %q", o.Partition)
+		}
+		cfg.Partition, shardPart = p, p
+	}
+	return cfg, shardPart, nil
 }
 
 // Model is an elaborated design ready to simulate.
@@ -146,9 +192,19 @@ type Model struct {
 // Compile parses the sources, elaborates the hierarchy under the top
 // entity, and returns a simulatable model.
 func Compile(top string, sources ...Source) (*Model, error) {
+	files, err := vhdl.ParseAll(sources)
+	if err != nil {
+		return nil, err
+	}
+	return Elaborate(top, files...)
+}
+
+// Elaborate is Compile for sources that are already parsed (a caller that
+// linted them first elaborates the same trees).
+func Elaborate(top string, files ...*vhdl.DesignFile) (*Model, error) {
 	lib := vhdl.NewLibrary()
-	for _, s := range sources {
-		if err := lib.ParseAndAdd(s.Name, s.Text); err != nil {
+	for _, df := range files {
+		if err := lib.Add(df); err != nil {
 			return nil, err
 		}
 	}
@@ -182,32 +238,11 @@ type Result struct {
 	model *Model
 }
 
-// Simulate runs the model once. A model's signal and process state is
-// mutated by the run; build a fresh Model to simulate again from time zero.
+// Simulate runs the model once: a single-attempt Session. A model's signal
+// and process state is mutated by the run; build a fresh Model to simulate
+// again from time zero.
 func (m *Model) Simulate(o Options) (*Result, error) {
-	if o.Until == 0 {
-		o.Until = 1 * MS
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	var rec *trace.Recorder
-	var sink pdes.TraceSink
-	if !o.NoTrace {
-		rec = trace.NewRecorder()
-		sink = rec
-	}
-	var res *pdes.Result
-	var err error
-	if o.Protocol == Sequential {
-		res, err = pdes.RunSequential(m.sys, o.Until, sink)
-	} else {
-		res, err = pdes.Run(m.sys, o.config(), o.Until, sink)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Run: res, Trace: rec, model: m}, nil
+	return m.NewSession(SessionOptions{Options: o, MaxFailovers: -1}).Run()
 }
 
 // TraceLines renders the committed value changes deterministically.

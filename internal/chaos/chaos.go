@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"govhdl"
 	"govhdl/internal/circuits"
 	"govhdl/internal/ckptio"
 	"govhdl/internal/faultinject"
 	"govhdl/internal/pdes"
-	"govhdl/internal/supervise"
 	"govhdl/internal/trace"
-	"govhdl/internal/transport"
 	"govhdl/internal/vtime"
 )
 
@@ -59,10 +58,11 @@ type Verdict struct {
 // legRun carries the per-soak context every leg shares: the schedule, the
 // horizon, and the sequential oracle's rendered trace.
 type legRun struct {
-	opts   Options
-	sched  *Schedule
-	horizon vtime.Time
-	oracle []string // sequential trace in deterministic (TS, LP, item) order
+	opts      Options
+	sched     *Schedule
+	horizon   vtime.Time
+	clockHalf vtime.Time
+	oracle    []string // sequential trace in deterministic (TS, LP, item) order
 }
 
 // Run executes the soak: derive the schedule, run the sequential oracle
@@ -72,7 +72,6 @@ type legRun struct {
 func Run(opts Options) (*Verdict, error) {
 	opts.fill()
 	sched := NewSchedule(opts)
-	transport.RegisterGob() // checkpoints gob-encode event payloads and trace items
 
 	c := circuits.BuildRandom(sched.Circuit)
 	horizon := c.DefaultHorizon
@@ -95,7 +94,7 @@ func Run(opts Options) (*Verdict, error) {
 		v.Ok = false
 	}
 
-	lr := &legRun{opts: opts, sched: sched, horizon: horizon, oracle: oracleRec.Lines(oracleSys)}
+	lr := &legRun{opts: opts, sched: sched, horizon: horizon, clockHalf: c.ClockHalf, oracle: oracleRec.Lines(oracleSys)}
 	for i := range sched.Legs {
 		res := lr.runLeg(&sched.Legs[i])
 		if !res.Ok {
@@ -106,24 +105,32 @@ func Run(opts Options) (*Verdict, error) {
 	return v, nil
 }
 
-// attemptOut is what one engine attempt produced: the run result, the
-// rendered committed trace, the circuit (for Verify), and the first GVT
-// monotonicity violation observed, if any.
-type attemptOut struct {
-	res    *pdes.Result
-	lines  []string
-	circ   *circuits.Circuit
-	gvtErr string
+// legOut is what one leg run produced: the engine result and rendered
+// committed trace of its last attempt (both present even when the run
+// failed), the circuit that attempt simulated (for Verify), how many
+// failovers the session went through, and the first GVT monotonicity
+// violation observed, if any.
+type legOut struct {
+	res       *pdes.Result
+	lines     []string
+	circ      *circuits.Circuit
+	failovers int
+	gvtErr    string
 }
 
-// baseCfg is the leg's engine configuration before fault- and
-// checkpoint-specific fields.
-func (lr *legRun) baseCfg(leg *Leg) pdes.Config {
-	return pdes.Config{
-		Workers:   lr.sched.Workers,
-		Protocol:  leg.Protocol,
-		GVTEvery:  leg.GVTEvery,
-		MemBudget: leg.MemBudget,
+// baseOpts is the leg's session options before fault- and
+// checkpoint-specific fields. Retry is off: only kill legs fail over.
+func (lr *legRun) baseOpts(leg *Leg) govhdl.SessionOptions {
+	return govhdl.SessionOptions{
+		Options: govhdl.Options{
+			Workers:   lr.sched.Workers,
+			Protocol:  leg.Protocol,
+			Until:     lr.horizon,
+			GVTEvery:  leg.GVTEvery,
+			MemBudget: leg.MemBudget,
+			Shards:    leg.Shards,
+		},
+		MaxFailovers: -1,
 	}
 }
 
@@ -133,46 +140,45 @@ func planActive(p faultinject.Plan) bool {
 		p.SendDelayProb > 0 || p.PartitionAfterSends > 0
 }
 
-// runOnce builds a fresh instance of the seed's circuit and runs one engine
-// attempt of the leg over a local fabric, fault-wrapped when faulted is set.
-// The GVT monotonicity invariant is checked inline via Config.OnGVT.
-func (lr *legRun) runOnce(leg *Leg, cfg pdes.Config, faulted bool) (*attemptOut, error) {
-	c := circuits.BuildRandom(lr.sched.Circuit)
-	sys := c.Design.Build()
-	rec := trace.NewRecorder()
-	runSys, sink := sys, pdes.TraceSink(rec)
-	if leg.Shards > 0 {
-		ss, err := pdes.ShardSystem(sys, leg.Shards, pdes.PartitionTopo)
-		if err != nil {
-			return nil, err
-		}
-		runSys = ss.Sys()
-		sink = ss.WrapSink(rec)
+// run runs the leg through a govhdl.Session: every attempt builds a fresh
+// instance of the seed's circuit, and the first runs over a fabric wrapped in
+// the leg's fault plan, if it has one. The GVT monotonicity invariant is
+// checked inline, per attempt (a recovery legitimately restarts at its cut).
+func (lr *legRun) run(leg *Leg, so govhdl.SessionOptions) (*legOut, error) {
+	out := &legOut{}
+	factory := func() (*govhdl.Model, error) {
+		out.circ = circuits.BuildRandom(lr.sched.Circuit)
+		return govhdl.FromDesign(out.circ.Design), nil
 	}
 
 	// Storm legs need GVT rounds to happen while the run is still in
 	// flight: unbounded optimism can reach the horizon inside a single
 	// round, starving the planner. One clock period of throttle forces a
 	// round cadence without changing any committed outcome.
-	if leg.StormTotal > 0 && cfg.ThrottleWindow == 0 {
-		cfg.ThrottleWindow = 2 * c.ClockHalf
+	if leg.StormTotal > 0 && so.ThrottleWindow == 0 {
+		so.ThrottleWindow = 2 * lr.clockHalf
 	}
 
-	out := &attemptOut{circ: c}
 	var last vtime.VT
-	cfg.OnGVT = func(gvt vtime.VT) {
+	so.OnGVT = func(gvt vtime.VT) {
 		if gvt.Less(last) && out.gvtErr == "" {
 			out.gvtErr = fmt.Sprintf("GVT went backwards: %v after %v", gvt, last)
 		}
 		last = gvt
 	}
-	eps := pdes.NewLocalFabric(cfg.Workers + 1)
-	if faulted && planActive(leg.Plan) {
-		eps, _ = faultinject.WrapFabric(eps, leg.Plan)
+	so.OnFailover = func(int, error, *pdes.Checkpoint) int {
+		out.failovers++
+		last = vtime.VT{}
+		// Recover at the leg's own shape, whatever host the soak runs on.
+		return so.Workers
 	}
-	res, err := pdes.RunOn(runSys, cfg, lr.horizon, sink, eps)
-	out.res = res
-	out.lines = rec.Lines(sys)
+	if planActive(leg.Plan) {
+		so.Fabric = leg.Plan.Fabric
+	}
+	res, err := govhdl.NewSession(factory, so).Run()
+	if res != nil {
+		out.res, out.lines = res.Run, res.TraceLines()
+	}
 	return out, err
 }
 
@@ -224,7 +230,7 @@ func (lr *legRun) containedInOracle(lines []string) string {
 // checkSuccess runs the full post-success oracle on a leg: trace identity,
 // GVT monotonicity, reference-model verification, and counter consistency
 // with the schedule.
-func (lr *legRun) checkSuccess(leg *Leg, r *LegResult, out *attemptOut, emitted int) {
+func (lr *legRun) checkSuccess(leg *Leg, r *LegResult, out *legOut, emitted int) {
 	fillCounters(r, out.res)
 	r.Records = len(out.lines)
 	if d := lr.diffOracle(out.lines); d != "" {
@@ -279,12 +285,12 @@ func (lr *legRun) runLeg(leg *Leg) LegResult {
 // runPlainLeg covers baseline, delay, storm, storm+delay and memory-squeeze
 // legs: one attempt, full success oracle.
 func (lr *legRun) runPlainLeg(leg *Leg, r *LegResult) {
-	cfg := lr.baseCfg(leg)
+	so := lr.baseOpts(leg)
 	emitted := new(int)
 	if leg.StormTotal > 0 {
-		cfg.Migrate, emitted = stormPlanner(leg.StormSeed, leg.StormTotal)
+		so.Migrate, emitted = stormPlanner(leg.StormSeed, leg.StormTotal)
 	}
-	out, err := lr.runOnce(leg, cfg, true)
+	out, err := lr.run(leg, so)
 	if err != nil {
 		r.Err = err.Error()
 		return
@@ -292,48 +298,27 @@ func (lr *legRun) runPlainLeg(leg *Leg, r *LegResult) {
 	lr.checkSuccess(leg, r, out, *emitted)
 }
 
-// runKillLeg runs the supervised failover loop: attempt 0 dies of the
-// scheduled fabric fault, recovery resumes from the latest in-memory
-// checkpoint cut, and the attempt log must converge after exactly the
-// scheduled number of failovers with the oracle trace intact.
+// runKillLeg runs the supervised failover path: attempt 0 dies of the
+// scheduled fabric fault, the session resumes from the latest cut it
+// retained, and it must converge after exactly the scheduled number of
+// failovers with the oracle trace intact.
 func (lr *legRun) runKillLeg(leg *Leg, r *LegResult) {
-	sup := &supervise.Supervisor{}
-	var final *attemptOut
-	_, err := sup.Run(func(attempt int, restore *pdes.Checkpoint) (*pdes.Result, error) {
-		cfg := lr.baseCfg(leg)
-		cfg.CheckpointRounds = 1
-		cfg.CheckpointSink = func(ck *pdes.Checkpoint) error {
-			sup.Checkpoint(ck)
-			return nil
-		}
-		cfg.Restore = restore
-		out, rerr := lr.runOnce(leg, cfg, attempt == 0)
-		if out == nil {
-			return nil, rerr
-		}
-		final = out
-		return out.res, rerr
-	})
+	so := lr.baseOpts(leg)
+	so.CheckpointRounds = 1
+	so.MaxFailovers = 0 // the supervise default
+	out, err := lr.run(leg, so)
+	r.Failovers = out.failovers
 	if err != nil {
 		r.Err = err.Error()
-		if final != nil {
-			fillCounters(r, final.res)
-		}
+		fillCounters(r, out.res)
 		return
 	}
-	failovers := 0
-	for _, a := range sup.Log() {
-		if a.Err != "" {
-			failovers++
-		}
-	}
-	r.Failovers = failovers
-	if failovers != leg.ExpectKills {
-		r.Err = fmt.Sprintf("recovery log shows %d failovers, schedule injected %d kills", failovers, leg.ExpectKills)
-		fillCounters(r, final.res)
+	if out.failovers != leg.ExpectKills {
+		r.Err = fmt.Sprintf("recovery log shows %d failovers, schedule injected %d kills", out.failovers, leg.ExpectKills)
+		fillCounters(r, out.res)
 		return
 	}
-	lr.checkSuccess(leg, r, final, 0)
+	lr.checkSuccess(leg, r, out, 0)
 }
 
 // runStallLeg runs a designed-stall leg: the scheduled partition or mute
@@ -341,14 +326,11 @@ func (lr *legRun) runKillLeg(leg *Leg, r *LegResult) {
 // way), and whatever the run committed before aborting must be a subset of
 // the oracle — an aborted run may be behind, never wrong.
 func (lr *legRun) runStallLeg(leg *Leg, r *LegResult) {
-	cfg := lr.baseCfg(leg)
-	cfg.StallTimeout = lr.opts.StallTimeout
-	cfg.StallPolicy = pdes.StallFail
-	out, err := lr.runOnce(leg, cfg, true)
-	if out != nil {
-		fillCounters(r, out.res)
-		r.Records = len(out.lines)
-	}
+	so := lr.baseOpts(leg)
+	so.StallTimeout = lr.opts.StallTimeout
+	out, err := lr.run(leg, so)
+	fillCounters(r, out.res)
+	r.Records = len(out.lines)
 	if err == nil {
 		r.Err = "designed stall completed instead of tripping the watchdog"
 		return
@@ -383,13 +365,13 @@ func (lr *legRun) runCheckpointLeg(leg *Leg, r *LegResult) {
 		fmt.Sprintf("soak-%d-leg%d.gvcp", lr.sched.Seed, leg.Index))
 
 	gens := 0
-	cfg := lr.baseCfg(leg)
-	cfg.CheckpointRounds = 1
-	cfg.CheckpointSink = func(ck *pdes.Checkpoint) error {
+	so := lr.baseOpts(leg)
+	so.CheckpointRounds = 1
+	so.OnCheckpoint = func(ck *pdes.Checkpoint, _ []trace.Entry) error {
 		gens++
 		return ckptio.Write(path, 3, &ckptio.File{Ckpt: ck, Shards: leg.Shards, Partition: "topo"})
 	}
-	out, err := lr.runOnce(leg, cfg, false)
+	out, err := lr.run(leg, so)
 	if err != nil {
 		r.Err = err.Error()
 		return
@@ -411,8 +393,7 @@ func (lr *legRun) runCheckpointLeg(leg *Leg, r *LegResult) {
 		r.Err = err.Error()
 		return
 	}
-	sup := &supervise.Supervisor{}
-	f, gen, skipped, err := sup.SeedFromLineage(path)
+	f, gen, skipped, err := ckptio.Recover(path)
 	if err != nil {
 		r.Err = "lineage recovery: " + err.Error()
 		return
@@ -429,9 +410,9 @@ func (lr *legRun) runCheckpointLeg(leg *Leg, r *LegResult) {
 
 	// Restored rerun: replaying the committed prefix from the fallen-back
 	// cut must still end byte-identical to the oracle.
-	cfg = lr.baseCfg(leg)
-	cfg.Restore = f.Ckpt
-	out, err = lr.runOnce(leg, cfg, false)
+	so = lr.baseOpts(leg)
+	so.Restore = f.Ckpt
+	out, err = lr.run(leg, so)
 	if err != nil {
 		r.Err = "restored rerun: " + err.Error()
 		return

@@ -12,6 +12,7 @@ package circuits
 
 import (
 	"fmt"
+	"strings"
 
 	"govhdl/internal/kernel"
 	"govhdl/internal/vtime"
@@ -53,6 +54,27 @@ func (c *Circuit) RisingEdges(horizon vtime.Time) int {
 func (c *Circuit) String() string {
 	return fmt.Sprintf("%s (%d LPs: %d signals, %d processes)",
 		c.Name, c.LPs(), c.Design.NumSignals(), c.Design.NumProcesses())
+}
+
+// ByName resolves one of the paper's circuits ("fsm", "iir" or "dct") at its
+// paper size: the build function and the default horizon, which follows from
+// the defaulted options alone — no netlist is built to learn it.
+func ByName(name string) (build func() *Circuit, horizon vtime.Time, err error) {
+	switch strings.ToLower(name) {
+	case "fsm":
+		var o FSMOpts
+		o.fill()
+		return func() *Circuit { return BuildFSM(o) }, o.horizon(), nil
+	case "iir":
+		var o IIROpts
+		o.fill()
+		return func() *Circuit { return BuildIIR(o) }, o.horizon(), nil
+	case "dct":
+		var o DCTOpts
+		o.fill()
+		return func() *Circuit { return BuildDCT(o) }, o.horizon(), nil
+	}
+	return nil, 0, fmt.Errorf("unknown circuit %q (fsm, iir or dct)", name)
 }
 
 // xorshift is a tiny deterministic PRNG for stimulus schedules (reference

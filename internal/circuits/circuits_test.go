@@ -32,6 +32,23 @@ func TestIIRAndDCTSizes(t *testing.T) {
 	}
 }
 
+// ByName's horizon is computed from the defaulted options without building;
+// it must equal what the built circuit reports.
+func TestByNameHorizonMatchesBuild(t *testing.T) {
+	for _, name := range []string{"fsm", "IIR", "dct"} {
+		build, horizon, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := build(); c.DefaultHorizon != horizon || horizon == 0 {
+			t.Errorf("%s: ByName horizon %v, built circuit says %v", name, horizon, c.DefaultHorizon)
+		}
+	}
+	if _, _, err := ByName("nosuch"); err == nil || err.Error() != `unknown circuit "nosuch" (fsm, iir or dct)` {
+		t.Errorf("unknown name: %v", err)
+	}
+}
+
 func TestFSMSequentialVerifies(t *testing.T) {
 	c := BuildFSM(FSMOpts{Machines: 8, Cycles: 20})
 	horizon := c.DefaultHorizon

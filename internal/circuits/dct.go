@@ -37,6 +37,17 @@ func (o *DCTOpts) fill() {
 	}
 }
 
+// clockHalf is the settle window of filled options, covering the ROM mux
+// tree, the array multiplier's cascaded ripple adders and the 2w-bit
+// accumulator adder, generously overestimated.
+func (o *DCTOpts) clockHalf() vtime.Time {
+	w := o.Width
+	return vtime.Time(6*w*w+30*w+200) * o.GateDelay
+}
+
+// horizon is DefaultHorizon for filled options.
+func (o *DCTOpts) horizon() vtime.Time { return vtime.Time(o.Cycles) * 2 * o.clockHalf() }
+
 // BuildDCT builds the gate-level DCT processor (paper Fig. 9/10): MACs
 // multiply-accumulate rows computing y[i] = Σ_j c[i][j]·x[j] over a shared
 // streamed input. A 3-bit phase counter selects the coefficient of each row
@@ -49,10 +60,7 @@ func (o *DCTOpts) fill() {
 func BuildDCT(opts DCTOpts) *Circuit {
 	opts.fill()
 	w := opts.Width
-	// Settle window covering the ROM mux tree, the array multiplier's
-	// cascaded ripple adders and the 2w-bit accumulator adder,
-	// generously overestimated.
-	half := vtime.Time(6*w*w+30*w+200) * opts.GateDelay
+	half := opts.clockHalf()
 
 	b := netlist.New("dct", opts.GateDelay)
 	clk := b.Clock("clk", half)
@@ -140,7 +148,7 @@ func BuildDCT(opts DCTOpts) *Circuit {
 		Design:         d,
 		ClockHalf:      half,
 		GateDelay:      opts.GateDelay,
-		DefaultHorizon: vtime.Time(opts.Cycles) * 2 * half,
+		DefaultHorizon: opts.horizon(),
 	}
 	mask2w := uint64(1)<<uint(2*w) - 1
 	c.Verify = func(horizon vtime.Time) error {

@@ -33,6 +33,9 @@ func (o *FSMOpts) fill() {
 	}
 }
 
+// horizon is DefaultHorizon for filled options.
+func (o *FSMOpts) horizon() vtime.Time { return vtime.Time(o.Cycles) * 2 * o.ClockHalf }
+
 // BuildFSM builds the zero-delay FSM ensemble (paper Fig. 5/6): a ring of
 // two-bit Moore machines where machine i's output feeds machine i+1's
 // input. All combinational logic has zero delay, so every clock edge sets
@@ -78,7 +81,7 @@ func BuildFSM(opts FSMOpts) *Circuit {
 		Name:           "FSM",
 		Design:         d,
 		ClockHalf:      opts.ClockHalf,
-		DefaultHorizon: vtime.Time(opts.Cycles) * 2 * opts.ClockHalf,
+		DefaultHorizon: opts.horizon(),
 	}
 	c.Verify = func(horizon vtime.Time) error {
 		edges := c.RisingEdges(horizon)

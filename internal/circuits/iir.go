@@ -38,6 +38,18 @@ func (o *IIROpts) fill() {
 	}
 }
 
+// clockHalf is the settle window of filled options: the falling-to-rising
+// half period must cover the full combinational cascade (the y outputs chain
+// through every section, and each array multiplier is a cascade of ripple
+// adders with ~2(2w) levels per row). Generously overestimated.
+func (o *IIROpts) clockHalf() vtime.Time {
+	w := o.Width
+	return vtime.Time(o.Sections*(6*w*w+24*w)+200) * o.GateDelay
+}
+
+// horizon is DefaultHorizon for filled options.
+func (o *IIROpts) horizon() vtime.Time { return vtime.Time(o.Cycles) * 2 * o.clockHalf() }
+
 // BuildIIR builds the gate-level Gray–Markel cascaded lattice IIR filter
 // (paper Fig. 7/8). Each section computes, in unsigned fixed point with the
 // coefficient treated as a Q0.W fraction:
@@ -54,12 +66,7 @@ func (o *IIROpts) fill() {
 func BuildIIR(opts IIROpts) *Circuit {
 	opts.fill()
 	w := opts.Width
-	// Settle window: the falling-to-rising half period must cover the
-	// full combinational cascade (the y outputs chain through every
-	// section, and each array multiplier is a cascade of ripple adders
-	// with ~2(2w) levels per row). Generously overestimated.
-	depth := vtime.Time(opts.Sections*(6*w*w+24*w) + 200)
-	half := depth * opts.GateDelay
+	half := opts.clockHalf()
 
 	b := netlist.New("iir", opts.GateDelay)
 	clk := b.Clock("clk", half)
@@ -112,7 +119,7 @@ func BuildIIR(opts IIROpts) *Circuit {
 		Design:         d,
 		ClockHalf:      half,
 		GateDelay:      opts.GateDelay,
-		DefaultHorizon: vtime.Time(opts.Cycles) * 2 * half,
+		DefaultHorizon: opts.horizon(),
 	}
 	mask := uint64(1)<<uint(w) - 1
 	c.Verify = func(horizon vtime.Time) error {

@@ -182,6 +182,14 @@ func (in *Injector) kill(err error) {
 	})
 }
 
+// Fabric builds an in-process fabric of n endpoints with the plan's fabric
+// faults applied: a first-attempt fabric for govhdl.SessionOptions.Fabric
+// (nothing to release).
+func (p Plan) Fabric(n int) ([]pdes.Endpoint, func(), error) {
+	eps, _ := WrapFabric(pdes.NewLocalFabric(n), p)
+	return eps, nil, nil
+}
+
 // WrapFabric wraps every endpoint with the plan's fabric faults. The
 // returned Injector reports whether (and why) the fabric was killed.
 func WrapFabric(eps []pdes.Endpoint, plan Plan) ([]pdes.Endpoint, *Injector) {

@@ -328,7 +328,7 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 		c.ep.Send(w, m)
 	}
 	if isDone {
-		c.finalClock = barrier + c.cfg.Costs.GVTCost
+		c.finalClock = barrier + costs.GVTCost
 	}
 	if ckpt {
 		return false, c.checkpointRound(gvt)
@@ -343,7 +343,7 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 // few of the round's processed events crossed workers (a well-partitioned or
 // sharded run — synchronization is pure overhead), the interval doubles;
 // when the cut is dense (remote messages drive progress and bound optimism),
-// it halves. Bounded by [GVTEvery, GVTEveryMax]. Only the event-count
+// it halves. Bounded by [GVTEvery, gvtAdaptSpan*GVTEvery]. Only the event-count
 // trigger is affected; idle-triggered rounds keep progress and termination
 // independent of the cadence, and the committed trace is invariant to round
 // timing by construction.
@@ -354,8 +354,8 @@ func (c *controller) retuneCadence(sentDelta, procDelta uint64) {
 	switch {
 	case sentDelta*8 < procDelta:
 		c.interval *= 2
-		if c.interval > c.cfg.GVTEveryMax {
-			c.interval = c.cfg.GVTEveryMax
+		if max := gvtAdaptSpan * c.cfg.GVTEvery; c.interval > max {
+			c.interval = max
 		}
 	case sentDelta*2 > procDelta:
 		c.interval /= 2

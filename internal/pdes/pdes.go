@@ -33,6 +33,7 @@ package pdes
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"govhdl/internal/stats"
@@ -139,6 +140,45 @@ const (
 	PartitionTopo
 )
 
+// ParsePartition maps a partitioner name ("rr", "block", "topo" and the long
+// round-robin spellings) onto its constant.
+func ParsePartition(name string) (Partition, bool) {
+	switch strings.ToLower(name) {
+	case "rr", "roundrobin", "round-robin":
+		return PartitionRoundRobin, true
+	case "block":
+		return PartitionBlock, true
+	case "topo":
+		return PartitionTopo, true
+	}
+	return 0, false
+}
+
+// Engine constants: tuned once against the paper's circuits. They are not
+// Config fields because no caller or workload needs a second value.
+const (
+	// gvtAdaptSpan bounds the adaptive GVT interval to this multiple of
+	// Config.GVTEvery.
+	gvtAdaptSpan = 16
+	// adaptRollbackHi: an optimistic LP whose rolled-back/processed ratio
+	// over the last adaptation window exceeds this switches to conservative
+	// (dynamic protocol only).
+	adaptRollbackHi = 0.5
+	// adaptBlockedHi: a conservative LP that was blocked (had pending but no
+	// safe events) at more than this fraction of scheduling opportunities
+	// switches to optimistic.
+	adaptBlockedHi = 0.7
+	// adaptCooldown is the number of GVT rounds an adapted LP holds its new
+	// mode before it may be re-proposed for switching. Without a cooldown an
+	// LP whose two windows straddle both thresholds thrashes between modes,
+	// paying a rollback-commit cycle per switch — the source of the
+	// dynamic-mode regression on filter pipelines.
+	adaptCooldown = 2
+)
+
+// costs is the virtual-processor cost model behind Result.Makespan.
+var costs = stats.Default()
+
 // Config parameterizes a parallel run.
 type Config struct {
 	Workers   int       // number of virtual processors (>= 1)
@@ -166,36 +206,14 @@ type Config struct {
 	// the observed cut traffic: when few remote messages crossed workers
 	// relative to events processed (a well-partitioned or sharded run), the
 	// interval doubles; when the cut is dense it halves. The interval stays
-	// within [GVTEvery, GVTEveryMax]. Synchronization frequency then scales
+	// within [GVTEvery, 16*GVTEvery]. Synchronization frequency then scales
 	// with cut traffic, not event count; idle-triggered rounds are
 	// unaffected, so progress and termination do not depend on the cadence.
 	GVTAdapt bool
-	// GVTEveryMax bounds the adaptive interval (default 16*GVTEvery).
-	GVTEveryMax int
 
 	// ThrottleWindow, when positive, prevents optimistic LPs from running
 	// more than this much physical time ahead of GVT (memory bound).
 	ThrottleWindow vtime.Time
-
-	// Costs is the virtual-processor cost model; zero value means
-	// stats.Default().
-	Costs stats.CostModel
-
-	// AdaptRollbackHi: an optimistic LP whose rolled-back/processed ratio
-	// over the last adaptation window exceeds this switches to
-	// conservative (dynamic protocol only). Default 0.5.
-	AdaptRollbackHi float64
-	// AdaptBlockedHi: a conservative LP that was blocked (had pending but
-	// no safe events) at more than this fraction of scheduling
-	// opportunities switches to optimistic. Default 0.7.
-	AdaptBlockedHi float64
-	// AdaptCooldown is the number of GVT rounds an adapted LP holds its new
-	// mode before it may be re-proposed for switching (dynamic protocol
-	// only; default 2, negative disables). Without a cooldown an LP whose
-	// two windows straddle both thresholds thrashes between modes, paying a
-	// rollback-commit cycle per switch — the source of the dynamic-mode
-	// regression on filter pipelines.
-	AdaptCooldown int
 
 	// StallTimeout, when positive, arms the GVT stall watchdog: if the
 	// committed GVT does not advance for this long of wall-clock time, the
@@ -279,27 +297,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.GVTEvery <= 0 {
 		c.GVTEvery = 4096
-	}
-	if c.GVTEveryMax <= 0 {
-		c.GVTEveryMax = 16 * c.GVTEvery
-	}
-	if c.GVTEveryMax < c.GVTEvery {
-		c.GVTEveryMax = c.GVTEvery
-	}
-	if c.AdaptCooldown == 0 {
-		c.AdaptCooldown = 2
-	}
-	if c.AdaptCooldown < 0 {
-		c.AdaptCooldown = 0
-	}
-	if c.Costs == (stats.CostModel{}) {
-		c.Costs = stats.Default()
-	}
-	if c.AdaptRollbackHi == 0 {
-		c.AdaptRollbackHi = 0.5
-	}
-	if c.AdaptBlockedHi == 0 {
-		c.AdaptBlockedHi = 0.7
 	}
 }
 

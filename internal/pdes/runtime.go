@@ -67,7 +67,7 @@ type lpRT struct {
 	wakes       uint64 // scheduling attempts
 	blockedHits uint64 // scheduling attempts with pending but unsafe events
 	// switchRound is the GVT round of the last dynamic mode switch
-	// (0 = never switched), for Config.AdaptCooldown.
+	// (0 = never switched), for adaptCooldown.
 	switchRound uint64
 
 	edges  []edgeIn

@@ -59,7 +59,6 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 	}()
 	sys.frozen = true
 	start := time.Now()
-	costs := stats.Default()
 	horizon := vtime.VT{PT: until}
 
 	var (

@@ -85,12 +85,11 @@ func TestShardedAdaptiveGVT(t *testing.T) {
 	const n, seeds, x0 = 12, 3, 40
 	want, _ := runOracle(t, n, seeds, x0)
 	got, _ := runShardedRing(t, n, seeds, x0, 4, PartitionTopo, Config{
-		Workers:     2,
-		Protocol:    ProtoDynamic,
-		Lookahead:   true,
-		GVTEvery:    64,
-		GVTAdapt:    true,
-		GVTEveryMax: 4096,
+		Workers:   2,
+		Protocol:  ProtoDynamic,
+		Lookahead: true,
+		GVTEvery:  64,
+		GVTAdapt:  true,
 	})
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("adaptive-GVT trace mismatch: got %d records, want %d", len(got), len(want))

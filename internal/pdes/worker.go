@@ -239,7 +239,7 @@ func (w *worker) chargeEvents(delta int64) {
 	}
 	w.metrics.Events.Add(uint64(delta))
 	w.execTotal += uint64(delta)
-	w.clock += float64(delta) * w.cfg.Costs.EventCost
+	w.clock += float64(delta) * costs.EventCost
 }
 
 func (w *worker) fatal(format string, args ...any) {
@@ -487,7 +487,7 @@ func (w *worker) execute(lp *lpRT, ev *Event) {
 	if w.clock < ev.Clk {
 		w.clock = ev.Clk
 	}
-	w.clock += w.cfg.Costs.EventCost
+	w.clock += costs.EventCost
 	ts := ev.TS
 	w.ctx.self, w.ctx.now = lp.decl.id, ts
 	if debugTraceID != 0 {
@@ -557,11 +557,11 @@ func (w *worker) snapshot(lp *lpRT) (any, int64) {
 		s := lp.model.SaveState()
 		lp.lastSnap, lp.lastVer = s, v
 		w.metrics.StateSaves.Add(1)
-		w.clock += w.cfg.Costs.StateSaveCost
+		w.clock += costs.StateSaveCost
 		return s, lp.snapBytes
 	}
 	w.metrics.StateSaves.Add(1)
-	w.clock += w.cfg.Costs.StateSaveCost
+	w.clock += costs.StateSaveCost
 	return lp.model.SaveState(), lp.snapBytes
 }
 
@@ -594,7 +594,7 @@ func (w *worker) executeBatch(lp *lpRT) {
 	if len(batch) > 1 {
 		sort.SliceStable(batch, func(i, j int) bool { return w.cmp(batch[i], batch[j]) })
 	}
-	w.clock += w.cfg.Costs.UserOrderCost * float64(len(batch))
+	w.clock += costs.UserOrderCost * float64(len(batch))
 	for _, ev := range batch {
 		w.execute(lp, ev)
 	}
@@ -632,13 +632,13 @@ func (w *worker) deliver(e *Event) {
 	o := w.owner[e.Dst]
 	if o == w.ep.Self() {
 		w.metrics.LocalMsgs.Add(1)
-		w.clock += w.cfg.Costs.LocalMsgCost
+		w.clock += costs.LocalMsgCost
 		w.localQ = append(w.localQ, e)
 		return
 	}
 	w.metrics.RemoteMsgs.Add(1)
-	w.clock += w.cfg.Costs.RemoteMsgCost
-	e.Clk = w.clock + w.cfg.Costs.RemoteLatency
+	w.clock += costs.RemoteMsgCost
+	e.Clk = w.clock + costs.RemoteLatency
 	m := w.msgPool.get()
 	m.Kind, m.Ev = msgEvent, e
 	w.sendMsg(o, m)
@@ -667,7 +667,7 @@ func (w *worker) sendMsg(dst int, m *Msg) {
 // the receiver.
 func (w *worker) sendAnti(r antiRec) {
 	w.metrics.Antis.Add(1)
-	w.clock += w.cfg.Costs.AntiCost
+	w.clock += costs.AntiCost
 	e := w.evPool.get()
 	e.ID = r.id
 	e.Src = r.src
@@ -838,7 +838,7 @@ func (w *worker) rollbackTo(lp *lpRT, i int) {
 	w.metrics.Rollbacks.Add(1)
 	w.metrics.RolledBack.Add(uint64(count))
 	lp.rolled += uint64(count)
-	w.clock += w.cfg.Costs.RollbackBase + w.cfg.Costs.RollbackPer*float64(count)
+	w.clock += costs.RollbackBase + costs.RollbackPer*float64(count)
 
 	j := lp.restoreBase(i)
 	if j < 0 {
@@ -897,7 +897,7 @@ func (w *worker) sendNulls(lp *lpRT) {
 		lp.lastPromise[i] = p
 		w.metrics.Nulls.Add(1)
 		w.nullsSent++
-		w.clock += w.cfg.Costs.NullCost
+		w.clock += costs.NullCost
 		o := w.owner[dst]
 		if o == w.ep.Self() {
 			w.routeNull(lp.decl.id, dst, p)
@@ -1067,7 +1067,7 @@ func (w *worker) applyGVTNew(m *Msg) bool {
 	if w.clock < m.Clock {
 		w.clock = m.Clock
 	}
-	w.clock += w.cfg.Costs.GVTCost
+	w.clock += costs.GVTCost
 	w.roundNo++
 	if m.NextGVT > 0 {
 		w.gvtEvery = m.NextGVT
@@ -1247,18 +1247,15 @@ func (w *worker) modeProposals() []ModePair {
 		if lp.decl.forced {
 			continue
 		}
-		// Cooldown: a freshly adapted LP holds its mode for AdaptCooldown
-		// rounds. Thrashing between modes pays a rollback-commit cycle per
-		// switch, which is what made dynamic runs slower than either pure
-		// protocol on filter pipelines.
-		if w.cfg.AdaptCooldown > 0 && lp.switchRound != 0 &&
-			w.roundNo-lp.switchRound < uint64(w.cfg.AdaptCooldown) {
+		// Cooldown: a freshly adapted LP holds its mode for adaptCooldown
+		// rounds.
+		if lp.switchRound != 0 && w.roundNo-lp.switchRound < adaptCooldown {
 			continue
 		}
 		switch lp.mode {
 		case Optimistic:
 			if lp.execs+lp.rolled >= 16 &&
-				float64(lp.rolled) > w.cfg.AdaptRollbackHi*float64(lp.execs) {
+				float64(lp.rolled) > adaptRollbackHi*float64(lp.execs) {
 				props = append(props, ModePair{lp.decl.id, Conservative})
 			}
 		case Conservative:
@@ -1270,7 +1267,7 @@ func (w *worker) modeProposals() []ModePair {
 				continue
 			}
 			if lp.wakes >= 4 &&
-				float64(lp.blockedHits) > w.cfg.AdaptBlockedHi*float64(lp.wakes) {
+				float64(lp.blockedHits) > adaptBlockedHi*float64(lp.wakes) {
 				props = append(props, ModePair{lp.decl.id, Optimistic})
 			}
 		}

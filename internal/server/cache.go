@@ -131,12 +131,12 @@ func (c *Cache) Stats() CacheStats {
 // DesignKey is the cache key: a content hash over the top entity and the
 // sources in submission order (order can matter to elaboration). Length
 // prefixes keep ("ab","c") distinct from ("a","bc").
-func DesignKey(top string, names, texts []string) string {
+func DesignKey(top string, srcs []SourceRequest) string {
 	h := sha256.New()
 	writeField(h, top)
-	for i := range names {
-		writeField(h, names[i])
-		writeField(h, texts[i])
+	for _, s := range srcs {
+		writeField(h, s.Name)
+		writeField(h, s.Text)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -238,6 +238,32 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// runOpts spells the request as the option surface pvsim's flags fill, so
+// both frontends reach the session through the same runopts.Resolve.
+func (req *SessionRequest) runOpts() (runopts.Opts, error) {
+	stallTimeout, err := parseDuration(req.StallTimeout)
+	if err != nil {
+		return runopts.Opts{}, fmt.Errorf("bad stall_timeout: %v", err)
+	}
+	return runopts.Opts{
+		Top:           req.Top,
+		Circuit:       req.Circuit,
+		Protocol:      req.Protocol,
+		Workers:       req.Workers,
+		Until:         req.Until,
+		Lookahead:     req.Lookahead,
+		User:          req.UserConsistent,
+		Throttle:      req.Throttle,
+		SaveEvery:     req.SaveEvery,
+		MemBudget:     req.MemBudget,
+		StallTimeout:  stallTimeout,
+		MigratePolicy: req.MigratePolicy,
+		MinNodes:      req.MinNodes,
+		Vet:           req.Vet,
+		VetStrict:     req.VetStrict,
+	}, nil
+}
+
 func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
 	r.Body = http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)
@@ -245,24 +271,8 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.Protocol == "" {
-		req.Protocol = "dynamic"
-	}
-	proto, err := runopts.ParseProtocol(req.Protocol)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Workers <= 0 {
-		req.Workers = 1
-	}
 	if req.Workers > sv.cfg.MaxWorkers {
 		httpError(w, http.StatusBadRequest, "workers must be <= %d", sv.cfg.MaxWorkers)
-		return
-	}
-	stallTimeout, err := parseDuration(req.StallTimeout)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad stall_timeout: %v", err)
 		return
 	}
 	deadline, err := parseDuration(req.Deadline)
@@ -270,35 +280,37 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad deadline: %v", err)
 		return
 	}
-	if deadline <= 0 || deadline > sv.cfg.MaxDeadline {
-		if deadline > sv.cfg.MaxDeadline {
-			httpError(w, http.StatusBadRequest, "deadline must be <= %v", sv.cfg.MaxDeadline)
-			return
-		}
+	if deadline > sv.cfg.MaxDeadline {
+		httpError(w, http.StatusBadRequest, "deadline must be <= %v", sv.cfg.MaxDeadline)
+		return
+	}
+	if deadline <= 0 {
 		deadline = sv.cfg.DefaultDeadline
 	}
-	// The shared validator keeps a request and the equivalent pvsim
-	// invocation rejecting the same combinations with the same messages.
-	shared := runopts.Opts{
-		Circuit:       req.Circuit,
-		Workers:       req.Workers,
-		User:          req.UserConsistent,
-		StallTimeout:  stallTimeout,
-		MemBudget:     req.MemBudget,
-		MigratePolicy: req.MigratePolicy,
-		MinNodes:      req.MinNodes,
-		Vet:           req.Vet,
-		VetStrict:     req.VetStrict,
-	}
-	if err := shared.Validate(proto); err != nil {
+	// The shared resolver keeps a request and the equivalent pvsim invocation
+	// rejecting the same combinations with the same messages, and running
+	// the same session when accepted. What the server adds is its deployment
+	// policy (the deadline, always-on transparent retry) and the two request
+	// fields no pvsim flag spells.
+	ro, err := req.runOpts()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	so, err := ro.Resolve()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	so.Deadline, so.MaxFailovers = deadline, sv.cfg.MaxFailovers
+	so.NoTrace, so.Rebalance = req.NoTrace, req.Rebalance
 
 	// Design lint runs on every VHDL submission — the findings ride on the
 	// session status — and, when the request opts in via vet/vet_strict,
 	// fatal findings reject the submission before a queue slot is spent.
-	lintRep := sv.lintSources(req.Sources)
+	// Sources that fail to parse get no report: factoryFor surfaces the
+	// parse error once the request's shape has been checked.
+	files, lintRep, parseErr := sv.lintSources(req.Sources)
 	if lintRep != nil && (req.Vet || req.VetStrict) &&
 		(lintRep.Errors > 0 || (req.VetStrict && lintRep.Warnings > 0)) {
 		w.Header().Set("Content-Type", "application/json")
@@ -307,43 +319,12 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opts := govhdl.Options{
-		Protocol:        proto,
-		Workers:         req.Workers,
-		Lookahead:       req.Lookahead,
-		UserConsistent:  req.UserConsistent,
-		CheckpointEvery: req.SaveEvery,
-		MemBudget:       req.MemBudget,
-		StallTimeout:    stallTimeout,
-		NoTrace:         req.NoTrace,
-		Rebalance:       req.Rebalance,
-	}
-	if req.Until != "" {
-		t, err := runopts.ParseTime(req.Until)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad until: %v", err)
-			return
-		}
-		opts.Until = t
-	}
-	if req.Throttle != "" {
-		t, err := runopts.ParseTime(req.Throttle)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad throttle: %v", err)
-			return
-		}
-		opts.ThrottleWindow = t
-	}
-
-	factory, cached, defaultUntil, err := sv.factoryFor(&req)
+	factory, cached, err := sv.factoryFor(&req, files, parseErr)
 	if err != nil {
 		// Compile, elaboration and unknown-name errors are the client's
 		// fault and are surfaced at submit time, before a slot is spent.
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if opts.Until == 0 && defaultUntil > 0 {
-		opts.Until = defaultUntil
 	}
 
 	// Queue admission: bound admitted-but-unfinished work.
@@ -369,11 +350,7 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			ss.setDesign(m.Design)
 		}
 		return m, err
-	}, govhdl.SessionOptions{
-		Options:      opts,
-		Deadline:     deadline,
-		MaxFailovers: sv.cfg.MaxFailovers,
-	})
+	}, so)
 	sim.OnTrace(ss.append)
 	ss.sim = sim
 
@@ -390,23 +367,22 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(SessionReply{ID: id, State: StateQueued, Cached: cached})
 }
 
-// lintSources runs design lint over a submission's VHDL sources and returns
-// the report, accounting the pass in the lint metrics. Empty submissions
-// (circuit requests) and sources that fail to parse return nil: the compile
-// path reports parse errors with the proper message and status.
-func (sv *Server) lintSources(srcs []SourceRequest) *lint.Report {
+// lintSources parses a submission's VHDL sources once and runs design lint
+// over them, accounting the pass in the lint metrics. It returns the parsed
+// files (the cache-miss path elaborates the same trees) and the report, or
+// the parse error; a circuit request, with nothing to lint, gets neither.
+func (sv *Server) lintSources(srcs []SourceRequest) ([]*vhdl.DesignFile, *lint.Report, error) {
 	if len(srcs) == 0 {
-		return nil
+		return nil, nil, nil
 	}
-	dfs := make([]*vhdl.DesignFile, 0, len(srcs))
-	for _, s := range srcs {
-		df, err := vhdl.Parse(s.Name, s.Text)
-		if err != nil {
-			return nil
-		}
-		dfs = append(dfs, df)
+	vs := make([]vhdl.Source, len(srcs))
+	for i, s := range srcs {
+		vs[i] = vhdl.Source(s)
 	}
-	diags := lint.Analyze(dfs...)
+	files, diags, err := lint.ParseAndAnalyze(vs)
+	if err != nil {
+		return nil, nil, err
+	}
 	errs, warns := lint.Counts(diags)
 	sv.mu.Lock()
 	sv.lintRuns++
@@ -415,7 +391,7 @@ func (sv *Server) lintSources(srcs []SourceRequest) *lint.Report {
 	if diags == nil {
 		diags = []lint.Diagnostic{}
 	}
-	return &lint.Report{Diagnostics: diags, Errors: errs, Warnings: warns}
+	return files, &lint.Report{Diagnostics: diags, Errors: errs, Warnings: warns}, nil
 }
 
 // LintRequest is the /v1/lint payload: sources only, no run options.
@@ -438,65 +414,53 @@ func (sv *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "nothing to lint: give sources")
 		return
 	}
-	dfs := make([]*vhdl.DesignFile, 0, len(req.Sources))
-	for _, s := range req.Sources {
-		df, err := vhdl.Parse(s.Name, s.Text)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		dfs = append(dfs, df)
+	_, rep, err := sv.lintSources(req.Sources)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	diags := lint.Analyze(dfs...)
-	sv.mu.Lock()
-	sv.lintRuns++
-	sv.lintFindings += len(diags)
-	sv.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	lint.WriteJSON(w, diags)
+	lint.WriteJSON(w, rep.Diagnostics)
 }
 
 // factoryFor resolves a request's design into a per-attempt model factory.
-// VHDL submissions go through the cache: elaboration happens at most once
-// per content hash, and each attempt clones fresh state off the prototype.
+// VHDL submissions go through the cache: elaboration (of the files lint
+// already parsed) happens at most once per content hash, and each attempt
+// clones fresh state off the prototype.
 // Circuit submissions rebuild per attempt (their combinational behaviors
 // hold closures that cannot be cloned; rebuilding is cheap and equivalent).
-func (sv *Server) factoryFor(req *SessionRequest) (govhdl.ModelFactory, bool, govhdl.Time, error) {
+func (sv *Server) factoryFor(req *SessionRequest, files []*vhdl.DesignFile, parseErr error) (govhdl.ModelFactory, bool, error) {
 	switch {
 	case req.Circuit != "" && (req.Top != "" || len(req.Sources) > 0):
-		return nil, false, 0, fmt.Errorf("give either circuit or top+sources, not both")
+		return nil, false, fmt.Errorf("give either circuit or top+sources, not both")
 	case req.Circuit != "":
-		build, horizon, err := circuitBuilder(req.Circuit)
+		build, _, err := circuits.ByName(req.Circuit)
 		if err != nil {
-			return nil, false, 0, err
+			return nil, false, err
 		}
 		return func() (*govhdl.Model, error) {
 			return govhdl.FromDesign(build().Design), nil
-		}, false, horizon, nil
+		}, false, nil
 	case len(req.Sources) > 0:
 		if req.Top == "" {
-			return nil, false, 0, fmt.Errorf("top is required with sources")
+			return nil, false, fmt.Errorf("top is required with sources")
 		}
-		names := make([]string, len(req.Sources))
-		texts := make([]string, len(req.Sources))
+		if parseErr != nil {
+			return nil, false, parseErr
+		}
 		srcBytes := 0
-		srcs := make([]govhdl.Source, len(req.Sources))
-		for i, s := range req.Sources {
-			names[i], texts[i] = s.Name, s.Text
+		for _, s := range req.Sources {
 			srcBytes += len(s.Text)
-			srcs[i] = govhdl.Source{Name: s.Name, Text: s.Text}
 		}
-		key := DesignKey(req.Top, names, texts)
-		proto, hit, err := sv.cache.Get(key, func() (*kernel.Design, int64, error) {
-			m, err := govhdl.Compile(req.Top, srcs...)
+		proto, hit, err := sv.cache.Get(DesignKey(req.Top, req.Sources), func() (*kernel.Design, int64, error) {
+			m, err := govhdl.Elaborate(req.Top, files...)
 			if err != nil {
 				return nil, 0, err
 			}
-			d := m.Design
-			return d, designBytes(d, srcBytes), nil
+			return m.Design, designBytes(m.Design, srcBytes), nil
 		})
 		if err != nil {
-			return nil, hit, 0, err
+			return nil, hit, err
 		}
 		return func() (*govhdl.Model, error) {
 			clone, err := proto.CloneFresh()
@@ -504,24 +468,9 @@ func (sv *Server) factoryFor(req *SessionRequest) (govhdl.ModelFactory, bool, go
 				return nil, err
 			}
 			return govhdl.FromDesign(clone), nil
-		}, hit, 0, nil
+		}, hit, nil
 	}
-	return nil, false, 0, fmt.Errorf("nothing to simulate: give top+sources, or circuit")
-}
-
-func circuitBuilder(name string) (func() *circuits.Circuit, govhdl.Time, error) {
-	switch name {
-	case "fsm":
-		b := func() *circuits.Circuit { return circuits.BuildFSM(circuits.FSMOpts{}) }
-		return b, b().DefaultHorizon, nil
-	case "iir":
-		b := func() *circuits.Circuit { return circuits.BuildIIR(circuits.IIROpts{}) }
-		return b, b().DefaultHorizon, nil
-	case "dct":
-		b := func() *circuits.Circuit { return circuits.BuildDCT(circuits.DCTOpts{}) }
-		return b, b().DefaultHorizon, nil
-	}
-	return nil, 0, fmt.Errorf("unknown circuit %q (fsm, iir or dct)", name)
+	return nil, false, fmt.Errorf("nothing to simulate: give top+sources, or circuit")
 }
 
 // runSession is the session goroutine: wait for a pool slot, run, account.

@@ -10,13 +10,12 @@ import (
 	"govhdl/internal/pdes"
 )
 
-// TestSeedFromLineageFallsBackPastCorruptLatest is the checkpoint-lineage
+// TestRestoreFromLineageFallsBackPastCorruptLatest is the checkpoint-lineage
 // acceptance path end to end: a checkpointed run writes a generation lineage
-// to disk, the newest generation is deliberately corrupted, and the
-// supervisor seeds the next attempt from the newest generation that still
-// verifies — producing a final trace byte-identical to the uninterrupted
-// oracle.
-func TestSeedFromLineageFallsBackPastCorruptLatest(t *testing.T) {
+// to disk, the newest generation is deliberately corrupted, and the next
+// attempt is seeded from the newest generation that still verifies —
+// producing a final trace byte-identical to the uninterrupted oracle.
+func TestRestoreFromLineageFallsBackPastCorruptLatest(t *testing.T) {
 	want := oracle(t)
 	path := filepath.Join(t.TempDir(), "ring.gvcp")
 
@@ -47,11 +46,12 @@ func TestSeedFromLineageFallsBackPastCorruptLatest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sup := &Supervisor{}
-	f, gen, skipped, err := sup.SeedFromLineage(path)
+	f, gen, skipped, err := ckptio.Recover(path)
 	if err != nil {
-		t.Fatalf("SeedFromLineage: %v", err)
+		t.Fatalf("Recover: %v", err)
 	}
+	sup := &Supervisor{}
+	sup.Checkpoint(f.Ckpt)
 	if gen != ckptio.GenPath(path, 1) {
 		t.Fatalf("seeded from %s, want the previous generation", gen)
 	}
@@ -72,36 +72,4 @@ func TestSeedFromLineageFallsBackPastCorruptLatest(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffTrace(t, want, sortedLines(sink.snapshot()))
-}
-
-// A lineage whose every generation is corrupt must surface a diagnosis, not
-// a silent from-scratch restart.
-func TestSeedFromLineageAllCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ring.gvcp")
-	cfg := pdes.Config{
-		Workers:          ringWorkers,
-		Protocol:         pdes.ProtoOptimistic,
-		GVTEvery:         64,
-		ThrottleWindow:   100,
-		CheckpointRounds: 1,
-		CheckpointSink: func(ck *pdes.Checkpoint) error {
-			return ckptio.Write(path, 2, &ckptio.File{Ckpt: ck})
-		},
-	}
-	if _, err := pdes.RunOn(buildRing(ringLPs, ringSeed), cfg, ringUntil, &memSink{},
-		pdes.NewLocalFabric(ringWorkers+1)); err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < 2; n++ {
-		if err := faultinject.CorruptFile(ckptio.GenPath(path, n), int64(n+1), 48, 16); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sup := &Supervisor{}
-	if _, _, _, err := sup.SeedFromLineage(path); err == nil {
-		t.Fatal("a fully corrupt lineage was accepted")
-	}
-	if sup.Latest() != nil {
-		t.Fatal("supervisor was primed from a corrupt lineage")
-	}
 }

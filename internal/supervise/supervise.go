@@ -20,9 +20,7 @@
 // PlanRecovery clamps the worker count to what the surviving host can
 // actually execute and migrates the checkpoint to the new grouping with
 // pdes.RemapCheckpoint — the dead nodes' LPs land on the survivors' workers
-// instead of being absorbed at the original shape. Every attempt's shape
-// (worker count, whether it was clamped, whether LPs migrated) is recorded
-// in the supervisor's attempt log.
+// instead of being absorbed at the original shape.
 package supervise
 
 import (
@@ -30,7 +28,6 @@ import (
 	"fmt"
 	"sync"
 
-	"govhdl/internal/ckptio"
 	"govhdl/internal/pdes"
 )
 
@@ -48,7 +45,8 @@ type RunFunc func(attempt int, restore *pdes.Checkpoint) (*pdes.Result, error)
 
 // Supervisor coordinates the attempt loop. The zero value is ready to use.
 type Supervisor struct {
-	// MaxFailovers caps recovery attempts; 0 means DefaultMaxFailovers.
+	// MaxFailovers caps recovery attempts; 0 means DefaultMaxFailovers,
+	// negative means none.
 	MaxFailovers int
 	// OnFailover, if set, observes each recovery decision before the next
 	// attempt starts: the attempt that died, its error, and the checkpoint
@@ -57,17 +55,6 @@ type Supervisor struct {
 
 	mu     sync.Mutex
 	latest *pdes.Checkpoint
-	log    []Attempt
-}
-
-// Attempt is one entry in the supervisor's attempt log: the shape an attempt
-// ran with and how it ended.
-type Attempt struct {
-	N        int    // attempt number (0 = primary)
-	Workers  int    // worker count the attempt ran with (0 if never planned)
-	Clamped  bool   // worker count was reduced to fit the surviving host
-	Migrated bool   // LPs migrated to a new worker grouping for this attempt
-	Err      string // how the attempt ended; "" while running or on success
 }
 
 // RecoveryPlan describes how a recovery attempt should run.
@@ -133,67 +120,12 @@ func SurvivorWorkers(orig, survivorHosted, survivors, minNodes int) (workers int
 	return survivorHosted, true
 }
 
-// RecordPlan stores (or updates) the shape of an attempt in the log; the
-// RunFunc calls it once it has planned the attempt.
-func (s *Supervisor) RecordPlan(attempt int, p *RecoveryPlan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := s.attempt(attempt)
-	a.Workers, a.Clamped, a.Migrated = p.Workers, p.Clamped, p.Migrated
-}
-
-// Log returns a copy of the attempt log.
-func (s *Supervisor) Log() []Attempt {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Attempt(nil), s.log...)
-}
-
-// attempt returns the log entry for an attempt, creating it if needed.
-// Callers hold s.mu.
-func (s *Supervisor) attempt(n int) *Attempt {
-	for i := range s.log {
-		if s.log[i].N == n {
-			return &s.log[i]
-		}
-	}
-	s.log = append(s.log, Attempt{N: n})
-	return &s.log[len(s.log)-1]
-}
-
-func (s *Supervisor) recordOutcome(n int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := s.attempt(n)
-	if err != nil {
-		a.Err = err.Error()
-	} else {
-		a.Err = ""
-	}
-}
-
-// Checkpoint records the most recent cut; safe for concurrent use with Run.
+// Checkpoint records the most recent cut — or seeds the first attempt's
+// restore point before Run; safe for concurrent use with Run.
 func (s *Supervisor) Checkpoint(ck *pdes.Checkpoint) {
 	s.mu.Lock()
 	s.latest = ck
 	s.mu.Unlock()
-}
-
-// SeedFromLineage primes the supervisor from an on-disk checkpoint lineage:
-// it loads the newest generation under path whose frame verifies (falling
-// back past torn or corrupted newer generations instead of dying on them),
-// installs its checkpoint as the restore point for the next attempt, and
-// returns the full file (trace prefix, sharding) along with the generation
-// actually used and the verification errors of every generation skipped on
-// the way — the caller should surface those, a corrupt latest checkpoint is
-// worth an operator's attention even when recovery succeeds.
-func (s *Supervisor) SeedFromLineage(path string) (f *ckptio.File, gen string, skipped []error, err error) {
-	f, gen, skipped, err = ckptio.Recover(path)
-	if err != nil {
-		return nil, "", skipped, err
-	}
-	s.Checkpoint(f.Ckpt)
-	return f, gen, skipped, nil
 }
 
 // Latest returns the most recent checkpoint, or nil before the first cut.
@@ -204,28 +136,26 @@ func (s *Supervisor) Latest() *pdes.Checkpoint {
 }
 
 // Run drives run until an attempt succeeds, fails unrecoverably, or the
-// failover budget is exhausted.
+// failover budget is exhausted. With a negative MaxFailovers there is no
+// failover at all: a recoverable fault is a single failed attempt whose
+// error is returned as is.
 func (s *Supervisor) Run(run RunFunc) (*pdes.Result, error) {
 	max := s.MaxFailovers
-	if max <= 0 {
+	if max == 0 {
 		max = DefaultMaxFailovers
 	}
-	var lastErr error
-	for attempt := 0; attempt <= max; attempt++ {
+	for attempt := 0; ; attempt++ {
 		res, err := run(attempt, s.Latest())
-		s.recordOutcome(attempt, err)
-		if err == nil {
-			return res, nil
-		}
-		if !Recoverable(err) {
+		if err == nil || !Recoverable(err) || max < 0 {
 			return res, err
 		}
-		lastErr = err
 		if s.OnFailover != nil {
 			s.OnFailover(attempt, err, s.Latest())
 		}
+		if attempt >= max {
+			return nil, &giveUpError{failovers: max, err: err}
+		}
 	}
-	return nil, &giveUpError{failovers: max, err: lastErr}
 }
 
 // giveUpError marks an exhausted failover budget. It unwraps to the last

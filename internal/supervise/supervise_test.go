@@ -366,12 +366,14 @@ func TestSurvivorWorkers(t *testing.T) {
 // with migration instead of full absorb: the primary 4-worker run dies
 // mid-run, and the recovery — planned for a 2-core survivor — resumes from
 // the checkpoint remapped to 2 workers. The dead workers' LPs migrate onto
-// the survivors, the attempt log records the clamp and the migration, and
+// the survivors, the recovery plan records the clamp and the migration, and
 // the final trace is byte-identical to the uninterrupted oracle.
 func TestFailoverMigratesToSurvivors(t *testing.T) {
 	want := oracle(t)
-	sup := &Supervisor{}
+	var died []int // attempts the supervisor saw die
+	sup := &Supervisor{OnFailover: func(attempt int, _ error, _ *pdes.Checkpoint) { died = append(died, attempt) }}
 	final := &atomicSink{}
+	var last *RecoveryPlan
 	migrated := false
 	run := func(attempt int, restore *pdes.Checkpoint) (*pdes.Result, error) {
 		sink := &memSink{}
@@ -388,7 +390,6 @@ func TestFailoverMigratesToSurvivors(t *testing.T) {
 			},
 		}
 		if attempt == 0 {
-			sup.RecordPlan(0, &RecoveryPlan{Workers: ringWorkers})
 			eps, _ := faultinject.WrapFabric(pdes.NewLocalFabric(ringWorkers+1),
 				faultinject.Plan{Seed: 7, DieAfterSends: 300})
 			return pdes.RunOn(buildRing(ringLPs, ringSeed), cfg, ringUntil, sink, eps)
@@ -398,7 +399,7 @@ func TestFailoverMigratesToSurvivors(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		sup.RecordPlan(attempt, plan)
+		last = plan
 		migrated = migrated || plan.Migrated
 		cfg.Workers = plan.Workers
 		cfg.Restore = plan.Restore
@@ -429,16 +430,11 @@ func TestFailoverMigratesToSurvivors(t *testing.T) {
 	if !migrated {
 		t.Skip("the fabric died before the first checkpoint; migration path not exercised")
 	}
-	log := sup.Log()
-	if len(log) < 2 {
-		t.Fatalf("attempt log too short: %+v", log)
+	if last.Workers != 2 || !last.Clamped || !last.Migrated {
+		t.Fatalf("recovery plan wrong: %+v", last)
 	}
-	last := log[len(log)-1]
-	if last.Workers != 2 || !last.Clamped || !last.Migrated || last.Err != "" {
-		t.Fatalf("recovery attempt log entry wrong: %+v", last)
-	}
-	if first := log[0]; first.Err == "" {
-		t.Fatalf("primary attempt must log its death: %+v", first)
+	if len(died) == 0 || died[0] != 0 {
+		t.Fatalf("the supervisor must observe the primary attempt's death: %v", died)
 	}
 	diffTrace(t, want, sortedLines(final.get().snapshot()))
 }

@@ -66,6 +66,23 @@ func (v *View) AliveCount() int {
 	return n
 }
 
+// AliveWorkers counts the worker endpoints (every endpoint but the GVT
+// controller's, 0) hosted by the live members of the view.
+func (v *View) AliveWorkers() int {
+	n := 0
+	for _, m := range v.Members {
+		if !m.Alive {
+			continue
+		}
+		for _, ep := range m.Hosted {
+			if ep != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // WithMembership enables the cluster view: the hub keeps accepting
 // connections after formation (standby joins), tracks member liveness, and
 // propagates epoch-numbered views to every peer.

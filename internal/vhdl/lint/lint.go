@@ -136,6 +136,18 @@ func Analyze(files ...*vhdl.DesignFile) []Diagnostic {
 	return AnalyzeWith(registry, files...)
 }
 
+// ParseAndAnalyze parses the sources and runs Analyze over the result. It
+// returns the parsed files too, so a caller that goes on to elaborate hands
+// the same trees to vhdl.Library.Add instead of parsing a second time. A
+// parse error stops the pass.
+func ParseAndAnalyze(srcs []vhdl.Source) ([]*vhdl.DesignFile, []Diagnostic, error) {
+	files, err := vhdl.ParseAll(srcs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return files, Analyze(files...), nil
+}
+
 // AnalyzeWith runs only the given rules.
 func AnalyzeWith(rules []*Rule, files ...*vhdl.DesignFile) []Diagnostic {
 	facts := ExtractFacts(files)

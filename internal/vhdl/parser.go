@@ -4,6 +4,25 @@ import (
 	"fmt"
 )
 
+// Source is one VHDL source file: the name diagnostics cite and its text.
+type Source struct {
+	Name string
+	Text string
+}
+
+// ParseAll parses the sources in order, stopping at the first error.
+func ParseAll(srcs []Source) ([]*DesignFile, error) {
+	files := make([]*DesignFile, len(srcs))
+	for i, s := range srcs {
+		df, err := Parse(s.Name, s.Text)
+		if err != nil {
+			return nil, err
+		}
+		files[i] = df
+	}
+	return files, nil
+}
+
 // Parse parses one VHDL source file.
 func Parse(file, src string) (*DesignFile, error) {
 	toks, err := newLexer(file, src).lex()

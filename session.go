@@ -3,6 +3,7 @@ package govhdl
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +30,31 @@ type SessionOptions struct {
 	// Run returns an error wrapping ErrDeadlineExceeded.
 	Deadline time.Duration
 	// MaxFailovers caps transparent retries after recoverable transport
-	// faults; 0 selects the supervise default.
+	// faults; 0 selects the supervise default, negative disables retry (a
+	// transport fault is then a single failed attempt).
 	MaxFailovers int
+
+	// Fabric, when set, supplies the first attempt's endpoints in place of
+	// the in-process fabric: a transport node's hosted endpoints, or a
+	// fault-wrapped local fabric. n is Workers+1 (endpoint 0 is the GVT
+	// controller). release, if non-nil, runs when the attempt ends. Recovery
+	// attempts always run on a fresh in-process fabric.
+	Fabric func(n int) (eps []pdes.Endpoint, release func(), err error)
+	// Restore, when set, starts the first attempt from a saved cut instead
+	// of time zero; the restored run re-emits the committed prefix itself.
+	Restore *pdes.Checkpoint
+	// OnCheckpoint receives every cut the session retains (CheckpointRounds
+	// > 0) with the attempt's committed trace so far — the persistence hook.
+	// An error aborts the run.
+	OnCheckpoint func(ck *pdes.Checkpoint, committed []trace.Entry) error
+	// OnGVT observes every committed GVT value of every attempt, in
+	// nondecreasing order within an attempt (pdes.Config.OnGVT's contract).
+	OnGVT func(gvt vtime.VT)
+	// OnFailover observes each recovery decision before the next attempt
+	// starts — the attempt that died, its error, and the cut the recovery
+	// resumes from (nil: from scratch) — and returns the worker capacity the
+	// recovery may use; 0 means this host's GOMAXPROCS.
+	OnFailover func(attempt int, err error, from *pdes.Checkpoint) (capacity int)
 }
 
 // TraceFunc receives finalized trace increments: entries is a batch of the
@@ -122,10 +146,6 @@ type Session struct {
 	model     *Model
 	rec       *trace.Recorder
 	delivered int // finalized entries handed to onTrace, across attempts
-
-	// fabric, when set, supplies the endpoints for parallel attempts —
-	// the fault-injection hook for failover tests.
-	fabric func(n int) []pdes.Endpoint
 }
 
 // NewSession creates a session. The factory is invoked once per attempt.
@@ -133,7 +153,7 @@ func NewSession(factory ModelFactory, o SessionOptions) *Session {
 	if o.Until == 0 {
 		o.Until = 1 * MS
 	}
-	if o.Workers == 0 {
+	if o.Workers <= 0 {
 		o.Workers = 1
 	}
 	return &Session{factory: factory, opts: o, cancel: make(chan struct{})}
@@ -162,16 +182,10 @@ func (s *Session) OnTrace(fn TraceFunc) { s.onTrace = fn }
 // Run returns an error classified KindCanceled.
 func (s *Session) Cancel() { s.cancelOnce.Do(func() { close(s.cancel) }) }
 
-// Model returns the model of the current (or last) attempt, nil before Run
-// first invokes the factory. LP numbering is identical across attempts.
-func (s *Session) Model() *Model {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.model
-}
-
 // Run executes the session to completion and returns its result. Blocking;
-// use a goroutine and Cancel/Deadline for asynchronous control.
+// use a goroutine and Cancel/Deadline for asynchronous control. On failure
+// the Result, when non-nil, holds what the last attempt committed before it
+// aborted (its Run field may be nil).
 func (s *Session) Run() (*Result, error) {
 	s.mu.Lock()
 	if s.ran {
@@ -188,29 +202,42 @@ func (s *Session) Run() (*Result, error) {
 		})
 		defer t.Stop()
 	}
-
+	capacity := 0
 	sup := &supervise.Supervisor{MaxFailovers: s.opts.MaxFailovers}
-	res, err := sup.Run(func(attempt int, _ *pdes.Checkpoint) (*pdes.Result, error) {
-		return s.attempt()
-	})
-	if err != nil {
-		if s.deadlined.Load() && Classify(err) == KindCanceled {
-			return nil, fmt.Errorf("%w (%v): %v", ErrDeadlineExceeded, s.opts.Deadline, err)
+	if s.opts.OnFailover != nil {
+		sup.OnFailover = func(attempt int, err error, from *pdes.Checkpoint) {
+			capacity = s.opts.OnFailover(attempt, err, from)
 		}
-		return nil, err
+	}
+	sup.Checkpoint(s.opts.Restore)
+	run, err := sup.Run(func(n int, restore *pdes.Checkpoint) (*pdes.Result, error) {
+		return s.attempt(sup, n, restore, capacity)
+	})
+	if err != nil && s.deadlined.Load() && Classify(err) == KindCanceled {
+		err = fmt.Errorf("%w (%v): %v", ErrDeadlineExceeded, s.opts.Deadline, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &Result{Run: res, Trace: s.rec, model: s.model}, nil
+	if s.model == nil {
+		return nil, err
+	}
+	return &Result{Run: run, Trace: s.rec, model: s.model}, err
 }
 
-// attempt executes one simulation attempt with streaming delivery.
-func (s *Session) attempt() (*pdes.Result, error) {
+// attempt executes attempt n: build a fresh model, shard it, map the options
+// onto the engine, pick the fabric, and run with streaming delivery. Attempt
+// 0 is the primary run; attempts >= 1 are recoveries that absorb every LP
+// into this process and resume from restore, the latest retained cut.
+func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkpoint, capacity int) (*pdes.Result, error) {
 	m, err := s.factory()
 	if err != nil {
 		return nil, err
 	}
 	o := s.opts.Options
+	cfg, shardPart, err := o.config()
+	if err != nil {
+		return nil, err
+	}
 	var rec *trace.Recorder
 	var sink pdes.TraceSink
 	if !o.NoTrace {
@@ -220,6 +247,18 @@ func (s *Session) attempt() (*pdes.Result, error) {
 	s.mu.Lock()
 	s.model, s.rec = m, rec
 	s.mu.Unlock()
+
+	// The engine runs the shard-level system while the trace, verification
+	// and VCD stay on the member-level one: the wrapped sink re-attributes
+	// every record to its member LP.
+	sys := m.sys
+	if o.Shards > 0 && o.Protocol != Sequential {
+		ss, err := pdes.ShardSystem(sys, o.Shards, shardPart)
+		if err != nil {
+			return nil, err
+		}
+		sys, sink = ss.Sys(), ss.WrapSink(sink)
+	}
 
 	// Cross-attempt dedup: a retry deterministically replays the committed
 	// trace, so the first `delivered` finalized entries are skipped instead
@@ -253,41 +292,80 @@ func (s *Session) attempt() (*pdes.Result, error) {
 		s.onTrace(fresh, lines)
 	}
 
-	cfg := o.config()
 	cfg.Cancel = s.cancel
+	cfg.Restore = restore
+	if cfg.CheckpointRounds > 0 {
+		cfg.CheckpointSink = func(ck *pdes.Checkpoint) error {
+			sup.Checkpoint(ck)
+			if s.opts.OnCheckpoint == nil {
+				return nil
+			}
+			var committed []trace.Entry
+			if rec != nil {
+				committed = rec.Entries()
+			}
+			return s.opts.OnCheckpoint(ck, committed)
+		}
+	}
 
-	stream := s.onTrace != nil && rec != nil
 	var cur *trace.Cursor
-	if stream && o.Protocol != Sequential && o.CheckpointEvery <= 1 {
-		// Incremental delivery at GVT rounds. The lag-one watermark (trace
-		// below the previous GVT is fully committed when OnGVT fires) holds
-		// for CheckpointEvery <= 1 — the default, where every processed
-		// record carries a snapshot and fossil collection commits everything
-		// below GVT each pass. Sparse-checkpoint runs defer to the final
-		// drain instead.
+	if s.onTrace != nil && rec != nil {
 		cur = trace.NewCursor(rec)
+	}
+	// Incremental delivery at GVT rounds. The lag-one watermark (trace below
+	// the previous GVT is fully committed when OnGVT fires) holds for
+	// CheckpointEvery <= 1 — the default, where every processed record
+	// carries a snapshot and fossil collection commits everything below GVT
+	// each pass. Sparse-checkpoint runs defer to the final drain instead.
+	incremental := cur != nil && o.Protocol != Sequential && o.CheckpointEvery <= 1
+	if incremental || s.opts.OnGVT != nil {
 		var lastWM vtime.VT
 		cfg.OnGVT = func(gvt vtime.VT) {
-			deliver(cur.Advance(lastWM))
-			lastWM = gvt
+			if incremental {
+				deliver(cur.Advance(lastWM))
+				lastWM = gvt
+			}
+			if s.opts.OnGVT != nil {
+				s.opts.OnGVT(gvt)
+			}
 		}
 	}
 
 	var res *pdes.Result
-	if o.Protocol == Sequential {
+	switch {
+	case o.Protocol == Sequential:
 		res, err = pdes.RunSequentialCancelable(m.sys, o.Until, sink, s.cancel)
-	} else if s.fabric != nil {
-		res, err = pdes.RunOn(m.sys, cfg, o.Until, sink, s.fabric(cfg.Workers+1))
-	} else {
-		res, err = pdes.Run(m.sys, cfg, o.Until, sink)
+	case n == 0 && s.opts.Fabric != nil:
+		eps, release, ferr := s.opts.Fabric(cfg.Workers + 1)
+		if ferr != nil {
+			return nil, ferr
+		}
+		if release != nil {
+			defer release()
+		}
+		res, err = pdes.RunOn(sys, cfg, o.Until, sink, eps)
+	default:
+		if n > 0 {
+			// Recovery keeps the partition and the config but not blindly
+			// the worker count: the surviving host may have fewer cores than
+			// the dead cluster had workers, so the shape is clamped to the
+			// capacity and the cut remapped to it. Either way the committed
+			// trace is the one the dead run would have emitted.
+			if capacity <= 0 {
+				capacity = runtime.GOMAXPROCS(0)
+			}
+			plan, perr := supervise.PlanRecovery(sys, restore, cfg.Workers, capacity, cfg.Partition)
+			if perr != nil {
+				return nil, perr
+			}
+			cfg.Workers, cfg.Restore = plan.Workers, plan.Restore
+		}
+		res, err = pdes.Run(sys, cfg, o.Until, sink)
 	}
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	if stream {
-		if cur == nil {
-			cur = trace.NewCursor(rec)
-		}
+	if cur != nil {
 		deliver(cur.Drain())
 	}
 	return res, nil

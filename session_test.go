@@ -78,35 +78,95 @@ func TestSessionStreamsIdenticalTrace(t *testing.T) {
 	}
 }
 
+// dyingFabric is a first-attempt fabric seam whose endpoints die of an
+// injected transport fault after the given number of sends.
+func dyingFabric(sends int) func(int) ([]pdes.Endpoint, func(), error) {
+	return faultinject.Plan{Seed: 7, DieAfterSends: sends}.Fabric
+}
+
+// The first attempt dies of an injected transport fault mid-run; the retry
+// replays deterministically and the stream must come out exact — no gaps, no
+// duplicates — whether the retry restarts from scratch or, with
+// CheckpointRounds set, resumes from the cut the session retained.
 func TestSessionFailoverPreservesStream(t *testing.T) {
 	const until = 1 * US
 	want := soloFSMTrace(t, 2, until)
 
-	s := NewSession(fsmFactory(2), SessionOptions{Options: Options{
-		Protocol: Mixed, Workers: 2, Until: until,
-	}})
-	// First attempt dies of an injected transport fault mid-run; the retry
-	// replays deterministically and the stream must come out exact — no
-	// gaps, no duplicates.
-	attempts := 0
-	s.fabric = func(n int) []pdes.Endpoint {
-		attempts++
-		eps := pdes.NewLocalFabric(n)
-		if attempts == 1 {
-			eps, _ = faultinject.WrapFabric(eps, faultinject.Plan{Seed: 7, DieAfterSends: 400})
+	run := func(t *testing.T, ckptRounds int) (events uint64, from *pdes.Checkpoint) {
+		t.Helper()
+		failovers := 0
+		s := NewSession(fsmFactory(2), SessionOptions{
+			Options: Options{
+				// Throttled optimism: frequent GVT rounds (so cuts exist
+				// when the fabric dies) without conservative blocking.
+				Protocol: Optimistic, Workers: 2, Until: until,
+				GVTEvery: 64, ThrottleWindow: 50 * NS, CheckpointRounds: ckptRounds,
+			},
+			Fabric: dyingFabric(3000),
+			OnFailover: func(_ int, err error, ck *pdes.Checkpoint) int {
+				if Classify(err) != KindTransport {
+					t.Errorf("failover on a non-transport error: %v", err)
+				}
+				failovers++
+				from = ck
+				return 0
+			},
+		})
+		col := &lineCollector{}
+		s.OnTrace(col.fn())
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return eps
+		if failovers != 1 {
+			t.Fatalf("expected exactly one failover, got %d", failovers)
+		}
+		if col.joined() != want {
+			t.Fatal("streamed trace across failover diverged from solo run")
+		}
+		if got := strings.Join(res.TraceLines(), "\n"); got != want {
+			t.Fatal("Result trace after failover diverged from solo run")
+		}
+		// Executions net of rollbacks: what the attempt committed by
+		// executing (a restored prefix is replayed from logs, not executed).
+		return res.Run.Metrics.Events - res.Run.Metrics.RolledBack, from
 	}
-	col := &lineCollector{}
-	s.OnTrace(col.fn())
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
+
+	scratch, from := run(t, 0)
+	if from != nil {
+		t.Fatal("a session without CheckpointRounds retained a cut")
 	}
-	if attempts != 2 {
-		t.Fatalf("expected exactly one failover, got %d attempts", attempts)
+	resumed, from := run(t, 1)
+	if from == nil {
+		t.Fatal("the checkpointing session failed over before its first cut; lower GVTEvery or raise the fault's send count")
 	}
-	if col.joined() != want {
-		t.Fatal("streamed trace across failover diverged from solo run")
+	if resumed >= scratch {
+		t.Errorf("retry from the cut at GVT %v executed %d events net of rollbacks, the from-scratch retry %d: it did not resume", from.GVT, resumed, scratch)
+	}
+}
+
+// Without failover a transport fault is one failed attempt: no retry, the
+// bare transport error, and the partial result still in hand.
+func TestSessionNoFailoverIsSingleAttempt(t *testing.T) {
+	builds := 0
+	factory := func() (*Model, error) {
+		builds++
+		return fsmFactory(2)()
+	}
+	s := NewSession(factory, SessionOptions{
+		Options:      Options{Protocol: Mixed, Workers: 2, Until: 1 * US},
+		MaxFailovers: -1,
+		Fabric:       dyingFabric(400),
+	})
+	res, err := s.Run()
+	if Classify(err) != KindTransport || strings.Contains(err.Error(), "giving up") {
+		t.Fatalf("err = %v, want the attempt's own transport error", err)
+	}
+	if builds != 1 {
+		t.Fatalf("factory ran %d times, want 1 (no retry)", builds)
+	}
+	if res == nil || res.Trace == nil {
+		t.Fatal("the failed attempt's partial result was dropped")
 	}
 }
 
