@@ -1,7 +1,6 @@
 package pdes
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -9,30 +8,11 @@ import (
 	"govhdl/internal/vtime"
 )
 
-// Run-level checkpoint/restart.
-//
-// A checkpoint is taken at a *quiescent cut*: immediately after a GVT round
-// commits a new GVT, every worker rolls its optimistic LPs back to the commit
-// horizon, commits the surviving history, releases the resulting
-// anti-messages and then drains its inbox under the same cumulative-count
-// accounting the GVT round uses. At the cut nothing is speculative, nothing
-// is in flight, and every pending event's timestamp is at or above GVT — the
-// classic consistent global state of a Chandy-Lamport-style snapshot,
-// obtained here for free from the engine's stop-the-world GVT machinery.
-//
-// Model state is not serialized directly: kernel snapshots deliberately keep
-// their fields unexported (models own their representation), so a checkpoint
-// instead records each LP's *committed event log* and rebuilds state on
-// restore by replaying it against a freshly initialized model with sends
-// suppressed — the same coast-forward mechanism rollback uses. Trace records
-// are NOT suppressed during the replay: re-committing them rebuilds the full
-// trace from t=0 inside the restored run itself, so a restore (or an
-// automatic failover absorbing a dead node's LPs) reproduces the
-// uninterrupted run's trace byte-identically without carrying the old trace
-// out of band. This is sound because the deterministic core guarantees
-// Execute is a pure function of (model state, event): the repository's
-// govhdlvet analyzers machine-check that no wall-clock reads, PRNG draws or
-// map-iteration order can leak into an execution.
+// Run-level checkpoint/restart: the Checkpoint a quiescent cut (cut.go)
+// assembles, its serialized form, and the per-LP committed-event logs a cut
+// captures. Restoring one is Config.Restore; a restore (or an automatic
+// failover absorbing a dead node's LPs) reproduces the uninterrupted run's
+// trace byte-identically.
 
 // checkpointFormat versions the gob blob layout.
 const checkpointFormat = 1
@@ -71,24 +51,51 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// validateRestore checks a checkpoint against the run it is restored into.
-func validateRestore(ck *Checkpoint, sys *System, cfg *Config) error {
-	if ck.Format != checkpointFormat {
-		return fmt.Errorf("pdes: checkpoint format %d, want %d", ck.Format, checkpointFormat)
+// decodeRestore checks a checkpoint against the run it is restored into and
+// decodes its worker blobs (indexed by endpoint, like Blobs). The blobs decide
+// who owns what: a restored run resumes with the cut's LP ownership —
+// migrations before the cut included — not the partitioner's. The checkpoint
+// comes from a file, so every LP id is validated here, before any table is
+// indexed with it: in range, in exactly one blob, and together covering the
+// system.
+func decodeRestore(ck *Checkpoint, sys *System, cfg *Config) ([]*ckptWorker, error) {
+	switch {
+	case ck.Format != checkpointFormat:
+		return nil, fmt.Errorf("pdes: checkpoint format %d, want %d", ck.Format, checkpointFormat)
+	case ck.Workers != cfg.Workers:
+		return nil, fmt.Errorf("pdes: checkpoint was taken with %d workers, Config.Workers is %d", ck.Workers, cfg.Workers)
+	case ck.NumLPs != sys.NumLPs():
+		return nil, fmt.Errorf("pdes: checkpoint was taken against %d LPs, the system has %d", ck.NumLPs, sys.NumLPs())
+	case len(ck.Modes) != ck.NumLPs:
+		return nil, fmt.Errorf("pdes: corrupt checkpoint: %d modes for %d LPs", len(ck.Modes), ck.NumLPs)
+	case len(ck.Blobs) != ck.Workers+1:
+		return nil, fmt.Errorf("pdes: corrupt checkpoint: %d blobs for %d workers", len(ck.Blobs), ck.Workers)
 	}
-	if ck.Workers != cfg.Workers {
-		return fmt.Errorf("pdes: checkpoint was taken with %d workers, Config.Workers is %d", ck.Workers, cfg.Workers)
+	restored := make([]*ckptWorker, ck.Workers+1)
+	seen := make([]bool, ck.NumLPs)
+	total := 0
+	for w := 1; w <= ck.Workers; w++ {
+		cw, err := decodeBlob(ck.Blobs[w])
+		if err == nil && cw.Worker != w {
+			err = fmt.Errorf("it holds worker %d's state", cw.Worker)
+		}
+		if err == nil {
+			err = sys.checkBlob(cw, func(id LPID) bool {
+				dup := seen[id]
+				seen[id] = true
+				return !dup
+			})
+		}
+		if err != nil {
+			return nil, &SimError{Text: fmt.Sprintf("pdes: corrupt checkpoint: blob %d: %v", w, err)}
+		}
+		restored[w] = cw
+		total += len(cw.LPs)
 	}
-	if ck.NumLPs != sys.NumLPs() {
-		return fmt.Errorf("pdes: checkpoint was taken against %d LPs, the system has %d", ck.NumLPs, sys.NumLPs())
+	if total != ck.NumLPs {
+		return nil, &SimError{Text: fmt.Sprintf("pdes: corrupt checkpoint: blobs cover %d of %d LPs", total, ck.NumLPs)}
 	}
-	if len(ck.Modes) != ck.NumLPs {
-		return fmt.Errorf("pdes: corrupt checkpoint: %d modes for %d LPs", len(ck.Modes), ck.NumLPs)
-	}
-	if len(ck.Blobs) != ck.Workers+1 {
-		return fmt.Errorf("pdes: corrupt checkpoint: %d blobs for %d workers", len(ck.Blobs), ck.Workers)
-	}
-	return nil
+	return restored, nil
 }
 
 // ckptEvent is an Event copied by value out of the engine's pooled objects:
@@ -153,206 +160,4 @@ func (w *worker) logCommit(lp *lpRT, e *Event) {
 		return
 	}
 	lp.commitLog = append(lp.commitLog, ckptEventOf(e))
-}
-
-// checkpointBlob serializes the worker at a quiescent cut: all histories
-// committed, nothing in flight.
-func (w *worker) checkpointBlob() ([]byte, error) {
-	cw := ckptWorker{Worker: w.ep.Self(), Seq: w.seq, Clock: w.clock}
-	for _, lp := range w.owned {
-		if len(lp.processed) != 0 {
-			return nil, fmt.Errorf("LP %s still has %d uncommitted records at the checkpoint cut",
-				w.sys.Name(lp.decl.id), len(lp.processed))
-		}
-		cl := ckptLP{
-			ID:    lp.decl.id,
-			Now:   lp.now,
-			Floor: lp.floor,
-			Log:   lp.commitLog,
-			CC:    make([]vtime.VT, len(lp.edges)),
-		}
-		for i := range lp.edges {
-			cl.CC[i] = lp.edges[i].cc
-		}
-		for _, e := range lp.pending.a {
-			cl.Pending = append(cl.Pending, ckptEventOf(e))
-		}
-		for _, e := range lp.orphans {
-			cl.Orphans = append(cl.Orphans, ckptEventOf(e))
-		}
-		cw.LPs = append(cw.LPs, cl)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&cw); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// applyRestore rebuilds the worker from its checkpoint blob instead of
-// initializing LPs from scratch. Model state is reconstructed by running Init
-// and replaying the committed log with sends suppressed; the replay's trace
-// records are committed to the sink, rebuilding the trace from t=0. Pending
-// events, channel clocks and counters are installed directly.
-func (w *worker) applyRestore() {
-	blob := w.restore.Blobs[w.ep.Self()]
-	var cw ckptWorker
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&cw); err != nil {
-		w.fatal("pdes: restore worker %d: decode blob: %v", w.ep.Self(), err)
-	}
-	if cw.Worker != w.ep.Self() {
-		w.fatal("pdes: restore worker %d: blob belongs to worker %d", w.ep.Self(), cw.Worker)
-	}
-	if len(cw.LPs) != len(w.owned) {
-		w.fatal("pdes: restore worker %d: blob has %d LPs, partition owns %d (identical Config required)",
-			w.ep.Self(), len(cw.LPs), len(w.owned))
-	}
-	w.gvt = w.restore.GVT
-	w.seq = cw.Seq
-	w.clock = cw.Clock
-
-	for i := range cw.LPs {
-		cl := &cw.LPs[i]
-		lp := w.lps[cl.ID]
-		if lp == nil {
-			w.fatal("pdes: restore worker %d: blob LP %d is not owned here", w.ep.Self(), cl.ID)
-		}
-		// Rebuild model state: Init, then coast-forward through the
-		// committed log. Sends are suppressed (already delivered before the
-		// cut); records flow to the sink (curRec is nil at startup, so each
-		// recordItem commits directly), restoring the trace alongside the
-		// state.
-		savedSends := w.supSends
-		w.supSends = true
-		if im, ok := lp.model.(InitModel); ok {
-			w.ctx.self, w.ctx.now = lp.decl.id, vtime.Zero
-			im.Init(w.ctx)
-		}
-		for k := range cl.Log {
-			ce := &cl.Log[k]
-			ev := ce.toEvent()
-			w.ctx.self, w.ctx.now = lp.decl.id, ev.TS
-			lp.model.Execute(w.ctx, ev)
-			w.metrics.CoastForward.Add(1)
-		}
-		w.supSends = savedSends
-
-		lp.now, lp.floor = cl.Now, cl.Floor
-		if w.logCommits {
-			lp.commitLog = cl.Log // later checkpoints extend the same log
-		}
-		if len(cl.CC) != len(lp.edges) {
-			w.fatal("pdes: restore LP %s: %d channel clocks for %d edges", w.sys.Name(cl.ID), len(cl.CC), len(lp.edges))
-		}
-		for k := range cl.CC {
-			lp.edges[k].cc = cl.CC[k]
-		}
-		for k := range cl.Pending {
-			lp.pending.Push(cl.Pending[k].toEvent())
-		}
-		for k := range cl.Orphans {
-			lp.orphans = append(lp.orphans, cl.Orphans[k].toEvent())
-		}
-		lp.sinceCkpt = 0
-		w.requeue(lp)
-	}
-	// Conservative senders re-advertise their null promises (lastPromise
-	// restarted at zero), replacing any promise that was in flight when the
-	// checkpoint cut dropped it.
-	if w.cfg.Lookahead {
-		for _, lp := range w.owned {
-			if lp.mode == Conservative {
-				w.sendNulls(lp)
-			}
-		}
-	}
-}
-
-// ckptParticipate runs the worker side of a checkpoint cut, entered right
-// after a GVT round whose msgGVTNew carried the Ckpt flag. The worker:
-//
-//  1. rolls every optimistic LP back to the committed GVT and commits the
-//     surviving history (the resulting anti-messages all carry timestamps
-//     strictly above GVT, per the localMin invariant);
-//  2. flushes those sends and re-pauses, so the drain accounting stays exact;
-//  3. acks with cumulative send/receive counts — the same fixed-point
-//     accounting as a GVT round — and drains until nothing is in flight;
-//  4. serializes its LPs and waits for the controller's msgCkptDone.
-//
-// Messages arriving during the drain are incorporated before serialization:
-// remote anti-messages annihilate against pending events (their positive twin
-// can no longer be processed — histories are empty), nulls raise channel
-// clocks, and fresh promises generated by those raises are deferred and
-// released after the cut (deliberately outside the checkpoint; senders
-// re-advertise on restore).
-func (w *worker) ckptParticipate() (done bool) {
-	for _, lp := range w.owned {
-		if lp.mode != Optimistic {
-			continue
-		}
-		if i := lp.rollbackIndex(w.gvt, w.user); i < len(lp.processed) {
-			w.rollbackTo(lp, i)
-		}
-		w.commitHistory(lp)
-	}
-	w.drainLocal() // local anti-messages annihilate against pending events
-	w.flushSends()
-	w.paused = true
-
-	copy(w.ackSent, w.sentTo)
-	ack := w.msgPool.get()
-	ack.Kind = msgCkptAck
-	ack.Sent = w.ackSent
-	ack.Recvd = w.recvd
-	w.ep.Send(0, ack)
-
-	var expect uint64
-	haveExpect, sent := false, false
-	for {
-		if haveExpect && !sent && w.recvd >= expect {
-			if w.recvd > expect {
-				w.fatal("worker %d received %d messages during checkpoint drain, expected %d",
-					w.ep.Self(), w.recvd, expect)
-			}
-			blob, err := w.checkpointBlob()
-			if err != nil {
-				w.fatal("worker %d: checkpoint: %v", w.ep.Self(), err)
-			}
-			m := w.msgPool.get()
-			m.Kind, m.Blob = msgCkptState, blob
-			w.ep.Send(0, m)
-			sent = true
-		}
-		m := w.ep.Recv()
-		switch m.Kind {
-		case msgEvent:
-			w.recvd++
-			w.localQ = append(w.localQ, m.Ev)
-			w.msgPool.put(m)
-			w.drainLocal()
-		case msgNull:
-			w.recvd++
-			src, dst, ts := m.Src, m.Dst, m.TS
-			w.msgPool.put(m)
-			w.routeNull(src, dst, ts)
-			w.drainLocal()
-		case msgCkptDrain:
-			expect = m.Expect
-			haveExpect = true
-			w.msgPool.put(m)
-		case msgCkptDone:
-			w.msgPool.put(m)
-			w.paused = false
-			w.releaseDeferred()
-			return false
-		case msgStop:
-			w.err = m.Err
-			w.stopped = true
-			return true
-		case msgPoison:
-			w.err = m.Err
-			w.stopped = true
-			return true
-		}
-	}
 }

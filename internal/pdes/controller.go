@@ -1,6 +1,8 @@
 package pdes
 
 import (
+	"fmt"
+
 	"govhdl/internal/stats"
 	"govhdl/internal/vtime"
 )
@@ -37,7 +39,7 @@ type controller struct {
 	// Per-round scratch and message pool: the round protocol gives the
 	// controller exclusive use of these between a broadcast and the last
 	// reply, so they are reused instead of reallocated every round.
-	acks    []*Msg
+	replies []*Msg // collect's result: the first reply from each worker
 	expect  []uint64
 	msgs    msgPool
 	blocked []BlockedLP // blocked conservative LPs reported in this round's acks
@@ -57,7 +59,7 @@ func newController(ep Endpoint, cfg *Config, horizon vtime.VT, modes []Mode, met
 		workers: ep.N() - 1,
 		metrics: metrics,
 		modes:   modes,
-		acks:    make([]*Msg, ep.N()),
+		replies: make([]*Msg, ep.N()),
 		expect:  make([]uint64, ep.N()),
 	}
 	if cfg.Migrate != nil {
@@ -74,24 +76,10 @@ func newController(ep Endpoint, cfg *Config, horizon vtime.VT, modes []Mode, met
 
 func (c *controller) run() {
 	// Wait until every worker has finished initialization.
-	ready := make([]bool, c.workers+1)
-	for n := 0; n < c.workers; {
-		m := c.ep.Recv()
-		switch m.Kind {
-		case msgFatal:
-			c.abort(m.Err)
-			return
-		case msgPoison:
-			c.err = m.Err
-			return
-		case msgIdle:
-			if !ready[m.From] {
-				ready[m.From] = true
-				n++
-			}
-			c.msgs.put(m)
-		}
+	if !c.collect(msgIdle) {
+		return
 	}
+	c.recycle()
 
 	stallCandidate := true // the initial all-ready state counts as all-idle
 	for {
@@ -104,17 +92,15 @@ func (c *controller) run() {
 		idleCount := 0
 		stallCandidate = false
 		for {
-			m := c.ep.Recv()
-			if m.Kind == msgFatal {
-				c.abort(m.Err)
-				return
-			}
-			if m.Kind == msgPoison {
-				c.err = m.Err
+			m := c.recv()
+			if m == nil {
 				return
 			}
 			if m.Kind != msgIdle {
 				continue
+			}
+			if !c.fromWorker(m) {
+				return
 			}
 			req, isIdle, from := m.Request, m.Idle, m.From
 			c.msgs.put(m)
@@ -138,41 +124,16 @@ func (c *controller) run() {
 // deadlock.
 func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 	c.metrics.GVTRounds.Add(1)
-	for w := 1; w <= c.workers; w++ {
-		m := c.msgs.get()
-		m.Kind = msgGVTPause
-		c.ep.Send(w, m)
-	}
-
-	acks := c.acks
-	for n := 0; n < c.workers; {
-		m := c.ep.Recv()
-		switch m.Kind {
-		case msgFatal:
-			c.abort(m.Err)
-			return false, true
-		case msgPoison:
-			c.err = m.Err
-			return false, true
-		case msgGVTAck:
-			if acks[m.From] == nil {
-				acks[m.From] = m
-				n++
-			}
-		case msgIdle:
-			c.msgs.put(m) // stale trigger, dropped
-		}
+	c.broadcast(msgGVTPause, nil)
+	if !c.collect(msgGVTAck) {
+		return false, true
 	}
 
 	var totalProcessed uint64
-	expect := c.expect
-	for i := range expect {
-		expect[i] = 0
-	}
 	var consLPs, optLPs []LPID
 	c.blocked = c.blocked[:0]
 	for w := 1; w <= c.workers; w++ {
-		a := acks[w]
+		a := c.replies[w]
 		// Copy blocked reports out of the ack before it is recycled.
 		c.blocked = append(c.blocked, a.Blocked...)
 		for _, l := range a.Loads {
@@ -184,11 +145,6 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 		// processable. Only a round with no events AND no new promises is
 		// a genuine stall.
 		totalProcessed += a.Processed + a.Nulls
-		for dst, n := range a.Sent {
-			if dst >= 1 && dst <= c.workers {
-				expect[dst] += n
-			}
-		}
 		for _, mp := range a.Modes {
 			if c.modes[mp.LP] == mp.Mode {
 				continue
@@ -202,43 +158,23 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 		}
 	}
 
-	// The acks (and the worker-owned Sent scratch they reference) are fully
-	// consumed; recycle them before unblocking anyone.
-	for w := 1; w <= c.workers; w++ {
-		c.msgs.put(acks[w])
-		acks[w] = nil
-	}
+	c.drain()
 
-	for w := 1; w <= c.workers; w++ {
-		m := c.msgs.get()
-		m.Kind, m.Expect = msgGVTDrain, expect[w]
-		c.ep.Send(w, m)
+	if !c.collect(msgGVTMin) {
+		return false, true
 	}
-
 	gvt := vtime.Inf
 	barrier := 0.0
-	for n := 0; n < c.workers; {
-		m := c.ep.Recv()
-		switch m.Kind {
-		case msgFatal:
-			c.abort(m.Err)
-			return false, true
-		case msgPoison:
-			c.err = m.Err
-			return false, true
-		case msgGVTMin:
-			if m.Min.Less(gvt) {
-				gvt = m.Min
-			}
-			if m.Clock > barrier {
-				barrier = m.Clock
-			}
-			n++
-			c.msgs.put(m)
-		case msgIdle:
-			c.msgs.put(m)
+	for w := 1; w <= c.workers; w++ {
+		m := c.replies[w]
+		if m.Min.Less(gvt) {
+			gvt = m.Min
+		}
+		if m.Clock > barrier {
+			barrier = m.Clock
 		}
 	}
+	c.recycle()
 
 	if gvt.Less(c.gvt) {
 		// GVT must be monotone; regression means an accounting bug.
@@ -285,7 +221,7 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 	if c.cfg.GVTAdapt && !isDone {
 		var totalSent uint64
 		for w := 1; w <= c.workers; w++ {
-			totalSent += expect[w]
+			totalSent += c.expect[w]
 		}
 		c.retuneCadence(totalSent-c.prevSent, totalProcessed-c.prevProcessed)
 		c.prevSent = totalSent
@@ -311,12 +247,10 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 		}
 	}
 
-	for w := 1; w <= c.workers; w++ {
-		// The ConsLPs/OptLPs backing arrays are shared across the broadcast;
-		// receivers only read them and recycling a Msg drops the slice
-		// header without touching the array.
-		m := c.msgs.get()
-		m.Kind = msgGVTNew
+	// The ConsLPs/OptLPs backing arrays are shared across the broadcast;
+	// receivers only read them and recycling a Msg drops the slice header
+	// without touching the array.
+	c.broadcast(msgGVTNew, func(_ int, m *Msg) {
 		m.GVT = gvt
 		m.Clock = barrier
 		m.ConsLPs = consLPs
@@ -325,18 +259,107 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 		m.Ckpt = ckpt
 		m.NextGVT = c.interval
 		m.Moves = moves
-		c.ep.Send(w, m)
-	}
+	})
 	if isDone {
 		c.finalClock = barrier + costs.GVTCost
 	}
-	if ckpt {
-		return false, c.checkpointRound(gvt)
-	}
-	if len(moves) > 0 {
-		return false, c.migrationRound(gvt, moves)
+	if ckpt || len(moves) > 0 {
+		return false, c.cutRound(gvt, moves)
 	}
 	return isDone, false
+}
+
+// collect gathers one reply of the given kind from every worker into
+// c.replies (first reply wins; callers read them in worker order, so nothing
+// depends on arrival order, and hand them back with recycle). Stale idle
+// notices are dropped. It returns false when the run must unwind: a worker
+// reported a fatal error, the transport died, or a reply names a sender
+// outside the run — From is wire-supplied and indexes c.replies.
+func (c *controller) collect(kind msgKind) bool {
+	for n := 0; n < c.workers; {
+		m := c.recv()
+		switch {
+		case m == nil:
+			return false
+		case m.Kind != kind:
+			if m.Kind == msgIdle {
+				c.msgs.put(m) // stale trigger, dropped
+			}
+		case !c.fromWorker(m):
+			return false
+		case c.replies[m.From] == nil:
+			c.replies[m.From] = m
+			n++
+		}
+	}
+	return true
+}
+
+// recv returns the controller's next message, or nil once the run must
+// unwind: a worker reported a fatal error (relayed to everyone as msgStop) or
+// the transport died.
+func (c *controller) recv() *Msg {
+	m := c.ep.Recv()
+	switch m.Kind {
+	case msgFatal:
+		c.abort(m.Err)
+		return nil
+	case msgPoison:
+		c.err = m.Err
+		return nil
+	}
+	return m
+}
+
+// fromWorker checks the wire-supplied sender of a worker message, which
+// indexes per-worker tables: a sender outside 1..workers aborts the run.
+func (c *controller) fromWorker(m *Msg) bool {
+	if m.From >= 1 && m.From <= c.workers {
+		return true
+	}
+	c.abort(&SimError{Text: fmt.Sprintf("pdes: controller received a message from endpoint %d, outside workers 1..%d", m.From, c.workers)})
+	return false
+}
+
+// recycle returns collect's replies to the message pool.
+func (c *controller) recycle() {
+	for w := 1; w <= c.workers; w++ {
+		c.msgs.put(c.replies[w])
+		c.replies[w] = nil
+	}
+}
+
+// broadcast sends every worker a message of the given kind, filled in by fill
+// (nil for a bare signal).
+func (c *controller) broadcast(kind msgKind, fill func(w int, m *Msg)) {
+	for w := 1; w <= c.workers; w++ {
+		m := c.msgs.get()
+		m.Kind = kind
+		if fill != nil {
+			fill(w, m)
+		}
+		c.ep.Send(w, m)
+	}
+}
+
+// drain finishes the counted-drain phase that GVT rounds and cuts share, once
+// collect(msgGVTAck) has every worker's cumulative counts: the messages sent
+// to each worker so far are what it must have received before nothing is in
+// flight. The acks (and the worker-owned Sent scratch they reference) are
+// recycled before anyone is unblocked.
+func (c *controller) drain() {
+	for i := range c.expect {
+		c.expect[i] = 0
+	}
+	for w := 1; w <= c.workers; w++ {
+		for dst, n := range c.replies[w].Sent {
+			if dst >= 1 && dst <= c.workers {
+				c.expect[dst] += n
+			}
+		}
+	}
+	c.recycle()
+	c.broadcast(msgGVTDrain, func(w int, m *Msg) { m.Expect = c.expect[w] })
 }
 
 // retuneCadence adapts the GVT interval to the observed cut traffic: when
@@ -363,97 +386,6 @@ func (c *controller) retuneCadence(sentDelta, procDelta uint64) {
 			c.interval = c.cfg.GVTEvery
 		}
 	}
-}
-
-// checkpointRound coordinates a checkpoint cut after broadcasting a
-// Ckpt-flagged msgGVTNew: collect every worker's post-commit counts, compute
-// per-worker drain targets exactly as a GVT round does, gather the serialized
-// states once each worker's inbox has drained, hand the assembled Checkpoint
-// to the sink, and release the workers.
-func (c *controller) checkpointRound(gvt vtime.VT) (stopped bool) {
-	acks := c.acks
-	for n := 0; n < c.workers; {
-		m := c.ep.Recv()
-		switch m.Kind {
-		case msgFatal:
-			c.abort(m.Err)
-			return true
-		case msgPoison:
-			c.err = m.Err
-			return true
-		case msgCkptAck:
-			if acks[m.From] == nil {
-				acks[m.From] = m
-				n++
-			}
-		case msgIdle:
-			c.msgs.put(m) // stale trigger, dropped
-		}
-	}
-
-	expect := c.expect
-	for i := range expect {
-		expect[i] = 0
-	}
-	for w := 1; w <= c.workers; w++ {
-		for dst, n := range acks[w].Sent {
-			if dst >= 1 && dst <= c.workers {
-				expect[dst] += n
-			}
-		}
-	}
-	for w := 1; w <= c.workers; w++ {
-		c.msgs.put(acks[w])
-		acks[w] = nil
-	}
-	for w := 1; w <= c.workers; w++ {
-		m := c.msgs.get()
-		m.Kind, m.Expect = msgCkptDrain, expect[w]
-		c.ep.Send(w, m)
-	}
-
-	blobs := make([][]byte, c.workers+1)
-	for n := 0; n < c.workers; {
-		m := c.ep.Recv()
-		switch m.Kind {
-		case msgFatal:
-			c.abort(m.Err)
-			return true
-		case msgPoison:
-			c.err = m.Err
-			return true
-		case msgCkptState:
-			if blobs[m.From] == nil {
-				blobs[m.From] = m.Blob
-				n++
-			}
-			c.msgs.put(m)
-		case msgIdle:
-			c.msgs.put(m)
-		}
-	}
-
-	ck := &Checkpoint{
-		Format:  checkpointFormat,
-		GVT:     gvt,
-		Round:   c.rounds,
-		Workers: c.workers,
-		NumLPs:  len(c.modes),
-		Modes:   append([]Mode(nil), c.modes...),
-		Blobs:   blobs,
-	}
-	if sink := c.cfg.CheckpointSink; sink != nil {
-		if err := sink(ck); err != nil {
-			c.abort(&SimError{Text: "pdes: checkpoint sink: " + err.Error()})
-			return true
-		}
-	}
-	for w := 1; w <= c.workers; w++ {
-		m := c.msgs.get()
-		m.Kind = msgCkptDone
-		c.ep.Send(w, m)
-	}
-	return false
 }
 
 // pickRescue chooses the stall-rescue victim from the round's blocked

@@ -63,27 +63,23 @@ func (e *Event) String() string {
 type msgKind uint8
 
 const (
-	msgEvent     msgKind = iota // an application event (or anti-message)
-	msgNull                     // a null message carrying a channel-clock promise
-	msgGVTPause                 // controller -> worker: stop and flush
-	msgGVTAck                   // worker -> controller: flushed, with send/recv counts
-	msgGVTDrain                 // controller -> worker: drain inbox to Expect total
-	msgGVTMin                   // worker -> controller: local minimum after drain
-	msgGVTNew                   // controller -> worker: new GVT (and mode table)
-	msgIdle                     // worker -> controller: idle notice or GVT request
-	msgFatal                    // worker -> controller: unrecoverable error
-	msgStop                     // controller -> worker: abort now
-	msgCkptAck                  // worker -> controller: committed at GVT, counts snapshot
-	msgCkptDrain                // controller -> worker: drain inbox to Expect total
-	msgCkptState                // worker -> controller: serialized worker state
-	msgCkptDone                 // controller -> worker: checkpoint persisted, resume
-	msgPoison                   // transport/injector -> anyone: the substrate is dead
-	msgMigAck                   // worker -> controller: committed at the migration cut, counts snapshot
-	msgMigDrain                 // controller -> worker: drain inbox to Expect total
-	msgMigState                 // worker -> controller: serialized moved-LP bundle (nil if none)
-	msgMigInstall               // controller -> worker: flip ownership, install incoming LPs
-	msgMigDone                  // worker -> controller: installed, still paused
-	msgMigResume                // controller -> worker: every worker installed, resume
+	msgEvent    msgKind = iota // an application event (or anti-message)
+	msgNull                    // a null message carrying a channel-clock promise
+	msgGVTPause                // controller -> worker: stop and flush
+	msgGVTAck                  // worker -> controller: flushed, with send/recv counts (GVT round or cut)
+	msgGVTDrain                // controller -> worker: drain inbox to Expect total (GVT round or cut)
+	msgGVTMin                  // worker -> controller: local minimum after drain
+	msgGVTNew                  // controller -> worker: new GVT (and mode table); may announce a cut
+	msgIdle                    // worker -> controller: idle notice or GVT request
+	msgFatal                   // worker -> controller: unrecoverable error
+	msgStop                    // controller -> worker: abort now
+	msgPoison                  // transport/injector -> anyone: the substrate is dead
+	// The quiescent cut (cut.go) that follows a msgGVTNew carrying Ckpt or
+	// Moves; its counted drain reuses msgGVTAck/msgGVTDrain.
+	msgCutState   // worker -> controller: captured LPs (every LP, or the moved ones; nil if none)
+	msgCutInstall // controller -> worker: flip ownership, install incoming LPs (migration cuts only)
+	msgCutDone    // worker -> controller: installed, still paused
+	msgCutResume  // controller -> worker: the cut is complete, resume
 )
 
 // Msg is the unit carried by a Transport. Exactly one of the payload groups
@@ -117,7 +113,7 @@ type Msg struct {
 	NextGVT   int        // msgGVTNew: adaptive GVT interval (0 = unchanged)
 	Done      bool       // msgGVTNew: termination flag
 	Ckpt      bool       // msgGVTNew: this round ends in a checkpoint cut
-	Blob      []byte     // msgCkptState: gob-encoded worker snapshot
+	Blob      []byte     // msgCutState/msgCutInstall: gob-encoded ckptWorker
 	Err       *SimError  // msgFatal/msgStop/msgPoison: fatal error, if any
 	Modes     []ModePair // msgGVTAck: mode switches requested by this worker
 	// Blocked lists the conservative LPs that were blocked at the pause
@@ -129,9 +125,9 @@ type Msg struct {
 	Loads []LPLoad // msgGVTAck
 	// Moves announces a migration cut following this GVT round.
 	Moves []Move // msgGVTNew
-	// AllModes is the full per-LP mode table, carried on msgMigInstall so a
+	// AllModes is the full per-LP mode table, carried on msgCutInstall so a
 	// receiver can build runtime state for LPs it has never owned.
-	AllModes []Mode // msgMigInstall
+	AllModes []Mode // msgCutInstall
 }
 
 // PoisonMsg builds the message a failing message substrate injects into every

@@ -1,51 +1,24 @@
 package pdes
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 
 	"govhdl/internal/vtime"
 )
 
-// Live LP migration at GVT rounds.
-//
-// The quiescent cut that makes checkpoints consistent (checkpoint.go) is also
-// a safe migration point: after an optimistic rollback to the committed GVT,
-// a commit of the surviving history and a counted drain of in-flight
-// messages, every LP's state is exactly its committed state at GVT and
-// nothing is speculative or in transit. A migration round runs the same cut,
-// but instead of serializing every worker for a restart it serializes only
-// the LPs named in a MigrationPlan, ships their per-LP checkpoint blobs to
-// the new owners through the controller, flips every worker's routing table
-// while the cluster is still paused, and resumes. The barrier (install
-// everywhere before anyone resumes) means routing tables flip atomically at
-// the cut epoch; messages that were deferred during the cut re-resolve their
-// destination against the new table at release, and a bounded forwarding
-// window at the old owner backstops any straggler. The committed trace is
-// byte-identical to the unmigrated run's: migration moves only committed
-// state, never reorders or re-emits records.
-//
-// Model state transfer reuses the checkpoint mechanism: the committed event
-// log replayed against a pristine model (kernel snapshots keep their fields
-// unexported, so state cannot be serialized directly). Two refinements make
-// this correct for *live* migration:
-//
-//   - The replay suppresses trace records as well as sends: the records were
-//     already committed by the donor's process, so re-emitting them would
-//     duplicate entries in the merged trace (a restore, by contrast, starts
-//     from an empty trace and wants the re-emission).
-//
-//   - Within one process all workers share the System's model objects, so an
-//     LP that merely moves between local workers needs no replay at all — and
-//     replaying against a locally *stale* object (the LP left this process
-//     and came back) would corrupt state. runState.localModel tracks, per
-//     process, whether the local object holds the LP's current committed
-//     state; when it does the install skips the replay, and when it does not
-//     the model is first reset to its pristine pre-Init snapshot
-//     (runState.pristine, captured before the run starts) so the replay
-//     begins from a defined state.
+// Live LP migration at GVT rounds: the policy side (plans, the balance
+// planner), ownership hand-over at the donor, message forwarding after a
+// flip, and the offline regrouping of a checkpoint. The protocol that moves
+// the LPs is the quiescent cut (cut.go): a migration is the cut that captures
+// the moved LPs at their donors and installs them at their new owners while
+// the cluster is paused, so routing tables flip atomically at the cut epoch.
+// Messages deferred during the cut re-resolve their destination against the
+// new table at release, and a bounded forwarding window at the old owner
+// backstops any straggler. The committed trace is byte-identical to the
+// unmigrated run's: migration moves only committed state, never reorders or
+// re-emits records.
 
 // Move relocates one LP (or shard super-LP) to a new owning worker endpoint.
 type Move struct {
@@ -184,37 +157,12 @@ func NewBalancePlanner(bc BalanceConfig) MigrationPlanner {
 	}
 }
 
-// migBlob is the unit a donor worker ships at a migration cut: the committed
-// per-LP checkpoint state of every LP it is giving up.
-type migBlob struct {
-	Worker int
-	LPs    []ckptLP
-}
-
-func encodeMigBlob(mb *migBlob) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(mb); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeMigBlob(b []byte) (*migBlob, error) {
-	mb := new(migBlob)
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(mb); err != nil {
-		return nil, err
-	}
-	return mb, nil
-}
-
 // RemapCheckpoint regroups a checkpoint's per-LP state for a different worker
 // count (or partitioning) than the cut was taken with: the supervisor's
 // migrate-onto-survivors recovery. Every LP's committed log, pending events,
 // channel clocks and mode survive unchanged; only the worker grouping — and
 // therefore the LP-to-worker ownership of the restored run — changes. The
-// per-worker event-ID allocators are re-seeded with the maximum sequence any
-// old worker had reached, so IDs minted after the restore can never collide
-// with IDs living in the remapped pending sets or logs.
+// per-worker event-ID allocators are re-seeded as regroup describes.
 func RemapCheckpoint(ck *Checkpoint, sys *System, workers int, part Partition) (*Checkpoint, error) {
 	if ck.Format != checkpointFormat {
 		return nil, fmt.Errorf("pdes: remap: checkpoint format %d, want %d", ck.Format, checkpointFormat)
@@ -231,51 +179,21 @@ func RemapCheckpoint(ck *Checkpoint, sys *System, workers int, part Partition) (
 	if workers == ck.Workers {
 		return ck, nil
 	}
-	byLP := make([]*ckptLP, ck.NumLPs)
-	var maxSeq uint64
-	var maxClock float64
-	for w := 1; w < len(ck.Blobs); w++ {
-		if len(ck.Blobs[w]) == 0 {
-			continue
-		}
-		var cw ckptWorker
-		if err := gob.NewDecoder(bytes.NewReader(ck.Blobs[w])).Decode(&cw); err != nil {
-			return nil, fmt.Errorf("pdes: remap: decode worker %d blob: %w", w, err)
-		}
-		if cw.Seq > maxSeq {
-			maxSeq = cw.Seq
-		}
-		if cw.Clock > maxClock {
-			maxClock = cw.Clock
-		}
-		for i := range cw.LPs {
-			cl := &cw.LPs[i]
-			if cl.ID < 0 || int(cl.ID) >= ck.NumLPs {
-				return nil, fmt.Errorf("pdes: remap: blob LP %d out of range", cl.ID)
-			}
-			if byLP[cl.ID] != nil {
-				return nil, fmt.Errorf("pdes: remap: LP %d appears in two worker blobs", cl.ID)
-			}
-			byLP[cl.ID] = cl
-		}
-	}
-	for id, cl := range byLP {
-		if cl == nil {
-			return nil, fmt.Errorf("pdes: remap: LP %d missing from the checkpoint", id)
-		}
-	}
-	owned := sys.partition(part, workers)
-	blobs := make([][]byte, workers+1)
-	for wi, ids := range owned {
-		cw := ckptWorker{Worker: wi + 1, Seq: maxSeq, Clock: maxClock}
+	var moves []Move
+	for wi, ids := range sys.partition(part, workers) {
 		for _, id := range ids {
-			cw.LPs = append(cw.LPs, *byLP[id])
+			moves = append(moves, Move{LP: id, To: wi + 1})
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&cw); err != nil {
-			return nil, fmt.Errorf("pdes: remap: encode worker %d blob: %w", wi+1, err)
+	}
+	dest, err := regroup(ck.Blobs, ck.NumLPs, workers, moves)
+	if err != nil {
+		return nil, fmt.Errorf("pdes: remap: %w", err)
+	}
+	blobs := make([][]byte, workers+1)
+	for w := 1; w <= workers; w++ {
+		if blobs[w], err = encodeBlob(&dest[w]); err != nil {
+			return nil, fmt.Errorf("pdes: remap: encode worker %d blob: %w", w, err)
 		}
-		blobs[wi+1] = buf.Bytes()
 	}
 	return &Checkpoint{
 		Format:  ck.Format,
@@ -312,144 +230,6 @@ func (w *worker) buildLoads() []LPLoad {
 	return w.ackLoads
 }
 
-// migParticipate runs the worker side of a migration cut, entered right after
-// a GVT round whose msgGVTNew carried Moves. The shape is ckptParticipate's:
-// commit everything at GVT, drain under cumulative-count accounting, act at
-// the quiescent point, resume. The act here is donating the moved LPs this
-// worker owns (msgMigState), installing the ones it receives
-// (msgMigInstall), and holding the barrier until every worker has installed
-// (msgMigDone collected by the controller, msgMigResume released to all) so
-// no worker can route against a half-flipped ownership table.
-func (w *worker) migParticipate() (done bool) {
-	for _, lp := range w.owned {
-		if lp.mode != Optimistic {
-			continue
-		}
-		if i := lp.rollbackIndex(w.gvt, w.user); i < len(lp.processed) {
-			w.rollbackTo(lp, i)
-		}
-		w.commitHistory(lp)
-	}
-	w.drainLocal()
-	w.flushSends()
-	w.paused = true
-
-	copy(w.ackSent, w.sentTo)
-	ack := w.msgPool.get()
-	ack.Kind = msgMigAck
-	ack.Sent = w.ackSent
-	ack.Recvd = w.recvd
-	w.ep.Send(0, ack)
-
-	var expect uint64
-	haveExpect, sent := false, false
-	for {
-		if haveExpect && !sent && w.recvd >= expect {
-			if w.recvd > expect {
-				w.fatal("worker %d received %d messages during migration drain, expected %d",
-					w.ep.Self(), w.recvd, expect)
-			}
-			blob, err := w.migrateBlob()
-			if err != nil {
-				w.fatal("worker %d: migration: %v", w.ep.Self(), err)
-			}
-			m := w.msgPool.get()
-			m.Kind, m.Blob = msgMigState, blob
-			w.ep.Send(0, m)
-			sent = true
-		}
-		m := w.ep.Recv()
-		switch m.Kind {
-		case msgEvent:
-			w.recvd++
-			w.localQ = append(w.localQ, m.Ev)
-			w.msgPool.put(m)
-			w.drainLocal()
-		case msgNull:
-			w.recvd++
-			src, dst, ts := m.Src, m.Dst, m.TS
-			w.msgPool.put(m)
-			w.routeNull(src, dst, ts)
-			w.drainLocal()
-		case msgMigDrain:
-			expect = m.Expect
-			haveExpect = true
-			w.msgPool.put(m)
-		case msgMigInstall:
-			w.applyMigInstall(m)
-			w.msgPool.put(m)
-			dm := w.msgPool.get()
-			dm.Kind = msgMigDone
-			w.ep.Send(0, dm)
-		case msgMigResume:
-			w.msgPool.put(m)
-			w.paused = false
-			w.migRound = w.roundNo
-			w.releaseDeferred()
-			// Conservative LPs re-advertise their promises: installed LPs
-			// start with zeroed lastPromise (like a restore), and existing
-			// LPs' calls are no-ops unless the promise improved.
-			if w.cfg.Lookahead {
-				for _, lp := range w.owned {
-					if lp.mode == Conservative {
-						w.sendNulls(lp)
-					}
-				}
-			}
-			return false
-		case msgStop:
-			w.err = m.Err
-			w.stopped = true
-			return true
-		case msgPoison:
-			w.err = m.Err
-			w.stopped = true
-			return true
-		}
-	}
-}
-
-// migrateBlob serializes — and then drops — every moved LP this worker owns.
-// Pending events travel inside the blob: they are the cut's in-flight
-// messages for the moved LP, handed to the new owner, and are counted as
-// forwarded.
-func (w *worker) migrateBlob() ([]byte, error) {
-	mb := migBlob{Worker: w.ep.Self()}
-	for _, mv := range w.migMoves {
-		lp := w.lps[mv.LP]
-		if lp == nil {
-			continue // owned elsewhere
-		}
-		if len(lp.processed) != 0 {
-			return nil, fmt.Errorf("LP %s still has %d uncommitted records at the migration cut",
-				w.sys.Name(mv.LP), len(lp.processed))
-		}
-		cl := ckptLP{
-			ID:    mv.LP,
-			Now:   lp.now,
-			Floor: lp.floor,
-			Log:   lp.commitLog,
-			CC:    make([]vtime.VT, len(lp.edges)),
-		}
-		for i := range lp.edges {
-			cl.CC[i] = lp.edges[i].cc
-		}
-		for _, e := range lp.pending.a {
-			cl.Pending = append(cl.Pending, ckptEventOf(e))
-		}
-		for _, e := range lp.orphans {
-			cl.Orphans = append(cl.Orphans, ckptEventOf(e))
-		}
-		w.metrics.ForwardedMsgs.Add(uint64(len(cl.Pending)))
-		mb.LPs = append(mb.LPs, cl)
-		w.dropLP(lp, mv.To)
-	}
-	if len(mb.LPs) == 0 {
-		return nil, nil
-	}
-	return encodeMigBlob(&mb)
-}
-
 // dropLP removes a donated LP from this worker's ownership structures. The
 // serialized copies are by value, so the pooled event objects are recycled
 // here; a stale scheduling token for the LP is harmless (it pops, finds an
@@ -457,21 +237,11 @@ func (w *worker) migrateBlob() ([]byte, error) {
 func (w *worker) dropLP(lp *lpRT, to int) {
 	id := lp.decl.id
 	w.lps[id] = nil
-	for i, o := range w.owned {
-		if o == lp {
-			w.owned = append(w.owned[:i], w.owned[i+1:]...)
-			break
-		}
-	}
+	same := func(x *lpRT) bool { return x == lp }
+	w.owned = slices.DeleteFunc(w.owned, same)
 	for i := range lp.edges {
 		src := lp.edges[i].src
-		ws := w.watchers[src]
-		for j, x := range ws {
-			if x == lp {
-				w.watchers[src] = append(ws[:j], ws[j+1:]...)
-				break
-			}
-		}
+		w.watchers[src] = slices.DeleteFunc(w.watchers[src], same)
 	}
 	for _, e := range lp.pending.a {
 		w.evPool.put(e)
@@ -490,83 +260,6 @@ func (w *worker) dropLP(lp *lpRT, to int) {
 	}
 }
 
-// applyMigInstall flips the ownership table for every move of the round and
-// installs the LPs migrated to this worker. Model state is rebuilt exactly as
-// a restore does — pristine model, Init, committed-log replay — except that
-// trace records are suppressed too (the donor's process already committed
-// them) and the replay is skipped entirely when this process's shared model
-// object already holds the LP's committed state (runState.localModel).
-func (w *worker) applyMigInstall(m *Msg) {
-	for _, mv := range w.migMoves {
-		w.owner[mv.LP] = mv.To
-	}
-	if len(m.Blob) == 0 {
-		return
-	}
-	mb, err := decodeMigBlob(m.Blob)
-	if err != nil {
-		w.fatal("pdes: worker %d: decode migration bundle: %v", w.ep.Self(), err)
-	}
-	for i := range mb.LPs {
-		cl := &mb.LPs[i]
-		id := cl.ID
-		if w.lps[id] != nil {
-			w.fatal("pdes: worker %d: migration installs LP %s it already owns", w.ep.Self(), w.sys.Name(id))
-		}
-		if len(m.AllModes) != w.sys.NumLPs() {
-			w.fatal("pdes: worker %d: migration install carries %d modes for %d LPs", w.ep.Self(), len(m.AllModes), w.sys.NumLPs())
-		}
-		lp := newLPRT(w.sys.lps[id], m.AllModes[id])
-		for j := range lp.edges {
-			lp.edges[j].srcCons = m.AllModes[lp.edges[j].src] == Conservative
-			w.watchers[lp.edges[j].src] = append(w.watchers[lp.edges[j].src], lp)
-		}
-		if len(cl.CC) != len(lp.edges) {
-			w.fatal("pdes: migrate LP %s: %d channel clocks for %d edges", w.sys.Name(id), len(cl.CC), len(lp.edges))
-		}
-		for j := range cl.CC {
-			lp.edges[j].cc = cl.CC[j]
-		}
-		current := w.rs != nil && w.rs.localModel != nil && w.rs.localModel[id]
-		if !current {
-			savedSends, savedRecs := w.supSends, w.supRecs
-			w.supSends, w.supRecs = true, true
-			if w.rs != nil && w.rs.pristine != nil {
-				lp.model.RestoreState(w.rs.pristine[id])
-			}
-			if im, ok := lp.model.(InitModel); ok {
-				w.ctx.self, w.ctx.now = id, vtime.Zero
-				im.Init(w.ctx)
-			}
-			for k := range cl.Log {
-				ce := &cl.Log[k]
-				ev := ce.toEvent()
-				w.ctx.self, w.ctx.now = id, ev.TS
-				lp.model.Execute(w.ctx, ev)
-				w.metrics.CoastForward.Add(1)
-			}
-			w.supSends, w.supRecs = savedSends, savedRecs
-		}
-		lp.now, lp.floor = cl.Now, cl.Floor
-		if w.logCommits {
-			lp.commitLog = cl.Log
-		}
-		for k := range cl.Pending {
-			lp.pending.Push(cl.Pending[k].toEvent())
-		}
-		for k := range cl.Orphans {
-			lp.orphans = append(lp.orphans, cl.Orphans[k].toEvent())
-		}
-		lp.sinceCkpt = 0
-		w.lps[id] = lp
-		w.owned = append(w.owned, lp)
-		w.requeue(lp)
-		if w.rs != nil && w.rs.localModel != nil {
-			w.rs.localModel[id] = true
-		}
-	}
-}
-
 // releaseDeferred flushes the messages deferred while the worker was paused,
 // re-resolving each counted message's destination against the (possibly just
 // flipped) ownership table: a promise or event generated mid-cut for an LP
@@ -574,18 +267,13 @@ func (w *worker) applyMigInstall(m *Msg) {
 // longer owns it.
 func (w *worker) releaseDeferred() {
 	for _, d := range w.deferred {
-		dst := d.dst
-		switch d.m.Kind {
-		case msgEvent:
-			if o := w.owner[d.m.Ev.Dst]; o != dst {
-				w.metrics.ForwardedMsgs.Add(1)
-				dst = o
-			}
-		case msgNull:
-			if o := w.owner[d.m.Dst]; o != dst {
-				w.metrics.ForwardedMsgs.Add(1)
-				dst = o
-			}
+		lp := d.m.Dst // msgNull; deferred holds only counted messages
+		if d.m.Kind == msgEvent {
+			lp = d.m.Ev.Dst
+		}
+		dst := w.owner[lp]
+		if dst != d.dst {
+			w.metrics.ForwardedMsgs.Add(1)
 		}
 		w.sentTo[dst]++
 		w.ep.Send(dst, d.m)
@@ -620,145 +308,4 @@ func (c *controller) planMoves(gvt vtime.VT) ([]Move, bool) {
 		moves = append(moves, mv)
 	}
 	return moves, true
-}
-
-// migrationRound coordinates a migration cut after broadcasting a msgGVTNew
-// that carried Moves: collect post-commit counts, drain to the quiescent
-// point, gather the donors' blobs, regroup the moved LPs by destination,
-// install everywhere, and only then release the barrier. Mirrors
-// checkpointRound.
-func (c *controller) migrationRound(gvt vtime.VT, moves []Move) (stopped bool) {
-	acks := c.acks
-	for n := 0; n < c.workers; {
-		m := c.ep.Recv()
-		switch m.Kind {
-		case msgFatal:
-			c.abort(m.Err)
-			return true
-		case msgPoison:
-			c.err = m.Err
-			return true
-		case msgMigAck:
-			if acks[m.From] == nil {
-				acks[m.From] = m
-				n++
-			}
-		case msgIdle:
-			c.msgs.put(m) // stale trigger, dropped
-		}
-	}
-
-	expect := c.expect
-	for i := range expect {
-		expect[i] = 0
-	}
-	for w := 1; w <= c.workers; w++ {
-		for dst, n := range acks[w].Sent {
-			if dst >= 1 && dst <= c.workers {
-				expect[dst] += n
-			}
-		}
-	}
-	for w := 1; w <= c.workers; w++ {
-		c.msgs.put(acks[w])
-		acks[w] = nil
-	}
-	for w := 1; w <= c.workers; w++ {
-		m := c.msgs.get()
-		m.Kind, m.Expect = msgMigDrain, expect[w]
-		c.ep.Send(w, m)
-	}
-
-	blobs := make([][]byte, c.workers+1)
-	got := make([]bool, c.workers+1)
-	for n := 0; n < c.workers; {
-		m := c.ep.Recv()
-		switch m.Kind {
-		case msgFatal:
-			c.abort(m.Err)
-			return true
-		case msgPoison:
-			c.err = m.Err
-			return true
-		case msgMigState:
-			if !got[m.From] {
-				got[m.From] = true
-				blobs[m.From] = m.Blob
-				n++
-			}
-			c.msgs.put(m)
-		case msgIdle:
-			c.msgs.put(m)
-		}
-	}
-
-	byLP := make([]*ckptLP, len(c.owner))
-	for w := 1; w <= c.workers; w++ {
-		if len(blobs[w]) == 0 {
-			continue
-		}
-		mb, err := decodeMigBlob(blobs[w])
-		if err != nil {
-			c.abort(&SimError{Text: fmt.Sprintf("pdes: migration: decode worker %d bundle: %v", w, err)})
-			return true
-		}
-		for i := range mb.LPs {
-			byLP[mb.LPs[i].ID] = &mb.LPs[i]
-		}
-	}
-	dest := make([]migBlob, c.workers+1)
-	for _, mv := range moves {
-		cl := byLP[mv.LP]
-		if cl == nil {
-			c.abort(&SimError{Text: fmt.Sprintf("pdes: migration: no donor shipped LP %d", mv.LP)})
-			return true
-		}
-		dest[mv.To].LPs = append(dest[mv.To].LPs, *cl)
-		c.owner[mv.LP] = mv.To
-	}
-	allModes := append([]Mode(nil), c.modes...)
-	for w := 1; w <= c.workers; w++ {
-		m := c.msgs.get()
-		m.Kind = msgMigInstall
-		m.AllModes = allModes
-		if len(dest[w].LPs) > 0 {
-			blob, err := encodeMigBlob(&dest[w])
-			if err != nil {
-				c.abort(&SimError{Text: fmt.Sprintf("pdes: migration: encode bundle for worker %d: %v", w, err)})
-				return true
-			}
-			m.Blob = blob
-		}
-		c.ep.Send(w, m)
-	}
-	c.metrics.Migrations.Add(uint64(len(moves)))
-	c.metrics.ViewChanges.Add(1)
-	// The load window restarts: the next plan reacts to the new placement,
-	// not to history the move already corrected.
-	for i := range c.loads {
-		c.loads[i] = 0
-	}
-
-	for n := 0; n < c.workers; {
-		m := c.ep.Recv()
-		switch m.Kind {
-		case msgFatal:
-			c.abort(m.Err)
-			return true
-		case msgPoison:
-			c.err = m.Err
-			return true
-		case msgMigDone:
-			n++
-			c.msgs.put(m)
-		case msgIdle:
-			c.msgs.put(m)
-		}
-	}
-	for w := 1; w <= c.workers; w++ {
-		m := c.msgs.get()
-		m.Kind = msgMigResume
-		c.ep.Send(w, m)
-	}
-	return false
 }

@@ -96,17 +96,28 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 	if cfg.CheckpointRounds > 0 && hostsController && cfg.CheckpointSink == nil {
 		return nil, fmt.Errorf("pdes: Config.CheckpointRounds is set but the controller process has no CheckpointSink")
 	}
-	if cfg.Restore != nil {
-		if err := validateRestore(cfg.Restore, sys, &cfg); err != nil {
-			return nil, err
-		}
-	}
 	sys.frozen = true
 
 	horizon := vtime.VT{PT: until}
 	metrics := &stats.Metrics{}
 
-	owned := sys.partition(cfg.Partition, cfg.Workers)
+	var owned [][]LPID
+	var restored []*ckptWorker // decoded Config.Restore blobs, by endpoint
+	if cfg.Restore != nil {
+		var err error
+		if restored, err = decodeRestore(cfg.Restore, sys, &cfg); err != nil {
+			return nil, err
+		}
+		// Ownership resumes from the cut, not from the partitioner.
+		owned = make([][]LPID, cfg.Workers)
+		for wi := range owned {
+			for i := range restored[wi+1].LPs {
+				owned[wi] = append(owned[wi], restored[wi+1].LPs[i].ID)
+			}
+		}
+	} else {
+		owned = sys.partition(cfg.Partition, cfg.Workers)
+	}
 	owner := make([]int, sys.NumLPs())
 	for wi, ids := range owned {
 		for _, id := range ids {
@@ -129,15 +140,17 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 	if cfg.Migrate != nil {
 		// Migration support: record which endpoints live here, whether each
 		// LP's local model object is current (it is when its owner is hosted
-		// here), and a pristine pre-Init snapshot of every model so an LP
-		// installed from another process can be rebuilt by log replay.
+		// here and initializes it; in a restored run no object is until the
+		// install replays it), and a pristine pre-Init snapshot of every
+		// model so an LP installed from another process can be rebuilt by
+		// log replay.
 		rs.hostedEps = make([]bool, total)
 		for _, ep := range eps {
 			rs.hostedEps[ep.Self()] = true
 		}
 		rs.localModel = make([]bool, sys.NumLPs())
 		for id := range rs.localModel {
-			rs.localModel[id] = rs.hostedEps[owner[id]]
+			rs.localModel[id] = cfg.Restore == nil && rs.hostedEps[owner[id]]
 		}
 		rs.pristine = make([]any, sys.NumLPs())
 		for id := range rs.pristine {
@@ -167,6 +180,9 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 		w := newWorker(ep, sys, &cfg, horizon, wOwner, owned[wi], modes, metrics, sink)
 		w.rs = rs
 		w.memTrack = cfg.MemBudget > 0
+		if restored != nil {
+			w.restored = restored[ep.Self()]
+		}
 		workers = append(workers, w)
 	}
 

@@ -122,14 +122,14 @@ type LPDiag struct {
 type WorkerDiag struct {
 	Worker       int
 	GVT          vtime.VT // last committed GVT this worker observed
-	Paused       bool     // inside a GVT/checkpoint round at publish time
+	Paused       bool     // inside a GVT round or quiescent cut at publish time
 	Waiting      bool     // parked in a blocking Recv (snapshot is pre-block state)
 	ExecTotal    uint64   // events executed so far
 	MailboxDepth int      // messages waiting in the worker's endpoint
-	// Stale marks a snapshot the worker failed to refresh for the report.
-	// Combined with !Waiting it means the worker is likely wedged inside a
-	// model Execute call; a Waiting worker's snapshot is simply its
-	// (accurate) pre-block state.
+	// Stale marks a snapshot the worker failed to refresh for the report
+	// while not parked in Recv: it is likely wedged inside a model Execute
+	// call. A Waiting worker is never Stale — every blocking receive
+	// publishes first, so its snapshot is its (accurate) pre-block state.
 	Stale bool
 	LPs   []LPDiag
 }
@@ -158,7 +158,7 @@ func (r *StallReport) String() string {
 		w := &r.Workers[i]
 		state := "running"
 		if w.Paused {
-			state = "paused (mid GVT/checkpoint round)"
+			state = "paused (mid GVT round or cut)"
 		}
 		if w.Waiting {
 			state += ", blocked in Recv (waiting for messages that never arrived)"
@@ -276,7 +276,7 @@ func (wd *watchdog) collect(elapsed time.Duration, rescued bool) *StallReport {
 	r := &StallReport{Elapsed: elapsed, MemUsed: wd.rs.memUsed.Load(), Rescued: rescued}
 	for _, w := range wd.workers {
 		d := w.copyDiag()
-		d.Stale = w.diagEpochSeen() != epoch
+		d.Stale = !d.Waiting && w.diagEpochSeen() != epoch
 		d.MailboxDepth = w.ep.QueueLen()
 		if r.GVT.Less(d.GVT) {
 			r.GVT = d.GVT

@@ -273,3 +273,90 @@ func TestMemBudgetDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// muteAfterMin wraps a worker endpoint and silently drops everything it sends
+// once its first msgGVTMin has gone out: the faultinject mute (silence, not
+// poison — package faultinject imports pdes, so the wrapper lives here), timed
+// so the first message lost is the worker's ack of the cut that follows the
+// first GVT round.
+type muteAfterMin struct {
+	Endpoint
+	muted bool // touched only by the owning worker's goroutine
+}
+
+func (e *muteAfterMin) Send(dst int, m *Msg) {
+	if e.muted {
+		return
+	}
+	if m.Kind == msgGVTMin {
+		e.muted = true
+	}
+	e.Endpoint.Send(dst, m)
+}
+
+func (e *muteAfterMin) SendBatch(dst int, ms []*Msg) {
+	if !e.muted {
+		e.Endpoint.SendBatch(dst, ms)
+	}
+}
+
+// TestWatchdogSeesWorkerParkedInCut mutes one worker in the middle of a
+// quiescent cut: the controller never gets its ack, so the surviving worker
+// sits in the cut's drain forever. Every round receive publishes first, so the
+// dump must show that worker as paused and blocked in Recv — not as a stale,
+// possibly-wedged-in-Execute one.
+func TestWatchdogSeesWorkerParkedInCut(t *testing.T) {
+	eps := NewLocalFabric(3)
+	eps[2] = &muteAfterMin{Endpoint: eps[2]}
+
+	var (
+		mu      sync.Mutex
+		reports []*StallReport
+	)
+	cfg := Config{
+		Workers:          2,
+		Protocol:         ProtoOptimistic,
+		GVTEvery:         16,
+		ThrottleWindow:   100,
+		CheckpointRounds: 1,
+		CheckpointSink:   func(*Checkpoint) error { return nil },
+		StallTimeout:     300 * time.Millisecond,
+		StallDump: func(r *StallReport) {
+			mu.Lock()
+			reports = append(reports, r)
+			mu.Unlock()
+		},
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := RunOn(buildRing(8, 5, ProtoOptimistic), cfg, 4000, nil, eps)
+		errCh <- err
+	}()
+	select {
+	case err := <-errCh:
+		if !IsStall(err) {
+			t.Fatalf("muted cut ended with %v, want the stall watchdog's verdict", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run hung despite the stall watchdog")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reports) == 0 {
+		t.Fatal("no diagnostic dump produced")
+	}
+	r := reports[len(reports)-1]
+	for _, w := range r.Workers {
+		if w.Worker != 1 {
+			continue
+		}
+		if !w.Paused || !w.Waiting || w.Stale {
+			t.Errorf("worker parked in the cut: Paused=%v Waiting=%v Stale=%v, want true/true/false\n%s",
+				w.Paused, w.Waiting, w.Stale, r)
+		}
+	}
+	if s := r.String(); strings.Contains(s, "UNRESPONSIVE") {
+		t.Errorf("dump calls a worker blocked in a cut unresponsive:\n%s", s)
+	}
+}

@@ -126,10 +126,10 @@ type worker struct {
 	ctx    *Ctx
 	curRec *procRec
 	// supSends/supRecs suppress Ctx side effects during replay: rollback
-	// coast-forward suppresses both (sends were already made, records already
-	// retained); checkpoint restore suppresses sends only, so the replay
-	// RE-EMITS every committed trace record and the restored run's trace is
-	// complete from t=0 without carrying the old trace out of band.
+	// coast-forward and a migration install suppress both (sends were already
+	// made, records already retained or committed); a restore suppresses
+	// sends only, so its replay RE-EMITS every committed trace record and the
+	// restored run's trace is complete from t=0 (see installLP).
 	supSends bool
 	supRecs  bool
 
@@ -148,18 +148,20 @@ type worker struct {
 	stopped    bool
 	err        *SimError // why the worker stopped (abort or transport death)
 
-	// Checkpoint/restart (checkpoint.go): logCommits enables the per-LP
-	// committed-event logs a checkpoint serializes; restore, when non-nil,
-	// rebuilds the worker from a prior cut instead of initializing LPs.
+	// Quiescent cuts (cut.go): logCommits enables the per-LP committed-event
+	// logs a cut captures; cutMoves holds the round's migration plan (copied
+	// out of msgGVTNew before the Msg is recycled; empty for a checkpoint
+	// cut).
 	logCommits bool
-	restore    *Checkpoint
+	cutMoves   []Move
+	// restored is this worker's decoded, validated share of Config.Restore,
+	// set by the runner; run installs it instead of initializing LPs.
+	restored *ckptWorker
 
-	// Migration (migrate.go, Config.Migrate runs only): migMoves holds the
-	// round's migration plan (copied out of msgGVTNew before the Msg is
-	// recycled), ackLoads is the reusable per-LP load report carried on GVT
-	// acks, and migRound is the round number of the last migration cut this
-	// worker applied — the anchor of the bounded forwarding window.
-	migMoves []Move
+	// Migration (migrate.go, Config.Migrate runs only): ackLoads is the
+	// reusable per-LP load report carried on GVT acks, and migRound is the
+	// round number of the last migration cut this worker applied — the anchor
+	// of the bounded forwarding window.
 	ackLoads []LPLoad
 	migRound uint64
 
@@ -210,21 +212,31 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 			return a.ID < b.ID
 		}
 	}
-	for _, id := range ownedIDs {
-		lp := newLPRT(sys.lps[id], modes[id])
-		for i := range lp.edges {
-			lp.edges[i].srcCons = modes[lp.edges[i].src] == Conservative
-			w.watchers[lp.edges[i].src] = append(w.watchers[lp.edges[i].src], lp)
+	if cfg.Restore == nil {
+		// A restored worker's LPs are installed from its blob instead (cut.go).
+		for _, id := range ownedIDs {
+			w.addLP(id, modes)
 		}
-		w.lps[id] = lp
-		w.owned = append(w.owned, lp)
 	}
 	w.ctx = &Ctx{sys: sys, emit: w.emit, record: w.recordItem, charge: w.chargeEvents}
 	w.gvtEvery = cfg.GVTEvery
 	w.batchEp, _ = ep.(batchReceiver)
 	w.logCommits = cfg.CheckpointRounds > 0 || cfg.Migrate != nil
-	w.restore = cfg.Restore
 	return w
+}
+
+// addLP builds the runtime of an LP this worker owns and registers its
+// in-edges with the mode-broadcast watch lists. modes is the full per-LP
+// table: the trust of an in-edge depends on its source's mode.
+func (w *worker) addLP(id LPID, modes []Mode) *lpRT {
+	lp := newLPRT(w.sys.lps[id], modes[id])
+	for i := range lp.edges {
+		lp.edges[i].srcCons = modes[lp.edges[i].src] == Conservative
+		w.watchers[lp.edges[i].src] = append(w.watchers[lp.edges[i].src], lp)
+	}
+	w.lps[id] = lp
+	w.owned = append(w.owned, lp)
+	return lp
 }
 
 // chargeEvents reconciles shard super-LP execution with per-member-event
@@ -272,8 +284,16 @@ func (w *worker) run() {
 		}
 	}()
 
-	if w.restore != nil {
-		w.applyRestore()
+	if cw := w.restored; cw != nil {
+		// The blob is this worker's whole state at the cut: its event-ID
+		// allocator and clock resume too (IDs minted from here never collide
+		// with restored ones), and the replay re-emits the committed trace.
+		w.gvt, w.seq, w.clock = w.cfg.Restore.GVT, cw.Seq, cw.Clock
+		for i := range cw.LPs {
+			w.installLP(&cw.LPs[i], w.cfg.Restore.Modes, true)
+		}
+		w.restored = nil
+		w.advertise()
 	} else {
 		w.initLPs()
 	}
@@ -313,14 +333,7 @@ func (w *worker) run() {
 			m := w.msgPool.get()
 			m.Kind, m.Idle, m.Processed = msgIdle, true, w.execTotal
 			w.ep.Send(0, m)
-			// Force a fresh snapshot before parking: a worker blocked in
-			// Recv cannot answer a later dump request, so the published
-			// state (flagged Waiting) must already be current.
-			w.publishDiag(true)
-			w.setWaiting(true)
-			m = w.ep.Recv()
-			w.setWaiting(false)
-			if w.handle(m) {
+			if w.handle(w.parkRecv()) {
 				return
 			}
 		} else if !w.requested && w.execTotal-w.execAtRound >= uint64(w.gvtEvery) {
@@ -372,9 +385,6 @@ func (w *worker) initLPs() {
 	}
 }
 
-// handle processes one control or data message in the normal loop. It
-// returns true when the worker should terminate. Event and null messages are
-// recycled here: the receiving worker owns them once decoded.
 // drainBatch empties the mailbox with one locked operation and handles the
 // messages in arrival order. A GVT pause is deferred to the end of the
 // batch: gvtParticipate blocks in Recv, so anything still buffered behind
@@ -400,7 +410,25 @@ func (w *worker) drainBatch() (stop bool) {
 	return false
 }
 
+// handle processes one message in the normal loop: data and aborts are
+// absorbed, a pause enters the GVT round. It returns true when the worker
+// should terminate.
 func (w *worker) handle(m *Msg) bool {
+	if w.absorb(m) {
+		return w.stopped
+	}
+	if m.Kind == msgGVTPause {
+		w.msgPool.put(m)
+		return w.gvtParticipate()
+	}
+	return false
+}
+
+// absorb is the one place a received message is taken in: it counts and
+// routes events and nulls (recycling the Msg — the receiving worker owns it
+// once decoded) and records an abort (w.stopped). It reports false for a
+// control message, which the caller's protocol step must interpret.
+func (w *worker) absorb(m *Msg) bool {
 	switch m.Kind {
 	case msgEvent:
 		w.recvd++
@@ -413,19 +441,69 @@ func (w *worker) handle(m *Msg) bool {
 		w.msgPool.put(m)
 		w.routeNull(src, dst, ts)
 		w.drainLocal()
-	case msgGVTPause:
-		w.msgPool.put(m)
-		return w.gvtParticipate()
-	case msgStop:
+	case msgStop, msgPoison:
 		w.err = m.Err
 		w.stopped = true
-		return true
-	case msgPoison:
-		w.err = m.Err
-		w.stopped = true
-		return true
+	default:
+		return false
 	}
-	return false
+	return true
+}
+
+// parkRecv blocks for the next message. A worker blocked in Recv cannot
+// answer a later dump request (and a wedged peer can park it forever), so the
+// published state, flagged Waiting, is forced current before every block.
+func (w *worker) parkRecv() *Msg {
+	w.publishDiag(true)
+	w.setWaiting(true)
+	m := w.ep.Recv()
+	w.setWaiting(false)
+	return m
+}
+
+// roundRecv takes in one message while the worker is inside a stop-the-world
+// round (GVT or cut). Data messages and aborts are absorbed — callers check
+// w.stopped — and nil is returned; a control message is returned for the
+// caller's protocol step.
+func (w *worker) roundRecv() *Msg {
+	if m := w.parkRecv(); !w.absorb(m) {
+		return m
+	}
+	return nil
+}
+
+// countedDrain is the quiescence phase GVT rounds and cuts share: flush,
+// pause, report cumulative send/receive counts on ack, and take messages in
+// until the controller's target — everything any worker had sent here by its
+// own ack — has arrived. Afterwards nothing is in flight to this worker.
+// It returns false when the run was aborted meanwhile.
+func (w *worker) countedDrain(ack *Msg) bool {
+	// Flush before snapshotting sentTo: the accounting assumes every counted
+	// message is already in its receiver's mailbox (or on the wire), not
+	// sitting in a local coalescing buffer.
+	w.flushSends()
+	w.paused = true
+	// ackSent is per-round scratch: the controller reads Sent only while this
+	// worker is blocked in the drain, so reusing the slice is safe and
+	// allocation-free.
+	copy(w.ackSent, w.sentTo)
+	ack.Kind, ack.Sent, ack.Recvd = msgGVTAck, w.ackSent, w.recvd
+	w.ep.Send(0, ack)
+	var expect uint64
+	for have := false; !have || w.recvd < expect; {
+		m := w.roundRecv()
+		if w.stopped {
+			return false
+		}
+		if m != nil && m.Kind == msgGVTDrain {
+			expect, have = m.Expect, true
+			w.msgPool.put(m)
+		}
+	}
+	if w.recvd > expect {
+		w.fatal("worker %d received %d messages in a counted drain, expected %d", w.ep.Self(), w.recvd, expect)
+	}
+	return true
 }
 
 // step executes one scheduling decision. It returns true if an event (or
@@ -733,6 +811,25 @@ func (w *worker) requeue(lp *lpRT) {
 	w.sched.push(lpToken{ts: lp.pending.MinTS(), seq: w.schedSeq, lp: lp})
 }
 
+// forwardTo names the worker a message for an LP not owned here must chase.
+// After a migration cut a message can legitimately race the flip (e.g. sent
+// by a worker that resumed an instant earlier); the flipped ownership table
+// is authoritative, so forwarding stays correct however late the straggler
+// is — arrivals past the nominal window are counted separately, not dropped
+// or treated as fatal. With no migration in this worker's history a misroute
+// is a protocol violation (ok false).
+func (w *worker) forwardTo(dst LPID) (owner int, ok bool) {
+	owner = w.owner[dst]
+	if owner == w.ep.Self() || w.migRound == 0 {
+		return owner, false
+	}
+	w.metrics.ForwardedMsgs.Add(1)
+	if w.roundNo-w.migRound > migForwardWindow {
+		w.metrics.LateForwards.Add(1)
+	}
+	return owner, true
+}
+
 // routeEvent inserts an incoming event at its destination LP, handling
 // channel clocks, anti-messages, stragglers and rollback.
 func (w *worker) routeEvent(e *Event) {
@@ -740,23 +837,14 @@ func (w *worker) routeEvent(e *Event) {
 	dbgID(w, "route", e, "")
 	lp := w.lps[e.Dst]
 	if lp == nil {
-		// After a migration cut, chase a moved LP to its new owner instead of
-		// dying: a message can legitimately race the cut (e.g. sent by a
-		// worker that resumed an instant earlier). The flipped ownership
-		// table is authoritative, so forwarding stays correct however late
-		// the straggler is — arrivals past the nominal window are counted
-		// separately, not dropped or treated as fatal.
-		if o := w.owner[e.Dst]; o != w.ep.Self() && w.migRound > 0 {
-			w.metrics.ForwardedMsgs.Add(1)
-			if w.roundNo-w.migRound > migForwardWindow {
-				w.metrics.LateForwards.Add(1)
-			}
-			m := w.msgPool.get()
-			m.Kind, m.Ev = msgEvent, e
-			w.sendMsg(o, m)
-			return
+		o, ok := w.forwardTo(e.Dst)
+		if !ok {
+			w.fatal("event %v routed to worker %d which does not own LP %d", e, w.ep.Self(), e.Dst)
 		}
-		w.fatal("event %v routed to worker %d which does not own LP %d", e, w.ep.Self(), e.Dst)
+		m := w.msgPool.get()
+		m.Kind, m.Ev = msgEvent, e
+		w.sendMsg(o, m)
+		return
 	}
 	if e.Neg {
 		w.annihilate(lp, e)
@@ -913,17 +1001,14 @@ func (w *worker) sendNulls(lp *lpRT) {
 func (w *worker) routeNull(src, dst LPID, ts vtime.VT) {
 	lp := w.lps[dst]
 	if lp == nil {
-		if o := w.owner[dst]; o != w.ep.Self() && w.migRound > 0 {
-			w.metrics.ForwardedMsgs.Add(1)
-			if w.roundNo-w.migRound > migForwardWindow {
-				w.metrics.LateForwards.Add(1)
-			}
-			m := w.msgPool.get()
-			m.Kind, m.Src, m.Dst, m.TS = msgNull, src, dst, ts
-			w.sendMsg(o, m)
-			return
+		o, ok := w.forwardTo(dst)
+		if !ok {
+			w.fatal("null %d->%d routed to worker %d which does not own the destination", src, dst, w.ep.Self())
 		}
-		w.fatal("null %d->%d routed to worker %d which does not own the destination", src, dst, w.ep.Self())
+		m := w.msgPool.get()
+		m.Kind, m.Src, m.Dst, m.TS = msgNull, src, dst, ts
+		w.sendMsg(o, m)
+		return
 	}
 	i, ok := lp.edgeOf[src]
 	if !ok {
@@ -938,21 +1023,10 @@ func (w *worker) routeNull(src, dst LPID, ts vtime.VT) {
 	}
 }
 
-// gvtParticipate runs the worker side of one stop-the-world GVT round.
+// gvtParticipate runs the worker side of one stop-the-world GVT round, and of
+// the quiescent cut the round's msgGVTNew may announce.
 func (w *worker) gvtParticipate() (done bool) {
-	// Flush before snapshotting sentTo for the ack: the drain accounting
-	// assumes every counted message is already in its receiver's mailbox (or
-	// on the wire), not sitting in a local coalescing buffer.
-	w.flushSends()
-	w.paused = true
-	// ackSent is per-round scratch: the controller reads Sent only while this
-	// worker is blocked in the round, so reusing the slice across rounds is
-	// safe and allocation-free.
-	copy(w.ackSent, w.sentTo)
 	ack := w.msgPool.get()
-	ack.Kind = msgGVTAck
-	ack.Sent = w.ackSent
-	ack.Recvd = w.recvd
 	ack.Clock = w.clock
 	ack.Modes = w.modeProposals()
 	ack.Processed = w.execTotal
@@ -963,62 +1037,28 @@ func (w *worker) gvtParticipate() (done bool) {
 	if w.cfg.Migrate != nil {
 		ack.Loads = w.buildLoads()
 	}
-	w.ep.Send(0, ack)
-	var expect uint64
-	haveExpect, minSent := false, false
+	if !w.countedDrain(ack) {
+		return true
+	}
+	mm := w.msgPool.get()
+	mm.Kind, mm.Min, mm.Clock = msgGVTMin, w.localMin(), w.clock
+	w.ep.Send(0, mm)
 	for {
-		if haveExpect && !minSent && w.recvd >= expect {
-			if w.recvd > expect {
-				w.fatal("worker %d received %d messages, expected %d", w.ep.Self(), w.recvd, expect)
-			}
-			mm := w.msgPool.get()
-			mm.Kind, mm.Min, mm.Clock = msgGVTMin, w.localMin(), w.clock
-			w.ep.Send(0, mm)
-			minSent = true
-		}
-		// Rounds block in Recv too (and a wedged peer can park us here
-		// forever), so publish fresh state before every round receive.
-		w.publishDiag(true)
-		w.setWaiting(true)
-		m := w.ep.Recv()
-		w.setWaiting(false)
-		switch m.Kind {
-		case msgEvent:
-			w.recvd++
-			w.localQ = append(w.localQ, m.Ev)
-			w.msgPool.put(m)
-			w.drainLocal()
-		case msgNull:
-			w.recvd++
-			src, dst, ts := m.Src, m.Dst, m.TS
-			w.msgPool.put(m)
-			w.routeNull(src, dst, ts)
-			w.drainLocal()
-		case msgGVTDrain:
-			expect = m.Expect
-			haveExpect = true
-			w.msgPool.put(m)
-		case msgGVTNew:
-			ckpt := m.Ckpt
-			w.migMoves = append(w.migMoves[:0], m.Moves...)
-			done = w.applyGVTNew(m)
-			w.msgPool.put(m)
-			if ckpt && !done {
-				return w.ckptParticipate()
-			}
-			if len(w.migMoves) > 0 && !done {
-				return w.migParticipate()
-			}
-			return done
-		case msgStop:
-			w.err = m.Err
-			w.stopped = true
-			return true
-		case msgPoison:
-			w.err = m.Err
-			w.stopped = true
+		m := w.roundRecv()
+		if w.stopped {
 			return true
 		}
+		if m == nil || m.Kind != msgGVTNew {
+			continue
+		}
+		cut := m.Ckpt || len(m.Moves) > 0
+		w.cutMoves = append(w.cutMoves[:0], m.Moves...)
+		done = w.applyGVTNew(m)
+		w.msgPool.put(m)
+		if cut && !done {
+			return w.cutParticipate()
+		}
+		return done
 	}
 }
 
@@ -1039,13 +1079,16 @@ func (w *worker) localMin() vtime.VT {
 	// (by induction: root antis exceed their straggler >= GVT, and
 	// descendants are at or above their trigger), which is what makes it
 	// sound to fossil-collect at, and to let conservative LPs process
-	// events at, timestamps <= GVT.
+	// events at, timestamps <= GVT. User-consistent ordering needs no such
+	// margin — it commits and processes only strictly below GVT, and an
+	// equal-timestamp straggler's root antis may sit exactly at GVT, so the
+	// strict bound would make GVT regress.
 	for _, d := range w.deferred {
 		if d.m.Kind != msgEvent {
 			continue
 		}
 		ts := d.m.Ev.TS
-		if d.m.Ev.Neg {
+		if d.m.Ev.Neg && !w.user {
 			ts = ts.Pred()
 		}
 		if ts.Less(min) {
@@ -1169,17 +1212,7 @@ func (w *worker) switchToOpt(lp *lpRT) {
 func (w *worker) commitHistory(lp *lpRT) {
 	var freed int64
 	for k := range lp.processed {
-		rec := &lp.processed[k]
-		dbgID(w, "commitHistory", rec.ev, "")
-		if w.sink != nil {
-			for _, item := range rec.recs {
-				w.sink.Commit(lp.decl.id, rec.ev.TS, item)
-			}
-		}
-		w.logCommit(lp, rec.ev)
-		w.evPool.put(rec.ev)
-		freed += rec.mem
-		w.recycleRec(rec)
+		freed += w.commitRec(lp, &lp.processed[k])
 		lp.processed[k] = procRec{}
 	}
 	w.memAdd(-freed)
@@ -1187,6 +1220,22 @@ func (w *worker) commitHistory(lp *lpRT) {
 	lp.processed = lp.processed[:0]
 	lp.floor = lp.now
 	lp.sinceCkpt = 0 // the next record must carry a snapshot
+}
+
+// commitRec commits one history record — trace output to the sink, the event
+// to the commit log — and recycles what it held. It returns the record's
+// MemBudget charge for the caller to credit; the caller zeroes the record.
+func (w *worker) commitRec(lp *lpRT, rec *procRec) int64 {
+	dbgID(w, "commit", rec.ev, "")
+	if w.sink != nil {
+		for _, item := range rec.recs {
+			w.sink.Commit(lp.decl.id, rec.ev.TS, item)
+		}
+	}
+	w.logCommit(lp, rec.ev)
+	w.evPool.put(rec.ev)
+	w.recycleRec(rec)
+	return rec.mem
 }
 
 // fossil commits and frees the history below the commit horizon.
@@ -1212,17 +1261,7 @@ func (w *worker) fossil(lp *lpRT, done bool) {
 	floor := lp.processed[j-1].ev.TS
 	var freed int64
 	for i := 0; i < j; i++ {
-		rec := &lp.processed[i]
-		dbgID(w, "fossilCommit", rec.ev, "")
-		if w.sink != nil {
-			for _, item := range rec.recs {
-				w.sink.Commit(lp.decl.id, rec.ev.TS, item)
-			}
-		}
-		w.logCommit(lp, rec.ev)
-		w.evPool.put(rec.ev)
-		freed += rec.mem
-		w.recycleRec(rec)
+		freed += w.commitRec(lp, &lp.processed[i])
 	}
 	w.memAdd(-freed)
 	lp.floor = floor
@@ -1349,23 +1388,18 @@ func (w *worker) publishDiag(force bool) {
 	w.diag.LPs = w.diag.LPs[:0]
 	for _, lp := range w.owned {
 		d := LPDiag{
-			LP:        lp.decl.id,
-			Name:      w.sys.Name(lp.decl.id),
-			Mode:      lp.mode,
-			Now:       lp.now,
-			Pending:   lp.pending.Len(),
-			BlockedOn: NoLP,
+			LP:         lp.decl.id,
+			Name:       w.sys.Name(lp.decl.id),
+			Mode:       lp.mode,
+			Now:        lp.now,
+			Pending:    lp.pending.Len(),
+			MinPending: lp.pending.MinTS(), // vtime.Inf when none
+			Guarantee:  lp.guaranteeMin(w.gvt),
+			BlockedOn:  NoLP,
 		}
-		if d.Pending > 0 {
-			d.MinPending = lp.pending.MinTS()
-			d.Guarantee = lp.guaranteeMin(w.gvt)
-			if lp.mode == Conservative && d.MinPending.Less(w.horizon) &&
-				!lp.safeToProcess(w.gvt, w.user) {
-				d.BlockedOn = w.blockingEdge(lp)
-			}
-		} else {
-			d.MinPending = vtime.Inf
-			d.Guarantee = lp.guaranteeMin(w.gvt)
+		if d.Pending > 0 && lp.mode == Conservative && d.MinPending.Less(w.horizon) &&
+			!lp.safeToProcess(w.gvt, w.user) {
+			d.BlockedOn = w.blockingEdge(lp)
 		}
 		w.diag.LPs = append(w.diag.LPs, d)
 	}

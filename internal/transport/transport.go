@@ -47,8 +47,10 @@ import (
 
 // protocolVersion is checked during the handshake so mismatched builds fail
 // with a diagnosis instead of a gob decode error mid-run. Version 3
-// introduced length-prefixed framing (see frameReader).
-const protocolVersion = 3
+// introduced length-prefixed framing (see frameReader); version 4 renumbered
+// the pdes message kinds when the checkpoint and migration cuts became one
+// quiescent-cut protocol.
+const protocolVersion = 4
 
 // maxFrameBytes bounds one framed gob value. The length prefix of every
 // frame is validated against it before any payload byte is consumed, so a
@@ -327,16 +329,28 @@ func (e *endpoint) SendBatch(dst int, ms []*pdes.Msg) {
 	e.node.route(&wire{Dst: dst, Batch: batch})
 }
 
+// Recv delivers what arrived before a failure ahead of the poison: a peer
+// that finishes the run and closes its node right after sending the final
+// round's messages must not turn a completed run into a transport error on
+// the receiver, whose reader sees those messages and then EOF. The backlog is
+// finite (senders stop once they observe the failure), so poison still
+// follows promptly; TryRecv stays failure-first, which keeps a busy
+// scheduling loop from outrunning it.
 func (e *endpoint) Recv() *pdes.Msg {
 	select {
-	case <-e.node.failed:
-		return pdes.PoisonMsg(e.node.Err())
+	case m := <-e.box:
+		return m
 	default:
 	}
 	select {
 	case m := <-e.box:
 		return m
 	case <-e.node.failed:
+		select {
+		case m := <-e.box: // delivered just before the failure was recorded
+			return m
+		default:
+		}
 		return pdes.PoisonMsg(e.node.Err())
 	}
 }
