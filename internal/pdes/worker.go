@@ -301,7 +301,7 @@ func (w *worker) run() {
 	w.ep.Send(0, &Msg{Kind: msgIdle, Idle: true})
 	const batch = 8
 	for {
-		w.publishDiag(false)
+		w.publishDiag()
 		if w.batchEp != nil {
 			if w.drainBatch() {
 				return
@@ -451,10 +451,10 @@ func (w *worker) absorb(m *Msg) bool {
 }
 
 // parkRecv blocks for the next message. A worker blocked in Recv cannot
-// answer a later dump request (and a wedged peer can park it forever), so the
-// published state, flagged Waiting, is forced current before every block.
+// answer a later dump request (and a wedged peer can park it forever), but it
+// does not touch worker or LP state either: it only flags itself Waiting, and
+// copyDiag reads the parked state in its place.
 func (w *worker) parkRecv() *Msg {
-	w.publishDiag(true)
 	w.setWaiting(true)
 	m := w.ep.Recv()
 	w.setWaiting(false)
@@ -1366,21 +1366,27 @@ func (w *worker) blockedLPs() []BlockedLP {
 	return b
 }
 
-// publishDiag refreshes this worker's stall-report snapshot. Unforced calls
-// sit on the hot scheduling path and only publish when the watchdog has
-// requested a dump (rs.dumpEpoch moved) — steady-state cost is one atomic
-// load. Forced calls happen just before a potentially unbounded block in
-// Recv, where the worker cannot answer a later request, so the pre-block
-// state must already be published.
-func (w *worker) publishDiag(force bool) {
+// publishDiag refreshes this worker's stall-report snapshot when the
+// watchdog has requested a dump (rs.dumpEpoch moved). It sits on the hot
+// scheduling path: steady-state cost is one atomic load.
+func (w *worker) publishDiag() {
 	if w.rs == nil {
 		return
 	}
 	epoch := w.rs.dumpEpoch.Load()
-	if !force && w.diagEpoch.Load() == epoch {
+	if w.diagEpoch.Load() == epoch {
 		return
 	}
 	w.diagMu.Lock()
+	w.fillDiag()
+	w.diagMu.Unlock()
+	w.diagEpoch.Store(epoch)
+}
+
+// fillDiag rebuilds the snapshot from the worker's live state. The caller
+// holds diagMu and is either the worker's own goroutine or has seen
+// diag.Waiting under that lock.
+func (w *worker) fillDiag() {
 	w.diag.Worker = w.ep.Self()
 	w.diag.GVT = w.gvt
 	w.diag.Paused = w.paused
@@ -1403,8 +1409,6 @@ func (w *worker) publishDiag(force bool) {
 		}
 		w.diag.LPs = append(w.diag.LPs, d)
 	}
-	w.diagMu.Unlock()
-	w.diagEpoch.Store(epoch)
 }
 
 // blockingEdge returns the source LP of the input edge with the weakest
@@ -1424,9 +1428,13 @@ func (w *worker) blockingEdge(lp *lpRT) LPID {
 	return blocked
 }
 
-// setWaiting flags the published snapshot while this worker is parked in a
-// blocking Recv: the watchdog then reports it as waiting for messages (the
-// normal shape of a stall) rather than unresponsive.
+// setWaiting flags the snapshot while this worker is parked in a blocking
+// Recv: the watchdog then reports it as waiting for messages (the normal
+// shape of a stall) rather than unresponsive. Between setWaiting(true) and
+// the return of setWaiting(false) the worker reads and writes nothing that
+// fillDiag reads, and diagMu orders its earlier writes before copyDiag's
+// reads and copyDiag's reads before its later writes: a waking worker queues
+// behind a fill in progress.
 func (w *worker) setWaiting(v bool) {
 	if w.rs == nil {
 		return
@@ -1436,10 +1444,16 @@ func (w *worker) setWaiting(v bool) {
 	w.diagMu.Unlock()
 }
 
-// copyDiag returns the last published snapshot (called by the watchdog).
+// copyDiag returns the worker's snapshot (called by the watchdog): the last
+// published one, or — for a worker parked in Recv, which cannot publish —
+// one built here from the state it parked with. Parking therefore costs two
+// lock round trips, not a walk over every owned LP.
 func (w *worker) copyDiag() WorkerDiag {
 	w.diagMu.Lock()
 	defer w.diagMu.Unlock()
+	if w.diag.Waiting {
+		w.fillDiag()
+	}
 	d := w.diag
 	d.LPs = append([]LPDiag(nil), w.diag.LPs...)
 	return d
