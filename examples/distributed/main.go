@@ -1,6 +1,6 @@
 // Distributed simulation over real TCP sockets, the paper's "distributed"
 // half: two simulator nodes (run here as goroutines of one program, but
-// speaking genuine gob-over-TCP through the loopback interface) share the
+// speaking the real wire protocol over TCP through the loopback interface) share the
 // workers of one VHDL simulation. The hub node hosts the GVT controller and
 // worker 1, the peer hosts worker 2. Both build identical models; the
 // partition assigns each worker its LPs deterministically.

@@ -106,16 +106,16 @@ func (o *Options) fill() {
 type LegKind int
 
 const (
-	LegBaseline LegKind = iota
-	LegKill              // fabric death + failover from the latest checkpoint
-	LegDelay             // randomized send delays only
-	LegKillDelay         // death composed with delayed delivery
-	LegStorm             // migration storm, no faults
-	LegStormDelay        // migration storm under delayed delivery
-	LegSqueeze           // optimistic run under a small memory budget
-	LegCheckpoint        // checkpoint lineage churn + corrupt-latest drill
-	LegPartition         // asymmetric partition: designed stall
-	LegMute              // muted peer: designed stall
+	LegBaseline   LegKind = iota
+	LegKill               // fabric death + failover from the latest checkpoint
+	LegDelay              // randomized send delays only
+	LegKillDelay          // death composed with delayed delivery
+	LegStorm              // migration storm, no faults
+	LegStormDelay         // migration storm under delayed delivery
+	LegSqueeze            // optimistic run under a small memory budget
+	LegCheckpoint         // checkpoint lineage churn + corrupt-latest drill
+	LegPartition          // asymmetric partition: designed stall
+	LegMute               // muted peer: designed stall
 )
 
 func (k LegKind) String() string {

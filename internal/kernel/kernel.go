@@ -175,11 +175,18 @@ type Equaler interface {
 	EqualValue(other any) bool
 }
 
-// RegisterGob registers the kernel's wire payload types for the TCP
-// transport, plus the committed-trace item types so recorded traces can be
-// serialized alongside checkpoints. Idempotent.
+// RegisterGob registers with encoding/gob what checkpoint and migration
+// blobs carry of the kernel's: its event payloads, the value types inside
+// them, and the committed-trace item types so recorded traces can be
+// serialized alongside checkpoints. (The socket does not use gob; see
+// wire.go.) Idempotent.
 func RegisterGob() {
 	gobOnce.Do(func() {
+		gob.Register(stdlogic.Std(0))
+		gob.Register(stdlogic.Vec{})
+		gob.Register(vtime.Time(0))
+		gob.Register(int64(0))
+		gob.Register(false)
 		gob.Register(&assignMsg{})
 		gob.Register(&updateMsg{})
 		gob.Register(&runMsg{})

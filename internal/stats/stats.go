@@ -61,22 +61,22 @@ func Default() CostModel {
 // Metrics is a set of atomic protocol counters. One Metrics instance is
 // shared by all workers of a run.
 type Metrics struct {
-	Events       atomic.Uint64 // committed + later-rolled-back executions
-	Committed    atomic.Uint64 // events below final GVT (approximate: events minus rolled back)
-	Rollbacks    atomic.Uint64 // rollback episodes
-	RolledBack   atomic.Uint64 // events undone by rollbacks
-	CoastForward atomic.Uint64 // events re-executed silently after checkpoint restore
-	Antis        atomic.Uint64 // anti-messages sent
-	Annihilated  atomic.Uint64 // event/anti pairs annihilated
-	Nulls        atomic.Uint64 // null messages sent
-	LocalMsgs    atomic.Uint64 // same-worker events
-	RemoteMsgs   atomic.Uint64 // cross-worker events
-	GVTRounds    atomic.Uint64 // global synchronizations
-	ModeSwitches atomic.Uint64 // dynamic protocol mode changes
-	StateSaves   atomic.Uint64 // snapshots taken
-	Fossils      atomic.Uint64 // history records reclaimed
-	Blocked      atomic.Uint64 // times a conservative LP had events but none safe
-	OrphanAntis  atomic.Uint64 // anti-messages never matched by a positive (bug indicator)
+	Events        atomic.Uint64 // committed + later-rolled-back executions
+	Committed     atomic.Uint64 // events below final GVT (approximate: events minus rolled back)
+	Rollbacks     atomic.Uint64 // rollback episodes
+	RolledBack    atomic.Uint64 // events undone by rollbacks
+	CoastForward  atomic.Uint64 // events re-executed silently after checkpoint restore
+	Antis         atomic.Uint64 // anti-messages sent
+	Annihilated   atomic.Uint64 // event/anti pairs annihilated
+	Nulls         atomic.Uint64 // null messages sent
+	LocalMsgs     atomic.Uint64 // same-worker events
+	RemoteMsgs    atomic.Uint64 // cross-worker events
+	GVTRounds     atomic.Uint64 // global synchronizations
+	ModeSwitches  atomic.Uint64 // dynamic protocol mode changes
+	StateSaves    atomic.Uint64 // snapshots taken
+	Fossils       atomic.Uint64 // history records reclaimed
+	Blocked       atomic.Uint64 // times a conservative LP had events but none safe
+	OrphanAntis   atomic.Uint64 // anti-messages never matched by a positive (bug indicator)
 	MemThrottled  atomic.Uint64 // scheduling decisions withheld by the memory budget
 	Cancelbacks   atomic.Uint64 // budget-driven rollbacks of furthest-ahead LPs
 	StallRescues  atomic.Uint64 // blocked conservative LPs forced optimistic by stall rescue
@@ -101,21 +101,21 @@ type Snapshot struct {
 // Snapshot copies the counters.
 func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
-		Events:       m.Events.Load(),
-		Rollbacks:    m.Rollbacks.Load(),
-		RolledBack:   m.RolledBack.Load(),
-		CoastForward: m.CoastForward.Load(),
-		Antis:        m.Antis.Load(),
-		Annihilated:  m.Annihilated.Load(),
-		Nulls:        m.Nulls.Load(),
-		LocalMsgs:    m.LocalMsgs.Load(),
-		RemoteMsgs:   m.RemoteMsgs.Load(),
-		GVTRounds:    m.GVTRounds.Load(),
-		ModeSwitches: m.ModeSwitches.Load(),
-		StateSaves:   m.StateSaves.Load(),
-		Fossils:      m.Fossils.Load(),
-		Blocked:      m.Blocked.Load(),
-		OrphanAntis:  m.OrphanAntis.Load(),
+		Events:        m.Events.Load(),
+		Rollbacks:     m.Rollbacks.Load(),
+		RolledBack:    m.RolledBack.Load(),
+		CoastForward:  m.CoastForward.Load(),
+		Antis:         m.Antis.Load(),
+		Annihilated:   m.Annihilated.Load(),
+		Nulls:         m.Nulls.Load(),
+		LocalMsgs:     m.LocalMsgs.Load(),
+		RemoteMsgs:    m.RemoteMsgs.Load(),
+		GVTRounds:     m.GVTRounds.Load(),
+		ModeSwitches:  m.ModeSwitches.Load(),
+		StateSaves:    m.StateSaves.Load(),
+		Fossils:       m.Fossils.Load(),
+		Blocked:       m.Blocked.Load(),
+		OrphanAntis:   m.OrphanAntis.Load(),
 		MemThrottled:  m.MemThrottled.Load(),
 		Cancelbacks:   m.Cancelbacks.Load(),
 		StallRescues:  m.StallRescues.Load(),

@@ -1,10 +1,9 @@
 package transport
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
-	"time"
 )
 
 // Elastic cluster membership.
@@ -112,7 +111,6 @@ func (n *Node) View() View {
 // membership enabled. total is the cluster's endpoint count (validated
 // against the hub's, like any handshake).
 func DialStandby(addr string, total int, opts ...Option) (*Node, error) {
-	RegisterGob()
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
@@ -121,33 +119,12 @@ func DialStandby(addr string, total int, opts ...Option) (*Node, error) {
 	if total < 2 {
 		return nil, fmt.Errorf("transport: a cluster needs at least 2 endpoints, got %d", total)
 	}
-	c, err := dialRetry(addr, &o)
+	cn, err := handshake(addr, &o, hello{Version: protocolVersion, Total: total, Standby: true})
 	if err != nil {
 		return nil, err
 	}
-	if o.wrap != nil {
-		c = o.wrap(c)
-	}
-	cn := newConn(c)
-	dec := gob.NewDecoder(newFrameReader(c))
-	if err := cn.send(&hello{Version: protocolVersion, Total: total, Standby: true}); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("transport: handshake send: %w", err)
-	}
-	c.SetReadDeadline(time.Now().Add(helloTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("transport: handshake: no ack from hub: %w", err)
-	}
-	if !ack.OK {
-		c.Close()
-		return nil, fmt.Errorf("transport: hub rejected this standby: %s", ack.Err)
-	}
-	c.SetReadDeadline(time.Time{})
-
 	n := newNode(total, nil, o)
-	n.startConn(cn, dec)
+	n.startConn(cn)
 	return n, nil
 }
 
@@ -223,7 +200,7 @@ func (n *Node) publishView() {
 		cb(v)
 	}
 	for _, cn := range cns {
-		if cn.send(&wire{Dst: hbDst, View: &v}) == nil {
+		if cn.sendHeartbeat(&v) == nil {
 			cn.viewSent.Store(v.Epoch)
 		}
 	}
@@ -293,48 +270,31 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// vetStandbyHello validates a standby's handshake: protocol and cluster
-// shape must match, and it must not claim any endpoints.
-func (n *Node) vetStandbyHello(h *hello) error {
-	if h.Version != protocolVersion {
-		return fmt.Errorf("transport: protocol version mismatch: hub speaks %d, dialer speaks %d (rebuild both sides from the same source)", protocolVersion, h.Version)
+// admitStandby finishes a standby's handshake: cluster shape must match and
+// it must not claim any endpoints; then it joins the view and is drained like
+// any connection.
+func (n *Node) admitStandby(cn *conn, h *hello) {
+	switch {
+	case h.Total != n.total:
+		cn.reject(fmt.Errorf("transport: cluster size mismatch: hub expects %d endpoints, dialer claims a cluster of %d", n.total, h.Total))
+	case len(h.Hosted) != 0:
+		cn.reject(errors.New("transport: a standby must not claim endpoints"))
+	case cn.accept():
+		n.addMember(cn, Member{Addr: cn.c.RemoteAddr().String(), Alive: true, Standby: true})
+		n.startConn(cn)
 	}
-	if h.Total != n.total {
-		return fmt.Errorf("transport: cluster size mismatch: hub expects %d endpoints, dialer claims a cluster of %d", n.total, h.Total)
-	}
-	if len(h.Hosted) != 0 {
-		return fmt.Errorf("transport: a standby must not claim endpoints")
-	}
-	return nil
 }
 
 // admitLate handshakes one post-formation connection. Every run endpoint is
 // already claimed, so only standby hellos are admissible.
 func (n *Node) admitLate(c net.Conn) {
 	defer n.wg.Done()
-	cn := newConn(c)
-	dec := gob.NewDecoder(newFrameReader(c))
-	c.SetReadDeadline(time.Now().Add(helloTimeout))
-	var h hello
-	if err := dec.Decode(&h); err != nil {
-		c.Close()
-		return
+	cn, h, ok := readHello(c)
+	switch {
+	case !ok:
+	case !h.Standby:
+		cn.reject(errors.New("transport: cluster already formed; only standby joins are accepted"))
+	default:
+		n.admitStandby(cn, &h)
 	}
-	if !h.Standby {
-		cn.send(&helloAck{Err: "transport: cluster already formed; only standby joins are accepted"})
-		c.Close()
-		return
-	}
-	if err := n.vetStandbyHello(&h); err != nil {
-		cn.send(&helloAck{Err: err.Error()})
-		c.Close()
-		return
-	}
-	if err := cn.send(&helloAck{OK: true}); err != nil {
-		c.Close()
-		return
-	}
-	c.SetReadDeadline(time.Time{})
-	n.addMember(cn, Member{Addr: c.RemoteAddr().String(), Alive: true, Standby: true})
-	n.startConn(cn, dec)
 }

@@ -1,6 +1,7 @@
-// Package transport connects PDES endpoints across processes over TCP with
-// gob encoding — the reproduction of the paper's "implemented in C++, using
-// MPI or TCP/IP sockets for communication" distributed mode.
+// Package transport connects PDES endpoints across processes over TCP with a
+// hand-coded binary framing (frame.go) — the reproduction of the paper's
+// "implemented in C++, using MPI or TCP/IP sockets for communication"
+// distributed mode.
 //
 // Topology: the process hosting endpoint 0 (the GVT controller) listens and
 // acts as the hub; every other process dials in and announces which
@@ -29,8 +30,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -41,56 +40,26 @@ import (
 
 	"govhdl/internal/kernel"
 	"govhdl/internal/pdes"
-	"govhdl/internal/stdlogic"
-	"govhdl/internal/vtime"
 )
 
 // protocolVersion is checked during the handshake so mismatched builds fail
-// with a diagnosis instead of a gob decode error mid-run. Version 3
-// introduced length-prefixed framing (see frameReader); version 4 renumbered
-// the pdes message kinds when the checkpoint and migration cuts became one
-// quiescent-cut protocol.
-const protocolVersion = 4
-
-// maxFrameBytes bounds one framed gob value. The length prefix of every
-// frame is validated against it before any payload byte is consumed, so a
-// corrupt or hostile prefix is diagnosed up front and can never drive
-// allocation: frames are streamed, not buffered, on the receive side.
-const maxFrameBytes = 16 << 20
-
-// hbDst is the reserved wire destination for heartbeat frames; receivers
-// drop it after refreshing their read deadline.
-const hbDst = -1
+// with a diagnosis instead of a decode error mid-run. Version 3 introduced
+// length-prefixed framing; version 4 renumbered the pdes message kinds when
+// the checkpoint and migration cuts became one quiescent-cut protocol;
+// version 5 replaced the gob frame bodies with the hand-coded format of
+// frame.go.
+const protocolVersion = 5
 
 // helloTimeout bounds how long each side waits for the handshake exchange.
 const helloTimeout = 10 * time.Second
 
-// RegisterGob registers every payload type the kernel sends over the wire.
-// It is idempotent and called automatically by Listen/Dial.
-func RegisterGob() {
-	registerOnce.Do(func() {
-		gob.Register(stdlogic.Std(0))
-		gob.Register(stdlogic.Vec{})
-		gob.Register(vtime.Time(0))
-		gob.Register(int64(0))
-		gob.Register(false)
-		kernel.RegisterGob()
-	})
-}
-
-var registerOnce sync.Once
-
-// wire is the on-the-wire envelope: either one message (M) or a coalesced
-// batch (Batch) for the same destination, framed and encoded as a single
-// value so a batch pays the encoder and syscall cost once. View rides only
-// on heartbeat frames (Dst == hbDst): membership updates never interleave
-// with simulation payload.
-type wire struct {
-	Dst   int
-	M     *pdes.Msg
-	Batch []*pdes.Msg
-	View  *View
-}
+// RegisterGob registers the kernel's payload and trace types with
+// encoding/gob — for checkpoint and migration blobs only: nothing this
+// package puts on a connection is gob, but the Blob of a cut message that
+// crosses it still is (pdes/cut.go), and so are checkpoint files. Listen and
+// Dial call it; so must whoever else encodes or decodes a checkpoint.
+// Idempotent.
+func RegisterGob() { kernel.RegisterGob() }
 
 // hello announces a joining process's hosted endpoints. The hub validates
 // every claim before admitting the connection. Standby marks a member that
@@ -177,6 +146,7 @@ type Node struct {
 	lns      net.Listener
 
 	failed    chan struct{} // closed on first transport error
+	formed    chan struct{} // hub: closed once every endpoint is claimed
 	stopCh    chan struct{} // closed on deliberate Close
 	failOnce  sync.Once
 	closeOnce sync.Once
@@ -190,143 +160,79 @@ type Node struct {
 	members map[*conn]int
 }
 
-// conn frames outbound gob values: each send encodes into a reusable buffer
-// and goes out as ONE Write of [4-byte big-endian length | payload]. A single
-// write per frame keeps frames atomic with respect to concurrent senders
-// (the mutex orders whole frames, never interleaved bytes) and gives fault
-// injection a crisp unit to count.
-type conn struct {
-	c       net.Conn
-	mu      sync.Mutex // serializes writes; guards buf/enc/scratch
-	buf     bytes.Buffer
-	enc     *gob.Encoder // encodes into buf; stream state persists across frames
-	scratch []byte
-	// viewSent is the newest view epoch pushed over this connection (hub
-	// only); the heartbeat loop piggybacks the view when it lags.
-	viewSent atomic.Uint64
-}
-
-func newConn(c net.Conn) *conn {
-	cn := &conn{c: c}
-	cn.enc = gob.NewEncoder(&cn.buf)
-	return cn
-}
-
-func (cn *conn) send(v any) error {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	cn.buf.Reset()
-	if err := cn.enc.Encode(v); err != nil {
-		return err
-	}
-	n := cn.buf.Len()
-	if n > maxFrameBytes {
-		return fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", n, maxFrameBytes)
-	}
-	cn.scratch = append(cn.scratch[:0], byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	cn.scratch = append(cn.scratch, cn.buf.Bytes()...)
-	_, err := cn.c.Write(cn.scratch)
-	return err
-}
-
-// frameReader reassembles the framed byte stream for a gob decoder. It
-// validates every length prefix before serving payload bytes and never
-// buffers a frame: a hostile prefix errors immediately, a truncated payload
-// surfaces as io.ErrUnexpectedEOF, and a clean EOF is only possible at a
-// frame boundary.
-type frameReader struct {
-	src       io.Reader
-	remaining int
-	hdr       [4]byte
-}
-
-func newFrameReader(src io.Reader) *frameReader { return &frameReader{src: src} }
-
-func (fr *frameReader) Read(p []byte) (int, error) {
-	if fr.remaining == 0 {
-		if _, err := io.ReadFull(fr.src, fr.hdr[:]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				return 0, fmt.Errorf("transport: truncated frame header: %w", err)
-			}
-			return 0, err // clean EOF at a frame boundary stays io.EOF
-		}
-		n := int(fr.hdr[0])<<24 | int(fr.hdr[1])<<16 | int(fr.hdr[2])<<8 | int(fr.hdr[3])
-		if n <= 0 || n > maxFrameBytes {
-			return 0, fmt.Errorf("transport: frame length %d outside (0, %d]", n, maxFrameBytes)
-		}
-		fr.remaining = n
-	}
-	if len(p) > fr.remaining {
-		p = p[:fr.remaining]
-	}
-	n, err := fr.src.Read(p)
-	fr.remaining -= n
-	if err == io.EOF {
-		if n == 0 {
-			return 0, fmt.Errorf("transport: truncated frame payload (%d bytes missing): %w", fr.remaining, io.ErrUnexpectedEOF)
-		}
-		err = nil // the EOF resurfaces on the next call if the frame is short
-	}
-	return n, err
-}
-
-// validateWire rejects malformed envelopes after decoding, before routing:
-// a frame must address a real endpoint (or be a bare heartbeat) and carry
-// exactly one payload form. Anything else means stream corruption or a
-// hostile peer, and fails the node rather than corrupting the run.
-func validateWire(w *wire, total int) error {
-	if w.Dst == hbDst {
-		// A heartbeat may carry a membership view, never simulation payload.
-		if w.M != nil || len(w.Batch) > 0 {
-			return fmt.Errorf("transport: heartbeat frame carries a payload")
-		}
-		return nil
-	}
-	if w.View != nil {
-		return fmt.Errorf("transport: frame for endpoint %d carries a membership view", w.Dst)
-	}
-	if w.Dst < 0 || w.Dst >= total {
-		return fmt.Errorf("transport: frame addressed to endpoint %d, outside [0,%d)", w.Dst, total)
-	}
-	if w.M == nil && len(w.Batch) == 0 {
-		return fmt.Errorf("transport: frame for endpoint %d has no payload", w.Dst)
-	}
-	if w.M != nil && len(w.Batch) > 0 {
-		return fmt.Errorf("transport: frame for endpoint %d carries both a message and a batch", w.Dst)
-	}
-	for i, m := range w.Batch {
-		if m == nil {
-			return fmt.Errorf("transport: frame for endpoint %d has a nil message at batch index %d", w.Dst, i)
-		}
-	}
-	return nil
-}
-
+// endpoint is a hosted endpoint's mailbox: an unbounded queue fed whole
+// batches at a time by senders in this process and by the connections' drain
+// goroutines. The GVT drain protocol bounds what is in flight, so it grows
+// only as far as a run needs.
 type endpoint struct {
 	node *Node
 	self int
-	box  chan *pdes.Msg
+
+	mu      sync.Mutex
+	wake    sync.Cond // on mu: the queue grew, or the node failed
+	queue   []*pdes.Msg
+	head    int
+	waiting int // receivers parked in Recv; senders signal only when there are any
 }
 
 var _ pdes.Endpoint = (*endpoint)(nil)
+
+func newEndpoint(n *Node, self int) *endpoint {
+	e := &endpoint{node: n, self: self}
+	e.wake.L = &e.mu
+	return e
+}
 
 func (e *endpoint) Self() int { return e.self }
 func (e *endpoint) N() int    { return e.node.total }
 
 func (e *endpoint) Send(dst int, m *pdes.Msg) {
 	m.From = e.self
-	e.node.route(&wire{Dst: dst, M: m})
+	e.node.route(dst, m)
 }
 
 func (e *endpoint) SendBatch(dst int, ms []*pdes.Msg) {
 	for _, m := range ms {
 		m.From = e.self
 	}
-	// The wire envelope may outlive this call (hub forwarding), so it gets
-	// its own copy of the batch; the caller is free to reuse ms.
-	batch := make([]*pdes.Msg, len(ms))
-	copy(batch, ms)
-	e.node.route(&wire{Dst: dst, Batch: batch})
+	e.node.route(dst, ms...)
+}
+
+// deliver appends ms in one operation; it keeps the messages, not the slice.
+func (e *endpoint) deliver(ms []*pdes.Msg) {
+	e.mu.Lock()
+	e.queue = append(e.queue, ms...)
+	wake := e.waiting > 0
+	e.mu.Unlock()
+	if wake {
+		e.wake.Signal()
+	}
+}
+
+// pop removes the head; the caller holds mu and has checked it exists. An
+// emptied queue restarts at the front of its array (dropping an array a
+// burst left oversized), and a long-lived backlog is slid down once its dead
+// prefix is half the slice.
+func (e *endpoint) pop() *pdes.Msg {
+	m := e.queue[e.head]
+	e.queue[e.head] = nil
+	e.head++
+	switch {
+	case e.head == len(e.queue):
+		e.reset()
+	case e.head >= 1024 && e.head*2 >= len(e.queue):
+		n := copy(e.queue, e.queue[e.head:])
+		clear(e.queue[n:])
+		e.queue, e.head = e.queue[:n], 0
+	}
+	return m
+}
+
+func (e *endpoint) reset() {
+	if cap(e.queue) > 4096 {
+		e.queue = nil
+	}
+	e.queue, e.head = e.queue[:0], 0
 }
 
 // Recv delivers what arrived before a failure ahead of the poison: a peer
@@ -334,39 +240,48 @@ func (e *endpoint) SendBatch(dst int, ms []*pdes.Msg) {
 // round's messages must not turn a completed run into a transport error on
 // the receiver, whose reader sees those messages and then EOF. The backlog is
 // finite (senders stop once they observe the failure), so poison still
-// follows promptly; TryRecv stays failure-first, which keeps a busy
-// scheduling loop from outrunning it.
+// follows promptly; TryRecv and TryRecvAll stay failure-first, which keeps a
+// busy scheduling loop from outrunning it.
 func (e *endpoint) Recv() *pdes.Msg {
-	select {
-	case m := <-e.box:
-		return m
-	default:
-	}
-	select {
-	case m := <-e.box:
-		return m
-	case <-e.node.failed:
-		select {
-		case m := <-e.box: // delivered just before the failure was recorded
-			return m
-		default:
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.head == len(e.queue) {
+		// fail wakes every endpoint under mu after recording the error, so
+		// checking here, with mu held, cannot miss it.
+		if err := e.node.Err(); err != nil {
+			return pdes.PoisonMsg(err)
 		}
-		return pdes.PoisonMsg(e.node.Err())
+		e.waiting++
+		e.wake.Wait()
+		e.waiting--
 	}
+	return e.pop()
 }
 
 func (e *endpoint) TryRecv() (*pdes.Msg, bool) {
-	select {
-	case <-e.node.failed:
-		return pdes.PoisonMsg(e.node.Err()), true
-	default:
+	if err := e.node.Err(); err != nil {
+		return pdes.PoisonMsg(err), true
 	}
-	select {
-	case m := <-e.box:
-		return m, true
-	default:
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.head == len(e.queue) {
 		return nil, false
 	}
+	return e.pop(), true
+}
+
+// TryRecvAll drains the mailbox in one locked operation; workers prefer it
+// to TryRecv when an endpoint offers it.
+func (e *endpoint) TryRecvAll(buf []*pdes.Msg) []*pdes.Msg {
+	if err := e.node.Err(); err != nil {
+		return append(buf, pdes.PoisonMsg(err))
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	buf = append(buf, e.queue[e.head:]...)
+	clear(e.queue[e.head:])
+	e.reset()
+	return buf
 }
 
 // Poison fails the whole node: on a fail-fast transport a local supervision
@@ -375,49 +290,56 @@ func (e *endpoint) TryRecv() (*pdes.Msg, bool) {
 func (e *endpoint) Poison(err error) { e.node.fail(err) }
 
 // QueueLen reports the messages buffered for this endpoint.
-func (e *endpoint) QueueLen() int { return len(e.box) }
+func (e *endpoint) QueueLen() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.queue) - e.head
+}
 
-// route delivers a wire message: locally when the destination endpoint
-// lives here, otherwise over the owning connection (the hub forwards).
-// Any delivery failure permanently fails the node.
-func (n *Node) route(w *wire) {
+// route delivers ms to endpoint dst: into its mailbox when it lives here
+// (the receiver owns the messages from then on), otherwise encoded onto the
+// owning connection — after which nothing here refers to them, so they go
+// back to the pools. Any delivery failure permanently fails the node.
+func (n *Node) route(dst int, ms ...*pdes.Msg) {
 	select {
 	case <-n.failed:
 		return // already failing: drop, receivers get poison
 	default:
 	}
-	if ep, ok := n.eps[w.Dst]; ok {
-		if w.Batch != nil {
-			for _, m := range w.Batch {
-				select {
-				case ep.box <- m:
-				case <-n.failed:
-					return
-				case <-n.stopCh:
-					return
-				}
-			}
-			return
-		}
-		select {
-		case ep.box <- w.M:
-		case <-n.failed:
-		case <-n.stopCh:
-		}
+	if ep, ok := n.eps[dst]; ok {
+		ep.deliver(ms)
 		return
 	}
-	n.mu.Lock()
-	cn := n.conns[w.Dst]
-	n.mu.Unlock()
+	cn := n.connTo(dst)
 	if cn == nil {
-		n.fail(fmt.Errorf("transport: no route to endpoint %d", w.Dst))
+		n.fail(fmt.Errorf("transport: no route to endpoint %d", dst))
 		return
 	}
-	if err := cn.send(w); err != nil {
-		if !n.closed.Load() {
-			n.fail(fmt.Errorf("transport: send to endpoint %d: %w", w.Dst, err))
-		}
+	err := cn.sendMsgs(dst, ms...)
+	for _, m := range ms {
+		pdes.ReleaseMsg(m)
 	}
+	n.sendFailed(dst, err)
+}
+
+func (n *Node) connTo(dst int) *conn {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.conns[dst]
+}
+
+// sendFailed fails the node for a send error. A *pdes.SimError (a payload
+// the codec cannot encode) is passed on as it is, so the run reports a
+// simulation error, not a transport failure a supervisor would retry.
+func (n *Node) sendFailed(dst int, err error) {
+	if err == nil || n.closed.Load() {
+		return
+	}
+	if se, ok := err.(*pdes.SimError); ok {
+		n.fail(se)
+		return
+	}
+	n.fail(fmt.Errorf("transport: send to endpoint %d: %w", dst, err))
 }
 
 // Endpoint returns a hosted endpoint by id.
@@ -463,6 +385,13 @@ func (n *Node) fail(err error) {
 		conns := append([]*conn(nil), n.live...)
 		n.mu.Unlock()
 		close(n.failed)
+		for _, ep := range n.eps {
+			// Taking mu orders this wake-up after a receiver's check of Err:
+			// the receiver is either still ahead of the check or parked.
+			ep.mu.Lock()
+			ep.mu.Unlock()
+			ep.wake.Broadcast()
+		}
 		if n.opts.onError != nil {
 			n.opts.onError(err)
 		}
@@ -503,63 +432,116 @@ func newNode(total int, hosted []int, o options) *Node {
 		opts:   o,
 		conns:  map[int]*conn{},
 		failed: make(chan struct{}),
+		formed: make(chan struct{}),
 		stopCh: make(chan struct{}),
 	}
 	for _, id := range hosted {
-		// Deep buffering substitutes for the unbounded in-process
-		// mailboxes; the GVT drain protocol bounds in-flight volume.
-		n.eps[id] = &endpoint{node: n, self: id, box: make(chan *pdes.Msg, 1<<16)}
+		n.eps[id] = newEndpoint(n, id)
 	}
 	return n
 }
 
 // startConn begins draining (and, when enabled, heartbeating) an
 // established, handshaken connection.
-func (n *Node) startConn(cn *conn, dec *gob.Decoder) {
+func (n *Node) startConn(cn *conn) {
 	n.mu.Lock()
 	n.live = append(n.live, cn)
 	n.mu.Unlock()
 	n.wg.Add(1)
-	go n.drain(cn, dec)
+	go n.drain(cn)
 	if n.opts.hbInterval > 0 {
 		n.wg.Add(1)
 		go n.heartbeat(cn)
 	}
 }
 
-// drain forwards everything arriving on cn into local endpoints or onward
-// (hub only). A single goroutine per connection preserves FIFO order. A
-// decode failure — peer death, heartbeat timeout, stream corruption — fails
-// the node unless the node is already deliberately closed.
-func (n *Node) drain(cn *conn, dec *gob.Decoder) {
+// drain handles every frame arriving on cn: message frames go into local
+// mailboxes a whole batch at a time, or onward as bytes (hub only). A single
+// goroutine per connection preserves FIFO order. A read or decode failure —
+// peer death, heartbeat timeout, stream corruption — fails the node unless
+// the node is already deliberately closed.
+func (n *Node) drain(cn *conn) {
 	defer n.wg.Done()
+	var armed time.Time // when the read deadline was last pushed out
 	for {
-		if n.opts.hbInterval > 0 {
-			cn.c.SetReadDeadline(time.Now().Add(n.opts.hbTimeout))
-		}
-		var w wire
-		if err := dec.Decode(&w); err != nil {
-			if n.closed.Load() {
-				return // deliberate shutdown
+		// Any inbound frame proves the peer alive, but the peer heartbeats
+		// every interval anyway: re-arming the deadline that often, instead
+		// of per frame, detects a silent peer within the same timeout.
+		if hb := n.opts.hbInterval; hb > 0 {
+			if now := time.Now(); now.Sub(armed) >= hb {
+				cn.c.SetReadDeadline(now.Add(n.opts.hbTimeout))
+				armed = now
 			}
-			n.connDead(cn, n.diagnose(err))
+		}
+		body, err := cn.r.next()
+		if err != nil {
+			err = n.diagnose(err)
+		} else {
+			err = n.dispatch(cn, body)
+		}
+		if err != nil {
+			if !n.closed.Load() {
+				n.connDead(cn, err)
+			}
 			return
 		}
-		if err := validateWire(&w, n.total); err != nil {
-			if n.closed.Load() {
-				return
-			}
-			n.connDead(cn, err)
-			return
-		}
-		if w.Dst == hbDst {
-			if w.View != nil {
-				n.applyView(w.View)
-			}
-			continue // heartbeat: deadline already refreshed
-		}
-		n.route(&w)
 	}
+}
+
+// dispatch handles one frame from cn.
+func (n *Node) dispatch(cn *conn, body []byte) error {
+	switch body[0] {
+	case frameHeartbeat:
+		v, err := decodeHeartbeat(body)
+		if v != nil && err == nil {
+			n.applyView(v)
+		}
+		return err
+	case frameMsgs:
+	default:
+		return fmt.Errorf("transport: unexpected frame type %d mid-stream", body[0])
+	}
+	d := &cn.dec
+	dst, count, err := msgsHeader(d, body, n.total)
+	if err != nil {
+		return err
+	}
+	ep, local := n.eps[dst]
+	if !local {
+		// Not ours: the header is all the hub needs; the bytes travel on
+		// unparsed and the hosting node decodes them.
+		to := n.connTo(dst)
+		if to == nil {
+			// A dialer admitted early is already running while the hub
+			// still waits for the process that hosts dst: hold this
+			// connection's frames until the cluster has formed.
+			select {
+			case <-n.formed:
+			case <-n.failed:
+			case <-n.stopCh:
+			}
+			to = n.connTo(dst)
+		}
+		if to == nil || to == cn {
+			return fmt.Errorf("transport: no route to endpoint %d for a forwarded frame", dst)
+		}
+		n.sendFailed(dst, to.forward(body))
+		return nil
+	}
+	cn.batch = cn.batch[:0]
+	for i := 0; i < count; i++ {
+		m, err := pdes.DecodeMsg(d)
+		if err != nil {
+			return fmt.Errorf("transport: frame for endpoint %d, message %d of %d: %w", dst, i+1, count, err)
+		}
+		cn.batch = append(cn.batch, m)
+	}
+	if d.Len() != 0 {
+		return fmt.Errorf("transport: frame for endpoint %d has %d trailing bytes", dst, d.Len())
+	}
+	ep.deliver(cn.batch)
+	clear(cn.batch)
+	return nil
 }
 
 // diagnose turns a raw stream error into an actionable one.
@@ -585,7 +567,7 @@ func (n *Node) heartbeat(cn *conn) {
 		select {
 		case <-t.C:
 			v := n.viewForHeartbeat(cn)
-			if err := cn.send(&wire{Dst: hbDst, View: v}); err != nil {
+			if err := cn.sendHeartbeat(v); err != nil {
 				if !n.closed.Load() {
 					n.connDead(cn, fmt.Errorf("transport: heartbeat send: %w", err))
 				}
@@ -622,13 +604,53 @@ func validateHosted(total int, hosted []int) error {
 	return nil
 }
 
+// readHello runs the hub's half of the handshake up to the point where the
+// dialer's claims can be vetted. It reports false, with the connection
+// already closed, for garbage (a port scan, a stream that is not frames) and
+// — after answering with the version diagnosis — for a dialer that does not
+// speak this protocol version, including pre-5 builds, whose hello is a
+// well-formed frame around a gob value. Neither aborts cluster formation.
+func readHello(c net.Conn) (*conn, hello, bool) {
+	cn := newConn(c)
+	c.SetReadDeadline(time.Now().Add(helloTimeout))
+	body, err := cn.r.next()
+	if err != nil {
+		c.Close()
+		return nil, hello{}, false
+	}
+	h, err := decodeHello(body)
+	switch {
+	case err != nil:
+		cn.reject(fmt.Errorf("transport: protocol version mismatch: hub speaks %d, and the dialer's first frame is not a version-%d hello (%v); rebuild both sides from the same source", protocolVersion, protocolVersion, err))
+	case h.Version != protocolVersion:
+		cn.reject(fmt.Errorf("transport: protocol version mismatch: hub speaks %d, dialer speaks %d (rebuild both sides from the same source)", protocolVersion, h.Version))
+	default:
+		return cn, h, true
+	}
+	return nil, hello{}, false
+}
+
+// reject answers a hello with a diagnosis and hangs up.
+func (cn *conn) reject(err error) {
+	cn.sendAck(helloAck{Err: err.Error()})
+	cn.c.Close()
+}
+
+// accept answers a hello with OK; it reports false (connection closed) when
+// the dialer is already gone.
+func (cn *conn) accept() bool {
+	cn.c.SetReadDeadline(time.Time{})
+	if err := cn.sendAck(helloAck{OK: true}); err != nil {
+		cn.c.Close()
+		return false
+	}
+	return true
+}
+
 // vetHello validates a dialer's claims against the hub's view of the
 // cluster. claimed maps endpoint ids to true once owned (hub-hosted or
 // admitted earlier).
 func (n *Node) vetHello(h *hello, claimed map[int]bool) error {
-	if h.Version != protocolVersion {
-		return fmt.Errorf("transport: protocol version mismatch: hub speaks %d, dialer speaks %d (rebuild both sides from the same source)", protocolVersion, h.Version)
-	}
 	if h.Total != n.total {
 		return fmt.Errorf("transport: cluster size mismatch: hub expects %d endpoints, dialer claims a cluster of %d", n.total, h.Total)
 	}
@@ -700,43 +722,20 @@ func Listen(addr string, total int, hosted []int, opts ...Option) (*Node, error)
 		if o.wrap != nil {
 			c = o.wrap(c)
 		}
-		// The handshake runs over the same framed gob streams as the run
-		// itself, so a pre-version-3 peer fails the hello decode here with a
-		// frame error instead of corrupting the stream later.
-		cn := newConn(c)
-		dec := gob.NewDecoder(newFrameReader(c))
-		c.SetReadDeadline(time.Now().Add(helloTimeout))
-		var h hello
-		if err := dec.Decode(&h); err != nil {
-			// A garbage connection (port scan, wrong protocol) must not
-			// abort cluster formation.
-			c.Close()
+		cn, h, ok := readHello(c)
+		if !ok {
 			continue
 		}
 		if h.Standby && o.membership {
 			// A standby may join while the cluster is still forming.
-			if err := n.vetStandbyHello(&h); err != nil {
-				cn.send(&helloAck{Err: err.Error()})
-				c.Close()
-				continue
-			}
-			c.SetReadDeadline(time.Time{})
-			if err := cn.send(&helloAck{OK: true}); err != nil {
-				c.Close()
-				continue
-			}
-			n.addMember(cn, Member{Addr: c.RemoteAddr().String(), Alive: true, Standby: true})
-			n.startConn(cn, dec)
+			n.admitStandby(cn, &h)
 			continue
 		}
 		if err := n.vetHello(&h, claimed); err != nil {
-			cn.send(&helloAck{Err: err.Error()})
-			c.Close()
+			cn.reject(err)
 			continue
 		}
-		c.SetReadDeadline(time.Time{})
-		if err := cn.send(&helloAck{OK: true}); err != nil {
-			c.Close()
+		if !cn.accept() {
 			continue
 		}
 		n.mu.Lock()
@@ -748,8 +747,9 @@ func Listen(addr string, total int, hosted []int, opts ...Option) (*Node, error)
 		if o.membership {
 			n.addMember(cn, Member{Addr: c.RemoteAddr().String(), Hosted: append([]int(nil), h.Hosted...), Alive: true})
 		}
-		n.startConn(cn, dec)
+		n.startConn(cn)
 	}
+	close(n.formed)
 	if o.membership {
 		n.initView()
 		n.wg.Add(1)
@@ -773,31 +773,10 @@ func Dial(addr string, total int, hosted []int, opts ...Option) (*Node, error) {
 	if contains(hosted, 0) {
 		return nil, fmt.Errorf("transport: endpoint 0 lives on the listening node")
 	}
-	c, err := dialRetry(addr, &o)
+	cn, err := handshake(addr, &o, hello{Version: protocolVersion, Total: total, Hosted: hosted})
 	if err != nil {
 		return nil, err
 	}
-	if o.wrap != nil {
-		c = o.wrap(c)
-	}
-	cn := newConn(c)
-	dec := gob.NewDecoder(newFrameReader(c))
-	if err := cn.send(&hello{Version: protocolVersion, Total: total, Hosted: hosted}); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("transport: handshake send: %w", err)
-	}
-	c.SetReadDeadline(time.Now().Add(helloTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("transport: handshake: no ack from hub: %w", err)
-	}
-	if !ack.OK {
-		c.Close()
-		return nil, fmt.Errorf("transport: hub rejected this node: %s", ack.Err)
-	}
-	c.SetReadDeadline(time.Time{})
-
 	n := newNode(total, hosted, o)
 	n.mu.Lock()
 	for id := 0; id < total; id++ {
@@ -806,8 +785,40 @@ func Dial(addr string, total int, hosted []int, opts ...Option) (*Node, error) {
 		}
 	}
 	n.mu.Unlock()
-	n.startConn(cn, dec)
+	n.startConn(cn)
 	return n, nil
+}
+
+// handshake dials the hub, sends h and waits for the verdict.
+func handshake(addr string, o *options, h hello) (*conn, error) {
+	c, err := dialRetry(addr, o)
+	if err != nil {
+		return nil, err
+	}
+	if o.wrap != nil {
+		c = o.wrap(c)
+	}
+	cn := newConn(c)
+	if err := cn.sendHello(h); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("transport: handshake send: %w", err)
+	}
+	c.SetReadDeadline(time.Now().Add(helloTimeout))
+	var ack helloAck
+	body, err := cn.r.next()
+	if err == nil {
+		ack, err = decodeAck(body)
+	}
+	if err != nil {
+		c.Close()
+		return nil, fmt.Errorf("transport: handshake: no ack from hub: %w", err)
+	}
+	if !ack.OK {
+		c.Close()
+		return nil, fmt.Errorf("transport: hub rejected this node: %s", ack.Err)
+	}
+	c.SetReadDeadline(time.Time{})
+	return cn, nil
 }
 
 // dialRetry connects to addr, retrying with capped exponential backoff so a

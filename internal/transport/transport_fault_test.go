@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"net"
 	"strings"
@@ -176,15 +178,52 @@ func rawHello(t *testing.T, addr string, h hello) helloAck {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := newConn(c).send(&h); err != nil {
+	cn := newConn(c)
+	if err := cn.sendHello(h); err != nil {
 		t.Fatal(err)
 	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var ack helloAck
-	if err := gob.NewDecoder(newFrameReader(c)).Decode(&ack); err != nil {
+	return readAck(t, cn)
+}
+
+func readAck(t *testing.T, cn *conn) helloAck {
+	t.Helper()
+	cn.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	body, err := cn.r.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := decodeAck(body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return ack
+}
+
+// gobHello dials and sends the hello of a protocol-4 build — a length-
+// prefixed gob value, as the parent commit's conn.send framed it — and
+// returns the hub's verdict.
+func gobHello(t *testing.T, addr string) helloAck {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	type hello struct { // the v4 layout
+		Version int
+		Total   int
+		Hosted  []int
+		Standby bool
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&hello{Version: 4, Total: 4, Hosted: []int{2}}); err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, uint32(body.Len()))
+	if _, err := c.Write(append(frame, body.Bytes()...)); err != nil {
+		t.Fatal(err)
+	}
+	return readAck(t, newConn(c))
 }
 
 // TestHelloValidation exercises the hub's claim vetting: every bad claim is
@@ -218,6 +257,12 @@ func TestHelloValidation(t *testing.T) {
 		if ack.OK || !strings.Contains(ack.Err, tc.want) {
 			t.Fatalf("%s: want rejection containing %q, got %+v", tc.name, tc.want, ack)
 		}
+	}
+	// A version-4 build's hello is a well-formed frame around a gob value:
+	// the hub must answer it with the protocol-mismatch diagnosis, not hang
+	// on it, choke on it, or abort formation.
+	if ack := gobHello(t, addr); ack.OK || !strings.Contains(ack.Err, "version mismatch") {
+		t.Fatalf("gob-framed v4 hello: want a version-mismatch rejection, got %+v", ack)
 	}
 
 	// The hub must still be accepting: claim endpoint 1 for real.

@@ -47,10 +47,13 @@ func TestWireFIFOAndRouting(t *testing.T) {
 	defer hub.Close()
 	defer peer.Close()
 
-	// Endpoint 1 -> endpoint 0 across the wire, in order.
+	// Endpoint 1 -> endpoint 0 across the wire, in order. Kind 2 (a GVT
+	// pause) is the kind that carries Round; a kind outside the protocol
+	// does not encode.
+	const kind = 2
 	e1 := peer.Endpoint(1)
 	for i := uint64(0); i < 100; i++ {
-		e1.Send(0, &pdes.Msg{Kind: 200, Round: i})
+		e1.Send(0, &pdes.Msg{Kind: kind, Round: i})
 	}
 	e0 := hub.Endpoint(0)
 	for i := uint64(0); i < 100; i++ {
@@ -60,12 +63,12 @@ func TestWireFIFOAndRouting(t *testing.T) {
 		}
 	}
 	// Endpoint 1 -> endpoint 2: both live on the peer, delivered locally.
-	e1.Send(2, &pdes.Msg{Kind: 201, Round: 7})
+	e1.Send(2, &pdes.Msg{Kind: kind, Round: 7})
 	if m := peer.Endpoint(2).Recv(); m.Round != 7 || m.From != 1 {
 		t.Fatalf("local routing failed: %+v", m)
 	}
 	// Endpoint 0 -> endpoint 2 goes over the wire.
-	e0.Send(2, &pdes.Msg{Kind: 202, Round: 9})
+	e0.Send(2, &pdes.Msg{Kind: kind, Round: 9})
 	if m := peer.Endpoint(2).Recv(); m.Round != 9 || m.From != 0 {
 		t.Fatalf("hub->peer routing failed: %+v", m)
 	}

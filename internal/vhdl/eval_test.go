@@ -1,6 +1,7 @@
 package vhdl
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -225,5 +226,31 @@ func runAnySim(t *testing.T, d *kernel.Design) {
 	t.Helper()
 	if _, err := runSeqHelper(d); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnumValWireRoundTrip: an enumeration value crosses the wire with its
+// type's name and literals, so the receiving process compares and prints it
+// like the sender; the degenerate forms survive too.
+func TestEnumValWireRoundTrip(t *testing.T) {
+	state := &EnumInfo{Name: "state_t", Lits: []string{"idle", "run", "done"}}
+	for _, v := range []EnumVal{{Enum: state, Ord: 2}, {Enum: &EnumInfo{}}, {Ord: -1}} {
+		var e pdes.WireEncoder
+		if err := pdes.EncodeMsg(&e, &pdes.Msg{Ev: &pdes.Event{Data: v}}); err != nil {
+			t.Fatal(err)
+		}
+		var d pdes.WireDecoder
+		d.Reset(e.B)
+		m, err := pdes.DecodeMsg(&d)
+		if err != nil || d.Len() != 0 {
+			t.Fatalf("%+v: err %v, %d bytes left", v, err, d.Len())
+		}
+		got := m.Ev.Data.(EnumVal)
+		if !reflect.DeepEqual(got, v) {
+			t.Errorf("got %+v (%+v), want %+v (%+v)", got, got.Enum, v, v.Enum)
+		}
+		if v.Enum == state && (got.Enum == state || !got.EqualValue(v) || got.String() != "done") {
+			t.Errorf("decoded %v does not stand in for %v", got, v)
+		}
 	}
 }

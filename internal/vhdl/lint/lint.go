@@ -93,7 +93,7 @@ func (d *Diagnostic) UnmarshalJSON(b []byte) error {
 	}
 	*d = Diagnostic{
 		Rule: j.Rule, Severity: sev, File: j.File,
-		Pos: vhdl.Pos{Line: j.Line, Col: j.Col},
+		Pos:     vhdl.Pos{Line: j.Line, Col: j.Col},
 		Message: j.Message, Suggestion: j.Suggestion,
 	}
 	return nil

@@ -5,11 +5,47 @@ import (
 	"fmt"
 
 	"govhdl/internal/kernel"
+	"govhdl/internal/pdes"
 	"govhdl/internal/stdlogic"
 	"govhdl/internal/vtime"
 )
 
-func init() { gob.Register(EnumVal{}) }
+// wireEnumVal is EnumVal's wire tag (vhdl owns 32–47, see
+// pdes.RegisterWireValue).
+const wireEnumVal = 32
+
+func init() {
+	gob.Register(EnumVal{}) // checkpoint and migration blobs
+	// An enumeration value crosses with its type's name and literals: the
+	// receiver compares by name and position (EqualValue) and prints by
+	// literal, and needs no type table to do either.
+	pdes.RegisterWireValue(wireEnumVal, EnumVal{},
+		func(e *pdes.WireEncoder, v any) {
+			ev := v.(EnumVal)
+			e.Varint(int64(ev.Ord))
+			e.Bool(ev.Enum != nil)
+			if ev.Enum != nil {
+				e.String(ev.Enum.Name)
+				e.Count(len(ev.Enum.Lits), ev.Enum.Lits == nil)
+				for _, l := range ev.Enum.Lits {
+					e.String(l)
+				}
+			}
+		},
+		func(d *pdes.WireDecoder) any {
+			ev := EnumVal{Ord: d.Int()}
+			if d.Bool() {
+				ev.Enum = &EnumInfo{Name: d.String()}
+				if n, ok := d.Count(1); ok {
+					ev.Enum.Lits = make([]string, n)
+				}
+				for i := range ev.Enum.Lits {
+					ev.Enum.Lits[i] = d.String()
+				}
+			}
+			return ev
+		})
+}
 
 // typeKind enumerates the supported VHDL type classes.
 type typeKind uint8
@@ -44,7 +80,7 @@ type EnumVal struct {
 }
 
 // EqualValue implements kernel.Equaler: enumeration values compare by type
-// name and position, so equality survives gob transfer across processes
+// name and position, so equality survives transfer across processes
 // (pointer identity does not).
 func (v EnumVal) EqualValue(other any) bool {
 	o, ok := other.(EnumVal)
