@@ -194,3 +194,38 @@ func TestXorshiftDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestColocatedShardNullsTerminate: conservative shards that share a worker
+// and sit on a zero-physical-lookahead cycle raise each other's promise by a
+// few logical phases per null, without end while nothing is pending. Local
+// promises used to propagate by recursion (sendNulls -> routeNull ->
+// sendNulls) and 4 shards on 1 worker died of stack overflow; they are a
+// work queue the worker loop drains between GVT rounds now. The other two
+// placements passed before and must still.
+func TestColocatedShardNullsTerminate(t *testing.T) {
+	ref := BuildIIR(IIROpts{Cycles: 6})
+	sysRef := ref.Design.Build()
+	want := trace.NewRecorder()
+	if _, err := pdes.RunSequential(sysRef, ref.DefaultHorizon, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct{ shards, workers int }{{4, 1}, {3, 1}, {4, 2}} {
+		t.Run(fmt.Sprintf("s%dw%d", p.shards, p.workers), func(t *testing.T) {
+			c := BuildIIR(IIROpts{Cycles: 6})
+			sys := c.Design.Build()
+			ss, err := pdes.ShardSystem(sys, p.shards, pdes.PartitionTopo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := trace.NewRecorder()
+			if _, err := pdes.Run(ss.Sys(), pdes.Config{
+				Workers: p.workers, Protocol: pdes.ProtoDynamic, Lookahead: true,
+			}, c.DefaultHorizon, ss.WrapSink(got)); err != nil {
+				t.Fatal(err)
+			}
+			if ok, diff := trace.Equal(sys, want, got); !ok {
+				t.Fatalf("trace mismatch: %s", diff)
+			}
+		})
+	}
+}

@@ -41,25 +41,26 @@ type Comb struct {
 	Eval func(c *ProcCtx)
 	// Sensitivity restricts the sensitivity list; nil means all inputs.
 	Sensitivity []int
-	numInputs   int
+	all         []int // every input port: the default sensitivity list
 }
 
 // NewComb builds a combinational behavior over numInputs ports.
 func NewComb(numInputs int, eval func(c *ProcCtx)) *Comb {
-	return &Comb{Eval: eval, numInputs: numInputs}
+	all := make([]int, numInputs)
+	for i := range all {
+		all[i] = i
+	}
+	return &Comb{Eval: eval, all: all}
 }
 
-// Run evaluates the logic and suspends on the sensitivity list.
+// Run evaluates the logic and suspends on the sensitivity list. Every wait
+// of the process names the same, never-written list.
 func (b *Comb) Run(c *ProcCtx) Wait {
 	b.Eval(c)
 	if b.Sensitivity != nil {
 		return WaitOn(b.Sensitivity...)
 	}
-	ports := make([]int, b.numInputs)
-	for i := range ports {
-		ports[i] = i
-	}
-	return WaitOn(ports...)
+	return WaitOn(b.all...)
 }
 
 // ClockGen drives a std_logic clock: output port 0 toggles every half
@@ -149,6 +150,9 @@ type Reg struct {
 // obvious).
 func (b *Reg) CloneFresh() Behavior { return &Reg{Delay: b.Delay, NumData: b.NumData} }
 
+// regWait is every register's wait: on the clock port alone.
+var regWait = WaitOn(0)
+
 // Run copies data to outputs on the clock's rising edge.
 func (b *Reg) Run(c *ProcCtx) Wait {
 	if c.Rising(0) {
@@ -156,5 +160,5 @@ func (b *Reg) Run(c *ProcCtx) Wait {
 			c.Assign(i, c.Val(1+i), b.Delay)
 		}
 	}
-	return WaitOn(0)
+	return regWait
 }

@@ -234,8 +234,14 @@ func (d *Design) Build() *pdes.System {
 		for i, s := range p.reads {
 			st.ports[i] = port{value: CloneValue(s.Init)}
 		}
-		p.lp = &processLP{proc: p, state: st}
-		p.lp.behavior = p.behavior
+		p.lp = &processLP{
+			proc:     p,
+			state:    st,
+			behavior: p.behavior,
+			lone:     make([]loneAssigns, len(p.writes)),
+			fanin:    make([]pdes.LPID, 0, len(p.reads)),
+		}
+		p.lp.ctx.pending = make([]pendingOut, len(p.writes))
 		// A process runs one phase after the update that wakes it.
 		p.lpid = sys.AddLP("proc:"+p.Name, p.lp,
 			pdes.WithHint(hintOf(p.Class)), pdes.WithLTLookahead(1))

@@ -105,25 +105,6 @@ type Edit struct {
 	Reject    vtime.Time // inertial pulse rejection limit (0 = first delay)
 }
 
-// assignMsg is the evAssign payload: all edits one process run made to one
-// driver of one signal, in program order.
-type assignMsg struct {
-	Driver int
-	Edits  []Edit
-}
-
-// updateMsg is the evUpdate payload.
-type updateMsg struct {
-	Port  int
-	Value Value
-}
-
-// runMsg is the evRun payload.
-type runMsg struct {
-	Seq     uint64 // wake sequence; stale (cancelled) runs carry an old Seq
-	Timeout bool   // true when scheduled by a wait timeout clause
-}
-
 // Resolution resolves the driving values of a multiply-driven signal into
 // its effective value. Implementations must be pure functions.
 type Resolution func(drivers []Value) Value

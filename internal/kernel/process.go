@@ -114,6 +114,14 @@ type processLP struct {
 	state    *procState
 	behavior Behavior
 	ctx      ProcCtx // reusable per-run context
+	// lone shares this process's lone-assignment payloads, one table per
+	// output port (payload.go). A cache of immutable objects, not state:
+	// rollback and restore leave it alone.
+	lone []loneAssigns
+	// fanin caches ActiveFanin for the installed wait; faninOK is cleared
+	// wherever state.wait changes (run, RestoreState).
+	fanin   []pdes.LPID
+	faninOK bool
 	// ver counts state mutations for pdes.VersionedModel (kept outside
 	// procState so rollback cannot rewind it); covers behavior variables too,
 	// which only mutate inside resumed runs.
@@ -133,12 +141,14 @@ func (p *processLP) StateVersion() uint64 { return p.ver }
 // cause driver edits. This is what breaks register feedback loops for
 // conservative lookahead: a flip-flop promises based on its clock alone.
 func (p *processLP) ActiveFanin() []pdes.LPID {
-	ports := p.state.wait.Ports
-	out := make([]pdes.LPID, len(ports))
-	for i, pt := range ports {
-		out[i] = p.proc.reads[pt].lpid
+	if !p.faninOK {
+		p.fanin = p.fanin[:0] // stays non-nil: nil would mean "all inputs"
+		for _, pt := range p.state.wait.Ports {
+			p.fanin = append(p.fanin, p.proc.reads[pt].lpid)
+		}
+		p.faninOK = true
 	}
-	return out
+	return p.fanin
 }
 
 func (p *processLP) SaveState() any {
@@ -151,6 +161,7 @@ func (p *processLP) RestoreState(st any) {
 	p.ver++
 	s := st.(*procState)
 	p.state = s.clone()
+	p.faninOK = false
 	p.behavior.Restore(s.behavior)
 }
 
@@ -158,7 +169,7 @@ func (p *processLP) RestoreState(st any) {
 // start of simulation until its first wait. The initial run is
 // unconditional, like a timeout.
 func (p *processLP) Init(ctx *pdes.Ctx) {
-	ctx.Schedule(vtime.VT{PT: 0, LT: 3}, evRun, &runMsg{Seq: p.state.timeoutSeq, Timeout: true})
+	ctx.Schedule(vtime.VT{PT: 0, LT: 3}, evRun, newRun(p.state.timeoutSeq, true))
 }
 
 func (p *processLP) Execute(ctx *pdes.Ctx, ev *pdes.Event) {
@@ -193,7 +204,7 @@ func (p *processLP) update(ctx *pdes.Ctx, m *updateMsg) {
 	}
 	p.state.hasWake = true
 	p.state.wakeAt = target
-	ctx.Schedule(target, evRun, &runMsg{})
+	ctx.Schedule(target, evRun, wakeRun)
 }
 
 func (p *processLP) sensitiveTo(portIdx int) bool {
@@ -245,9 +256,10 @@ func (p *processLP) run(ctx *pdes.Ctx, m *runMsg) {
 	w := p.behavior.Run(&p.ctx)
 	p.flushAssigns(ctx)
 	p.state.wait = w
+	p.faninOK = false
 
 	if w.HasTimeout {
-		ctx.Schedule(now.AfterTimeout(w.Timeout), evRun, &runMsg{Seq: p.state.timeoutSeq, Timeout: true})
+		ctx.Schedule(now.AfterTimeout(w.Timeout), evRun, newRun(p.state.timeoutSeq, true))
 	}
 }
 
@@ -261,23 +273,36 @@ func (p *processLP) bindCtx(ctx *pdes.Ctx) {
 // keeps equal-timestamp events at the signal independent of each other, so
 // the arbitrary-order PDES model stays correct.
 func (p *processLP) flushAssigns(ctx *pdes.Ctx) {
-	for i := range p.ctx.pendingEdits {
-		edits := p.ctx.pendingEdits[i]
-		if len(edits) == 0 {
-			continue
-		}
+	for i := range p.ctx.pending {
+		po := &p.ctx.pending[i]
 		out := p.proc.writes[i]
-		ctx.Send(out.sig.lpid, ctx.Now(), evAssign, &assignMsg{Driver: out.driver, Edits: edits})
-		p.ctx.pendingEdits[i] = nil
+		switch {
+		case po.lone:
+			ctx.Send(out.sig.lpid, ctx.Now(), evAssign, newAssign(&p.lone[i], out.driver, po.value, po.after))
+			po.lone, po.value = false, nil
+		case po.edits != nil:
+			ctx.Send(out.sig.lpid, ctx.Now(), evAssign, &assignMsg{Driver: out.driver, Edits: po.edits})
+			po.edits = nil
+		}
 	}
+}
+
+// pendingOut is what the current run has assigned to one output port so
+// far. The first plain inertial assignment stays in (value, after) and
+// leaves as a lone assignMsg; anything more becomes a list of edits.
+type pendingOut struct {
+	lone  bool
+	value Value
+	after vtime.Time
+	edits []Edit
 }
 
 // ProcCtx is the interface a Behavior uses to read ports, assign outputs,
 // and interrogate simulation state during one run.
 type ProcCtx struct {
-	lp           *processLP
-	sim          *pdes.Ctx
-	pendingEdits [][]Edit // per output port, edits accumulated this run
+	lp      *processLP
+	sim     *pdes.Ctx
+	pending []pendingOut // per output port
 }
 
 // Now returns the current virtual time.
@@ -320,6 +345,10 @@ func (c *ProcCtx) Falling(i int) bool {
 // Assign schedules "signal <= value after d" with inertial delay on output
 // port i.
 func (c *ProcCtx) Assign(i int, v Value, after vtime.Time) {
+	if po := &c.pending[i]; !po.lone && po.edits == nil {
+		po.lone, po.value, po.after = true, CloneValue(v), after
+		return
+	}
 	c.addEdit(i, Edit{Wave: []WaveElem{{Value: CloneValue(v), After: after}}})
 }
 
@@ -328,8 +357,12 @@ func (c *ProcCtx) AssignTransport(i int, v Value, after vtime.Time) {
 	c.addEdit(i, Edit{Wave: []WaveElem{{Value: CloneValue(v), After: after}}, Transport: true})
 }
 
-// AssignWave schedules a multi-element waveform assignment.
+// AssignWave schedules a waveform assignment. e is copied.
 func (c *ProcCtx) AssignWave(i int, e Edit) {
+	if len(e.Wave) == 1 && !e.Transport && e.Reject == 0 {
+		c.Assign(i, e.Wave[0].Value, e.Wave[0].After)
+		return
+	}
 	ce := Edit{Wave: make([]WaveElem, len(e.Wave)), Transport: e.Transport, Reject: e.Reject}
 	for j, w := range e.Wave {
 		ce.Wave[j] = WaveElem{Value: CloneValue(w.Value), After: w.After}
@@ -338,10 +371,14 @@ func (c *ProcCtx) AssignWave(i int, e Edit) {
 }
 
 func (c *ProcCtx) addEdit(i int, e Edit) {
-	if c.pendingEdits == nil {
-		c.pendingEdits = make([][]Edit, len(c.lp.proc.writes))
+	po := &c.pending[i]
+	if po.lone {
+		// A second assignment to the port in one run: the first one joins
+		// the edit list, in program order.
+		po.edits = append(po.edits, Edit{Wave: []WaveElem{{Value: po.value, After: po.after}}})
+		po.lone, po.value = false, nil
 	}
-	c.pendingEdits[i] = append(c.pendingEdits[i], e)
+	po.edits = append(po.edits, e)
 }
 
 // Report emits a trace record (VHDL report/assert).

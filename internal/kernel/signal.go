@@ -94,6 +94,9 @@ func (s *signalLP) assign(ctx *pdes.Ctx, m *assignMsg) {
 	s.ver++ // waveform edits below mutate the saved state
 	d := &s.state.drivers[m.Driver]
 	now := ctx.Now()
+	if m.Edits == nil {
+		s.applyFirst(d, now, WaveElem{Value: m.Value, After: m.After}, false, 0)
+	}
 	for _, e := range m.Edits {
 		s.applyEdit(d, now, e)
 	}
@@ -119,7 +122,23 @@ func (s *signalLP) applyEdit(d *driver, now vtime.VT, e Edit) {
 	if len(e.Wave) == 0 {
 		return
 	}
-	first := now.AfterDelay(e.Wave[0].After)
+	prev := s.applyFirst(d, now, e.Wave[0], e.Transport, e.Reject)
+	// Remaining elements: appended when strictly later than the previous.
+	for _, w := range e.Wave[1:] {
+		at := now.AfterDelay(w.After)
+		if !prev.Less(at) {
+			continue
+		}
+		d.wave = append(d.wave, transaction{at: at, val: CloneValue(w.Value)})
+		prev = at
+	}
+}
+
+// applyFirst applies the first (for a lone assignment: the only) waveform
+// element of an assignment — the one that preempts — and returns its
+// maturity time.
+func (s *signalLP) applyFirst(d *driver, now vtime.VT, w WaveElem, transport bool, reject vtime.Time) vtime.VT {
+	first := now.AfterDelay(w.After)
 
 	// Delete transactions at or after the first new one.
 	keep := d.wave[:0]
@@ -130,22 +149,21 @@ func (s *signalLP) applyEdit(d *driver, now vtime.VT, e Edit) {
 	}
 	d.wave = keep
 
-	if !e.Transport {
+	if !transport {
 		// Pulse rejection: the window is [first - reject, first). The
 		// default rejection limit is the first element's delay, which
 		// makes the window start exactly at `now` (classic inertial).
-		reject := e.Reject
-		if reject == 0 || reject > e.Wave[0].After {
-			reject = e.Wave[0].After
+		if reject == 0 || reject > w.After {
+			reject = w.After
 		}
 		windowStart := vtime.VT{PT: first.PT - reject}
-		if reject == e.Wave[0].After {
+		if reject == w.After {
 			windowStart = now // delta-delay assignments reject everything pending
 		}
 		// Keep the maximal run at the tail whose values equal the new
 		// value; delete other transactions inside the window.
 		runStart := len(d.wave)
-		for runStart > 0 && ValueEqual(d.wave[runStart-1].val, e.Wave[0].Value) {
+		for runStart > 0 && ValueEqual(d.wave[runStart-1].val, w.Value) {
 			runStart--
 		}
 		keep = d.wave[:0]
@@ -157,17 +175,8 @@ func (s *signalLP) applyEdit(d *driver, now vtime.VT, e Edit) {
 		d.wave = keep
 	}
 
-	d.wave = append(d.wave, transaction{at: first, val: CloneValue(e.Wave[0].Value)})
-	// Remaining elements: appended when strictly later than the previous.
-	prev := first
-	for _, w := range e.Wave[1:] {
-		at := now.AfterDelay(w.After)
-		if !prev.Less(at) {
-			continue
-		}
-		d.wave = append(d.wave, transaction{at: at, val: CloneValue(w.Value)})
-		prev = at
-	}
+	d.wave = append(d.wave, transaction{at: first, val: CloneValue(w.Value)})
+	return first
 }
 
 // drivingValue implements the Signal: Driving Value phase at (t, 3k+1):
@@ -219,8 +228,10 @@ func (s *signalLP) publish(ctx *pdes.Ctx, v Value, ts vtime.VT) {
 	}
 	s.ver++
 	s.state.effective = CloneValue(v)
-	ctx.Record(SigChange{Value: CloneValue(v)})
+	if ctx.Recording() {
+		ctx.Record(newSigChange(CloneValue(v)))
+	}
 	for _, r := range s.sig.readers {
-		ctx.Send(r.proc.lpid, ts, evUpdate, &updateMsg{Port: r.port, Value: s.state.effective})
+		ctx.Send(r.proc.lpid, ts, evUpdate, newUpdate(r.port, s.state.effective))
 	}
 }

@@ -77,8 +77,10 @@ func (b *Builder) NewBus(name string, width int) Bus {
 func (b *Builder) gate(kind string, out *kernel.Signal, eval func([]stdlogic.Std) stdlogic.Std, ins ...*kernel.Signal) {
 	delay := b.delay
 	nin := len(ins)
+	// One input buffer per gate, refilled by every evaluation: a process
+	// runs on one worker at a time and eval does not keep the slice.
+	vals := make([]stdlogic.Std, nin)
 	behavior := kernel.NewComb(nin, func(c *kernel.ProcCtx) {
-		vals := make([]stdlogic.Std, nin)
 		for i := range vals {
 			vals[i] = c.Std(i)
 		}

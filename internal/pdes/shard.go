@@ -332,9 +332,12 @@ type shardModel struct {
 	lastWake vtime.VT
 
 	// outer is the engine Ctx of the Execute/Init in progress; mctx is the
-	// member-facing Ctx whose emit/record route through the shard.
+	// member-facing Ctx whose emit/record route through the shard. mctx
+	// records exactly when outer does (bind), so members see the run's
+	// Recording().
 	outer   *Ctx
 	mctx    *Ctx
+	record  func(item any) // memberRecord, bound once
 	scratch Event
 }
 
@@ -346,8 +349,17 @@ func newShardModel(ss *ShardedSystem, shard LPID, members []LPID) *shardModel {
 		shardOf:  ss.shardOf,
 		lastWake: vtime.Inf,
 	}
-	m.mctx = &Ctx{sys: ss.orig, emit: m.memberEmit, record: m.memberRecord}
+	m.mctx = &Ctx{sys: ss.orig, emit: m.memberEmit}
+	m.record = m.memberRecord
 	return m
+}
+
+// bind attaches the engine Ctx of one Init/Execute.
+func (m *shardModel) bind(ctx *Ctx) {
+	m.outer, m.mctx.record = ctx, nil
+	if ctx.record != nil {
+		m.mctx.record = m.record
+	}
 }
 
 // modelOf returns a member's model. memberEmit has checked membership of
@@ -387,7 +399,7 @@ func (m *shardModel) memberRecord(item any) {
 // Init runs every member's Init, drains the time-zero cascade and schedules
 // the first wake.
 func (m *shardModel) Init(ctx *Ctx) {
-	m.outer = ctx
+	m.bind(ctx)
 	for _, id := range m.members {
 		if im, ok := m.orig.lps[id].model.(InitModel); ok {
 			m.mctx.self, m.mctx.now = id, vtime.Zero
@@ -408,7 +420,7 @@ func (m *shardModel) Init(ctx *Ctx) {
 // reconciles the books to one count per MEMBER event, so metrics, the
 // modeled cost clock and the GVT cadence all see the true event volume.
 func (m *shardModel) Execute(ctx *Ctx, ev *Event) {
-	m.outer = ctx
+	m.bind(ctx)
 	switch ev.Kind {
 	case shardKindX:
 		x := ev.Data.(*shardXEvent)

@@ -271,6 +271,11 @@ func (c *Ctx) Record(item any) {
 	}
 }
 
+// Recording reports whether the run has a TraceSink, i.e. whether anything
+// will ever read what Record is given. Models use it to skip building a
+// record (boxing it allocates) that nobody reads.
+func (c *Ctx) Recording() bool { return c.record != nil }
+
 // Self returns the executing LP's ID.
 func (c *Ctx) Self() LPID { return c.self }
 

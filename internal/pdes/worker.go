@@ -121,6 +121,12 @@ type worker struct {
 	// rollback) could roll back the very LP that is executing, or re-enter
 	// a rollback in progress.
 	localQ []*Event
+	// nullQ holds null promises for LPs on this worker until the scheduling
+	// loop applies them (drainNulls); idleTold is set once the worker has
+	// told the controller, since the last GVT round, that it has nothing
+	// but promises left to work on.
+	nullQ    []localNull
+	idleTold bool
 
 	seq    uint64
 	ctx    *Ctx
@@ -181,6 +187,12 @@ type deferredMsg struct {
 	m   *Msg
 }
 
+// localNull is one queued null promise between two LPs of this worker.
+type localNull struct {
+	src, dst LPID
+	ts       vtime.VT
+}
+
 func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 	owner []int, ownedIDs []LPID, modes []Mode,
 	metrics *stats.Metrics, sink TraceSink) *worker {
@@ -218,7 +230,10 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 			w.addLP(id, modes)
 		}
 	}
-	w.ctx = &Ctx{sys: sys, emit: w.emit, record: w.recordItem, charge: w.chargeEvents}
+	w.ctx = &Ctx{sys: sys, emit: w.emit, charge: w.chargeEvents}
+	if sink != nil {
+		w.ctx.record = w.recordItem
+	}
 	w.gvtEvery = cfg.GVTEvery
 	w.batchEp, _ = ep.(batchReceiver)
 	w.logCommits = cfg.CheckpointRounds > 0 || cfg.Migrate != nil
@@ -317,32 +332,52 @@ func (w *worker) run() {
 				}
 			}
 		}
+		w.drainNulls() // promises queued by the messages or a GVT round
 		progressed := false
 		for i := 0; i < batch; i++ {
 			if !w.step() {
 				break
 			}
 			progressed = true
+			w.drainNulls()
 		}
 		// Flush the coalesced sends at the scheduling boundary — always
 		// before blocking in Recv and before announcing idleness, so no
 		// message the accounting has counted can sit in a local buffer
 		// while its receiver (or the controller) waits for it.
 		w.flushSends()
-		if !progressed {
-			m := w.msgPool.get()
-			m.Kind, m.Idle, m.Processed = msgIdle, true, w.execTotal
-			w.ep.Send(0, m)
+		switch {
+		case progressed:
+			if !w.requested && w.execTotal-w.execAtRound >= uint64(w.gvtEvery) {
+				w.requested = true
+				m := w.msgPool.get()
+				m.Kind, m.Request, m.Processed = msgIdle, true, w.execTotal
+				w.ep.Send(0, m)
+			}
+		case len(w.nullQ) > 0:
+			// No event is executable but promises are still propagating:
+			// they may yet make one safe, so keep going instead of parking.
+			// They may also be a cycle of LPs with nothing pending raising
+			// each other's promise a few logical phases at a time, which
+			// only a GVT advance ends — so the controller hears, once per
+			// round, that this worker is idle as far as events go.
+			if !w.idleTold {
+				w.idleTold = true
+				w.sendIdle()
+			}
+		default:
+			w.sendIdle()
 			if w.handle(w.parkRecv()) {
 				return
 			}
-		} else if !w.requested && w.execTotal-w.execAtRound >= uint64(w.gvtEvery) {
-			w.requested = true
-			m := w.msgPool.get()
-			m.Kind, m.Request, m.Processed = msgIdle, true, w.execTotal
-			w.ep.Send(0, m)
 		}
 	}
+}
+
+func (w *worker) sendIdle() {
+	m := w.msgPool.get()
+	m.Kind, m.Idle, m.Processed = msgIdle, true, w.execTotal
+	w.ep.Send(0, m)
 }
 
 // flushSends drains every per-destination send buffer with one batched
@@ -775,7 +810,7 @@ func (w *worker) recycleRec(rec *procRec) {
 	}
 }
 
-// recordItem is Ctx's trace hook.
+// recordItem is Ctx's trace hook; installed only when the run has a sink.
 func (w *worker) recordItem(item any) {
 	if w.supRecs {
 		return
@@ -784,9 +819,7 @@ func (w *worker) recordItem(item any) {
 		w.curRec.recs = append(w.curRec.recs, item)
 		return
 	}
-	if w.sink != nil {
-		w.sink.Commit(w.ctx.self, w.ctx.now, item)
-	}
+	w.sink.Commit(w.ctx.self, w.ctx.now, item)
 }
 
 // drainLocal routes queued local deliveries. Routing may queue more (e.g.
@@ -988,13 +1021,32 @@ func (w *worker) sendNulls(lp *lpRT) {
 		w.clock += costs.NullCost
 		o := w.owner[dst]
 		if o == w.ep.Self() {
-			w.routeNull(lp.decl.id, dst, p)
+			w.nullQ = append(w.nullQ, localNull{src: lp.decl.id, dst: dst, ts: p})
 		} else {
 			m := w.msgPool.get()
 			m.Kind, m.Src, m.Dst, m.TS = msgNull, lp.decl.id, dst, p
 			w.sendMsg(o, m)
 		}
 	}
+}
+
+// nullBurst bounds how many queued promises one drainNulls call applies.
+// Propagation through a design is finite and far shorter; a promise cycle
+// with nothing pending is not, and must return to the scheduling loop for
+// the GVT round that ends it.
+const nullBurst = 256
+
+// drainNulls applies queued local promises in order, including those the
+// applied ones queue in turn, up to nullBurst. Local promises are queued
+// rather than applied from inside sendNulls because routeNull calls
+// sendNulls: the recursion has no bound on a promise cycle.
+func (w *worker) drainNulls() {
+	i := 0
+	for ; i < len(w.nullQ) && i < nullBurst; i++ {
+		q := w.nullQ[i]
+		w.routeNull(q.src, q.dst, q.ts)
+	}
+	w.nullQ = w.nullQ[:copy(w.nullQ, w.nullQ[i:])]
 }
 
 // routeNull applies a promise to the receiver edge and propagates.
@@ -1016,6 +1068,11 @@ func (w *worker) routeNull(src, dst LPID, ts vtime.VT) {
 	}
 	if lp.edges[i].cc.Less(ts) {
 		lp.edges[i].cc = ts
+		if !w.gvt.Less(ts) {
+			// GVT guarantees the edge as much already: no event became
+			// safe and no promise of lp's improved.
+			return
+		}
 		w.requeue(lp)
 		if w.cfg.Lookahead && lp.mode == Conservative {
 			w.sendNulls(lp)
@@ -1150,7 +1207,7 @@ func (w *worker) applyGVTNew(m *Msg) bool {
 		w.cancelback()
 	}
 	w.execAtRound = w.execTotal
-	w.requested = false
+	w.requested, w.idleTold = false, false
 	if m.Done {
 		for _, lp := range w.owned {
 			w.metrics.OrphanAntis.Add(uint64(len(lp.orphans)))

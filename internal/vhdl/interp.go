@@ -482,17 +482,25 @@ func (b *procInterp) execSigAssign(st *SigAssign) {
 		evalPanic(st.Pos, "assignment to unknown signal %q", name)
 	}
 	t := b.sigTypes[name]
-	edit := kernel.Edit{Transport: st.Transport}
+	elem := func(we WaveElem) kernel.WaveElem {
+		el := kernel.WaveElem{Value: b.coerce(st.Pos, b.ec.eval(we.Value, t), t)}
+		if we.After != nil {
+			el.After = b.ec.evalTime(we.After)
+		}
+		return el
+	}
+	if len(st.Wave) == 1 && !st.Transport && st.Reject == nil {
+		// The common statement, "sig <= value [after d]": no Edit to build.
+		el := elem(st.Wave[0])
+		b.pc.Assign(port, el.Value, el.After)
+		return
+	}
+	edit := kernel.Edit{Transport: st.Transport, Wave: make([]kernel.WaveElem, 0, len(st.Wave))}
 	if st.Reject != nil {
 		edit.Reject = b.ec.evalTime(st.Reject)
 	}
 	for _, we := range st.Wave {
-		v := b.coerce(st.Pos, b.ec.eval(we.Value, t), t)
-		el := kernel.WaveElem{Value: v}
-		if we.After != nil {
-			el.After = b.ec.evalTime(we.After)
-		}
-		edit.Wave = append(edit.Wave, el)
+		edit.Wave = append(edit.Wave, elem(we))
 	}
 	b.pc.AssignWave(port, edit)
 }
