@@ -156,10 +156,6 @@ const shardSelfBound = 1.25
 //     worker count and GOMAXPROCS (CI's smoke run writes a fresh file and
 //     has nothing to compare with). The ratio to the sequential oracle is
 //     printed, not gated.
-//
-// opt-shard is exempt everywhere: it snapshots whole shards per event (heap
-// plus every member state), a deliberate worst case kept in the sweep for
-// trajectory data, not as a config anyone should run for speed.
 func checkGuard(rep, committed *stats.WallClockReport, ratio float64, out io.Writer) error {
 	if committed != nil && (committed.Scale != rep.Scale || committed.Workers != rep.Workers || committed.GoMaxProcs != rep.GoMaxProcs) {
 		committed = nil

@@ -212,9 +212,11 @@ func run(o runOpts) error {
 		// sha256-framed container written atomically, with the previous cuts
 		// kept as a generation lineage (-checkpoint-keep) so a corrupt or
 		// torn latest image falls back to the newest one that still verifies.
-		so.OnCheckpoint = func(ck *pdes.Checkpoint, committed []trace.Entry) error {
+		// The image carries no trace: a restore re-emits the committed prefix
+		// by replaying the cut's commit logs.
+		so.OnCheckpoint = func(ck *pdes.Checkpoint) error {
 			return ckptio.Write(o.CkptFile, o.ckptKeep, &ckptio.File{
-				Ckpt: ck, Trace: committed, Shards: so.Shards, Partition: so.Partition,
+				Ckpt: ck, Shards: so.Shards, Partition: so.Partition,
 			})
 		}
 	}

@@ -37,17 +37,9 @@ import (
 	"govhdl/internal/netlist"
 	"govhdl/internal/pdes"
 	"govhdl/internal/trace"
-	"govhdl/internal/transport"
 	"govhdl/internal/vhdl"
 	"govhdl/internal/vtime"
 )
-
-// Checkpoint cuts, migration blobs and checkpoint files all gob-encode the
-// kernel's event payloads and trace items, in-process runs included. This is
-// the run path's one registration: whatever links the simulator can cut,
-// migrate and decode them, before any Session exists (pvsim -restore reads
-// its file first).
-func init() { transport.RegisterGob() }
 
 // Time is a physical simulation time in femtoseconds.
 type Time = vtime.Time

@@ -367,7 +367,7 @@ func (lr *legRun) runCheckpointLeg(leg *Leg, r *LegResult) {
 	gens := 0
 	so := lr.baseOpts(leg)
 	so.CheckpointRounds = 1
-	so.OnCheckpoint = func(ck *pdes.Checkpoint, _ []trace.Entry) error {
+	so.OnCheckpoint = func(ck *pdes.Checkpoint) error {
 		gens++
 		return ckptio.Write(path, 3, &ckptio.File{Ckpt: ck, Shards: leg.Shards, Partition: "topo"})
 	}

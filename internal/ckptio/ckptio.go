@@ -7,12 +7,22 @@
 //
 //	magic "GVCP" | version u32 | payload length u64 | sha256(payload) | payload
 //
-// (all integers big-endian, payload a single gob stream). Every reader
-// verifies the whole frame before decoding a byte of the payload, so a torn
-// write, a truncated copy, or a flipped bit is rejected with an *Error that
-// positions the corruption (file, byte offset, what was expected) instead of
-// surfacing as a gob panic deep inside restore — and, through Recover, the
-// restart falls back to the previous generation instead of dying.
+// (header integers big-endian). The payload is the File in the engine's wire
+// value encoding (pdes.WireEncoder — the codec of socket frames and cut
+// blobs):
+//
+//	Shards varint | Partition string | has-checkpoint u8 |
+//	  Format varint | GVT | Round uvarint | Workers varint | NumLPs varint |
+//	  Modes count + u8 each | Blobs count + opaque bytes each |
+//	Trace count + (LP | TS | Item as a tagged value) each
+//
+// Every reader verifies the whole frame before decoding a byte of the
+// payload, so a torn write, a truncated copy, or a flipped bit is rejected
+// with an *Error that positions the corruption (file, byte offset, what was
+// expected) instead of surfacing deep inside restore — and, through Recover,
+// the restart falls back to the previous generation instead of dying. The
+// payload decoder is bounded on its own account: every count is checked
+// against the bytes left before anything is allocated.
 //
 // Writes are atomic and durable: encode to a temp file, fsync, rename over
 // the target, fsync the parent directory. A crash at any step leaves either
@@ -26,7 +36,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -38,21 +47,21 @@ import (
 	"govhdl/internal/trace"
 )
 
-// Magic identifies a ckptio frame. Files written by the pre-framing format
-// (bare gob) start with a gob type descriptor and are rejected with a
-// diagnosis naming the legacy format.
+// Magic identifies a ckptio frame.
 const Magic = "GVCP"
 
-// Version is the current frame version. Readers reject other versions with a
-// positioned error rather than guessing at the payload layout.
-const Version = 1
+// Version is the current frame version. Readers reject other versions —
+// version 1 carried an encoding/gob payload — with a positioned error rather
+// than guessing at the payload layout: re-run to write a current image.
+const Version = 2
 
 // headerLen is the fixed frame prefix: magic, version, payload length,
 // payload sha256.
 const headerLen = 4 + 4 + 8 + sha256.Size
 
-// maxPayload bounds how much a reader will allocate for a claimed payload
-// length (a corrupt length field must not turn into an OOM).
+// maxPayload bounds the payload length a header may claim. The reader still
+// allocates only what the stream delivers (readPayload): a lying length over
+// a short body costs what was read, not what was claimed.
 const maxPayload = 1 << 32
 
 // File is the restart image a generation holds: the engine checkpoint, the
@@ -88,23 +97,59 @@ func errAt(path string, off int64, reason string, err error) *Error {
 	return &Error{Path: path, Offset: off, Reason: reason, Err: err}
 }
 
-// Encode writes the framed file to w.
+// Encode writes the framed file to w. It fails when a trace item's type has
+// no wire tag (pdes.RegisterWireValue).
 func Encode(w io.Writer, f *File) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(f); err != nil {
-		return fmt.Errorf("ckptio: encode payload: %w", err)
+	var e pdes.WireEncoder
+	e.B = make([]byte, headerLen) // the header is filled in once the payload is known
+	e.Varint(int64(f.Shards))
+	e.String(f.Partition)
+	e.Bool(f.Ckpt != nil)
+	if ck := f.Ckpt; ck != nil {
+		e.Varint(int64(ck.Format))
+		e.VT(ck.GVT)
+		e.Uvarint(ck.Round)
+		e.Varint(int64(ck.Workers))
+		e.Varint(int64(ck.NumLPs))
+		e.Count(len(ck.Modes), ck.Modes == nil)
+		for _, md := range ck.Modes {
+			e.Byte(byte(md))
+		}
+		e.Count(len(ck.Blobs), ck.Blobs == nil)
+		for _, b := range ck.Blobs {
+			e.Bytes(b)
+		}
 	}
-	var hdr [headerLen]byte
+	e.Count(len(f.Trace), f.Trace == nil)
+	for i := range f.Trace {
+		en := &f.Trace[i]
+		e.LP(en.LP)
+		e.VT(en.TS)
+		e.Value(en.Item)
+		if err := e.Err(); err != nil {
+			return fmt.Errorf("ckptio: encode trace entry %d (LP %d): %w", i, en.LP, err)
+		}
+	}
+	payload := e.B[headerLen:]
+	hdr := e.B[:headerLen]
 	copy(hdr[0:4], Magic)
 	binary.BigEndian.PutUint32(hdr[4:8], Version)
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
-	sum := sha256.Sum256(payload.Bytes())
+	binary.BigEndian.PutUint64(hdr[8:16], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
 	copy(hdr[16:], sum[:])
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
+	_, err := w.Write(e.B)
 	return err
+}
+
+// readPayload reads the plen payload bytes a header claims, allocating as the
+// bytes arrive rather than up front.
+func readPayload(r io.Reader, plen uint64) ([]byte, error) {
+	var buf bytes.Buffer
+	n, err := buf.ReadFrom(io.LimitReader(r, int64(plen)))
+	if err == nil && uint64(n) < plen {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), err
 }
 
 // Decode reads and verifies one framed file from r. path is used only for
@@ -115,33 +160,64 @@ func Decode(r io.Reader, path string) (*File, error) {
 		return nil, errAt(path, int64(n), fmt.Sprintf("truncated header (%d of %d bytes)", n, headerLen), err)
 	}
 	if string(hdr[0:4]) != Magic {
-		if hdr[0] < 0x20 { // gob streams start with a small length byte
-			return nil, errAt(path, 0, "no GVCP magic (pre-framing bare-gob checkpoint? rewrite it with a current -checkpoint-file run)", nil)
-		}
 		return nil, errAt(path, 0, fmt.Sprintf("bad magic %q, want %q", hdr[0:4], Magic), nil)
 	}
 	if v := binary.BigEndian.Uint32(hdr[4:8]); v != Version {
-		return nil, errAt(path, 4, fmt.Sprintf("frame version %d, want %d", v, Version), nil)
+		return nil, errAt(path, 4, fmt.Sprintf("frame version %d, want %d (written by another build: re-run with -checkpoint-file to write a current image)", v, Version), nil)
 	}
 	plen := binary.BigEndian.Uint64(hdr[8:16])
 	if plen == 0 || plen > maxPayload {
 		return nil, errAt(path, 8, fmt.Sprintf("payload length %d out of range (1..%d)", plen, maxPayload), nil)
 	}
-	payload := make([]byte, plen)
-	if n, err := io.ReadFull(r, payload); err != nil {
-		return nil, errAt(path, int64(headerLen+n), fmt.Sprintf("torn payload (%d of %d bytes)", n, plen), err)
+	payload, err := readPayload(r, plen)
+	if err != nil {
+		return nil, errAt(path, int64(headerLen+len(payload)), fmt.Sprintf("torn payload (%d of %d bytes)", len(payload), plen), err)
 	}
 	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], hdr[16:]) {
 		return nil, errAt(path, 16, fmt.Sprintf("payload sha256 %x does not match header %x", sum[:8], hdr[16:24]), nil)
 	}
-	var f File
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
-		return nil, errAt(path, headerLen, "payload gob decode", err)
+	var d pdes.WireDecoder
+	d.Reset(payload)
+	f := decodeFile(&d)
+	if err := d.Err(); err != nil {
+		return nil, errAt(path, int64(headerLen+len(payload)-d.Len()), "payload decode", err)
+	}
+	if d.Len() != 0 {
+		return nil, errAt(path, int64(headerLen+len(payload)-d.Len()), fmt.Sprintf("%d payload bytes after the last trace entry", d.Len()), nil)
 	}
 	if f.Ckpt == nil {
 		return nil, errAt(path, headerLen, "frame verified but holds no checkpoint", nil)
 	}
-	return &f, nil
+	return f, nil
+}
+
+// decodeFile reads Encode's payload layout; the caller checks d.Err.
+func decodeFile(d *pdes.WireDecoder) *File {
+	f := &File{Shards: d.Int(), Partition: d.String()}
+	if d.Bool() {
+		ck := &pdes.Checkpoint{Format: d.Int(), GVT: d.VT(), Round: d.Uvarint(), Workers: d.Int(), NumLPs: d.Int()}
+		if n, ok := d.Count(1); ok {
+			ck.Modes = make([]pdes.Mode, n)
+			for i := range ck.Modes {
+				ck.Modes[i] = pdes.Mode(d.Byte())
+			}
+		}
+		if n, ok := d.Count(1); ok {
+			ck.Blobs = make([][]byte, n)
+			for i := range ck.Blobs {
+				ck.Blobs[i] = d.Bytes()
+			}
+		}
+		f.Ckpt = ck
+	}
+	const entryMin = 1 + 2 + 1 // LP, TS, a one-byte item
+	if n, ok := d.Count(entryMin); ok {
+		f.Trace = make([]trace.Entry, n)
+		for i := range f.Trace {
+			f.Trace[i] = trace.Entry{LP: d.LP(), TS: d.VT(), Item: d.Value()}
+		}
+	}
+	return f
 }
 
 // Read loads and verifies the single generation at path.

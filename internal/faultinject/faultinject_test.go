@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -14,10 +13,6 @@ import (
 	"govhdl/internal/pdes"
 	"govhdl/internal/vtime"
 )
-
-func init() {
-	gob.Register(uint64(0)) // ring token payloads inside checkpoint blobs
-}
 
 // ringModel circulates tokens around a ring of LPs (same fixture as the
 // pdes checkpoint tests): deterministic committed trace, nontrivial

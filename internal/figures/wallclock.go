@@ -31,14 +31,13 @@ func WallClockCircuits() []WallClockCircuit {
 
 // WallClockConfigs returns the protocol configurations measured by the
 // wall-clock suite: the sequential oracle, the paper's four parallel
-// protocols, and three sharded configurations (one shard per worker,
+// protocols, and two sharded configurations (one shard per worker,
 // intra-shard sequential execution, protocol only between shards).
 func WallClockConfigs() []ConfigSpec {
 	specs := append([]ConfigSpec{{Name: "seq", Cfg: pdes.Config{Protocol: pdes.ProtoSequential}}},
 		PaperConfigs()...)
 	return append(specs,
 		ConfigSpec{Name: "cons-shard", Cfg: pdes.Config{Protocol: pdes.ProtoConservative, Lookahead: true, GVTAdapt: true}, Shard: true},
-		ConfigSpec{Name: "opt-shard", Cfg: pdes.Config{Protocol: pdes.ProtoOptimistic, Lookahead: true}, Shard: true},
 		ConfigSpec{Name: "dynamic-shard", Cfg: pdes.Config{Protocol: pdes.ProtoDynamic, Lookahead: true, GVTAdapt: true}, Shard: true},
 	)
 }

@@ -36,9 +36,6 @@
 package kernel
 
 import (
-	"encoding/gob"
-	"sync"
-
 	"govhdl/internal/stdlogic"
 	"govhdl/internal/vtime"
 )
@@ -155,25 +152,3 @@ func (c Class) Synchronous() bool { return c == ClassClock || c == ClassRegister
 type Equaler interface {
 	EqualValue(other any) bool
 }
-
-// RegisterGob registers with encoding/gob what checkpoint and migration
-// blobs carry of the kernel's: its event payloads, the value types inside
-// them, and the committed-trace item types so recorded traces can be
-// serialized alongside checkpoints. (The socket does not use gob; see
-// wire.go.) Idempotent.
-func RegisterGob() {
-	gobOnce.Do(func() {
-		gob.Register(stdlogic.Std(0))
-		gob.Register(stdlogic.Vec{})
-		gob.Register(vtime.Time(0))
-		gob.Register(int64(0))
-		gob.Register(false)
-		gob.Register(&assignMsg{})
-		gob.Register(&updateMsg{})
-		gob.Register(&runMsg{})
-		gob.Register(SigChange{})
-		gob.Register(ReportNote{})
-	})
-}
-
-var gobOnce sync.Once

@@ -56,7 +56,6 @@ func TestSharedPayloadsStayImmutable(t *testing.T) {
 // other GVT round the race detector sees every such hand-over (gate delays
 // are non-zero here, so the lazily filled tables are the ones in use).
 func TestSharedPayloadsAcrossMigration(t *testing.T) {
-	kernel.RegisterGob() // migration blobs carry pending events, payloads included
 	d, res := runAgainstOracle(t,
 		func() *circuits.Circuit { return circuits.BuildIIR(circuits.IIROpts{Sections: 1, Width: 4, Cycles: 4}) },
 		pdes.Config{

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -127,63 +125,32 @@ func fsmBatch() []*pdes.Msg {
 }
 
 // BenchmarkWireCodec is the wire layer's row: encode + decode of one
-// 4-message FSM batch. "gob" is the recorded before — the envelope and the
-// persistent encoder/decoder pair protocol 4 kept per connection.
+// 4-message FSM batch.
 func BenchmarkWireCodec(b *testing.B) {
-	report := func(b *testing.B, bytesPerBatch int) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4, "ns/msg")
-		b.ReportMetric(float64(bytesPerBatch)/4, "B/msg")
+	var e pdes.WireEncoder
+	var d pdes.WireDecoder
+	batch := fsmBatch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		for _, m := range batch {
+			if err := pdes.EncodeMsg(&e, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d.Reset(e.B)
+		for j := range batch {
+			// The decoded message takes the sent one's place, as the pools
+			// hand objects back and forth between two nodes.
+			pdes.ReleaseMsg(batch[j])
+			m, err := pdes.DecodeMsg(&d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch[j] = m
+		}
 	}
-	b.Run("binary", func(b *testing.B) {
-		var e pdes.WireEncoder
-		var d pdes.WireDecoder
-		batch := fsmBatch()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Reset()
-			for _, m := range batch {
-				if err := pdes.EncodeMsg(&e, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-			d.Reset(e.B)
-			for j := range batch {
-				// The decoded message takes the sent one's place, as the
-				// pools hand objects back and forth between two nodes.
-				pdes.ReleaseMsg(batch[j])
-				m, err := pdes.DecodeMsg(&d)
-				if err != nil {
-					b.Fatal(err)
-				}
-				batch[j] = m
-			}
-		}
-		report(b, len(e.B))
-	})
-	b.Run("gob", func(b *testing.B) {
-		RegisterGob()
-		type wire struct {
-			Dst   int
-			Batch []*pdes.Msg
-		}
-		var buf bytes.Buffer
-		enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
-		batch := fsmBatch()
-		n := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(&wire{Dst: 1, Batch: batch}); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-			var w wire
-			if err := dec.Decode(&w); err != nil {
-				b.Fatal(err)
-			}
-			batch = w.Batch
-		}
-		report(b, n)
-	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4, "ns/msg")
+	b.ReportMetric(float64(len(e.B))/4, "B/msg")
 }

@@ -1,26 +1,25 @@
 package pdes
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"govhdl/internal/vtime"
 )
 
 // Run-level checkpoint/restart: the Checkpoint a quiescent cut (cut.go)
-// assembles, its serialized form, and the per-LP committed-event logs a cut
-// captures. Restoring one is Config.Restore; a restore (or an automatic
-// failover absorbing a dead node's LPs) reproduces the uninterrupted run's
-// trace byte-identically.
+// assembles and the per-LP committed-event logs a cut captures. Restoring one
+// is Config.Restore; a restore (or an automatic failover absorbing a dead
+// node's LPs) reproduces the uninterrupted run's trace byte-identically.
 
-// checkpointFormat versions the gob blob layout.
-const checkpointFormat = 1
+// checkpointFormat versions the blob layout (cut.go encodeBlob); every blob
+// starts with it. Any other format is refused, never read: a checkpoint does
+// not outlive the deployment that wrote it.
+const checkpointFormat = 2
 
 // Checkpoint is a consistent global snapshot of a parallel run, assembled by
-// the controller at a committed GVT. It is gob-serializable once the
-// application's event payload types are registered (kernel.RegisterGob /
-// transport.RegisterGob cover the VHDL kernel's).
+// the controller at a committed GVT. Package ckptio is its file format.
+// Taking one needs a wire tag (RegisterWireValue) for every event payload
+// type the application sends; the capture fails otherwise.
 type Checkpoint struct {
 	Format  int      // checkpointFormat
 	GVT     vtime.VT // the committed GVT of the cut
@@ -28,27 +27,10 @@ type Checkpoint struct {
 	Workers int      // worker endpoint count (endpoints 1..Workers)
 	NumLPs  int      // System size the checkpoint was taken against
 	Modes   []Mode   // per-LP synchronization mode at the cut
-	// Blobs holds one gob-encoded ckptWorker per worker, indexed by endpoint
-	// id (Blobs[0] is unused — endpoint 0 is the controller). A dense slice,
-	// not a map: checkpoint assembly and restore stay deterministic.
+	// Blobs holds one encoded ckptWorker per worker, indexed by endpoint id
+	// (Blobs[0] is unused — endpoint 0 is the controller). A dense slice, not
+	// a map: checkpoint assembly and restore stay deterministic.
 	Blobs [][]byte
-}
-
-// Encode writes the checkpoint as a single gob stream.
-func (ck *Checkpoint) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(ck)
-}
-
-// DecodeCheckpoint reads a checkpoint written by Encode.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	ck := new(Checkpoint)
-	if err := gob.NewDecoder(r).Decode(ck); err != nil {
-		return nil, fmt.Errorf("pdes: decode checkpoint: %w", err)
-	}
-	if ck.Format != checkpointFormat {
-		return nil, fmt.Errorf("pdes: checkpoint format %d, want %d", ck.Format, checkpointFormat)
-	}
-	return ck, nil
 }
 
 // decodeRestore checks a checkpoint against the run it is restored into and
@@ -98,31 +80,9 @@ func decodeRestore(ck *Checkpoint, sys *System, cfg *Config) ([]*ckptWorker, err
 	return restored, nil
 }
 
-// ckptEvent is an Event copied by value out of the engine's pooled objects:
-// checkpoints must never retain a *Event past its recycling point.
-type ckptEvent struct {
-	ID   uint64
-	Src  LPID
-	Dst  LPID
-	TS   vtime.VT
-	Sent vtime.VT
-	Kind uint8
-	Neg  bool
-	Data any
-	Clk  float64
-}
-
-func ckptEventOf(e *Event) ckptEvent {
-	return ckptEvent{ID: e.ID, Src: e.Src, Dst: e.Dst, TS: e.TS, Sent: e.Sent,
-		Kind: e.Kind, Neg: e.Neg, Data: e.Data, Clk: e.Clk}
-}
-
-func (ce *ckptEvent) toEvent() *Event {
-	return &Event{ID: ce.ID, Src: ce.Src, Dst: ce.Dst, TS: ce.TS, Sent: ce.Sent,
-		Kind: ce.Kind, Neg: ce.Neg, Data: ce.Data, Clk: ce.Clk}
-}
-
-// ckptLP is one LP's share of a worker blob.
+// ckptLP is one LP's share of a worker blob. Its events are copies by value
+// out of the engine's pooled objects: a captured LP must never retain a
+// *Event past its recycling point.
 type ckptLP struct {
 	ID    LPID
 	Now   vtime.VT
@@ -130,13 +90,13 @@ type ckptLP struct {
 	// Log is the LP's committed executions since t=0 in execution order;
 	// restore replays it (sends suppressed, trace records re-committed) to
 	// rebuild the model state and the committed trace.
-	Log []ckptEvent
+	Log []Event
 	// Pending are the unprocessed events at the cut (all at or above GVT).
-	Pending []ckptEvent
+	Pending []Event
 	// Orphans are anti-messages whose positive twin had not arrived at the
 	// cut. The quiescent-cut protocol should leave none; serialized
 	// defensively so a restore cannot silently lose a cancellation.
-	Orphans []ckptEvent
+	Orphans []Event
 	// CC holds the per-in-edge channel clocks, parallel to the LP's declared
 	// input order. Null-message promises are deliberately NOT serialized:
 	// senders re-advertise after restore (lastPromise restarts at zero), so
@@ -159,5 +119,5 @@ func (w *worker) logCommit(lp *lpRT, e *Event) {
 	if !w.logCommits {
 		return
 	}
-	lp.commitLog = append(lp.commitLog, ckptEventOf(e))
+	lp.commitLog = append(lp.commitLog, *e)
 }

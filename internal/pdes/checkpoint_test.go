@@ -1,8 +1,6 @@
 package pdes
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,11 +8,6 @@ import (
 
 	"govhdl/internal/vtime"
 )
-
-func init() {
-	// Checkpoint blobs serialize event payloads through an interface field.
-	gob.Register(uint64(0))
-}
 
 // ringModel circulates tokens around a ring of LPs: every execution records
 // its observation and forwards the token to the next LP with a fixed delay.
@@ -108,21 +101,6 @@ func diffLines(t *testing.T, want, got []string) {
 	}
 }
 
-// reencode pushes the checkpoint through its gob round-trip, as a file-backed
-// restart would.
-func reencode(t *testing.T, ck *Checkpoint) *Checkpoint {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ck.Encode(&buf); err != nil {
-		t.Fatalf("encode checkpoint: %v", err)
-	}
-	out, err := DecodeCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("decode checkpoint: %v", err)
-	}
-	return out
-}
-
 func testCheckpointRestore(t *testing.T, protocol Protocol, workers int) {
 	const (
 		nLPs  = 12
@@ -169,12 +147,13 @@ func testCheckpointRestore(t *testing.T, protocol Protocol, workers int) {
 		t.Fatal("no checkpoints were taken")
 	}
 
-	// Restore from a mid-run checkpoint (gob round-tripped). The restored
+	// Restore from a mid-run checkpoint (its worker blobs are the encoded
+	// form a file carries; ckptio tests the frame around them). The restored
 	// run's replay re-emits the records committed before the cut, so its
 	// sink alone must equal the oracle — no splicing with the dead run's
 	// trace is needed (that is what failover relies on).
 	pick := len(cks) / 2
-	ck := reencode(t, cks[pick])
+	ck := cks[pick]
 	if !ck.GVT.Less(vtime.VT{PT: until}) {
 		t.Fatalf("picked checkpoint GVT %v is already at the horizon", ck.GVT)
 	}

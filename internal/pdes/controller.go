@@ -16,10 +16,10 @@ type controller struct {
 	ep      Endpoint
 	cfg     *Config
 	horizon vtime.VT
-	workers int // worker endpoints are 1..workers
-	metrics *stats.Metrics
-	modes   []Mode  // authoritative mode table
-	sys     *System // for forced-mode declarations (stall rescue skips them)
+	workers int            // worker endpoints are 1..workers
+	metrics stats.Snapshot // the controller's own counters; RunOn adds the workers'
+	modes   []Mode         // authoritative mode table
+	sys     *System        // for forced-mode declarations (stall rescue skips them)
 	rs      *runState
 
 	gvt        vtime.VT
@@ -51,13 +51,12 @@ type controller struct {
 	loads []uint64
 }
 
-func newController(ep Endpoint, cfg *Config, horizon vtime.VT, modes []Mode, metrics *stats.Metrics) *controller {
+func newController(ep Endpoint, cfg *Config, horizon vtime.VT, modes []Mode) *controller {
 	c := &controller{
 		ep:      ep,
 		cfg:     cfg,
 		horizon: horizon,
 		workers: ep.N() - 1,
-		metrics: metrics,
 		modes:   modes,
 		replies: make([]*Msg, ep.N()),
 		expect:  make([]uint64, ep.N()),
@@ -123,7 +122,7 @@ func (c *controller) run() {
 // system-wide idleness; two consecutive such rounds without progress mean
 // deadlock.
 func (c *controller) round(stallCandidate bool) (done, stopped bool) {
-	c.metrics.GVTRounds.Add(1)
+	c.metrics.GVTRounds++
 	c.broadcast(msgGVTPause, nil)
 	if !c.collect(msgGVTAck) {
 		return false, true
@@ -209,7 +208,7 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 		if lp, ok := c.pickRescue(); ok {
 			c.modes[lp] = Optimistic
 			optLPs = append(optLPs, lp)
-			c.metrics.StallRescues.Add(1)
+			c.metrics.StallRescues++
 			deadlocked = false
 		}
 	}

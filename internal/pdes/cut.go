@@ -1,8 +1,6 @@
 package pdes
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"govhdl/internal/vtime"
@@ -54,22 +52,91 @@ import (
 //     it does, install skips the replay, and when it does not the model is
 //     first reset to its pristine pre-Init snapshot (runState.pristine).
 
+// A blob is one captured ckptWorker in the wire value encoding (wire.go):
+//
+//	format u8 | Worker varint | Seq uvarint | Clock f64 | LPs count, then per LP:
+//	ID | Now | Floor | CC count + VTs | Log, Pending, Orphans: count + events
+//
+// with events in encodeEvent's layout, the one messages use. It fails — naming
+// the LP, the event and the payload's Go type — when a payload has no wire
+// tag, which fails the capture rather than the restore that would need it.
 func encodeBlob(cw *ckptWorker) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cw); err != nil {
-		return nil, err
+	var e WireEncoder
+	e.Byte(checkpointFormat)
+	e.Varint(int64(cw.Worker))
+	e.Uvarint(cw.Seq)
+	e.Float(cw.Clock)
+	e.Count(len(cw.LPs), cw.LPs == nil)
+	for i := range cw.LPs {
+		cl := &cw.LPs[i]
+		e.LP(cl.ID)
+		e.VT(cl.Now)
+		e.VT(cl.Floor)
+		e.Count(len(cl.CC), cl.CC == nil)
+		for _, cc := range cl.CC {
+			e.VT(cc)
+		}
+		for _, evs := range [...][]Event{cl.Log, cl.Pending, cl.Orphans} {
+			e.Count(len(evs), evs == nil)
+			for k := range evs {
+				if err := encodeEvent(&e, &evs[k]); err != nil {
+					return nil, fmt.Errorf("LP %d: %w", cl.ID, err)
+				}
+			}
+		}
 	}
-	return buf.Bytes(), nil
+	return e.B, nil
 }
 
+// lpMinBytes is the shortest encoded ckptLP: ID 1, Now 2, Floor 2 and four
+// empty counts.
+const lpMinBytes = 1 + 2 + 2 + 4
+
 // decodeBlob is the one decoder of captured worker state: checkpoint files
-// and migration bundles both arrive from outside the process.
+// and migration bundles both arrive from outside the process. Every count is
+// checked against the bytes left before the slice it sizes is allocated, and
+// payloads come back as the shared objects a socket delivery would yield.
 func decodeBlob(b []byte) (*ckptWorker, error) {
-	cw := new(ckptWorker)
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(cw); err != nil {
-		return nil, fmt.Errorf("decode blob: %w", err)
+	var d WireDecoder
+	d.Reset(b)
+	if f := d.Byte(); d.err == nil && f != checkpointFormat {
+		return nil, fmt.Errorf("decode blob: format %d, want %d", f, checkpointFormat)
+	}
+	cw := &ckptWorker{Worker: d.Int(), Seq: d.Uvarint(), Clock: d.Float()}
+	if n, ok := d.Count(lpMinBytes); ok {
+		cw.LPs = make([]ckptLP, n)
+	}
+	for i := range cw.LPs {
+		cl := &cw.LPs[i]
+		cl.ID, cl.Now, cl.Floor = d.LP(), d.VT(), d.VT()
+		if n, ok := d.Count(2); ok {
+			cl.CC = make([]vtime.VT, n)
+			for k := range cl.CC {
+				cl.CC[k] = d.VT()
+			}
+		}
+		cl.Log, cl.Pending, cl.Orphans = decodeEvents(&d), decodeEvents(&d), decodeEvents(&d)
+	}
+	if d.err == nil && d.Len() != 0 {
+		d.fail(fmt.Errorf("pdes: wire: %d bytes after the last LP", d.Len()))
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("decode blob: %w", d.err)
 	}
 	return cw, nil
+}
+
+// decodeEvents reads one counted list of events.
+func decodeEvents(d *WireDecoder) []Event {
+	n, ok := d.Count(eventMinBytes)
+	if !ok {
+		return nil
+	}
+	evs := make([]Event, n)
+	for k := range evs {
+		decodeEvent(d, &evs[k])
+	}
+	return evs
 }
 
 // --- worker side -----------------------------------------------------------
@@ -155,10 +222,10 @@ func (w *worker) captureLP(lp *lpRT) ckptLP {
 		cl.CC[i] = lp.edges[i].cc
 	}
 	for _, e := range lp.pending.a {
-		cl.Pending = append(cl.Pending, ckptEventOf(e))
+		cl.Pending = append(cl.Pending, *e)
 	}
 	for _, e := range lp.orphans {
-		cl.Orphans = append(cl.Orphans, ckptEventOf(e))
+		cl.Orphans = append(cl.Orphans, *e)
 	}
 	return cl
 }
@@ -181,7 +248,7 @@ func (w *worker) capture() []byte {
 			continue // owned elsewhere
 		}
 		cl := w.captureLP(lp)
-		w.metrics.ForwardedMsgs.Add(uint64(len(cl.Pending)))
+		w.metrics.ForwardedMsgs += uint64(len(cl.Pending))
 		cw.LPs = append(cw.LPs, cl)
 		w.dropLP(lp, mv.To)
 	}
@@ -260,10 +327,10 @@ func (w *worker) installLP(cl *ckptLP, modes []Mode, emitTrace bool) {
 			im.Init(w.ctx)
 		}
 		for k := range cl.Log {
-			ev := cl.Log[k].toEvent()
+			ev := &cl.Log[k]
 			w.ctx.self, w.ctx.now = id, ev.TS
 			lp.model.Execute(w.ctx, ev)
-			w.metrics.CoastForward.Add(1)
+			w.metrics.CoastForward++
 		}
 		w.supSends, w.supRecs = savedSends, savedRecs
 	}
@@ -272,15 +339,22 @@ func (w *worker) installLP(cl *ckptLP, modes []Mode, emitTrace bool) {
 		lp.commitLog = cl.Log // later cuts extend the same log
 	}
 	for k := range cl.Pending {
-		lp.pending.Push(cl.Pending[k].toEvent())
+		lp.pending.Push(w.pooledCopy(&cl.Pending[k]))
 	}
 	for k := range cl.Orphans {
-		lp.orphans = append(lp.orphans, cl.Orphans[k].toEvent())
+		lp.orphans = append(lp.orphans, w.pooledCopy(&cl.Orphans[k]))
 	}
 	w.requeue(lp)
 	if tracked {
 		w.rs.localModel[id] = true
 	}
+}
+
+// pooledCopy returns a pooled event holding a copy of a captured one.
+func (w *worker) pooledCopy(src *Event) *Event {
+	e := w.evPool.get()
+	*e = *src
+	return e
 }
 
 // advertise has every owned conservative LP send the null promises it has not
@@ -363,8 +437,8 @@ func (c *controller) installMoves(blobs [][]byte, moves []Move) bool {
 	c.broadcast(msgCutInstall, func(w int, m *Msg) {
 		m.AllModes, m.Blob = allModes, installs[w]
 	})
-	c.metrics.Migrations.Add(uint64(len(moves)))
-	c.metrics.ViewChanges.Add(1)
+	c.metrics.Migrations += uint64(len(moves))
+	c.metrics.ViewChanges++
 	// The load window restarts: the next plan reacts to the new placement,
 	// not to history the move already corrected.
 	for i := range c.loads {

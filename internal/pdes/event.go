@@ -113,7 +113,7 @@ type Msg struct {
 	NextGVT   int        // msgGVTNew: adaptive GVT interval (0 = unchanged)
 	Done      bool       // msgGVTNew: termination flag
 	Ckpt      bool       // msgGVTNew: this round ends in a checkpoint cut
-	Blob      []byte     // msgCutState/msgCutInstall: gob-encoded ckptWorker
+	Blob      []byte     // msgCutState/msgCutInstall: an encoded ckptWorker (cut.go)
 	Err       *SimError  // msgFatal/msgStop/msgPoison: fatal error, if any
 	Modes     []ModePair // msgGVTAck: mode switches requested by this worker
 	// Blocked lists the conservative LPs that were blocked at the pause

@@ -273,7 +273,7 @@ func (w *worker) releaseDeferred() {
 		}
 		dst := w.owner[lp]
 		if dst != d.dst {
-			w.metrics.ForwardedMsgs.Add(1)
+			w.metrics.ForwardedMsgs++
 		}
 		w.sentTo[dst]++
 		w.ep.Send(dst, d.m)

@@ -3,7 +3,6 @@ package pdes
 import (
 	"testing"
 
-	"govhdl/internal/stats"
 	"govhdl/internal/vtime"
 )
 
@@ -26,7 +25,7 @@ func lateForwardWorker(t *testing.T) (w *worker, eps []Endpoint, lp0, lp1 LPID) 
 	eps = NewLocalFabric(3)
 	owner := []int{1, 2}
 	modes := []Mode{Conservative, Conservative}
-	w = newWorker(eps[1], sys, &cfg, vtime.VT{PT: 1 << 40}, owner, []LPID{lp0}, modes, &stats.Metrics{}, nil)
+	w = newWorker(eps[1], sys, &cfg, vtime.VT{PT: 1 << 40}, owner, []LPID{lp0}, modes, nil)
 	w.migRound = 1
 	return w, eps, lp0, lp1
 }
@@ -51,10 +50,10 @@ func TestLateStragglerForwardedAfterWindowCloses(t *testing.T) {
 	if m.Kind != msgEvent || m.Ev == nil || m.Ev.Dst != lp1 || !m.Ev.TS.Equal(ts(10)) {
 		t.Fatalf("forwarded message %+v is not the straggler", m)
 	}
-	if got := w.metrics.ForwardedMsgs.Load(); got != 1 {
+	if got := w.metrics.ForwardedMsgs; got != 1 {
 		t.Fatalf("ForwardedMsgs = %d, want 1", got)
 	}
-	if got := w.metrics.LateForwards.Load(); got != 1 {
+	if got := w.metrics.LateForwards; got != 1 {
 		t.Fatalf("LateForwards = %d, want 1", got)
 	}
 
@@ -65,7 +64,7 @@ func TestLateStragglerForwardedAfterWindowCloses(t *testing.T) {
 	if !ok || m.Kind != msgNull || m.Dst != lp1 {
 		t.Fatalf("late null was not forwarded: %+v (ok=%v)", m, ok)
 	}
-	if got := w.metrics.LateForwards.Load(); got != 2 {
+	if got := w.metrics.LateForwards; got != 2 {
 		t.Fatalf("LateForwards = %d, want 2", got)
 	}
 }
@@ -81,10 +80,10 @@ func TestWindowForwardNotCountedLate(t *testing.T) {
 	if _, ok := eps[2].TryRecv(); !ok {
 		t.Fatalf("in-window straggler was not forwarded")
 	}
-	if got := w.metrics.ForwardedMsgs.Load(); got != 1 {
+	if got := w.metrics.ForwardedMsgs; got != 1 {
 		t.Fatalf("ForwardedMsgs = %d, want 1", got)
 	}
-	if got := w.metrics.LateForwards.Load(); got != 0 {
+	if got := w.metrics.LateForwards; got != 0 {
 		t.Fatalf("LateForwards = %d, want 0", got)
 	}
 }

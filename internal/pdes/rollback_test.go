@@ -3,7 +3,6 @@ package pdes
 import (
 	"testing"
 
-	"govhdl/internal/stats"
 	"govhdl/internal/vtime"
 )
 
@@ -22,7 +21,7 @@ func testWorker(sys *System, cfg Config) *worker {
 		ownedIDs[i] = LPID(i)
 		modes[i] = sys.initialMode(LPID(i), cfg.Protocol)
 	}
-	w := newWorker(eps[1], sys, &cfg, vtime.VT{PT: 1 << 40}, owner, ownedIDs, modes, &stats.Metrics{}, nil)
+	w := newWorker(eps[1], sys, &cfg, vtime.VT{PT: 1 << 40}, owner, ownedIDs, modes, nil)
 	return w
 }
 
@@ -87,11 +86,11 @@ func TestStragglerRollbackRestoresState(t *testing.T) {
 
 	// Straggler at t=15 must roll back 20 and 30, then reprocess in order.
 	inject(w, 104, src, id, ts(15), 9)
-	if w.metrics.Rollbacks.Load() != 1 {
-		t.Fatalf("rollbacks = %d, want 1", w.metrics.Rollbacks.Load())
+	if w.metrics.Rollbacks != 1 {
+		t.Fatalf("rollbacks = %d, want 1", w.metrics.Rollbacks)
 	}
-	if w.metrics.RolledBack.Load() != 2 {
-		t.Fatalf("rolled-back events = %d, want 2", w.metrics.RolledBack.Load())
+	if w.metrics.RolledBack != 2 {
+		t.Fatalf("rolled-back events = %d, want 2", w.metrics.RolledBack)
 	}
 	drainSteps(w)
 	want := (((1*31+9)*31+2)*31 + 3)
@@ -116,7 +115,7 @@ func TestEqualTimestampIsNotAStraggler(t *testing.T) {
 	drainSteps(w)
 	// Same timestamp: arbitrary order means no rollback.
 	inject(w, 202, src, id, ts(10), 2)
-	if w.metrics.Rollbacks.Load() != 0 {
+	if w.metrics.Rollbacks != 0 {
 		t.Fatalf("equal-timestamp arrival caused a rollback")
 	}
 	drainSteps(w)
@@ -143,8 +142,8 @@ func TestAntiMessageAnnihilatesPending(t *testing.T) {
 	if a.hash != 0 {
 		t.Fatalf("annihilated event still executed: hash=%d", a.hash)
 	}
-	if w.metrics.Annihilated.Load() != 1 {
-		t.Fatalf("annihilated = %d", w.metrics.Annihilated.Load())
+	if w.metrics.Annihilated != 1 {
+		t.Fatalf("annihilated = %d", w.metrics.Annihilated)
 	}
 }
 
@@ -166,8 +165,8 @@ func TestAntiMessageRollsBackProcessed(t *testing.T) {
 	if a.hash != 7 {
 		t.Fatalf("hash = %d, want 7 (only the surviving event)", a.hash)
 	}
-	if w.metrics.Rollbacks.Load() != 1 || w.metrics.Annihilated.Load() != 1 {
-		t.Fatalf("rollbacks=%d annihilated=%d", w.metrics.Rollbacks.Load(), w.metrics.Annihilated.Load())
+	if w.metrics.Rollbacks != 1 || w.metrics.Annihilated != 1 {
+		t.Fatalf("rollbacks=%d annihilated=%d", w.metrics.Rollbacks, w.metrics.Annihilated)
 	}
 }
 
@@ -197,7 +196,7 @@ func TestRollbackCancelsDownstreamSends(t *testing.T) {
 	if down.hash != want {
 		t.Fatalf("down hash after cascade = %d, want %d", down.hash, want)
 	}
-	if w.metrics.Antis.Load() == 0 {
+	if w.metrics.Antis == 0 {
 		t.Fatal("no anti-messages were sent")
 	}
 }
@@ -214,14 +213,14 @@ func TestCheckpointCoastForward(t *testing.T) {
 		inject(w, uint64(600+i), src, id, ts(vtime.Time(10*(i+1))), int64(i+1))
 	}
 	drainSteps(w)
-	if saves := w.metrics.StateSaves.Load(); saves != 2 {
+	if saves := w.metrics.StateSaves; saves != 2 {
 		t.Fatalf("state saves = %d, want 2 (every 3rd)", saves)
 	}
 	// Straggler at t=45 (between events 4 and 5): snapshot is at event 4
 	// (index 3); coast-forward replays nothing... index math: first rec
 	// with ts > 45 is index 4 (t=50); nearest snapshot at index 3 (t=40).
 	inject(w, 699, src, id, ts(45), 100)
-	if cf := w.metrics.CoastForward.Load(); cf != 1 {
+	if cf := w.metrics.CoastForward; cf != 1 {
 		t.Fatalf("coast-forward = %d, want 1 (replay of the t=40 event)", cf)
 	}
 	drainSteps(w)
@@ -276,7 +275,7 @@ func TestConservativeBlocksUntilSafe(t *testing.T) {
 	if drainSteps(w) != 0 {
 		t.Fatal("conservative LP processed an unsafe event")
 	}
-	if w.metrics.Blocked.Load() == 0 {
+	if w.metrics.Blocked == 0 {
 		t.Fatal("blocked counter did not move")
 	}
 	// GVT reaching the event makes it safe.
@@ -318,7 +317,7 @@ func TestFossilCollectionFreesHistory(t *testing.T) {
 	if lp.processed[0].state == nil {
 		t.Fatal("kept window does not start at a snapshot")
 	}
-	if w.metrics.Fossils.Load() == 0 {
+	if w.metrics.Fossils == 0 {
 		t.Fatal("nothing was fossil-collected")
 	}
 	// A straggler at GVT must still be recoverable.

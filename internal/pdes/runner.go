@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"govhdl/internal/stats"
 	"govhdl/internal/vtime"
 )
 
@@ -99,7 +98,6 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 	sys.frozen = true
 
 	horizon := vtime.VT{PT: until}
-	metrics := &stats.Metrics{}
 
 	var owned [][]LPID
 	var restored []*ckptWorker // decoded Config.Restore blobs, by endpoint
@@ -163,7 +161,7 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 		if ep.Self() == 0 {
 			ctrlModes := make([]Mode, len(modes))
 			copy(ctrlModes, modes)
-			ctrl = newController(ep, &cfg, horizon, ctrlModes, metrics)
+			ctrl = newController(ep, &cfg, horizon, ctrlModes)
 			ctrl.sys = sys
 			ctrl.rs = rs
 			ctrl.owner = append([]int(nil), owner...)
@@ -177,7 +175,7 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 			// process's workers.
 			wOwner = append([]int(nil), owner...)
 		}
-		w := newWorker(ep, sys, &cfg, horizon, wOwner, owned[wi], modes, metrics, sink)
+		w := newWorker(ep, sys, &cfg, horizon, wOwner, owned[wi], modes, sink)
 		w.rs = rs
 		w.memTrack = cfg.MemBudget > 0
 		if restored != nil {
@@ -224,12 +222,15 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 		return nil, ctrl.err
 	}
 	res := &Result{
-		Metrics: metrics.Snapshot(),
 		Wall:    wall,
 		MemPeak: rs.memPeak.Load(),
 	}
 	if ctrl != nil {
 		res.GVT = ctrl.gvt
+		res.Metrics.Add(ctrl.metrics)
+	}
+	for _, w := range workers {
+		res.Metrics.Add(w.metrics)
 	}
 	for _, w := range workers {
 		if res.GVT == (vtime.VT{}) {

@@ -59,7 +59,7 @@ type lpRT struct {
 	// commitLog records every committed execution by value (checkpoint
 	// runs only, see Config.CheckpointRounds): the restore path rebuilds
 	// model state by replaying it, because model snapshots are opaque.
-	commitLog []ckptEvent
+	commitLog []Event
 
 	// Adaptation window counters, reset at each GVT round.
 	execs       uint64 // events executed

@@ -62,12 +62,11 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 	horizon := vtime.VT{PT: until}
 
 	var (
-		pend    pendingSet[*Event]
-		nextID  uint64
-		metrics stats.Metrics
-		now     vtime.VT
-		cur     LPID
-		pool    eventPool
+		pend   pendingSet[*Event]
+		nextID uint64
+		now    vtime.VT
+		cur    LPID
+		pool   eventPool
 	)
 
 	emit := func(dst LPID, ts vtime.VT, kind uint8, data any) {
@@ -110,7 +109,6 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 		pool.put(ev) // models must not retain events beyond Execute
 		processed++
 	}
-	metrics.Events.Store(processed)
 
 	gvt := pend.MinTS()
 	if horizon.Less(gvt) {
@@ -119,7 +117,7 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 	cost := float64(processed) * costs.EventCost
 	return &Result{
 		GVT:          gvt,
-		Metrics:      metrics.Snapshot(),
+		Metrics:      stats.Snapshot{Events: processed},
 		Makespan:     cost,
 		WorkerClocks: []float64{cost},
 		Wall:         time.Since(start),

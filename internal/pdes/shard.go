@@ -1,7 +1,6 @@
 package pdes
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -59,8 +58,6 @@ type shardXEvent struct {
 	Kind uint8
 	Data any
 }
-
-func init() { gob.Register(&shardXEvent{}) }
 
 // shardRec wraps a member trace record so commitment (which happens at shard
 // granularity, at the shard event's timestamp) can be unwrapped back to the

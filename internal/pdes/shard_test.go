@@ -1,17 +1,12 @@
 package pdes
 
 import (
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"testing"
 
 	"govhdl/internal/vtime"
 )
-
-func init() {
-	gob.Register(0) // relay token payloads inside sharded checkpoint blobs
-}
 
 // runShardedRing builds a fresh relay ring, shards it and runs the shard
 // system, returning the member-attributed sorted trace and final sums.

@@ -10,11 +10,12 @@ import (
 	"govhdl/internal/vtime"
 )
 
-// The wire codec: everything package transport puts on a connection is
+// The wire codec: everything package transport puts on a connection, every
+// cut blob (cut.go) and the body of a checkpoint file (package ckptio) is
 // written by a WireEncoder and read back by a WireDecoder. Both are plain
 // byte-slice cursors — no reflection, no type descriptors on the stream, no
 // global registration order — and the decoder is bounded: every length and
-// count is checked against the bytes that remain in the frame before
+// count is checked against the bytes that remain in the input before
 // anything is allocated, and value nesting is capped at wireMaxDepth.
 //
 // Integers are uvarints (zigzag varints where negative values are legal),
@@ -96,8 +97,9 @@ func init() {
 }
 
 // WireEncoder appends to B. Only Value can fail (a type with no tag, or
-// nesting past wireMaxDepth); the first failure sticks and EncodeMsg reports
-// it, so codecs need no error plumbing.
+// nesting past wireMaxDepth); the first failure sticks and whoever drives the
+// encoder (EncodeMsg, encodeBlob, ckptio) reports it, so codecs need no error
+// plumbing.
 type WireEncoder struct {
 	B     []byte
 	depth int
@@ -106,6 +108,9 @@ type WireEncoder struct {
 
 // Reset empties the buffer (keeping its capacity) and clears the error.
 func (e *WireEncoder) Reset() { e.B, e.depth, e.err = e.B[:0], 0, nil }
+
+// Err reports the first Value failure.
+func (e *WireEncoder) Err() error { return e.err }
 
 func (e *WireEncoder) Byte(v byte)      { e.B = append(e.B, v) }
 func (e *WireEncoder) Uvarint(v uint64) { e.B = binary.AppendUvarint(e.B, v) }

@@ -82,6 +82,46 @@ const (
 
 const idLoBits = 48 // worker.emit mints IDs as endpoint<<48 | sequence
 
+// eventMinBytes is the shortest encoded event — ID 2, Src and Dst 2, TS 2,
+// Sent 2, Kind 1, Neg 1, Clk 8, a nil Data 1 — which is what a decoder
+// divides the bytes left by before it sizes a slice of events.
+const eventMinBytes = 2 + 2 + 2 + 2 + 1 + 1 + 8 + 1
+
+// encodeEvent appends ev in the event layout above — the one encoding of an
+// event, whether it rides in a message or sits in a captured LP's commit log,
+// pending set or orphan list (cut.go). It fails when the payload has no wire
+// tag, naming the payload's Go type and the event's LP pair.
+func encodeEvent(e *WireEncoder, ev *Event) error {
+	e.Uvarint(ev.ID >> idLoBits)
+	e.Uvarint(ev.ID & (1<<idLoBits - 1))
+	e.LP(ev.Src)
+	e.LP(ev.Dst)
+	e.VT(ev.TS)
+	e.VT(ev.Sent)
+	e.Byte(ev.Kind)
+	e.Bool(ev.Neg)
+	e.Float(ev.Clk)
+	e.Value(ev.Data)
+	if e.err != nil {
+		return fmt.Errorf("event LP%d->LP%d: %v", ev.Src, ev.Dst, e.err)
+	}
+	return nil
+}
+
+// decodeEvent reads one event into ev, overwriting every encoded field.
+func decodeEvent(d *WireDecoder, ev *Event) {
+	hi, lo := d.Uvarint(), d.Uvarint()
+	if hi >= 1<<(64-idLoBits) || lo >= 1<<idLoBits {
+		d.fail(errWireRange)
+	}
+	ev.ID = hi<<idLoBits | lo
+	ev.Src, ev.Dst = d.LP(), d.LP()
+	ev.TS, ev.Sent = d.VT(), d.VT()
+	ev.Kind, ev.Neg = d.Byte(), d.Bool()
+	ev.Clk = d.Float()
+	ev.Data = d.Value()
+}
+
 // EncodeMsg appends m to e. It fails — with a *SimError naming the payload's
 // Go type and the event's LP pair, so the failure reads the same whichever
 // node hits it first — when an event payload has no wire tag, and for a kind
@@ -100,18 +140,8 @@ func EncodeMsg(e *WireEncoder, m *Msg) error {
 			return nil
 		}
 		checkLive(ev, "encode")
-		e.Uvarint(ev.ID >> idLoBits)
-		e.Uvarint(ev.ID & (1<<idLoBits - 1))
-		e.LP(ev.Src)
-		e.LP(ev.Dst)
-		e.VT(ev.TS)
-		e.VT(ev.Sent)
-		e.Byte(ev.Kind)
-		e.Bool(ev.Neg)
-		e.Float(ev.Clk)
-		e.Value(ev.Data)
-		if err := e.err; err != nil {
-			return &SimError{Text: fmt.Sprintf("pdes: event LP%d->LP%d: %v", ev.Src, ev.Dst, err)}
+		if err := encodeEvent(e, ev); err != nil {
+			return &SimError{Text: "pdes: " + err.Error()}
 		}
 	case msgNull:
 		e.LP(m.Src)
@@ -254,16 +284,7 @@ func DecodeMsg(d *WireDecoder) (*Msg, error) {
 		if d.Bool() {
 			ev := globalEventPool.Get().(*Event)
 			ev.freed = false
-			hi, lo := d.Uvarint(), d.Uvarint()
-			if hi >= 1<<(64-idLoBits) || lo >= 1<<idLoBits {
-				d.fail(errWireRange)
-			}
-			ev.ID = hi<<idLoBits | lo
-			ev.Src, ev.Dst = d.LP(), d.LP()
-			ev.TS, ev.Sent = d.VT(), d.VT()
-			ev.Kind, ev.Neg = d.Byte(), d.Bool()
-			ev.Clk = d.Float()
-			ev.Data = d.Value()
+			decodeEvent(d, ev)
 			m.Ev = ev
 		}
 	case msgNull:

@@ -91,7 +91,7 @@ type worker struct {
 	sched    tokenHeap
 	schedSeq uint64
 	gvt      vtime.VT
-	metrics  *stats.Metrics
+	metrics  stats.Snapshot // this worker's counters; RunOn sums them after the join
 	sink     TraceSink
 	user     bool
 	cmp      Comparator
@@ -194,8 +194,7 @@ type localNull struct {
 }
 
 func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
-	owner []int, ownedIDs []LPID, modes []Mode,
-	metrics *stats.Metrics, sink TraceSink) *worker {
+	owner []int, ownedIDs []LPID, modes []Mode, sink TraceSink) *worker {
 
 	w := &worker{
 		ep:       ep,
@@ -205,7 +204,6 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 		owner:    owner,
 		lps:      make([]*lpRT, sys.NumLPs()),
 		watchers: make([][]*lpRT, sys.NumLPs()),
-		metrics:  metrics,
 		sink:     sink,
 		user:     cfg.Ordering == OrderUserConsistent,
 		cmp:      sys.cmp,
@@ -264,7 +262,7 @@ func (w *worker) chargeEvents(delta int64) {
 	if w.supSends || delta == 0 {
 		return
 	}
-	w.metrics.Events.Add(uint64(delta))
+	w.metrics.Events += uint64(delta)
 	w.execTotal += uint64(delta)
 	w.clock += float64(delta) * costs.EventCost
 }
@@ -559,7 +557,7 @@ func (w *worker) step() bool {
 		if lp.mode == Conservative {
 			if !lp.safeToProcess(w.gvt, w.user) {
 				lp.blockedHits++
-				w.metrics.Blocked.Add(1)
+				w.metrics.Blocked++
 				continue // requeued when a guarantee or GVT changes
 			}
 			//govhdlvet:vtcompare ThrottleWindow bounds optimism by physical time alone; no lexicographic (PT, LT) ordering is implied, so comparing PT with a window offset is the intended semantics.
@@ -570,7 +568,7 @@ func (w *worker) step() bool {
 			// beyond GVT are withheld — committed-side work always proceeds, so
 			// a budgeted run cannot livelock; the backlog is requeued when the
 			// next GVT round advances (and cancelback reclaims history).
-			w.metrics.MemThrottled.Add(1)
+			w.metrics.MemThrottled++
 			continue
 		}
 		if w.user {
@@ -653,7 +651,7 @@ func (w *worker) execute(lp *lpRT, ev *Event) {
 	lp.now = ts
 	lp.execs++
 	w.execTotal++
-	w.metrics.Events.Add(1)
+	w.metrics.Events++
 }
 
 // snapshot returns the model state to checkpoint and its MemBudget charge,
@@ -669,11 +667,11 @@ func (w *worker) snapshot(lp *lpRT) (any, int64) {
 		}
 		s := lp.model.SaveState()
 		lp.lastSnap, lp.lastVer = s, v
-		w.metrics.StateSaves.Add(1)
+		w.metrics.StateSaves++
 		w.clock += costs.StateSaveCost
 		return s, lp.snapBytes
 	}
-	w.metrics.StateSaves.Add(1)
+	w.metrics.StateSaves++
 	w.clock += costs.StateSaveCost
 	return lp.model.SaveState(), lp.snapBytes
 }
@@ -744,12 +742,12 @@ func (w *worker) emit(dst LPID, ts vtime.VT, kind uint8, data any) {
 func (w *worker) deliver(e *Event) {
 	o := w.owner[e.Dst]
 	if o == w.ep.Self() {
-		w.metrics.LocalMsgs.Add(1)
+		w.metrics.LocalMsgs++
 		w.clock += costs.LocalMsgCost
 		w.localQ = append(w.localQ, e)
 		return
 	}
-	w.metrics.RemoteMsgs.Add(1)
+	w.metrics.RemoteMsgs++
 	w.clock += costs.RemoteMsgCost
 	e.Clk = w.clock + costs.RemoteLatency
 	m := w.msgPool.get()
@@ -779,7 +777,7 @@ func (w *worker) sendMsg(dst int, m *Msg) {
 // anti is a fresh pooled Event: the positive twin lives at (and is owned by)
 // the receiver.
 func (w *worker) sendAnti(r antiRec) {
-	w.metrics.Antis.Add(1)
+	w.metrics.Antis++
 	w.clock += costs.AntiCost
 	e := w.evPool.get()
 	e.ID = r.id
@@ -856,9 +854,9 @@ func (w *worker) forwardTo(dst LPID) (owner int, ok bool) {
 	if owner == w.ep.Self() || w.migRound == 0 {
 		return owner, false
 	}
-	w.metrics.ForwardedMsgs.Add(1)
+	w.metrics.ForwardedMsgs++
 	if w.roundNo-w.migRound > migForwardWindow {
-		w.metrics.LateForwards.Add(1)
+		w.metrics.LateForwards++
 	}
 	return owner, true
 }
@@ -890,7 +888,7 @@ func (w *worker) routeEvent(e *Event) {
 		for i, a := range lp.orphans {
 			if a.SameButSign(e) {
 				lp.orphans = append(lp.orphans[:i], lp.orphans[i+1:]...)
-				w.metrics.Annihilated.Add(1)
+				w.metrics.Annihilated++
 				w.evPool.put(a)
 				w.evPool.put(e)
 				return
@@ -919,7 +917,7 @@ func (w *worker) routeEvent(e *Event) {
 func (w *worker) annihilate(lp *lpRT, anti *Event) {
 	match := func(e *Event) bool { return e.SameButSign(anti) }
 	if pos := lp.pending.RemoveMatching(match); pos != nil {
-		w.metrics.Annihilated.Add(1)
+		w.metrics.Annihilated++
 		dbgID(w, "annih-pending", anti, "")
 		w.evPool.put(pos)
 		w.evPool.put(anti)
@@ -934,7 +932,7 @@ func (w *worker) annihilate(lp *lpRT, anti *Event) {
 			}
 			w.rollbackTo(lp, k)
 			if pos := lp.pending.RemoveMatching(match); pos != nil {
-				w.metrics.Annihilated.Add(1)
+				w.metrics.Annihilated++
 				w.evPool.put(pos)
 			}
 			w.evPool.put(anti)
@@ -956,8 +954,8 @@ var debugOrphanHook func(w *worker, lp *lpRT, anti *Event)
 func (w *worker) rollbackTo(lp *lpRT, i int) {
 	n := len(lp.processed)
 	count := n - i
-	w.metrics.Rollbacks.Add(1)
-	w.metrics.RolledBack.Add(uint64(count))
+	w.metrics.Rollbacks++
+	w.metrics.RolledBack += uint64(count)
 	lp.rolled += uint64(count)
 	w.clock += costs.RollbackBase + costs.RollbackPer*float64(count)
 
@@ -978,7 +976,7 @@ func (w *worker) rollbackTo(lp *lpRT, i int) {
 			rec := &lp.processed[k]
 			w.ctx.self, w.ctx.now = lp.decl.id, rec.ev.TS
 			lp.model.Execute(w.ctx, rec.ev)
-			w.metrics.CoastForward.Add(1)
+			w.metrics.CoastForward++
 		}
 		w.ctx.self, w.ctx.now = savedSelf, savedNow
 		w.curRec, w.supSends, w.supRecs = savedRec, savedSends, savedRecs
@@ -1016,7 +1014,7 @@ func (w *worker) sendNulls(lp *lpRT) {
 			continue
 		}
 		lp.lastPromise[i] = p
-		w.metrics.Nulls.Add(1)
+		w.metrics.Nulls++
 		w.nullsSent++
 		w.clock += costs.NullCost
 		o := w.owner[dst]
@@ -1210,7 +1208,7 @@ func (w *worker) applyGVTNew(m *Msg) bool {
 	w.requested, w.idleTold = false, false
 	if m.Done {
 		for _, lp := range w.owned {
-			w.metrics.OrphanAntis.Add(uint64(len(lp.orphans)))
+			w.metrics.OrphanAntis += uint64(len(lp.orphans))
 		}
 		w.finalClock = w.clock
 		return true
@@ -1246,7 +1244,7 @@ func (w *worker) switchToCons(lp *lpRT) {
 	lp.mode = Conservative
 	lp.sinceCkpt = 0
 	lp.switchRound = w.roundNo
-	w.metrics.ModeSwitches.Add(1)
+	w.metrics.ModeSwitches++
 }
 
 // switchToOpt starts speculating: history begins empty at the current
@@ -1259,7 +1257,7 @@ func (w *worker) switchToOpt(lp *lpRT) {
 	lp.sinceCkpt = 0
 	lp.floor = lp.now
 	lp.switchRound = w.roundNo
-	w.metrics.ModeSwitches.Add(1)
+	w.metrics.ModeSwitches++
 }
 
 // commitHistory commits every retained record's trace output and clears the
@@ -1273,7 +1271,7 @@ func (w *worker) commitHistory(lp *lpRT) {
 		lp.processed[k] = procRec{}
 	}
 	w.memAdd(-freed)
-	w.metrics.Fossils.Add(uint64(len(lp.processed)))
+	w.metrics.Fossils += uint64(len(lp.processed))
 	lp.processed = lp.processed[:0]
 	lp.floor = lp.now
 	lp.sinceCkpt = 0 // the next record must carry a snapshot
@@ -1322,7 +1320,7 @@ func (w *worker) fossil(lp *lpRT, done bool) {
 	}
 	w.memAdd(-freed)
 	lp.floor = floor
-	w.metrics.Fossils.Add(uint64(j))
+	w.metrics.Fossils += uint64(j)
 	// Compact in place: the history tail keeps its backing array instead of
 	// reallocating at every fossil pass.
 	n := copy(lp.processed, lp.processed[j:])
@@ -1397,7 +1395,7 @@ func (w *worker) cancelback() {
 		if victim == nil {
 			return // nothing speculative left here; other workers may reclaim
 		}
-		w.metrics.Cancelbacks.Add(1)
+		w.metrics.Cancelbacks++
 		w.rollbackTo(victim, vIdx)
 		// A cancelback's anti-messages may roll back local peers in turn,
 		// releasing more memory before the next victim pick.

@@ -99,7 +99,7 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.GVTEvery, "gvt-every", 0, "events per worker between GVT round requests (0 = engine default)")
 	fs.BoolVar(&o.GVTAdapt, "gvt-adapt", false, "retune the GVT cadence each round from observed cut traffic (bounded by 16x the base interval)")
 
-	fs.StringVar(&o.CkptFile, "checkpoint-file", "", "write a GVT-consistent checkpoint (with the trace-so-far) to this file, atomically, at every cut")
+	fs.StringVar(&o.CkptFile, "checkpoint-file", "", "write a GVT-consistent checkpoint to this file, atomically, at every cut")
 	fs.IntVar(&o.CkptRounds, "checkpoint-rounds", 0, "committed GVT rounds between checkpoint cuts (default 1 when -checkpoint-file is set; pass the same value to every distributed process)")
 	fs.StringVar(&o.Restore, "restore", "", "resume from a checkpoint file written by -checkpoint-file (every distributed process needs the file)")
 

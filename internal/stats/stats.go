@@ -16,8 +16,8 @@ package stats
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
-	"sync/atomic"
 )
 
 // CostModel maps protocol actions to modeled time, in arbitrary cost units
@@ -58,71 +58,42 @@ func Default() CostModel {
 	}
 }
 
-// Metrics is a set of atomic protocol counters. One Metrics instance is
-// shared by all workers of a run.
-type Metrics struct {
-	Events        atomic.Uint64 // committed + later-rolled-back executions
-	Committed     atomic.Uint64 // events below final GVT (approximate: events minus rolled back)
-	Rollbacks     atomic.Uint64 // rollback episodes
-	RolledBack    atomic.Uint64 // events undone by rollbacks
-	CoastForward  atomic.Uint64 // events re-executed silently after checkpoint restore
-	Antis         atomic.Uint64 // anti-messages sent
-	Annihilated   atomic.Uint64 // event/anti pairs annihilated
-	Nulls         atomic.Uint64 // null messages sent
-	LocalMsgs     atomic.Uint64 // same-worker events
-	RemoteMsgs    atomic.Uint64 // cross-worker events
-	GVTRounds     atomic.Uint64 // global synchronizations
-	ModeSwitches  atomic.Uint64 // dynamic protocol mode changes
-	StateSaves    atomic.Uint64 // snapshots taken
-	Fossils       atomic.Uint64 // history records reclaimed
-	Blocked       atomic.Uint64 // times a conservative LP had events but none safe
-	OrphanAntis   atomic.Uint64 // anti-messages never matched by a positive (bug indicator)
-	MemThrottled  atomic.Uint64 // scheduling decisions withheld by the memory budget
-	Cancelbacks   atomic.Uint64 // budget-driven rollbacks of furthest-ahead LPs
-	StallRescues  atomic.Uint64 // blocked conservative LPs forced optimistic by stall rescue
-	Migrations    atomic.Uint64 // LPs moved between workers at migration cuts
-	ViewChanges   atomic.Uint64 // cluster view epochs observed (membership churn + migration cuts)
-	ForwardedMsgs atomic.Uint64 // messages re-routed to an LP's new owner during handoff
-	LateForwards  atomic.Uint64 // forwards arriving after the nominal handoff window closed
-}
-
-// Snapshot is a plain-value copy of Metrics for reporting.
+// Snapshot is one owner's protocol counters as plain values. During a run
+// every worker and the controller count into their own Snapshot, with no
+// sharing and no atomics; the runner sums them once the goroutines have
+// joined, and Result.Metrics is that sum.
 type Snapshot struct {
-	Events, Rollbacks, RolledBack, CoastForward uint64
-	Antis, Annihilated, Nulls                   uint64
-	LocalMsgs, RemoteMsgs                       uint64
-	GVTRounds, ModeSwitches                     uint64
-	StateSaves, Fossils, Blocked, OrphanAntis   uint64
-	MemThrottled, Cancelbacks, StallRescues     uint64
-	Migrations, ViewChanges, ForwardedMsgs      uint64
-	LateForwards                                uint64
+	Events        uint64 // committed + later-rolled-back executions
+	Rollbacks     uint64 // rollback episodes
+	RolledBack    uint64 // events undone by rollbacks
+	CoastForward  uint64 // events re-executed silently after checkpoint restore
+	Antis         uint64 // anti-messages sent
+	Annihilated   uint64 // event/anti pairs annihilated
+	Nulls         uint64 // null messages sent
+	LocalMsgs     uint64 // same-worker events
+	RemoteMsgs    uint64 // cross-worker events
+	GVTRounds     uint64 // global synchronizations
+	ModeSwitches  uint64 // dynamic protocol mode changes
+	StateSaves    uint64 // snapshots taken
+	Fossils       uint64 // history records reclaimed
+	Blocked       uint64 // times a conservative LP had events but none safe
+	OrphanAntis   uint64 // anti-messages never matched by a positive (bug indicator)
+	MemThrottled  uint64 // scheduling decisions withheld by the memory budget
+	Cancelbacks   uint64 // budget-driven rollbacks of furthest-ahead LPs
+	StallRescues  uint64 // blocked conservative LPs forced optimistic by stall rescue
+	Migrations    uint64 // LPs moved between workers at migration cuts
+	ViewChanges   uint64 // cluster view epochs observed (membership churn + migration cuts)
+	ForwardedMsgs uint64 // messages re-routed to an LP's new owner during handoff
+	LateForwards  uint64 // forwards arriving after the nominal handoff window closed
 }
 
-// Snapshot copies the counters.
-func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		Events:        m.Events.Load(),
-		Rollbacks:     m.Rollbacks.Load(),
-		RolledBack:    m.RolledBack.Load(),
-		CoastForward:  m.CoastForward.Load(),
-		Antis:         m.Antis.Load(),
-		Annihilated:   m.Annihilated.Load(),
-		Nulls:         m.Nulls.Load(),
-		LocalMsgs:     m.LocalMsgs.Load(),
-		RemoteMsgs:    m.RemoteMsgs.Load(),
-		GVTRounds:     m.GVTRounds.Load(),
-		ModeSwitches:  m.ModeSwitches.Load(),
-		StateSaves:    m.StateSaves.Load(),
-		Fossils:       m.Fossils.Load(),
-		Blocked:       m.Blocked.Load(),
-		OrphanAntis:   m.OrphanAntis.Load(),
-		MemThrottled:  m.MemThrottled.Load(),
-		Cancelbacks:   m.Cancelbacks.Load(),
-		StallRescues:  m.StallRescues.Load(),
-		Migrations:    m.Migrations.Load(),
-		ViewChanges:   m.ViewChanges.Load(),
-		ForwardedMsgs: m.ForwardedMsgs.Load(),
-		LateForwards:  m.LateForwards.Load(),
+// Add sums o into s, counter by counter. Every field is a uint64 counter, so
+// the loop cannot miss one added later; a field of any other type panics
+// here, in every test that runs a simulation.
+func (s *Snapshot) Add(o Snapshot) {
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := 0; i < dst.NumField(); i++ {
+		dst.Field(i).SetUint(dst.Field(i).Uint() + src.Field(i).Uint())
 	}
 }
 

@@ -5,17 +5,16 @@ import (
 	"testing"
 )
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	var m Metrics
-	m.Events.Add(100)
-	m.RolledBack.Add(25)
-	m.Rollbacks.Add(5)
-	m.Antis.Add(7)
-	m.Annihilated.Add(7)
-	m.GVTRounds.Add(3)
-	s := m.Snapshot()
-	if s.Events != 100 || s.RolledBack != 25 || s.GVTRounds != 3 {
-		t.Fatalf("snapshot %+v", s)
+// TestSnapshotAdd sums per-owner counters the way the runner does: every
+// field of every operand lands in the total, including the last one.
+func TestSnapshotAdd(t *testing.T) {
+	var s Snapshot
+	s.Add(Snapshot{Events: 60, RolledBack: 25, Rollbacks: 5, Antis: 7, LateForwards: 1})
+	s.Add(Snapshot{Events: 40, Annihilated: 7, LateForwards: 2})
+	s.Add(Snapshot{GVTRounds: 3})
+	want := Snapshot{Events: 100, RolledBack: 25, Rollbacks: 5, Antis: 7, Annihilated: 7, GVTRounds: 3, LateForwards: 3}
+	if s != want {
+		t.Fatalf("sum %+v, want %+v", s, want)
 	}
 	if got := s.Efficiency(); got != 0.75 {
 		t.Errorf("Efficiency = %v, want 0.75", got)
@@ -69,24 +68,5 @@ func TestFormatCurves(t *testing.T) {
 	}
 	if empty := FormatCurves("T", nil); !strings.Contains(empty, "T") {
 		t.Error("empty series table broken")
-	}
-}
-
-func TestMetricsConcurrentUse(t *testing.T) {
-	var m Metrics
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 1000; j++ {
-				m.Events.Add(1)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if got := m.Snapshot().Events; got != 4000 {
-		t.Errorf("Events = %d", got)
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"govhdl/internal/kernel"
 	"govhdl/internal/pdes"
 )
 
@@ -53,13 +52,11 @@ const protocolVersion = 5
 // helloTimeout bounds how long each side waits for the handshake exchange.
 const helloTimeout = 10 * time.Second
 
-// RegisterGob registers the kernel's payload and trace types with
-// encoding/gob — for checkpoint and migration blobs only: nothing this
-// package puts on a connection is gob, but the Blob of a cut message that
-// crosses it still is (pdes/cut.go), and so are checkpoint files. Listen and
-// Dial call it; so must whoever else encodes or decodes a checkpoint.
-// Idempotent.
-func RegisterGob() { kernel.RegisterGob() }
+// RegisterGob does nothing: no byte this package or the engine writes is
+// encoding/gob, and wire tags register themselves at init. It exists only
+// because bench/ (which a change to the program may not edit) calls it;
+// delete it together with that call.
+func RegisterGob() {}
 
 // hello announces a joining process's hosted endpoints. The hub validates
 // every claim before admitting the connection. Standby marks a member that
@@ -683,7 +680,6 @@ func (n *Node) vetHello(h *hello, claimed map[int]bool) error {
 // publishes the epoch-1 cluster view once formed and keeps accepting standby
 // joins afterwards; see membership.go.
 func Listen(addr string, total int, hosted []int, opts ...Option) (*Node, error) {
-	RegisterGob()
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
@@ -762,7 +758,6 @@ func Listen(addr string, total int, hosted []int, opts ...Option) (*Node, error)
 // exponential backoff while the hub is not yet listening, then performing
 // the validated handshake. A hub rejection returns its diagnosis.
 func Dial(addr string, total int, hosted []int, opts ...Option) (*Node, error) {
-	RegisterGob()
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)

@@ -59,8 +59,3 @@ func TestNodeErrSurfacesRouteFailures(t *testing.T) {
 		t.Fatal("routing to a nonexistent endpoint reported no error")
 	}
 }
-
-func TestRegisterGobIdempotent(t *testing.T) {
-	RegisterGob()
-	RegisterGob() // second call must not panic (gob.Register double-registration does)
-}

@@ -1,7 +1,6 @@
 package vhdl
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"govhdl/internal/kernel"
@@ -15,7 +14,6 @@ import (
 const wireEnumVal = 32
 
 func init() {
-	gob.Register(EnumVal{}) // checkpoint and migration blobs
 	// An enumeration value crosses with its type's name and literals: the
 	// receiver compares by name and position (EqualValue) and prints by
 	// literal, and needs no type table to do either.

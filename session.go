@@ -44,9 +44,9 @@ type SessionOptions struct {
 	// of time zero; the restored run re-emits the committed prefix itself.
 	Restore *pdes.Checkpoint
 	// OnCheckpoint receives every cut the session retains (CheckpointRounds
-	// > 0) with the attempt's committed trace so far — the persistence hook.
-	// An error aborts the run.
-	OnCheckpoint func(ck *pdes.Checkpoint, committed []trace.Entry) error
+	// > 0) — the persistence hook. The cut is self-contained: a restore
+	// re-emits the committed trace prefix by replay. An error aborts the run.
+	OnCheckpoint func(ck *pdes.Checkpoint) error
 	// OnGVT observes every committed GVT value of every attempt, in
 	// nondecreasing order within an attempt (pdes.Config.OnGVT's contract).
 	OnGVT func(gvt vtime.VT)
@@ -300,11 +300,7 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 			if s.opts.OnCheckpoint == nil {
 				return nil
 			}
-			var committed []trace.Entry
-			if rec != nil {
-				committed = rec.Entries()
-			}
-			return s.opts.OnCheckpoint(ck, committed)
+			return s.opts.OnCheckpoint(ck)
 		}
 	}
 
