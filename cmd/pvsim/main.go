@@ -67,6 +67,9 @@ type runOpts struct {
 	// stdout and stderr receive run's report and diagnostics (the process's
 	// own streams, except under test).
 	stdout, stderr io.Writer
+	// afterCheckpoint, when set (tests only), runs after each checkpoint file
+	// has been written; an error aborts the run, right after that cut landed.
+	afterCheckpoint func() error
 }
 
 func (o *runOpts) registerFlags(fs *flag.FlagSet) {
@@ -215,9 +218,13 @@ func run(o runOpts) error {
 		// The image carries no trace: a restore re-emits the committed prefix
 		// by replaying the cut's commit logs.
 		so.OnCheckpoint = func(ck *pdes.Checkpoint) error {
-			return ckptio.Write(o.CkptFile, o.ckptKeep, &ckptio.File{
+			err := ckptio.Write(o.CkptFile, o.ckptKeep, &ckptio.File{
 				Ckpt: ck, Shards: so.Shards, Partition: so.Partition,
 			})
+			if err != nil || o.afterCheckpoint == nil {
+				return err
+			}
+			return o.afterCheckpoint()
 		}
 	}
 	if o.Restore != "" {
@@ -353,6 +360,14 @@ func run(o runOpts) error {
 	fmt.Fprintf(o.stdout, "simulated to %v in %v (GVT %v)\n", so.Until, res.Run.Wall.Round(1e6), res.Run.GVT)
 	if o.showStats {
 		fmt.Fprintf(o.stdout, "metrics: %v\n", res.Run.Metrics)
+		if so.Shards > 0 {
+			// The phase executor's skew: how the member events split across
+			// workers, and how long each waited for its peers' step messages.
+			for i, w := range res.Run.Workers {
+				fmt.Fprintf(o.stdout, "worker %d: %d member events, exchange wait %v\n",
+					i+1, w.Events, time.Duration(w.ExchangeWaitNs).Round(time.Microsecond))
+			}
+		}
 		if o.MemBudget > 0 {
 			fmt.Fprintf(o.stdout, "memory: peak tracked optimistic bytes %d (budget %d)\n", res.Run.MemPeak, o.MemBudget)
 		}

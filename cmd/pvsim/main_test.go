@@ -73,7 +73,7 @@ func TestCheckpointLineageThroughCLI(t *testing.T) {
 	path := filepath.Join(dir, "run.ck")
 	tmp := path + ".tmp"
 
-	ckA := &pdes.Checkpoint{Format: 2, GVT: vtime.VT{PT: 100}, Workers: 2, NumLPs: 4}
+	ckA := &pdes.Checkpoint{Format: 3, GVT: vtime.VT{PT: 100}, Workers: 2, NumLPs: 4}
 	if err := ckptio.Write(path, 3, &ckptio.File{Ckpt: ckA}); err != nil {
 		t.Fatalf("write A: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestCheckpointLineageThroughCLI(t *testing.T) {
 
 	// The next write rotates A into generation 1, supersedes the torn temp,
 	// and round-trips the sharding metadata -restore depends on.
-	ckB := &pdes.Checkpoint{Format: 2, GVT: vtime.VT{PT: 200}, Workers: 2, NumLPs: 4}
+	ckB := &pdes.Checkpoint{Format: 3, GVT: vtime.VT{PT: 200}, Workers: 2, NumLPs: 4}
 	if err := ckptio.Write(path, 3, &ckptio.File{Ckpt: ckB, Shards: 4, Partition: "topo"}); err != nil {
 		t.Fatalf("write B over torn tmp: %v", err)
 	}

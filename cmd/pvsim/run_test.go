@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"net"
 	"path/filepath"
@@ -36,8 +37,14 @@ func (s *syncBuf) String() string {
 // pvsim's own flag set. -verify and -stats are off and -trace on, as in the
 // CI smoke scenarios these tests replace.
 func pvsim(args ...string) (stdout, stderr string, err error) {
+	return pvsimWith(nil, args...)
+}
+
+// pvsimWith is pvsim with a hook that checkpoint-writing runs call after
+// each cut has landed on disk (runOpts.afterCheckpoint).
+func pvsimWith(afterCheckpoint func() error, args ...string) (stdout, stderr string, err error) {
 	var out, errOut syncBuf
-	o := runOpts{stdout: &out, stderr: &errOut}
+	o := runOpts{stdout: &out, stderr: &errOut, afterCheckpoint: afterCheckpoint}
 	fs := flag.NewFlagSet("pvsim", flag.ContinueOnError)
 	o.registerFlags(fs)
 	if err := fs.Parse(append([]string{"-verify=false", "-stats=false", "-trace"}, args...)); err != nil {
@@ -118,14 +125,23 @@ func TestRunWithoutFailoverNeverRetries(t *testing.T) {
 
 // A sharded checkpointing run is killed; -restore resumes from the file and
 // reproduces the uninterrupted trace, deriving the sharding from the file
-// (CI chaos scenario 3, sharded, in-process).
+// (CI chaos scenario 3, sharded, in-process). The kill waits for the second
+// cut to land instead of counting sends: the phase executor sends about two
+// messages per step, so a send count says little about where the run is.
 func TestRunRestoreShardedFromCheckpointFile(t *testing.T) {
 	want := golden(t)
 	ck := filepath.Join(t.TempDir(), "fsm.ck")
 	common := []string{"-circuit", "fsm", "-until", "500ns", "-protocol", "opt", "-workers", "2",
 		"-throttle", "100ns", "-gvt-every", "64"}
-	if _, _, err := pvsim(append(common, "-shards", "4", "-checkpoint-file", ck, "-fault-die-sends", "1200")...); err == nil {
-		t.Fatal("the doomed run did not die")
+	cuts := 0
+	die := func() error {
+		if cuts++; cuts < 2 {
+			return nil
+		}
+		return errors.New("injected death after the second cut")
+	}
+	if _, _, err := pvsimWith(die, append(common, "-shards", "4", "-checkpoint-file", ck)...); err == nil || cuts != 2 {
+		t.Fatalf("the doomed run did not die at its second cut (%d cuts): %v", cuts, err)
 	}
 	out, errOut, err := pvsim(append(common, "-restore", ck)...)
 	if err != nil {

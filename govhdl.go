@@ -113,8 +113,12 @@ type Options struct {
 	// it takes precedence over Rebalance's built-in policy.
 	Migrate pdes.MigrationPlanner
 	// Shards, when positive, clusters the LPs into this many shards that
-	// execute sequentially inside the shard, with the protocol running only
-	// between shards. Traces stay member-level. Ignored for Sequential.
+	// execute sequentially inside the shard. Workers step one timestamp at a
+	// time and exchange cross-shard events once per step (the phase executor,
+	// DESIGN.md "LP sharding & synchronization cadence"), whatever the
+	// parallel Protocol; Lookahead, GVTAdapt, ThrottleWindow, MemBudget and
+	// CheckpointEvery do nothing on a sharded run. Traces stay member-level.
+	// Ignored for Sequential.
 	Shards int
 	// Partition names the partitioner — "rr", "block" or "topo" — for both
 	// LP-to-worker placement and shard membership. Empty keeps the defaults:

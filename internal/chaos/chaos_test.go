@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -188,5 +189,48 @@ func TestContainment(t *testing.T) {
 	}
 	if d := lr.containedInOracle([]string{"z"}); d == "" {
 		t.Fatalf("foreign record accepted")
+	}
+}
+
+// Sharded fault legs run on the phase executor, whose traffic is about one
+// message per peer per step, not one per event: their triggers must still
+// land mid-run. For every kill leg kind and both sharded shapes (shards ==
+// workers and shards > workers), the leg must log exactly one failover and
+// end on the oracle's trace; a sharded mute leg must still trip the watchdog.
+func TestShardedFaultLegsEngage(t *testing.T) {
+	for _, kind := range []LegKind{LegKill, LegKillDelay, LegMute} {
+		for _, extra := range []int{0, 1} {
+			// The first seed whose leg 1 is this kind with this sharding.
+			var opts Options
+			for seed := uint64(1); ; seed++ {
+				opts = small(seed)
+				opts.Kills, opts.Delays = kind != LegMute, kind == LegKillDelay
+				opts.Partitions = kind == LegMute
+				opts.StallTimeout = time.Second
+				opts.Legs = 2
+				if leg := NewSchedule(opts).Legs[1]; leg.Kind == kind && leg.Shards == opts.Workers+extra {
+					break
+				}
+				if seed > 500 {
+					t.Fatalf("no seed schedules a %v leg with %d shards", kind, opts.Workers+extra)
+				}
+			}
+			t.Run(fmt.Sprintf("%v/s%d", kind, opts.Workers+extra), func(t *testing.T) {
+				v, leg := soak(t, opts)
+				if !v.Ok {
+					t.Fatalf("seed %d: verdict not ok: %+v", opts.Seed, v.Legs)
+				}
+				if kind == LegMute {
+					if !leg.Stalled {
+						t.Fatalf("seed %d: sharded mute leg did not stall: %+v", opts.Seed, leg)
+					}
+					return
+				}
+				if leg.Failovers != 1 || leg.Records != v.OracleRecords {
+					t.Fatalf("seed %d: %d failovers and %d of %d records, want 1 failover and the oracle's trace",
+						opts.Seed, leg.Failovers, leg.Records, v.OracleRecords)
+				}
+			})
+		}
 	}
 }

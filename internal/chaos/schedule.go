@@ -256,7 +256,16 @@ func NewSchedule(opts Options) *Schedule {
 		switch kind {
 		case LegKill, LegKillDelay:
 			leg.Plan.Seed = int64(r.next() >> 1)
-			leg.Plan.DieAfterSends = r.rangeInt(300, 1200)
+			if leg.Shards > 0 {
+				// The phase executor sends about one message per peer per
+				// step and a few per cut: the busiest endpoint of the
+				// smallest sharded leg sends ~240 in all, and the first cut
+				// lands within its first ~10. This range dies past the first
+				// cut and well before the horizon.
+				leg.Plan.DieAfterSends = r.rangeInt(20, 120)
+			} else {
+				leg.Plan.DieAfterSends = r.rangeInt(300, 1200)
+			}
 			leg.ExpectKills = 1
 		case LegStorm, LegStormDelay:
 			leg.StormSeed = r.next()

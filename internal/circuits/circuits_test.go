@@ -195,14 +195,14 @@ func TestXorshiftDeterministic(t *testing.T) {
 	}
 }
 
-// TestColocatedShardNullsTerminate: conservative shards that share a worker
-// and sit on a zero-physical-lookahead cycle raise each other's promise by a
-// few logical phases per null, without end while nothing is pending. Local
-// promises used to propagate by recursion (sendNulls -> routeNull ->
-// sendNulls) and 4 shards on 1 worker died of stack overflow; they are a
-// work queue the worker loop drains between GVT rounds now. The other two
-// placements passed before and must still.
-func TestColocatedShardNullsTerminate(t *testing.T) {
+// TestColocatedShardsShareSteps: with more shards than workers, one worker
+// drains several shards per step, and a cross-shard event between two of
+// them goes through the worker's own outbox, absorbed at the exchange like a
+// peer's batch. On bench-scale IIR (whose zero-lookahead cycles once made
+// co-located shards raise each other's null-message promise without end)
+// every placement commits the sequential trace with no null message, no
+// blocked scheduling decision and some co-located cross-shard traffic.
+func TestColocatedShardsShareSteps(t *testing.T) {
 	ref := BuildIIR(IIROpts{Cycles: 6})
 	sysRef := ref.Design.Build()
 	want := trace.NewRecorder()
@@ -218,13 +218,17 @@ func TestColocatedShardNullsTerminate(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := trace.NewRecorder()
-			if _, err := pdes.Run(ss.Sys(), pdes.Config{
+			res, err := pdes.Run(ss.Sys(), pdes.Config{
 				Workers: p.workers, Protocol: pdes.ProtoDynamic, Lookahead: true,
-			}, c.DefaultHorizon, ss.WrapSink(got)); err != nil {
+			}, c.DefaultHorizon, ss.WrapSink(got))
+			if err != nil {
 				t.Fatal(err)
 			}
 			if ok, diff := trace.Equal(sys, want, got); !ok {
 				t.Fatalf("trace mismatch: %s", diff)
+			}
+			if m := res.Metrics; m.Nulls != 0 || m.Blocked != 0 || m.LocalMsgs == 0 {
+				t.Fatalf("%d nulls, %d blocks, %d co-located cross-shard events; want 0, 0 and some", m.Nulls, m.Blocked, m.LocalMsgs)
 			}
 		})
 	}

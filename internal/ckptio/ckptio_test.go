@@ -21,7 +21,7 @@ import (
 func sampleFile(round uint64) *File {
 	return &File{
 		Ckpt: &pdes.Checkpoint{
-			Format:  2,
+			Format:  3,
 			GVT:     vtime.VT{PT: vtime.Time(round) * 10, LT: 0},
 			Round:   round,
 			Workers: 2,

@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -71,6 +72,29 @@ func TestCancelParallel(t *testing.T) {
 				// interrupts a run that is actively making progress.
 				OnGVT: func(gvt vtime.VT) { once.Do(func() { close(cancel) }) },
 			}, 1<<40, nil)
+			if !IsCanceled(err) {
+				t.Fatalf("want Canceled SimError, got %v", err)
+			}
+		})
+	}
+}
+
+// TestCancelSharded: the phase executor observes a cancel between steps on
+// one worker (no peer message ever arrives) and on two (blocked or polling in
+// the exchange).
+func TestCancelSharded(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			ss, err := ShardSystem(buildEndlessPair(), 2, PartitionRoundRobin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancel := make(chan struct{})
+			var once sync.Once
+			_, err = Run(ss.Sys(), Config{
+				Workers: workers, Protocol: ProtoConservative, Cancel: cancel, GVTEvery: 16,
+				OnGVT: func(vtime.VT) { once.Do(func() { close(cancel) }) },
+			}, 1<<60, nil) // days of wall time: only the cancel ends it
 			if !IsCanceled(err) {
 				t.Fatalf("want Canceled SimError, got %v", err)
 			}
@@ -187,12 +211,19 @@ func TestModelErrorSequential(t *testing.T) {
 func TestModelErrorParallel(t *testing.T) {
 	for _, proto := range []Protocol{ProtoConservative, ProtoOptimistic} {
 		t.Run(proto.String(), func(t *testing.T) {
-			_, err := Run(buildTrippingPair(10), Config{
-				Protocol: proto,
-				Workers:  2,
-			}, 1<<40, nil)
-			if !IsModelError(err) {
-				t.Fatalf("want Model SimError, got %v", err)
+			// Unsharded, then the phase executor over two shards.
+			ss, err := ShardSystem(buildTrippingPair(10), 2, PartitionRoundRobin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sys := range []*System{buildTrippingPair(10), ss.Sys()} {
+				_, err := Run(sys, Config{
+					Protocol: proto,
+					Workers:  2,
+				}, 1<<40, nil)
+				if !IsModelError(err) {
+					t.Fatalf("want Model SimError, got %v", err)
+				}
 			}
 		})
 	}

@@ -13,8 +13,9 @@ import (
 
 // checkpointFormat versions the blob layout (cut.go encodeBlob); every blob
 // starts with it. Any other format is refused, never read: a checkpoint does
-// not outlive the deployment that wrote it.
-const checkpointFormat = 2
+// not outlive the deployment that wrote it. Format 3 captures a shard as its
+// arrival-and-drain log and member pending set (phase.go).
+const checkpointFormat = 3
 
 // Checkpoint is a consistent global snapshot of a parallel run, assembled by
 // the controller at a committed GVT. Package ckptio is its file format.
@@ -89,7 +90,9 @@ type ckptLP struct {
 	Floor vtime.VT
 	// Log is the LP's committed executions since t=0 in execution order;
 	// restore replays it (sends suppressed, trace records re-committed) to
-	// rebuild the model state and the committed trace.
+	// rebuild the model state and the committed trace. A shard's log is what
+	// reached it instead: cross-shard member events and drain marks (Dst
+	// NoLP at the drained timestamp), in order (shardModel.replay).
 	Log []Event
 	// Pending are the unprocessed events at the cut (all at or above GVT).
 	Pending []Event
@@ -100,7 +103,8 @@ type ckptLP struct {
 	// CC holds the per-in-edge channel clocks, parallel to the LP's declared
 	// input order. Null-message promises are deliberately NOT serialized:
 	// senders re-advertise after restore (lastPromise restarts at zero), so
-	// a promise in flight at the cut cannot be lost, only repeated.
+	// a promise in flight at the cut cannot be lost, only repeated. A shard
+	// has none.
 	CC []vtime.VT
 }
 

@@ -74,6 +74,10 @@ func newController(ep Endpoint, cfg *Config, horizon vtime.VT, modes []Mode) *co
 }
 
 func (c *controller) run() {
+	if c.sys.sharded != nil {
+		c.runPhase()
+		return
+	}
 	// Wait until every worker has finished initialization.
 	if !c.collect(msgIdle) {
 		return
@@ -362,8 +366,8 @@ func (c *controller) drain() {
 }
 
 // retuneCadence adapts the GVT interval to the observed cut traffic: when
-// few of the round's processed events crossed workers (a well-partitioned or
-// sharded run — synchronization is pure overhead), the interval doubles;
+// few of the round's processed events crossed workers (a well-partitioned
+// run — synchronization is pure overhead), the interval doubles;
 // when the cut is dense (remote messages drive progress and bound optimism),
 // it halves. Bounded by [GVTEvery, gvtAdaptSpan*GVTEvery]. Only the event-count
 // trigger is affected; idle-triggered rounds keep progress and termination

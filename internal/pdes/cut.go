@@ -265,7 +265,8 @@ func (w *worker) capture() []byte {
 // checkBlob validates the LPs a decoded blob names before any table is
 // indexed with them — blobs come from checkpoint files and from the wire:
 // every id must be in range, pass claim (the caller's "may be installed here,
-// once" rule) and carry one channel clock per declared in-edge.
+// once" rule) and carry one channel clock per declared in-edge, or, for a
+// shard, only events addressed to its members.
 func (s *System) checkBlob(cw *ckptWorker, claim func(LPID) bool) error {
 	for i := range cw.LPs {
 		cl := &cw.LPs[i]
@@ -274,6 +275,10 @@ func (s *System) checkBlob(cw *ckptWorker, claim func(LPID) bool) error {
 			return fmt.Errorf("LP %d is outside the system's %d LPs", cl.ID, s.NumLPs())
 		case !claim(cl.ID):
 			return fmt.Errorf("LP %s is not owned by the installing worker, or is installed twice", s.Name(cl.ID))
+		case s.sharded != nil:
+			if err := s.sharded.checkCaptured(cl); err != nil {
+				return err
+			}
 		case len(cl.CC) != len(s.lps[cl.ID].in):
 			return fmt.Errorf("LP %s has %d channel clocks for %d in-edges", s.Name(cl.ID), len(cl.CC), len(s.lps[cl.ID].in))
 		}

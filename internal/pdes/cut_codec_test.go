@@ -74,13 +74,10 @@ func payloadTypes(v reflect.Value, into map[string]bool) {
 	}
 }
 
-// updateOf returns an event payload as a *kernel.updateMsg value, looking
-// through a cross-shard wrapper; the zero Value for any other payload.
+// updateOf returns an event payload as a *kernel.updateMsg value; the zero
+// Value for any other payload.
 func updateOf(data any) reflect.Value {
 	v := reflect.ValueOf(data)
-	for v.IsValid() && v.Type().String() == "*pdes.shardXEvent" {
-		v = v.Elem().FieldByName("Data").Elem()
-	}
 	if v.IsValid() && v.Type().String() == "*kernel.updateMsg" {
 		return v
 	}
@@ -125,7 +122,7 @@ func TestCutBlobRoundTrip(t *testing.T) {
 			[]string{"stdlogic.Std", "stdlogic.Vec", "int64", "vhdl.EnumVal"}, true},
 		{"iir-sharded", func() *pdes.System { return iir().Design.Build() }, iir().DefaultHorizon, 2,
 			pdes.Config{Workers: 2, Protocol: pdes.ProtoDynamic, Lookahead: true, GVTEvery: 64},
-			[]string{"*pdes.shardXEvent", "*kernel.updateMsg", "stdlogic.Std"}, false},
+			[]string{"*kernel.updateMsg", "*kernel.runMsg", "stdlogic.Std"}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := trace.NewRecorder()

@@ -155,7 +155,7 @@ func TestBlobCodecRoundTrip(t *testing.T) {
 	anti.Neg = true
 	want := &ckptWorker{Worker: 2, Seq: 1 << 40, Clock: 1234.5, LPs: []ckptLP{
 		{ID: 1, Now: vtime.VT{PT: 70, LT: 2}, Floor: vtime.VT{PT: 7}, CC: []vtime.VT{{PT: 77}, vtime.Inf},
-			Log:     []Event{ev(1, uint64(5)), ev(2, &shardXEvent{Dst: 6, Kind: 1, Data: int64(-4)})},
+			Log:     []Event{ev(1, uint64(5)), ev(2, &wireTestNest{Data: int64(-4)})},
 			Pending: []Event{ev(3, true), ev(4, vtime.Time(9))},
 			Orphans: []Event{anti}},
 		{ID: 0, CC: []vtime.VT{}, Log: []Event{}},

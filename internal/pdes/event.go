@@ -80,6 +80,8 @@ const (
 	msgCutInstall // controller -> worker: flip ownership, install incoming LPs (migration cuts only)
 	msgCutDone    // worker -> controller: installed, still paused
 	msgCutResume  // controller -> worker: the cut is complete, resume
+	// The phase executor's step barrier (phase.go): one per peer per step.
+	msgPhase // worker -> worker: cross-shard member events, next local minimum, clock
 )
 
 // Msg is the unit carried by a Transport. Exactly one of the payload groups
@@ -91,6 +93,11 @@ type Msg struct {
 	// msgEvent
 	Ev *Event
 
+	// msgPhase: the step's cross-shard member events for the receiver's
+	// shards, by value; the receiver copies them out before its next step
+	// and never keeps the slice.
+	Batch []Event
+
 	// msgNull: promise that LP Src will send nothing to Dst before TS.
 	Src LPID
 	Dst LPID
@@ -101,14 +108,14 @@ type Msg struct {
 	Sent      []uint64   // msgGVTAck: events+nulls sent per worker
 	Recvd     uint64     // msgGVTAck: total events+nulls received
 	Expect    uint64     // msgGVTDrain: drain until Recvd == Expect
-	Min       vtime.VT   // msgGVTMin: local minimum unprocessed timestamp
-	Clock     float64    // msgGVTAck/msgGVTNew: modeled clock / barrier clock
+	Min       vtime.VT   // msgGVTMin: local minimum unprocessed timestamp; msgPhase: next local minimum
+	Clock     float64    // msgGVTAck/msgGVTNew/msgPhase: modeled clock / barrier clock
 	GVT       vtime.VT   // msgGVTNew
 	ConsLPs   []LPID     // msgGVTNew: LPs that switched to conservative
 	OptLPs    []LPID     // msgGVTNew: LPs that switched to optimistic
 	Idle      bool       // msgIdle: worker has nothing processable
 	Request   bool       // msgIdle: worker asks for a GVT round (GVTEvery reached)
-	Processed uint64     // msgIdle/msgGVTAck: events processed so far
+	Processed uint64     // msgIdle/msgGVTAck/msgPhase: events processed so far
 	Nulls     uint64     // msgGVTAck: null messages sent so far
 	NextGVT   int        // msgGVTNew: adaptive GVT interval (0 = unchanged)
 	Done      bool       // msgGVTNew: termination flag
@@ -122,7 +129,7 @@ type Msg struct {
 	Blocked []BlockedLP // msgGVTAck
 	// Loads reports per-LP executed-event counts for the controller's
 	// migration planner. Collected only when Config.Migrate is set.
-	Loads []LPLoad // msgGVTAck
+	Loads []LPLoad // msgGVTAck, msgGVTMin (phase executor syncs)
 	// Moves announces a migration cut following this GVT round.
 	Moves []Move // msgGVTNew
 	// AllModes is the full per-LP mode table, carried on msgCutInstall so a

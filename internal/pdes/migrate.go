@@ -20,7 +20,7 @@ import (
 // unmigrated run's: migration moves only committed state, never reorders or
 // re-emits records.
 
-// Move relocates one LP (or shard super-LP) to a new owning worker endpoint.
+// Move relocates one LP (or shard) to a new owning worker endpoint.
 type Move struct {
 	LP LPID
 	To int // destination worker endpoint (1..Workers)

@@ -29,6 +29,12 @@
 // GVT is computed by a stop-the-world round (pause, flush, drain, minimum)
 // coordinated by worker 0, matching the paper's use of global synchronization
 // for fossil collection, deadlock breaking and mode adaptation.
+//
+// A run of a ShardedSystem's Sys() executes on the phase executor instead
+// (phase.go): workers drain their shards one timestamp at a time and agree
+// the next one in a single batched exchange per step, so none of the per-LP
+// machinery above — channel clocks, null messages, blocking, rollback — is
+// involved.
 package pdes
 
 import (
@@ -190,29 +196,34 @@ type Config struct {
 	// up to t promises t+Lookahead(lp) on its output edges. With Lookahead
 	// false the protocol is lookahead-free and progress beyond channel
 	// clocks relies on GVT. Per-LP lookahead values come from the System.
+	// Sharded runs have no channel clocks and ignore it.
 	Lookahead bool
 
 	// CheckpointEvery is the state-saving interval of optimistic LPs:
 	// 1 saves before every event (default), k>1 saves every k-th event and
-	// coast-forwards through the gap on rollback.
+	// coast-forwards through the gap on rollback. Sharded runs never roll
+	// back and ignore it.
 	CheckpointEvery int
 
 	// GVTEvery triggers a GVT round after this many events have been
 	// processed system-wide since the last round (default 4096). Rounds
-	// are also triggered whenever all workers go idle.
+	// are also triggered whenever all workers go idle. On a sharded run a
+	// round is a sync: the first step boundary after GVTEvery more events.
 	GVTEvery int
 
 	// GVTAdapt lets the controller retune the GVT cadence each round from
 	// the observed cut traffic: when few remote messages crossed workers
-	// relative to events processed (a well-partitioned or sharded run), the
+	// relative to events processed (a well-partitioned run), the
 	// interval doubles; when the cut is dense it halves. The interval stays
 	// within [GVTEvery, 16*GVTEvery]. Synchronization frequency then scales
 	// with cut traffic, not event count; idle-triggered rounds are
 	// unaffected, so progress and termination do not depend on the cadence.
+	// Sharded runs ignore it: their syncs cost no worker a wait.
 	GVTAdapt bool
 
 	// ThrottleWindow, when positive, prevents optimistic LPs from running
-	// more than this much physical time ahead of GVT (memory bound).
+	// more than this much physical time ahead of GVT (memory bound). Sharded
+	// runs never run ahead of GVT and ignore it.
 	ThrottleWindow vtime.Time
 
 	// StallTimeout, when positive, arms the GVT stall watchdog: if the
@@ -238,6 +249,7 @@ type Config struct {
 	// rounds roll back the furthest-ahead optimistic LPs until the tracked
 	// total fits again (cancelback). Events at or below GVT always execute,
 	// so a budgeted run still terminates; the committed trace is unchanged.
+	// Sharded runs keep no optimistic memory and ignore it.
 	MemBudget int64
 
 	// Cancel, when non-nil, is an external abort hook: closing the channel

@@ -14,7 +14,7 @@ const pendingRecent = 4
 // pendingFreeSlots bounds the item capacity a pendingSet's recycled buckets
 // may pin between uses. On the gate-level IIR all but 2 of 3,257 buckets hold
 // under 2,048 events and this bound drops 6 arrays per run; it pins 32 KiB of
-// event pointers, 160 KiB of a shard's member events.
+// event pointers.
 const pendingFreeSlots = 1 << 12
 
 // bucket holds pending events of one timestamp in push order; items[:head]

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"govhdl/internal/stats"
 	"govhdl/internal/vtime"
 )
 
@@ -155,7 +156,7 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 			rs.pristine[id] = sys.lps[id].model.SaveState()
 		}
 	}
-	var workers []*worker
+	var workers []engineWorker
 	var ctrl *controller
 	for _, ep := range eps {
 		if ep.Self() == 0 {
@@ -175,12 +176,18 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 			// process's workers.
 			wOwner = append([]int(nil), owner...)
 		}
+		var rw *ckptWorker
+		if restored != nil {
+			rw = restored[ep.Self()]
+		}
+		if sys.sharded != nil {
+			workers = append(workers, newPhaseWorker(ep, sys, &cfg, horizon, wOwner, owned[wi], sink, rs, rw))
+			continue
+		}
 		w := newWorker(ep, sys, &cfg, horizon, wOwner, owned[wi], modes, sink)
 		w.rs = rs
 		w.memTrack = cfg.MemBudget > 0
-		if restored != nil {
-			w.restored = restored[ep.Self()]
-		}
+		w.restored = rw
 		workers = append(workers, w)
 	}
 
@@ -197,7 +204,7 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 	var wg sync.WaitGroup
 	for _, w := range workers {
 		wg.Add(1)
-		go func(w *worker) {
+		go func(w engineWorker) {
 			defer wg.Done()
 			w.run()
 		}(w)
@@ -230,24 +237,44 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 		res.Metrics.Add(ctrl.metrics)
 	}
 	for _, w := range workers {
-		res.Metrics.Add(w.metrics)
-	}
-	for _, w := range workers {
+		r := w.result()
+		res.Metrics.Add(r.metrics)
+		res.Workers = append(res.Workers, r.metrics)
 		if res.GVT == (vtime.VT{}) {
-			res.GVT = w.gvt
+			res.GVT = r.gvt
 		}
-		res.WorkerClocks = append(res.WorkerClocks, w.finalClock)
-		if w.finalClock > res.Makespan {
-			res.Makespan = w.finalClock
+		res.WorkerClocks = append(res.WorkerClocks, r.finalClock)
+		if r.finalClock > res.Makespan {
+			res.Makespan = r.finalClock
 		}
-		if w.stopped {
+		if r.stopped {
 			// Surface the abort's diagnosis on worker-only processes, where
 			// no controller error is available locally.
-			if w.err != nil {
-				return res, w.err
+			if r.err != nil {
+				return res, r.err
 			}
 			return res, fmt.Errorf("pdes: simulation aborted")
 		}
 	}
 	return res, nil
+}
+
+// engineWorker is a worker of either engine — the per-LP scheduler
+// (worker.go) or the phase executor of sharded runs (phase.go) — as RunOn
+// and the watchdog drive it.
+type engineWorker interface {
+	run()
+	result() workerResult
+	copyDiag() WorkerDiag
+	diagEpochSeen() uint32
+	queueLen() int
+}
+
+// workerResult is what a worker leaves behind once its goroutine has joined.
+type workerResult struct {
+	metrics    stats.Snapshot
+	gvt        vtime.VT
+	finalClock float64
+	stopped    bool
+	err        *SimError // why the worker stopped (abort or transport death)
 }

@@ -21,6 +21,10 @@ type Result struct {
 	Makespan float64
 	// WorkerClocks are the per-worker modeled clocks at termination.
 	WorkerClocks []float64
+	// Workers are the counters of each worker this process hosted, in
+	// endpoint order; Metrics is their sum plus the controller's. On a sharded
+	// run they show the skew: member events executed and exchange wait.
+	Workers []stats.Snapshot
 	// Wall is the host wall-clock duration of the run.
 	Wall time.Duration
 	// MemPeak is the high-water mark of tracked optimistic memory in bytes
@@ -57,6 +61,11 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 			res, err = nil, &SimError{Text: "pdes: model error: " + me.Error(), Model: true}
 		}
 	}()
+	if sys.sharded != nil {
+		// Sequential execution needs no shards: run the members themselves.
+		// Records carry member ids either way.
+		sys = sys.sharded.orig
+	}
 	sys.frozen = true
 	start := time.Now()
 	horizon := vtime.VT{PT: until}

@@ -1,6 +1,7 @@
 package pdes
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -162,6 +163,51 @@ func TestShardedCheckpointRestore(t *testing.T) {
 	_ = models
 }
 
+// TestShardedRestoreRejectsCraftedCheckpoint: a captured shard names member
+// LPs in its log and pending set, and those ids come from a file too. An
+// event for an LP outside the shard, or a channel clock a shard never has,
+// fails the restore with a SimError before anything is replayed.
+func TestShardedRestoreRejectsCraftedCheckpoint(t *testing.T) {
+	const n, seeds, x0, shards = 12, 3, 40, 4
+	var ck *Checkpoint
+	cfg := Config{Workers: 2, Protocol: ProtoConservative, GVTEvery: 32, CheckpointRounds: 2,
+		CheckpointSink: func(c *Checkpoint) error { ck = c; return nil }}
+	runShardedRing(t, n, seeds, x0, shards, PartitionTopo, cfg)
+	if ck == nil {
+		t.Fatal("the run took no cut")
+	}
+	fresh := func() *ShardedSystem {
+		sys, _ := buildRelayRing(n, seeds, x0)
+		ss, err := ShardSystem(sys, shards, PartitionTopo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+	members := fresh() // membership is a function of the ring and partitioner
+	for _, tc := range []struct {
+		name string
+		edit func(cl *ckptLP)
+	}{
+		{"pending event for another shard", func(cl *ckptLP) {
+			cl.Pending = append(cl.Pending, Event{Dst: members.Members((cl.ID + 1) % shards)[0]})
+		}},
+		{"log arrival past the system", func(cl *ckptLP) { cl.Log = append(cl.Log, Event{Dst: 1 << 20}) }},
+		{"channel clocks", func(cl *ckptLP) { cl.CC = []vtime.VT{{}} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := cfg
+			rc.Restore = recraft(t, ck, func(cw *ckptWorker) { tc.edit(&cw.LPs[0]) })
+			rc.CheckpointRounds, rc.CheckpointSink = 0, nil
+			_, err := Run(fresh().Sys(), rc, relayHorizon, nil)
+			var se *SimError
+			if !errors.As(err, &se) || !strings.Contains(se.Text, "corrupt checkpoint") {
+				t.Fatalf("crafted sharded restore returned %v, want a corrupt-checkpoint SimError", err)
+			}
+		})
+	}
+}
+
 func TestShardSystemValidation(t *testing.T) {
 	sys, _ := buildRelayRing(6, 2, 10)
 	if _, err := ShardSystem(sys, 0, PartitionTopo); err == nil {
@@ -229,41 +275,6 @@ func TestTopoPartition(t *testing.T) {
 	}
 }
 
-// TestShardLookahead checks the entry-to-exit path bound on a hand-built
-// chain: in(other shard) -> a(la 2ns) -> b(la 3ns) -> out(other shard).
-func TestShardLookahead(t *testing.T) {
-	sys := NewSystem()
-	mk := func(name string, la vtime.Time, lt uint64) LPID {
-		return sys.AddLP(name, &relay{}, WithLookahead(la), WithLTLookahead(lt))
-	}
-	in := mk("in", 0, 0)
-	a := mk("a", 2*vtime.NS, 1)
-	b := mk("b", 3*vtime.NS, 2)
-	out := mk("out", 0, 0)
-	sys.Connect(in, a)
-	sys.Connect(a, b)
-	sys.Connect(b, out)
-
-	shardOf := []LPID{0, 1, 1, 2}
-	pt, lt, bounded := shardLookahead(sys, shardOf, 1, []LPID{a, b})
-	if !bounded {
-		t.Fatal("chain shard reported unbounded")
-	}
-	if pt != 5*vtime.NS {
-		t.Errorf("PT lookahead = %v, want 5ns", pt)
-	}
-	if lt != 3 {
-		t.Errorf("LT lookahead = %d, want 3", lt)
-	}
-
-	// A shard whose members never feed another shard has no exit: bounded
-	// must be false so the promise relies on pending events alone.
-	if _, _, bounded := shardLookahead(sys, []LPID{0, 0, 1, 1}, 1, []LPID{b, out}); bounded {
-		// b -> out is intra-shard and out has no fan-out; no exit exists.
-		t.Error("exit-free shard reported bounded")
-	}
-}
-
 // TestMailboxTryRecvAll checks the batched drain: order preserved, queue
 // emptied, and a blocked take still wakes under the waiting-gated Signal.
 func TestMailboxTryRecvAll(t *testing.T) {
@@ -297,7 +308,7 @@ func TestMailboxTryRecvAll(t *testing.T) {
 
 // TestModeProposalsHeavyStateStaysConservative checks the paper's heavy-state
 // rule in the dynamic adaptor: a conservative LP whose snapshot is far above
-// the default (a shard wrapping many members, a large memory) is never
+// the default (a large memory, per MemSizedModel) is never
 // proposed for optimism however often it blocks, because it would pay that
 // snapshot on every optimistic execution.
 func TestModeProposalsHeavyStateStaysConservative(t *testing.T) {

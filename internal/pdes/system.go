@@ -117,6 +117,9 @@ type System struct {
 	nameIdx map[string]LPID
 	cmp     Comparator
 	frozen  bool
+	// sharded is set on the shard-level System of a ShardedSystem: a run of
+	// it executes on the phase executor (phase.go).
+	sharded *ShardedSystem
 }
 
 // NewSystem returns an empty system.
@@ -252,13 +255,6 @@ type Ctx struct {
 	sys    *System
 	emit   func(dst LPID, ts vtime.VT, kind uint8, data any)
 	record func(item any)
-	// charge adjusts the engine's processed-event accounting by delta.
-	// Set only by the parallel workers and used only by shard super-LPs,
-	// which execute many member events per engine event: charging the
-	// difference keeps event metrics, the modeled cost clock and the GVT
-	// cadence in member-event units, comparable across sharded and
-	// unsharded runs.
-	charge func(delta int64)
 }
 
 // Record emits a trace record attributed to the executing LP at Now(). The

@@ -12,6 +12,7 @@ package pdes
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,9 +60,9 @@ const (
 	// adaptSnapCap is the snapshot size above which the dynamic protocol
 	// stops proposing Conservative -> Optimistic switches: the paper's
 	// heavy-state rule applied at runtime. An LP whose state save costs
-	// several defaults per event (a shard wrapping many members, a large
-	// memory) pays that on every optimistic execution, a cost the
-	// blocked-ratio heuristic cannot observe.
+	// several defaults per event (a large memory, per MemSizedModel) pays
+	// that on every optimistic execution, a cost the blocked-ratio
+	// heuristic cannot observe.
 	adaptSnapCap = 4 * memSnapDefault
 )
 
@@ -129,7 +130,7 @@ type WorkerDiag struct {
 	// Stale marks a snapshot the worker failed to refresh for the report
 	// while not parked in Recv: it is likely wedged inside a model Execute
 	// call. A Waiting worker is never Stale — it cannot publish, so the
-	// watchdog reads the state it parked with (worker.copyDiag).
+	// watchdog reads the state it parked with (diagBox.copy).
 	Stale bool
 	LPs   []LPDiag
 }
@@ -182,11 +183,72 @@ func (r *StallReport) String() string {
 	return b.String()
 }
 
+// diagBox holds the snapshot a worker publishes for stall reports whenever
+// its epoch lags rs.dumpEpoch. Both engines' workers embed one and supply the
+// fill (diagFiller); diagnostics are off when rs is nil (isolated unit tests).
+type diagBox struct {
+	mu    sync.Mutex
+	d     WorkerDiag
+	epoch atomic.Uint32
+}
+
+// diagFiller rebuilds a snapshot from its worker's live state. The caller
+// holds the box's mutex and is either the worker's own goroutine or has seen
+// Waiting under that lock.
+type diagFiller interface{ fillDiag(d *WorkerDiag) }
+
+// publish refreshes the snapshot when the watchdog has requested a dump; the
+// steady-state cost is one atomic load.
+func (b *diagBox) publish(rs *runState, f diagFiller) {
+	if rs == nil {
+		return
+	}
+	epoch := rs.dumpEpoch.Load()
+	if b.epoch.Load() == epoch {
+		return
+	}
+	b.mu.Lock()
+	f.fillDiag(&b.d)
+	b.mu.Unlock()
+	b.epoch.Store(epoch)
+}
+
+// setWaiting flags the snapshot while its worker is parked in a blocking
+// Recv: the watchdog then reports it as waiting for messages (the normal
+// shape of a stall) rather than unresponsive. Between setWaiting(true) and
+// the return of setWaiting(false) the worker reads and writes nothing that
+// its fill reads, and the mutex orders its earlier writes before copy's
+// reads and copy's reads before its later writes: a waking worker queues
+// behind a fill in progress.
+func (b *diagBox) setWaiting(rs *runState, v bool) {
+	if rs == nil {
+		return
+	}
+	b.mu.Lock()
+	b.d.Waiting = v
+	b.mu.Unlock()
+}
+
+// copy returns the snapshot: the last published one, or — for a worker
+// parked in Recv, which cannot publish — one built here from the state it
+// parked with. Parking therefore costs two lock round trips, not a walk over
+// every owned LP.
+func (b *diagBox) copy(f diagFiller) WorkerDiag {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.d.Waiting {
+		f.fillDiag(&b.d)
+	}
+	d := b.d
+	d.LPs = append([]LPDiag(nil), b.d.LPs...)
+	return d
+}
+
 // watchdog supervises one RunOn call from its own goroutine.
 type watchdog struct {
 	rs      *runState
 	cfg     *Config
-	workers []*worker
+	workers []engineWorker
 	eps     []Endpoint
 	stop    chan struct{}
 	done    chan struct{}
@@ -194,7 +256,7 @@ type watchdog struct {
 
 // startWatchdog arms the stall watchdog. The returned function stops it and
 // waits for its goroutine; RunOn calls it once the run has unwound.
-func startWatchdog(rs *runState, cfg *Config, workers []*worker, eps []Endpoint) func() {
+func startWatchdog(rs *runState, cfg *Config, workers []engineWorker, eps []Endpoint) func() {
 	wd := &watchdog{
 		rs:      rs,
 		cfg:     cfg,
@@ -277,7 +339,7 @@ func (wd *watchdog) collect(elapsed time.Duration, rescued bool) *StallReport {
 	for _, w := range wd.workers {
 		d := w.copyDiag()
 		d.Stale = !d.Waiting && w.diagEpochSeen() != epoch
-		d.MailboxDepth = w.ep.QueueLen()
+		d.MailboxDepth = w.queueLen()
 		if r.GVT.Less(d.GVT) {
 			r.GVT = d.GVT
 		}

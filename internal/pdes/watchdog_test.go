@@ -77,62 +77,6 @@ func TestStallRescueIsDeterministic(t *testing.T) {
 	}
 }
 
-// holdOnce blocks the n-th Execute of the relay it wraps until release is
-// closed: a member model that stops a shard's progress for a while.
-type holdOnce struct {
-	*relay
-	n       int
-	release chan struct{}
-}
-
-func (h *holdOnce) Execute(ctx *Ctx, ev *Event) {
-	if h.n--; h.n == 0 {
-		<-h.release
-	}
-	h.relay.Execute(ctx, ev)
-}
-
-// TestStallRescueForcesShardOptimistic is the rescue over shard super-LPs:
-// the one production path that runs a shard optimistically (the adaptor never
-// proposes it), and so the test that keeps shardModel.SaveState/RestoreState
-// honest. Shards cannot deadlock deterministically (ShardSystem refuses the
-// user-consistent comparator), so the stall is a member model held inside
-// Execute until the watchdog has asked for a rescue; the controller then
-// forces a blocked conservative shard optimistic, whole-shard snapshots carry
-// its rollbacks, and the member-level trace is still the oracle's.
-func TestStallRescueForcesShardOptimistic(t *testing.T) {
-	want, wantSums := runOracle(t, 12, 3, 30)
-	sys, models := buildRelayRing(12, 3, 30)
-	release := make(chan struct{})
-	sys.lps[0].model = &holdOnce{relay: models[0], n: 4, release: release}
-	ss, err := ShardSystem(sys, 3, PartitionRoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &collector{}
-	var once sync.Once
-	res, err := Run(ss.Sys(), Config{
-		Workers: 2, Protocol: ProtoConservative, GVTEvery: 16,
-		StallTimeout: 200 * time.Millisecond, StallPolicy: StallForceOpt,
-		// The watchdog calls StallDump right after it files the rescue request.
-		StallDump: func(*StallReport) { once.Do(func() { close(release) }) },
-	}, relayHorizon, ss.WrapSink(sink))
-	if err != nil {
-		t.Fatalf("rescued sharded run failed: %v", err)
-	}
-	if res.Metrics.StallRescues == 0 || res.Metrics.StateSaves == 0 {
-		t.Fatalf("%d rescues, %d state saves: no shard ever ran optimistically", res.Metrics.StallRescues, res.Metrics.StateSaves)
-	}
-	if got := sink.sorted(); strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("rescued sharded trace mismatch: got %d records, want %d", len(got), len(want))
-	}
-	for i, m := range models {
-		if m.sum != wantSums[i] {
-			t.Errorf("relay%d sum = %d, want %d", i, m.sum, wantSums[i])
-		}
-	}
-}
-
 // wedge is a ping-pong model whose Execute call blocks at the Nth event
 // until released: the failure mode where a model (or foreign code under it)
 // hangs, which no amount of protocol-level progress detection can see. Only

@@ -26,9 +26,9 @@ import (
 // Event payloads (Event.Data and whatever the payload types nest) go through
 // the tagged value encoding below; wire_msg.go holds the Msg/Event layout.
 
-// wireMaxDepth bounds how deep values may nest (an updateMsg's Value inside a
-// shardXEvent's Data inside an Event is depth 3). Both sides enforce it, so
-// the encoder never emits a frame the decoder refuses.
+// wireMaxDepth bounds how deep values may nest (an updateMsg's Value inside an
+// Event's Data is depth 2). Both sides enforce it, so the encoder never emits
+// a frame the decoder refuses.
 const wireMaxDepth = 8
 
 // Value tags are allocated by range, so packages register at their own init
@@ -36,14 +36,13 @@ const wireMaxDepth = 8
 // applications and tests take 128 and up. A duplicate tag or type panics at
 // init.
 const (
-	wireNil      = 0
-	wireFalse    = 1
-	wireTrue     = 2
-	wireInt      = 3
-	wireInt64    = 4
-	wireUint64   = 5
-	wireTime     = 6 // vtime.Time
-	wireShardXEv = 7 // *shardXEvent
+	wireNil    = 0
+	wireFalse  = 1
+	wireTrue   = 2
+	wireInt    = 3
+	wireInt64  = 4
+	wireUint64 = 5
+	wireTime   = 6 // vtime.Time
 )
 
 // wireValue is one row of the tag table.
@@ -84,16 +83,6 @@ func init() {
 	RegisterWireValue(wireTime, vtime.Time(0),
 		func(e *WireEncoder, v any) { e.Uvarint(uint64(v.(vtime.Time))) },
 		func(d *WireDecoder) any { return vtime.Time(d.Uvarint()) })
-	RegisterWireValue(wireShardXEv, (*shardXEvent)(nil),
-		func(e *WireEncoder, v any) {
-			x := v.(*shardXEvent)
-			e.LP(x.Dst)
-			e.Byte(x.Kind)
-			e.Value(x.Data)
-		},
-		func(d *WireDecoder) any {
-			return &shardXEvent{Dst: d.LP(), Kind: d.Byte(), Data: d.Value()}
-		})
 }
 
 // WireEncoder appends to B. Only Value can fail (a type with no tag, or

@@ -10,6 +10,9 @@ import "fmt"
 // Clk 8 raw bytes | Data as a tagged value], with the worker index in the
 // ID's top 16 bits split off so both halves stay short.
 //
+// A msgPhase is [kind | From | Min | Clock | Processed | Batch count, then
+// events in the event layout].
+//
 // Ownership across the wire mirrors the in-process rule that the receiver
 // owns what it is handed (pool.go): once a message is encoded the sender has
 // no receiver to hand it to, so ReleaseMsg returns it (and its Event) to the
@@ -48,6 +51,7 @@ const (
 	fLoads
 	fMoves
 	fAllModes
+	fBatch
 )
 
 // wireFields is the per-kind field table: what each message kind carries, and
@@ -60,7 +64,7 @@ var wireFields = [...]msgField{
 	msgGVTPause:   fRound,
 	msgGVTAck:     fSent | fRecvd | fClock | fProcessed | fNulls | fModes | fBlocked | fLoads,
 	msgGVTDrain:   fExpect,
-	msgGVTMin:     fMin | fClock,
+	msgGVTMin:     fMin | fClock | fLoads,
 	msgGVTNew:     fGVT | fClock | fConsLPs | fOptLPs | fNextGVT | fDone | fCkpt | fMoves,
 	msgIdle:       fIdle | fRequest | fProcessed,
 	msgFatal:      fErr,
@@ -70,6 +74,7 @@ var wireFields = [...]msgField{
 	msgCutInstall: fBlob | fAllModes,
 	msgCutDone:    0,
 	msgCutResume:  0,
+	msgPhase:      fMin | fClock | fProcessed | fBatch,
 }
 
 // SimError flag bits on the wire.
@@ -149,11 +154,20 @@ func EncodeMsg(e *WireEncoder, m *Msg) error {
 		e.VT(m.TS)
 	default:
 		encodeControl(e, m)
+		if wireFields[m.Kind]&fBatch != 0 {
+			e.Count(len(m.Batch), m.Batch == nil)
+			for k := range m.Batch {
+				if err := encodeEvent(e, &m.Batch[k]); err != nil {
+					return &SimError{Text: "pdes: " + err.Error()}
+				}
+			}
+		}
 	}
 	return nil
 }
 
-// encodeControl writes the fields wireFields lists for a control message.
+// encodeControl writes the fields wireFields lists for a control message,
+// except a msgPhase's Batch, which EncodeMsg appends after them.
 func encodeControl(e *WireEncoder, m *Msg) {
 	f := wireFields[m.Kind]
 	if f&fRound != 0 {
@@ -291,6 +305,9 @@ func DecodeMsg(d *WireDecoder) (*Msg, error) {
 		m.Src, m.Dst, m.TS = d.LP(), d.LP(), d.VT()
 	default:
 		decodeControl(d, m)
+		if wireFields[kind]&fBatch != 0 {
+			m.Batch = decodeEvents(d)
+		}
 	}
 	if d.err != nil {
 		return nil, d.err

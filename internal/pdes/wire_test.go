@@ -20,7 +20,7 @@ var wantFields = map[msgKind][]string{
 	msgGVTPause:   {"Round"},
 	msgGVTAck:     {"Sent", "Recvd", "Clock", "Processed", "Nulls", "Modes", "Blocked", "Loads"},
 	msgGVTDrain:   {"Expect"},
-	msgGVTMin:     {"Min", "Clock"},
+	msgGVTMin:     {"Min", "Clock", "Loads"},
 	msgGVTNew:     {"GVT", "Clock", "ConsLPs", "OptLPs", "NextGVT", "Done", "Ckpt", "Moves"},
 	msgIdle:       {"Idle", "Request", "Processed"},
 	msgFatal:      {"Err"},
@@ -30,6 +30,7 @@ var wantFields = map[msgKind][]string{
 	msgCutInstall: {"Blob", "AllModes"},
 	msgCutDone:    nil,
 	msgCutResume:  nil,
+	msgPhase:      {"Min", "Clock", "Processed", "Batch"},
 }
 
 // fill sets v (addressable) to a non-zero value of its type, exported fields
@@ -155,10 +156,17 @@ func TestWireFieldCoverage(t *testing.T) {
 
 type wireTestPayload struct{ A, B int }
 
+// wireTestNest nests another tagged value: the shape of a kernel update
+// carrying a value, for the nesting and depth-bound cases.
+type wireTestNest struct{ Data any }
+
 func init() {
 	RegisterWireValue(200, wireTestPayload{},
 		func(e *WireEncoder, v any) { p := v.(wireTestPayload); e.Varint(int64(p.A)); e.Varint(int64(p.B)) },
 		func(d *WireDecoder) any { return wireTestPayload{A: int(d.Varint()), B: int(d.Varint())} })
+	RegisterWireValue(201, (*wireTestNest)(nil),
+		func(e *WireEncoder, v any) { e.Value(v.(*wireTestNest).Data) },
+		func(d *WireDecoder) any { return &wireTestNest{Data: d.Value()} })
 }
 
 // wireSamples is one message of every shape the engine, the benchmark probes
@@ -176,7 +184,7 @@ func wireSamples() []*Msg {
 		{Ev: &Event{ID: math.MaxUint64, Src: NoLP, Dst: NoLP, TS: vtime.Inf, Sent: vtime.Inf, Kind: 255, Neg: true, Clk: math.Inf(1)}},
 		ev(nil), ev(true), ev(false), ev(int(-3)), ev(int64(math.MinInt64)), ev(uint64(math.MaxUint64)),
 		ev(vtime.Time(7)), ev(wireTestPayload{A: -1, B: 2}),
-		ev(&shardXEvent{Dst: 9, Kind: 2, Data: &shardXEvent{Dst: NoLP, Data: int64(-5)}}),
+		ev(&wireTestNest{Data: &wireTestNest{Data: int64(-5)}}),
 		{Kind: msgNull, From: 1, Src: 1, Dst: NoLP, TS: vtime.Inf},
 		{Kind: msgGVTPause, Round: 3},
 		{Kind: msgGVTAck, From: 1}, // nil slices
@@ -186,6 +194,7 @@ func wireSamples() []*Msg {
 			Blocked: []BlockedLP{{LP: 7, TS: vtime.VT{PT: 3, LT: 4}}}, Loads: []LPLoad{{LP: 1, Execs: 99}}},
 		{Kind: msgGVTDrain, Expect: 12},
 		{Kind: msgGVTMin, From: 1, Min: vtime.Inf, Clock: 9},
+		{Kind: msgGVTMin, From: 2, Min: vtime.VT{PT: 4}, Loads: []LPLoad{{LP: 0, Execs: 7}}},
 		{Kind: msgGVTNew, GVT: vtime.VT{PT: 9}, Clock: 3, ConsLPs: []LPID{1, 2}, OptLPs: []LPID{}, NextGVT: 256,
 			Done: true, Ckpt: true, Moves: []Move{{LP: 3, To: 2}}},
 		{Kind: msgIdle, From: 1, Idle: true, Processed: 4},
@@ -201,6 +210,10 @@ func wireSamples() []*Msg {
 		{Kind: msgCutInstall, AllModes: []Mode{Optimistic, Conservative}},
 		{Kind: msgCutDone, From: 2},
 		{Kind: msgCutResume},
+		{Kind: msgPhase, From: 1, Min: vtime.Inf}, // the empty barrier token
+		{Kind: msgPhase, From: 2, Min: vtime.VT{PT: 3, LT: 1}, Clock: 17.5, Processed: 379, Batch: []Event{
+			{Src: 4, Dst: 9, TS: vtime.VT{PT: 3, LT: 1}, Kind: 1, Data: true},
+			{Src: 5, Dst: 0, TS: vtime.VT{PT: 8}, Data: wireTestPayload{A: 1}}}},
 	}
 	return ms
 }
@@ -235,14 +248,14 @@ func TestWireEncodeDiagnosesPayload(t *testing.T) {
 	type stranger struct{ X int }
 	deep := any(int64(1))
 	for i := 0; i <= wireMaxDepth; i++ {
-		deep = &shardXEvent{Data: deep}
+		deep = &wireTestNest{Data: deep}
 	}
 	for name, tc := range map[string]struct {
 		data any
 		want string
 	}{
 		"top":    {stranger{1}, "pdes.stranger"},
-		"nested": {&shardXEvent{Data: stranger{2}}, "pdes.stranger"},
+		"nested": {&wireTestNest{Data: stranger{2}}, "pdes.stranger"},
 		"depth":  {deep, "nests deeper"},
 	} {
 		var e WireEncoder
@@ -253,7 +266,7 @@ func TestWireEncodeDiagnosesPayload(t *testing.T) {
 		}
 	}
 	var e WireEncoder
-	if err := EncodeMsg(&e, &Msg{Kind: msgCutResume + 1}); err == nil {
+	if err := EncodeMsg(&e, &Msg{Kind: msgPhase + 1}); err == nil {
 		t.Error("a kind outside the protocol encoded")
 	}
 }

@@ -3,8 +3,6 @@ package pdes
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"govhdl/internal/stats"
 	"govhdl/internal/vtime"
@@ -174,12 +172,10 @@ type worker struct {
 	// Supervision (watchdog.go): rs is the run-wide shared state, set by the
 	// runner before the worker starts (nil in isolated unit tests); memTrack
 	// enables Config.MemBudget accounting. diag is the snapshot this worker
-	// publishes for stall reports whenever its diagEpoch lags rs.dumpEpoch.
-	rs        *runState
-	memTrack  bool
-	diagMu    sync.Mutex
-	diag      WorkerDiag
-	diagEpoch atomic.Uint32
+	// publishes for stall reports.
+	rs       *runState
+	memTrack bool
+	diag     diagBox
 }
 
 type deferredMsg struct {
@@ -228,7 +224,7 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 			w.addLP(id, modes)
 		}
 	}
-	w.ctx = &Ctx{sys: sys, emit: w.emit, charge: w.chargeEvents}
+	w.ctx = &Ctx{sys: sys, emit: w.emit}
 	if sink != nil {
 		w.ctx.record = w.recordItem
 	}
@@ -252,21 +248,6 @@ func (w *worker) addLP(id LPID, modes []Mode) *lpRT {
 	return lp
 }
 
-// chargeEvents reconciles shard super-LP execution with per-member-event
-// accounting (see Ctx.charge): a shard that drained n member events charges
-// n-1 on top of the engine's own count of 1, so event metrics, the modeled
-// cost clock and the GVT cadence stay in member-event units. Suppressed
-// during replay — rollback coast-forward and checkpoint restore — exactly
-// like the engine's own event counting.
-func (w *worker) chargeEvents(delta int64) {
-	if w.supSends || delta == 0 {
-		return
-	}
-	w.metrics.Events += uint64(delta)
-	w.execTotal += uint64(delta)
-	w.clock += float64(delta) * costs.EventCost
-}
-
 func (w *worker) fatal(format string, args ...any) {
 	panic(fatalPanic{&SimError{Text: fmt.Sprintf(format, args...)}})
 }
@@ -274,26 +255,7 @@ func (w *worker) fatal(format string, args ...any) {
 func (w *worker) run() {
 	defer func() {
 		if r := recover(); r != nil {
-			var err *SimError
-			switch p := r.(type) {
-			case fatalPanic:
-				err = p.err
-			case ModelError:
-				// A diagnostic thrown by model code (a VHDL runtime error, a
-				// delta runaway): the design is at fault, not the engine.
-				// Fail the run with a structured verdict instead of crashing
-				// the process — in a multi-tenant server only the offending
-				// session dies. Under optimistic execution the diagnostic
-				// could in principle come from a speculative misordering, but
-				// unwinding is still strictly better than the crash it
-				// replaces, and a deterministically bad design fails on every
-				// path.
-				err = &SimError{Text: "pdes: model error: " + p.Error(), Model: true}
-			default:
-				panic(r)
-			}
-			w.ep.Send(0, &Msg{Kind: msgFatal, Err: err})
-			w.awaitStop()
+			failRun(w.ep, r)
 		}
 	}()
 
@@ -398,11 +360,29 @@ func (w *worker) flushSends() {
 	}
 }
 
-// awaitStop ignores everything until the controller confirms the abort — or
-// the transport dies, in which case no confirmation can ever arrive.
-func (w *worker) awaitStop() {
+// failRun turns a panic recovered on a worker of either engine into the
+// run's verdict: it reports the error to the controller, then ignores
+// everything until the controller confirms the abort — or the transport
+// dies, in which case no confirmation can ever arrive. A ModelError is a
+// diagnostic thrown by model code (a VHDL runtime error, a delta runaway):
+// the design is at fault, not the engine, and only the offending session of
+// a multi-tenant server dies. Under optimistic execution the diagnostic
+// could in principle come from a speculative misordering, but unwinding is
+// still strictly better than the crash it replaces, and a deterministically
+// bad design fails on every path. Any other panic is re-raised.
+func failRun(ep Endpoint, r any) {
+	var err *SimError
+	switch p := r.(type) {
+	case fatalPanic:
+		err = p.err
+	case ModelError:
+		err = &SimError{Text: "pdes: model error: " + p.Error(), Model: true}
+	default:
+		panic(r)
+	}
+	ep.Send(0, &Msg{Kind: msgFatal, Err: err})
 	for {
-		if m := w.ep.Recv(); m.Kind == msgStop || m.Kind == msgPoison {
+		if m := ep.Recv(); m.Kind == msgStop || m.Kind == msgPoison {
 			return
 		}
 	}
@@ -1422,33 +1402,19 @@ func (w *worker) blockedLPs() []BlockedLP {
 }
 
 // publishDiag refreshes this worker's stall-report snapshot when the
-// watchdog has requested a dump (rs.dumpEpoch moved). It sits on the hot
-// scheduling path: steady-state cost is one atomic load.
-func (w *worker) publishDiag() {
-	if w.rs == nil {
-		return
-	}
-	epoch := w.rs.dumpEpoch.Load()
-	if w.diagEpoch.Load() == epoch {
-		return
-	}
-	w.diagMu.Lock()
-	w.fillDiag()
-	w.diagMu.Unlock()
-	w.diagEpoch.Store(epoch)
-}
+// watchdog has requested a dump. It sits on the hot scheduling path:
+// steady-state cost is one atomic load.
+func (w *worker) publishDiag() { w.diag.publish(w.rs, w) }
 
-// fillDiag rebuilds the snapshot from the worker's live state. The caller
-// holds diagMu and is either the worker's own goroutine or has seen
-// diag.Waiting under that lock.
-func (w *worker) fillDiag() {
-	w.diag.Worker = w.ep.Self()
-	w.diag.GVT = w.gvt
-	w.diag.Paused = w.paused
-	w.diag.ExecTotal = w.execTotal
-	w.diag.LPs = w.diag.LPs[:0]
+// fillDiag rebuilds the snapshot from the worker's live state (diagFiller).
+func (w *worker) fillDiag(d *WorkerDiag) {
+	d.Worker = w.ep.Self()
+	d.GVT = w.gvt
+	d.Paused = w.paused
+	d.ExecTotal = w.execTotal
+	d.LPs = d.LPs[:0]
 	for _, lp := range w.owned {
-		d := LPDiag{
+		ld := LPDiag{
 			LP:         lp.decl.id,
 			Name:       w.sys.Name(lp.decl.id),
 			Mode:       lp.mode,
@@ -1458,11 +1424,11 @@ func (w *worker) fillDiag() {
 			Guarantee:  lp.guaranteeMin(w.gvt),
 			BlockedOn:  NoLP,
 		}
-		if d.Pending > 0 && lp.mode == Conservative && d.MinPending.Less(w.horizon) &&
+		if ld.Pending > 0 && lp.mode == Conservative && ld.MinPending.Less(w.horizon) &&
 			!lp.safeToProcess(w.gvt, w.user) {
-			d.BlockedOn = w.blockingEdge(lp)
+			ld.BlockedOn = w.blockingEdge(lp)
 		}
-		w.diag.LPs = append(w.diag.LPs, d)
+		d.LPs = append(d.LPs, ld)
 	}
 }
 
@@ -1484,35 +1450,17 @@ func (w *worker) blockingEdge(lp *lpRT) LPID {
 }
 
 // setWaiting flags the snapshot while this worker is parked in a blocking
-// Recv: the watchdog then reports it as waiting for messages (the normal
-// shape of a stall) rather than unresponsive. Between setWaiting(true) and
-// the return of setWaiting(false) the worker reads and writes nothing that
-// fillDiag reads, and diagMu orders its earlier writes before copyDiag's
-// reads and copyDiag's reads before its later writes: a waking worker queues
-// behind a fill in progress.
-func (w *worker) setWaiting(v bool) {
-	if w.rs == nil {
-		return
-	}
-	w.diagMu.Lock()
-	w.diag.Waiting = v
-	w.diagMu.Unlock()
-}
+// Recv (diagBox.setWaiting).
+func (w *worker) setWaiting(v bool) { w.diag.setWaiting(w.rs, v) }
 
-// copyDiag returns the worker's snapshot (called by the watchdog): the last
-// published one, or — for a worker parked in Recv, which cannot publish —
-// one built here from the state it parked with. Parking therefore costs two
-// lock round trips, not a walk over every owned LP.
-func (w *worker) copyDiag() WorkerDiag {
-	w.diagMu.Lock()
-	defer w.diagMu.Unlock()
-	if w.diag.Waiting {
-		w.fillDiag()
-	}
-	d := w.diag
-	d.LPs = append([]LPDiag(nil), w.diag.LPs...)
-	return d
-}
+// copyDiag returns the worker's snapshot (called by the watchdog).
+func (w *worker) copyDiag() WorkerDiag { return w.diag.copy(w) }
 
 // diagEpochSeen reports the dump epoch of the last published snapshot.
-func (w *worker) diagEpochSeen() uint32 { return w.diagEpoch.Load() }
+func (w *worker) diagEpochSeen() uint32 { return w.diag.epoch.Load() }
+
+func (w *worker) queueLen() int { return w.ep.QueueLen() }
+
+func (w *worker) result() workerResult {
+	return workerResult{metrics: w.metrics, gvt: w.gvt, finalClock: w.finalClock, stopped: w.stopped, err: w.err}
+}

@@ -94,7 +94,7 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Listen, "listen", "", "distributed: listen address (this process hosts the controller)")
 	fs.StringVar(&o.Connect, "connect", "", "distributed: hub address to join")
 	fs.IntVar(&o.Endpoints, "endpoints", 0, "distributed: total endpoint count (controller + workers)")
-	fs.IntVar(&o.Shards, "shards", 0, "cluster LPs into this many shards that execute sequentially inside the shard, with the PDES protocol running only between shards (0 = no sharding, one LP per signal/process)")
+	fs.IntVar(&o.Shards, "shards", 0, "cluster LPs into this many shards that execute sequentially inside the shard; workers step one timestamp at a time and exchange cross-shard events once per step, under any parallel -protocol (0 = no sharding, one LP per signal/process). -lookahead, -gvt-adapt, -throttle, -mem-budget and -checkpoint do nothing on a sharded run")
 	fs.StringVar(&o.Partition, "partition", "", "LP-to-worker / shard-membership partitioning: rr (round-robin), block, or topo (graph-aware edge-cut); default topo when -shards is set, rr otherwise")
 	fs.IntVar(&o.GVTEvery, "gvt-every", 0, "events per worker between GVT round requests (0 = engine default)")
 	fs.BoolVar(&o.GVTAdapt, "gvt-adapt", false, "retune the GVT cadence each round from observed cut traffic (bounded by 16x the base interval)")

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"time"
 )
 
 // CostModel maps protocol actions to modeled time, in arbitrary cost units
@@ -85,6 +86,10 @@ type Snapshot struct {
 	ViewChanges   uint64 // cluster view epochs observed (membership churn + migration cuts)
 	ForwardedMsgs uint64 // messages re-routed to an LP's new owner during handoff
 	LateForwards  uint64 // forwards arriving after the nominal handoff window closed
+	// ExchangeWaitNs is wall-clock time a phase-executor worker spent waiting
+	// for its peers' step messages (sharded runs): the cost of the event skew
+	// between workers. Read around each wait, never per event.
+	ExchangeWaitNs uint64
 }
 
 // Add sums o into s, counter by counter. Every field is a uint64 counter, so
@@ -123,6 +128,9 @@ func (s Snapshot) String() string {
 	}
 	if s.LateForwards != 0 {
 		out += fmt.Sprintf(" lateforwards=%d", s.LateForwards)
+	}
+	if s.ExchangeWaitNs != 0 {
+		out += fmt.Sprintf(" exchangewait=%v", time.Duration(s.ExchangeWaitNs).Round(time.Microsecond))
 	}
 	return out
 }

@@ -46,8 +46,9 @@ import (
 // length-prefixed framing; version 4 renumbered the pdes message kinds when
 // the checkpoint and migration cuts became one quiescent-cut protocol;
 // version 5 replaced the gob frame bodies with the hand-coded format of
-// frame.go.
-const protocolVersion = 5
+// frame.go; version 6 added msgPhase, the sharded runs' step message, and
+// retired the cross-shard event payload.
+const protocolVersion = 6
 
 // helloTimeout bounds how long each side waits for the handshake exchange.
 const helloTimeout = 10 * time.Second
