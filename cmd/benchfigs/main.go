@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 
-	"govhdl/internal/circuits"
 	"govhdl/internal/figures"
 	"govhdl/internal/pdes"
 	"govhdl/internal/stats"
@@ -30,7 +29,7 @@ func main() {
 		wcOut     = flag.String("o", "BENCH_wallclock.json", "wall-clock mode: output JSON path")
 		wcWorkers = flag.Int("workers", 4, "wall-clock mode: parallel worker count")
 		wcReps    = flag.Int("reps", 3, "wall-clock mode: repetitions per cell (fastest kept)")
-		wcGuard   = flag.Float64("guard", 0, "wall-clock mode: fail if dynamic exceeds this ratio of cons ns/event on any circuit, or a sharded config loses to its unsharded base or exceeds 1.25x its point in the -o file's previous current report (0 = off)")
+		wcGuard   = flag.Float64("guard", 0, "wall-clock mode: fail if dynamic exceeds this ratio of cons ns/event on any circuit, or the shard row is missing, loses to the fastest unsharded parallel row or exceeds 1.25x its point in the -o file's previous current report (0 = off)")
 		quiet     = flag.Bool("quiet", false, "suppress per-run progress lines")
 	)
 	flag.Parse()
@@ -147,44 +146,49 @@ const shardSelfBound = 1.25
 //
 //   - dynamic must stay within ratio x cons ns/event on every circuit (the
 //     dynamic-adaptation regression gate);
-//   - cons-shard and dynamic-shard must beat their unsharded bases — sharding
-//     exists to remove protocol overhead, so losing to the config it wraps is
-//     a regression at any scale;
-//   - cons-shard and dynamic-shard must additionally stay within
-//     shardSelfBound x their own point in committed, the report the output
-//     file held before this run, when that was measured at the same scale,
-//     worker count and GOMAXPROCS (CI's smoke run writes a fresh file and
-//     has nothing to compare with). The ratio to the sequential oracle is
-//     printed, not gated.
+//   - every circuit must have a shard row, and it must beat the fastest
+//     unsharded parallel row of its circuit — sharding exists to remove
+//     protocol overhead, so losing to the per-LP engine is a regression at
+//     any scale;
+//   - shard must additionally stay within shardSelfBound x its own point in
+//     committed, the report the output file held before this run, when that
+//     was measured at the same scale, worker count and GOMAXPROCS (CI's smoke
+//     run writes a fresh file and has nothing to compare with). The ratio to
+//     the sequential oracle is printed, not gated.
 func checkGuard(rep, committed *stats.WallClockReport, ratio float64, out io.Writer) error {
 	if committed != nil && (committed.Scale != rep.Scale || committed.Workers != rep.Workers || committed.GoMaxProcs != rep.GoMaxProcs) {
 		committed = nil
 	}
-	gated := []struct{ name, base string }{{"cons-shard", "cons"}, {"dynamic-shard", "dynamic"}}
 	for _, wc := range figures.WallClockCircuits() {
 		cons, dyn := rep.Find(wc.Name, "cons"), rep.Find(wc.Name, "dynamic")
 		if cons != nil && dyn != nil && cons.NsPerEvent > 0 && dyn.NsPerEvent > ratio*cons.NsPerEvent {
 			return fmt.Errorf("guard: %s dynamic %.0f ns/event exceeds %.2fx cons %.0f ns/event",
 				wc.Name, dyn.NsPerEvent, ratio, cons.NsPerEvent)
 		}
-		seq := rep.Find(wc.Name, "seq")
-		for _, g := range gated {
-			p := rep.Find(wc.Name, g.name)
-			if p == nil {
+		p := rep.Find(wc.Name, "shard")
+		if p == nil {
+			return fmt.Errorf("guard: %s has no shard row to gate", wc.Name)
+		}
+		var base *stats.WallClockPoint
+		for _, cs := range figures.WallClockConfigs() {
+			if cs.Shard || cs.Cfg.Protocol == pdes.ProtoSequential {
 				continue
 			}
-			if seq != nil && seq.NsPerEvent > 0 {
-				fmt.Fprintf(out, "# %s %s: %.0f ns/event, %.2fx the sequential oracle's %.0f\n",
-					wc.Name, g.name, p.NsPerEvent, p.NsPerEvent/seq.NsPerEvent, seq.NsPerEvent)
+			if b := rep.Find(wc.Name, cs.Name); b != nil && b.NsPerEvent > 0 && (base == nil || b.NsPerEvent < base.NsPerEvent) {
+				base = b
 			}
-			if base := rep.Find(wc.Name, g.base); base != nil && base.NsPerEvent > 0 && p.NsPerEvent > base.NsPerEvent {
-				return fmt.Errorf("guard: %s %s %.0f ns/event is slower than unsharded %s %.0f ns/event",
-					wc.Name, g.name, p.NsPerEvent, g.base, base.NsPerEvent)
-			}
-			if was := committed.Find(wc.Name, g.name); was != nil && p.NsPerEvent > shardSelfBound*was.NsPerEvent {
-				return fmt.Errorf("guard: %s %s %.0f ns/event exceeds %.2fx its committed %.0f ns/event",
-					wc.Name, g.name, p.NsPerEvent, shardSelfBound, was.NsPerEvent)
-			}
+		}
+		if seq := rep.Find(wc.Name, "seq"); seq != nil && seq.NsPerEvent > 0 {
+			fmt.Fprintf(out, "# %s shard: %.0f ns/event, %.2fx the sequential oracle's %.0f\n",
+				wc.Name, p.NsPerEvent, p.NsPerEvent/seq.NsPerEvent, seq.NsPerEvent)
+		}
+		if base != nil && p.NsPerEvent > base.NsPerEvent {
+			return fmt.Errorf("guard: %s shard %.0f ns/event is slower than unsharded %s %.0f ns/event",
+				wc.Name, p.NsPerEvent, base.Config, base.NsPerEvent)
+		}
+		if was := committed.Find(wc.Name, "shard"); was != nil && p.NsPerEvent > shardSelfBound*was.NsPerEvent {
+			return fmt.Errorf("guard: %s shard %.0f ns/event exceeds %.2fx its committed %.0f ns/event",
+				wc.Name, p.NsPerEvent, shardSelfBound, was.NsPerEvent)
 		}
 	}
 	return nil
@@ -252,7 +256,5 @@ func runAblations(scale figures.Scale, out, progress io.Writer) error {
 		return err
 	}
 
-	_ = circuits.FSMOpts{}
-	_ = stats.Default()
 	return nil
 }

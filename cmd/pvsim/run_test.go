@@ -132,7 +132,7 @@ func TestRunRestoreShardedFromCheckpointFile(t *testing.T) {
 	want := golden(t)
 	ck := filepath.Join(t.TempDir(), "fsm.ck")
 	common := []string{"-circuit", "fsm", "-until", "500ns", "-protocol", "opt", "-workers", "2",
-		"-throttle", "100ns", "-gvt-every", "64"}
+		"-gvt-every", "64"}
 	cuts := 0
 	die := func() error {
 		if cuts++; cuts < 2 {

@@ -116,7 +116,7 @@ type Options struct {
 	// execute sequentially inside the shard. Workers step one timestamp at a
 	// time and exchange cross-shard events once per step (the phase executor,
 	// DESIGN.md "LP sharding & synchronization cadence"), whatever the
-	// parallel Protocol; Lookahead, GVTAdapt, ThrottleWindow, MemBudget and
+	// parallel Protocol; Lookahead, ThrottleWindow, MemBudget and
 	// CheckpointEvery do nothing on a sharded run. Traces stay member-level.
 	// Ignored for Sequential.
 	Shards int
@@ -125,10 +125,8 @@ type Options struct {
 	// round-robin placement, topology-aware shards.
 	Partition string
 	// GVTEvery is the number of events per worker between GVT round
-	// requests (0 = engine default); GVTAdapt retunes it each round from the
-	// observed cut traffic.
+	// requests (0 = engine default).
 	GVTEvery int
-	GVTAdapt bool
 	// CheckpointRounds, when positive, cuts a GVT-consistent checkpoint
 	// every this many committed GVT rounds. A Session retains the latest cut
 	// and resumes a retry from it; see SessionOptions.OnCheckpoint for
@@ -150,7 +148,6 @@ func (o Options) config() (cfg pdes.Config, shardPart pdes.Partition, err error)
 		StallPolicy:      o.StallPolicy,
 		StallDump:        o.StallDump,
 		GVTEvery:         o.GVTEvery,
-		GVTAdapt:         o.GVTAdapt,
 		CheckpointRounds: o.CheckpointRounds,
 		Migrate:          o.Migrate,
 	}

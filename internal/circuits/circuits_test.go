@@ -155,7 +155,7 @@ func TestShardedCircuitsMatchSequential(t *testing.T) {
 					got := trace.NewRecorder()
 					if _, err := pdes.Run(ss.Sys(), pdes.Config{
 						Workers: 2, Protocol: proto, Lookahead: true, GVTEvery: 256,
-					}, c.DefaultHorizon, ss.WrapSink(got)); err != nil {
+					}, c.DefaultHorizon, got); err != nil {
 						t.Fatal(err)
 					}
 					if err := c.Verify(c.DefaultHorizon); err != nil {
@@ -220,7 +220,7 @@ func TestColocatedShardsShareSteps(t *testing.T) {
 			got := trace.NewRecorder()
 			res, err := pdes.Run(ss.Sys(), pdes.Config{
 				Workers: p.workers, Protocol: pdes.ProtoDynamic, Lookahead: true,
-			}, c.DefaultHorizon, ss.WrapSink(got))
+			}, c.DefaultHorizon, got)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,15 +31,12 @@ func WallClockCircuits() []WallClockCircuit {
 
 // WallClockConfigs returns the protocol configurations measured by the
 // wall-clock suite: the sequential oracle, the paper's four parallel
-// protocols, and two sharded configurations (one shard per worker,
-// intra-shard sequential execution, protocol only between shards).
+// protocols, and the sharded configuration (one shard per worker on the phase
+// executor, where the protocol selects nothing).
 func WallClockConfigs() []ConfigSpec {
 	specs := append([]ConfigSpec{{Name: "seq", Cfg: pdes.Config{Protocol: pdes.ProtoSequential}}},
 		PaperConfigs()...)
-	return append(specs,
-		ConfigSpec{Name: "cons-shard", Cfg: pdes.Config{Protocol: pdes.ProtoConservative, Lookahead: true, GVTAdapt: true}, Shard: true},
-		ConfigSpec{Name: "dynamic-shard", Cfg: pdes.Config{Protocol: pdes.ProtoDynamic, Lookahead: true, GVTAdapt: true}, Shard: true},
-	)
+	return append(specs, ConfigSpec{Name: "shard", Cfg: pdes.Config{Protocol: pdes.ProtoConservative}, Shard: true})
 }
 
 // defaultThrottle applies the same optimism bound Speedup uses when the

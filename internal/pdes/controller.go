@@ -30,11 +30,6 @@ type controller struct {
 	prevGVT       vtime.VT
 	prevProcessed uint64
 	sinceCkpt     int // committed rounds since the last checkpoint cut
-	// Adaptive GVT cadence (Config.GVTAdapt): the current interval and the
-	// cumulative worker-to-worker message total at the previous round, whose
-	// per-round delta measures the partition cut's traffic.
-	interval int
-	prevSent uint64
 
 	// Per-round scratch and message pool: the round protocol gives the
 	// controller exclusive use of these between a broadcast and the last
@@ -221,14 +216,6 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 			" (user-consistent conservative ordering without lookahead blocks, per the paper)", Stall: true})
 		return false, true
 	}
-	if c.cfg.GVTAdapt && !isDone {
-		var totalSent uint64
-		for w := 1; w <= c.workers; w++ {
-			totalSent += c.expect[w]
-		}
-		c.retuneCadence(totalSent-c.prevSent, totalProcessed-c.prevProcessed)
-		c.prevSent = totalSent
-	}
 	c.rounds++
 	c.prevGVT, c.prevProcessed = gvt, totalProcessed
 
@@ -260,7 +247,6 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 		m.OptLPs = optLPs
 		m.Done = isDone
 		m.Ckpt = ckpt
-		m.NextGVT = c.interval
 		m.Moves = moves
 	})
 	if isDone {
@@ -363,32 +349,6 @@ func (c *controller) drain() {
 	}
 	c.recycle()
 	c.broadcast(msgGVTDrain, func(w int, m *Msg) { m.Expect = c.expect[w] })
-}
-
-// retuneCadence adapts the GVT interval to the observed cut traffic: when
-// few of the round's processed events crossed workers (a well-partitioned
-// run — synchronization is pure overhead), the interval doubles;
-// when the cut is dense (remote messages drive progress and bound optimism),
-// it halves. Bounded by [GVTEvery, gvtAdaptSpan*GVTEvery]. Only the event-count
-// trigger is affected; idle-triggered rounds keep progress and termination
-// independent of the cadence, and the committed trace is invariant to round
-// timing by construction.
-func (c *controller) retuneCadence(sentDelta, procDelta uint64) {
-	if c.interval == 0 {
-		c.interval = c.cfg.GVTEvery
-	}
-	switch {
-	case sentDelta*8 < procDelta:
-		c.interval *= 2
-		if max := gvtAdaptSpan * c.cfg.GVTEvery; c.interval > max {
-			c.interval = max
-		}
-	case sentDelta*2 > procDelta:
-		c.interval /= 2
-		if c.interval < c.cfg.GVTEvery {
-			c.interval = c.cfg.GVTEvery
-		}
-	}
 }
 
 // pickRescue chooses the stall-rescue victim from the round's blocked

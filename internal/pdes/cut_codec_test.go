@@ -130,25 +130,24 @@ func TestCutBlobRoundTrip(t *testing.T) {
 			if _, err := pdes.RunSequential(ref, tc.until, want); err != nil {
 				t.Fatal(err)
 			}
-			// shard returns the system the engine runs and the sink it
-			// commits to, for a member-level recorder.
-			shard := func(sys *pdes.System, rec *trace.Recorder) (*pdes.System, pdes.TraceSink) {
+			// shard returns the system the engine runs; the trace stays
+			// member-level either way.
+			shard := func(sys *pdes.System) *pdes.System {
 				if tc.shards == 0 {
-					return sys, rec
+					return sys
 				}
 				ss, err := pdes.ShardSystem(sys, tc.shards, pdes.PartitionTopo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return ss.Sys(), ss.WrapSink(rec)
+				return ss.Sys()
 			}
 
 			var cuts []*pdes.Checkpoint
 			cfg := tc.cfg
 			cfg.CheckpointRounds = 1
 			cfg.CheckpointSink = func(ck *pdes.Checkpoint) error { cuts = append(cuts, ck); return nil }
-			sys, sink := shard(tc.build(), trace.NewRecorder())
-			if _, err := pdes.Run(sys, cfg, tc.until, sink); err != nil {
+			if _, err := pdes.Run(shard(tc.build()), cfg, tc.until, trace.NewRecorder()); err != nil {
 				t.Fatal(err)
 			}
 			if len(cuts) < 2 {
@@ -207,8 +206,7 @@ func TestCutBlobRoundTrip(t *testing.T) {
 			got := trace.NewRecorder()
 			cfg = tc.cfg
 			cfg.Restore = cut
-			sys, sink = shard(tc.build(), got)
-			if _, err := pdes.Run(sys, cfg, tc.until, sink); err != nil {
+			if _, err := pdes.Run(shard(tc.build()), cfg, tc.until, got); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			if ok, diff := trace.Equal(ref, want, got); !ok {

@@ -117,7 +117,6 @@ type Msg struct {
 	Request   bool       // msgIdle: worker asks for a GVT round (GVTEvery reached)
 	Processed uint64     // msgIdle/msgGVTAck/msgPhase: events processed so far
 	Nulls     uint64     // msgGVTAck: null messages sent so far
-	NextGVT   int        // msgGVTNew: adaptive GVT interval (0 = unchanged)
 	Done      bool       // msgGVTNew: termination flag
 	Ckpt      bool       // msgGVTNew: this round ends in a checkpoint cut
 	Blob      []byte     // msgCutState/msgCutInstall: an encoded ckptWorker (cut.go)

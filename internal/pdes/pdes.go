@@ -163,9 +163,6 @@ func ParsePartition(name string) (Partition, bool) {
 // Engine constants: tuned once against the paper's circuits. They are not
 // Config fields because no caller or workload needs a second value.
 const (
-	// gvtAdaptSpan bounds the adaptive GVT interval to this multiple of
-	// Config.GVTEvery.
-	gvtAdaptSpan = 16
 	// adaptRollbackHi: an optimistic LP whose rolled-back/processed ratio
 	// over the last adaptation window exceeds this switches to conservative
 	// (dynamic protocol only).
@@ -211,14 +208,10 @@ type Config struct {
 	// round is a sync: the first step boundary after GVTEvery more events.
 	GVTEvery int
 
-	// GVTAdapt lets the controller retune the GVT cadence each round from
-	// the observed cut traffic: when few remote messages crossed workers
-	// relative to events processed (a well-partitioned run), the
-	// interval doubles; when the cut is dense it halves. The interval stays
-	// within [GVTEvery, 16*GVTEvery]. Synchronization frequency then scales
-	// with cut traffic, not event count; idle-triggered rounds are
-	// unaffected, so progress and termination do not depend on the cadence.
-	// Sharded runs ignore it: their syncs cost no worker a wait.
+	// GVTAdapt has no effect: the GVT cadence is always GVTEvery.
+	//
+	// Deprecated: leave it unset; it remains only so existing callers
+	// still compile.
 	GVTAdapt bool
 
 	// ThrottleWindow, when positive, prevents optimistic LPs from running

@@ -29,8 +29,8 @@ import (
 // structure), which is what makes one exchange per timestamp enough.
 //
 // Nothing here blocks on a channel clock, sends a null message or rolls
-// back: Config.Lookahead, GVTAdapt, ThrottleWindow and MemBudget have nothing
-// to act on and are ignored, and the Protocol selects nothing.
+// back: Config.Lookahead, ThrottleWindow and MemBudget have nothing to act on
+// and are ignored, and the Protocol selects nothing.
 //
 // The controller is off the step path. After every exchange each worker
 // knows every worker's cumulative event count, so all of them agree, without

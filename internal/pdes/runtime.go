@@ -50,10 +50,6 @@ type lpRT struct {
 	lastSnap  any
 	lastVer   uint64
 
-	// snapBytes is the MemBudget charge for one real state snapshot of this
-	// LP's model (MemSizedModel if implemented, else memSnapDefault).
-	snapBytes int64
-
 	lastPromise []vtime.VT // per out-edge (parallel to decl.out): last null promise
 
 	// commitLog records every committed execution by value (checkpoint
@@ -83,12 +79,6 @@ func newLPRT(d *lpDecl, mode Mode) *lpRT {
 	}
 	if vm, ok := d.model.(VersionedModel); ok {
 		lp.versioned = vm
-	}
-	lp.snapBytes = memSnapDefault
-	if sm, ok := d.model.(MemSizedModel); ok {
-		if n := sm.SnapshotBytes(); n > 0 {
-			lp.snapBytes = int64(n)
-		}
 	}
 	lp.edges = make([]edgeIn, len(d.in))
 	for i, src := range d.in {

@@ -41,23 +41,15 @@ type ShardedSystem struct {
 // executes on the phase executor.
 func (ss *ShardedSystem) Sys() *System { return ss.sys }
 
-// Orig returns the original (member-level) system; trace rendering and
-// verification keep using it.
-func (ss *ShardedSystem) Orig() *System { return ss.orig }
-
-// NumShards returns the number of shards.
-func (ss *ShardedSystem) NumShards() int { return len(ss.members) }
-
-// ShardOf returns the shard LP that owns an original LP.
-func (ss *ShardedSystem) ShardOf(id LPID) LPID { return ss.shardOf[id] }
-
 // Members returns the sorted original LPs of one shard. The returned slice
 // must not be modified.
 func (ss *ShardedSystem) Members(shard LPID) []LPID { return ss.members[shard] }
 
-// WrapSink returns the sink to attach to a run of Sys(). The phase executor
-// commits every record under its member LP and member timestamp already, so
-// this is inner itself; it stays so callers need not know that.
+// WrapSink returns inner: the phase executor commits every record under its
+// member LP and member timestamp already, so a run of Sys() takes the
+// caller's sink as is.
+//
+// Deprecated: pass the sink to Run or RunOn directly.
 func (ss *ShardedSystem) WrapSink(inner TraceSink) TraceSink { return inner }
 
 // ShardSystem clusters the LPs of orig into shards and returns a new System

@@ -19,7 +19,7 @@ func runShardedRing(t *testing.T, n, seeds, x0, shards int, part Partition, cfg 
 		t.Fatalf("ShardSystem: %v", err)
 	}
 	sink := &collector{}
-	res, err := Run(ss.Sys(), cfg, relayHorizon, ss.WrapSink(sink))
+	res, err := Run(ss.Sys(), cfg, relayHorizon, sink)
 	if err != nil {
 		t.Fatalf("sharded run: %v", err)
 	}
@@ -35,83 +35,46 @@ func runShardedRing(t *testing.T, n, seeds, x0, shards int, part Partition, cfg 
 
 // TestShardedMatchesSequential is the core sharding invariant: any shard
 // count, worker count, protocol and partitioner must reproduce the
-// sequential oracle's committed trace and final model states exactly.
+// sequential oracle's committed trace and final model states exactly. The
+// last row sets the optimistic knobs a sharded run ignores.
 func TestShardedMatchesSequential(t *testing.T) {
 	const n, seeds, x0 = 12, 3, 40
 	want, wantSums := runOracle(t, n, seeds, x0)
-	protos := []Protocol{ProtoConservative, ProtoOptimistic, ProtoMixed, ProtoDynamic}
-	for _, proto := range protos {
+	type row struct {
+		name   string
+		shards int
+		part   Partition
+		cfg    Config
+	}
+	var rows []row
+	for _, proto := range []Protocol{ProtoConservative, ProtoOptimistic, ProtoMixed, ProtoDynamic} {
 		for _, shards := range []int{1, 3, 5} {
 			for _, part := range []Partition{PartitionRoundRobin, PartitionTopo} {
-				workers := shards
-				if workers > 2 {
-					workers = 2
-				}
-				name := fmt.Sprintf("%v/s%d/p%d", proto, shards, part)
-				t.Run(name, func(t *testing.T) {
-					got, sums := runShardedRing(t, n, seeds, x0, shards, part, Config{
-						Workers:   workers,
-						Protocol:  proto,
-						Lookahead: true,
-						GVTEvery:  256,
-					})
-					if strings.Join(got, "\n") != strings.Join(want, "\n") {
-						t.Errorf("trace mismatch: got %d records, want %d", len(got), len(want))
-						for i := 0; i < len(got) && i < len(want); i++ {
-							if got[i] != want[i] {
-								t.Errorf("first diff at %d: got %q want %q", i, got[i], want[i])
-								break
-							}
-						}
-					}
-					for i := range sums {
-						if sums[i] != wantSums[i] {
-							t.Errorf("relay%d sum = %d, want %d", i, sums[i], wantSums[i])
-						}
-					}
-				})
+				rows = append(rows, row{fmt.Sprintf("%v/s%d/p%d", proto, shards, part), shards, part,
+					Config{Workers: min(shards, 2), Protocol: proto, Lookahead: true, GVTEvery: 256}})
 			}
 		}
 	}
-}
-
-// TestShardedAdaptiveGVT checks that the cut-traffic-adaptive cadence leaves
-// the committed trace untouched.
-func TestShardedAdaptiveGVT(t *testing.T) {
-	const n, seeds, x0 = 12, 3, 40
-	want, _ := runOracle(t, n, seeds, x0)
-	got, _ := runShardedRing(t, n, seeds, x0, 4, PartitionTopo, Config{
-		Workers:   2,
-		Protocol:  ProtoDynamic,
-		Lookahead: true,
-		GVTEvery:  64,
-		GVTAdapt:  true,
-	})
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("adaptive-GVT trace mismatch: got %d records, want %d", len(got), len(want))
-	}
-}
-
-// TestShardedThrottled exercises shard rollback under a tight optimism
-// window and memory budget, where shard snapshots are saved and restored
-// constantly.
-func TestShardedThrottled(t *testing.T) {
-	const n, seeds, x0 = 12, 3, 40
-	want, wantSums := runOracle(t, n, seeds, x0)
-	got, sums := runShardedRing(t, n, seeds, x0, 4, PartitionTopo, Config{
-		Workers:        2,
-		Protocol:       ProtoOptimistic,
-		GVTEvery:       64,
-		ThrottleWindow: 20 * vtime.NS,
-		MemBudget:      1 << 20,
-	})
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("throttled sharded trace mismatch: got %d records, want %d", len(got), len(want))
-	}
-	for i := range sums {
-		if sums[i] != wantSums[i] {
-			t.Errorf("relay%d sum = %d, want %d", i, sums[i], wantSums[i])
-		}
+	rows = append(rows, row{"throttled/opt/s4/p2", 4, PartitionTopo, Config{Workers: 2,
+		Protocol: ProtoOptimistic, GVTEvery: 64, ThrottleWindow: 20 * vtime.NS, MemBudget: 1 << 20}})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			got, sums := runShardedRing(t, n, seeds, x0, r.shards, r.part, r.cfg)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("trace mismatch: got %d records, want %d", len(got), len(want))
+				for i := 0; i < len(got) && i < len(want); i++ {
+					if got[i] != want[i] {
+						t.Errorf("first diff at %d: got %q want %q", i, got[i], want[i])
+						break
+					}
+				}
+			}
+			for i := range sums {
+				if sums[i] != wantSums[i] {
+					t.Errorf("relay%d sum = %d, want %d", i, sums[i], wantSums[i])
+				}
+			}
+		})
 	}
 }
 
@@ -147,7 +110,7 @@ func TestShardedCheckpointRestore(t *testing.T) {
 	sink := &collector{}
 	cfg.Restore = ck
 	cfg.CheckpointSink = func(*Checkpoint) error { return nil }
-	if _, err := Run(ss.Sys(), cfg, relayHorizon, ss.WrapSink(sink)); err != nil {
+	if _, err := Run(ss.Sys(), cfg, relayHorizon, sink); err != nil {
 		t.Fatalf("restored sharded run: %v", err)
 	}
 	got := sink.sorted()
@@ -303,34 +266,5 @@ func TestMailboxTryRecvAll(t *testing.T) {
 	eps[0].Send(1, &Msg{Kind: msgNull})
 	if m := <-done; m.Kind != msgNull {
 		t.Fatalf("blocked Recv woke with kind %d", m.Kind)
-	}
-}
-
-// TestModeProposalsHeavyStateStaysConservative checks the paper's heavy-state
-// rule in the dynamic adaptor: a conservative LP whose snapshot is far above
-// the default (a large memory, per MemSizedModel) is never
-// proposed for optimism however often it blocks, because it would pay that
-// snapshot on every optimistic execution.
-func TestModeProposalsHeavyStateStaysConservative(t *testing.T) {
-	cfg := Config{Protocol: ProtoDynamic}
-	cfg.fillDefaults()
-	mk := func(id LPID, snap int64) *lpRT {
-		return &lpRT{
-			decl:        &lpDecl{id: id},
-			mode:        Conservative,
-			wakes:       16,
-			blockedHits: 16, // blocked on every wake: maximally opt-eligible
-			snapBytes:   snap,
-		}
-	}
-	light := mk(0, memSnapDefault)
-	heavy := mk(1, adaptSnapCap+1)
-	w := &worker{cfg: &cfg, owned: []*lpRT{light, heavy}}
-	props := w.modeProposals()
-	if len(props) != 1 {
-		t.Fatalf("got %d proposals %v, want exactly 1 (the light LP)", len(props), props)
-	}
-	if props[0].LP != 0 || props[0].Mode != Optimistic {
-		t.Fatalf("proposal %v, want LP 0 -> Optimistic", props[0])
 	}
 }

@@ -40,15 +40,6 @@ type VersionedModel interface {
 	StateVersion() uint64
 }
 
-// MemSizedModel lets a model report the approximate size in bytes of one
-// SaveState snapshot, improving the accuracy of Config.MemBudget accounting.
-// Models without it are charged a flat default per snapshot. SnapshotBytes
-// may be approximate but should be stable across the run; non-positive
-// returns fall back to the default.
-type MemSizedModel interface {
-	SnapshotBytes() int
-}
-
 // ActiveFaninModel lets a model sharpen its null-message promise by naming
 // the inputs that can currently trigger an emission. The engine's default
 // promise takes the minimum guarantee over ALL input edges, which is overly

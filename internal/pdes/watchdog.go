@@ -51,19 +51,11 @@ const (
 	memPerRec = 192
 	// memPerSend covers one antiRec send record.
 	memPerSend = 48
-	// memSnapDefault is charged per real state snapshot for models that do
-	// not implement MemSizedModel.
+	// memSnapDefault is charged per real state snapshot.
 	memSnapDefault = 256
 	// memSnapShared is charged when copy-on-write state saving reuses the
 	// previous snapshot: only a reference is retained.
 	memSnapShared = 16
-	// adaptSnapCap is the snapshot size above which the dynamic protocol
-	// stops proposing Conservative -> Optimistic switches: the paper's
-	// heavy-state rule applied at runtime. An LP whose state save costs
-	// several defaults per event (a large memory, per MemSizedModel) pays
-	// that on every optimistic execution, a cost the blocked-ratio
-	// heuristic cannot observe.
-	adaptSnapCap = 4 * memSnapDefault
 )
 
 // runState is shared by the workers, the controller and the watchdog of one

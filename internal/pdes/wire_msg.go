@@ -41,7 +41,6 @@ const (
 	fRequest
 	fProcessed
 	fNulls
-	fNextGVT
 	fDone
 	fCkpt
 	fBlob
@@ -65,7 +64,7 @@ var wireFields = [...]msgField{
 	msgGVTAck:     fSent | fRecvd | fClock | fProcessed | fNulls | fModes | fBlocked | fLoads,
 	msgGVTDrain:   fExpect,
 	msgGVTMin:     fMin | fClock | fLoads,
-	msgGVTNew:     fGVT | fClock | fConsLPs | fOptLPs | fNextGVT | fDone | fCkpt | fMoves,
+	msgGVTNew:     fGVT | fClock | fConsLPs | fOptLPs | fDone | fCkpt | fMoves,
 	msgIdle:       fIdle | fRequest | fProcessed,
 	msgFatal:      fErr,
 	msgStop:       fErr,
@@ -211,9 +210,6 @@ func encodeControl(e *WireEncoder, m *Msg) {
 	}
 	if f&fNulls != 0 {
 		e.Uvarint(m.Nulls)
-	}
-	if f&fNextGVT != 0 {
-		e.Varint(int64(m.NextGVT))
 	}
 	if f&fDone != 0 {
 		e.Bool(m.Done)
@@ -361,9 +357,6 @@ func decodeControl(d *WireDecoder, m *Msg) {
 	}
 	if f&fNulls != 0 {
 		m.Nulls = d.Uvarint()
-	}
-	if f&fNextGVT != 0 {
-		m.NextGVT = d.Int()
 	}
 	if f&fDone != 0 {
 		m.Done = d.Bool()

@@ -21,7 +21,7 @@ var wantFields = map[msgKind][]string{
 	msgGVTAck:     {"Sent", "Recvd", "Clock", "Processed", "Nulls", "Modes", "Blocked", "Loads"},
 	msgGVTDrain:   {"Expect"},
 	msgGVTMin:     {"Min", "Clock", "Loads"},
-	msgGVTNew:     {"GVT", "Clock", "ConsLPs", "OptLPs", "NextGVT", "Done", "Ckpt", "Moves"},
+	msgGVTNew:     {"GVT", "Clock", "ConsLPs", "OptLPs", "Done", "Ckpt", "Moves"},
 	msgIdle:       {"Idle", "Request", "Processed"},
 	msgFatal:      {"Err"},
 	msgStop:       {"Err"},
@@ -195,7 +195,7 @@ func wireSamples() []*Msg {
 		{Kind: msgGVTDrain, Expect: 12},
 		{Kind: msgGVTMin, From: 1, Min: vtime.Inf, Clock: 9},
 		{Kind: msgGVTMin, From: 2, Min: vtime.VT{PT: 4}, Loads: []LPLoad{{LP: 0, Execs: 7}}},
-		{Kind: msgGVTNew, GVT: vtime.VT{PT: 9}, Clock: 3, ConsLPs: []LPID{1, 2}, OptLPs: []LPID{}, NextGVT: 256,
+		{Kind: msgGVTNew, GVT: vtime.VT{PT: 9}, Clock: 3, ConsLPs: []LPID{1, 2}, OptLPs: []LPID{},
 			Done: true, Ckpt: true, Moves: []Move{{LP: 3, To: 2}}},
 		{Kind: msgIdle, From: 1, Idle: true, Processed: 4},
 		{Kind: msgIdle, From: 1, Request: true},

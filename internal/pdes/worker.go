@@ -101,10 +101,6 @@ type worker struct {
 	execTotal   uint64
 	execAtRound uint64
 	requested   bool
-	// gvtEvery is the current GVT request interval; starts at
-	// Config.GVTEvery and retuned by the controller each round when
-	// Config.GVTAdapt is set.
-	gvtEvery int
 	// roundNo counts applied GVT rounds, for the adaptation cooldown.
 	roundNo uint64
 
@@ -228,7 +224,6 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 	if sink != nil {
 		w.ctx.record = w.recordItem
 	}
-	w.gvtEvery = cfg.GVTEvery
 	w.batchEp, _ = ep.(batchReceiver)
 	w.logCommits = cfg.CheckpointRounds > 0 || cfg.Migrate != nil
 	return w
@@ -308,7 +303,7 @@ func (w *worker) run() {
 		w.flushSends()
 		switch {
 		case progressed:
-			if !w.requested && w.execTotal-w.execAtRound >= uint64(w.gvtEvery) {
+			if !w.requested && w.execTotal-w.execAtRound >= uint64(w.cfg.GVTEvery) {
 				w.requested = true
 				m := w.msgPool.get()
 				m.Kind, m.Request, m.Processed = msgIdle, true, w.execTotal
@@ -649,11 +644,11 @@ func (w *worker) snapshot(lp *lpRT) (any, int64) {
 		lp.lastSnap, lp.lastVer = s, v
 		w.metrics.StateSaves++
 		w.clock += costs.StateSaveCost
-		return s, lp.snapBytes
+		return s, memSnapDefault
 	}
 	w.metrics.StateSaves++
 	w.clock += costs.StateSaveCost
-	return lp.model.SaveState(), lp.snapBytes
+	return lp.model.SaveState(), memSnapDefault
 }
 
 // memAdd moves the tracked optimistic memory total by n bytes (MemBudget
@@ -1147,9 +1142,6 @@ func (w *worker) applyGVTNew(m *Msg) bool {
 	}
 	w.clock += costs.GVTCost
 	w.roundNo++
-	if m.NextGVT > 0 {
-		w.gvtEvery = m.NextGVT
-	}
 
 	w.paused = false
 	w.releaseDeferred()
@@ -1333,13 +1325,6 @@ func (w *worker) modeProposals() []ModePair {
 				props = append(props, ModePair{lp.decl.id, Conservative})
 			}
 		case Conservative:
-			// Heavy-state LPs stay conservative no matter how often they
-			// block: optimism would pay lp.snapBytes per event, which the
-			// blocked-ratio heuristic cannot see. The stall watchdog can
-			// still force optimism on them to break a genuine deadlock.
-			if lp.snapBytes > adaptSnapCap {
-				continue
-			}
 			if lp.wakes >= 4 &&
 				float64(lp.blockedHits) > adaptBlockedHi*float64(lp.wakes) {
 				props = append(props, ModePair{lp.decl.id, Optimistic})

@@ -40,7 +40,6 @@ type Opts struct {
 	Shards    int
 	Partition string
 	GVTEvery  int
-	GVTAdapt  bool
 
 	Listen    string
 	Connect   string
@@ -94,10 +93,9 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Listen, "listen", "", "distributed: listen address (this process hosts the controller)")
 	fs.StringVar(&o.Connect, "connect", "", "distributed: hub address to join")
 	fs.IntVar(&o.Endpoints, "endpoints", 0, "distributed: total endpoint count (controller + workers)")
-	fs.IntVar(&o.Shards, "shards", 0, "cluster LPs into this many shards that execute sequentially inside the shard; workers step one timestamp at a time and exchange cross-shard events once per step, under any parallel -protocol (0 = no sharding, one LP per signal/process). -lookahead, -gvt-adapt, -throttle, -mem-budget and -checkpoint do nothing on a sharded run")
+	fs.IntVar(&o.Shards, "shards", 0, "cluster LPs into this many shards that execute sequentially inside the shard; workers step one timestamp at a time and exchange cross-shard events once per step, under any parallel -protocol (0 = no sharding, one LP per signal/process)")
 	fs.StringVar(&o.Partition, "partition", "", "LP-to-worker / shard-membership partitioning: rr (round-robin), block, or topo (graph-aware edge-cut); default topo when -shards is set, rr otherwise")
 	fs.IntVar(&o.GVTEvery, "gvt-every", 0, "events per worker between GVT round requests (0 = engine default)")
-	fs.BoolVar(&o.GVTAdapt, "gvt-adapt", false, "retune the GVT cadence each round from observed cut traffic (bounded by 16x the base interval)")
 
 	fs.StringVar(&o.CkptFile, "checkpoint-file", "", "write a GVT-consistent checkpoint to this file, atomically, at every cut")
 	fs.IntVar(&o.CkptRounds, "checkpoint-rounds", 0, "committed GVT rounds between checkpoint cuts (default 1 when -checkpoint-file is set; pass the same value to every distributed process)")
@@ -146,7 +144,6 @@ func (o *Opts) Resolve() (govhdl.SessionOptions, error) {
 		Shards:           o.Shards,
 		Partition:        o.Partition,
 		GVTEvery:         o.GVTEvery,
-		GVTAdapt:         o.GVTAdapt,
 		CheckpointRounds: o.CkptRounds,
 	}
 	if o.Listen != "" || o.Connect != "" {
@@ -273,6 +270,19 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 		}
 		if o.User {
 			return fmt.Errorf("-shards cannot be combined with -user: user-consistent ordering is defined on member events, which shards interleave internally")
+		}
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-lookahead", o.Lookahead},
+			{"-throttle", o.Throttle != ""},
+			{"-mem-budget", o.MemBudget > 0},
+			{"-checkpoint", o.SaveEvery > 1},
+		} {
+			if f.set {
+				return fmt.Errorf("-shards cannot be combined with %s: a sharded run steps one timestamp at a time with no null messages, speculation or rollback, so it would do nothing", f.name)
+			}
 		}
 		workers := o.Workers
 		if o.Listen != "" || o.Connect != "" {

@@ -154,6 +154,31 @@ var validateCases = []struct {
 		o.Workers = 1
 		o.User = true
 	}, pdes.ProtoDynamic, "-user"},
+	{"shards with lookahead", func(o *Opts) {
+		o.Shards = 2
+		o.Workers = 2
+		o.Lookahead = true
+	}, pdes.ProtoConservative, "-shards cannot be combined with -lookahead"},
+	{"shards with throttle", func(o *Opts) {
+		o.Shards = 2
+		o.Workers = 2
+		o.Throttle = "40ns"
+	}, pdes.ProtoOptimistic, "-shards cannot be combined with -throttle"},
+	{"shards with mem budget", func(o *Opts) {
+		o.Shards = 2
+		o.Workers = 2
+		o.MemBudget = 1 << 20
+	}, pdes.ProtoDynamic, "-shards cannot be combined with -mem-budget"},
+	{"shards with state-saving interval", func(o *Opts) {
+		o.Shards = 2
+		o.Workers = 2
+		o.SaveEvery = 4
+	}, pdes.ProtoOptimistic, "-shards cannot be combined with -checkpoint"},
+	{"shards with state-saving interval 1 ok", func(o *Opts) {
+		o.Shards = 2
+		o.Workers = 2
+		o.SaveEvery = 1
+	}, pdes.ProtoOptimistic, ""},
 	{"shards with restore", func(o *Opts) {
 		o.Shards = 2
 		o.Restore = "ck"
@@ -276,7 +301,6 @@ func flagArgs(o, def Opts) []string {
 	add("shards", o.Shards, def.Shards)
 	add("partition", o.Partition, def.Partition)
 	add("gvt-every", o.GVTEvery, def.GVTEvery)
-	add("gvt-adapt", o.GVTAdapt, def.GVTAdapt)
 	add("listen", o.Listen, def.Listen)
 	add("connect", o.Connect, def.Connect)
 	add("endpoints", o.Endpoints, def.Endpoints)

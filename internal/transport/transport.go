@@ -47,8 +47,9 @@ import (
 // the checkpoint and migration cuts became one quiescent-cut protocol;
 // version 5 replaced the gob frame bodies with the hand-coded format of
 // frame.go; version 6 added msgPhase, the sharded runs' step message, and
-// retired the cross-shard event payload.
-const protocolVersion = 6
+// retired the cross-shard event payload; version 7 dropped the adaptive GVT
+// interval from msgGVTNew.
+const protocolVersion = 7
 
 // helloTimeout bounds how long each side waits for the handshake exchange.
 const helloTimeout = 10 * time.Second

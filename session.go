@@ -249,15 +249,15 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 	s.mu.Unlock()
 
 	// The engine runs the shard-level system while the trace, verification
-	// and VCD stay on the member-level one: the wrapped sink re-attributes
-	// every record to its member LP.
+	// and VCD stay on the member-level one: the phase executor commits every
+	// record under its member LP, so the sink is the same either way.
 	sys := m.sys
 	if o.Shards > 0 && o.Protocol != Sequential {
 		ss, err := pdes.ShardSystem(sys, o.Shards, shardPart)
 		if err != nil {
 			return nil, err
 		}
-		sys, sink = ss.Sys(), ss.WrapSink(sink)
+		sys = ss.Sys()
 	}
 
 	// Cross-attempt dedup: a retry deterministically replays the committed
