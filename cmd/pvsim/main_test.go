@@ -58,8 +58,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(base(func(o *runOpts) {
 		o.Circuit = "fsm"
 		o.Protocol = "dyn"
-		o.StallPolicy = "panic"
-	})); err == nil || !strings.Contains(err.Error(), "-stall-policy") {
+		o.MemBudget = -1
+	})); err == nil || !strings.Contains(err.Error(), "-mem-budget") {
 		t.Errorf("shared validation not wired through run: %v", err)
 	}
 }

@@ -98,8 +98,6 @@ type Options struct {
 	// committed GVT stops advancing for this long fails with a diagnostic
 	// instead of hanging.
 	StallTimeout time.Duration
-	// StallPolicy selects the remedy when GVT stalls (default: fail).
-	StallPolicy pdes.StallPolicy
 	// StallDump receives the stall watchdog's diagnostic report; nil
 	// discards it.
 	StallDump func(*pdes.StallReport)
@@ -145,7 +143,6 @@ func (o Options) config() (cfg pdes.Config, shardPart pdes.Partition, err error)
 		CheckpointEvery:  o.CheckpointEvery,
 		MemBudget:        o.MemBudget,
 		StallTimeout:     o.StallTimeout,
-		StallPolicy:      o.StallPolicy,
 		StallDump:        o.StallDump,
 		GVTEvery:         o.GVTEvery,
 		CheckpointRounds: o.CheckpointRounds,

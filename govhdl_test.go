@@ -98,3 +98,14 @@ func TestFacadeBenchmarks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardedRefusesUserConsistent: user-consistent ordering is defined on
+// member events, which a shard interleaves internally, so a sharded run must
+// refuse it rather than silently run in arbitrary order.
+func TestShardedRefusesUserConsistent(t *testing.T) {
+	m := FromDesign(BenchmarkFSM(6).Design)
+	_, err := m.Simulate(Options{Protocol: Optimistic, UserConsistent: true, Shards: 2, Workers: 2, Until: 100 * NS})
+	if err == nil || !strings.Contains(err.Error(), "user-consistent ordering") {
+		t.Fatalf("sharded user-consistent run: got %v, want a refusal", err)
+	}
+}

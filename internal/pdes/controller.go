@@ -19,7 +19,7 @@ type controller struct {
 	workers int            // worker endpoints are 1..workers
 	metrics stats.Snapshot // the controller's own counters; RunOn adds the workers'
 	modes   []Mode         // authoritative mode table
-	sys     *System        // for forced-mode declarations (stall rescue skips them)
+	sys     *System        // selects the phase executor for sharded systems
 	rs      *runState
 
 	gvt        vtime.VT
@@ -37,7 +37,6 @@ type controller struct {
 	replies []*Msg // collect's result: the first reply from each worker
 	expect  []uint64
 	msgs    msgPool
-	blocked []BlockedLP // blocked conservative LPs reported in this round's acks
 
 	// Migration (migrate.go, Config.Migrate runs only): the authoritative
 	// LP-to-worker ownership table and the per-LP executed-event counts
@@ -129,11 +128,8 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 
 	var totalProcessed uint64
 	var consLPs, optLPs []LPID
-	c.blocked = c.blocked[:0]
 	for w := 1; w <= c.workers; w++ {
 		a := c.replies[w]
-		// Copy blocked reports out of the ack before it is recycled.
-		c.blocked = append(c.blocked, a.Blocked...)
 		for _, l := range a.Loads {
 			c.loads[l.LP] += l.Execs
 		}
@@ -196,21 +192,6 @@ func (c *controller) round(stallCandidate bool) (done, stopped bool) {
 	}
 
 	deadlocked := !isDone && stallCandidate && c.rounds > 0 && gvt == c.prevGVT && totalProcessed == c.prevProcessed
-	rescueAsked := c.rs != nil && c.rs.takeForceOpt()
-	if (deadlocked || rescueAsked) && !isDone && c.cfg.StallPolicy == StallForceOpt {
-		// The self-adaptive escape hatch: instead of aborting, force the
-		// blocked conservative LP with the earliest withheld event into
-		// optimistic mode. Each rescue unblocks at least that LP, and there
-		// are finitely many conservative LPs, so repeated stalls terminate —
-		// either the run completes or nothing rescuable remains and the
-		// deadlock falls through to the failure path below.
-		if lp, ok := c.pickRescue(); ok {
-			c.modes[lp] = Optimistic
-			optLPs = append(optLPs, lp)
-			c.metrics.StallRescues++
-			deadlocked = false
-		}
-	}
 	if deadlocked {
 		c.abort(&SimError{Text: "pdes: deadlock: all workers idle, GVT stuck at " + gvt.String() +
 			" (user-consistent conservative ordering without lookahead blocks, per the paper)", Stall: true})
@@ -349,25 +330,6 @@ func (c *controller) drain() {
 	}
 	c.recycle()
 	c.broadcast(msgGVTDrain, func(w int, m *Msg) { m.Expect = c.expect[w] })
-}
-
-// pickRescue chooses the stall-rescue victim from the round's blocked
-// reports: the blocked conservative LP with the earliest withheld timestamp
-// (ties broken by LP id, so the pick is deterministic regardless of ack
-// arrival order). Forced-mode LPs are never adapted — the paper's heavy-state
-// processes cannot save state, so they cannot run optimistically.
-func (c *controller) pickRescue() (LPID, bool) {
-	var best BlockedLP
-	found := false
-	for _, b := range c.blocked {
-		if c.modes[b.LP] != Conservative || c.sys.lps[b.LP].forced {
-			continue
-		}
-		if !found || b.TS.Less(best.TS) || (b.TS == best.TS && b.LP < best.LP) {
-			best, found = b, true
-		}
-	}
-	return best.LP, found
 }
 
 func (c *controller) abort(err *SimError) {

@@ -122,10 +122,6 @@ type Msg struct {
 	Blob      []byte     // msgCutState/msgCutInstall: an encoded ckptWorker (cut.go)
 	Err       *SimError  // msgFatal/msgStop/msgPoison: fatal error, if any
 	Modes     []ModePair // msgGVTAck: mode switches requested by this worker
-	// Blocked lists the conservative LPs that were blocked at the pause
-	// (pending events, none safe), for the controller's stall-rescue pick.
-	// Collected only when Config.StallPolicy is StallForceOpt.
-	Blocked []BlockedLP // msgGVTAck
 	// Loads reports per-LP executed-event counts for the controller's
 	// migration planner. Collected only when Config.Migrate is set.
 	Loads []LPLoad // msgGVTAck, msgGVTMin (phase executor syncs)
@@ -157,13 +153,6 @@ func PoisonMsg(err error) *Msg {
 type ModePair struct {
 	LP   LPID
 	Mode Mode
-}
-
-// BlockedLP identifies a blocked conservative LP and the timestamp of its
-// earliest withheld event, reported in GVT acks for stall rescue.
-type BlockedLP struct {
-	LP LPID
-	TS vtime.VT
 }
 
 // SimError is a fatal simulation error that must cross worker boundaries.

@@ -114,10 +114,11 @@ const (
 	// kernel achieves this with the (pt, lt) virtual time).
 	OrderArbitrary Ordering = iota
 	// OrderUserConsistent collects all equal-timestamp events destined to
-	// one LP and hands them to the application comparator before
-	// processing. Conservative LPs then need strictly-greater channel
-	// guarantees (i.e. positive lookahead) and optimistic LPs roll back on
-	// equal timestamps, reproducing the overheads of the paper's Fig. 4.
+	// one LP and processes them in a fixed (Kind, Src, ID) order.
+	// Conservative LPs then need strictly-greater channel guarantees (i.e.
+	// positive lookahead) and optimistic LPs roll back on equal timestamps,
+	// reproducing the overheads of the paper's Fig. 4. Sharded systems
+	// refuse it.
 	OrderUserConsistent
 )
 
@@ -222,17 +223,13 @@ type Config struct {
 	// StallTimeout, when positive, arms the GVT stall watchdog: if the
 	// committed GVT does not advance for this long of wall-clock time, the
 	// watchdog collects a diagnostic StallReport (per-LP mode, local clock,
-	// blocked-on edge, mailbox depth), hands it to StallDump, and applies
-	// StallPolicy. The timeout must comfortably exceed the expected GVT round
-	// cadence; wall-clock supervision never influences the committed trace,
-	// only whether (and how) a wedged run is unwound.
+	// blocked-on edge, mailbox depth), hands it to StallDump, and fails the
+	// run with a stall SimError. The timeout must comfortably exceed the
+	// expected GVT round cadence; wall-clock supervision never influences the
+	// committed trace, only whether a wedged run is unwound.
 	StallTimeout time.Duration
-	// StallPolicy selects what happens when GVT stalls — both when the
-	// watchdog's wall-clock window expires and when the GVT controller's
-	// deadlock detector trips (all workers idle, two rounds, no progress).
-	StallPolicy StallPolicy
 	// StallDump receives the diagnostic report when the watchdog fires.
-	// Nil discards the report (the run still fails or rescues per policy).
+	// Nil discards the report (the run still fails).
 	StallDump func(*StallReport)
 
 	// MemBudget, when positive, bounds the approximate bytes of optimistic
@@ -312,9 +309,6 @@ func (c *Config) Validate() error {
 	}
 	if c.StallTimeout < 0 {
 		return fmt.Errorf("pdes: StallTimeout %v is negative; use 0 to disable the stall watchdog", c.StallTimeout)
-	}
-	if c.StallPolicy > StallForceOpt {
-		return fmt.Errorf("pdes: unknown StallPolicy %d", c.StallPolicy)
 	}
 	// vtime.Time is unsigned, so a negative window written by the caller
 	// arrives here as a huge value. Anything strictly above half the range

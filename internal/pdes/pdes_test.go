@@ -301,6 +301,10 @@ func TestDeadlockDetected(t *testing.T) {
 	if !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("unexpected error: %v", err)
 	}
+	// A deadlock is a stall verdict: a supervisor must not retry it.
+	if !IsStall(err) {
+		t.Fatalf("deadlock is not a stall verdict: %v", err)
+	}
 }
 
 func TestOptimisticCheckpointIntervals(t *testing.T) {
@@ -351,27 +355,6 @@ func TestThrottleWindow(t *testing.T) {
 	got := sink.sorted()
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Error("throttled optimistic trace mismatch")
-	}
-}
-
-func TestForcedModeIsRespected(t *testing.T) {
-	sys := NewSystem()
-	m1 := &relay{seeds: []int{20}}
-	m2 := &relay{}
-	a := sys.AddLP("a", m1, WithForcedMode(Conservative))
-	b := sys.AddLP("b", m2)
-	m1.id, m2.id = a, b
-	m1.out = []LPID{b}
-	sys.Connect(a, b)
-	res, err := Run(sys, Config{Workers: 2, Protocol: ProtoOptimistic, GVTEvery: 64}, relayHorizon, nil)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	// The forced-conservative LP must never have been rolled back (it
-	// cannot be: rollback of a conservative LP is fatal), and the run
-	// completed, which is the observable contract.
-	if res.GVT.Less(vtime.VT{PT: relayHorizon}) {
-		t.Error("run did not reach the horizon")
 	}
 }
 

@@ -87,6 +87,9 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 	if cfg.Workers != total-1 {
 		return nil, fmt.Errorf("pdes: Config.Workers (%d) must match the fabric's worker count (%d)", cfg.Workers, total-1)
 	}
+	if sys.sharded != nil && cfg.Ordering == OrderUserConsistent {
+		return nil, fmt.Errorf("pdes: a sharded system cannot run with user-consistent ordering: it is defined on member events, which a shard interleaves internally")
+	}
 	hostsController := false
 	for _, ep := range eps {
 		if ep.Self() == 0 {

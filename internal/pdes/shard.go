@@ -64,11 +64,6 @@ func ShardSystem(orig *System, shards int, part Partition) (*ShardedSystem, erro
 	if shards > n {
 		return nil, fmt.Errorf("pdes: ShardSystem: %d shards for %d LPs", shards, n)
 	}
-	if orig.cmp != nil {
-		// User-consistent ordering is defined on member events; a shard
-		// drains one timestamp's events in push order and cannot honor it.
-		return nil, fmt.Errorf("pdes: ShardSystem does not support a user-consistent comparator")
-	}
 	orig.frozen = true
 
 	groups := orig.partition(part, shards)

@@ -179,10 +179,13 @@ func TestShardSystemValidation(t *testing.T) {
 	if _, err := ShardSystem(sys, 7, PartitionTopo); err == nil {
 		t.Error("more shards than LPs not rejected")
 	}
-	sys2, _ := buildRelayRing(6, 2, 10)
-	sys2.SetComparator(func(a, b *Event) bool { return a.ID < b.ID })
-	if _, err := ShardSystem(sys2, 2, PartitionTopo); err == nil {
-		t.Error("user-consistent comparator not rejected")
+	ss, err := ShardSystem(sys, 2, PartitionTopo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(ss.Sys(), Config{Workers: 2, Protocol: ProtoOptimistic, Ordering: OrderUserConsistent}, relayHorizon, nil)
+	if err == nil || !strings.Contains(err.Error(), "user-consistent ordering") {
+		t.Errorf("sharded run with user-consistent ordering: got %v, want a refusal", err)
 	}
 }
 

@@ -58,10 +58,6 @@ type ActiveFaninModel interface {
 	ActiveFanin() []LPID
 }
 
-// Comparator orders simultaneous events for OrderUserConsistent. It reports
-// whether a should be processed before b. Both have equal timestamps.
-type Comparator func(a, b *Event) bool
-
 // LPOpt configures one LP at declaration time.
 type LPOpt func(*lpDecl)
 
@@ -69,13 +65,6 @@ type LPOpt func(*lpDecl)
 // (the paper's heuristic: clocks and registers conservative, the rest
 // optimistic).
 func WithHint(m Mode) LPOpt { return func(d *lpDecl) { d.hint = m } }
-
-// WithForcedMode pins the LP's mode; the dynamic protocol will not adapt it
-// (the paper: "Heavy-state processes cannot save their state, so they must
-// run conservatively").
-func WithForcedMode(m Mode) LPOpt {
-	return func(d *lpDecl) { d.hint = m; d.forced = true }
-}
 
 // WithLookahead declares the LP's lookahead: a lower bound on (output
 // timestamp - input timestamp) guaranteed by the model. Used only when
@@ -94,7 +83,6 @@ type lpDecl struct {
 	name        string
 	model       Model
 	hint        Mode
-	forced      bool
 	lookahead   vtime.Time
 	lookaheadLT uint64
 	out         []LPID // deduplicated fan-out (edge destinations)
@@ -106,7 +94,6 @@ type lpDecl struct {
 type System struct {
 	lps     []*lpDecl
 	nameIdx map[string]LPID
-	cmp     Comparator
 	frozen  bool
 	// sharded is set on the shard-level System of a ShardedSystem: a run of
 	// it executes on the phase executor (phase.go).
@@ -160,9 +147,6 @@ func (s *System) Connect(src, dst LPID) {
 	s.lps[dst].in = append(s.lps[dst].in, src)
 }
 
-// SetComparator installs the user-consistent ordering comparator.
-func (s *System) SetComparator(c Comparator) { s.cmp = c }
-
 // NumLPs returns the number of declared LPs.
 func (s *System) NumLPs() int { return len(s.lps) }
 
@@ -212,20 +196,13 @@ func (s *System) partition(p Partition, workers int) [][]LPID {
 
 // initialMode returns the mode an LP starts in under the given protocol.
 func (s *System) initialMode(id LPID, p Protocol) Mode {
-	d := s.lps[id]
 	switch p {
 	case ProtoConservative:
-		if d.forced {
-			return d.hint
-		}
 		return Conservative
 	case ProtoOptimistic:
-		if d.forced {
-			return d.hint
-		}
 		return Optimistic
 	default: // mixed, dynamic
-		return d.hint
+		return s.lps[id].hint
 	}
 }
 

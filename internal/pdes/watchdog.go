@@ -5,7 +5,7 @@ package pdes
 //
 // This file is the only place in the engine that reads the wall clock (it is
 // allowlisted for the nondeterminism analyzer, like runner.go): supervision
-// observes progress and memory, and may unwind or rescue a wedged run, but it
+// observes progress and memory, and may unwind a wedged run, but it
 // never feeds wall-clock values into event processing — the committed trace
 // of a run that completes is identical with or without a watchdog.
 
@@ -18,29 +18,6 @@ import (
 
 	"govhdl/internal/vtime"
 )
-
-// StallPolicy selects the remedy when committed GVT stops advancing.
-type StallPolicy uint8
-
-const (
-	// StallFail dumps the diagnostic report and fails the run with a
-	// SimError (the default).
-	StallFail StallPolicy = iota
-	// StallForceOpt first tries the paper's self-adaptive escape hatch:
-	// force the blocked conservative LP with the earliest withheld event
-	// into optimistic mode at the next GVT round, repeatedly if needed.
-	// Only if that produces no progress either does the run fail with the
-	// dump. The same policy turns the controller's deadlock detector from
-	// an abort into a rescue.
-	StallForceOpt
-)
-
-func (p StallPolicy) String() string {
-	if p == StallForceOpt {
-		return "force-opt"
-	}
-	return "fail"
-}
 
 // Approximate per-object byte charges for Config.MemBudget accounting. They
 // deliberately over-approximate the struct sizes a little: the budget tracks
@@ -71,9 +48,6 @@ type runState struct {
 	// publishes when its local epoch lags, so a wedged worker is visible as
 	// a stale snapshot rather than a blocked collection.
 	dumpEpoch atomic.Uint32
-	// forceOpt is the watchdog's pending rescue request, consumed by the
-	// controller at its next GVT round.
-	forceOpt atomic.Bool
 	// memUsed/memPeak track Config.MemBudget bytes (see worker.memAdd).
 	memUsed atomic.Int64
 	memPeak atomic.Int64
@@ -93,9 +67,6 @@ type runState struct {
 	localModel []bool
 	pristine   []any
 }
-
-// takeForceOpt consumes a pending rescue request.
-func (rs *runState) takeForceOpt() bool { return rs.forceOpt.CompareAndSwap(true, false) }
 
 // LPDiag is one LP's entry in a stall report.
 type LPDiag struct {
@@ -133,7 +104,6 @@ type StallReport struct {
 	GVT     vtime.VT      // last GVT this process observed
 	Elapsed time.Duration // wall-clock time since the last advancement
 	MemUsed int64         // tracked optimistic bytes (MemBudget runs only)
-	Rescued bool          // a force-opt rescue was attempted before this dump
 	Workers []WorkerDiag
 }
 
@@ -143,9 +113,6 @@ func (r *StallReport) String() string {
 	fmt.Fprintf(&b, "stall watchdog: committed GVT stuck at %v for %v\n", r.GVT, r.Elapsed.Round(time.Millisecond))
 	if r.MemUsed > 0 {
 		fmt.Fprintf(&b, "  tracked optimistic memory: %d bytes\n", r.MemUsed)
-	}
-	if r.Rescued {
-		b.WriteString("  force-opt rescue was attempted without effect\n")
 	}
 	for i := range r.Workers {
 		w := &r.Workers[i]
@@ -271,7 +238,6 @@ func (wd *watchdog) run() {
 	defer t.Stop()
 	last := wd.rs.progress.Load()
 	lastAdvance := time.Now()
-	rescued := false
 	for {
 		select {
 		case <-wd.stop:
@@ -279,31 +245,17 @@ func (wd *watchdog) run() {
 		case <-t.C:
 		}
 		if p := wd.rs.progress.Load(); p != last {
-			last, lastAdvance, rescued = p, time.Now(), false
+			last, lastAdvance = p, time.Now()
 			t.Reset(timeout)
 			continue
 		}
-		report := wd.collect(time.Since(lastAdvance), rescued)
-		if wd.cfg.StallPolicy == StallForceOpt && !rescued {
-			// Ask the controller to force the most-starved blocked
-			// conservative LP optimistic at its next round, then watch for
-			// one more window before declaring the run wedged. The request
-			// only helps if rounds still complete; a run wedged mid-round
-			// falls through to the failure path on the next expiry.
-			rescued = true
-			wd.rs.forceOpt.Store(true)
-			if wd.cfg.StallDump != nil {
-				wd.cfg.StallDump(report)
-			}
-			t.Reset(timeout)
-			continue
-		}
+		report := wd.collect(time.Since(lastAdvance))
 		if wd.cfg.StallDump != nil {
 			wd.cfg.StallDump(report)
 		}
 		err := &SimError{Text: fmt.Sprintf(
-			"pdes: stall watchdog: committed GVT did not advance for %v (policy %v); see the diagnostic dump",
-			report.Elapsed.Round(time.Millisecond), wd.cfg.StallPolicy), Stall: true}
+			"pdes: stall watchdog: committed GVT did not advance for %v; see the diagnostic dump",
+			report.Elapsed.Round(time.Millisecond)), Stall: true}
 		for _, ep := range wd.eps {
 			ep.Poison(err)
 		}
@@ -315,7 +267,7 @@ func (wd *watchdog) run() {
 // the workers a grace period to publish fresh state, then copies whatever
 // each worker managed to publish (stale snapshots are flagged, not waited
 // for — a wedged worker is precisely what the report must be able to show).
-func (wd *watchdog) collect(elapsed time.Duration, rescued bool) *StallReport {
+func (wd *watchdog) collect(elapsed time.Duration) *StallReport {
 	epoch := wd.rs.dumpEpoch.Add(1)
 	grace := wd.cfg.StallTimeout / 4
 	if grace > 250*time.Millisecond {
@@ -327,7 +279,7 @@ func (wd *watchdog) collect(elapsed time.Duration, rescued bool) *StallReport {
 		case <-wd.stop:
 		}
 	}
-	r := &StallReport{Elapsed: elapsed, MemUsed: wd.rs.memUsed.Load(), Rescued: rescued}
+	r := &StallReport{Elapsed: elapsed, MemUsed: wd.rs.memUsed.Load()}
 	for _, w := range wd.workers {
 		d := w.copyDiag()
 		d.Stale = !d.Waiting && w.diagEpochSeen() != epoch

@@ -10,73 +10,6 @@ import (
 	"govhdl/internal/vtime"
 )
 
-// TestStallRescueCompletesDeadlockedRun is TestDeadlockDetected with the
-// force-opt stall policy: instead of aborting, the controller's deadlock
-// detector forces the most-starved blocked conservative LP optimistic —
-// repeatedly if needed — and the run completes with the oracle trace. The
-// rescue rides the deterministic deadlock path, so no wall-clock watchdog
-// is involved and the test is exactly reproducible.
-func TestStallRescueCompletesDeadlockedRun(t *testing.T) {
-	want, _ := runOracle(t, 8, 2, 20)
-	sys, _ := buildRelayRing(8, 2, 20)
-	sink := &collector{}
-	res, err := runParallel(sys, Config{
-		Workers:     2,
-		Protocol:    ProtoConservative,
-		Ordering:    OrderUserConsistent,
-		GVTEvery:    64,
-		StallPolicy: StallForceOpt,
-	}, relayHorizon, sink)
-	if err != nil {
-		t.Fatalf("rescued run failed: %v", err)
-	}
-	if res.GVT.Less(vtime.VT{PT: relayHorizon}) {
-		t.Fatalf("rescued run stopped at GVT %v", res.GVT)
-	}
-	if res.Metrics.StallRescues == 0 {
-		t.Fatal("run completed without any stall rescue; the deadlock never happened?")
-	}
-	got := sink.sorted()
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("rescued trace mismatch: got %d records, want %d", len(got), len(want))
-		for i := 0; i < len(got) && i < len(want); i++ {
-			if got[i] != want[i] {
-				t.Errorf("first diff at %d: got %q want %q", i, got[i], want[i])
-				break
-			}
-		}
-	}
-}
-
-// TestStallRescueIsDeterministic re-runs the rescued configuration and
-// requires identical rescue counts: the escape hatch must not introduce
-// schedule-dependent behavior.
-func TestStallRescueIsDeterministic(t *testing.T) {
-	runOnce := func() (uint64, []string) {
-		sys, _ := buildRelayRing(8, 2, 20)
-		sink := &collector{}
-		res, err := runParallel(sys, Config{
-			Workers:     2,
-			Protocol:    ProtoConservative,
-			Ordering:    OrderUserConsistent,
-			GVTEvery:    64,
-			StallPolicy: StallForceOpt,
-		}, relayHorizon, sink)
-		if err != nil {
-			t.Fatalf("rescued run failed: %v", err)
-		}
-		return res.Metrics.StallRescues, sink.sorted()
-	}
-	r1, t1 := runOnce()
-	r2, t2 := runOnce()
-	if r1 != r2 {
-		t.Errorf("rescue counts differ across identical runs: %d vs %d", r1, r2)
-	}
-	if strings.Join(t1, "\n") != strings.Join(t2, "\n") {
-		t.Error("rescued traces differ across identical runs")
-	}
-}
-
 // wedge is a ping-pong model whose Execute call blocks at the Nth event
 // until released: the failure mode where a model (or foreign code under it)
 // hangs, which no amount of protocol-level progress detection can see. Only

@@ -46,7 +46,6 @@ const (
 	fBlob
 	fErr
 	fModes
-	fBlocked
 	fLoads
 	fMoves
 	fAllModes
@@ -61,7 +60,7 @@ var wireFields = [...]msgField{
 	msgEvent:      fEv,
 	msgNull:       fSrc | fDst | fTS,
 	msgGVTPause:   fRound,
-	msgGVTAck:     fSent | fRecvd | fClock | fProcessed | fNulls | fModes | fBlocked | fLoads,
+	msgGVTAck:     fSent | fRecvd | fClock | fProcessed | fNulls | fModes | fLoads,
 	msgGVTDrain:   fExpect,
 	msgGVTMin:     fMin | fClock | fLoads,
 	msgGVTNew:     fGVT | fClock | fConsLPs | fOptLPs | fDone | fCkpt | fMoves,
@@ -240,13 +239,6 @@ func encodeControl(e *WireEncoder, m *Msg) {
 			e.Byte(byte(p.Mode))
 		}
 	}
-	if f&fBlocked != 0 {
-		e.Count(len(m.Blocked), m.Blocked == nil)
-		for _, b := range m.Blocked {
-			e.LP(b.LP)
-			e.VT(b.TS)
-		}
-	}
 	if f&fLoads != 0 {
 		e.Count(len(m.Loads), m.Loads == nil)
 		for _, l := range m.Loads {
@@ -385,14 +377,6 @@ func decodeControl(d *WireDecoder, m *Msg) {
 			m.Modes = make([]ModePair, n)
 			for i := range m.Modes {
 				m.Modes[i] = ModePair{LP: d.LP(), Mode: Mode(d.Byte())}
-			}
-		}
-	}
-	if f&fBlocked != 0 {
-		if n, ok := d.Count(3); ok {
-			m.Blocked = make([]BlockedLP, n)
-			for i := range m.Blocked {
-				m.Blocked[i] = BlockedLP{LP: d.LP(), TS: d.VT()}
 			}
 		}
 	}

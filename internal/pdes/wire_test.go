@@ -18,7 +18,7 @@ var wantFields = map[msgKind][]string{
 	msgEvent:      {"Ev"},
 	msgNull:       {"Src", "Dst", "TS"},
 	msgGVTPause:   {"Round"},
-	msgGVTAck:     {"Sent", "Recvd", "Clock", "Processed", "Nulls", "Modes", "Blocked", "Loads"},
+	msgGVTAck:     {"Sent", "Recvd", "Clock", "Processed", "Nulls", "Modes", "Loads"},
 	msgGVTDrain:   {"Expect"},
 	msgGVTMin:     {"Min", "Clock", "Loads"},
 	msgGVTNew:     {"GVT", "Clock", "ConsLPs", "OptLPs", "Done", "Ckpt", "Moves"},
@@ -188,10 +188,10 @@ func wireSamples() []*Msg {
 		{Kind: msgNull, From: 1, Src: 1, Dst: NoLP, TS: vtime.Inf},
 		{Kind: msgGVTPause, Round: 3},
 		{Kind: msgGVTAck, From: 1}, // nil slices
-		{Kind: msgGVTAck, From: 2, Sent: []uint64{}, Modes: []ModePair{}, Blocked: []BlockedLP{}, Loads: []LPLoad{}},
+		{Kind: msgGVTAck, From: 2, Sent: []uint64{}, Modes: []ModePair{}, Loads: []LPLoad{}},
 		{Kind: msgGVTAck, From: 2, Sent: []uint64{0, 5, math.MaxUint64}, Recvd: 8, Clock: 0.25, Processed: 11, Nulls: 3,
-			Modes:   []ModePair{{LP: 4, Mode: Optimistic}, {LP: 0, Mode: Conservative}},
-			Blocked: []BlockedLP{{LP: 7, TS: vtime.VT{PT: 3, LT: 4}}}, Loads: []LPLoad{{LP: 1, Execs: 99}}},
+			Modes: []ModePair{{LP: 4, Mode: Optimistic}, {LP: 0, Mode: Conservative}},
+			Loads: []LPLoad{{LP: 1, Execs: 99}}},
 		{Kind: msgGVTDrain, Expect: 12},
 		{Kind: msgGVTMin, From: 1, Min: vtime.Inf, Clock: 9},
 		{Kind: msgGVTMin, From: 2, Min: vtime.VT{PT: 4}, Loads: []LPLoad{{LP: 0, Execs: 7}}},

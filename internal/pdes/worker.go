@@ -92,7 +92,6 @@ type worker struct {
 	metrics  stats.Snapshot // this worker's counters; RunOn sums them after the join
 	sink     TraceSink
 	user     bool
-	cmp      Comparator
 
 	clock       float64
 	sentTo      []uint64 // cumulative events+nulls sent, per endpoint
@@ -198,21 +197,9 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 		watchers: make([][]*lpRT, sys.NumLPs()),
 		sink:     sink,
 		user:     cfg.Ordering == OrderUserConsistent,
-		cmp:      sys.cmp,
 		sentTo:   make([]uint64, ep.N()),
 		outBuf:   make([][]*Msg, ep.N()),
 		ackSent:  make([]uint64, ep.N()),
-	}
-	if w.cmp == nil {
-		w.cmp = func(a, b *Event) bool {
-			if a.Kind != b.Kind {
-				return a.Kind < b.Kind
-			}
-			if a.Src != b.Src {
-				return a.Src < b.Src
-			}
-			return a.ID < b.ID
-		}
 	}
 	if cfg.Restore == nil {
 		// A restored worker's LPs are installed from its blob instead (cut.go).
@@ -669,8 +656,7 @@ func (w *worker) memAdd(n int64) {
 }
 
 // executeBatch pops every pending event with the minimal timestamp, orders
-// the set with the application comparator and executes it (user-consistent
-// ordering).
+// the set by userOrderLess and executes it (user-consistent ordering).
 func (w *worker) executeBatch(lp *lpRT) {
 	first := lp.pending.Pop()
 	batch := []*Event{first}
@@ -678,12 +664,24 @@ func (w *worker) executeBatch(lp *lpRT) {
 		batch = append(batch, lp.pending.Pop())
 	}
 	if len(batch) > 1 {
-		sort.SliceStable(batch, func(i, j int) bool { return w.cmp(batch[i], batch[j]) })
+		sort.SliceStable(batch, func(i, j int) bool { return userOrderLess(batch[i], batch[j]) })
 	}
 	w.clock += costs.UserOrderCost * float64(len(batch))
 	for _, ev := range batch {
 		w.execute(lp, ev)
 	}
+}
+
+// userOrderLess is the user-consistent order of simultaneous events: by
+// kind, then source LP, then event ID.
+func userOrderLess(a, b *Event) bool {
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	return a.ID < b.ID
 }
 
 // emit is Ctx's send hook: allocate an ID, remember the send for potential
@@ -1061,9 +1059,6 @@ func (w *worker) gvtParticipate() (done bool) {
 	ack.Modes = w.modeProposals()
 	ack.Processed = w.execTotal
 	ack.Nulls = w.nullsSent
-	if w.cfg.StallPolicy == StallForceOpt {
-		ack.Blocked = w.blockedLPs()
-	}
 	if w.cfg.Migrate != nil {
 		ack.Loads = w.buildLoads()
 	}
@@ -1310,9 +1305,6 @@ func (w *worker) modeProposals() []ModePair {
 	}
 	var props []ModePair
 	for _, lp := range w.owned {
-		if lp.decl.forced {
-			continue
-		}
 		// Cooldown: a freshly adapted LP holds its mode for adaptCooldown
 		// rounds.
 		if lp.switchRound != 0 && w.roundNo-lp.switchRound < adaptCooldown {
@@ -1366,24 +1358,6 @@ func (w *worker) cancelback() {
 		// releasing more memory before the next victim pick.
 		w.drainLocal()
 	}
-}
-
-// blockedLPs lists the owned conservative LPs that are blocked at this GVT
-// pause — pending events below the horizon, none safe — with their earliest
-// withheld timestamp, for the controller's stall-rescue pick.
-func (w *worker) blockedLPs() []BlockedLP {
-	var b []BlockedLP
-	for _, lp := range w.owned {
-		if lp.mode != Conservative || lp.pending.Len() == 0 {
-			continue
-		}
-		ts := lp.pending.MinTS()
-		if !ts.Less(w.horizon) || lp.safeToProcess(w.gvt, w.user) {
-			continue
-		}
-		b = append(b, BlockedLP{LP: lp.decl.id, TS: ts})
-	}
-	return b
 }
 
 // publishDiag refreshes this worker's stall-report snapshot when the

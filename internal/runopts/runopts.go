@@ -62,7 +62,6 @@ type Opts struct {
 	MinNodes      int
 
 	StallTimeout time.Duration
-	StallPolicy  string
 	MemBudget    int64
 
 	FaultKillWrites int
@@ -105,8 +104,7 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.MaxFailovers, "max-failovers", supervise.DefaultMaxFailovers, "give up after this many automatic failovers")
 	fs.StringVar(&o.MigratePolicy, "migrate-policy", "", "live LP migration at GVT rounds: off, on-death (recovery migrates the dead node's LPs onto the survivors) or balance (sustained load imbalance triggers rebalancing moves)")
 	fs.IntVar(&o.MinNodes, "min-nodes", 0, "with -migrate-policy=on-death: migrate only while at least this many cluster nodes survive; below it recovery falls back to a full local absorb")
-	fs.DurationVar(&o.StallTimeout, "stall-timeout", 0, "fail (or rescue, see -stall-policy) the run if committed GVT does not advance for this long; 0 disables the watchdog")
-	fs.StringVar(&o.StallPolicy, "stall-policy", "fail", "stall remedy: fail (dump diagnostics and exit nonzero) or force-opt (force the blocked conservative LP optimistic, then fail if still stuck)")
+	fs.DurationVar(&o.StallTimeout, "stall-timeout", 0, "fail the run if committed GVT does not advance for this long; 0 disables the watchdog")
 	fs.Int64Var(&o.MemBudget, "mem-budget", 0, "bound tracked optimistic memory (events, snapshots, anti-message records) to this many bytes; 0 = unbounded")
 
 	fs.IntVar(&o.FaultKillWrites, "fault-kill-writes", 0, "fault injection, distributed: hard-close this process's connection after N writes")
@@ -149,9 +147,6 @@ func (o *Opts) Resolve() (govhdl.SessionOptions, error) {
 	if o.Listen != "" || o.Connect != "" {
 		so.Workers = o.Endpoints - 1
 	}
-	if o.StallPolicy == "force-opt" {
-		so.StallPolicy = pdes.StallForceOpt
-	}
 	if o.MigratePolicy == "balance" {
 		// Every distributed process needs the planner set (workers keep the
 		// commit/load accounting only when migration is configured); the
@@ -184,8 +179,7 @@ func (o *Opts) Resolve() (govhdl.SessionOptions, error) {
 
 // Validate rejects option combinations whose semantics conflict, before any
 // expensive work happens. Callers must apply the -checkpoint-file =>
-// -checkpoint-rounds default first (Resolve does). An empty StallPolicy means
-// "fail".
+// -checkpoint-rounds default first (Resolve does).
 func (o *Opts) Validate(proto pdes.Protocol) error {
 	if (o.Vet || o.VetStrict) && o.Circuit != "" {
 		return fmt.Errorf("-vet analyzes VHDL source: it cannot be combined with -circuit (built-in circuits carry no VHDL to lint)")
@@ -240,11 +234,6 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 		}
 	default:
 		return fmt.Errorf("-migrate-policy must be off, on-death or balance, got %q", o.MigratePolicy)
-	}
-	switch o.StallPolicy {
-	case "", "fail", "force-opt":
-	default:
-		return fmt.Errorf("-stall-policy must be \"fail\" or \"force-opt\", got %q", o.StallPolicy)
 	}
 	if o.StallTimeout < 0 {
 		return fmt.Errorf("-stall-timeout must be >= 0 (0 disables the watchdog)")

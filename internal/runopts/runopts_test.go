@@ -79,9 +79,6 @@ var validateCases = []struct {
 	wantErr string
 }{
 	{"baseline ok", func(o *Opts) {}, pdes.ProtoDynamic, ""},
-	{"empty stall policy ok", func(o *Opts) {
-		o.StallPolicy = ""
-	}, pdes.ProtoDynamic, ""},
 	{"restore with kill-writes", func(o *Opts) {
 		o.Restore = "ck"
 		o.FaultKillWrites = 10
@@ -114,9 +111,6 @@ var validateCases = []struct {
 		o.Failover = true
 		o.CkptRounds = 1
 	}, pdes.ProtoDynamic, ""},
-	{"bad stall policy", func(o *Opts) {
-		o.StallPolicy = "panic"
-	}, pdes.ProtoDynamic, "-stall-policy"},
 	{"negative stall timeout", func(o *Opts) {
 		o.StallTimeout = -time.Second
 	}, pdes.ProtoDynamic, "-stall-timeout"},
@@ -258,13 +252,9 @@ var validateCases = []struct {
 }
 
 func TestValidate(t *testing.T) {
-	// Baseline options that pass validation, mutated per case below.
-	base := func() Opts {
-		return Opts{StallPolicy: "fail"}
-	}
 	for _, c := range validateCases {
 		t.Run(c.name, func(t *testing.T) {
-			o := base()
+			var o Opts // zero options pass validation; each case mutates them
 			c.mutate(&o)
 			err := o.Validate(c.proto)
 			if c.wantErr == "" {
@@ -312,7 +302,6 @@ func flagArgs(o, def Opts) []string {
 	add("migrate-policy", o.MigratePolicy, def.MigratePolicy)
 	add("min-nodes", o.MinNodes, def.MinNodes)
 	add("stall-timeout", o.StallTimeout, def.StallTimeout)
-	add("stall-policy", o.StallPolicy, def.StallPolicy)
 	add("mem-budget", o.MemBudget, def.MemBudget)
 	add("fault-kill-writes", o.FaultKillWrites, def.FaultKillWrites)
 	add("fault-die-sends", o.FaultDieSends, def.FaultDieSends)
@@ -383,12 +372,12 @@ func TestFlagsResolveLikeOpts(t *testing.T) {
 // Resolve's own mapping, beyond Validate: defaults, the distributed worker
 // count, the retry switch, and its two parse errors.
 func TestResolveMapping(t *testing.T) {
-	so, err := (&Opts{Circuit: "fsm", Workers: 2, Throttle: "40ns", CkptFile: "x", StallPolicy: "force-opt"}).Resolve()
+	so, err := (&Opts{Circuit: "fsm", Workers: 2, Throttle: "40ns", CkptFile: "x"}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if so.Protocol != pdes.ProtoDynamic || so.Until != 2*vtime.US || so.ThrottleWindow != 40*vtime.NS ||
-		so.CheckpointRounds != 1 || so.StallPolicy != pdes.StallForceOpt || so.MaxFailovers != -1 {
+		so.CheckpointRounds != 1 || so.MaxFailovers != -1 {
 		t.Errorf("resolved %+v", so)
 	}
 	so, err = (&Opts{Top: "tb", Listen: ":0", Endpoints: 4, Failover: true, CkptRounds: 2, MaxFailovers: 5, MigratePolicy: "balance"}).Resolve()

@@ -81,7 +81,6 @@ type Snapshot struct {
 	OrphanAntis   uint64 // anti-messages never matched by a positive (bug indicator)
 	MemThrottled  uint64 // scheduling decisions withheld by the memory budget
 	Cancelbacks   uint64 // budget-driven rollbacks of furthest-ahead LPs
-	StallRescues  uint64 // blocked conservative LPs forced optimistic by stall rescue
 	Migrations    uint64 // LPs moved between workers at migration cuts
 	ViewChanges   uint64 // cluster view epochs observed (membership churn + migration cuts)
 	ForwardedMsgs uint64 // messages re-routed to an LP's new owner during handoff
@@ -119,9 +118,6 @@ func (s Snapshot) String() string {
 		s.LocalMsgs, s.RemoteMsgs, s.GVTRounds, s.ModeSwitches, s.Efficiency())
 	if s.MemThrottled != 0 || s.Cancelbacks != 0 {
 		out += fmt.Sprintf(" memthrottled=%d cancelbacks=%d", s.MemThrottled, s.Cancelbacks)
-	}
-	if s.StallRescues != 0 {
-		out += fmt.Sprintf(" stallrescues=%d", s.StallRescues)
 	}
 	if s.Migrations != 0 || s.ForwardedMsgs != 0 {
 		out += fmt.Sprintf(" migrations=%d viewchanges=%d forwarded=%d", s.Migrations, s.ViewChanges, s.ForwardedMsgs)

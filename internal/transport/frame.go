@@ -12,7 +12,7 @@ import (
 	"govhdl/internal/pdes"
 )
 
-// Wire format, protocol version 7. Everything on a connection is a frame:
+// Wire format, protocol version 8. Everything on a connection is a frame:
 //
 //	[u32 big-endian body length | body],  body = [type u8 | ...]
 //

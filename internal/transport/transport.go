@@ -48,8 +48,9 @@ import (
 // version 5 replaced the gob frame bodies with the hand-coded format of
 // frame.go; version 6 added msgPhase, the sharded runs' step message, and
 // retired the cross-shard event payload; version 7 dropped the adaptive GVT
-// interval from msgGVTNew.
-const protocolVersion = 7
+// interval from msgGVTNew; version 8 dropped the blocked-LP list from
+// msgGVTAck.
+const protocolVersion = 8
 
 // helloTimeout bounds how long each side waits for the handshake exchange.
 const helloTimeout = 10 * time.Second

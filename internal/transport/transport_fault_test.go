@@ -248,6 +248,7 @@ func TestHelloValidation(t *testing.T) {
 	}{
 		{"version", hello{Version: 1, Total: 4, Hosted: []int{2}}, "version mismatch"},
 		{"v6", hello{Version: 6, Total: 4, Hosted: []int{2}}, "dialer speaks 6"},
+		{"v7", hello{Version: 7, Total: 4, Hosted: []int{2}}, "dialer speaks 7"},
 		{"total", hello{Version: protocolVersion, Total: 3, Hosted: []int{2}}, "size mismatch"},
 		{"empty", hello{Version: protocolVersion, Total: 4, Hosted: nil}, "hosts no endpoints"},
 		{"controller", hello{Version: protocolVersion, Total: 4, Hosted: []int{0}}, "controller"},
