@@ -6,16 +6,31 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"io"
-
 	"sync"
 
 	"govhdl/internal/kernel"
+	"govhdl/internal/trace"
+	"govhdl/internal/vhdl/lint"
 )
 
-// Cache is the byte-bounded LRU of elaborated design prototypes. Sessions
-// for the same sources skip parsing and elaboration entirely: they clone
-// fresh run state off the cached prototype (kernel.Design.CloneFresh), so a
-// prototype is never consumed by a run and stays valid for every future hit.
+// Design is everything the server derives from one design's sources. The
+// miss that elaborates the design fills it once; every hit shares it
+// read-only.
+type Design struct {
+	// Proto is the elaborated prototype sessions clone their models from.
+	Proto *kernel.Design
+	// Lint is the design-lint report of the sources. Lint reads nothing but
+	// the source text, which the cache key covers, so a hit reuses it.
+	Lint *lint.Report
+	// Table is the VCD signal table every clone of Proto shares (CloneFresh
+	// keeps LP numbering).
+	Table *trace.Table
+}
+
+// Cache is the byte-bounded LRU of elaborated designs. Sessions for the same
+// sources skip parsing, lint and elaboration entirely: they clone fresh run
+// state off the cached prototype (kernel.Design.CloneFresh), so a prototype
+// is never consumed by a run and stays valid for every future hit.
 //
 // Concurrent first requests for the same key elaborate once: the loser
 // waits for the winner's result instead of duplicating the work
@@ -35,7 +50,7 @@ type entry struct {
 	elem  *list.Element
 	ready chan struct{} // closed when d/err are set
 	done  bool          // guarded by Cache.mu; true once ready is closed
-	d     *kernel.Design
+	d     *Design
 	bytes int64
 	err   error
 }
@@ -45,11 +60,13 @@ func NewCache(maxBytes int64) *Cache {
 	return &Cache{max: maxBytes, lru: list.New(), entries: make(map[string]*entry)}
 }
 
-// Get returns the design for key, building (and caching) it on a miss. The
-// second result reports whether this was a hit — i.e. whether elaboration
-// was skipped for this caller. Failed builds are not cached: the next Get
-// for the same key builds again.
-func (c *Cache) Get(key string, build func() (*kernel.Design, int64, error)) (*kernel.Design, bool, error) {
+// Get returns the design for key, building (and caching) it on a miss; build
+// also returns the design's weight in bytes. The second result reports
+// whether this was a hit — i.e. whether elaboration was skipped for this
+// caller. Failed builds are not cached: the next Get for the same key builds
+// again. A failed build's design, when it returned one, is handed to every
+// caller waiting on it alongside the error.
+func (c *Cache) Get(key string, build func() (*Design, int64, error)) (*Design, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -148,8 +165,27 @@ func writeField(w io.Writer, s string) {
 	io.WriteString(w, s)
 }
 
-// designBytes estimates a cached prototype's weight: the source text it came
-// from plus a nominal per-LP cost for the elaborated structures.
-func designBytes(d *kernel.Design, srcBytes int) int64 {
-	return int64(srcBytes) + int64(d.NumLPs())*256
+// The weights of designBytes, calibrated on the live heap of elaborated
+// designs after GC (TestDesignBytesTracksHeap): about 1.9 KiB per LP for the
+// kernel's signal and process records, their LP state and the engine's LP
+// table, plus about 6 B per source byte for the source text — which the
+// parsed names slice into and so keep alive — and the statement trees the
+// compiled processes interpret. The benchmark's generated 807-LP, 158 KB
+// design measured 2.40 MiB against an estimate of 2.41 MiB.
+const (
+	protoBytesPerLP         = 1900
+	protoBytesPerSourceByte = 6
+	tableBytesPerSignal     = 112 // one VCD var, its identifier and its index entry
+	lintBytesPerDiagnostic  = 96  // the Diagnostic record; its texts are added
+)
+
+// designBytes estimates a cached design's weight: the prototype from its
+// structure and the source size, plus its trace table and lint report.
+func designBytes(d *Design, srcBytes int) int64 {
+	n := int64(d.Proto.NumLPs())*protoBytesPerLP + int64(srcBytes)*protoBytesPerSourceByte +
+		int64(d.Proto.NumSignals())*tableBytesPerSignal
+	for _, dg := range d.Lint.Diagnostics {
+		n += lintBytesPerDiagnostic + int64(len(dg.Message)+len(dg.Suggestion))
+	}
+	return n
 }

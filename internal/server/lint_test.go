@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -149,5 +150,72 @@ func TestServerVetGate(t *testing.T) {
 	}
 	if rep2.Lint.Warnings == 0 || rep2.Lint.Diagnostics[0].Rule != "V005" {
 		t.Errorf("session lint report = %+v, want a V005 warning (q never read)", rep2.Lint)
+	}
+
+	// lint_runs counts passes executed. Only cache misses run one: md twice
+	// (a design that fails to elaborate is never cached) and the counter
+	// once; every later counter submit reused the cached report.
+	if got := metricValue(t, ts, "lint_runs"); got != 3 {
+		t.Errorf("lint_runs = %d, want 3 (one per cache miss)", got)
+	}
+}
+
+// TestServerLintReuse: a cache hit takes the lint report the miss computed
+// instead of parsing and linting again, and the vet gate applies to that
+// report unchanged. Sources that do not parse are never cached.
+func TestServerLintReuse(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	first := waitFinished(t, ts, submit(t, ts, counterRequest()).ID)
+	sub := submit(t, ts, counterRequest())
+	if !sub.Cached {
+		t.Fatal("second identical submit missed the cache")
+	}
+	second := waitFinished(t, ts, sub.ID)
+	if got := metricValue(t, ts, "lint_runs"); got != 1 {
+		t.Errorf("lint_runs = %d after a miss and a hit, want 1", got)
+	}
+	if first.Lint == nil || !reflect.DeepEqual(first.Lint, second.Lint) {
+		t.Errorf("hit's lint report %+v differs from the miss's %+v", second.Lint, first.Lint)
+	}
+
+	// The cached report carries counterSrc's V005 warning, so vet_strict
+	// rejects the hit just as it would have rejected the miss.
+	strict := counterRequest()
+	strict.VetStrict = true
+	body, _ := json.Marshal(strict)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep lint.Report
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("vet_strict hit: status %d, want 422: %s", resp.StatusCode, buf.Bytes())
+	}
+	if err := rep.Decode(buf.Bytes()); err != nil || !reflect.DeepEqual(rep.Diagnostics, first.Lint.Diagnostics) {
+		t.Errorf("422 body %s is not the cached report (%v)", buf.Bytes(), err)
+	}
+	if got := metricValue(t, ts, "cache_hits"); got != 2 {
+		t.Errorf("cache_hits = %d, want 2 (the vet_strict submit hit too)", got)
+	}
+	if got := metricValue(t, ts, "lint_runs"); got != 1 {
+		t.Errorf("lint_runs = %d after two hits, want 1", got)
+	}
+
+	// A parse error is answered, not cached: the same sources miss again.
+	bad := SessionRequest{Top: "x", Sources: []SourceRequest{{Name: "x.vhd", Text: "entity oops"}}}
+	for i := 0; i < 2; i++ {
+		if _, code := trySubmit(t, ts, bad); code != http.StatusBadRequest {
+			t.Fatalf("unparseable submit %d: status %d, want 400", i, code)
+		}
+	}
+	if got := metricValue(t, ts, "cache_misses"); got != 3 {
+		t.Errorf("cache_misses = %d, want 3 (the counter once, the parse error twice)", got)
+	}
+	if got := metricValue(t, ts, "cache_entries"); got != 1 {
+		t.Errorf("cache_entries = %d, want 1 (a parse error was cached)", got)
 	}
 }

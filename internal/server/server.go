@@ -22,7 +22,6 @@ import (
 
 	"govhdl"
 	"govhdl/internal/circuits"
-	"govhdl/internal/kernel"
 	"govhdl/internal/runopts"
 	"govhdl/internal/trace"
 	"govhdl/internal/vhdl"
@@ -93,7 +92,7 @@ type Server struct {
 	failed   int
 	canceled int
 
-	lintRuns     int // lint passes executed (submits with sources + /v1/lint calls)
+	lintRuns     int // lint passes executed: design-cache misses + /v1/lint calls; a hit runs none
 	lintFindings int // total diagnostics those passes produced
 
 	// Elasticity counters, aggregated from finished sessions' engine metrics.
@@ -305,21 +304,21 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	so.Deadline, so.MaxFailovers = deadline, sv.cfg.MaxFailovers
 	so.NoTrace, so.Rebalance = req.NoTrace, req.Rebalance
 
-	// Design lint runs on every VHDL submission — the findings ride on the
-	// session status — and, when the request opts in via vet/vet_strict,
-	// fatal findings reject the submission before a queue slot is spent.
-	// Sources that fail to parse get no report: factoryFor surfaces the
-	// parse error once the request's shape has been checked.
-	files, lintRep, parseErr := sv.lintSources(req.Sources)
-	if lintRep != nil && (req.Vet || req.VetStrict) &&
-		(lintRep.Errors > 0 || (req.VetStrict && lintRep.Warnings > 0)) {
+	// A VHDL submission resolves through the design cache before anything
+	// is parsed: a hit carries the lint report of the miss that elaborated
+	// the design. The findings ride on the session status either way and,
+	// when the request opts in via vet/vet_strict, fatal findings reject the
+	// submission before a queue slot is spent — ahead of an elaboration
+	// error, which the lint report explains. Sources that fail to parse get
+	// no report; the parse error is the answer.
+	factory, d, cached, err := sv.factoryFor(&req)
+	if d != nil && (req.Vet || req.VetStrict) &&
+		(d.Lint.Errors > 0 || (req.VetStrict && d.Lint.Warnings > 0)) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusUnprocessableEntity)
-		lint.WriteJSON(w, lintRep.Diagnostics)
+		lint.WriteJSON(w, d.Lint.Diagnostics)
 		return
 	}
-
-	factory, cached, err := sv.factoryFor(&req, files, parseErr)
 	if err != nil {
 		// Compile, elaboration and unknown-name errors are the client's
 		// fault and are surfaced at submit time, before a slot is spent.
@@ -339,18 +338,23 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id := "s" + strconv.Itoa(sv.nextID)
 	sv.mu.Unlock()
 
-	ss := newSession(id, cached, nil)
-	ss.lint = lintRep
-	// The wrapper publishes the attempt's design to the session record as
-	// soon as the factory produces it, so VCD streaming can write its
-	// header before the run completes.
-	sim := govhdl.NewSession(func() (*govhdl.Model, error) {
-		m, err := factory()
-		if err == nil {
-			ss.setDesign(m.Design)
+	ss := newSession(id, cached)
+	if d != nil {
+		ss.lint, ss.table = d.Lint, d.Table
+	} else {
+		// A circuit is rebuilt per attempt: the first attempt's design
+		// gives the session its trace table, so VCD streaming can write
+		// its header before the run completes.
+		inner := factory
+		factory = func() (*govhdl.Model, error) {
+			m, err := inner()
+			if err == nil {
+				ss.setTable(m.Design)
+			}
+			return m, err
 		}
-		return m, err
-	}, so)
+	}
+	sim := govhdl.NewSession(factory, so)
 	sim.OnTrace(ss.append)
 	ss.sim = sim
 
@@ -370,11 +374,8 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // lintSources parses a submission's VHDL sources once and runs design lint
 // over them, accounting the pass in the lint metrics. It returns the parsed
 // files (the cache-miss path elaborates the same trees) and the report, or
-// the parse error; a circuit request, with nothing to lint, gets neither.
+// the parse error.
 func (sv *Server) lintSources(srcs []SourceRequest) ([]*vhdl.DesignFile, *lint.Report, error) {
-	if len(srcs) == 0 {
-		return nil, nil, nil
-	}
 	vs := make([]vhdl.Source, len(srcs))
 	for i, s := range srcs {
 		vs[i] = vhdl.Source(s)
@@ -424,53 +425,66 @@ func (sv *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 }
 
 // factoryFor resolves a request's design into a per-attempt model factory.
-// VHDL submissions go through the cache: elaboration (of the files lint
-// already parsed) happens at most once per content hash, and each attempt
-// clones fresh state off the prototype.
-// Circuit submissions rebuild per attempt (their combinational behaviors
-// hold closures that cannot be cloned; rebuilding is cheap and equivalent).
-func (sv *Server) factoryFor(req *SessionRequest, files []*vhdl.DesignFile, parseErr error) (govhdl.ModelFactory, bool, error) {
+// VHDL submissions go through the cache, which also returns the cached
+// design (nil for a circuit): parsing, lint and elaboration happen at most
+// once per content hash, and each attempt clones fresh state off the
+// prototype. On a failed elaboration the design still carries its lint
+// report. Circuit submissions rebuild per attempt (their combinational
+// behaviors hold closures that cannot be cloned; rebuilding is cheap and
+// equivalent).
+func (sv *Server) factoryFor(req *SessionRequest) (govhdl.ModelFactory, *Design, bool, error) {
 	switch {
 	case req.Circuit != "" && (req.Top != "" || len(req.Sources) > 0):
-		return nil, false, fmt.Errorf("give either circuit or top+sources, not both")
+		return nil, nil, false, fmt.Errorf("give either circuit or top+sources, not both")
 	case req.Circuit != "":
 		build, _, err := circuits.ByName(req.Circuit)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		return func() (*govhdl.Model, error) {
 			return govhdl.FromDesign(build().Design), nil
-		}, false, nil
+		}, nil, false, nil
 	case len(req.Sources) > 0:
 		if req.Top == "" {
-			return nil, false, fmt.Errorf("top is required with sources")
+			return nil, nil, false, fmt.Errorf("top is required with sources")
 		}
-		if parseErr != nil {
-			return nil, false, parseErr
-		}
-		srcBytes := 0
-		for _, s := range req.Sources {
-			srcBytes += len(s.Text)
-		}
-		proto, hit, err := sv.cache.Get(DesignKey(req.Top, req.Sources), func() (*kernel.Design, int64, error) {
-			m, err := govhdl.Elaborate(req.Top, files...)
-			if err != nil {
-				return nil, 0, err
-			}
-			return m.Design, designBytes(m.Design, srcBytes), nil
+		d, hit, err := sv.cache.Get(DesignKey(req.Top, req.Sources), func() (*Design, int64, error) {
+			return sv.elaborate(req.Top, req.Sources)
 		})
 		if err != nil {
-			return nil, hit, err
+			return nil, d, hit, err
 		}
 		return func() (*govhdl.Model, error) {
-			clone, err := proto.CloneFresh()
+			clone, err := d.Proto.CloneFresh()
 			if err != nil {
 				return nil, err
 			}
 			return govhdl.FromDesign(clone), nil
-		}, hit, nil
+		}, d, hit, nil
 	}
-	return nil, false, fmt.Errorf("nothing to simulate: give top+sources, or circuit")
+	return nil, nil, false, fmt.Errorf("nothing to simulate: give top+sources, or circuit")
+}
+
+// elaborate is the cache-miss path of a VHDL submission: parse and lint the
+// sources, elaborate the parsed trees under top, and derive the trace table.
+// It elaborates whatever the submitting request's vet gate decides, so the
+// entry serves later submits of the same sources whatever their flags. A
+// design that fails to elaborate is returned with its lint report only.
+func (sv *Server) elaborate(top string, srcs []SourceRequest) (*Design, int64, error) {
+	files, rep, err := sv.lintSources(srcs)
+	if err != nil {
+		return nil, 0, err
+	}
+	m, err := govhdl.Elaborate(top, files...)
+	if err != nil {
+		return &Design{Lint: rep}, 0, err
+	}
+	srcBytes := 0
+	for _, s := range srcs {
+		srcBytes += len(s.Text)
+	}
+	d := &Design{Proto: m.Design, Lint: rep, Table: trace.NewTable(m.Design)}
+	return d, designBytes(d, srcBytes), nil
 }
 
 // runSession is the session goroutine: wait for a pool slot, run, account.
@@ -527,16 +541,14 @@ func (sv *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func replyFor(ss *session) SessionReply {
-	state, cached, nlines, res, err, kind := ss.snapshot()
+	state, cached, nlines, sum, err, kind := ss.snapshot()
 	rep := SessionReply{ID: ss.id, State: state, Cached: cached, TraceLines: nlines}
 	if err != nil {
 		rep.Error = err.Error()
 		rep.ErrorKind = kind.String()
 	}
-	if res != nil && res.Run != nil {
-		rep.GVT = res.Run.GVT.String()
-		rep.Wall = res.Run.Wall.String()
-		rep.Metrics = res.Run.Metrics.String()
+	if sum != nil {
+		rep.GVT, rep.Wall, rep.Metrics = sum.gvt, sum.wall, sum.metrics
 	}
 	rep.Lint = ss.lint
 	return rep
@@ -590,14 +602,14 @@ func (sv *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 	if ss == nil {
 		return
 	}
-	d := ss.waitDesign(r.Context())
-	if d == nil {
+	table := ss.waitTable(r.Context())
+	if table == nil {
 		httpError(w, http.StatusConflict, "session ended before elaboration; no design to dump")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	flusher, _ := w.(http.Flusher)
-	str, err := trace.NewVCDStreamer(w, d, d.Name)
+	str, err := table.Streamer(w)
 	if err != nil {
 		return
 	}

@@ -553,8 +553,8 @@ func TestServerElasticRebalance(t *testing.T) {
 // TestCacheLRU pins the unit-level cache semantics: LRU eviction by bytes,
 // no caching of failures, and single-flight concurrent builds.
 func TestCacheLRU(t *testing.T) {
-	mk := func() (*kernel.Design, int64, error) {
-		return kernel.NewDesign("d"), 60, nil
+	mk := func() (*Design, int64, error) {
+		return &Design{Proto: kernel.NewDesign("d")}, 60, nil
 	}
 	c := NewCache(100)
 	if _, hit, _ := c.Get("a", mk); hit {
@@ -576,7 +576,7 @@ func TestCacheLRU(t *testing.T) {
 	}
 
 	// Failures are not cached.
-	fail := func() (*kernel.Design, int64, error) { return nil, 0, fmt.Errorf("boom") }
+	fail := func() (*Design, int64, error) { return nil, 0, fmt.Errorf("boom") }
 	if _, _, err := c.Get("bad", fail); err == nil {
 		t.Fatal("failed build returned no error")
 	}
@@ -588,12 +588,12 @@ func TestCacheLRU(t *testing.T) {
 	c2 := NewCache(1 << 20)
 	var mu sync.Mutex
 	builds := 0
-	slow := func() (*kernel.Design, int64, error) {
+	slow := func() (*Design, int64, error) {
 		mu.Lock()
 		builds++
 		mu.Unlock()
 		time.Sleep(20 * time.Millisecond)
-		return kernel.NewDesign("s"), 10, nil
+		return &Design{Proto: kernel.NewDesign("s")}, 10, nil
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

@@ -30,6 +30,10 @@ const (
 // stream buffers its HTTP consumers read from. Trace increments accumulate
 // here (finalized, deterministic order) so any number of readers can stream
 // from any offset, attach late, or re-read after completion.
+//
+// A finished session keeps its trace and a summary of its run, never the run
+// itself: no model, recorder or engine result stays reachable from it, so
+// what the server retains per finished session is proportional to its trace.
 type session struct {
 	id     string
 	cached bool
@@ -43,16 +47,22 @@ type session struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	state   State
-	design  *kernel.Design // set once running (VCD headers need it)
-	lines   []string       // finalized rendered trace, all batches
-	entries []trace.Entry  // same increments, structured (VCD streaming)
-	res     *govhdl.Result
+	table   *trace.Table  // the design's VCD signals; set once the design exists
+	lines   []string      // finalized rendered trace, all batches
+	entries []trace.Entry // same increments, structured (VCD streaming)
+	sum     *runSummary   // set when the run returned an engine result
 	err     error
 	kind    govhdl.ErrorKind
 }
 
-func newSession(id string, cached bool, sim *govhdl.Session) *session {
-	s := &session{id: id, cached: cached, sim: sim, state: StateQueued}
+// runSummary is what a finished session keeps of its engine result: the
+// figures status replies and /metrics print.
+type runSummary struct {
+	gvt, wall, metrics string
+}
+
+func newSession(id string, cached bool) *session {
+	s := &session{id: id, cached: cached, state: StateQueued}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -75,20 +85,26 @@ func (s *session) setRunning() {
 	s.mu.Unlock()
 }
 
-// setDesign publishes the attempt's design (first attempt wins; retries
-// rebuild an identical design, so the pointer only matters for identity).
-func (s *session) setDesign(d *kernel.Design) {
+// setTable publishes the trace table of an attempt's design (first attempt
+// wins; retries rebuild an identical design).
+func (s *session) setTable(d *kernel.Design) {
+	t := trace.NewTable(d)
 	s.mu.Lock()
-	if s.design == nil {
-		s.design = d
+	if s.table == nil {
+		s.table = t
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
+// finish records the outcome. It keeps a summary of the result, not the
+// result: the caller drops the run once finish returns.
 func (s *session) finish(res *govhdl.Result, err error) {
 	s.mu.Lock()
-	s.res, s.err = res, err
+	if res != nil && res.Run != nil {
+		s.sum = &runSummary{gvt: res.Run.GVT.String(), wall: res.Run.Wall.String(), metrics: res.Run.Metrics.String()}
+	}
+	s.err = err
 	switch {
 	case err == nil:
 		s.state = StateDone
@@ -106,10 +122,10 @@ func (s *session) finished() bool {
 }
 
 // snapshot returns the fields a status response needs, consistently.
-func (s *session) snapshot() (state State, cached bool, nlines int, res *govhdl.Result, err error, kind govhdl.ErrorKind) {
+func (s *session) snapshot() (state State, cached bool, nlines int, sum *runSummary, err error, kind govhdl.ErrorKind) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state, s.cached, len(s.lines), s.res, s.err, s.kind
+	return s.state, s.cached, len(s.lines), s.sum, s.err, s.kind
 }
 
 // waitLines blocks until the session has rendered lines past from, or has
@@ -129,16 +145,18 @@ func (s *session) waitEntries(ctx context.Context, from int) ([]trace.Entry, boo
 	}, from)
 }
 
-// waitDesign blocks until the session's model exists (state >= running).
-func (s *session) waitDesign(ctx context.Context) *kernel.Design {
+// waitTable blocks until the session's trace table exists (at submit for a
+// VHDL design, at the first attempt for a circuit), or the session finished
+// without one.
+func (s *session) waitTable(ctx context.Context) *trace.Table {
 	stop := wakeOnDone(ctx, s.cond)
 	defer stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.design == nil && !s.finished() && ctx.Err() == nil {
+	for s.table == nil && !s.finished() && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	return s.design
+	return s.table
 }
 
 func waitBuf[T any](ctx context.Context, s *session, size func() int, copyRange func(lo, hi int) []T, from int) ([]T, bool) {

@@ -75,41 +75,80 @@ func (c *Cursor) Drain() []Entry {
 	return out
 }
 
+// Table is what a Value Change Dump needs of a design, detached from the
+// design itself: the module name and the dumped signals with their VCD
+// identifiers and widths. It is immutable once built, so one table serves
+// any number of concurrent streamers. Clones made by kernel.Design.CloneFresh
+// keep their original's LP numbering, so a table built from a prototype
+// serves every run of its clones, and a finished run needs to keep only the
+// table, not its design.
+type Table struct {
+	name string
+	vars []vcdVar
+	ids  map[pdes.LPID]string // signal LP -> VCD identifier
+}
+
+type vcdVar struct {
+	id, name string
+	width    int
+}
+
+// NewTable declares every signal of the design, in declaration order, with
+// widths derived from the initial values. The design must be built (so
+// signal LP IDs are assigned).
+func NewTable(d *kernel.Design) *Table {
+	t := &Table{name: d.Name, ids: make(map[pdes.LPID]string, d.NumSignals())}
+	for _, sig := range d.Signals() {
+		t.add(d.SignalLPID(sig), sig.Name, vcdWidth(sig.Init))
+	}
+	return t
+}
+
+func (t *Table) add(lp pdes.LPID, name string, width int) {
+	id := vcdID(len(t.vars))
+	t.vars = append(t.vars, vcdVar{id: id, name: name, width: width})
+	t.ids[lp] = id
+}
+
 // VCDStreamer renders a Value Change Dump incrementally from Cursor batches.
-// Unlike WriteVCD — which discovers signals from the finished trace — the
-// streamer needs the header before any data, so it declares every "sig:"
-// signal of the design upfront with widths derived from the initial values.
-// The output for a completed run is semantically equivalent to WriteVCD's
-// (same changes at the same times); the $var section may order or include
-// signals differently, since WriteVCD omits signals that never change.
+// Unlike WriteVCD — which discovers signals from the finished trace — a
+// streamer needs the header before any data, so it declares every signal of
+// its Table upfront. The output for a completed run is semantically
+// equivalent to WriteVCD's (same changes at the same times); the $var
+// section may order or include signals differently, since WriteVCD omits
+// signals that never change.
 type VCDStreamer struct {
 	w       io.Writer
-	idFor   map[pdes.LPID]string
+	ids     map[pdes.LPID]string
 	started bool
 	curTime vtime.Time
 	pending map[string]string // id -> vcd value text (delta collapse)
 	order   []string
 }
 
-// NewVCDStreamer writes the full VCD header for the built design and
-// returns a streamer ready for Feed. The design must be built (so signal
-// LP IDs are assigned).
+// NewVCDStreamer writes the full VCD header for the built design under the
+// given module name and returns a streamer ready for Feed.
 func NewVCDStreamer(w io.Writer, d *kernel.Design, designName string) (*VCDStreamer, error) {
-	s := &VCDStreamer{w: w, idFor: make(map[pdes.LPID]string), pending: map[string]string{}}
-	if _, err := fmt.Fprintf(w, "$date\n  govhdl\n$end\n$version\n  govhdl distributed VHDL simulator\n$end\n$timescale\n  1fs\n$end\n$scope module %s $end\n", designName); err != nil {
+	t := NewTable(d)
+	t.name = designName
+	return t.Streamer(w)
+}
+
+// Streamer writes the VCD header declaring the table's signals and returns
+// a streamer ready for Feed.
+func (t *Table) Streamer(w io.Writer) (*VCDStreamer, error) {
+	if _, err := fmt.Fprintf(w, "$date\n  govhdl\n$end\n$version\n  govhdl distributed VHDL simulator\n$end\n$timescale\n  1fs\n$end\n$scope module %s $end\n", t.name); err != nil {
 		return nil, err
 	}
-	for i, sig := range d.Signals() {
-		id := vcdID(i)
-		s.idFor[d.SignalLPID(sig)] = id
-		if _, err := fmt.Fprintf(w, "$var wire %d %s %s $end\n", vcdWidth(sig.Init), id, sig.Name); err != nil {
+	for _, v := range t.vars {
+		if _, err := fmt.Fprintf(w, "$var wire %d %s %s $end\n", v.width, v.id, v.name); err != nil {
 			return nil, err
 		}
 	}
 	if _, err := fmt.Fprint(w, "$upscope $end\n$enddefinitions $end\n"); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &VCDStreamer{w: w, ids: t.ids, pending: map[string]string{}}, nil
 }
 
 // Feed consumes one finalized batch (as produced by Cursor.Advance, i.e.
@@ -122,7 +161,7 @@ func (s *VCDStreamer) Feed(entries []Entry) error {
 		if !ok {
 			continue
 		}
-		id, ok := s.idFor[e.LP]
+		id, ok := s.ids[e.LP]
 		if !ok {
 			continue
 		}

@@ -161,102 +161,31 @@ func Equal(sys *pdes.System, a, b *Recorder) (bool, string) {
 }
 
 // WriteVCD renders the signal changes as a Value Change Dump. Only
-// kernel.SigChange records from LPs named "sig:<name>" are dumped; delta
-// cycles collapse onto their physical time, keeping the last value of each
-// time step, as waveform viewers expect.
+// kernel.SigChange records from LPs named "sig:<name>" are dumped, declared
+// in the order they first change; delta cycles collapse onto their physical
+// time, keeping the last value of each time step, as waveform viewers
+// expect.
 func WriteVCD(w io.Writer, sys *pdes.System, r *Recorder, designName string) error {
 	entries := r.Sorted()
-
-	// Collect dumped signals in first-appearance order.
-	type sigInfo struct {
-		name  string
-		id    string
-		width int
-	}
-	idFor := map[pdes.LPID]*sigInfo{}
-	var sigs []*sigInfo
-	nextID := 0
-	mkID := func() string {
-		id := vcdID(nextID)
-		nextID++
-		return id
-	}
+	t := &Table{name: designName, ids: map[pdes.LPID]string{}}
 	for _, e := range entries {
 		sc, ok := e.Item.(kernel.SigChange)
 		if !ok {
 			continue
 		}
-		name := sys.Name(e.LP)
-		if !strings.HasPrefix(name, "sig:") {
-			continue
-		}
-		if _, seen := idFor[e.LP]; !seen {
-			si := &sigInfo{name: strings.TrimPrefix(name, "sig:"), id: mkID(), width: vcdWidth(sc.Value)}
-			idFor[e.LP] = si
-			sigs = append(sigs, si)
+		name, isSig := strings.CutPrefix(sys.Name(e.LP), "sig:")
+		if _, seen := t.ids[e.LP]; isSig && !seen {
+			t.add(e.LP, name, vcdWidth(sc.Value))
 		}
 	}
-
-	if _, err := fmt.Fprintf(w, "$date\n  govhdl\n$end\n$version\n  govhdl distributed VHDL simulator\n$end\n$timescale\n  1fs\n$end\n$scope module %s $end\n", designName); err != nil {
+	s, err := t.Streamer(w)
+	if err != nil {
 		return err
 	}
-	for _, si := range sigs {
-		kind := "wire"
-		if _, err := fmt.Fprintf(w, "$var %s %d %s %s $end\n", kind, si.width, si.id, si.name); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprint(w, "$upscope $end\n$enddefinitions $end\n"); err != nil {
+	if err := s.Feed(entries); err != nil {
 		return err
 	}
-
-	// Emit changes grouped by physical time, keeping only the last value a
-	// signal takes within one time step (delta collapse).
-	var curTime vtime.Time
-	started := false
-	pendingVals := map[string]string{} // id -> vcd value text
-	var order []string
-	flush := func() error {
-		if !started {
-			return nil
-		}
-		if len(order) == 0 {
-			return nil
-		}
-		if _, err := fmt.Fprintf(w, "#%d\n", uint64(curTime)); err != nil {
-			return err
-		}
-		for _, id := range order {
-			if _, err := fmt.Fprintln(w, pendingVals[id]); err != nil {
-				return err
-			}
-		}
-		pendingVals = map[string]string{}
-		order = order[:0]
-		return nil
-	}
-	for _, e := range entries {
-		sc, ok := e.Item.(kernel.SigChange)
-		if !ok {
-			continue
-		}
-		si, ok := idFor[e.LP]
-		if !ok {
-			continue
-		}
-		if !started || e.TS.PT != curTime {
-			if err := flush(); err != nil {
-				return err
-			}
-			curTime = e.TS.PT
-			started = true
-		}
-		if _, dup := pendingVals[si.id]; !dup {
-			order = append(order, si.id)
-		}
-		pendingVals[si.id] = vcdValue(sc.Value, si.id)
-	}
-	return flush()
+	return s.Close()
 }
 
 // vcdID encodes an index as a VCD identifier (printable ASCII 33..126).

@@ -55,9 +55,15 @@ func isLetter(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// bytesPerToken sizes the token slice upfront: VHDL runs 4.6 to 5.9 source
+// bytes per token on testdata/, examples/vhdl/ and the benchmark's generated
+// design, so len(src)/bytesPerToken tokens covers a whole file in one
+// allocation instead of a chain of append regrowths.
+const bytesPerToken = 4
+
 // lex tokenizes the whole input.
 func (l *lexer) lex() ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(l.src)/bytesPerToken+1)
 	lastEnd := -1 // byte offset just past the previous token
 	for {
 		l.skipSpaceAndComments()

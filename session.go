@@ -216,12 +216,17 @@ func (s *Session) Run() (*Result, error) {
 	if err != nil && s.deadlined.Load() && Classify(err) == KindCanceled {
 		err = fmt.Errorf("%w (%v): %v", ErrDeadlineExceeded, s.opts.Deadline, err)
 	}
+	// The Result takes the model and recorder over; the session keeps no
+	// reference to them or to the factory, so a caller that holds on to a
+	// finished Session (to Cancel it, say) does not pin the run.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.model == nil {
+	m, rec := s.model, s.rec
+	s.model, s.rec, s.factory = nil, nil, nil
+	if m == nil {
 		return nil, err
 	}
-	return &Result{Run: run, Trace: s.rec, model: s.model}, err
+	return &Result{Run: run, Trace: rec, model: m}, err
 }
 
 // attempt executes attempt n: build a fresh model, shard it, map the options
