@@ -252,14 +252,6 @@ func run(o runOpts) error {
 			fmt.Fprintf(o.stdout, "restoring from %s (GVT %v, round %d)\n", gen, cf.Ckpt.GVT, cf.Ckpt.Round)
 		}
 	}
-	if so.Shards > 0 {
-		part := so.Partition
-		if part == "" {
-			part = "topo"
-		}
-		fmt.Fprintf(o.stdout, "sharding: %d shards, intra-shard sequential, %s membership\n", so.Shards, part)
-	}
-
 	// With an elastic migrate policy the transport maintains an epoch-numbered
 	// cluster view; the on-death recovery decision (migrate onto the survivors
 	// vs full absorb) reads the FIRST view that records a death, not the
@@ -352,6 +344,16 @@ func run(o runOpts) error {
 		return avail
 	}
 
+	switch {
+	case so.SequentialKernel() && so.Protocol != govhdl.Sequential:
+		fmt.Fprintf(o.stdout, "one worker: running on the sequential kernel (nothing to synchronize)\n")
+	case so.Shards > 0:
+		part := so.Partition
+		if part == "" {
+			part = "topo"
+		}
+		fmt.Fprintf(o.stdout, "sharding: %d shards, intra-shard sequential, %s membership\n", so.Shards, part)
+	}
 	res, err := govhdl.NewSession(factory, so).Run()
 	if err != nil {
 		return err

@@ -132,3 +132,19 @@ func TestCheckpointLineageThroughCLI(t *testing.T) {
 		t.Fatalf("skipped = %v, want exactly the corrupt newest generation", skipped)
 	}
 }
+
+// A one-worker run says it ran on the sequential kernel, and a one-worker
+// sharded run does not announce shards it never built.
+func TestRunOneWorkerAnnouncesSequentialKernel(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		var out strings.Builder
+		o := runOpts{Opts: runopts.Opts{Circuit: "fsm", Protocol: "dynamic", Workers: 1, Shards: shards, SaveEvery: 1, Until: "100ns"},
+			stdout: &out, stderr: io.Discard}
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "sequential kernel") || strings.Contains(out.String(), "sharding:") {
+			t.Fatalf("-shards %d:\n%s", shards, out.String())
+		}
+	}
+}

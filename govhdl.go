@@ -70,10 +70,12 @@ type Source = vhdl.Source
 
 // Options parameterizes a simulation run.
 type Options struct {
-	// Protocol is the synchronization protocol (default Dynamic).
+	// Protocol is the synchronization protocol. The zero value is
+	// Sequential; the frontends (pvsim, govhdld) default to Dynamic.
 	Protocol Protocol
 	// Workers is the number of parallel workers (default 1; ignored for
-	// Sequential).
+	// Sequential). One worker runs on the sequential kernel unless the
+	// session needs the engine (see SessionOptions.SequentialKernel).
 	Workers int
 	// Until is the exclusive simulation horizon (default 1ms).
 	Until Time

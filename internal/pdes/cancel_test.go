@@ -41,8 +41,13 @@ func buildEndlessPair() *System {
 func TestCancelSequential(t *testing.T) {
 	sys := buildEndlessPair()
 	cancel := make(chan struct{})
-	close(cancel) // canceled before the run even starts
-	res, err := RunSequentialCancelable(sys, 1<<40, nil, cancel)
+	var once sync.Once
+	// Cancel at the first GVT callback: the kernel observes the channel while
+	// it is making progress, not only before it starts.
+	res, err := Run(sys, Config{
+		Protocol: ProtoSequential, Cancel: cancel, GVTEvery: 16,
+		OnGVT: func(vtime.VT) { once.Do(func() { close(cancel) }) },
+	}, 1<<40, nil)
 	if res != nil {
 		t.Fatalf("canceled run returned a result: %+v", res)
 	}
@@ -150,6 +155,56 @@ func TestOnGVTMonotoneAndCommitted(t *testing.T) {
 	if seen[len(seen)-1].Less(res.GVT) {
 		t.Fatalf("final OnGVT %v below result GVT %v", seen[len(seen)-1], res.GVT)
 	}
+}
+
+// tsSink records the timestamp of every committed record, in commit order.
+type tsSink struct{ ts []vtime.VT }
+
+func (s *tsSink) Commit(_ LPID, ts vtime.VT, _ any) { s.ts = append(s.ts, ts) }
+
+// The sequential kernel's OnGVT fires every GVTEvery events, nondecreasing,
+// and is exact: when OnGVT(g) is called, every record of the run below g has
+// been committed (the parallel engine guarantees that only for the previous
+// value).
+func TestOnGVTSequential(t *testing.T) {
+	sys, _ := buildRelayRing(8, 4, 40)
+	sink := &tsSink{}
+	var seen []vtime.VT
+	var committed []int // sink length at each callback
+	res, err := Run(sys, Config{
+		Protocol: ProtoSequential, GVTEvery: 8,
+		OnGVT: func(gvt vtime.VT) {
+			seen = append(seen, gvt)
+			committed = append(committed, len(sink.ts))
+		},
+	}, relayHorizon, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) < 3 {
+		t.Fatalf("OnGVT fired %d times over %d events with GVTEvery 8", len(seen), res.Metrics.Events)
+	}
+	for i, gvt := range seen {
+		if i > 0 && gvt.Less(seen[i-1]) {
+			t.Fatalf("OnGVT regressed: %v after %v", gvt, seen[i-1])
+		}
+		if then, all := countBelow(sink.ts[:committed[i]], gvt), countBelow(sink.ts, gvt); then != all {
+			t.Fatalf("OnGVT(%v): %d records below it committed, the run has %d", gvt, then, all)
+		}
+	}
+	if last := seen[len(seen)-1]; last != res.GVT {
+		t.Fatalf("final OnGVT %v, result GVT %v", last, res.GVT)
+	}
+}
+
+func countBelow(ts []vtime.VT, wm vtime.VT) int {
+	n := 0
+	for _, t := range ts {
+		if t.Less(wm) {
+			n++
+		}
+	}
+	return n
 }
 
 // tripwireError is a model diagnostic: the design, not the engine, is at

@@ -207,6 +207,7 @@ type Config struct {
 	// processed system-wide since the last round (default 4096). Rounds
 	// are also triggered whenever all workers go idle. On a sharded run a
 	// round is a sync: the first step boundary after GVTEvery more events.
+	// A sequential run has no rounds; it calls OnGVT every GVTEvery events.
 	GVTEvery int
 
 	// GVTAdapt has no effect: the GVT cadence is always GVTEvery.
@@ -260,7 +261,8 @@ type Config struct {
 	// which is what lets a recipient stream the trace incrementally and
 	// deterministically (see trace.Cursor). The callback runs on the
 	// controller's critical path: keep it fast and never block on the
-	// simulation itself.
+	// simulation itself. A sequential run calls it from its own goroutine,
+	// and every record below g itself has been committed by then.
 	OnGVT func(gvt vtime.VT)
 
 	// CheckpointRounds, when positive, turns every Nth committed GVT round

@@ -13,7 +13,8 @@ import (
 // (exclusive: events at physical time >= until are not processed). The
 // workers and the GVT controller run as goroutines connected by an
 // in-process fabric; package transport provides the distributed variant over
-// TCP sockets with the same protocol.
+// TCP sockets with the same protocol. With ProtoSequential it runs the
+// sequential kernel instead, which reads only Cancel, OnGVT and GVTEvery.
 func Run(sys *System, cfg Config, until vtime.Time, sink TraceSink) (*Result, error) {
 	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -63,7 +64,7 @@ func startCancelWatcher(cancel <-chan struct{}, eps []Endpoint) func() {
 func runParallel(sys *System, cfg Config, until vtime.Time, sink TraceSink) (*Result, error) {
 	cfg.fillDefaults()
 	if cfg.Protocol == ProtoSequential {
-		return RunSequentialCancelable(sys, until, sink, cfg.Cancel)
+		return runSequential(sys, cfg, until, sink)
 	}
 	return RunOn(sys, cfg, until, sink, NewLocalFabric(cfg.Workers+1))
 }

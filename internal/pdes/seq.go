@@ -1,7 +1,6 @@
 package pdes
 
 import (
-	"fmt"
 	"time"
 
 	"govhdl/internal/stats"
@@ -36,9 +35,10 @@ type Result struct {
 // synchronization machinery: the paper's "1 processor execution (improved
 // for sequential simulation)" baseline and the correctness oracle. Events
 // are processed in deterministic (timestamp, event ID) order until every
-// pending event is at or beyond the horizon `until` (exclusive).
+// pending event is at or beyond the horizon `until` (exclusive). Run with
+// ProtoSequential is the same kernel with Config.Cancel and Config.OnGVT.
 func RunSequential(sys *System, until vtime.Time, sink TraceSink) (*Result, error) {
-	return RunSequentialCancelable(sys, until, sink, nil)
+	return runSequential(sys, Config{}, until, sink)
 }
 
 // cancelCheckEvery is how many sequential events execute between looks at the
@@ -46,12 +46,20 @@ func RunSequential(sys *System, until vtime.Time, sink TraceSink) (*Result, erro
 // lands within microseconds.
 const cancelCheckEvery = 4096
 
-// RunSequentialCancelable is RunSequential with the Config.Cancel semantics:
-// once cancel is closed, the run stops within cancelCheckEvery events and
-// returns a Canceled SimError. A panic carrying a ModelError (a diagnostic
-// from the simulated design) is converted into a Model-flagged SimError
-// instead of crashing the caller, mirroring the parallel workers.
-func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, cancel <-chan struct{}) (res *Result, err error) {
+// runSequential is the sequential kernel. Of cfg it reads only what a run
+// without synchronization has:
+//   - Cancel: once closed, the run stops within cancelCheckEvery events and
+//     returns a Canceled SimError.
+//   - OnGVT: called on the run's goroutine every GVTEvery events with the
+//     smallest pending timestamp, and once at the end with the final GVT.
+//     Every record below that time has been committed when it is called —
+//     the watermark itself, not the previous one as on the parallel engine —
+//     so a streaming consumer can emit through it at once.
+//
+// A panic carrying a ModelError (a diagnostic from the simulated design) is
+// converted into a Model-flagged SimError instead of crashing the caller,
+// mirroring the parallel workers.
+func runSequential(sys *System, cfg Config, until vtime.Time, sink TraceSink) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			me, ok := r.(ModelError)
@@ -61,6 +69,7 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 			res, err = nil, &SimError{Text: "pdes: model error: " + me.Error(), Model: true}
 		}
 	}()
+	cfg.fillDefaults()
 	if sys.sharded != nil {
 		// Sequential execution needs no shards: run the members themselves.
 		// Records carry member ids either way.
@@ -100,16 +109,22 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 	}
 
 	var processed uint64
+	round := uint64(cfg.GVTEvery)
 	for {
-		if cancel != nil && processed%cancelCheckEvery == 0 {
+		if cfg.Cancel != nil && processed%cancelCheckEvery == 0 {
 			select {
-			case <-cancel:
+			case <-cfg.Cancel:
 				return nil, errCanceled()
 			default:
 			}
 		}
-		if !pend.MinTS().Less(horizon) { // vtime.Inf when empty
+		next := pend.MinTS()
+		if !next.Less(horizon) { // vtime.Inf when empty
 			break
+		}
+		if cfg.OnGVT != nil && processed >= round {
+			cfg.OnGVT(next)
+			round = processed + uint64(cfg.GVTEvery)
 		}
 		ev := pend.Pop()
 		cur, now = ev.Dst, ev.TS
@@ -123,6 +138,9 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 	if horizon.Less(gvt) {
 		gvt = horizon
 	}
+	if cfg.OnGVT != nil {
+		cfg.OnGVT(gvt)
+	}
 	cost := float64(processed) * costs.EventCost
 	return &Result{
 		GVT:          gvt,
@@ -131,16 +149,4 @@ func RunSequentialCancelable(sys *System, until vtime.Time, sink TraceSink, canc
 		WorkerClocks: []float64{cost},
 		Wall:         time.Since(start),
 	}, nil
-}
-
-// sanity check used by tests: a model must not send into its own past even
-// sequentially; Ctx.Send panics, which we convert to an error here for the
-// few places that want a recoverable check.
-func runSequentialRecover(sys *System, until vtime.Time, sink TraceSink) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("pdes: %v", r)
-		}
-	}()
-	return RunSequential(sys, until, sink)
 }

@@ -31,14 +31,6 @@ func buildTicker() (*kernel.Design, *pdes.System) {
 
 const tickerHorizon = 2000 * vtime.NS
 
-func renderAll(sys *pdes.System, entries []Entry) []string {
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = Line(sys, e)
-	}
-	return out
-}
-
 // TestCursorStreamsSortedPrefix is the streaming contract end to end: the
 // concatenation of the batches a Cursor emits at GVT watermarks, plus the
 // final Drain, equals the full deterministic trace — which in turn equals
@@ -49,7 +41,7 @@ func TestCursorStreamsSortedPrefix(t *testing.T) {
 	if _, err := pdes.RunSequential(soloSys, tickerHorizon, soloRec); err != nil {
 		t.Fatal(err)
 	}
-	want := renderAll(soloSys, soloRec.Sorted())
+	want := Lines(soloSys, soloRec.Sorted())
 
 	_, sys := buildTicker()
 	rec := NewRecorder()
@@ -90,7 +82,7 @@ func TestCursorStreamsSortedPrefix(t *testing.T) {
 	if batches < 2 {
 		t.Fatalf("streaming was vacuous: only %d incremental batches", batches)
 	}
-	got := renderAll(sys, streamed)
+	got := Lines(sys, streamed)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("streamed trace (%d lines) diverged from sequential oracle (%d lines)", len(got), len(want))
 	}
@@ -118,8 +110,8 @@ func TestCursorPartition(t *testing.T) {
 		}
 	}
 	tail := cur.Drain()
-	got := renderAll(sys, append(append([]Entry(nil), head...), tail...))
-	want := renderAll(sys, all)
+	got := Lines(sys, append(append([]Entry(nil), head...), tail...))
+	want := Lines(sys, all)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatal("head+tail does not reconstruct the full sorted trace")
 	}

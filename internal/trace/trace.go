@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -103,44 +104,53 @@ func (r *Recorder) Sorted() []Entry {
 	return out
 }
 
-// Line renders one entry with its LP name from sys.
-func Line(sys *pdes.System, e Entry) string {
-	return fmt.Sprintf("%s @%v %s", sys.Name(e.LP), e.TS, renderItem(e.Item))
-}
-
-// Lines renders the sorted entries with LP names from sys, one per line.
-func (r *Recorder) Lines(sys *pdes.System) []string {
-	entries := r.Sorted()
+// Lines renders entries with LP names from sys, one string per entry,
+// through one reused buffer.
+func Lines(sys *pdes.System, entries []Entry) []string {
 	lines := make([]string, len(entries))
+	var buf []byte
 	for i, e := range entries {
-		lines[i] = Line(sys, e)
+		buf = appendLine(buf[:0], sys, e)
+		lines[i] = string(buf)
 	}
 	return lines
 }
 
-func renderItem(item any) string {
-	switch it := item.(type) {
+// Lines renders the sorted entries with LP names from sys, one per line.
+func (r *Recorder) Lines(sys *pdes.System) []string {
+	return Lines(sys, r.Sorted())
+}
+
+// appendLine appends "<lp name> @<virtual time> <item>" to b.
+func appendLine(b []byte, sys *pdes.System, e Entry) []byte {
+	b = append(append(b, sys.Name(e.LP)...), " @"...)
+	b = append(e.TS.Append(b), ' ')
+	switch it := e.Item.(type) {
 	case kernel.SigChange:
-		return "= " + renderValue(it.Value)
+		return appendValue(append(b, "= "...), it.Value)
 	case kernel.ReportNote:
-		return fmt.Sprintf("report(%s): %s", it.Severity, it.Message)
+		return fmt.Appendf(b, "report(%s): %s", it.Severity, it.Message)
 	default:
-		return fmt.Sprint(item)
+		return fmt.Append(b, e.Item)
 	}
 }
 
-func renderValue(v kernel.Value) string {
+func appendValue(b []byte, v kernel.Value) []byte {
 	switch val := v.(type) {
 	case stdlogic.Std:
-		return val.String()
+		return append(b, '\'', val.Rune(), '\'')
 	case stdlogic.Vec:
-		return val.String()
+		b = append(b, '"')
+		for _, e := range val {
+			b = append(b, e.Rune())
+		}
+		return append(b, '"')
 	case bool:
-		return fmt.Sprintf("%t", val)
+		return strconv.AppendBool(b, val)
 	case int64:
-		return fmt.Sprintf("%d", val)
+		return strconv.AppendInt(b, val, 10)
 	default:
-		return fmt.Sprint(v)
+		return fmt.Append(b, v)
 	}
 }
 

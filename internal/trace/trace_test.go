@@ -151,3 +151,39 @@ func TestVCDBitRendering(t *testing.T) {
 		}
 	}
 }
+
+// Lines renders every kind of record the way the fmt-based renderer it
+// replaced did: "<lp> @<vt> <item>", values as the stdlogic, bool and
+// integer spellings, anything else through fmt.
+func TestLinesRenderEveryItemKind(t *testing.T) {
+	_, sys := buildToggler()
+	ts := vtime.VT{PT: 1500 * vtime.PS, LT: 4}
+	items := []any{
+		kernel.SigChange{Value: stdlogic.L1},
+		kernel.SigChange{Value: stdlogic.MustVec("01XZ")},
+		kernel.SigChange{Value: true},
+		kernel.SigChange{Value: int64(-42)},
+		kernel.SigChange{Value: 2.5},
+		kernel.ReportNote{Severity: "note", Message: "hello"},
+		7,
+	}
+	want := []string{
+		"sig:a @1500ps+1Δ.1 = '1'",
+		`sig:a @1500ps+1Δ.1 = "01XZ"`,
+		"sig:a @1500ps+1Δ.1 = true",
+		"sig:a @1500ps+1Δ.1 = -42",
+		"sig:a @1500ps+1Δ.1 = 2.5",
+		"sig:a @1500ps+1Δ.1 report(note): hello",
+		"sig:a @1500ps+1Δ.1 7",
+	}
+	entries := make([]Entry, len(items))
+	for i, it := range items {
+		entries[i] = Entry{LP: 0, TS: ts, Item: it}
+	}
+	got := Lines(sys, entries)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("item %d: %q, want %q", i, got[i], want[i])
+		}
+	}
+}

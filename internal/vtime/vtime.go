@@ -20,7 +20,7 @@
 // timeout at (pt', 3), exactly as in the paper.
 package vtime
 
-import "fmt"
+import "strconv"
 
 // Time is a physical simulation time in femtoseconds. Femtosecond resolution
 // matches the finest resolution of IEEE Std 1076 and keeps all standard time
@@ -39,23 +39,27 @@ const (
 )
 
 // String formats a physical time using the largest exact unit.
-func (t Time) String() string {
+func (t Time) String() string { return string(t.Append(nil)) }
+
+// Append appends String's text to b: the allocation-free form for callers
+// that render many times into one buffer (trace lines).
+func (t Time) Append(b []byte) []byte {
+	unit, scale := "fs", FS
 	switch {
 	case t == 0:
-		return "0fs"
+		return append(b, "0fs"...)
 	case t%S == 0:
-		return fmt.Sprintf("%dsec", t/S)
+		unit, scale = "sec", S
 	case t%MS == 0:
-		return fmt.Sprintf("%dms", t/MS)
+		unit, scale = "ms", MS
 	case t%US == 0:
-		return fmt.Sprintf("%dus", t/US)
+		unit, scale = "us", US
 	case t%NS == 0:
-		return fmt.Sprintf("%dns", t/NS)
+		unit, scale = "ns", NS
 	case t%PS == 0:
-		return fmt.Sprintf("%dps", t/PS)
-	default:
-		return fmt.Sprintf("%dfs", t)
+		unit, scale = "ps", PS
 	}
+	return append(strconv.AppendUint(b, uint64(t/scale), 10), unit...)
 }
 
 // VT is a VHDL virtual time: physical time plus cycle/phase logical time.
@@ -171,9 +175,14 @@ func (v VT) AfterTimeout(d Time) VT {
 }
 
 // String renders v as "pt+kΔ.p" where k is the delta index and p the phase.
-func (v VT) String() string {
+func (v VT) String() string { return string(v.Append(nil)) }
+
+// Append appends String's text to b.
+func (v VT) Append(b []byte) []byte {
 	if v == Inf {
-		return "+inf"
+		return append(b, "+inf"...)
 	}
-	return fmt.Sprintf("%s+%dΔ.%d", v.PT, v.Delta(), v.Phase())
+	b = append(v.PT.Append(b), '+')
+	b = append(strconv.AppendUint(b, v.Delta(), 10), "Δ."...)
+	return strconv.AppendInt(b, int64(v.Phase()), 10)
 }

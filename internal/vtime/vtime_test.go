@@ -271,3 +271,18 @@ func TestVTString(t *testing.T) {
 		t.Errorf("Inf.String() = %q", Inf.String())
 	}
 }
+
+// Append is String's text appended in place, with no allocation once the
+// buffer has room: trace rendering calls it once per committed record.
+func TestAppendMatchesStringWithoutAllocating(t *testing.T) {
+	vts := []VT{Zero, Inf, {PT: 1500 * PS, LT: 7}, {PT: 3 * S, LT: 2}, {PT: 42, LT: 300}}
+	buf := make([]byte, 0, 64)
+	for _, v := range vts {
+		if got := string(v.Append([]byte("@"))); got != "@"+v.String() {
+			t.Errorf("Append(%q) = %q, want %q", "@", got, "@"+v.String())
+		}
+		if n := testing.AllocsPerRun(100, func() { buf = v.Append(buf[:0]) }); n != 0 {
+			t.Errorf("%v.Append allocates %v times", v, n)
+		}
+	}
+}

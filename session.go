@@ -57,6 +57,21 @@ type SessionOptions struct {
 	OnFailover func(attempt int, err error, from *pdes.Checkpoint) (capacity int)
 }
 
+// SequentialKernel reports whether the session runs on the sequential kernel
+// rather than the PDES engine: under the Sequential protocol, and on one
+// worker unless the run needs what only the engine has — a Fabric, a
+// Restore, checkpoint cuts or migration. One worker has nothing to
+// synchronize with, and the sequential kernel commits the same trace without
+// GVT rounds, state saving or a controller. Such a session never fails over:
+// it has no transport to lose.
+func (o SessionOptions) SequentialKernel() bool {
+	if o.Protocol == Sequential {
+		return true
+	}
+	return o.Workers <= 1 && o.Fabric == nil && o.Restore == nil &&
+		o.CheckpointRounds == 0 && o.Migrate == nil && !o.Rebalance
+}
+
 // TraceFunc receives finalized trace increments: entries is a batch of the
 // deterministic (TS, LP, item)-sorted committed trace, lines the rendered
 // form. The concatenation of all batches equals Result.TraceLines() of the
@@ -243,6 +258,13 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 	if err != nil {
 		return nil, err
 	}
+	seq := s.opts.SequentialKernel()
+	if seq && o.Protocol != Sequential {
+		// A one-worker run refuses what the engine would refuse.
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	var rec *trace.Recorder
 	var sink pdes.TraceSink
 	if !o.NoTrace {
@@ -257,7 +279,7 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 	// and VCD stay on the member-level one: the phase executor commits every
 	// record under its member LP, so the sink is the same either way.
 	sys := m.sys
-	if o.Shards > 0 && o.Protocol != Sequential {
+	if o.Shards > 0 && !seq {
 		ss, err := pdes.ShardSystem(sys, o.Shards, shardPart)
 		if err != nil {
 			return nil, err
@@ -290,11 +312,7 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 		if len(fresh) == 0 {
 			return
 		}
-		lines := make([]string, len(fresh))
-		for i, e := range fresh {
-			lines[i] = trace.Line(m.sys, e)
-		}
-		s.onTrace(fresh, lines)
+		s.onTrace(fresh, trace.Lines(m.sys, fresh))
 	}
 
 	cfg.Cancel = s.cancel
@@ -313,17 +331,23 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 	if s.onTrace != nil && rec != nil {
 		cur = trace.NewCursor(rec)
 	}
-	// Incremental delivery at GVT rounds. The lag-one watermark (trace below
-	// the previous GVT is fully committed when OnGVT fires) holds for
-	// CheckpointEvery <= 1 — the default, where every processed record
-	// carries a snapshot and fossil collection commits everything below GVT
-	// each pass. Sparse-checkpoint runs defer to the final drain instead.
-	incremental := cur != nil && o.Protocol != Sequential && o.CheckpointEvery <= 1
+	// Incremental delivery at GVT rounds. On the engine the watermark lags
+	// one round (trace below the previous GVT is fully committed when OnGVT
+	// fires), which holds for CheckpointEvery <= 1 — the default, where every
+	// processed record carries a snapshot and fossil collection commits
+	// everything below GVT each pass; sparse-checkpoint runs defer to the
+	// final drain instead. The sequential kernel has committed everything
+	// below the GVT it reports, so its watermark is the GVT itself.
+	incremental := cur != nil && (seq || o.CheckpointEvery <= 1)
 	if incremental || s.opts.OnGVT != nil {
 		var lastWM vtime.VT
 		cfg.OnGVT = func(gvt vtime.VT) {
 			if incremental {
-				deliver(cur.Advance(lastWM))
+				wm := lastWM
+				if seq {
+					wm = gvt
+				}
+				deliver(cur.Advance(wm))
 				lastWM = gvt
 			}
 			if s.opts.OnGVT != nil {
@@ -334,8 +358,10 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 
 	var res *pdes.Result
 	switch {
-	case o.Protocol == Sequential:
-		res, err = pdes.RunSequentialCancelable(m.sys, o.Until, sink, s.cancel)
+	case seq:
+		res, err = pdes.Run(sys, pdes.Config{
+			Protocol: Sequential, GVTEvery: cfg.GVTEvery, Cancel: s.cancel, OnGVT: cfg.OnGVT,
+		}, o.Until, sink)
 	case n == 0 && s.opts.Fabric != nil:
 		eps, release, ferr := s.opts.Fabric(cfg.Workers + 1)
 		if ferr != nil {

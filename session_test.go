@@ -266,3 +266,70 @@ func TestModelNewSessionConvenience(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A one-worker session has nothing to synchronize with: whatever its
+// protocol, it runs on the sequential kernel (no GVT rounds, no state
+// saving), streams its trace in batches while it runs, and commits the
+// oracle's trace.
+func TestSessionOneWorkerRunsSequentialKernel(t *testing.T) {
+	const until = 1 * US
+	want := soloFSMTrace(t, 2, until)
+	for _, proto := range []Protocol{Sequential, Conservative, Optimistic, Dynamic} {
+		so := SessionOptions{Options: Options{Protocol: proto, Workers: 1, Until: until, GVTEvery: 64}}
+		if !so.SequentialKernel() {
+			t.Fatalf("%v: a one-worker session is not on the sequential kernel", proto)
+		}
+		s := NewSession(fsmFactory(2), so)
+		col := &lineCollector{}
+		s.OnTrace(col.fn())
+		res, err := s.Run()
+		if err != nil {
+			t.Fatalf("%v: %v", proto, err)
+		}
+		if m := res.Run.Metrics; m.GVTRounds != 0 || m.StateSaves != 0 || m.Events == 0 {
+			t.Fatalf("%v: metrics %v are not the sequential kernel's", proto, m)
+		}
+		if col.joined() != want {
+			t.Fatalf("%v: streamed trace diverged from the oracle", proto)
+		}
+		if col.batches < 2 {
+			t.Fatalf("%v: the trace arrived in %d batch(es), not streamed", proto, col.batches)
+		}
+	}
+}
+
+// What only the engine has keeps a one-worker session on it; options the
+// engine refuses are refused on one worker too.
+func TestSessionOneWorkerEngineCases(t *testing.T) {
+	engine := []SessionOptions{
+		{Options: Options{Protocol: Dynamic, Workers: 1, CheckpointRounds: 1}},
+		{Options: Options{Protocol: Dynamic, Workers: 1, Rebalance: true}},
+		{Options: Options{Protocol: Dynamic, Workers: 1}, Fabric: dyingFabric(1 << 30)},
+		{Options: Options{Protocol: Dynamic, Workers: 1}, Restore: &pdes.Checkpoint{}},
+		{Options: Options{Protocol: Dynamic, Workers: 2}},
+	}
+	for i, so := range engine {
+		if so.SequentialKernel() {
+			t.Errorf("case %d: %+v runs on the sequential kernel", i, so.Options)
+		}
+	}
+
+	cuts := 0
+	res, err := NewSession(fsmFactory(2), SessionOptions{
+		Options:      Options{Protocol: Optimistic, Workers: 1, Until: 1 * US, GVTEvery: 64, CheckpointRounds: 1},
+		OnCheckpoint: func(*pdes.Checkpoint) error { cuts++; return nil },
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Run.Metrics.GVTRounds == 0 || cuts == 0 {
+		t.Fatalf("a checkpointing one-worker session ran %d GVT rounds and %d cuts", res.Run.Metrics.GVTRounds, cuts)
+	}
+
+	_, err = NewSession(fsmFactory(2), SessionOptions{Options: Options{
+		Protocol: Dynamic, Workers: 1, UserConsistent: true, Until: 100 * NS,
+	}}).Run()
+	if err == nil || !strings.Contains(err.Error(), "user-consistent") {
+		t.Fatalf("user-consistent dynamic on one worker: err = %v, want the engine's refusal", err)
+	}
+}
