@@ -14,7 +14,7 @@ import (
 	"govhdl/internal/stdlogic"
 )
 
-func loadDesign(t *testing.T, file, top string) *Model {
+func loadDesign(t testing.TB, file, top string) *Model {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {

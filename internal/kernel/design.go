@@ -156,7 +156,7 @@ func (d *Design) CloneFresh() (*Design, error) {
 	nd := NewDesign(d.Name)
 	sigOf := make(map[*Signal]*Signal, len(d.signals))
 	for _, s := range d.signals {
-		ns := nd.AddSignal(s.Name, CloneValue(s.Init))
+		ns := nd.AddSignal(s.Name, s.Init)
 		ns.Class = s.Class
 		ns.resolution = s.resolution
 		ns.lookahead = s.lookahead
@@ -210,14 +210,14 @@ func (d *Design) Build() *pdes.System {
 		if s.resolution == nil && len(s.drivers) > 1 {
 			panic(fmt.Sprintf("kernel: signal %s has %d drivers but no resolution function", s.Name, len(s.drivers)))
 		}
-		st := &signalState{effective: CloneValue(s.Init)}
+		st := &signalState{effective: s.Init}
 		n := len(s.drivers)
 		if n == 0 {
 			n = 1 // undriven signal holds its initial value
 		}
 		st.drivers = make([]driver, n)
 		for i := range st.drivers {
-			st.drivers[i] = driver{driving: CloneValue(s.Init)}
+			st.drivers[i] = driver{driving: s.Init}
 		}
 		s.lp = &signalLP{sig: s, state: st}
 		// Signals broadcast at least two phases after any assignment
@@ -232,7 +232,7 @@ func (d *Design) Build() *pdes.System {
 	for _, p := range d.procs {
 		st := &procState{ports: make([]port, len(p.reads))}
 		for i, s := range p.reads {
-			st.ports[i] = port{value: CloneValue(s.Init)}
+			st.ports[i] = port{value: s.Init}
 		}
 		p.lp = &processLP{
 			proc:     p,

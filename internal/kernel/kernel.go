@@ -61,7 +61,9 @@ const (
 
 // Value is a VHDL object value. The kernel supports stdlogic.Std,
 // stdlogic.Vec, bool, and int64 (VHDL integer); aggregates beyond these are
-// the front end's concern.
+// the front end's concern. A value is immutable once made: the kernel shares
+// the vector it is handed with drivers, ports, payloads, snapshots and the
+// trace, and never copies it (DESIGN.md, "Payload contract").
 type Value = any
 
 // ValueEqual compares two kernel values.
@@ -77,14 +79,6 @@ func ValueEqual(a, b Value) bool {
 		return av.EqualValue(b)
 	}
 	return a == b
-}
-
-// CloneValue deep-copies a kernel value (vectors are the only mutable kind).
-func CloneValue(v Value) Value {
-	if vec, ok := v.(stdlogic.Vec); ok {
-		return vec.Clone()
-	}
-	return v
 }
 
 // WaveElem is one element of a signal-assignment waveform:
@@ -103,7 +97,8 @@ type Edit struct {
 }
 
 // Resolution resolves the driving values of a multiply-driven signal into
-// its effective value. Implementations must be pure functions.
+// its effective value. Implementations must be pure functions and must not
+// keep the drivers slice, which the signal reuses.
 type Resolution func(drivers []Value) Value
 
 // StdResolution is the IEEE 1164 resolution function for std_logic signals.
@@ -120,8 +115,12 @@ func StdResolution(drivers []Value) Value {
 	return r
 }
 
-// StdVecResolution resolves std_logic_vector drivers element-wise.
+// StdVecResolution resolves std_logic_vector drivers element-wise. A lone
+// driver resolves to itself: its vector is immutable, so it is shared.
 func StdVecResolution(drivers []Value) Value {
+	if len(drivers) == 1 {
+		return drivers[0]
+	}
 	vecs := make([]stdlogic.Vec, len(drivers))
 	for i, d := range drivers {
 		vecs[i] = d.(stdlogic.Vec)

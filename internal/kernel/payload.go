@@ -19,9 +19,10 @@ import (
 // which the wire decoder (wire.go) uses too; where it does (an assignment's
 // After is a property of the writing process) the table is per LP and filled
 // on first use by the one worker that owns the LP. Nothing shared is written
-// after construction, so there is nothing to free or recycle. Vectors,
-// integers and every other value keep one allocated payload per event,
-// chosen by the value's dynamic type alone.
+// after construction, so there is nothing to free or recycle. Whether a
+// payload is shared is decided by the value's dynamic type alone; the others
+// are allocated per event and point at the value they carry, which is
+// immutable too (Value).
 
 // assignMsg is the evAssign payload: what one process run assigned to one
 // driver of one signal. The common case — a single inertial "sig <= value

@@ -46,9 +46,10 @@ type Behavior interface {
 	// WaitCond evaluates the pending "wait until" condition (only called
 	// when the current Wait has HasCond).
 	WaitCond(p *ProcCtx) bool
-	// Snapshot returns a deep copy of all mutable state; Restore installs
-	// the state held by a value previously returned by Snapshot (which
-	// must remain reusable afterwards).
+	// Snapshot returns a copy of all mutable state (values are immutable
+	// and may be shared); Restore installs the state held by a value
+	// previously returned by Snapshot (which must remain reusable
+	// afterwards).
 	Snapshot() any
 	Restore(s any)
 }
@@ -96,12 +97,11 @@ type procState struct {
 	behavior any // behavior snapshot (only inside saved states)
 }
 
+// clone copies the ports slice, which update writes in place; the port
+// values are immutable and shared.
 func (p *procState) clone() *procState {
 	c := *p
-	c.ports = make([]port, len(p.ports))
-	for i, pt := range p.ports {
-		c.ports[i] = port{value: CloneValue(pt.value), lastChange: pt.lastChange, hasChanged: pt.hasChanged}
-	}
+	c.ports = append([]port(nil), p.ports...)
 	c.wait.Ports = append([]int(nil), p.wait.Ports...)
 	return &c
 }
@@ -191,7 +191,7 @@ func (p *processLP) Execute(ctx *pdes.Ctx, ev *pdes.Event) {
 func (p *processLP) update(ctx *pdes.Ctx, m *updateMsg) {
 	p.ver++ // the port write below always mutates the saved state
 	pt := &p.state.ports[m.Port]
-	pt.value = CloneValue(m.Value)
+	pt.value = m.Value
 	pt.lastChange = ctx.Now()
 	pt.hasChanged = true
 
@@ -343,31 +343,28 @@ func (c *ProcCtx) Falling(i int) bool {
 }
 
 // Assign schedules "signal <= value after d" with inertial delay on output
-// port i.
+// port i. v is shared, not copied: it must not be written afterwards.
 func (c *ProcCtx) Assign(i int, v Value, after vtime.Time) {
 	if po := &c.pending[i]; !po.lone && po.edits == nil {
-		po.lone, po.value, po.after = true, CloneValue(v), after
+		po.lone, po.value, po.after = true, v, after
 		return
 	}
-	c.addEdit(i, Edit{Wave: []WaveElem{{Value: CloneValue(v), After: after}}})
+	c.addEdit(i, Edit{Wave: []WaveElem{{Value: v, After: after}}})
 }
 
 // AssignTransport schedules "signal <= transport value after d".
 func (c *ProcCtx) AssignTransport(i int, v Value, after vtime.Time) {
-	c.addEdit(i, Edit{Wave: []WaveElem{{Value: CloneValue(v), After: after}}, Transport: true})
+	c.addEdit(i, Edit{Wave: []WaveElem{{Value: v, After: after}}, Transport: true})
 }
 
-// AssignWave schedules a waveform assignment. e is copied.
+// AssignWave schedules a waveform assignment. e is kept, not copied: neither
+// it nor its values may be written afterwards.
 func (c *ProcCtx) AssignWave(i int, e Edit) {
 	if len(e.Wave) == 1 && !e.Transport && e.Reject == 0 {
 		c.Assign(i, e.Wave[0].Value, e.Wave[0].After)
 		return
 	}
-	ce := Edit{Wave: make([]WaveElem, len(e.Wave)), Transport: e.Transport, Reject: e.Reject}
-	for j, w := range e.Wave {
-		ce.Wave[j] = WaveElem{Value: CloneValue(w.Value), After: w.After}
-	}
-	c.addEdit(i, ce)
+	c.addEdit(i, e)
 }
 
 func (c *ProcCtx) addEdit(i int, e Edit) {

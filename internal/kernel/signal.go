@@ -26,21 +26,16 @@ type signalState struct {
 	effective Value
 }
 
+// clone copies the driver and waveform slices, which the LP edits in place;
+// the values they hold are immutable and shared.
 func (s *signalState) clone() *signalState {
 	c := &signalState{
 		drivers:   make([]driver, len(s.drivers)),
-		effective: CloneValue(s.effective),
+		effective: s.effective,
 	}
-	for i := range s.drivers {
-		d := &s.drivers[i]
-		nd := driver{driving: CloneValue(d.driving)}
-		if len(d.wave) > 0 {
-			nd.wave = make([]transaction, len(d.wave))
-			for j, tr := range d.wave {
-				nd.wave[j] = transaction{at: tr.at, val: CloneValue(tr.val)}
-			}
-		}
-		c.drivers[i] = nd
+	for i, d := range s.drivers {
+		d.wave = append([]transaction(nil), d.wave...) // nil when empty
+		c.drivers[i] = d
 	}
 	return c
 }
@@ -60,6 +55,9 @@ type signalLP struct {
 	// wrapper, not in signalState, so rollback cannot rewind it into a value
 	// that would falsely match a stale snapshot.
 	ver uint64
+	// resolving is resolve's reusable argument to the resolution function:
+	// scratch, not state, so snapshots neither save nor restore it.
+	resolving []Value
 }
 
 var _ pdes.Model = (*signalLP)(nil)
@@ -129,7 +127,7 @@ func (s *signalLP) applyEdit(d *driver, now vtime.VT, e Edit) {
 		if !prev.Less(at) {
 			continue
 		}
-		d.wave = append(d.wave, transaction{at: at, val: CloneValue(w.Value)})
+		d.wave = append(d.wave, transaction{at: at, val: w.Value})
 		prev = at
 	}
 }
@@ -175,7 +173,7 @@ func (s *signalLP) applyFirst(d *driver, now vtime.VT, w WaveElem, transport boo
 		d.wave = keep
 	}
 
-	d.wave = append(d.wave, transaction{at: first, val: CloneValue(w.Value)})
+	d.wave = append(d.wave, transaction{at: first, val: w.Value})
 	return first
 }
 
@@ -213,11 +211,11 @@ func (s *signalLP) drivingValue(ctx *pdes.Ctx) {
 // effective value is sent to readers at the same virtual time, as in the
 // paper.
 func (s *signalLP) resolve(ctx *pdes.Ctx) {
-	vals := make([]Value, len(s.state.drivers))
+	s.resolving = s.resolving[:0]
 	for i := range s.state.drivers {
-		vals[i] = s.state.drivers[i].driving
+		s.resolving = append(s.resolving, s.state.drivers[i].driving)
 	}
-	s.publish(ctx, s.sig.resolution(vals), ctx.Now())
+	s.publish(ctx, s.sig.resolution(s.resolving), ctx.Now())
 }
 
 // publish installs a new effective value and broadcasts it to all readers
@@ -227,9 +225,9 @@ func (s *signalLP) publish(ctx *pdes.Ctx, v Value, ts vtime.VT) {
 		return
 	}
 	s.ver++
-	s.state.effective = CloneValue(v)
+	s.state.effective = v
 	if ctx.Recording() {
-		ctx.Record(newSigChange(CloneValue(v)))
+		ctx.Record(newSigChange(v))
 	}
 	for _, r := range s.sig.readers {
 		ctx.Send(r.proc.lpid, ts, evUpdate, newUpdate(r.port, s.state.effective))

@@ -53,7 +53,7 @@ type sigRef struct {
 type instCtx struct {
 	path    string
 	types   map[string]*Type
-	enums   map[string]EnumVal
+	enums   map[string]kernel.Value
 	consts  map[string]kernel.Value
 	signals map[string]*sigRef
 	comps   map[string]*ComponentDecl
@@ -151,7 +151,7 @@ func (e *elaborator) newCtx(path string) *instCtx {
 	return &instCtx{
 		path:    path,
 		types:   builtinTypes(),
-		enums:   map[string]EnumVal{},
+		enums:   map[string]kernel.Value{},
 		consts:  map[string]kernel.Value{"true": true, "false": false},
 		signals: map[string]*sigRef{},
 		comps:   map[string]*ComponentDecl{},
@@ -192,7 +192,7 @@ func (e *elaborator) newSignal(ctx *instCtx, name string, t *Type, init kernel.V
 	case tVec:
 		opts = append(opts, kernel.WithResolution(kernel.StdVecResolution))
 	}
-	sig := e.design.AddSignal(name, kernel.CloneValue(init), opts...)
+	sig := e.design.AddSignal(name, init, opts...)
 	return &sigRef{sig: sig, typ: t}
 }
 
@@ -520,10 +520,10 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 	// Local scope: variables, constants, enum types.
 	localConsts := map[string]kernel.Value{}
 	localTypes := map[string]*Type{}
-	localEnums := map[string]EnumVal{}
+	localEnums := map[string]kernel.Value{}
 	var varDecls []*VarDecl
 	varTypes := map[string]*Type{}
-	ec := &evalCtx{consts: merged(ctx.consts, localConsts), types: mergedT(ctx.types, localTypes), enums: mergedE(ctx.enums, localEnums)}
+	ec := &evalCtx{consts: merged(ctx.consts, localConsts), types: mergedT(ctx.types, localTypes), enums: merged(ctx.enums, localEnums)}
 	for _, d := range ps.Decls {
 		switch d := d.(type) {
 		case *VarDecl:
@@ -650,24 +650,13 @@ func mergedT(a, b map[string]*Type) map[string]*Type {
 	return out
 }
 
-func mergedE(a, b map[string]EnumVal) map[string]EnumVal {
-	out := make(map[string]EnumVal, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // sigScan walks a process body resolving which names are signal reads and
 // writes, with variables/constants/enum literals/builtins shadowing.
 type sigScan struct {
 	ctx    *instCtx
 	vars   map[string]*Type
 	consts map[string]kernel.Value
-	enums  map[string]EnumVal
+	enums  map[string]kernel.Value
 	types  map[string]*Type
 	shadow []string // loop variables currently in scope
 

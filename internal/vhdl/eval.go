@@ -21,7 +21,7 @@ func evalPanic(pos Pos, format string, args ...any) {
 type evalCtx struct {
 	consts map[string]kernel.Value // constants, generics, generate/loop vars
 	types  map[string]*Type        // named types
-	enums  map[string]EnumVal      // enum literal -> value
+	enums  map[string]kernel.Value // enum literal -> its EnumVal, boxed once
 	// vars resolves process variables (interpreter only).
 	vars map[string]kernel.Value
 	// sigVal resolves a signal's current value (nil in constant contexts).
@@ -31,20 +31,20 @@ type evalCtx struct {
 }
 
 // lookupPlain resolves a bare identifier.
-func (c *evalCtx) lookupPlain(n *Name) (kernel.Value, bool) {
+func (c *evalCtx) lookupPlain(ident string) (kernel.Value, bool) {
 	if c.vars != nil {
-		if v, ok := c.vars[n.Ident]; ok {
+		if v, ok := c.vars[ident]; ok {
 			return v, true
 		}
 	}
-	if v, ok := c.consts[n.Ident]; ok {
+	if v, ok := c.consts[ident]; ok {
 		return v, true
 	}
-	if v, ok := c.enums[n.Ident]; ok {
+	if v, ok := c.enums[ident]; ok {
 		return v, true
 	}
 	if c.sigVal != nil {
-		if v, _, ok := c.sigVal(n.Ident); ok {
+		if v, _, ok := c.sigVal(ident); ok {
 			return v, true
 		}
 	}
@@ -192,13 +192,14 @@ func (c *evalCtx) evalBinary(b *Binary) kernel.Value {
 	return nil
 }
 
+// stdOps maps each logical operator to its std_logic function.
+var stdOps = map[string]func(a, d stdlogic.Std) stdlogic.Std{
+	"and": stdlogic.And, "or": stdlogic.Or, "xor": stdlogic.Xor,
+	"nand": stdlogic.Nand, "nor": stdlogic.Nor, "xnor": stdlogic.Xnor,
+}
+
 func (c *evalCtx) logic(b *Binary, l, r kernel.Value) kernel.Value {
-	type stdOp func(a, d stdlogic.Std) stdlogic.Std
-	ops := map[string]stdOp{
-		"and": stdlogic.And, "or": stdlogic.Or, "xor": stdlogic.Xor,
-		"nand": stdlogic.Nand, "nor": stdlogic.Nor, "xnor": stdlogic.Xnor,
-	}
-	op := ops[b.Op]
+	op := stdOps[b.Op]
 	switch lv := l.(type) {
 	case stdlogic.Std:
 		rv, ok := r.(stdlogic.Std)
@@ -500,7 +501,7 @@ func (c *evalCtx) evalName(n *Name, want *Type) kernel.Value {
 		if v, ok := c.callBuiltin(n); ok {
 			return v
 		}
-		base, ok := c.lookupPlain(&Name{Ident: n.Ident})
+		base, ok := c.lookupPlain(n.Ident)
 		if !ok {
 			evalPanic(n.Pos, "unknown function or array %q", n.Ident)
 		}
@@ -523,7 +524,7 @@ func (c *evalCtx) evalName(n *Name, want *Type) kernel.Value {
 		return vec[off]
 	}
 	if n.HasSlice {
-		base, ok := c.lookupPlain(&Name{Ident: n.Ident})
+		base, ok := c.lookupPlain(n.Ident)
 		if !ok {
 			evalPanic(n.Pos, "unknown name %q", n.Ident)
 		}
@@ -542,9 +543,11 @@ func (c *evalCtx) evalName(n *Name, want *Type) kernel.Value {
 		if o1 > o2 {
 			o1, o2 = o2, o1
 		}
-		return vec[o1 : o2+1].Clone()
+		// The slice shares the immutable vector; its capacity is capped so
+		// no append can write past it into the vector it came from.
+		return vec[o1 : o2+1 : o2+1]
 	}
-	if v, ok := c.lookupPlain(n); ok {
+	if v, ok := c.lookupPlain(n.Ident); ok {
 		return v
 	}
 	evalPanic(n.Pos, "unknown name %q", n.Ident)
@@ -656,7 +659,7 @@ func (c *evalCtx) namedType(n *Name) *Type {
 	if t, ok := c.types["__obj_"+n.Ident]; ok {
 		return t
 	}
-	if v, ok := c.lookupPlain(&Name{Ident: n.Ident}); ok {
+	if v, ok := c.lookupPlain(n.Ident); ok {
 		if vec, isVec := v.(stdlogic.Vec); isVec {
 			return &Type{Kind: tVec, Lo: int64(len(vec)) - 1, Hi: 0, Downto: true}
 		}
@@ -710,7 +713,7 @@ func (c *evalCtx) callBuiltin(n *Name) (kernel.Value, bool) {
 		v := arg(0, nil)
 		switch vv := v.(type) {
 		case stdlogic.Vec:
-			return vv, true // identity conversion
+			return v, true // identity conversion
 		case int64:
 			w := int64(0)
 			if len(n.Args) > 1 {

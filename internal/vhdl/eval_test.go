@@ -26,7 +26,7 @@ func evalStr(t *testing.T, expr string, consts map[string]kernel.Value) kernel.V
 	ec := &evalCtx{
 		consts: map[string]kernel.Value{"true": true, "false": false},
 		types:  builtinTypes(),
-		enums:  map[string]EnumVal{},
+		enums:  map[string]kernel.Value{},
 	}
 	for k, v := range consts {
 		ec.consts[k] = v
@@ -123,7 +123,7 @@ func TestEvalVectorOps(t *testing.T) {
 }
 
 func TestEvalAggregates(t *testing.T) {
-	ec := &evalCtx{consts: map[string]kernel.Value{}, types: builtinTypes(), enums: map[string]EnumVal{}}
+	ec := &evalCtx{consts: map[string]kernel.Value{}, types: builtinTypes(), enums: map[string]kernel.Value{}}
 	want := &Type{Kind: tVec, Lo: 7, Hi: 0, Downto: true}
 	agg := &Aggregate{Others: &CharLit{Val: '0'}}
 	v := ec.eval(agg, want).(stdlogic.Vec)
@@ -144,7 +144,7 @@ func TestEvalIndexingRespectsDeclaredRange(t *testing.T) {
 	ec := &evalCtx{
 		consts: map[string]kernel.Value{"v": stdlogic.MustVec("10000001")},
 		types:  map[string]*Type{"__obj_v": downto},
-		enums:  map[string]EnumVal{},
+		enums:  map[string]kernel.Value{},
 	}
 	idx := func(i int64) stdlogic.Std {
 		n := &Name{Ident: "v", Args: []Expr{&IntLit{Val: i}}}
@@ -165,7 +165,7 @@ func TestEvalAttributes(t *testing.T) {
 	ec := &evalCtx{
 		consts: map[string]kernel.Value{"v": stdlogic.NewVec(8, stdlogic.L0)},
 		types:  map[string]*Type{"__obj_v": downto},
-		enums:  map[string]EnumVal{},
+		enums:  map[string]kernel.Value{},
 	}
 	attr := func(a string) kernel.Value {
 		return ec.eval(&Name{Ident: "v", Attr: a}, nil)
@@ -179,7 +179,7 @@ func TestEvalAttributes(t *testing.T) {
 
 func TestVecUintQuickAgainstEval(t *testing.T) {
 	// Property: to_integer(to_unsigned(x, 16)) == x for any uint16.
-	ec := &evalCtx{consts: map[string]kernel.Value{}, types: builtinTypes(), enums: map[string]EnumVal{}}
+	ec := &evalCtx{consts: map[string]kernel.Value{}, types: builtinTypes(), enums: map[string]kernel.Value{}}
 	f := func(x uint16) bool {
 		call := &Name{Ident: "to_integer", Args: []Expr{
 			&Name{Ident: "to_unsigned", Args: []Expr{&IntLit{Val: int64(x)}, &IntLit{Val: 16}}},

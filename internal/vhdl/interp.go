@@ -2,6 +2,7 @@ package vhdl
 
 import (
 	"fmt"
+	"maps"
 
 	"govhdl/internal/kernel"
 	"govhdl/internal/stdlogic"
@@ -9,8 +10,15 @@ import (
 
 // procInterp is the interpreted Behavior of a VHDL process. Its resumption
 // state is an explicit frame stack (not a goroutine), so Snapshot/Restore
-// can deep-copy it and the optimistic protocol can roll interpreted
-// processes back like any other LP.
+// can copy it and the optimistic protocol can roll interpreted processes
+// back like any other LP. Values are immutable (kernel.Value), so a snapshot
+// copies the variable map and the stack but shares every value in them.
+//
+// Resuming allocates nothing of its own: the evaluator and its signal
+// closures are built on the first run and read the current run's context
+// from pc, the frame stack is reused when the body loops, and each wait
+// statement's sensitivity list is computed once and shared by every later
+// execution of it.
 type procInterp struct {
 	name      string
 	file      string // source file of the process (error stamping)
@@ -20,7 +28,7 @@ type procInterp struct {
 	varTypes  map[string]*Type
 	consts    map[string]kernel.Value
 	types     map[string]*Type
-	enums     map[string]EnumVal
+	enums     map[string]kernel.Value
 	readIdx   map[string]int
 	writeIdx  map[string]int
 	sigTypes  map[string]*Type
@@ -33,9 +41,14 @@ type procInterp struct {
 	started bool
 	until   Expr // pending wait-until condition
 
+	// Per-instance caches (not state; CloneFresh resets them): the
+	// sensitivity list of each executed wait statement, and ec, whose
+	// closures are bound to this instance.
+	waits map[*WaitStmt][]int
+	ec    evalCtx
+
 	// Per-run transient.
 	pc *kernel.ProcCtx
-	ec evalCtx
 }
 
 // frame is one level of the resumption stack.
@@ -67,35 +80,29 @@ type interpSnap struct {
 // the parsed body and the elaboration-time tables are immutable and shared,
 // but the types map is copied — Run installs "__obj_"+name entries for
 // vector variables when the process first starts, a runtime mutation that
-// must not leak between independent runs of the same cached design.
+// must not leak between independent runs of the same cached design. The
+// per-instance caches start empty: ec's closures point at b, not at nb.
 func (b *procInterp) CloneFresh() kernel.Behavior {
 	nb := *b
-	nb.types = make(map[string]*Type, len(b.types))
-	for k, t := range b.types {
-		nb.types[k] = t
-	}
+	nb.types = maps.Clone(b.types)
 	nb.vars = nil
 	nb.stack = nil
 	nb.started = false
 	nb.until = nil
 	nb.pc = nil
 	nb.ec = evalCtx{}
+	nb.waits = nil
 	return &nb
 }
 
-// Snapshot deep-copies the mutable interpreter state.
+// Snapshot copies the mutable interpreter state; the values are shared.
 func (b *procInterp) Snapshot() any {
-	s := &interpSnap{started: b.started, until: b.until}
-	s.vars = make(map[string]kernel.Value, len(b.vars))
-	for k, v := range b.vars {
-		s.vars[k] = kernel.CloneValue(v)
+	return &interpSnap{
+		vars:    maps.Clone(b.vars),
+		stack:   append([]frame(nil), b.stack...),
+		started: b.started,
+		until:   b.until,
 	}
-	s.stack = make([]frame, len(b.stack))
-	copy(s.stack, b.stack)
-	for i := range s.stack {
-		s.stack[i].savedVar = kernel.CloneValue(s.stack[i].savedVar)
-	}
-	return s
 }
 
 // Restore reinstates a snapshot (keeping the snapshot reusable).
@@ -103,38 +110,34 @@ func (b *procInterp) Restore(sn any) {
 	s := sn.(*interpSnap)
 	b.started = s.started
 	b.until = s.until
-	b.vars = make(map[string]kernel.Value, len(s.vars))
-	for k, v := range s.vars {
-		b.vars[k] = kernel.CloneValue(v)
-	}
-	b.stack = make([]frame, len(s.stack))
-	copy(b.stack, s.stack)
-	for i := range b.stack {
-		b.stack[i].savedVar = kernel.CloneValue(b.stack[i].savedVar)
-	}
+	b.vars = maps.Clone(s.vars)
+	b.stack = append(b.stack[:0], s.stack...)
 }
 
-// bind prepares the evaluator against the current run context.
+// bind prepares the evaluator against the current run context. The signal
+// closures are built on the first bind and read b.pc.
 func (b *procInterp) bind(p *kernel.ProcCtx) {
 	b.pc = p
-	b.ec = evalCtx{
-		consts: b.consts,
-		types:  b.types,
-		enums:  b.enums,
-		vars:   b.vars,
-		sigVal: func(name string) (kernel.Value, *Type, bool) {
-			if i, ok := b.readIdx[name]; ok {
-				return p.Val(i), b.sigTypes[name], true
-			}
-			return nil, nil, false
-		},
-		sigEvent: func(name string) (bool, bool) {
-			if i, ok := b.readIdx[name]; ok {
-				return p.Event(i), true
-			}
-			return false, false
-		},
+	if b.ec.sigVal == nil {
+		b.ec = evalCtx{
+			consts: b.consts,
+			types:  b.types,
+			enums:  b.enums,
+			sigVal: func(name string) (kernel.Value, *Type, bool) {
+				if i, ok := b.readIdx[name]; ok {
+					return b.pc.Val(i), b.sigTypes[name], true
+				}
+				return nil, nil, false
+			},
+			sigEvent: func(name string) (bool, bool) {
+				if i, ok := b.readIdx[name]; ok {
+					return b.pc.Event(i), true
+				}
+				return false, false
+			},
+		}
 	}
+	b.ec.vars = b.vars
 }
 
 // WaitCond evaluates the pending "wait until" condition.
@@ -180,7 +183,7 @@ func (b *procInterp) Run(p *kernel.ProcCtx) kernel.Wait {
 			t := b.varTypes[d.Names[0]]
 			for _, n := range d.Names {
 				if d.Init != nil {
-					b.vars[n] = kernel.CloneValue(b.ec.eval(d.Init, t))
+					b.vars[n] = b.ec.eval(d.Init, t)
 				} else {
 					b.vars[n] = t.defaultValue()
 				}
@@ -189,14 +192,14 @@ func (b *procInterp) Run(p *kernel.ProcCtx) kernel.Wait {
 				}
 			}
 		}
-		b.stack = []frame{{stmts: b.body}}
+		b.stack = append(b.stack[:0], frame{stmts: b.body})
 	}
 	b.ec.vars = b.vars // rebinding: initialization above replaces the map
 	steps := 0
 	for {
 		if len(b.stack) == 0 {
 			// The body completed: a VHDL process loops forever.
-			b.stack = []frame{{stmts: b.body}}
+			b.stack = append(b.stack[:0], frame{stmts: b.body})
 		}
 		w, suspended := b.exec(&steps)
 		if suspended {
@@ -418,6 +421,9 @@ func (b *procInterp) execVarAssign(st *VarAssign) {
 		if !ok {
 			evalPanic(st.Pos, "element assignment needs a std_logic value")
 		}
+		// Values are immutable once made: the vector may be shared with a
+		// signal, a payload, the trace or a snapshot, so the write goes to
+		// a copy.
 		nv := vec.Clone()
 		nv[off] = sv
 		b.vars[name] = nv
@@ -432,7 +438,7 @@ func (b *procInterp) execVarAssign(st *VarAssign) {
 // coerce adapts literal kinds to the target type and validates widths.
 func (b *procInterp) coerce(pos Pos, v kernel.Value, t *Type) kernel.Value {
 	if t == nil {
-		return kernel.CloneValue(v)
+		return v
 	}
 	switch t.Kind {
 	case tVec:
@@ -472,7 +478,7 @@ func (b *procInterp) coerce(pos Pos, v kernel.Value, t *Type) kernel.Value {
 			evalPanic(pos, "expected %s, got %s", t.Enum.Name, valueString(v))
 		}
 	}
-	return kernel.CloneValue(v)
+	return v
 }
 
 func (b *procInterp) execSigAssign(st *SigAssign) {
@@ -528,25 +534,7 @@ func (b *procInterp) execReport(st *ReportStmt) {
 }
 
 func (b *procInterp) execWait(st *WaitStmt) kernel.Wait {
-	var w kernel.Wait
-	addPort := func(name string, pos Pos) {
-		i, ok := b.readIdx[name]
-		if !ok {
-			evalPanic(pos, "wait on unknown signal %q", name)
-		}
-		w.Ports = append(w.Ports, i)
-	}
-	switch {
-	case st.On != nil:
-		for _, n := range st.On {
-			addPort(n, st.Pos)
-		}
-	case st.Until != nil:
-		// Implicit sensitivity: the signals in the condition.
-		for _, n := range signalNamesIn(st.Until, b.readIdx) {
-			addPort(n, st.Pos)
-		}
-	}
+	w := kernel.Wait{Ports: b.waitPorts(st)}
 	if st.HasCond {
 		w.HasCond = true
 		b.until = st.Until
@@ -558,6 +546,33 @@ func (b *procInterp) execWait(st *WaitStmt) kernel.Wait {
 		w.Timeout = b.ec.evalTime(st.For)
 	}
 	return w
+}
+
+// waitPorts returns the sensitivity list of st: computed on its first
+// execution, then shared by every later one (the kernel only reads a
+// Wait's ports, and copies them into its snapshots).
+func (b *procInterp) waitPorts(st *WaitStmt) []int {
+	if ports, ok := b.waits[st]; ok {
+		return ports
+	}
+	names := st.On
+	if names == nil && st.Until != nil {
+		// Implicit sensitivity: the signals in the condition.
+		names = signalNamesIn(st.Until, b.readIdx)
+	}
+	var ports []int
+	for _, n := range names {
+		i, ok := b.readIdx[n]
+		if !ok {
+			evalPanic(st.Pos, "wait on unknown signal %q", n)
+		}
+		ports = append(ports, i)
+	}
+	if b.waits == nil {
+		b.waits = make(map[*WaitStmt][]int)
+	}
+	b.waits[st] = ports
+	return ports
 }
 
 // signalNamesIn lists the distinct signal names referenced by an expression.
