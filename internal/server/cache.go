@@ -166,15 +166,16 @@ func writeField(w io.Writer, s string) {
 }
 
 // The weights of designBytes, calibrated on the live heap of elaborated
-// designs after GC (TestDesignBytesTracksHeap): about 1.9 KiB per LP for the
-// kernel's signal and process records, their LP state and the engine's LP
-// table, plus about 6 B per source byte for the source text — which the
-// parsed names slice into and so keep alive — and the statement trees the
-// compiled processes interpret. The benchmark's generated 807-LP, 158 KB
-// design measured 2.40 MiB against an estimate of 2.41 MiB.
+// designs after GC (TestDesignBytesTracksHeap): about 1.1 KiB per LP for the
+// kernel's signal and process records, their LP state, the engine's LP table
+// and each process's compiled program, plus about 2 B per source byte for
+// the names and literal text the programs keep — which slice into the source
+// and so keep it alive. The benchmark's generated 807-LP, 158 KB design
+// measured 1.15 MiB against an estimate of 1.23 MiB; the shipped examples
+// and a 261-LP fan-out read 1.02-1.21x.
 const (
-	protoBytesPerLP         = 1900
-	protoBytesPerSourceByte = 6
+	protoBytesPerLP         = 1150
+	protoBytesPerSourceByte = 2
 	tableBytesPerSignal     = 112 // one VCD var, its identifier and its index entry
 	lintBytesPerDiagnostic  = 96  // the Diagnostic record; its texts are added
 )

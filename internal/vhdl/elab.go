@@ -2,7 +2,6 @@ package vhdl
 
 import (
 	"fmt"
-	"strings"
 
 	"govhdl/internal/kernel"
 	"govhdl/internal/stdlogic"
@@ -57,10 +56,7 @@ type instCtx struct {
 	consts  map[string]kernel.Value
 	signals map[string]*sigRef
 	comps   map[string]*ComponentDecl
-}
-
-func (c *instCtx) evalCtx() *evalCtx {
-	return &evalCtx{consts: c.consts, types: c.types, enums: c.enums}
+	scope   *evalCtx // consts, types and enums as a constant scope
 }
 
 // elaborator builds a kernel design from the library.
@@ -113,10 +109,10 @@ func (l *Library) Elaborate(top string) (d *kernel.Design, err error) {
 	// Top-level ports become free signals (undriven inputs keep defaults).
 	bindings := map[string]*sigRef{}
 	for _, p := range ent.Ports {
-		t := e.resolveType(ctx, p.Type)
+		t := e.resolveType(ctx.scope, p.Type)
 		init := t.defaultValue()
 		if p.Default != nil {
-			init = ctx.evalCtx().eval(p.Default, t)
+			init = ctx.scope.eval(p.Default, t)
 		}
 		bindings[p.Name] = e.newSignal(ctx, top+"."+p.Name, t, init)
 		e.sigDecl[top+"."+p.Name] = declSite{file: ent.File, pos: p.Pos}
@@ -147,20 +143,29 @@ func (e *elaborator) checkDrivers() error {
 	return nil
 }
 
+// builtinScope holds what every instance sees without declaring it: the
+// std and ieee.std_logic_1164 types and the boolean literals. Instances
+// chain to it and never write it.
+var builtinScope = &evalCtx{
+	types:  builtinTypes(),
+	consts: map[string]kernel.Value{"true": true, "false": false},
+}
+
 func (e *elaborator) newCtx(path string) *instCtx {
-	return &instCtx{
+	c := &instCtx{
 		path:    path,
-		types:   builtinTypes(),
+		types:   map[string]*Type{},
 		enums:   map[string]kernel.Value{},
-		consts:  map[string]kernel.Value{"true": true, "false": false},
+		consts:  map[string]kernel.Value{},
 		signals: map[string]*sigRef{},
 		comps:   map[string]*ComponentDecl{},
 	}
+	c.scope = &evalCtx{consts: c.consts, types: c.types, enums: c.enums, outer: builtinScope}
+	return c
 }
 
-// resolveType elaborates a type indication.
-func (e *elaborator) resolveType(ctx *instCtx, tr *TypeRef) *Type {
-	ec := ctx.evalCtx()
+// resolveType elaborates a type indication in scope ec.
+func (e *elaborator) resolveType(ec *evalCtx, tr *TypeRef) *Type {
 	switch tr.Name {
 	case "std_logic_vector", "std_ulogic_vector", "bit_vector", "unsigned", "signed":
 		if !tr.HasRng {
@@ -170,7 +175,7 @@ func (e *elaborator) resolveType(ctx *instCtx, tr *TypeRef) *Type {
 		hi := ec.evalInt(tr.Hi)
 		return &Type{Kind: tVec, Lo: lo, Hi: hi, Downto: tr.Downto}
 	}
-	base, ok := ctx.types[tr.Name]
+	base, ok := ec.typ(tr.Name)
 	if !ok {
 		evalPanic(tr.Pos, "unknown type %q", tr.Name)
 	}
@@ -232,7 +237,7 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 				return &Error{File: ent.File, Line: g.Pos.Line, Col: g.Pos.Col,
 					Msg: fmt.Sprintf("%s: generic %q has no value", path, g.Name)}
 			}
-			v = ctx.evalCtx().eval(g.Default, e.resolveType(ctx, g.Type))
+			v = ctx.scope.eval(g.Default, e.resolveType(ctx.scope, g.Type))
 		}
 		ctx.consts[g.Name] = v
 	}
@@ -240,10 +245,10 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 		ref, ok := ports[p.Name]
 		if !ok {
 			// Unbound: inputs fall back to defaults, outputs dangle.
-			t := e.resolveType(ctx, p.Type)
+			t := e.resolveType(ctx.scope, p.Type)
 			init := t.defaultValue()
 			if p.Default != nil {
-				init = ctx.evalCtx().eval(p.Default, t)
+				init = ctx.scope.eval(p.Default, t)
 			}
 			ref = e.newSignal(ctx, path+"."+p.Name+".open", t, init)
 			e.sigDecl[path+"."+p.Name+".open"] = declSite{file: ent.File, pos: p.Pos}
@@ -258,7 +263,7 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 }
 
 func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
-	ec := ctx.evalCtx()
+	ec := ctx.scope
 	for _, d := range decls {
 		switch d := d.(type) {
 		case *EnumTypeDecl:
@@ -268,7 +273,7 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 				ctx.enums[lit] = EnumVal{Enum: info, Ord: i}
 			}
 		case *ConstDecl:
-			t := e.resolveType(ctx, d.Type)
+			t := e.resolveType(ctx.scope, d.Type)
 			v := ec.eval(d.Value, t)
 			for _, name := range d.Names {
 				ctx.consts[name] = v
@@ -277,7 +282,7 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 				}
 			}
 		case *SignalDecl:
-			t := e.resolveType(ctx, d.Type)
+			t := e.resolveType(ctx.scope, d.Type)
 			init := t.defaultValue()
 			if d.Init != nil {
 				init = ec.eval(d.Init, t)
@@ -318,7 +323,7 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 			addSens := func(e Expr) {
 				for _, n := range exprNames(e) {
 					if _, isSig := ctx.signals[n]; isSig && !seen[n] {
-						if _, isConst := ctx.consts[n]; isConst {
+						if _, isConst := ctx.scope.constant(n); isConst {
 							continue
 						}
 						seen[n] = true
@@ -347,7 +352,7 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 			addSens := func(e Expr) {
 				for _, n := range exprNames(e) {
 					if _, isSig := ctx.signals[n]; isSig && !seen[n] {
-						if _, isConst := ctx.consts[n]; isConst {
+						if _, isConst := ctx.scope.constant(n); isConst {
 							continue
 						}
 						seen[n] = true
@@ -373,7 +378,7 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 				return err
 			}
 		case *GenerateStmt:
-			ec := ctx.evalCtx()
+			ec := ctx.scope
 			lo, hi := ec.evalInt(s.Lo), ec.evalInt(s.Hi)
 			step := int64(1)
 			if s.Downto {
@@ -448,7 +453,7 @@ func (e *elaborator) elabInst(ctx *instCtx, inst *InstStmt, path string) error {
 		ports, gens = ent.Ports, ent.Generics
 	}
 
-	ec := ctx.evalCtx()
+	ec := ctx.scope
 	generics := map[string]kernel.Value{}
 	for i, a := range inst.GenericMap {
 		name := a.Formal
@@ -495,7 +500,7 @@ func (e *elaborator) actualToSignal(ctx *instCtx, actual Expr, pos Pos, path, la
 		}
 	}
 	// Constant actual: evaluate and materialize.
-	v := ctx.evalCtx().eval(actual, nil)
+	v := ctx.scope.eval(actual, nil)
 	var t *Type
 	switch vv := v.(type) {
 	case stdlogic.Std:
@@ -514,38 +519,57 @@ func (e *elaborator) actualToSignal(ctx *instCtx, actual Expr, pos Pos, path, la
 	return e.newSignal(ctx, name, t, v), nil
 }
 
-// elabProcess analyzes a process and adds it (plus its interpreter
-// behavior) to the design.
+// elabProcess analyzes a process, compiles it and adds it (plus its
+// interpreter behavior) to the design.
 func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) error {
-	// Local scope: variables, constants, enum types.
-	localConsts := map[string]kernel.Value{}
-	localTypes := map[string]*Type{}
-	localEnums := map[string]kernel.Value{}
+	// Local scope: constants and enum types, chained to the instance's. A
+	// process that declares none resolves in the instance scope itself.
+	local := ctx.scope
+	for _, d := range ps.Decls {
+		switch d.(type) {
+		case *ConstDecl, *EnumTypeDecl:
+			local = &evalCtx{outer: ctx.scope}
+		}
+	}
 	var varDecls []*VarDecl
-	varTypes := map[string]*Type{}
-	ec := &evalCtx{consts: merged(ctx.consts, localConsts), types: mergedT(ctx.types, localTypes), enums: merged(ctx.enums, localEnums)}
+	var varTypes map[string]*Type
 	for _, d := range ps.Decls {
 		switch d := d.(type) {
 		case *VarDecl:
-			t := e.resolveType(ctx, d.Type)
+			t := e.resolveType(local, d.Type)
 			varDecls = append(varDecls, d)
+			if varTypes == nil {
+				varTypes = map[string]*Type{}
+			}
 			for _, n := range d.Names {
 				varTypes[n] = t
 			}
 		case *ConstDecl:
-			t := e.resolveType(ctx, d.Type)
-			v := ec.eval(d.Value, t)
+			t := e.resolveType(local, d.Type)
+			v := local.eval(d.Value, t)
+			if local.consts == nil {
+				local.consts = map[string]kernel.Value{}
+			}
 			for _, n := range d.Names {
-				localConsts[n] = v
+				local.consts[n] = v
 				if t.Kind == tVec {
-					localTypes["__obj_"+n] = t
+					if local.types == nil {
+						local.types = map[string]*Type{}
+					}
+					local.types["__obj_"+n] = t
 				}
 			}
 		case *EnumTypeDecl:
+			if local.types == nil {
+				local.types = map[string]*Type{}
+			}
+			if local.enums == nil {
+				local.enums = map[string]kernel.Value{}
+			}
 			info := &EnumInfo{Name: d.Name, Lits: d.Literals}
-			localTypes[d.Name] = &Type{Kind: tEnum, Enum: info}
+			local.types[d.Name] = &Type{Kind: tEnum, Enum: info}
 			for i, lit := range d.Literals {
-				localEnums[lit] = EnumVal{Enum: info, Ord: i}
+				local.enums[lit] = EnumVal{Enum: info, Ord: i}
 			}
 		default:
 			return &Error{File: e.curFile, Line: ps.Pos.Line, Col: ps.Pos.Col,
@@ -556,19 +580,13 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 	body := ps.Body
 	if ps.Sensitivity != nil {
 		// Sensitivity list = implicit trailing "wait on ...".
-		body = append(append([]Stmt{}, body...), &WaitStmt{Pos: ps.Pos, On: ps.Sensitivity})
+		body = make([]Stmt, len(ps.Body), len(ps.Body)+1)
+		copy(body, ps.Body)
+		body = append(body, &WaitStmt{Pos: ps.Pos, On: ps.Sensitivity})
 	}
 
 	// Discover the read and written signals.
-	sc := &sigScan{
-		ctx:    ctx,
-		vars:   varTypes,
-		consts: ec.consts,
-		enums:  ec.enums,
-		types:  ec.types,
-		reads:  map[string]bool{},
-		writes: map[string]bool{},
-	}
+	sc := &sigScan{ctx: ctx, ec: local, vars: varTypes}
 	sc.scanStmts(body)
 	if sc.err != nil {
 		// sigScan errors are positioned; stamp the file and fold in the
@@ -581,90 +599,73 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		return fmt.Errorf("vhdl: %s: %w", name, sc.err)
 	}
 
-	var reads, writes []string
-	for _, n := range sc.readOrder {
-		reads = append(reads, n)
+	c := &compiler{
+		ec:       local,
+		proc:     true,
+		varTypes: varTypes,
+		reads:    sc.reads,
+		writes:   sc.writes,
+		signals:  ctx.signals,
 	}
-	for _, n := range sc.writeOrder {
-		writes = append(writes, n)
-	}
-
-	bi := &procInterp{
-		name:      name,
-		file:      e.curFile,
-		pos:       ps.Pos,
-		body:      body,
-		varDecls:  varDecls,
-		varTypes:  varTypes,
-		consts:    ec.consts,
-		types:     ec.types,
-		enums:     ec.enums,
-		readIdx:   map[string]int{},
-		writeIdx:  map[string]int{},
-		sigTypes:  map[string]*Type{},
-		maxSteps:  1_000_000,
-		hasReport: sc.hasReport,
-	}
-	var readSigs, writeSigs []*kernel.Signal
-	for i, n := range reads {
-		bi.readIdx[n] = i
-		bi.sigTypes[n] = ctx.signals[n].typ
-		readSigs = append(readSigs, ctx.signals[n].sig)
-	}
-	for i, n := range writes {
-		bi.writeIdx[n] = i
-		bi.sigTypes[n] = ctx.signals[n].typ
-		writeSigs = append(writeSigs, ctx.signals[n].sig)
-	}
+	inits, stmts := c.process(varDecls, body)
+	bi := &procInterp{prog: &program{
+		name:   name,
+		file:   e.curFile,
+		pos:    ps.Pos,
+		nslots: c.nslots,
+		inits:  inits,
+		body:   stmts,
+	}}
+	readSigs, writeSigs := sc.signals(sc.reads), sc.signals(sc.writes)
 
 	class := kernel.ClassComb
 	switch {
 	case sc.hasEdgeDetect:
 		class = kernel.ClassRegister
-	case len(reads) == 0:
+	case len(readSigs) == 0:
 		class = kernel.ClassStimulus
 	}
 	e.design.AddProcess(name, bi, readSigs, writeSigs, kernel.WithProcClass(class))
 	return nil
 }
 
-func merged(a map[string]kernel.Value, b map[string]kernel.Value) map[string]kernel.Value {
-	out := make(map[string]kernel.Value, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-func mergedT(a, b map[string]*Type) map[string]*Type {
-	out := make(map[string]*Type, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // sigScan walks a process body resolving which names are signal reads and
 // writes, with variables/constants/enum literals/builtins shadowing.
 type sigScan struct {
 	ctx    *instCtx
+	ec     *evalCtx // the process's constant scope
 	vars   map[string]*Type
-	consts map[string]kernel.Value
-	enums  map[string]kernel.Value
-	types  map[string]*Type
 	shadow []string // loop variables currently in scope
 
-	reads, writes         map[string]bool
-	readOrder, writeOrder []string
-	hasEdgeDetect         bool
-	hasReport             bool
-	err                   error
+	reads, writes ports // in first-use order
+	hasEdgeDetect bool
+	err           error
+}
+
+// ports are the signals a process reads or writes, by port index. A process
+// touches a handful, so a scan beats a map.
+type ports []string
+
+// port returns the port index of signal name.
+func (p ports) port(name string) (int, bool) {
+	for i, n := range p {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// signals returns the kernel signals behind p (nil when p is empty).
+func (s *sigScan) signals(p ports) []*kernel.Signal {
+	if len(p) == 0 {
+		return nil
+	}
+	out := make([]*kernel.Signal, len(p))
+	for i, n := range p {
+		out[i] = s.ctx.signals[n].sig
+	}
+	return out
 }
 
 var builtinFuncs = map[string]bool{
@@ -690,13 +691,8 @@ func (s *sigScan) isShadowed(name string) bool {
 	if _, ok := s.vars[name]; ok {
 		return true
 	}
-	if _, ok := s.consts[name]; ok {
-		return true
-	}
-	if _, ok := s.enums[name]; ok {
-		return true
-	}
-	return false
+	_, ok := s.ec.lookupPlain(name)
+	return ok
 }
 
 func (s *sigScan) markRead(name string, pos Pos) {
@@ -709,9 +705,8 @@ func (s *sigScan) markRead(name string, pos Pos) {
 		}
 		return
 	}
-	if !s.reads[name] {
-		s.reads[name] = true
-		s.readOrder = append(s.readOrder, name)
+	if _, ok := s.reads.port(name); !ok {
+		s.reads = append(s.reads, name)
 	}
 }
 
@@ -728,9 +723,8 @@ func (s *sigScan) markWrite(name string, pos Pos) {
 		}
 		return
 	}
-	if !s.writes[name] {
-		s.writes[name] = true
-		s.writeOrder = append(s.writeOrder, name)
+	if _, ok := s.writes.port(name); !ok {
+		s.writes = append(s.writes, name)
 	}
 }
 
@@ -799,7 +793,6 @@ func (s *sigScan) scanStmt(st Stmt) {
 		s.scanExpr(st.Until)
 		s.scanExpr(st.For)
 	case *ReportStmt:
-		s.hasReport = true
 		s.scanExpr(st.Assert)
 		s.scanExpr(st.Message)
 	case *ExitStmt:
@@ -901,5 +894,3 @@ func exprNames(e Expr) []string {
 	walk(e)
 	return out
 }
-
-var _ = strings.TrimSpace

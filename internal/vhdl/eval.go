@@ -5,7 +5,6 @@ import (
 
 	"govhdl/internal/kernel"
 	"govhdl/internal/stdlogic"
-	"govhdl/internal/vtime"
 )
 
 // evalError aborts evaluation with a positioned error (recovered at the
@@ -16,117 +15,106 @@ func evalPanic(pos Pos, format string, args ...any) {
 	panic(evalError{&Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf(format, args...)}})
 }
 
-// evalCtx provides name resolution for the evaluator. The constant
-// (elaboration-time) context leaves the signal callbacks nil.
+// evalCtx is a constant scope: the constants, named types and enumeration
+// literals of one design-unit instance, or of a process chained to its
+// instance's scope through outer. A name resolves in the innermost scope that
+// declares it.
 type evalCtx struct {
 	consts map[string]kernel.Value // constants, generics, generate/loop vars
 	types  map[string]*Type        // named types
 	enums  map[string]kernel.Value // enum literal -> its EnumVal, boxed once
-	// vars resolves process variables (interpreter only).
-	vars map[string]kernel.Value
-	// sigVal resolves a signal's current value (nil in constant contexts).
-	sigVal func(name string) (kernel.Value, *Type, bool)
-	// sigEvent resolves s'event (nil in constant contexts).
-	sigEvent func(name string) (bool, bool)
+	outer  *evalCtx
 }
 
-// lookupPlain resolves a bare identifier.
-func (c *evalCtx) lookupPlain(ident string) (kernel.Value, bool) {
-	if c.vars != nil {
-		if v, ok := c.vars[ident]; ok {
-			return v, true
-		}
-	}
-	if v, ok := c.consts[ident]; ok {
-		return v, true
-	}
-	if v, ok := c.enums[ident]; ok {
-		return v, true
-	}
-	if c.sigVal != nil {
-		if v, _, ok := c.sigVal(ident); ok {
+// constant resolves a constant, generic or generate variable.
+func (c *evalCtx) constant(name string) (kernel.Value, bool) {
+	for s := c; s != nil; s = s.outer {
+		if v, ok := s.consts[name]; ok {
 			return v, true
 		}
 	}
 	return nil, false
 }
 
-// eval evaluates an expression. want may be nil; it provides the element
-// type and width context for aggregates and string literals.
+// typ resolves a named type.
+func (c *evalCtx) typ(name string) (*Type, bool) {
+	for s := c; s != nil; s = s.outer {
+		if t, ok := s.types[name]; ok {
+			return t, true
+		}
+	}
+	return nil, false
+}
+
+// lookupPlain resolves a bare identifier: constants first, then enumeration
+// literals.
+func (c *evalCtx) lookupPlain(ident string) (kernel.Value, bool) {
+	if v, ok := c.constant(ident); ok {
+		return v, true
+	}
+	for s := c; s != nil; s = s.outer {
+		if v, ok := s.enums[ident]; ok {
+			return v, true
+		}
+	}
+	return nil, false
+}
+
+// eval evaluates a constant expression at elaboration time. want may be nil;
+// it provides the element type and width context for aggregates and string
+// literals. The expression is compiled in the constant scope, where it folds
+// to its value or to a closure that raises its evaluation error.
 func (c *evalCtx) eval(e Expr, want *Type) kernel.Value {
-	switch e := e.(type) {
-	case *IntLit:
-		if want != nil && want.Kind == tTime {
-			return timeVal(e.Val)
-		}
-		return e.Val
-	case *TimeLit:
-		return timeVal(e.Val * timeUnits[e.Unit])
-	case *CharLit:
-		v, ok := stdlogic.FromRune(rune(e.Val))
-		if !ok {
-			evalPanic(e.Pos, "invalid std_logic character literal '%c'", e.Val)
-		}
-		return v
-	case *StrLit:
-		if want != nil && want.Kind != tVec && want.Kind != tStd {
-			// A string in a report message context.
-			return e.Val
-		}
-		v, err := stdlogic.VecFromString(e.Val)
-		if err != nil {
-			// Not a bit-string: treat as text.
-			return e.Val
-		}
-		return v
-	case *Aggregate:
-		return c.evalAggregate(e, want)
-	case *Unary:
-		return c.evalUnary(e)
-	case *Binary:
-		return c.evalBinary(e)
-	case *Name:
-		return c.evalName(e, want)
+	x := (&compiler{ec: c}).expr(e, want)
+	if x.konst {
+		return x.val
 	}
-	evalPanic(Pos{}, "unsupported expression %T", e)
-	return nil
+	return x.fn(nil)
 }
 
-func (c *evalCtx) evalAggregate(a *Aggregate, want *Type) kernel.Value {
-	if want == nil || want.Kind != tVec {
-		evalPanic(a.Pos, "aggregate requires a vector context")
-	}
-	w := want.Width()
-	elemT := &Type{Kind: tStd}
-	out := stdlogic.NewVec(w, stdlogic.U)
-	if a.Others != nil {
-		fill := c.eval(a.Others, elemT)
-		fv, ok := fill.(stdlogic.Std)
-		if !ok {
-			evalPanic(a.Pos, "aggregate fill must be std_logic")
-		}
-		for i := range out {
-			out[i] = fv
-		}
-	}
-	if len(a.Elems) > w {
-		evalPanic(a.Pos, "aggregate has %d elements for a %d-wide vector", len(a.Elems), w)
-	}
-	for i, el := range a.Elems {
-		v := c.eval(el, elemT)
-		sv, ok := v.(stdlogic.Std)
-		if !ok {
-			evalPanic(a.Pos, "aggregate element %d is not std_logic", i)
-		}
-		out[i] = sv
-	}
-	return out
+// evalInt evaluates a constant integer expression.
+func (c *evalCtx) evalInt(e Expr) int64 {
+	return (&compiler{ec: c}).integer(e)(nil)
 }
 
-func (c *evalCtx) evalUnary(u *Unary) kernel.Value {
-	x := c.eval(u.X, nil)
-	switch u.Op {
-	case "not":
+// Static want contexts shared by every compile.
+var (
+	stdType  = &Type{Kind: tStd}
+	boolType = &Type{Kind: tBool}
+	timeType = &Type{Kind: tTime}
+)
+
+// strLit is the value of a string literal in the want context: a bit string
+// where a vector or std_logic (or nothing) is wanted, text otherwise.
+func strLit(s string, want *Type) kernel.Value {
+	if want != nil && want.Kind != tVec && want.Kind != tStd {
+		// A string in a report message context.
+		return s
+	}
+	v, err := stdlogic.VecFromString(s)
+	if err != nil {
+		// Not a bit-string: treat as text.
+		return s
+	}
+	return v
+}
+
+// unOp is a unary operator.
+type unOp uint8
+
+const (
+	opNot unOp = iota
+	opNeg
+	opAbs
+	opBadUnary
+)
+
+var unOps = map[string]unOp{"not": opNot, "-": opNeg, "abs": opAbs}
+
+// unaryVal applies unary operator op (spelled name) to x.
+func unaryVal(pos Pos, op unOp, name string, x kernel.Value) kernel.Value {
+	switch op {
+	case opNot:
 		switch v := x.(type) {
 		case stdlogic.Std:
 			return stdlogic.Not(v)
@@ -135,14 +123,14 @@ func (c *evalCtx) evalUnary(u *Unary) kernel.Value {
 		case bool:
 			return !v
 		}
-	case "-":
+	case opNeg:
 		switch v := x.(type) {
 		case int64:
 			return -v
 		case timeVal:
-			evalPanic(u.Pos, "negative time")
+			evalPanic(pos, "negative time")
 		}
-	case "abs":
+	case opAbs:
 		if v, ok := x.(int64); ok {
 			if v < 0 {
 				return -v
@@ -150,114 +138,143 @@ func (c *evalCtx) evalUnary(u *Unary) kernel.Value {
 			return v
 		}
 	}
-	evalPanic(u.Pos, "operator %q not defined for %s", u.Op, valueString(x))
+	evalPanic(pos, "operator %q not defined for %s", name, valueString(x))
 	return nil
 }
 
-func (c *evalCtx) evalBinary(b *Binary) kernel.Value {
-	l := c.eval(b.L, nil)
-	// Give the right operand the left's type as context (helps literals).
-	var rWant *Type
-	switch l.(type) {
-	case stdlogic.Vec:
-		if lv := l.(stdlogic.Vec); true {
-			rWant = &Type{Kind: tVec, Lo: int64(len(lv)) - 1, Downto: true}
-		}
-	case timeVal:
-		rWant = &Type{Kind: tTime}
-	}
-	r := c.eval(b.R, rWant)
+// binOp is a binary operator.
+type binOp uint8
 
-	switch b.Op {
-	case "and", "or", "xor", "nand", "nor", "xnor":
-		return c.logic(b, l, r)
-	case "=", "/=":
-		eq := valuesEqual(b, l, r)
-		if b.Op == "=" {
-			return eq
-		}
-		return !eq
-	case "<", "<=", ">", ">=":
-		return compare(b, l, r)
-	case "+", "-":
-		return c.addSub(b, l, r)
-	case "&":
-		return concat(b, l, r)
-	case "*", "/", "mod", "rem", "**":
-		return arith(b, l, r)
-	case "sll", "srl":
-		return shift(b, l, r)
+const (
+	opAnd binOp = iota
+	opOr
+	opXor
+	opNand
+	opNor
+	opXnor
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAdd
+	opSub
+	opCat
+	opMul
+	opDiv
+	opMod
+	opRem
+	opPow
+	opSll
+	opSrl
+)
+
+var binOpNames = [...]string{
+	opAnd: "and", opOr: "or", opXor: "xor", opNand: "nand", opNor: "nor", opXnor: "xnor",
+	opEq: "=", opNe: "/=", opLt: "<", opLe: "<=", opGt: ">", opGe: ">=",
+	opAdd: "+", opSub: "-", opCat: "&", opMul: "*", opDiv: "/", opMod: "mod", opRem: "rem",
+	opPow: "**", opSll: "sll", opSrl: "srl",
+}
+
+var binOps = func() map[string]binOp {
+	m := make(map[string]binOp, len(binOpNames))
+	for op, name := range binOpNames {
+		m[name] = binOp(op)
 	}
-	evalPanic(b.Pos, "unsupported operator %q", b.Op)
-	return nil
+	return m
+}()
+
+func (op binOp) String() string { return binOpNames[op] }
+
+// binaryVal applies binary operator op to the operand values.
+func binaryVal(pos Pos, op binOp, l, r kernel.Value) kernel.Value {
+	switch op {
+	case opAnd, opOr, opXor, opNand, opNor, opXnor:
+		return logic(pos, op, l, r)
+	case opEq:
+		return valuesEqual(pos, l, r)
+	case opNe:
+		return !valuesEqual(pos, l, r)
+	case opLt, opLe, opGt, opGe:
+		return compare(pos, op, l, r)
+	case opAdd, opSub:
+		return addSub(pos, op, l, r)
+	case opCat:
+		return concat(pos, l, r)
+	case opMul, opDiv, opMod, opRem, opPow:
+		return arith(pos, op, l, r)
+	default:
+		return shift(pos, op, l, r)
+	}
 }
 
 // stdOps maps each logical operator to its std_logic function.
-var stdOps = map[string]func(a, d stdlogic.Std) stdlogic.Std{
-	"and": stdlogic.And, "or": stdlogic.Or, "xor": stdlogic.Xor,
-	"nand": stdlogic.Nand, "nor": stdlogic.Nor, "xnor": stdlogic.Xnor,
+var stdOps = [...]func(a, d stdlogic.Std) stdlogic.Std{
+	opAnd: stdlogic.And, opOr: stdlogic.Or, opXor: stdlogic.Xor,
+	opNand: stdlogic.Nand, opNor: stdlogic.Nor, opXnor: stdlogic.Xnor,
 }
 
-func (c *evalCtx) logic(b *Binary, l, r kernel.Value) kernel.Value {
-	op := stdOps[b.Op]
+func logic(pos Pos, op binOp, l, r kernel.Value) kernel.Value {
 	switch lv := l.(type) {
 	case stdlogic.Std:
 		rv, ok := r.(stdlogic.Std)
 		if !ok {
-			evalPanic(b.Pos, "type mismatch in %q", b.Op)
+			evalPanic(pos, "type mismatch in %q", op)
 		}
-		return op(lv, rv)
+		return stdOps[op](lv, rv)
 	case stdlogic.Vec:
 		rv, ok := r.(stdlogic.Vec)
 		if !ok || len(rv) != len(lv) {
-			evalPanic(b.Pos, "vector length mismatch in %q", b.Op)
+			evalPanic(pos, "vector length mismatch in %q", op)
 		}
+		f := stdOps[op]
 		out := make(stdlogic.Vec, len(lv))
 		for i := range out {
-			out[i] = op(lv[i], rv[i])
+			out[i] = f(lv[i], rv[i])
 		}
 		return out
 	case bool:
 		rv, ok := r.(bool)
 		if !ok {
-			evalPanic(b.Pos, "type mismatch in %q", b.Op)
+			evalPanic(pos, "type mismatch in %q", op)
 		}
-		switch b.Op {
-		case "and":
+		switch op {
+		case opAnd:
 			return lv && rv
-		case "or":
+		case opOr:
 			return lv || rv
-		case "xor":
+		case opXor:
 			return lv != rv
-		case "nand":
+		case opNand:
 			return !(lv && rv)
-		case "nor":
+		case opNor:
 			return !(lv || rv)
-		case "xnor":
+		default:
 			return lv == rv
 		}
 	}
-	evalPanic(b.Pos, "operator %q not defined for %s", b.Op, valueString(l))
+	evalPanic(pos, "operator %q not defined for %s", op, valueString(l))
 	return nil
 }
 
-func valuesEqual(b *Binary, l, r kernel.Value) bool {
+func valuesEqual(pos Pos, l, r kernel.Value) bool {
 	switch lv := l.(type) {
 	case stdlogic.Vec:
 		rv, ok := r.(stdlogic.Vec)
 		if !ok {
-			evalPanic(b.Pos, "comparing vector with %s", valueString(r))
+			evalPanic(pos, "comparing vector with %s", valueString(r))
 		}
 		return lv.Equal(rv)
 	case EnumVal:
 		rv, ok := r.(EnumVal)
 		if !ok || rv.Enum.Name != lv.Enum.Name {
-			evalPanic(b.Pos, "comparing values of different enumeration types")
+			evalPanic(pos, "comparing values of different enumeration types")
 		}
 		return lv.Ord == rv.Ord
 	default:
 		if !sameScalarKind(l, r) {
-			evalPanic(b.Pos, "comparing %s with %s", valueString(l), valueString(r))
+			evalPanic(pos, "comparing %s with %s", valueString(l), valueString(r))
 		}
 		return l == r
 	}
@@ -281,13 +298,13 @@ func sameScalarKind(l, r kernel.Value) bool {
 	return false
 }
 
-func compare(b *Binary, l, r kernel.Value) bool {
+func compare(pos Pos, op binOp, l, r kernel.Value) bool {
 	cmp := 0
 	switch lv := l.(type) {
 	case int64:
 		rv, ok := r.(int64)
 		if !ok {
-			evalPanic(b.Pos, "comparing integer with %s", valueString(r))
+			evalPanic(pos, "comparing integer with %s", valueString(r))
 		}
 		switch {
 		case lv < rv:
@@ -298,7 +315,7 @@ func compare(b *Binary, l, r kernel.Value) bool {
 	case timeVal:
 		rv, ok := r.(timeVal)
 		if !ok {
-			evalPanic(b.Pos, "comparing time with %s", valueString(r))
+			evalPanic(pos, "comparing time with %s", valueString(r))
 		}
 		switch {
 		case lv < rv:
@@ -311,11 +328,11 @@ func compare(b *Binary, l, r kernel.Value) bool {
 		lu, ok1 := lv.Uint()
 		rv, ok := r.(stdlogic.Vec)
 		if !ok {
-			evalPanic(b.Pos, "comparing vector with %s", valueString(r))
+			evalPanic(pos, "comparing vector with %s", valueString(r))
 		}
 		ru, ok2 := rv.Uint()
 		if !ok1 || !ok2 {
-			evalPanic(b.Pos, "ordering comparison on non-01 vector")
+			evalPanic(pos, "ordering comparison on non-01 vector")
 		}
 		switch {
 		case lu < ru:
@@ -326,7 +343,7 @@ func compare(b *Binary, l, r kernel.Value) bool {
 	case EnumVal:
 		rv, ok := r.(EnumVal)
 		if !ok || rv.Enum.Name != lv.Enum.Name {
-			evalPanic(b.Pos, "comparing values of different enumeration types")
+			evalPanic(pos, "comparing values of different enumeration types")
 		}
 		switch {
 		case lv.Ord < rv.Ord:
@@ -335,37 +352,37 @@ func compare(b *Binary, l, r kernel.Value) bool {
 			cmp = 1
 		}
 	default:
-		evalPanic(b.Pos, "ordering not defined for %s", valueString(l))
+		evalPanic(pos, "ordering not defined for %s", valueString(l))
 	}
-	switch b.Op {
-	case "<":
+	switch op {
+	case opLt:
 		return cmp < 0
-	case "<=":
+	case opLe:
 		return cmp <= 0
-	case ">":
+	case opGt:
 		return cmp > 0
 	default:
 		return cmp >= 0
 	}
 }
 
-func (c *evalCtx) addSub(b *Binary, l, r kernel.Value) kernel.Value {
+func addSub(pos Pos, op binOp, l, r kernel.Value) kernel.Value {
 	switch lv := l.(type) {
 	case int64:
 		switch rv := r.(type) {
 		case int64:
-			if b.Op == "+" {
+			if op == opAdd {
 				return lv + rv
 			}
 			return lv - rv
 		}
 	case timeVal:
 		if rv, ok := r.(timeVal); ok {
-			if b.Op == "+" {
+			if op == opAdd {
 				return lv + rv
 			}
 			if rv > lv {
-				evalPanic(b.Pos, "negative time")
+				evalPanic(pos, "negative time")
 			}
 			return lv - rv
 		}
@@ -377,21 +394,21 @@ func (c *evalCtx) addSub(b *Binary, l, r kernel.Value) kernel.Value {
 		case int64:
 			rv = stdlogic.FromInt(rr, len(lv))
 		default:
-			evalPanic(b.Pos, "adding vector and %s", valueString(r))
+			evalPanic(pos, "adding vector and %s", valueString(r))
 		}
 		if len(rv) != len(lv) {
-			evalPanic(b.Pos, "vector length mismatch in %q", b.Op)
+			evalPanic(pos, "vector length mismatch in %q", op)
 		}
-		if b.Op == "+" {
+		if op == opAdd {
 			return stdlogic.AddVec(lv, rv)
 		}
 		return stdlogic.SubVec(lv, rv)
 	}
-	evalPanic(b.Pos, "operator %q not defined for %s and %s", b.Op, valueString(l), valueString(r))
+	evalPanic(pos, "operator %q not defined for %s and %s", op, valueString(l), valueString(r))
 	return nil
 }
 
-func concat(b *Binary, l, r kernel.Value) kernel.Value {
+func concat(pos Pos, l, r kernel.Value) kernel.Value {
 	// String concatenation (report messages).
 	if ls, ok := l.(string); ok {
 		return ls + valueString(r)
@@ -406,7 +423,7 @@ func concat(b *Binary, l, r kernel.Value) kernel.Value {
 		case stdlogic.Std:
 			return stdlogic.Vec{vv}
 		}
-		evalPanic(b.Pos, "concatenating %s", valueString(v))
+		evalPanic(pos, "concatenating %s", valueString(v))
 		return nil
 	}
 	lv, rv := toVec(l), toVec(r)
@@ -414,71 +431,70 @@ func concat(b *Binary, l, r kernel.Value) kernel.Value {
 	return append(append(out, lv...), rv...)
 }
 
-func arith(b *Binary, l, r kernel.Value) kernel.Value {
+func arith(pos Pos, op binOp, l, r kernel.Value) kernel.Value {
 	li, lok := l.(int64)
 	ri, rok := r.(int64)
 	if lt, ok := l.(timeVal); ok && rok {
 		// time * integer and time / integer.
-		switch b.Op {
-		case "*":
+		switch op {
+		case opMul:
 			return lt * timeVal(ri)
-		case "/":
+		case opDiv:
 			if ri == 0 {
-				evalPanic(b.Pos, "division by zero")
+				evalPanic(pos, "division by zero")
 			}
 			return lt / timeVal(ri)
 		}
 	}
-	if rt, ok := r.(timeVal); ok && lok && b.Op == "*" {
+	if rt, ok := r.(timeVal); ok && lok && op == opMul {
 		return timeVal(li) * rt
 	}
 	if !lok || !rok {
-		evalPanic(b.Pos, "operator %q not defined for %s and %s", b.Op, valueString(l), valueString(r))
+		evalPanic(pos, "operator %q not defined for %s and %s", op, valueString(l), valueString(r))
 	}
-	switch b.Op {
-	case "*":
+	switch op {
+	case opMul:
 		return li * ri
-	case "/":
+	case opDiv:
 		if ri == 0 {
-			evalPanic(b.Pos, "division by zero")
+			evalPanic(pos, "division by zero")
 		}
 		return li / ri
-	case "mod":
+	case opMod:
 		if ri == 0 {
-			evalPanic(b.Pos, "mod by zero")
+			evalPanic(pos, "mod by zero")
 		}
 		m := li % ri
 		if m != 0 && (m < 0) != (ri < 0) {
 			m += ri
 		}
 		return m
-	case "rem":
+	case opRem:
 		if ri == 0 {
-			evalPanic(b.Pos, "rem by zero")
+			evalPanic(pos, "rem by zero")
 		}
 		return li % ri
-	case "**":
+	default: // opPow
 		out := int64(1)
 		for i := int64(0); i < ri; i++ {
 			out *= li
 		}
 		return out
 	}
-	return nil
 }
 
-func shift(b *Binary, l, r kernel.Value) kernel.Value {
+func shift(pos Pos, op binOp, l, r kernel.Value) kernel.Value {
 	lv, ok := l.(stdlogic.Vec)
 	ri, ok2 := r.(int64)
 	if !ok || !ok2 {
-		evalPanic(b.Pos, "shift requires vector and integer")
+		evalPanic(pos, "shift requires vector and integer")
 	}
 	n := int(ri)
 	w := len(lv)
 	out := stdlogic.NewVec(w, stdlogic.L0)
 	for i := 0; i < w; i++ {
 		var src int
-		if b.Op == "sll" {
+		if op == opSll {
 			src = i + n
 		} else {
 			src = i - n
@@ -490,94 +506,17 @@ func shift(b *Binary, l, r kernel.Value) kernel.Value {
 	return out
 }
 
-// evalName resolves names: variables, constants, enum literals, signals,
-// attributes, builtin calls, and indexing.
-func (c *evalCtx) evalName(n *Name, want *Type) kernel.Value {
-	if n.Attr != "" {
-		return c.evalAttr(n)
-	}
-	if n.Args != nil {
-		// Builtin function call or indexed name.
-		if v, ok := c.callBuiltin(n); ok {
-			return v
-		}
-		base, ok := c.lookupPlain(n.Ident)
-		if !ok {
-			evalPanic(n.Pos, "unknown function or array %q", n.Ident)
-		}
-		if len(n.Args) != 1 {
-			evalPanic(n.Pos, "multidimensional indexing is not supported")
-		}
-		idx, ok := c.eval(n.Args[0], nil).(int64)
-		if !ok {
-			evalPanic(n.Pos, "array index must be an integer")
-		}
-		vec, ok := base.(stdlogic.Vec)
-		if !ok {
-			evalPanic(n.Pos, "%q is not an array", n.Ident)
-		}
-		t := c.typeOfObject(n.Ident, vec)
-		off, err := t.indexOffset(idx)
-		if err != nil {
-			evalPanic(n.Pos, "%v", err)
-		}
-		return vec[off]
-	}
-	if n.HasSlice {
-		base, ok := c.lookupPlain(n.Ident)
-		if !ok {
-			evalPanic(n.Pos, "unknown name %q", n.Ident)
-		}
-		vec, ok := base.(stdlogic.Vec)
-		if !ok {
-			evalPanic(n.Pos, "slicing a non-array %q", n.Ident)
-		}
-		t := c.typeOfObject(n.Ident, vec)
-		lo := c.evalInt(n.SliceLo)
-		hi := c.evalInt(n.SliceHi)
-		o1, err1 := t.indexOffset(lo)
-		o2, err2 := t.indexOffset(hi)
-		if err1 != nil || err2 != nil {
-			evalPanic(n.Pos, "slice bounds out of range")
-		}
-		if o1 > o2 {
-			o1, o2 = o2, o1
-		}
-		// The slice shares the immutable vector; its capacity is capped so
-		// no append can write past it into the vector it came from.
-		return vec[o1 : o2+1 : o2+1]
-	}
-	if v, ok := c.lookupPlain(n.Ident); ok {
-		return v
-	}
-	evalPanic(n.Pos, "unknown name %q", n.Ident)
-	return nil
-}
-
-// typeOfObject reconstructs the index mapping of a vector object. When the
-// declared type is unknown (plain value), assume (w-1 downto 0).
-func (c *evalCtx) typeOfObject(name string, vec stdlogic.Vec) *Type {
-	if c.sigVal != nil {
-		if _, t, ok := c.sigVal(name); ok && t != nil {
-			return t
-		}
-	}
-	if t, ok := c.types["__obj_"+name]; ok {
-		return t
-	}
-	return &Type{Kind: tVec, Lo: int64(len(vec)) - 1, Hi: 0, Downto: true}
-}
-
-func (c *evalCtx) evalInt(e Expr) int64 {
-	v, ok := c.eval(e, nil).(int64)
+// asInt, asBool and asTime convert an evaluated value for an integer,
+// boolean or time context.
+func asInt(v kernel.Value) int64 {
+	i, ok := v.(int64)
 	if !ok {
 		evalPanic(Pos{}, "expected an integer expression")
 	}
-	return v
+	return i
 }
 
-func (c *evalCtx) evalBool(e Expr) bool {
-	v := c.eval(e, &Type{Kind: tBool})
+func asBool(v kernel.Value) bool {
 	switch b := v.(type) {
 	case bool:
 		return b
@@ -590,8 +529,7 @@ func (c *evalCtx) evalBool(e Expr) bool {
 	return false
 }
 
-func (c *evalCtx) evalTime(e Expr) timeVal {
-	v := c.eval(e, &Type{Kind: tTime})
+func asTime(v kernel.Value) timeVal {
 	switch t := v.(type) {
 	case timeVal:
 		return t
@@ -602,154 +540,86 @@ func (c *evalCtx) evalTime(e Expr) timeVal {
 	return 0
 }
 
-func (c *evalCtx) evalAttr(n *Name) kernel.Value {
-	switch n.Attr {
-	case "event":
-		if c.sigEvent == nil {
-			evalPanic(n.Pos, "'event outside a process")
-		}
-		ev, ok := c.sigEvent(n.Ident)
-		if !ok {
-			evalPanic(n.Pos, "'event on non-signal %q", n.Ident)
-		}
-		return ev
-	case "image":
-		// type'image(expr): VHDL predefined attribute; rendered with the
-		// same formatting used by report messages.
-		if len(n.Args) != 1 {
-			evalPanic(n.Pos, "'image takes one argument")
-		}
-		return valueString(c.eval(n.Args[0], nil))
-	case "length", "left", "right", "high", "low":
-		t := c.namedType(n)
-		switch n.Attr {
-		case "length":
-			return int64(t.Width())
-		case "left":
-			return t.Lo
-		case "right":
-			return t.Hi
-		case "high":
-			if t.Downto {
-				return t.Lo
-			}
-			return t.Hi
-		case "low":
-			if t.Downto {
-				return t.Hi
-			}
-			return t.Lo
-		}
+// coerce adapts literal kinds to the target type and validates widths.
+func coerce(pos Pos, v kernel.Value, t *Type) kernel.Value {
+	if t == nil {
+		return v
 	}
-	evalPanic(n.Pos, "unsupported attribute '%s", n.Attr)
-	return nil
-}
-
-// namedType resolves the type of a named object or type mark for
-// attributes.
-func (c *evalCtx) namedType(n *Name) *Type {
-	if t, ok := c.types[n.Ident]; ok {
-		return t
-	}
-	if c.sigVal != nil {
-		if _, t, ok := c.sigVal(n.Ident); ok && t != nil {
-			return t
-		}
-	}
-	if t, ok := c.types["__obj_"+n.Ident]; ok {
-		return t
-	}
-	if v, ok := c.lookupPlain(n.Ident); ok {
-		if vec, isVec := v.(stdlogic.Vec); isVec {
-			return &Type{Kind: tVec, Lo: int64(len(vec)) - 1, Hi: 0, Downto: true}
-		}
-	}
-	evalPanic(n.Pos, "cannot resolve the type of %q", n.Ident)
-	return nil
-}
-
-// callBuiltin evaluates the supported ieee builtins. It reports false when
-// the name is not a builtin (then treated as array indexing).
-func (c *evalCtx) callBuiltin(n *Name) (kernel.Value, bool) {
-	arg := func(i int, want *Type) kernel.Value {
-		if i >= len(n.Args) {
-			evalPanic(n.Pos, "%s: missing argument %d", n.Ident, i+1)
-		}
-		return c.eval(n.Args[i], want)
-	}
-	switch n.Ident {
-	case "rising_edge", "falling_edge":
-		// Needs event info: the argument must be a plain signal name.
-		sn, ok := n.Args[0].(*Name)
-		if !ok || c.sigEvent == nil {
-			evalPanic(n.Pos, "%s requires a signal argument", n.Ident)
-		}
-		ev, ok := c.sigEvent(sn.Ident)
-		if !ok {
-			evalPanic(n.Pos, "%s on non-signal %q", n.Ident, sn.Ident)
-		}
-		v, _, _ := c.sigVal(sn.Ident)
-		s, ok := v.(stdlogic.Std)
-		if !ok {
-			evalPanic(n.Pos, "%s on non-std_logic signal", n.Ident)
-		}
-		if n.Ident == "rising_edge" {
-			return ev && stdlogic.IsHigh(s), true
-		}
-		return ev && stdlogic.IsLow(s), true
-	case "to_integer", "to_int", "conv_integer":
-		v := arg(0, nil)
+	switch t.Kind {
+	case tVec:
 		vec, ok := v.(stdlogic.Vec)
 		if !ok {
-			evalPanic(n.Pos, "to_integer requires a vector")
+			evalPanic(pos, "expected a vector value, got %s", valueString(v))
 		}
-		u, ok := vec.Uint()
+		if len(vec) != t.Width() {
+			evalPanic(pos, "vector width mismatch: %d vs %d", len(vec), t.Width())
+		}
+	case tStd:
+		if _, ok := v.(stdlogic.Std); !ok {
+			evalPanic(pos, "expected std_logic, got %s", valueString(v))
+		}
+	case tInt:
+		iv, ok := v.(int64)
 		if !ok {
-			// VHDL numeric_std warns and returns 0 on metavalues.
-			return int64(0), true
+			evalPanic(pos, "expected integer, got %s", valueString(v))
 		}
-		return int64(u), true
-	case "to_unsigned", "to_stdlogicvector", "std_logic_vector", "to_slv", "conv_std_logic_vector":
-		v := arg(0, nil)
-		switch vv := v.(type) {
-		case stdlogic.Vec:
-			return v, true // identity conversion
-		case int64:
-			w := int64(0)
-			if len(n.Args) > 1 {
-				w = c.evalInt(n.Args[1])
-			} else if len(n.Args) == 1 {
-				evalPanic(n.Pos, "%s needs a width argument for integer values", n.Ident)
+		if iv < t.Lo || iv > t.Hi {
+			evalPanic(pos, "integer value %d out of range %d to %d", iv, t.Lo, t.Hi)
+		}
+	case tBool:
+		if _, ok := v.(bool); !ok {
+			evalPanic(pos, "expected boolean, got %s", valueString(v))
+		}
+	case tTime:
+		if _, ok := v.(timeVal); !ok {
+			if iv, isInt := v.(int64); isInt {
+				return timeVal(iv)
 			}
-			return stdlogic.FromInt(vv, int(w)), true
+			evalPanic(pos, "expected time, got %s", valueString(v))
 		}
-		evalPanic(n.Pos, "%s: unsupported argument %s", n.Ident, valueString(v))
-	case "unsigned", "signed":
-		// numeric_std casts are identity in this value model.
-		if len(n.Args) == 1 {
-			if v := arg(0, nil); v != nil {
-				if _, ok := v.(stdlogic.Vec); ok {
-					return v, true
-				}
-			}
+	case tEnum:
+		ev, ok := v.(EnumVal)
+		if !ok || ev.Enum.Name != t.Enum.Name {
+			evalPanic(pos, "expected %s, got %s", t.Enum.Name, valueString(v))
 		}
-		evalPanic(n.Pos, "%s cast requires a vector", n.Ident)
-	case "to_x01":
-		v := arg(0, nil)
-		switch vv := v.(type) {
-		case stdlogic.Std:
-			return stdlogic.To01(vv), true
-		case stdlogic.Vec:
-			out := make(stdlogic.Vec, len(vv))
-			for i, s := range vv {
-				out[i] = stdlogic.To01(s)
-			}
-			return out, true
+	}
+	return v
+}
+
+// enumEqual compares enum values without panicking on mismatched kinds
+// (ValueEqual covers everything else).
+func enumEqual(a, d kernel.Value) bool {
+	av, ok1 := a.(EnumVal)
+	dv, ok2 := d.(EnumVal)
+	return ok1 && ok2 && av.Enum.Name == dv.Enum.Name && av.Ord == dv.Ord
+}
+
+// toInteger is to_integer and its aliases: a vector's unsigned value.
+func toInteger(pos Pos, v kernel.Value) kernel.Value {
+	vec, ok := v.(stdlogic.Vec)
+	if !ok {
+		evalPanic(pos, "to_integer requires a vector")
+	}
+	u, ok := vec.Uint()
+	if !ok {
+		// VHDL numeric_std warns and returns 0 on metavalues.
+		return int64(0)
+	}
+	return int64(u)
+}
+
+// toX01 is to_x01 of a std_logic or a vector; ok is false for any other
+// value.
+func toX01(v kernel.Value) (kernel.Value, bool) {
+	switch vv := v.(type) {
+	case stdlogic.Std:
+		return stdlogic.To01(vv), true
+	case stdlogic.Vec:
+		out := make(stdlogic.Vec, len(vv))
+		for i, s := range vv {
+			out[i] = stdlogic.To01(s)
 		}
-	case "now":
-		evalPanic(n.Pos, "the now function is not supported")
+		return out, true
 	}
 	return nil, false
 }
-
-var _ = vtime.NS // keep vtime import for timeVal users

@@ -2,50 +2,31 @@ package vhdl
 
 import (
 	"fmt"
-	"maps"
 
 	"govhdl/internal/kernel"
-	"govhdl/internal/stdlogic"
 )
 
-// procInterp is the interpreted Behavior of a VHDL process. Its resumption
-// state is an explicit frame stack (not a goroutine), so Snapshot/Restore
-// can copy it and the optimistic protocol can roll interpreted processes
-// back like any other LP. Values are immutable (kernel.Value), so a snapshot
-// copies the variable map and the stack but shares every value in them.
+// procInterp is the Behavior of a VHDL process: its compiled program (see
+// compile.go) and the state of one run of it. Its resumption state is an
+// explicit frame stack (not a goroutine), so Snapshot/Restore can copy it and
+// the optimistic protocol can roll interpreted processes back like any other
+// LP. Variables and loop variables live in slots; values are immutable
+// (kernel.Value), so a snapshot copies the slots and the stack but shares
+// every value in them.
 //
-// Resuming allocates nothing of its own: the evaluator and its signal
-// closures are built on the first run and read the current run's context
-// from pc, the frame stack is reused when the body loops, and each wait
-// statement's sensitivity list is computed once and shared by every later
-// execution of it.
+// The program is shared by every clone of the design and holds no mutable
+// state: a process keeps no name, scope or syntax tree once it is compiled.
+// Resuming allocates nothing of its own: the frame stack is reused when the
+// body loops, and each wait statement's sensitivity list was computed when
+// it compiled.
 type procInterp struct {
-	name      string
-	file      string // source file of the process (error stamping)
-	pos       Pos    // position of the process statement
-	body      []Stmt
-	varDecls  []*VarDecl
-	varTypes  map[string]*Type
-	consts    map[string]kernel.Value
-	types     map[string]*Type
-	enums     map[string]kernel.Value
-	readIdx   map[string]int
-	writeIdx  map[string]int
-	sigTypes  map[string]*Type
-	maxSteps  int
-	hasReport bool
+	prog *program
 
 	// Dynamic state (snapshot-covered).
-	vars    map[string]kernel.Value
+	slots   []kernel.Value
 	stack   []frame
 	started bool
-	until   Expr // pending wait-until condition
-
-	// Per-instance caches (not state; CloneFresh resets them): the
-	// sensitivity list of each executed wait statement, and ec, whose
-	// closures are bound to this instance.
-	waits map[*WaitStmt][]int
-	ec    evalCtx
+	until   cbool // pending wait-until condition
 
 	// Per-run transient.
 	pc *kernel.ProcCtx
@@ -53,52 +34,32 @@ type procInterp struct {
 
 // frame is one level of the resumption stack.
 type frame struct {
-	stmts []Stmt
+	stmts []cstmt
 	idx   int
 
-	// Loop control (nil fields for plain statement lists).
-	isLoop   bool
-	label    string
-	forVar   string
-	cur      int64
-	stop     int64
-	step     int64 // +1/-1 for for-loops; 0 for while/plain loops
-	whileC   Expr  // while condition; nil for plain/for loops
-	savedVar kernel.Value
-	hadVar   bool
+	// Loop control: nil loop for plain statement lists.
+	loop      *cloop
+	cur, stop int64 // for loops
 }
 
 // interpSnap is the snapshot payload.
 type interpSnap struct {
-	vars    map[string]kernel.Value
+	slots   []kernel.Value
 	stack   []frame
 	started bool
-	until   Expr
+	until   cbool
 }
 
 // CloneFresh produces a pristine interpreter for kernel.Design.CloneFresh:
-// the parsed body and the elaboration-time tables are immutable and shared,
-// but the types map is copied — Run installs "__obj_"+name entries for
-// vector variables when the process first starts, a runtime mutation that
-// must not leak between independent runs of the same cached design. The
-// per-instance caches start empty: ec's closures point at b, not at nb.
+// the program is immutable and shared, the run state starts empty.
 func (b *procInterp) CloneFresh() kernel.Behavior {
-	nb := *b
-	nb.types = maps.Clone(b.types)
-	nb.vars = nil
-	nb.stack = nil
-	nb.started = false
-	nb.until = nil
-	nb.pc = nil
-	nb.ec = evalCtx{}
-	nb.waits = nil
-	return &nb
+	return &procInterp{prog: b.prog}
 }
 
 // Snapshot copies the mutable interpreter state; the values are shared.
 func (b *procInterp) Snapshot() any {
 	return &interpSnap{
-		vars:    maps.Clone(b.vars),
+		slots:   append([]kernel.Value(nil), b.slots...),
 		stack:   append([]frame(nil), b.stack...),
 		started: b.started,
 		until:   b.until,
@@ -110,44 +71,18 @@ func (b *procInterp) Restore(sn any) {
 	s := sn.(*interpSnap)
 	b.started = s.started
 	b.until = s.until
-	b.vars = maps.Clone(s.vars)
+	b.slots = append(b.slots[:0], s.slots...)
 	b.stack = append(b.stack[:0], s.stack...)
-}
-
-// bind prepares the evaluator against the current run context. The signal
-// closures are built on the first bind and read b.pc.
-func (b *procInterp) bind(p *kernel.ProcCtx) {
-	b.pc = p
-	if b.ec.sigVal == nil {
-		b.ec = evalCtx{
-			consts: b.consts,
-			types:  b.types,
-			enums:  b.enums,
-			sigVal: func(name string) (kernel.Value, *Type, bool) {
-				if i, ok := b.readIdx[name]; ok {
-					return b.pc.Val(i), b.sigTypes[name], true
-				}
-				return nil, nil, false
-			},
-			sigEvent: func(name string) (bool, bool) {
-				if i, ok := b.readIdx[name]; ok {
-					return b.pc.Event(i), true
-				}
-				return false, false
-			},
-		}
-	}
-	b.ec.vars = b.vars
 }
 
 // WaitCond evaluates the pending "wait until" condition.
 func (b *procInterp) WaitCond(p *kernel.ProcCtx) bool {
-	b.bind(p)
+	b.pc = p
 	defer b.recoverEval()
 	if b.until == nil {
 		return true
 	}
-	return b.ec.evalBool(b.until)
+	return b.until(b)
 }
 
 // recoverEval rethrows evaluation failures as *Error values (which implement
@@ -159,12 +94,12 @@ func (b *procInterp) recoverEval() {
 	if r := recover(); r != nil {
 		if ee, ok := r.(evalError); ok {
 			e := *ee.err
-			e.Msg = fmt.Sprintf("process %s: %s", b.name, e.Msg)
+			e.Msg = fmt.Sprintf("process %s: %s", b.prog.name, e.Msg)
 			if e.File == "" {
-				e.File = b.file
+				e.File = b.prog.file
 			}
 			if e.Line == 0 {
-				e.Line, e.Col = b.pos.Line, b.pos.Col
+				e.Line, e.Col = b.prog.pos.Line, b.prog.pos.Col
 			}
 			panic(&e)
 		}
@@ -174,32 +109,31 @@ func (b *procInterp) recoverEval() {
 
 // Run resumes the process until its next wait.
 func (b *procInterp) Run(p *kernel.ProcCtx) kernel.Wait {
-	b.bind(p)
+	b.pc = p
 	defer b.recoverEval()
+	pr := b.prog
 	if !b.started {
 		b.started = true
-		b.vars = make(map[string]kernel.Value, len(b.varTypes))
-		for _, d := range b.varDecls {
-			t := b.varTypes[d.Names[0]]
-			for _, n := range d.Names {
-				if d.Init != nil {
-					b.vars[n] = b.ec.eval(d.Init, t)
-				} else {
-					b.vars[n] = t.defaultValue()
-				}
-				if t.Kind == tVec {
-					b.types["__obj_"+n] = t
-				}
-			}
+		if cap(b.slots) < pr.nslots {
+			b.slots = make([]kernel.Value, pr.nslots)
+		} else {
+			b.slots = b.slots[:pr.nslots]
+			clear(b.slots)
 		}
-		b.stack = append(b.stack[:0], frame{stmts: b.body})
+		for _, in := range pr.inits {
+			v := in.val
+			if in.fn != nil {
+				v = in.fn(b)
+			}
+			b.slots[in.slot] = v
+		}
+		b.stack = append(b.stack[:0], frame{stmts: pr.body})
 	}
-	b.ec.vars = b.vars // rebinding: initialization above replaces the map
 	steps := 0
 	for {
 		if len(b.stack) == 0 {
 			// The body completed: a VHDL process loops forever.
-			b.stack = append(b.stack[:0], frame{stmts: b.body})
+			b.stack = append(b.stack[:0], frame{stmts: pr.body})
 		}
 		w, suspended := b.exec(&steps)
 		if suspended {
@@ -212,19 +146,19 @@ func (b *procInterp) Run(p *kernel.ProcCtx) kernel.Wait {
 func (b *procInterp) exec(steps *int) (kernel.Wait, bool) {
 	for len(b.stack) > 0 {
 		*steps++
-		if *steps > b.maxSteps {
-			evalPanic(b.pos, "executed %d steps without suspending (missing wait?)", b.maxSteps)
+		if *steps > maxSteps {
+			evalPanic(b.prog.pos, "executed %d steps without suspending (missing wait?)", maxSteps)
 		}
 		f := &b.stack[len(b.stack)-1]
 		if f.idx >= len(f.stmts) {
 			if !b.advanceFrame(f) {
-				b.popFrame()
+				b.stack = b.stack[:len(b.stack)-1]
 			}
 			continue
 		}
 		st := f.stmts[f.idx]
 		f.idx++
-		if w, suspended := b.execStmt(st); suspended {
+		if w, suspended := st(b); suspended {
 			return w, true
 		}
 	}
@@ -233,350 +167,51 @@ func (b *procInterp) exec(steps *int) (kernel.Wait, bool) {
 
 // advanceFrame handles the end of a loop body: next iteration or done.
 func (b *procInterp) advanceFrame(f *frame) bool {
-	if !f.isLoop {
+	lp := f.loop
+	if lp == nil {
 		return false
 	}
-	if f.step != 0 { // for loop
-		f.cur += f.step
-		if (f.step > 0 && f.cur > f.stop) || (f.step < 0 && f.cur < f.stop) {
+	if lp.step != 0 { // for loop
+		f.cur += lp.step
+		if (lp.step > 0 && f.cur > f.stop) || (lp.step < 0 && f.cur < f.stop) {
 			return false
 		}
-		b.vars[f.forVar] = f.cur
+		b.slots[lp.slot] = f.cur
 		f.idx = 0
 		return true
 	}
-	if f.whileC != nil {
-		if !b.ec.evalBool(f.whileC) {
-			return false
-		}
+	if lp.cond != nil && !lp.cond(b) {
+		return false
 	}
 	f.idx = 0
 	return true
 }
 
-func (b *procInterp) popFrame() {
-	f := &b.stack[len(b.stack)-1]
-	if f.isLoop && f.forVar != "" {
-		if f.hadVar {
-			b.vars[f.forVar] = f.savedVar
-		} else {
-			delete(b.vars, f.forVar)
-		}
-	}
-	b.stack = b.stack[:len(b.stack)-1]
-}
+// push enters a statement list (an if or case branch).
+func (b *procInterp) push(stmts []cstmt) { b.stack = append(b.stack, frame{stmts: stmts}) }
 
-func (b *procInterp) execStmt(st Stmt) (kernel.Wait, bool) {
-	switch st := st.(type) {
-	case *NullStmt:
-	case *VarAssign:
-		b.execVarAssign(st)
-	case *SigAssign:
-		b.execSigAssign(st)
-	case *IfStmt:
-		switch {
-		case b.ec.evalBool(st.Cond):
-			b.push(frame{stmts: st.Then})
-		default:
-			done := false
-			for _, e := range st.Elifs {
-				if b.ec.evalBool(e.Cond) {
-					b.push(frame{stmts: e.Then})
-					done = true
-					break
-				}
-			}
-			if !done && st.Else != nil {
-				b.push(frame{stmts: st.Else})
-			}
-		}
-	case *CaseStmt:
-		v := b.ec.eval(st.Expr, nil)
-		var want *Type
-		if vec, ok := v.(stdlogic.Vec); ok {
-			want = &Type{Kind: tVec, Lo: int64(len(vec)) - 1, Downto: true}
-		}
-		matched := false
-		for _, arm := range st.Arms {
-			if arm.Others {
-				b.push(frame{stmts: arm.Body})
-				matched = true
-				break
-			}
-			for _, ch := range arm.Choices {
-				cv := b.ec.eval(ch, want)
-				if kernel.ValueEqual(v, cv) || enumEqual(v, cv) {
-					b.push(frame{stmts: arm.Body})
-					matched = true
-					break
-				}
-			}
-			if matched {
-				break
-			}
-		}
-		if !matched {
-			evalPanic(st.Pos, "case value %s matched no choice (add others?)", valueString(v))
-		}
-	case *ForLoop:
-		b.pushForLoop(st)
-	case *WhileLoop:
-		if st.Cond != nil && !b.ec.evalBool(st.Cond) {
-			break
-		}
-		b.push(frame{stmts: st.Body, isLoop: true, label: st.Label, whileC: st.Cond})
-	case *ExitStmt:
-		if st.When == nil || b.ec.evalBool(st.When) {
-			b.unwindLoop(st.Label, st.Pos, true)
-		}
-	case *NextStmt:
-		if st.When == nil || b.ec.evalBool(st.When) {
-			b.unwindLoop(st.Label, st.Pos, false)
-		}
-	case *ReportStmt:
-		b.execReport(st)
-	case *WaitStmt:
-		return b.execWait(st), true
-	default:
-		evalPanic(Pos{}, "unsupported statement %T", st)
-	}
-	return kernel.Wait{}, false
-}
-
-// enumEqual compares enum values without panicking on mismatched kinds
-// (ValueEqual covers everything else).
-func enumEqual(a, d kernel.Value) bool {
-	av, ok1 := a.(EnumVal)
-	dv, ok2 := d.(EnumVal)
-	return ok1 && ok2 && av.Enum.Name == dv.Enum.Name && av.Ord == dv.Ord
-}
-
-func (b *procInterp) push(f frame) { b.stack = append(b.stack, f) }
-
-func (b *procInterp) pushForLoop(st *ForLoop) {
-	var lo, hi int64
-	downto := st.Downto
-	if st.RangeAttr != nil {
-		t := b.ec.namedType(&Name{Pos: st.Pos, Ident: st.RangeAttr.Ident})
-		lo, hi, downto = t.Lo, t.Hi, t.Downto
-	} else {
-		lo = b.ec.evalInt(st.Lo)
-		hi = b.ec.evalInt(st.Hi)
-	}
-	step := int64(1)
-	if downto {
-		step = -1
-	}
-	if (step > 0 && lo > hi) || (step < 0 && lo < hi) {
-		return // null range: zero iterations
-	}
-	saved, had := b.vars[st.Var]
-	b.vars[st.Var] = lo
-	b.push(frame{
-		stmts: st.Body, isLoop: true, label: st.Label,
-		forVar: st.Var, cur: lo, stop: hi, step: step,
-		savedVar: saved, hadVar: had,
-	})
-}
-
-// unwindLoop pops frames to the nearest (or labeled) loop; exit also pops
-// the loop itself, next restarts it.
-func (b *procInterp) unwindLoop(label string, pos Pos, isExit bool) {
+// unwindLoop pops frames to the target loop; exit also pops the loop itself,
+// next restarts it. A nil target (no enclosing loop by that label) unwinds
+// everything and fails.
+func (b *procInterp) unwindLoop(target *cloop, pos Pos, isExit bool) {
 	for len(b.stack) > 0 {
 		f := &b.stack[len(b.stack)-1]
-		if f.isLoop && (label == "" || f.label == label) {
+		if f.loop != nil && f.loop == target {
 			if isExit {
-				b.popFrame()
+				b.stack = b.stack[:len(b.stack)-1]
 			} else {
 				// next: jump to the loop-end logic by exhausting the body.
 				f.idx = len(f.stmts)
 			}
 			return
 		}
-		b.popFrame()
+		b.stack = b.stack[:len(b.stack)-1]
 	}
 	evalPanic(pos, "exit/next outside a loop")
 }
 
-func (b *procInterp) execVarAssign(st *VarAssign) {
-	name := st.Target.Ident
-	cur, ok := b.vars[name]
-	if !ok {
-		evalPanic(st.Pos, "assignment to undeclared variable %q", name)
-	}
-	t := b.varTypes[name]
-	switch {
-	case st.Target.Args != nil:
-		vec, ok := cur.(stdlogic.Vec)
-		if !ok {
-			evalPanic(st.Pos, "indexing non-array variable %q", name)
-		}
-		idx := b.ec.evalInt(st.Target.Args[0])
-		off, err := t.indexOffset(idx)
-		if err != nil {
-			evalPanic(st.Pos, "%v", err)
-		}
-		v := b.ec.eval(st.Value, &Type{Kind: tStd})
-		sv, ok := v.(stdlogic.Std)
-		if !ok {
-			evalPanic(st.Pos, "element assignment needs a std_logic value")
-		}
-		// Values are immutable once made: the vector may be shared with a
-		// signal, a payload, the trace or a snapshot, so the write goes to
-		// a copy.
-		nv := vec.Clone()
-		nv[off] = sv
-		b.vars[name] = nv
-	case st.Target.HasSlice:
-		evalPanic(st.Pos, "slice assignment targets are not supported")
-	default:
-		v := b.ec.eval(st.Value, t)
-		b.vars[name] = b.coerce(st.Pos, v, t)
-	}
-}
-
-// coerce adapts literal kinds to the target type and validates widths.
-func (b *procInterp) coerce(pos Pos, v kernel.Value, t *Type) kernel.Value {
-	if t == nil {
-		return v
-	}
-	switch t.Kind {
-	case tVec:
-		vec, ok := v.(stdlogic.Vec)
-		if !ok {
-			evalPanic(pos, "expected a vector value, got %s", valueString(v))
-		}
-		if len(vec) != t.Width() {
-			evalPanic(pos, "vector width mismatch: %d vs %d", len(vec), t.Width())
-		}
-	case tStd:
-		if _, ok := v.(stdlogic.Std); !ok {
-			evalPanic(pos, "expected std_logic, got %s", valueString(v))
-		}
-	case tInt:
-		iv, ok := v.(int64)
-		if !ok {
-			evalPanic(pos, "expected integer, got %s", valueString(v))
-		}
-		if iv < t.Lo || iv > t.Hi {
-			evalPanic(pos, "integer value %d out of range %d to %d", iv, t.Lo, t.Hi)
-		}
-	case tBool:
-		if _, ok := v.(bool); !ok {
-			evalPanic(pos, "expected boolean, got %s", valueString(v))
-		}
-	case tTime:
-		if _, ok := v.(timeVal); !ok {
-			if iv, isInt := v.(int64); isInt {
-				return timeVal(iv)
-			}
-			evalPanic(pos, "expected time, got %s", valueString(v))
-		}
-	case tEnum:
-		ev, ok := v.(EnumVal)
-		if !ok || ev.Enum.Name != t.Enum.Name {
-			evalPanic(pos, "expected %s, got %s", t.Enum.Name, valueString(v))
-		}
-	}
-	return v
-}
-
-func (b *procInterp) execSigAssign(st *SigAssign) {
-	name := st.Target.Ident
-	port, ok := b.writeIdx[name]
-	if !ok {
-		evalPanic(st.Pos, "assignment to unknown signal %q", name)
-	}
-	t := b.sigTypes[name]
-	elem := func(we WaveElem) kernel.WaveElem {
-		el := kernel.WaveElem{Value: b.coerce(st.Pos, b.ec.eval(we.Value, t), t)}
-		if we.After != nil {
-			el.After = b.ec.evalTime(we.After)
-		}
-		return el
-	}
-	if len(st.Wave) == 1 && !st.Transport && st.Reject == nil {
-		// The common statement, "sig <= value [after d]": no Edit to build.
-		el := elem(st.Wave[0])
-		b.pc.Assign(port, el.Value, el.After)
-		return
-	}
-	edit := kernel.Edit{Transport: st.Transport, Wave: make([]kernel.WaveElem, 0, len(st.Wave))}
-	if st.Reject != nil {
-		edit.Reject = b.ec.evalTime(st.Reject)
-	}
-	for _, we := range st.Wave {
-		edit.Wave = append(edit.Wave, elem(we))
-	}
-	b.pc.AssignWave(port, edit)
-}
-
-func (b *procInterp) execReport(st *ReportStmt) {
-	if st.Assert != nil && b.ec.evalBool(st.Assert) {
-		return // assertion holds
-	}
-	sev := st.Severity
-	if sev == "" {
-		if st.Assert != nil {
-			sev = "error"
-		} else {
-			sev = "note"
-		}
-	}
-	msg := "assertion failed"
-	if st.Message != nil {
-		msg = valueString(b.ec.eval(st.Message, nil))
-	}
-	b.pc.Report(sev, msg)
-	if sev == "failure" {
-		evalPanic(st.Pos, "severity failure: %s", msg)
-	}
-}
-
-func (b *procInterp) execWait(st *WaitStmt) kernel.Wait {
-	w := kernel.Wait{Ports: b.waitPorts(st)}
-	if st.HasCond {
-		w.HasCond = true
-		b.until = st.Until
-	} else {
-		b.until = nil
-	}
-	if st.HasFor {
-		w.HasTimeout = true
-		w.Timeout = b.ec.evalTime(st.For)
-	}
-	return w
-}
-
-// waitPorts returns the sensitivity list of st: computed on its first
-// execution, then shared by every later one (the kernel only reads a
-// Wait's ports, and copies them into its snapshots).
-func (b *procInterp) waitPorts(st *WaitStmt) []int {
-	if ports, ok := b.waits[st]; ok {
-		return ports
-	}
-	names := st.On
-	if names == nil && st.Until != nil {
-		// Implicit sensitivity: the signals in the condition.
-		names = signalNamesIn(st.Until, b.readIdx)
-	}
-	var ports []int
-	for _, n := range names {
-		i, ok := b.readIdx[n]
-		if !ok {
-			evalPanic(st.Pos, "wait on unknown signal %q", n)
-		}
-		ports = append(ports, i)
-	}
-	if b.waits == nil {
-		b.waits = make(map[*WaitStmt][]int)
-	}
-	b.waits[st] = ports
-	return ports
-}
-
 // signalNamesIn lists the distinct signal names referenced by an expression.
-func signalNamesIn(e Expr, sigs map[string]int) []string {
+func signalNamesIn(e Expr, sigs ports) []string {
 	seen := map[string]bool{}
 	var out []string
 	var walk func(Expr)
@@ -584,7 +219,7 @@ func signalNamesIn(e Expr, sigs map[string]int) []string {
 		switch e := e.(type) {
 		case nil:
 		case *Name:
-			if _, ok := sigs[e.Ident]; ok && !seen[e.Ident] {
+			if _, ok := sigs.port(e.Ident); ok && !seen[e.Ident] {
 				seen[e.Ident] = true
 				out = append(out, e.Ident)
 			}

@@ -135,17 +135,23 @@ func (t *Type) indexOffset(idx int64) (int, error) {
 	if t.Kind != tVec {
 		return 0, fmt.Errorf("indexing a non-array value of type %s", t)
 	}
+	return rangeOffset(t.Lo, t.Hi, t.Downto, idx)
+}
+
+// rangeOffset maps idx in the index range (lo to/downto hi) to its element
+// offset.
+func rangeOffset(lo, hi int64, downto bool, idx int64) (int, error) {
 	var off int64
-	if t.Downto {
-		if idx > t.Lo || idx < t.Hi {
-			return 0, fmt.Errorf("index %d out of range %d downto %d", idx, t.Lo, t.Hi)
+	if downto {
+		if idx > lo || idx < hi {
+			return 0, fmt.Errorf("index %d out of range %d downto %d", idx, lo, hi)
 		}
-		off = t.Lo - idx
+		off = lo - idx
 	} else {
-		if idx < t.Lo || idx > t.Hi {
-			return 0, fmt.Errorf("index %d out of range %d to %d", idx, t.Lo, t.Hi)
+		if idx < lo || idx > hi {
+			return 0, fmt.Errorf("index %d out of range %d to %d", idx, lo, hi)
 		}
-		off = idx - t.Lo
+		off = idx - lo
 	}
 	return int(off), nil
 }

@@ -5,6 +5,8 @@ package govhdl
 // (DESIGN.md, "Payload contract").
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"govhdl/internal/pdes"
 	"govhdl/internal/stdlogic"
 	"govhdl/internal/trace"
+	"govhdl/internal/vhdl"
 	"govhdl/internal/vtime"
 )
 
@@ -24,9 +27,11 @@ const interpretedUntil = 10 * US
 
 // interpretedAllocsBound caps allocations per event of a traced sequential
 // run of an interpreted design. After a warm-up, gray.vhd and shifter.vhd
-// measure 0.81 and 0.42: what is left is the vectors the design computes and
-// one payload per vector event. Copying every vector at every hand-over, and
-// allocating on every resume, read 3.40 and 2.08.
+// measure 0.72 and 0.30: what is left is the vectors the design computes and
+// one payload per vector event. Walking the syntax tree, which built a type
+// for the right operand of every vector operator and boxed every integer
+// literal it evaluated, read 0.81 and 0.42; copying every vector at every
+// hand-over, and allocating on every resume, read 3.40 and 2.08.
 const interpretedAllocsBound = 1.5
 
 // measureInterpreted compiles testdata/file and times one traced
@@ -81,6 +86,41 @@ func BenchmarkInterpretedSim(b *testing.B) {
 	}
 	b.ReportMetric(ns, "ns/event")
 	b.ReportMetric(allocs, "allocs/event")
+}
+
+// BenchmarkElaborate measures the front end on testdata/gen12.vhd: parse,
+// then elaborate the hierarchy and compile every process, per LP of the
+// design it builds.
+func BenchmarkElaborate(b *testing.B) {
+	src, err := os.ReadFile(filepath.Join("testdata", "gen12.vhd"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	text := string(src)
+	lps := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		df, err := vhdl.Parse("gen12.vhd", text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lib := vhdl.NewLibrary()
+		if err := lib.Add(df); err != nil {
+			b.Fatal(err)
+		}
+		d, err := lib.Elaborate("gen_tb")
+		if err != nil {
+			b.Fatal(err)
+		}
+		lps += d.NumLPs()
+	}
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(wall.Nanoseconds())/float64(lps), "ns/LP")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(lps), "allocs/LP")
 }
 
 // vecImmSrc hands one vector around as much as the interpreter can: the
