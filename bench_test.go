@@ -37,9 +37,7 @@ func speedupBench(b *testing.B, build func() *circuits.Circuit, until vtime.Time
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		c := build()
-		if cfg.ThrottleWindow == 0 && cfg.Protocol != pdes.ProtoConservative {
-			cfg.ThrottleWindow = 4 * c.ClockHalf
-		}
+		figures.DefaultThrottle(c, &cfg)
 		res, err := pdes.Run(c.Design.Build(), cfg, until, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -115,58 +113,19 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheckpoint sweeps the optimistic state-saving interval
-// (DESIGN.md: checkpoint interval with coast-forward on rollback).
-func BenchmarkAblationCheckpoint(b *testing.B) {
-	build, until := figures.FSMCircuit(figures.ScaleSmoke)
-	for _, ck := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("every%d", ck), func(b *testing.B) {
-			speedupBench(b, build, until, pdes.Config{
-				Protocol: pdes.ProtoOptimistic, Workers: 8, CheckpointEvery: ck,
+// BenchmarkAblation runs the ablation sweeps of DESIGN.md (optimism bound,
+// checkpoint interval, GVT round period), as defined once in
+// figures.Ablations.
+func BenchmarkAblation(b *testing.B) {
+	build, until, sweeps := figures.Ablations(figures.ScaleSmoke)
+	for _, a := range sweeps {
+		for _, cs := range a.Configs {
+			cfg := cs.Cfg
+			cfg.Workers = figures.AblationWorkers
+			b.Run(a.Name+"/"+cs.Name, func(b *testing.B) {
+				speedupBench(b, build, until, cfg)
 			})
-		})
-	}
-}
-
-// BenchmarkAblationPartition compares the paper's naive round-robin
-// partitioning with contiguous block partitioning.
-func BenchmarkAblationPartition(b *testing.B) {
-	build, until := figures.IIRCircuit(figures.ScaleSmoke)
-	for _, p := range []struct {
-		name string
-		p    pdes.Partition
-	}{{"roundrobin", pdes.PartitionRoundRobin}, {"block", pdes.PartitionBlock}} {
-		b.Run(p.name, func(b *testing.B) {
-			speedupBench(b, build, until, pdes.Config{
-				Protocol: pdes.ProtoDynamic, Workers: 8, Partition: p.p,
-			})
-		})
-	}
-}
-
-// BenchmarkAblationGVTPeriod sweeps the GVT round trigger threshold.
-func BenchmarkAblationGVTPeriod(b *testing.B) {
-	build, until := figures.FSMCircuit(figures.ScaleSmoke)
-	for _, period := range []int{256, 1024, 4096} {
-		b.Run(fmt.Sprintf("every%d", period), func(b *testing.B) {
-			speedupBench(b, build, until, pdes.Config{
-				Protocol: pdes.ProtoOptimistic, Workers: 8, GVTEvery: period,
-			})
-		})
-	}
-}
-
-// BenchmarkAblationThrottle sweeps the optimism bound (memory window).
-func BenchmarkAblationThrottle(b *testing.B) {
-	buildF, until := figures.FSMCircuit(figures.ScaleSmoke)
-	probe := buildF()
-	for _, mult := range []vtime.Time{2, 4, 16} {
-		b.Run(fmt.Sprintf("window%dxHalf", mult), func(b *testing.B) {
-			speedupBench(b, buildF, until, pdes.Config{
-				Protocol: pdes.ProtoOptimistic, Workers: 8,
-				ThrottleWindow: mult * probe.ClockHalf,
-			})
-		})
+		}
 	}
 }
 

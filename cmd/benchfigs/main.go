@@ -17,7 +17,6 @@ import (
 	"govhdl/internal/figures"
 	"govhdl/internal/pdes"
 	"govhdl/internal/stats"
-	"govhdl/internal/vtime"
 )
 
 func main() {
@@ -196,65 +195,17 @@ func checkGuard(rep, committed *stats.WallClockReport, ratio float64, out io.Wri
 
 // runAblations sweeps the engine design choices called out in DESIGN.md.
 func runAblations(scale figures.Scale, out, progress io.Writer) error {
-	build, until := figures.FSMCircuit(scale)
-
-	sweep := func(title string, configs []figures.ConfigSpec) error {
-		series, seqCost, err := figures.Speedup(build, until, []int{8}, configs, progress)
+	build, until, sweeps := figures.Ablations(scale)
+	for _, a := range sweeps {
+		series, seqCost, err := figures.Speedup(build, until, []int{figures.AblationWorkers}, a.Configs, progress)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%s (FSM, 8 workers, sequential cost %.0f)\n", title, seqCost)
+		fmt.Fprintf(out, "Ablation: %s (FSM, %d workers, sequential cost %.0f)\n", a.Title, figures.AblationWorkers, seqCost)
 		for _, s := range series {
 			fmt.Fprintf(out, "  %-24s speedup %.2f\n", s.Name, s.Rows[0].Speedup)
 		}
 		fmt.Fprintln(out)
-		return nil
 	}
-
-	probe := build()
-	throttle := func(mult vtime.Time) pdes.Config {
-		return pdes.Config{Protocol: pdes.ProtoOptimistic, ThrottleWindow: mult * probe.ClockHalf}
-	}
-	if err := sweep("Ablation: optimism bound (throttle window)", []figures.ConfigSpec{
-		{Name: "window=2half", Cfg: throttle(2)},
-		{Name: "window=4half", Cfg: throttle(4)},
-		{Name: "window=16half", Cfg: throttle(16)},
-		{Name: "unbounded", Cfg: pdes.Config{Protocol: pdes.ProtoOptimistic, ThrottleWindow: ^vtime.Time(0) / 2}},
-	}); err != nil {
-		return err
-	}
-
-	ck := func(n int) pdes.Config {
-		return pdes.Config{Protocol: pdes.ProtoOptimistic, CheckpointEvery: n,
-			ThrottleWindow: 4 * probe.ClockHalf}
-	}
-	if err := sweep("Ablation: checkpoint interval", []figures.ConfigSpec{
-		{Name: "every1", Cfg: ck(1)}, {Name: "every4", Cfg: ck(4)}, {Name: "every16", Cfg: ck(16)},
-	}); err != nil {
-		return err
-	}
-
-	part := func(p pdes.Partition) pdes.Config {
-		return pdes.Config{Protocol: pdes.ProtoDynamic, Partition: p,
-			ThrottleWindow: 4 * probe.ClockHalf}
-	}
-	if err := sweep("Ablation: LP partitioning", []figures.ConfigSpec{
-		{Name: "roundrobin(paper)", Cfg: part(pdes.PartitionRoundRobin)},
-		{Name: "block", Cfg: part(pdes.PartitionBlock)},
-	}); err != nil {
-		return err
-	}
-
-	gvt := func(n int) pdes.Config {
-		return pdes.Config{Protocol: pdes.ProtoOptimistic, GVTEvery: n,
-			ThrottleWindow: 4 * probe.ClockHalf}
-	}
-	if err := sweep("Ablation: GVT round period", []figures.ConfigSpec{
-		{Name: "every256", Cfg: gvt(256)}, {Name: "every1024", Cfg: gvt(1024)},
-		{Name: "every4096", Cfg: gvt(4096)},
-	}); err != nil {
-		return err
-	}
-
 	return nil
 }

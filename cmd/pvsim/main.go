@@ -218,9 +218,7 @@ func run(o runOpts) error {
 		// The image carries no trace: a restore re-emits the committed prefix
 		// by replaying the cut's commit logs.
 		so.OnCheckpoint = func(ck *pdes.Checkpoint) error {
-			err := ckptio.Write(o.CkptFile, o.ckptKeep, &ckptio.File{
-				Ckpt: ck, Shards: so.Shards, Partition: so.Partition,
-			})
+			err := ckptio.Write(o.CkptFile, o.ckptKeep, &ckptio.File{Ckpt: ck, Shards: so.Shards})
 			if err != nil || o.afterCheckpoint == nil {
 				return err
 			}
@@ -245,7 +243,7 @@ func run(o runOpts) error {
 		// Sharding is part of the checkpoint's identity: the cut was taken
 		// over shard-level LPs, so the restored system must be sharded the
 		// same way (Validate rejects explicit flags with -restore).
-		so.Restore, so.Shards, so.Partition = cf.Ckpt, cf.Shards, cf.Partition
+		so.Restore, so.Shards = cf.Ckpt, cf.Shards
 		if so.Shards > 0 {
 			fmt.Fprintf(o.stdout, "restoring from %s (GVT %v, round %d, %d shards)\n", gen, cf.Ckpt.GVT, cf.Ckpt.Round, so.Shards)
 		} else {
@@ -348,11 +346,7 @@ func run(o runOpts) error {
 	case so.SequentialKernel() && so.Protocol != govhdl.Sequential:
 		fmt.Fprintf(o.stdout, "one worker: running on the sequential kernel (nothing to synchronize)\n")
 	case so.Shards > 0:
-		part := so.Partition
-		if part == "" {
-			part = "topo"
-		}
-		fmt.Fprintf(o.stdout, "sharding: %d shards, intra-shard sequential, %s membership\n", so.Shards, part)
+		fmt.Fprintf(o.stdout, "sharding: %d shards, intra-shard sequential\n", so.Shards)
 	}
 	res, err := govhdl.NewSession(factory, so).Run()
 	if err != nil {

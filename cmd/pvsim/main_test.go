@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,6 +26,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(base(func(o *runOpts) {})); err == nil {
 		t.Error("run with nothing to simulate succeeded")
+	}
+	// Placement is not a setting: shards are grown by topology and placed
+	// round-robin, so there is no -partition flag to spell.
+	fs := flag.NewFlagSet("pvsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	new(runOpts).registerFlags(fs)
+	if err := fs.Parse([]string{"-partition", "topo"}); err == nil {
+		t.Error("-partition accepted")
 	}
 	if err := run(base(func(o *runOpts) { o.Circuit = "nosuch" })); err == nil {
 		t.Error("unknown circuit accepted")
@@ -96,7 +105,7 @@ func TestCheckpointLineageThroughCLI(t *testing.T) {
 	// The next write rotates A into generation 1, supersedes the torn temp,
 	// and round-trips the sharding metadata -restore depends on.
 	ckB := &pdes.Checkpoint{Format: 3, GVT: vtime.VT{PT: 200}, Workers: 2, NumLPs: 4}
-	if err := ckptio.Write(path, 3, &ckptio.File{Ckpt: ckB, Shards: 4, Partition: "topo"}); err != nil {
+	if err := ckptio.Write(path, 3, &ckptio.File{Ckpt: ckB, Shards: 4}); err != nil {
 		t.Fatalf("write B over torn tmp: %v", err)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
@@ -109,8 +118,8 @@ func TestCheckpointLineageThroughCLI(t *testing.T) {
 	if !got.Ckpt.GVT.Equal(ckB.GVT) {
 		t.Fatalf("read back GVT %v, want %v", got.Ckpt.GVT, ckB.GVT)
 	}
-	if got.Shards != 4 || got.Partition != "topo" {
-		t.Fatalf("sharding metadata = (%d, %q), want (4, \"topo\")", got.Shards, got.Partition)
+	if got.Shards != 4 {
+		t.Fatalf("sharding metadata = %d shards, want 4", got.Shards)
 	}
 
 	// Corrupt the newest image: the restore path must reject it with a

@@ -3,7 +3,7 @@
 // speaking the real wire protocol over TCP through the loopback interface) share the
 // workers of one VHDL simulation. The hub node hosts the GVT controller and
 // worker 1, the peer hosts worker 2. Both build identical models; the
-// partition assigns each worker its LPs deterministically.
+// engine's round-robin placement assigns each worker its LPs deterministically.
 //
 //	go run ./examples/distributed
 //

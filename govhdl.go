@@ -120,12 +120,9 @@ type Options struct {
 	// CheckpointEvery do nothing on a sharded run. Traces stay member-level.
 	// Ignored for Sequential.
 	Shards int
-	// Partition names the partitioner — "rr", "block" or "topo" — for both
-	// LP-to-worker placement and shard membership. Empty keeps the defaults:
-	// round-robin placement, topology-aware shards.
-	Partition string
-	// GVTEvery is the number of events per worker between GVT round
-	// requests (0 = engine default).
+	// GVTEvery is the GVT cadence in events (0 = engine default): per
+	// worker on an unsharded run, system-wide on a sharded one (see
+	// pdes.Config.GVTEvery).
 	GVTEvery int
 	// CheckpointRounds, when positive, cuts a GVT-consistent checkpoint
 	// every this many committed GVT rounds. A Session retains the latest cut
@@ -135,9 +132,9 @@ type Options struct {
 }
 
 // config is the one options-to-engine mapping: every frontend's run reaches
-// pdes through it. It also resolves the shard-membership partitioner.
-func (o Options) config() (cfg pdes.Config, shardPart pdes.Partition, err error) {
-	cfg = pdes.Config{
+// pdes through it.
+func (o Options) config() pdes.Config {
+	cfg := pdes.Config{
 		Workers:          o.Workers,
 		Protocol:         o.Protocol,
 		Lookahead:        o.Lookahead,
@@ -161,18 +158,7 @@ func (o Options) config() (cfg pdes.Config, shardPart pdes.Partition, err error)
 			Ratio: 1.1, Cooldown: 1, MaxMoves: 2, MinEvents: 1,
 		})
 	}
-	// Minimizing the cut is the point of sharding, so shard membership
-	// defaults to the topology-aware partitioner while LP-to-worker placement
-	// keeps the engine's round-robin default; an explicit name drives both.
-	shardPart = pdes.PartitionTopo
-	if o.Partition != "" {
-		p, ok := pdes.ParsePartition(o.Partition)
-		if !ok {
-			return cfg, 0, fmt.Errorf("govhdl: unknown partition %q", o.Partition)
-		}
-		cfg.Partition, shardPart = p, p
-	}
-	return cfg, shardPart, nil
+	return cfg
 }
 
 // Model is an elaborated design ready to simulate.

@@ -369,7 +369,7 @@ func (lr *legRun) runCheckpointLeg(leg *Leg, r *LegResult) {
 	so.CheckpointRounds = 1
 	so.OnCheckpoint = func(ck *pdes.Checkpoint) error {
 		gens++
-		return ckptio.Write(path, 3, &ckptio.File{Ckpt: ck, Shards: leg.Shards, Partition: "topo"})
+		return ckptio.Write(path, 3, &ckptio.File{Ckpt: ck, Shards: leg.Shards})
 	}
 	out, err := lr.run(leg, so)
 	if err != nil {

@@ -11,7 +11,7 @@
 // value encoding (pdes.WireEncoder — the codec of socket frames and cut
 // blobs):
 //
-//	Shards varint | Partition string | has-checkpoint u8 |
+//	Shards varint | has-checkpoint u8 |
 //	  Format varint | GVT | Round uvarint | Workers varint | NumLPs varint |
 //	  Modes count + u8 each | Blobs count + opaque bytes each |
 //	Trace count + (LP | TS | Item as a tagged value) each
@@ -51,9 +51,10 @@ import (
 const Magic = "GVCP"
 
 // Version is the current frame version. Readers reject other versions —
-// version 1 carried an encoding/gob payload — with a positioned error rather
-// than guessing at the payload layout: re-run to write a current image.
-const Version = 2
+// version 1 carried an encoding/gob payload, version 2 a partitioner name
+// after Shards — with a positioned error rather than guessing at the payload
+// layout: re-run to write a current image.
+const Version = 3
 
 // headerLen is the fixed frame prefix: magic, version, payload length,
 // payload sha256.
@@ -65,14 +66,14 @@ const headerLen = 4 + 4 + 8 + sha256.Size
 const maxPayload = 1 << 32
 
 // File is the restart image a generation holds: the engine checkpoint, the
-// trace committed up to the cut, and the sharding the run was started with
+// trace committed up to the cut, and the shard count the run was started with
 // (so a restore rebuilds an identical shard system without the caller having
-// to repeat — or risk contradicting — the original flags).
+// to repeat — or risk contradicting — the original flags; shards are always
+// grown by topology, so the count determines them).
 type File struct {
-	Ckpt      *pdes.Checkpoint
-	Trace     []trace.Entry
-	Shards    int
-	Partition string
+	Ckpt   *pdes.Checkpoint
+	Trace  []trace.Entry
+	Shards int
 }
 
 // Error is a positioned verification failure: which file, which byte offset
@@ -103,7 +104,6 @@ func Encode(w io.Writer, f *File) error {
 	var e pdes.WireEncoder
 	e.B = make([]byte, headerLen) // the header is filled in once the payload is known
 	e.Varint(int64(f.Shards))
-	e.String(f.Partition)
 	e.Bool(f.Ckpt != nil)
 	if ck := f.Ckpt; ck != nil {
 		e.Varint(int64(ck.Format))
@@ -193,7 +193,7 @@ func Decode(r io.Reader, path string) (*File, error) {
 
 // decodeFile reads Encode's payload layout; the caller checks d.Err.
 func decodeFile(d *pdes.WireDecoder) *File {
-	f := &File{Shards: d.Int(), Partition: d.String()}
+	f := &File{Shards: d.Int()}
 	if d.Bool() {
 		ck := &pdes.Checkpoint{Format: d.Int(), GVT: d.VT(), Round: d.Uvarint(), Workers: d.Int(), NumLPs: d.Int()}
 		if n, ok := d.Count(1); ok {

@@ -33,8 +33,7 @@ func sampleFile(round uint64) *File {
 			{LP: 0, TS: vtime.VT{PT: 1}, Item: round},
 			{LP: 1, TS: vtime.VT{PT: 2, LT: 3}, Item: int64(-2)},
 		},
-		Shards:    2,
-		Partition: "bfs",
+		Shards: 2,
 	}
 }
 
@@ -75,10 +74,10 @@ func allocDelta(fn func()) uint64 {
 }
 
 // TestDecodeRejectsOtherVersions: an image of another frame version — version
-// 1 carried a gob payload — is refused at the version field whatever its
-// payload holds; there is no fallback reader.
+// 1 carried a gob payload, version 2 a partitioner name — is refused at the
+// version field whatever its payload holds; there is no fallback reader.
 func TestDecodeRejectsOtherVersions(t *testing.T) {
-	for _, v := range []uint32{0, 1, 3} {
+	for _, v := range []uint32{0, 1, 2, 4} {
 		_, err := Decode(bytes.NewReader(frame(v, []byte("any payload"))), "old.gvcp")
 		var pe *Error
 		if !errors.As(err, &pe) || pe.Offset != 4 || !strings.Contains(pe.Reason, "frame version") {
@@ -108,15 +107,14 @@ func TestDecodeLyingLength(t *testing.T) {
 // would size exists.
 func TestDecodeRejectsLyingCounts(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
-	prefix := []byte{0, 0} // Shards 0, Partition ""
+	prefix := []byte{0} // Shards 0
 	// has-checkpoint, Format 2, GVT 0/0, Round 0, Workers 2, NumLPs 3
 	ckpt := append(append([]byte{}, prefix...), 1, 4, 0, 0, 0, 4, 6)
 	cases := map[string][]byte{
-		"modes":  append(append([]byte{}, ckpt...), huge...),
-		"blobs":  append(append(append([]byte{}, ckpt...), 0), huge...),
-		"blob":   append(append(append([]byte{}, ckpt...), 0, 2), huge...),
-		"trace":  append(append(append([]byte{}, prefix...), 0), huge...),
-		"string": append([]byte{0}, huge...),
+		"modes": append(append([]byte{}, ckpt...), huge...),
+		"blobs": append(append(append([]byte{}, ckpt...), 0), huge...),
+		"blob":  append(append(append([]byte{}, ckpt...), 0, 2), huge...),
+		"trace": append(append(append([]byte{}, prefix...), 0), huge...),
 	}
 	for name, payload := range cases {
 		var err error
@@ -168,7 +166,7 @@ func FuzzDecode(f *testing.F) {
 	flipped := append([]byte(nil), good[headerLen:]...)
 	flipped[4] ^= 0x20
 	f.Add(flipped)
-	f.Add(append([]byte{0, 0, 0}, binary.AppendUvarint(nil, 1<<40)...)) // a trace count far beyond the input
+	f.Add(append([]byte{0, 0}, binary.AppendUvarint(nil, 1<<40)...)) // a trace count far beyond the input
 	lying := append([]byte(nil), good[:headerLen]...)
 	binary.BigEndian.PutUint64(lying[8:16], maxPayload)
 	f.Add(lying)
@@ -220,7 +218,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }, "truncated header"},
 		{"short header", func(b []byte) []byte { return b[:10] }, "truncated header"},
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "bad magic"},
-		{"version 1", func(b []byte) []byte { b[7] = 1; return b }, "frame version 1, want 2"},
+		{"version 1", func(b []byte) []byte { b[7] = 1; return b }, "frame version 1, want 3"},
 		{"bad version", func(b []byte) []byte { b[7] = 99; return b }, "frame version 99"},
 		{"torn payload", func(b []byte) []byte { return b[:len(b)-5] }, "torn payload"},
 		{"flipped bit", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, "sha256"},

@@ -31,15 +31,9 @@ const fig4Workers = 16
 func fig4Run(build func() *circuits.Circuit, until vtime.Time, cfg pdes.Config) (float64, uint64, error) {
 	c := build()
 	cfg.Workers = fig4Workers
-	if cfg.Protocol != pdes.ProtoConservative {
-		// The same optimism bound as the speedup figures, so the
-		// arbitrary-vs-user comparison is apples to apples.
-		if c.GateDelay > 0 {
-			cfg.ThrottleWindow = 32 * c.GateDelay
-		} else {
-			cfg.ThrottleWindow = 4 * c.ClockHalf
-		}
-	}
+	// The same optimism bound as the speedup figures, so the
+	// arbitrary-vs-user comparison is apples to apples.
+	DefaultThrottle(c, &cfg)
 	res, err := pdes.Run(c.Design.Build(), cfg, until, nil)
 	if err != nil {
 		return 0, 0, err

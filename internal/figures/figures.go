@@ -49,6 +49,27 @@ func PaperConfigs() []ConfigSpec {
 	}
 }
 
+// DefaultThrottle bounds optimism when cfg leaves ThrottleWindow unset: every
+// figure, table and ablation runs its optimistic LPs under this window.
+// Unbounded Time Warp on zero-lookahead circuits speculates many cycles ahead
+// and collapses in rollback storms — the memory-explosion problem the paper
+// attributes to the all-optimistic configuration; real Time Warp systems
+// bound it with memory windows. For gate-level circuits the window is a few
+// dozen gate delays (speculating deeper into the combinational cascade is
+// almost always wasted); for delta-delay circuits it is a couple of clock
+// periods.
+func DefaultThrottle(c *circuits.Circuit, cfg *pdes.Config) {
+	if cfg.ThrottleWindow != 0 || cfg.Protocol == pdes.ProtoConservative ||
+		cfg.Protocol == pdes.ProtoSequential {
+		return
+	}
+	if c.GateDelay > 0 {
+		cfg.ThrottleWindow = 32 * c.GateDelay
+	} else {
+		cfg.ThrottleWindow = 4 * c.ClockHalf
+	}
+}
+
 // RunResult is one measured simulation run.
 type RunResult struct {
 	Workers  int
@@ -86,22 +107,7 @@ func Speedup(build func() *circuits.Circuit, until vtime.Time, workers []int,
 			c := build()
 			cfg := cs.Cfg
 			cfg.Workers = w
-			if cfg.ThrottleWindow == 0 && cfg.Protocol != pdes.ProtoConservative {
-				// Bound optimism. Unbounded Time Warp on zero-lookahead
-				// circuits speculates many cycles ahead and collapses in
-				// rollback storms — the memory-explosion problem the paper
-				// attributes to the all-optimistic configuration; real
-				// Time Warp systems bound it with memory windows. For
-				// gate-level circuits the window is a few dozen gate
-				// delays (speculating deeper into the combinational
-				// cascade is almost always wasted); for delta-delay
-				// circuits it is a couple of clock periods.
-				if c.GateDelay > 0 {
-					cfg.ThrottleWindow = 32 * c.GateDelay
-				} else {
-					cfg.ThrottleWindow = 4 * c.ClockHalf
-				}
-			}
+			DefaultThrottle(c, &cfg)
 			runSys := c.Design.Build()
 			if cs.Shard {
 				ss, serr := pdes.ShardSystem(runSys, w, pdes.PartitionTopo)

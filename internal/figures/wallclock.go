@@ -39,20 +39,6 @@ func WallClockConfigs() []ConfigSpec {
 	return append(specs, ConfigSpec{Name: "shard", Cfg: pdes.Config{Protocol: pdes.ProtoConservative}, Shard: true})
 }
 
-// defaultThrottle applies the same optimism bound Speedup uses when the
-// configuration leaves ThrottleWindow unset.
-func defaultThrottle(c *circuits.Circuit, cfg *pdes.Config) {
-	if cfg.ThrottleWindow != 0 || cfg.Protocol == pdes.ProtoConservative ||
-		cfg.Protocol == pdes.ProtoSequential {
-		return
-	}
-	if c.GateDelay > 0 {
-		cfg.ThrottleWindow = 32 * c.GateDelay
-	} else {
-		cfg.ThrottleWindow = 4 * c.ClockHalf
-	}
-}
-
 // MeasureWallClock runs one verified simulation and measures host wall-clock
 // time and heap allocation around the run itself (circuit construction and
 // verification excluded). The run is verified against the circuit's bit-true
@@ -63,7 +49,7 @@ func MeasureWallClock(build func() *circuits.Circuit, until vtime.Time,
 	c := build()
 	cfg := cs.Cfg
 	cfg.Workers = workers
-	defaultThrottle(c, &cfg)
+	DefaultThrottle(c, &cfg)
 	sys := c.Design.Build()
 	shards := 0
 	if cs.Shard {

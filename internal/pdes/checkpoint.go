@@ -37,7 +37,7 @@ type Checkpoint struct {
 // decodeRestore checks a checkpoint against the run it is restored into and
 // decodes its worker blobs (indexed by endpoint, like Blobs). The blobs decide
 // who owns what: a restored run resumes with the cut's LP ownership —
-// migrations before the cut included — not the partitioner's. The checkpoint
+// migrations before the cut included — not the placement rule's. The checkpoint
 // comes from a file, so every LP id is validated here, before any table is
 // indexed with it: in range, in exactly one blob, and together covering the
 // system.

@@ -169,7 +169,7 @@ func TestRemapCheckpointRestore(t *testing.T) {
 	ck := cks[len(cks)/2]
 
 	sys := buildRing(nLPs, seed, protocol)
-	same, err := RemapCheckpoint(ck, sys, 4, PartitionRoundRobin)
+	same, err := RemapCheckpoint(ck, sys, 4)
 	if err != nil {
 		t.Fatalf("identity remap: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestRemapCheckpointRestore(t *testing.T) {
 		t.Fatal("remap to the original worker count must return the checkpoint unchanged")
 	}
 
-	remapped, err := RemapCheckpoint(ck, sys, 2, PartitionRoundRobin)
+	remapped, err := RemapCheckpoint(ck, sys, 2)
 	if err != nil {
 		t.Fatalf("remap 4 -> 2: %v", err)
 	}
@@ -211,15 +211,15 @@ func TestRemapCheckpointRestore(t *testing.T) {
 func TestRemapCheckpointRejectsMismatch(t *testing.T) {
 	sys := buildRing(6, 3, ProtoOptimistic)
 	ck := &Checkpoint{Format: checkpointFormat, Workers: 2, NumLPs: 7}
-	if _, err := RemapCheckpoint(ck, sys, 1, PartitionRoundRobin); err == nil {
+	if _, err := RemapCheckpoint(ck, sys, 1); err == nil {
 		t.Fatal("LP-count mismatch not rejected")
 	}
 	ck = &Checkpoint{Format: checkpointFormat + 1, Workers: 2, NumLPs: 6}
-	if _, err := RemapCheckpoint(ck, sys, 1, PartitionRoundRobin); err == nil {
+	if _, err := RemapCheckpoint(ck, sys, 1); err == nil {
 		t.Fatal("format mismatch not rejected")
 	}
 	ck = &Checkpoint{Format: checkpointFormat, Workers: 2, NumLPs: 6}
-	if _, err := RemapCheckpoint(ck, sys, 0, PartitionRoundRobin); err == nil {
+	if _, err := RemapCheckpoint(ck, sys, 0); err == nil {
 		t.Fatal("zero workers not rejected")
 	}
 }

@@ -39,7 +39,6 @@ package pdes
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"govhdl/internal/stats"
@@ -129,37 +128,22 @@ func (o Ordering) String() string {
 	return "user-consistent"
 }
 
-// Partition selects how LPs are assigned to workers.
+// Partition selects how ShardSystem groups LPs into shards. Placement of
+// LPs (or shards) on workers is not a choice: Run deals them round-robin.
+// The values keep their original numbering (1 was the retired contiguous
+// block partitioner), so a printed Partition means what it always meant.
 type Partition uint8
 
 const (
-	// PartitionRoundRobin deals LPs to workers by index modulo P — the
-	// "naive partitioning (equal number of LPs to each processor)" used in
-	// the paper, which causes the occasional dips in its speedup curves.
-	PartitionRoundRobin Partition = iota
-	// PartitionBlock assigns contiguous index ranges, which for generated
-	// circuits keeps neighbourhoods together (ablation).
-	PartitionBlock
+	// PartitionRoundRobin deals LPs by index modulo P — the paper's "naive
+	// partitioning (equal number of LPs to each processor)", and the rule
+	// Run places LPs on workers by.
+	PartitionRoundRobin Partition = 0
 	// PartitionTopo grows balanced regions over the wiring graph (greedy
 	// BFS edge-cut), co-locating connected signal+process neighbourhoods so
-	// the cross-partition cut — and hence protocol traffic — is minimized.
-	// Used both for LP-to-worker assignment and for shard membership.
-	PartitionTopo
+	// the cross-shard cut — and hence exchange traffic — is minimized.
+	PartitionTopo Partition = 2
 )
-
-// ParsePartition maps a partitioner name ("rr", "block", "topo" and the long
-// round-robin spellings) onto its constant.
-func ParsePartition(name string) (Partition, bool) {
-	switch strings.ToLower(name) {
-	case "rr", "roundrobin", "round-robin":
-		return PartitionRoundRobin, true
-	case "block":
-		return PartitionBlock, true
-	case "topo":
-		return PartitionTopo, true
-	}
-	return 0, false
-}
 
 // Engine constants: tuned once against the paper's circuits. They are not
 // Config fields because no caller or workload needs a second value.
@@ -185,10 +169,9 @@ var costs = stats.Default()
 
 // Config parameterizes a parallel run.
 type Config struct {
-	Workers   int       // number of virtual processors (>= 1)
-	Protocol  Protocol  // initial mode assignment
-	Ordering  Ordering  // simultaneous-event model
-	Partition Partition // LP-to-worker assignment
+	Workers  int      // number of virtual processors (>= 1)
+	Protocol Protocol // initial mode assignment
+	Ordering Ordering // simultaneous-event model
 
 	// Lookahead enables null messages: a conservative LP that has processed
 	// up to t promises t+Lookahead(lp) on its output edges. With Lookahead
@@ -203,11 +186,13 @@ type Config struct {
 	// back and ignore it.
 	CheckpointEvery int
 
-	// GVTEvery triggers a GVT round after this many events have been
-	// processed system-wide since the last round (default 4096). Rounds
-	// are also triggered whenever all workers go idle. On a sharded run a
-	// round is a sync: the first step boundary after GVTEvery more events.
-	// A sequential run has no rounds; it calls OnGVT every GVTEvery events.
+	// GVTEvery sets the GVT cadence in events (default 4096). On an
+	// unsharded run it counts per worker: a worker requests a round once it
+	// has processed this many events since the last one. On a sharded run it
+	// counts system-wide: every worker syncs at the first step boundary after
+	// GVTEvery more member events in total. Rounds are also triggered
+	// whenever all workers go idle. A sequential run has no rounds; it calls
+	// OnGVT every GVTEvery events.
 	GVTEvery int
 
 	// GVTAdapt has no effect: the GVT cadence is always GVTEvery.

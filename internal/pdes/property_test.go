@@ -76,20 +76,30 @@ func buildRelayRingT(t *testing.T, n, seeds, x0 int) *System {
 	return sys
 }
 
-// TestPartitionsAgree: both partitioning strategies commit the same trace.
+// TestPartitionsAgree: the placement rule and both shard partitioners commit
+// the same trace — unsharded (LP i on worker i mod 4) and six shards grown
+// round-robin or by topology, spread over the same four workers.
 func TestPartitionsAgree(t *testing.T) {
 	want, _ := runOracle(t, 12, 3, 30)
-	for _, part := range []Partition{PartitionRoundRobin, PartitionBlock} {
+	for _, c := range []struct {
+		name   string
+		shards int
+		part   Partition
+	}{{"unsharded", 0, 0}, {"round-robin shards", 6, PartitionRoundRobin}, {"topo shards", 6, PartitionTopo}} {
 		sys := buildRelayRingT(t, 12, 3, 30)
-		sink := &collector{}
-		if _, err := Run(sys, Config{
-			Workers: 4, Protocol: ProtoDynamic, Partition: part, GVTEvery: 128,
-		}, relayHorizon, sink); err != nil {
-			t.Fatalf("partition %d: %v", part, err)
+		if c.shards > 0 {
+			ss, err := ShardSystem(sys, c.shards, c.part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys = ss.Sys()
 		}
-		got := sink.sorted()
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("partition %d: trace mismatch", part)
+		sink := &collector{}
+		if _, err := Run(sys, Config{Workers: 4, Protocol: ProtoDynamic, GVTEvery: 128}, relayHorizon, sink); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := sink.sorted(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: trace mismatch", c.name)
 		}
 	}
 }

@@ -111,7 +111,7 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 		if restored, err = decodeRestore(cfg.Restore, sys, &cfg); err != nil {
 			return nil, err
 		}
-		// Ownership resumes from the cut, not from the partitioner.
+		// Ownership resumes from the cut, not from the placement rule.
 		owned = make([][]LPID, cfg.Workers)
 		for wi := range owned {
 			for i := range restored[wi+1].LPs {
@@ -119,7 +119,7 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 			}
 		}
 	} else {
-		owned = sys.partition(cfg.Partition, cfg.Workers)
+		owned = sys.placement(cfg.Workers)
 	}
 	owner := make([]int, sys.NumLPs())
 	for wi, ids := range owned {

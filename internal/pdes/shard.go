@@ -54,7 +54,8 @@ func (ss *ShardedSystem) WrapSink(inner TraceSink) TraceSink { return inner }
 
 // ShardSystem clusters the LPs of orig into shards and returns a new System
 // with one LP per shard. part selects the membership partitioner;
-// PartitionTopo minimizes the cross-shard cut. orig is frozen: the sharded
+// PartitionTopo minimizes the cross-shard cut. A run of Sys() places the
+// shards on workers round-robin. orig is frozen: the sharded
 // view aliases its models, so the graph must not change afterwards.
 func ShardSystem(orig *System, shards int, part Partition) (*ShardedSystem, error) {
 	n := orig.NumLPs()
@@ -86,8 +87,7 @@ func ShardSystem(orig *System, shards int, part Partition) (*ShardedSystem, erro
 			panic("pdes: shard LP ids out of order")
 		}
 	}
-	// Cross-shard edges, the union of member edges that leave a shard: the
-	// topology a worker partitioner places shards by.
+	// Cross-shard edges: the union of member edges that leave a shard.
 	for s, g := range groups {
 		for _, u := range g {
 			for _, v := range orig.lps[u].out {

@@ -170,28 +170,25 @@ func (s *System) Fanout(id LPID) []LPID { return s.lps[id].out }
 // modified.
 func (s *System) Fanin(id LPID) []LPID { return s.lps[id].in }
 
-// partition assigns LPs to workers.
-func (s *System) partition(p Partition, workers int) [][]LPID {
-	owned := make([][]LPID, workers)
-	n := len(s.lps)
-	switch p {
-	case PartitionTopo:
-		return topoPartition(s, workers)
-	case PartitionBlock:
-		per := (n + workers - 1) / workers
-		for i := 0; i < n; i++ {
-			w := i / per
-			if w >= workers {
-				w = workers - 1
-			}
-			owned[w] = append(owned[w], LPID(i))
-		}
-	default: // PartitionRoundRobin — the paper's naive partitioning
-		for i := 0; i < n; i++ {
-			owned[i%workers] = append(owned[i%workers], LPID(i))
-		}
+// partition groups the LPs into n parts: PartitionTopo grows them over the
+// wiring graph, PartitionRoundRobin deals LP i to part i mod n.
+func (s *System) partition(p Partition, n int) [][]LPID {
+	if p == PartitionTopo {
+		return topoPartition(s, n)
 	}
-	return owned
+	parts := make([][]LPID, n)
+	for i := range s.lps {
+		parts[i%n] = append(parts[i%n], LPID(i))
+	}
+	return parts
+}
+
+// placement is the one LP-to-worker rule: round-robin, the paper's "naive
+// partitioning (equal number of LPs to each processor)". On a sharded system
+// the LPs are shards, already grown by topology (ShardSystem), so the rule
+// spreads shards, not members.
+func (s *System) placement(workers int) [][]LPID {
+	return s.partition(PartitionRoundRobin, workers)
 }
 
 // initialMode returns the mode an LP starts in under the given protocol.

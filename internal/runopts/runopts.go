@@ -37,9 +37,8 @@ type Opts struct {
 	Throttle  string
 	SaveEvery int
 
-	Shards    int
-	Partition string
-	GVTEvery  int
+	Shards   int
+	GVTEvery int
 
 	Listen    string
 	Connect   string
@@ -93,8 +92,7 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Connect, "connect", "", "distributed: hub address to join")
 	fs.IntVar(&o.Endpoints, "endpoints", 0, "distributed: total endpoint count (controller + workers)")
 	fs.IntVar(&o.Shards, "shards", 0, "cluster LPs into this many shards that execute sequentially inside the shard; workers step one timestamp at a time and exchange cross-shard events once per step, under any parallel -protocol (0 = no sharding, one LP per signal/process)")
-	fs.StringVar(&o.Partition, "partition", "", "LP-to-worker / shard-membership partitioning: rr (round-robin), block, or topo (graph-aware edge-cut); default topo when -shards is set, rr otherwise")
-	fs.IntVar(&o.GVTEvery, "gvt-every", 0, "events per worker between GVT round requests (0 = engine default)")
+	fs.IntVar(&o.GVTEvery, "gvt-every", 0, "GVT cadence in events: per worker between round requests, or system-wide between syncs with -shards (0 = engine default)")
 
 	fs.StringVar(&o.CkptFile, "checkpoint-file", "", "write a GVT-consistent checkpoint to this file, atomically, at every cut")
 	fs.IntVar(&o.CkptRounds, "checkpoint-rounds", 0, "committed GVT rounds between checkpoint cuts (default 1 when -checkpoint-file is set; pass the same value to every distributed process)")
@@ -140,7 +138,6 @@ func (o *Opts) Resolve() (govhdl.SessionOptions, error) {
 		MemBudget:        o.MemBudget,
 		StallTimeout:     o.StallTimeout,
 		Shards:           o.Shards,
-		Partition:        o.Partition,
 		GVTEvery:         o.GVTEvery,
 		CheckpointRounds: o.CkptRounds,
 	}
@@ -247,11 +244,8 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 	if o.Shards < 0 {
 		return fmt.Errorf("-shards must be >= 0 (0 disables sharding)")
 	}
-	if _, ok := pdes.ParsePartition(o.Partition); !ok && o.Partition != "" {
-		return fmt.Errorf("-partition must be rr, block or topo, got %q", o.Partition)
-	}
-	if o.Restore != "" && (o.Shards > 0 || o.Partition != "") {
-		return fmt.Errorf("-shards/-partition are recorded in the checkpoint file; -restore derives them (drop the explicit flags)")
+	if o.Restore != "" && o.Shards > 0 {
+		return fmt.Errorf("-shards is recorded in the checkpoint file; -restore derives it (drop the explicit flag)")
 	}
 	if o.Shards > 0 {
 		if proto == pdes.ProtoSequential {

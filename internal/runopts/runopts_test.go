@@ -127,18 +127,10 @@ var validateCases = []struct {
 	{"sharded topo ok", func(o *Opts) {
 		o.Shards = 8
 		o.Workers = 4
-		o.Partition = "topo"
 	}, pdes.ProtoConservative, ""},
-	{"partition without shards ok", func(o *Opts) {
-		o.Partition = "rr"
-		o.Workers = 2
-	}, pdes.ProtoOptimistic, ""},
 	{"negative shards", func(o *Opts) {
 		o.Shards = -1
 	}, pdes.ProtoDynamic, "-shards must be >= 0"},
-	{"bad partition name", func(o *Opts) {
-		o.Partition = "metis"
-	}, pdes.ProtoDynamic, "-partition must be"},
 	{"shards under seq", func(o *Opts) {
 		o.Shards = 2
 		o.Workers = 1
@@ -175,10 +167,6 @@ var validateCases = []struct {
 	}, pdes.ProtoOptimistic, ""},
 	{"shards with restore", func(o *Opts) {
 		o.Shards = 2
-		o.Restore = "ck"
-	}, pdes.ProtoDynamic, "recorded in the checkpoint"},
-	{"partition with restore", func(o *Opts) {
-		o.Partition = "topo"
 		o.Restore = "ck"
 	}, pdes.ProtoDynamic, "recorded in the checkpoint"},
 	{"more workers than shards", func(o *Opts) {
@@ -289,7 +277,6 @@ func flagArgs(o, def Opts) []string {
 	add("throttle", o.Throttle, def.Throttle)
 	add("checkpoint", o.SaveEvery, def.SaveEvery)
 	add("shards", o.Shards, def.Shards)
-	add("partition", o.Partition, def.Partition)
 	add("gvt-every", o.GVTEvery, def.GVTEvery)
 	add("listen", o.Listen, def.Listen)
 	add("connect", o.Connect, def.Connect)

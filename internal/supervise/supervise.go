@@ -78,7 +78,7 @@ type RecoveryPlan struct {
 // origWorkers is the primary run's Config.Workers. The checkpoint, when one
 // exists and the clamped worker count differs from its cut, is migrated to
 // the new grouping with pdes.RemapCheckpoint.
-func PlanRecovery(sys *pdes.System, ck *pdes.Checkpoint, origWorkers, avail int, part pdes.Partition) (*RecoveryPlan, error) {
+func PlanRecovery(sys *pdes.System, ck *pdes.Checkpoint, origWorkers, avail int) (*RecoveryPlan, error) {
 	if origWorkers < 1 {
 		return nil, fmt.Errorf("supervise: original worker count %d out of range", origWorkers)
 	}
@@ -95,7 +95,7 @@ func PlanRecovery(sys *pdes.System, ck *pdes.Checkpoint, origWorkers, avail int,
 	}
 	plan := &RecoveryPlan{Workers: workers, Restore: ck, Clamped: clamped}
 	if ck != nil && workers != ck.Workers {
-		remapped, err := pdes.RemapCheckpoint(ck, sys, workers, part)
+		remapped, err := pdes.RemapCheckpoint(ck, sys, workers)
 		if err != nil {
 			return nil, fmt.Errorf("supervise: migrating the checkpoint to %d workers: %w", workers, err)
 		}

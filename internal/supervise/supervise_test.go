@@ -306,7 +306,7 @@ func TestPlanRecoveryClampAndRemap(t *testing.T) {
 
 	sys := buildRing(ringLPs, ringSeed)
 	// Two cores: clamp 4 -> 2 and migrate the checkpoint.
-	plan, err := PlanRecovery(sys, ck, ringWorkers, 2, pdes.PartitionRoundRobin)
+	plan, err := PlanRecovery(sys, ck, ringWorkers, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestPlanRecoveryClampAndRemap(t *testing.T) {
 		t.Fatalf("checkpoint not migrated: workers=%d", plan.Restore.Workers)
 	}
 	// Plenty of cores: original shape, original checkpoint, no migration.
-	plan, err = PlanRecovery(sys, ck, ringWorkers, 8, pdes.PartitionRoundRobin)
+	plan, err = PlanRecovery(sys, ck, ringWorkers, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestPlanRecoveryClampAndRemap(t *testing.T) {
 		t.Fatalf("unclamped plan wrong: %+v", plan)
 	}
 	// No checkpoint yet: from-scratch restart, still clamped.
-	plan, err = PlanRecovery(sys, nil, ringWorkers, 2, pdes.PartitionRoundRobin)
+	plan, err = PlanRecovery(sys, nil, ringWorkers, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestFailoverMigratesToSurvivors(t *testing.T) {
 			return pdes.RunOn(buildRing(ringLPs, ringSeed), cfg, ringUntil, sink, eps)
 		}
 		// The survivor has two cores: clamp and migrate.
-		plan, err := PlanRecovery(buildRing(ringLPs, ringSeed), restore, ringWorkers, 2, pdes.PartitionRoundRobin)
+		plan, err := PlanRecovery(buildRing(ringLPs, ringSeed), restore, ringWorkers, 2)
 		if err != nil {
 			return nil, err
 		}

@@ -254,10 +254,7 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 		return nil, err
 	}
 	o := s.opts.Options
-	cfg, shardPart, err := o.config()
-	if err != nil {
-		return nil, err
-	}
+	cfg := o.config()
 	seq := s.opts.SequentialKernel()
 	if seq && o.Protocol != Sequential {
 		// A one-worker run refuses what the engine would refuse.
@@ -277,10 +274,11 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 
 	// The engine runs the shard-level system while the trace, verification
 	// and VCD stay on the member-level one: the phase executor commits every
-	// record under its member LP, so the sink is the same either way.
+	// record under its member LP, so the sink is the same either way. Shards
+	// are grown by topology, since a small cut is the point of sharding.
 	sys := m.sys
 	if o.Shards > 0 && !seq {
-		ss, err := pdes.ShardSystem(sys, o.Shards, shardPart)
+		ss, err := pdes.ShardSystem(sys, o.Shards, pdes.PartitionTopo)
 		if err != nil {
 			return nil, err
 		}
@@ -373,15 +371,15 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 		res, err = pdes.RunOn(sys, cfg, o.Until, sink, eps)
 	default:
 		if n > 0 {
-			// Recovery keeps the partition and the config but not blindly
-			// the worker count: the surviving host may have fewer cores than
-			// the dead cluster had workers, so the shape is clamped to the
-			// capacity and the cut remapped to it. Either way the committed
+			// Recovery keeps the config but not blindly the worker count:
+			// the surviving host may have fewer cores than the dead cluster
+			// had workers, so the shape is clamped to the capacity and the
+			// cut remapped to it. Either way the committed
 			// trace is the one the dead run would have emitted.
 			if capacity <= 0 {
 				capacity = runtime.GOMAXPROCS(0)
 			}
-			plan, perr := supervise.PlanRecovery(sys, restore, cfg.Workers, capacity, cfg.Partition)
+			plan, perr := supervise.PlanRecovery(sys, restore, cfg.Workers, capacity)
 			if perr != nil {
 				return nil, perr
 			}
