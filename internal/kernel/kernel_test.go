@@ -239,6 +239,54 @@ func TestClockedCounterSequential(t *testing.T) {
 	}
 }
 
+// TestRestoreStateCopiesIntoLiveState: RestoreState copies a snapshot into
+// the LP's live state instead of installing a clone, the live state never
+// carries a behavior snapshot (which would pin it until the next restore),
+// and neither the live state nor a refilled snapshot shares a slice with the
+// other: the engine refills released snapshots and restores one snapshot
+// more than once.
+func TestRestoreStateCopiesIntoLiveState(t *testing.T) {
+	d, q := counterDesign()
+	runSeq(t, d, 42*vtime.NS)
+	var cnt *processLP
+	for _, p := range d.procs {
+		if p.Name == "cnt" {
+			cnt = p.lp
+		}
+	}
+	snap := cnt.SaveState().(*procState)
+	if snap.behavior != uint64(4) || len(snap.ports) != 1 || len(snap.wait.Ports) != 1 {
+		t.Fatalf("snapshot %+v, want count 4 and one port waited on", *snap)
+	}
+	live := cnt.state
+	for range 2 {
+		cnt.RestoreState(snap)
+		if cnt.state != live {
+			t.Fatal("RestoreState replaced the live process state")
+		}
+		if cnt.state.behavior != nil {
+			t.Fatalf("live process state carries behavior snapshot %v", cnt.state.behavior)
+		}
+		if &cnt.state.ports[0] == &snap.ports[0] || &cnt.state.wait.Ports[0] == &snap.wait.Ports[0] {
+			t.Fatal("live process state shares a slice with the snapshot")
+		}
+	}
+	if got := cnt.SaveStateInto(snap); got != snap || snap.behavior != uint64(4) {
+		t.Fatalf("SaveStateInto returned %v with behavior %v, want the refilled snapshot", got, snap.behavior)
+	}
+
+	sig := q.lp
+	sigSnap := sig.SaveState().(*signalState)
+	sigLive := sig.state
+	sig.RestoreState(sigSnap)
+	if sig.state != sigLive || &sig.state.drivers[0] == &sigSnap.drivers[0] {
+		t.Fatal("signal RestoreState did not copy into the live state")
+	}
+	if got := sig.SaveStateInto(sigSnap); got != sigSnap {
+		t.Fatal("signal SaveStateInto did not refill the snapshot it was given")
+	}
+}
+
 func TestWaitTimeoutCancellation(t *testing.T) {
 	// A process waits on a signal with a 100ns timeout; the signal fires
 	// at 10ns, so the timeout must be cancelled and the process must wait

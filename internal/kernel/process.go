@@ -97,13 +97,16 @@ type procState struct {
 	behavior any // behavior snapshot (only inside saved states)
 }
 
-// clone copies the ports slice, which update writes in place; the port
-// values are immutable and shared.
-func (p *procState) clone() *procState {
-	c := *p
-	c.ports = append([]port(nil), p.ports...)
-	c.wait.Ports = append([]int(nil), p.wait.Ports...)
-	return &c
+// copyInto makes dst a copy of p in dst's own port and wait slices, so the
+// two never share one (update writes ports in place); the port values are
+// immutable and shared. The behavior snapshot is not copied: it is set only
+// on saved states.
+func (p *procState) copyInto(dst *procState) {
+	ports, wait := dst.ports, dst.wait.Ports
+	*dst = *p
+	dst.ports = append(ports[:0], p.ports...)
+	dst.wait.Ports = append(wait[:0], p.wait.Ports...)
+	dst.behavior = nil
 }
 
 // processLP is the paper's VHDL process logical process: local copies of the
@@ -132,6 +135,7 @@ var _ pdes.Model = (*processLP)(nil)
 var _ pdes.InitModel = (*processLP)(nil)
 var _ pdes.ActiveFaninModel = (*processLP)(nil)
 var _ pdes.VersionedModel = (*processLP)(nil)
+var _ pdes.RecyclingModel = (*processLP)(nil)
 
 func (p *processLP) StateVersion() uint64 { return p.ver }
 
@@ -151,8 +155,11 @@ func (p *processLP) ActiveFanin() []pdes.LPID {
 	return p.fanin
 }
 
-func (p *processLP) SaveState() any {
-	s := p.state.clone()
+func (p *processLP) SaveState() any { return p.SaveStateInto(new(procState)) }
+
+func (p *processLP) SaveStateInto(old any) any {
+	s := old.(*procState)
+	p.state.copyInto(s)
 	s.behavior = p.behavior.Snapshot()
 	return s
 }
@@ -160,7 +167,10 @@ func (p *processLP) SaveState() any {
 func (p *processLP) RestoreState(st any) {
 	p.ver++
 	s := st.(*procState)
-	p.state = s.clone()
+	// The live wait.Ports is the slice Run returned, which the behavior
+	// owns: copy into a new one. Restores are rare next to saves.
+	p.state.wait.Ports = nil
+	s.copyInto(p.state)
 	p.faninOK = false
 	p.behavior.Restore(s.behavior)
 }

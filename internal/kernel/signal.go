@@ -26,18 +26,18 @@ type signalState struct {
 	effective Value
 }
 
-// clone copies the driver and waveform slices, which the LP edits in place;
-// the values they hold are immutable and shared.
-func (s *signalState) clone() *signalState {
-	c := &signalState{
-		drivers:   make([]driver, len(s.drivers)),
-		effective: s.effective,
+// copyInto makes dst a copy of s in dst's own driver and waveform slices,
+// which the LP edits in place, so the two never share one; the values they
+// hold are immutable and shared.
+func (s *signalState) copyInto(dst *signalState) {
+	dst.effective = s.effective
+	if cap(dst.drivers) < len(s.drivers) {
+		dst.drivers = make([]driver, len(s.drivers))
 	}
+	dst.drivers = dst.drivers[:len(s.drivers)]
 	for i, d := range s.drivers {
-		d.wave = append([]transaction(nil), d.wave...) // nil when empty
-		c.drivers[i] = d
+		dst.drivers[i] = driver{driving: d.driving, wave: append(dst.drivers[i].wave[:0], d.wave...)}
 	}
-	return c
 }
 
 // SigChange is the trace record emitted on every effective-value change.
@@ -62,12 +62,19 @@ type signalLP struct {
 
 var _ pdes.Model = (*signalLP)(nil)
 var _ pdes.VersionedModel = (*signalLP)(nil)
+var _ pdes.RecyclingModel = (*signalLP)(nil)
 
-func (s *signalLP) SaveState() any { return s.state.clone() }
+func (s *signalLP) SaveState() any { return s.SaveStateInto(new(signalState)) }
+
+func (s *signalLP) SaveStateInto(old any) any {
+	c := old.(*signalState)
+	s.state.copyInto(c)
+	return c
+}
 
 func (s *signalLP) RestoreState(st any) {
 	s.ver++
-	s.state = st.(*signalState).clone()
+	st.(*signalState).copyInto(s.state)
 }
 
 func (s *signalLP) StateVersion() uint64 { return s.ver }

@@ -84,6 +84,11 @@ func (r *relay) RestoreState(s any) { r.sum = s.(int64) }
 // buildRelayRing builds a fresh ring of n relays where relay i feeds i+1 and
 // i+2, with the first `seeds` relays seeding a token of value x0.
 func buildRelayRing(n, seeds, x0 int) (*System, []*relay) {
+	return buildRelayRingOf(n, seeds, x0, func(r *relay) Model { return r })
+}
+
+// buildRelayRingOf is buildRelayRing with each relay run as model(relay).
+func buildRelayRingOf(n, seeds, x0 int, model func(*relay) Model) (*System, []*relay) {
 	sys := NewSystem()
 	models := make([]*relay, n)
 	ids := make([]LPID, n)
@@ -94,7 +99,7 @@ func buildRelayRing(n, seeds, x0 int) (*System, []*relay) {
 		if i%2 == 0 {
 			hint = Conservative
 		}
-		ids[i] = sys.AddLP(fmt.Sprintf("relay%d", i), m, WithHint(hint))
+		ids[i] = sys.AddLP(fmt.Sprintf("relay%d", i), model(m), WithHint(hint))
 		m.id = ids[i]
 	}
 	for i := 0; i < n; i++ {

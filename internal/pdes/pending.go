@@ -38,7 +38,8 @@ func (a *slot[T]) less(b *slot[T]) bool {
 }
 
 // pendingSet is the pending-event set of the sequential kernel and of a
-// shard's internal scheduler: a min-heap of FIFO buckets, one per pending
+// shard's internal scheduler, and the unsharded worker's LP schedule (one
+// entry per LP with pending work): a min-heap of FIFO buckets, one per pending
 // timestamp for as long as Push still finds it among the pendingRecent
 // buckets it opened last. The VHDL cycle puts hundreds of events on each of a
 // handful of live timestamps, so a push to such a timestamp and every pop
@@ -48,7 +49,7 @@ func (a *slot[T]) less(b *slot[T]) bool {
 // every event on a timestamp of its own — is a binary heap of one-event
 // buckets: what the heap this replaces cost on every input.
 //
-// Pop order is (timestamp, push order). Both callers mint their tiebreak
+// Pop order is (timestamp, push order). The event sets mint their tiebreak
 // monotonically at push time, so this is exactly the (TS, ID) order of that
 // binary heap. The zero value is an empty set.
 type pendingSet[T any] struct {

@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -13,8 +14,12 @@ import (
 // panics on a stale pointer at the routing and execution boundaries — so a
 // premature recycle of anything still reachable from a pending heap, a
 // history record, or an in-flight anti-message fails loudly instead of
-// corrupting the run. CI runs this under -race, which additionally checks the
-// single-owner handoff of pooled objects between sender and receiver.
+// corrupting the run. Half the cases run snapRelay, whose snapshots the
+// engine recycles: there the engine also fails the run when it refills a
+// snapshot a history record or lastSnap still holds, or restores a released
+// one, and every final LP state must equal the sequential run's. CI runs
+// this under -race, which additionally checks the single-owner handoff of
+// pooled objects between sender and receiver.
 func TestPropertyRecyclingSafe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
@@ -29,7 +34,9 @@ func TestPropertyRecyclingSafe(t *testing.T) {
 		Proto   uint8
 		Ckpt    uint8
 		GVT     uint16
+		Recycle bool
 	}
+	var refills atomic.Int64
 	run := func(p params) bool {
 		n := int(p.N%8) + 3
 		seeds := int(p.Seeds%3) + 1
@@ -44,14 +51,18 @@ func TestPropertyRecyclingSafe(t *testing.T) {
 		proto := protos[int(p.Proto)%len(protos)]
 		ckpt := int(p.Ckpt%4) + 1
 		gvtEvery := int(p.GVT%256) + 16
+		model := func(r *relay) Model { return r }
+		if p.Recycle {
+			model = func(r *relay) Model { return &snapRelay{relay: r, refills: &refills} }
+		}
 
-		wantSys, _ := buildRelayRing(n, seeds, x0)
+		wantSys, wantModels := buildRelayRingOf(n, seeds, x0, model)
 		want := &collector{}
 		if _, err := RunSequential(wantSys, relayHorizon, want); err != nil {
 			t.Logf("sequential: %v", err)
 			return false
 		}
-		sys, _ := buildRelayRing(n, seeds, x0)
+		sys, models := buildRelayRingOf(n, seeds, x0, model)
 		sink := &collector{}
 		if _, err := Run(sys, Config{
 			Workers:         workers,
@@ -63,16 +74,64 @@ func TestPropertyRecyclingSafe(t *testing.T) {
 			return false
 		}
 		// Bit-identical committed traces double as the safety oracle: a
-		// recycled event that was still load-bearing would change them.
+		// recycled event that was still load-bearing would change them, and
+		// a recycled snapshot that was would change the state a rollback
+		// restores.
 		if strings.Join(sink.sorted(), "\n") != strings.Join(want.sorted(), "\n") {
 			t.Logf("%+v: trace mismatch", p)
 			return false
+		}
+		for i := range models {
+			if models[i].sum != wantModels[i].sum {
+				t.Logf("%+v: relay%d final state %d, sequential %d", p, i, models[i].sum, wantModels[i].sum)
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(run, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+	if refills.Load() == 0 {
+		t.Fatal("no snapshot was ever recycled")
+	}
+}
+
+// snapRelay is a relay whose snapshots are pointers that the engine recycles
+// (RecyclingModel). Only tokens divisible by 3 change its state, so under
+// StateVersion runs of history records share one snapshot: rollbacks land
+// inside such runs, fossil collection cuts them, and mode switches end them.
+type snapRelay struct {
+	*relay
+	ver     uint64
+	refills *atomic.Int64
+}
+
+type relaySnap struct{ sum int64 }
+
+func (r *snapRelay) Execute(ctx *Ctx, ev *Event) {
+	sum := r.sum
+	r.relay.Execute(ctx, ev)
+	if ev.Data.(int)%3 == 0 {
+		r.ver++
+	} else {
+		r.sum = sum
+	}
+}
+
+func (r *snapRelay) StateVersion() uint64 { return r.ver }
+func (r *snapRelay) SaveState() any       { return &relaySnap{sum: r.sum} }
+
+func (r *snapRelay) SaveStateInto(old any) any {
+	r.refills.Add(1)
+	s := old.(*relaySnap)
+	s.sum = r.sum
+	return s
+}
+
+func (r *snapRelay) RestoreState(s any) {
+	r.ver++
+	r.sum = s.(*relaySnap).sum
 }
 
 // TestPoolPoisoningCatchesDoubleFree: the poisoning machinery itself works —

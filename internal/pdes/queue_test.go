@@ -134,24 +134,3 @@ func TestMailboxCompaction(t *testing.T) {
 		}
 	}
 }
-
-func TestTokenHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var h tokenHeap
-	lp := &lpRT{}
-	for i := 0; i < 300; i++ {
-		h.push(lpToken{ts: vtime.VT{PT: vtime.Time(rng.Intn(50))}, seq: uint64(i), lp: lp})
-	}
-	prev := vtime.VT{}
-	prevSeq := uint64(0)
-	for len(h) > 0 {
-		tok := h.pop()
-		if tok.ts.Less(prev) {
-			t.Fatal("token heap out of order")
-		}
-		if tok.ts == prev && tok.seq < prevSeq {
-			t.Fatal("token heap tiebreak broken")
-		}
-		prev, prevSeq = tok.ts, tok.seq
-	}
-}

@@ -7,7 +7,7 @@ import "govhdl/internal/vtime"
 // exclusively owns the emitted Event objects and can recycle them (pool.go).
 // The state snapshot may be shared between consecutive records (and with
 // lpRT.lastSnap) when the model reports an unchanged StateVersion; snapshots
-// are contractually immutable, so sharing is safe.
+// are immutable until released (releaseSnaps), so sharing is safe.
 type procRec struct {
 	ev    *Event
 	state any       // model snapshot taken before executing ev; nil between checkpoints
@@ -45,10 +45,17 @@ type lpRT struct {
 	// Snapshot sharing (copy-on-write state saving): when the model reports
 	// a StateVersion, the engine reuses lastSnap for every checkpoint taken
 	// while the version is unchanged instead of deep-copying identical
-	// state. Invalidated on rollback (RestoreState mutates the model).
+	// state. Invalidated on rollback (RestoreState mutates the model). While
+	// set, lastSnap is the snapshot of the newest checkpoint record, or no
+	// record holds it.
 	versioned VersionedModel
 	lastSnap  any
 	lastVer   uint64
+
+	// Snapshot recycling (RecyclingModel only): spares holds released
+	// snapshots, at most snapSpares, that the next state saves refill.
+	recycler RecyclingModel
+	spares   []any
 
 	lastPromise []vtime.VT // per out-edge (parallel to decl.out): last null promise
 
@@ -77,9 +84,8 @@ func newLPRT(d *lpDecl, mode Mode) *lpRT {
 		mode:   mode,
 		edgeOf: make(map[LPID]int, len(d.in)),
 	}
-	if vm, ok := d.model.(VersionedModel); ok {
-		lp.versioned = vm
-	}
+	lp.versioned, _ = d.model.(VersionedModel)
+	lp.recycler, _ = d.model.(RecyclingModel)
 	lp.edges = make([]edgeIn, len(d.in))
 	for i, src := range d.in {
 		lp.edges[i] = edgeIn{src: src}
@@ -221,4 +227,45 @@ func (lp *lpRT) restoreBase(i int) int {
 		}
 	}
 	return -1
+}
+
+// snapSpares caps the released snapshots one LP keeps for refilling. On the
+// FSM a cap of 2 left twice the snapshot allocations of 4, and 8 did no
+// better than 4.
+const snapSpares = 4
+
+// newestSnap returns the snapshot of the newest checkpoint record in
+// processed[:n], or nil when there is none.
+func (lp *lpRT) newestSnap(n int) any {
+	if j := lp.restoreBase(n - 1); j >= 0 {
+		return lp.processed[j].state
+	}
+	return nil
+}
+
+// releaseSnaps releases the snapshots of recs, history records about to be
+// destroyed that lie next to each other in processed. The records sharing
+// one snapshot are a contiguous run, so held — the snapshot of the nearest
+// checkpoint record that survives next to recs, nil when none does — is the
+// only surviving one that can hold a snapshot of recs.
+func (lp *lpRT) releaseSnaps(recs []procRec, held any) {
+	if lp.recycler == nil {
+		return
+	}
+	var prev any
+	for k := range recs {
+		if s := recs[k].state; s != nil && s != prev {
+			lp.release(s, held)
+			prev = s
+		}
+	}
+}
+
+// release puts snapshot s of a RecyclingModel on the spare list unless it is
+// held (by a surviving record, see releaseSnaps) or is lastSnap.
+func (lp *lpRT) release(s, held any) {
+	if s == nil || s == held || s == lp.lastSnap || len(lp.spares) >= snapSpares {
+		return
+	}
+	lp.spares = append(lp.spares, s)
 }

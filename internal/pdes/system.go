@@ -15,9 +15,27 @@ type Model interface {
 	Execute(ctx *Ctx, ev *Event)
 	// SaveState returns a snapshot of the full LP state; RestoreState
 	// installs one. Snapshots must be deep enough that later Executes
-	// cannot mutate them.
+	// cannot mutate them, and RestoreState must leave its argument intact:
+	// the engine may restore the same snapshot again.
+	//
+	// The engine owns a snapshot from SaveState until it releases it, when
+	// no history record and no shared-snapshot reuse (VersionedModel) can
+	// reach it any more. A model implementing RecyclingModel gets released
+	// snapshots back to refill; any other model's are left to the garbage
+	// collector.
 	SaveState() any
 	RestoreState(s any)
+}
+
+// RecyclingModel lets the engine reuse a released snapshot instead of
+// allocating a new one per state save. SaveStateInto is SaveState writing
+// into old, a snapshot this model returned earlier that the engine has
+// released: it returns the refilled snapshot, normally old itself. The
+// engine never passes old to RestoreState again before refilling it.
+// Snapshots must be pointers: the engine tells them apart by identity.
+type RecyclingModel interface {
+	Model
+	SaveStateInto(old any) any
 }
 
 // InitModel is implemented by models that schedule initial events. Init runs

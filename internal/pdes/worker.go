@@ -8,65 +8,6 @@ import (
 	"govhdl/internal/vtime"
 )
 
-// lpToken is a wake token in the worker's scheduling heap. At most one token
-// per LP exists (lpRT.queued); tokens order LPs by the pending minimum at
-// queue time, approximating lowest-timestamp-first scheduling.
-type lpToken struct {
-	ts  vtime.VT
-	seq uint64
-	lp  *lpRT
-}
-
-type tokenHeap []lpToken
-
-func (h tokenHeap) less(i, j int) bool {
-	if h[i].ts != h[j].ts {
-		return h[i].ts.Less(h[j].ts)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *tokenHeap) push(t lpToken) {
-	*h = append(*h, t)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !a.less(i, p) {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-}
-
-func (h *tokenHeap) pop() lpToken {
-	a := *h
-	top := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	a[last] = lpToken{}
-	*h = a[:last]
-	a = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(a) && a.less(l, s) {
-			s = l
-		}
-		if r < len(a) && a.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		a[i], a[s] = a[s], a[i]
-		i = s
-	}
-	return top
-}
-
 // fatalPanic carries an unrecoverable protocol error up to worker.run.
 type fatalPanic struct{ err *SimError }
 
@@ -86,12 +27,14 @@ type worker struct {
 	// iteration in the deterministic core — holds by construction.
 	watchers [][]*lpRT
 
-	sched    tokenHeap
-	schedSeq uint64
-	gvt      vtime.VT
-	metrics  stats.Snapshot // this worker's counters; RunOn sums them after the join
-	sink     TraceSink
-	user     bool
+	// sched holds each LP with pending work once (lpRT.queued), keyed by its
+	// pending minimum at requeue: lowest-timestamp-first scheduling, ties in
+	// requeue order.
+	sched   pendingSet[*lpRT]
+	gvt     vtime.VT
+	metrics stats.Snapshot // this worker's counters; RunOn sums them after the join
+	sink    TraceSink
+	user    bool
 
 	clock       float64
 	sentTo      []uint64 // cumulative events+nulls sent, per endpoint
@@ -504,9 +447,8 @@ func (w *worker) countedDrain(ack *Msg) bool {
 // step executes one scheduling decision. It returns true if an event (or
 // user-consistent batch) was executed.
 func (w *worker) step() bool {
-	for len(w.sched) > 0 {
-		tok := w.sched.pop()
-		lp := tok.lp
+	for w.sched.Len() > 0 {
+		lp := w.sched.Pop()
 		lp.queued = false
 		if lp.pending.Len() == 0 {
 			continue
@@ -618,7 +560,7 @@ func (w *worker) execute(lp *lpRT, ev *Event) {
 
 // snapshot returns the model state to checkpoint and its MemBudget charge,
 // reusing the previous snapshot when a VersionedModel reports its state
-// unchanged since then. Only real SaveState calls are counted and charged at
+// unchanged since then. Only real state saves are counted and charged at
 // full size (a reused snapshot retains just a reference): copy-on-write
 // state saving is the whole point.
 func (w *worker) snapshot(lp *lpRT) (any, int64) {
@@ -627,15 +569,50 @@ func (w *worker) snapshot(lp *lpRT) (any, int64) {
 		if lp.lastSnap != nil && v == lp.lastVer {
 			return lp.lastSnap, memSnapShared
 		}
-		s := lp.model.SaveState()
+		if old := lp.lastSnap; old != nil && lp.recycler != nil {
+			// Superseded: old is free unless the newest record still holds it.
+			lp.lastSnap = nil
+			lp.release(old, lp.newestSnap(len(lp.processed)))
+		}
+		s := w.saveState(lp)
 		lp.lastSnap, lp.lastVer = s, v
-		w.metrics.StateSaves++
-		w.clock += costs.StateSaveCost
 		return s, memSnapDefault
 	}
+	return w.saveState(lp), memSnapDefault
+}
+
+// saveState takes a real snapshot, refilling a released one when lp has a
+// spare.
+func (w *worker) saveState(lp *lpRT) any {
 	w.metrics.StateSaves++
 	w.clock += costs.StateSaveCost
-	return lp.model.SaveState(), memSnapDefault
+	k := len(lp.spares) - 1
+	if k < 0 {
+		return lp.model.SaveState()
+	}
+	s := lp.spares[k]
+	lp.spares[k] = nil
+	lp.spares = lp.spares[:k]
+	if poolCheck.Load() {
+		w.checkSpare(lp, s)
+	}
+	return lp.recycler.SaveStateInto(s)
+}
+
+// checkSpare fails the run when a spare about to be refilled is still
+// reachable: from a history record, from lastSnap, or from the spare list a
+// second time (poolCheck runs only).
+func (w *worker) checkSpare(lp *lpRT, s any) {
+	held := s == lp.lastSnap
+	for k := range lp.processed {
+		held = held || lp.processed[k].state == s
+	}
+	for _, o := range lp.spares {
+		held = held || o == s
+	}
+	if held {
+		w.fatal("pdes: LP %s: refilling a snapshot that is still held", w.sys.Name(lp.decl.id))
+	}
 }
 
 // memAdd moves the tracked optimistic memory total by n bytes (MemBudget
@@ -805,14 +782,13 @@ func (w *worker) drainLocal() {
 	w.localQ = w.localQ[:0]
 }
 
-// requeue puts lp back into the scheduling heap if it has pending work.
+// requeue puts lp back into the scheduling set if it has pending work.
 func (w *worker) requeue(lp *lpRT) {
 	if lp.queued || lp.pending.Len() == 0 {
 		return
 	}
 	lp.queued = true
-	w.schedSeq++
-	w.sched.push(lpToken{ts: lp.pending.MinTS(), seq: w.schedSeq, lp: lp})
+	w.sched.Push(lp.pending.MinTS(), lp)
 }
 
 // forwardTo names the worker a message for an LP not owned here must chase.
@@ -936,10 +912,28 @@ func (w *worker) rollbackTo(lp *lpRT, i int) {
 	if j < 0 {
 		w.fatal("LP %s has no restore snapshot for rollback to index %d", w.sys.Name(lp.decl.id), i)
 	}
-	lp.model.RestoreState(lp.processed[j].state)
+	base := lp.processed[j].state
+	if poolCheck.Load() {
+		for _, o := range lp.spares {
+			if o == base {
+				w.fatal("pdes: LP %s: restoring a released snapshot", w.sys.Name(lp.decl.id))
+			}
+		}
+	}
+	lp.model.RestoreState(base)
 	// The model's live state no longer matches the shared snapshot even if
 	// its version counter happens to repeat; force a real save next time.
+	// A lastSnap no destroyed record holds (it is the newest one's if any
+	// is) is released here, the destroyed records' snapshots below.
+	old := lp.lastSnap
 	lp.lastSnap = nil
+	if lp.recycler != nil {
+		held := lp.newestSnap(i)
+		if old != lp.newestSnap(n) {
+			lp.release(old, held)
+		}
+		lp.releaseSnaps(lp.processed[i:], held)
+	}
 	if i > j {
 		// Coast-forward: replay committed-side events without re-sending.
 		savedSelf, savedNow := w.ctx.self, w.ctx.now
@@ -1232,6 +1226,7 @@ func (w *worker) switchToOpt(lp *lpRT) {
 // committed record: anti timestamps are strictly above the GVT that
 // committed it).
 func (w *worker) commitHistory(lp *lpRT) {
+	lp.releaseSnaps(lp.processed, nil)
 	var freed int64
 	for k := range lp.processed {
 		freed += w.commitRec(lp, &lp.processed[k])
@@ -1281,6 +1276,7 @@ func (w *worker) fossil(lp *lpRT, done bool) {
 	}
 	// Read the new floor before recycling the records that define it.
 	floor := lp.processed[j-1].ev.TS
+	lp.releaseSnaps(lp.processed[:j], lp.processed[j].state)
 	var freed int64
 	for i := 0; i < j; i++ {
 		freed += w.commitRec(lp, &lp.processed[i])
