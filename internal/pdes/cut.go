@@ -161,7 +161,7 @@ func (w *worker) cutParticipate() (stopped bool) {
 		w.commitHistory(lp)
 	}
 	w.drainLocal() // local anti-messages annihilate against pending events
-	if !w.countedDrain(w.msgPool.get()) {
+	if !w.countedDrain() {
 		return true
 	}
 	st := w.msgPool.get()
@@ -344,7 +344,7 @@ func (w *worker) installLP(cl *ckptLP, modes []Mode, emitTrace bool) {
 		lp.commitLog = cl.Log // later cuts extend the same log
 	}
 	for k := range cl.Pending {
-		lp.pending.Push(w.pooledCopy(&cl.Pending[k]))
+		w.push(lp, w.pooledCopy(&cl.Pending[k]))
 	}
 	for k := range cl.Orphans {
 		lp.orphans = append(lp.orphans, w.pooledCopy(&cl.Orphans[k]))

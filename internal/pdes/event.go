@@ -66,11 +66,11 @@ const (
 	msgEvent    msgKind = iota // an application event (or anti-message)
 	msgNull                    // a null message carrying a channel-clock promise
 	msgGVTPause                // controller -> worker: stop and flush
-	msgGVTAck                  // worker -> controller: flushed, with send/recv counts (GVT round or cut)
+	msgGVTAck                  // worker -> controller: flushed, with send/recv counts and local minimum (GVT round or cut)
 	msgGVTDrain                // controller -> worker: drain inbox to Expect total (GVT round or cut)
 	msgGVTMin                  // worker -> controller: local minimum after drain
 	msgGVTNew                  // controller -> worker: new GVT (and mode table); may announce a cut
-	msgIdle                    // worker -> controller: idle notice or GVT request
+	msgIdle                    // worker -> controller: idle notice (an ack when parking) or GVT request
 	msgFatal                   // worker -> controller: unrecoverable error
 	msgStop                    // controller -> worker: abort now
 	msgPoison                  // transport/injector -> anyone: the substrate is dead
@@ -103,25 +103,29 @@ type Msg struct {
 	Dst LPID
 	TS  vtime.VT
 
-	// GVT control.
-	Round     uint64
-	Sent      []uint64   // msgGVTAck: events+nulls sent per worker
-	Recvd     uint64     // msgGVTAck: total events+nulls received
+	// GVT control. A msgIdle sent just before the worker parks carries the
+	// whole ack (Sent, Recvd, Min, Round, Clock, Processed, Nulls, Modes): the
+	// controller may commit a round from such notices alone (DESIGN.md §3).
+	// A request, or the notice of a worker still propagating promises, leaves
+	// Sent empty.
+	Round     uint64     // msgGVTAck/msgIdle: msgGVTNew messages applied so far
+	Sent      []uint64   // msgGVTAck/msgIdle: events+nulls sent per endpoint
+	Recvd     uint64     // msgGVTAck/msgIdle: total events+nulls received
 	Expect    uint64     // msgGVTDrain: drain until Recvd == Expect
-	Min       vtime.VT   // msgGVTMin: local minimum unprocessed timestamp; msgPhase: next local minimum
-	Clock     float64    // msgGVTAck/msgGVTNew/msgPhase: modeled clock / barrier clock
+	Min       vtime.VT   // msgGVTAck/msgIdle/msgGVTMin: local minimum unprocessed timestamp; msgPhase: next local minimum
+	Clock     float64    // msgGVTAck/msgIdle/msgGVTMin/msgGVTNew/msgPhase: modeled clock / barrier clock
 	GVT       vtime.VT   // msgGVTNew
 	ConsLPs   []LPID     // msgGVTNew: LPs that switched to conservative
 	OptLPs    []LPID     // msgGVTNew: LPs that switched to optimistic
 	Idle      bool       // msgIdle: worker has nothing processable
 	Request   bool       // msgIdle: worker asks for a GVT round (GVTEvery reached)
 	Processed uint64     // msgIdle/msgGVTAck/msgPhase: events processed so far
-	Nulls     uint64     // msgGVTAck: null messages sent so far
+	Nulls     uint64     // msgGVTAck/msgIdle: null messages sent so far
 	Done      bool       // msgGVTNew: termination flag
 	Ckpt      bool       // msgGVTNew: this round ends in a checkpoint cut
 	Blob      []byte     // msgCutState/msgCutInstall: an encoded ckptWorker (cut.go)
 	Err       *SimError  // msgFatal/msgStop/msgPoison: fatal error, if any
-	Modes     []ModePair // msgGVTAck: mode switches requested by this worker
+	Modes     []ModePair // msgGVTAck/msgIdle: mode switches requested by this worker
 	// Loads reports per-LP executed-event counts for the controller's
 	// migration planner. Collected only when Config.Migrate is set.
 	Loads []LPLoad // msgGVTAck, msgGVTMin (phase executor syncs)

@@ -219,13 +219,13 @@ const migForwardWindow = 4
 
 // --- worker side -----------------------------------------------------------
 
-// buildLoads snapshots every owned LP's window execution count for the GVT
-// ack, into a reusable scratch slice (the controller consumes it before the
-// ack is recycled, like ackSent). Called before applyGVTNew zeroes the
-// counters.
+// buildLoads snapshots the window execution counts for the GVT ack (an LP
+// off the active list executed nothing), into a reusable scratch slice: the
+// controller consumes it before it ends the round this worker is blocked in.
+// Called before applyGVTNew zeroes the counters.
 func (w *worker) buildLoads() []LPLoad {
 	w.ackLoads = w.ackLoads[:0]
-	for _, lp := range w.owned {
+	for _, lp := range w.active {
 		w.ackLoads = append(w.ackLoads, LPLoad{LP: lp.decl.id, Execs: lp.execs})
 	}
 	return w.ackLoads
@@ -240,6 +240,9 @@ func (w *worker) dropLP(lp *lpRT, to int) {
 	w.lps[id] = nil
 	same := func(x *lpRT) bool { return x == lp }
 	w.owned = slices.DeleteFunc(w.owned, same)
+	if lp.active {
+		w.active = slices.DeleteFunc(w.active, same)
+	}
 	for i := range lp.edges {
 		src := lp.edges[i].src
 		w.watchers[src] = slices.DeleteFunc(w.watchers[src], same)

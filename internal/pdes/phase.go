@@ -88,7 +88,6 @@ type phaseWorker struct {
 	cuts     bool
 	sentTo   []uint64
 	recvd    uint64
-	ackSent  []uint64
 	ackLoads []LPLoad
 
 	cutMoves []Move
@@ -123,7 +122,6 @@ func newPhaseWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT, own
 		early:    make([]*Msg, n+1),
 		cuts:     cfg.CheckpointRounds > 0 || cfg.Migrate != nil,
 		sentTo:   make([]uint64, n+1),
-		ackSent:  make([]uint64, n+1),
 		restored: restored,
 		watch:    cfg.StallTimeout > 0,
 	}
@@ -471,9 +469,8 @@ func (w *phaseWorker) sync(done bool) bool {
 // drain (trivially complete — every msgPhase sent has been received), the
 // capture, the migration install and the resume barrier.
 func (w *phaseWorker) cut() bool {
-	ack := w.msgPool.get()
-	copy(w.ackSent, w.sentTo) // read by the controller while this worker waits
-	ack.Kind, ack.Sent, ack.Recvd = msgGVTAck, w.ackSent, w.recvd
+	ack := w.msgPool.getAck()
+	ack.Kind, ack.Sent, ack.Recvd = msgGVTAck, append(ack.Sent[:0], w.sentTo...), w.recvd
 	w.ep.Send(0, ack)
 	for {
 		m := w.recvControl()

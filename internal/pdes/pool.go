@@ -24,8 +24,10 @@ import (
 //	                                       \-> annihilated by anti-message ---/
 //
 // Msgs carrying events or nulls are likewise allocated by the sending worker
-// and recycled by the receiving worker once decoded. Control messages (GVT
-// rounds, idle notices) are low-volume and are not pooled.
+// and recycled by the receiving worker once decoded. Control messages are
+// recycled too: a GVT ack or idle notice carries its Sent counts in the Msg's
+// own buffer, which stays with the Msg through recycling (see msgPool), so a
+// worker never rewrites counts the controller may still be reading.
 //
 // Each worker fronts the global sync.Pool with a private free list so the
 // steady-state hot path neither allocates nor locks; the sync.Pool backs
@@ -89,9 +91,15 @@ func checkLive(e *Event, where string) {
 	}
 }
 
-// msgPool is a single-goroutine free list of Msgs.
+// msgPool is a single-goroutine free list of Msgs. A recycled Msg that owns a
+// Sent buffer keeps it (and its Modes buffer), on a list of its own that
+// getAck draws from: acks and idle notices fill those buffers instead of
+// allocating, and the controller's broadcasts carry them back to the workers.
+// Msgs that spill to the global pool are cleared entirely, so DecodeMsg and
+// the transport only ever see zero Msgs.
 type msgPool struct {
 	free []*Msg
+	acks []*Msg
 }
 
 func (p *msgPool) get() *Msg {
@@ -104,10 +112,26 @@ func (p *msgPool) get() *Msg {
 	return globalMsgPool.Get().(*Msg)
 }
 
-// put recycles a Msg. Only event/null messages flow through the pool; their
-// payload pointers are dropped here (the Event, if any, has its own
-// lifecycle).
+// getAck returns a Msg for an ack or a control broadcast, preferring one that
+// owns a Sent buffer.
+func (p *msgPool) getAck() *Msg {
+	if n := len(p.acks) - 1; n >= 0 {
+		m := p.acks[n]
+		p.acks[n] = nil
+		p.acks = p.acks[:n]
+		return m
+	}
+	return p.get()
+}
+
+// put recycles a Msg. Payload pointers are dropped (the Event, if any, has
+// its own lifecycle); Sent and Modes buffers are kept for getAck.
 func (p *msgPool) put(m *Msg) {
+	if cap(m.Sent) > 0 && len(p.acks) < poolLocalCap {
+		*m = Msg{Sent: m.Sent[:0], Modes: m.Modes[:0]}
+		p.acks = append(p.acks, m)
+		return
+	}
 	*m = Msg{}
 	if len(p.free) < poolLocalCap {
 		p.free = append(p.free, m)

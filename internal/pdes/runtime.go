@@ -41,6 +41,7 @@ type lpRT struct {
 
 	sinceCkpt int  // executions since the last state snapshot
 	queued    bool // present in the worker scheduling heap
+	active    bool // listed in worker.active
 
 	// Snapshot sharing (copy-on-write state saving): when the model reports
 	// a StateVersion, the engine reuses lastSnap for every checkpoint taken

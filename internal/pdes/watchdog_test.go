@@ -207,27 +207,28 @@ func TestMemBudgetDeterministic(t *testing.T) {
 	}
 }
 
-// muteAfterMin wraps a worker endpoint and silently drops everything it sends
-// once its first msgGVTMin has gone out: the faultinject mute (silence, not
-// poison — package faultinject imports pdes, so the wrapper lives here), timed
-// so the first message lost is the worker's ack of the cut that follows the
-// first GVT round.
-type muteAfterMin struct {
+// muteCutAck wraps a worker endpoint and silently drops everything it sends
+// from its second msgGVTAck on: the faultinject mute (silence, not poison —
+// package faultinject imports pdes, so the wrapper lives here), timed so the
+// first message lost is the worker's ack of the cut that follows the first
+// GVT round, whether that round drained or committed from balanced acks.
+type muteCutAck struct {
 	Endpoint
-	muted bool // touched only by the owning worker's goroutine
+	acks  int  // touched only by the owning worker's goroutine
+	muted bool // likewise
 }
 
-func (e *muteAfterMin) Send(dst int, m *Msg) {
-	if e.muted {
-		return
+func (e *muteCutAck) Send(dst int, m *Msg) {
+	if m.Kind == msgGVTAck {
+		e.acks++
+		e.muted = e.muted || e.acks == 2
 	}
-	if m.Kind == msgGVTMin {
-		e.muted = true
+	if !e.muted {
+		e.Endpoint.Send(dst, m)
 	}
-	e.Endpoint.Send(dst, m)
 }
 
-func (e *muteAfterMin) SendBatch(dst int, ms []*Msg) {
+func (e *muteCutAck) SendBatch(dst int, ms []*Msg) {
 	if !e.muted {
 		e.Endpoint.SendBatch(dst, ms)
 	}
@@ -240,7 +241,7 @@ func (e *muteAfterMin) SendBatch(dst int, ms []*Msg) {
 // possibly-wedged-in-Execute one.
 func TestWatchdogSeesWorkerParkedInCut(t *testing.T) {
 	eps := NewLocalFabric(3)
-	eps[2] = &muteAfterMin{Endpoint: eps[2]}
+	eps[2] = &muteCutAck{Endpoint: eps[2]}
 
 	var (
 		mu      sync.Mutex

@@ -59,12 +59,12 @@ const (
 var wireFields = [...]msgField{
 	msgEvent:      fEv,
 	msgNull:       fSrc | fDst | fTS,
-	msgGVTPause:   fRound,
-	msgGVTAck:     fSent | fRecvd | fClock | fProcessed | fNulls | fModes | fLoads,
+	msgGVTPause:   0,
+	msgGVTAck:     fRound | fSent | fRecvd | fMin | fClock | fProcessed | fNulls | fModes | fLoads,
 	msgGVTDrain:   fExpect,
 	msgGVTMin:     fMin | fClock | fLoads,
 	msgGVTNew:     fGVT | fClock | fConsLPs | fOptLPs | fDone | fCkpt | fMoves,
-	msgIdle:       fIdle | fRequest | fProcessed,
+	msgIdle:       fRound | fSent | fRecvd | fMin | fClock | fIdle | fRequest | fProcessed | fNulls | fModes,
 	msgFatal:      fErr,
 	msgStop:       fErr,
 	msgPoison:     fErr,

@@ -17,12 +17,12 @@ import (
 var wantFields = map[msgKind][]string{
 	msgEvent:      {"Ev"},
 	msgNull:       {"Src", "Dst", "TS"},
-	msgGVTPause:   {"Round"},
-	msgGVTAck:     {"Sent", "Recvd", "Clock", "Processed", "Nulls", "Modes", "Loads"},
+	msgGVTPause:   nil,
+	msgGVTAck:     {"Round", "Sent", "Recvd", "Min", "Clock", "Processed", "Nulls", "Modes", "Loads"},
 	msgGVTDrain:   {"Expect"},
 	msgGVTMin:     {"Min", "Clock", "Loads"},
 	msgGVTNew:     {"GVT", "Clock", "ConsLPs", "OptLPs", "Done", "Ckpt", "Moves"},
-	msgIdle:       {"Idle", "Request", "Processed"},
+	msgIdle:       {"Round", "Sent", "Recvd", "Min", "Clock", "Idle", "Request", "Processed", "Nulls", "Modes"},
 	msgFatal:      {"Err"},
 	msgStop:       {"Err"},
 	msgPoison:     {"Err"},
@@ -186,10 +186,11 @@ func wireSamples() []*Msg {
 		ev(vtime.Time(7)), ev(wireTestPayload{A: -1, B: 2}),
 		ev(&wireTestNest{Data: &wireTestNest{Data: int64(-5)}}),
 		{Kind: msgNull, From: 1, Src: 1, Dst: NoLP, TS: vtime.Inf},
-		{Kind: msgGVTPause, Round: 3},
+		{Kind: msgGVTPause},
 		{Kind: msgGVTAck, From: 1}, // nil slices
 		{Kind: msgGVTAck, From: 2, Sent: []uint64{}, Modes: []ModePair{}, Loads: []LPLoad{}},
-		{Kind: msgGVTAck, From: 2, Sent: []uint64{0, 5, math.MaxUint64}, Recvd: 8, Clock: 0.25, Processed: 11, Nulls: 3,
+		{Kind: msgGVTAck, From: 2, Round: math.MaxUint64, Sent: []uint64{0, 5, math.MaxUint64}, Recvd: 8,
+			Min: vtime.VT{PT: 6, LT: 2}, Clock: 0.25, Processed: 11, Nulls: 3,
 			Modes: []ModePair{{LP: 4, Mode: Optimistic}, {LP: 0, Mode: Conservative}},
 			Loads: []LPLoad{{LP: 1, Execs: 99}}},
 		{Kind: msgGVTDrain, Expect: 12},
@@ -197,8 +198,10 @@ func wireSamples() []*Msg {
 		{Kind: msgGVTMin, From: 2, Min: vtime.VT{PT: 4}, Loads: []LPLoad{{LP: 0, Execs: 7}}},
 		{Kind: msgGVTNew, GVT: vtime.VT{PT: 9}, Clock: 3, ConsLPs: []LPID{1, 2}, OptLPs: []LPID{},
 			Done: true, Ckpt: true, Moves: []Move{{LP: 3, To: 2}}},
-		{Kind: msgIdle, From: 1, Idle: true, Processed: 4},
+		{Kind: msgIdle, From: 1, Idle: true, Processed: 4}, // a notice without an ack
 		{Kind: msgIdle, From: 1, Request: true},
+		{Kind: msgIdle, From: 2, Idle: true, Round: 7, Sent: []uint64{0, 3, 12}, Recvd: 5, Min: vtime.Inf,
+			Clock: 41.5, Processed: 90, Nulls: 2, Modes: []ModePair{{LP: 3, Mode: Optimistic}}},
 		{Kind: msgStop},
 		{Kind: msgStop, Err: &SimError{}},
 		{Kind: msgPoison, Err: &SimError{Text: "t", Transport: true}},

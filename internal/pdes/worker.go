@@ -21,6 +21,12 @@ type worker struct {
 	owner   []int   // LPID -> owning endpoint index
 	lps     []*lpRT // LPID -> runtime; nil when not owned here
 	owned   []*lpRT
+	// active lists the owned LPs with pending events, optimistic history or
+	// non-zero adaptation counters (lpRT.active), once each. The per-round
+	// sweeps — local minimum, mode proposals, fossil collection, counter
+	// reset and requeue — visit only these; applyGVTNew drops the LPs left
+	// with nothing.
+	active []*lpRT
 	// watchers[src] lists owned LPs with an in-edge from src, for mode
 	// broadcasts. A dense slice indexed by LPID (not a map): lookups stay
 	// O(1) without hashing, and the maprange invariant — no unordered map
@@ -82,7 +88,6 @@ type worker struct {
 	evPool   eventPool
 	msgPool  msgPool
 	outBuf   [][]*Msg // per-destination coalesced sends; empty while paused
-	ackSent  []uint64 // GVT ack scratch (controller reads it only mid-round)
 	recSends [][]antiRec
 	recRecs  [][]any
 
@@ -142,7 +147,6 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 		user:     cfg.Ordering == OrderUserConsistent,
 		sentTo:   make([]uint64, ep.N()),
 		outBuf:   make([][]*Msg, ep.N()),
-		ackSent:  make([]uint64, ep.N()),
 	}
 	if cfg.Restore == nil {
 		// A restored worker's LPs are installed from its blob instead (cut.go).
@@ -245,13 +249,16 @@ func (w *worker) run() {
 			// They may also be a cycle of LPs with nothing pending raising
 			// each other's promise a few logical phases at a time, which
 			// only a GVT advance ends — so the controller hears, once per
-			// round, that this worker is idle as far as events go.
+			// round, that this worker is idle as far as events go. The
+			// notice carries no ack: the worker keeps running after it.
 			if !w.idleTold {
 				w.idleTold = true
-				w.sendIdle()
+				m := w.msgPool.get()
+				m.Kind, m.Idle, m.Processed = msgIdle, true, w.execTotal
+				w.ep.Send(0, m)
 			}
 		default:
-			w.sendIdle()
+			w.sendIdleAck()
 			if w.handle(w.parkRecv()) {
 				return
 			}
@@ -259,10 +266,28 @@ func (w *worker) run() {
 	}
 }
 
-func (w *worker) sendIdle() {
-	m := w.msgPool.get()
-	m.Kind, m.Idle, m.Processed = msgIdle, true, w.execTotal
+// sendIdleAck tells the controller this worker is about to park, with the
+// notice carrying everything a GVT ack does. Only a received message wakes a
+// parked worker, so once every worker's latest notice is current and the
+// counts balance, the controller can commit GVT from the notices alone
+// (controller.await).
+func (w *worker) sendIdleAck() {
+	m := w.msgPool.getAck()
+	m.Kind, m.Idle = msgIdle, true
+	w.fillAck(m)
 	w.ep.Send(0, m)
+}
+
+// fillAck sets what a GVT ack and an idle notice report: cumulative counts,
+// the local minimum, the rounds applied, the clock and the mode proposals.
+// Sent and Modes go into m's own buffers (msgPool), never into a slice this
+// worker writes again. The sends must be flushed already.
+func (w *worker) fillAck(m *Msg) {
+	m.Sent = append(m.Sent[:0], w.sentTo...)
+	m.Recvd, m.Round = w.recvd, w.roundNo
+	m.Min, m.Clock = w.localMin(), w.clock
+	m.Processed, m.Nulls = w.execTotal, w.nullsSent
+	m.Modes = w.modeProposals(m.Modes[:0])
 }
 
 // flushSends drains every per-destination send buffer with one batched
@@ -349,15 +374,19 @@ func (w *worker) drainBatch() (stop bool) {
 }
 
 // handle processes one message in the normal loop: data and aborts are
-// absorbed, a pause enters the GVT round. It returns true when the worker
-// should terminate.
+// absorbed, a pause enters the GVT round, and a msgGVTNew is the end of a
+// round the controller committed from idle notices. It returns true when the
+// worker should terminate.
 func (w *worker) handle(m *Msg) bool {
 	if w.absorb(m) {
 		return w.stopped
 	}
-	if m.Kind == msgGVTPause {
+	switch m.Kind {
+	case msgGVTPause:
 		w.msgPool.put(m)
 		return w.gvtParticipate()
+	case msgGVTNew:
+		return w.gvtNew(m)
 	}
 	return false
 }
@@ -410,38 +439,57 @@ func (w *worker) roundRecv() *Msg {
 	return nil
 }
 
-// countedDrain is the quiescence phase GVT rounds and cuts share: flush,
-// pause, report cumulative send/receive counts on ack, and take messages in
-// until the controller's target — everything any worker had sent here by its
-// own ack — has arrived. Afterwards nothing is in flight to this worker.
-// It returns false when the run was aborted meanwhile.
-func (w *worker) countedDrain(ack *Msg) bool {
+// sendAck starts the quiescence phase GVT rounds and cuts share: flush,
+// pause, and report cumulative send/receive counts (fillAck) on a msgGVTAck.
+// From here until the round ends the worker only takes messages in; what it
+// would send is deferred.
+func (w *worker) sendAck() {
 	// Flush before snapshotting sentTo: the accounting assumes every counted
 	// message is already in its receiver's mailbox (or on the wire), not
 	// sitting in a local coalescing buffer.
 	w.flushSends()
 	w.paused = true
-	// ackSent is per-round scratch: the controller reads Sent only while this
-	// worker is blocked in the drain, so reusing the slice is safe and
-	// allocation-free.
-	copy(w.ackSent, w.sentTo)
-	ack.Kind, ack.Sent, ack.Recvd = msgGVTAck, w.ackSent, w.recvd
+	ack := w.msgPool.getAck()
+	ack.Kind = msgGVTAck
+	w.fillAck(ack)
+	if w.cfg.Migrate != nil {
+		ack.Loads = w.buildLoads()
+	}
 	w.ep.Send(0, ack)
-	var expect uint64
-	for have := false; !have || w.recvd < expect; {
-		m := w.roundRecv()
+}
+
+// drainTo takes messages in until the controller's target — everything any
+// worker had sent here by its own ack — has arrived. Afterwards nothing is in
+// flight to this worker. It returns false when the run was aborted meanwhile.
+func (w *worker) drainTo(expect uint64) bool {
+	for w.recvd < expect {
+		w.roundRecv()
 		if w.stopped {
 			return false
-		}
-		if m != nil && m.Kind == msgGVTDrain {
-			expect, have = m.Expect, true
-			w.msgPool.put(m)
 		}
 	}
 	if w.recvd > expect {
 		w.fatal("worker %d received %d messages in a counted drain, expected %d", w.ep.Self(), w.recvd, expect)
 	}
 	return true
+}
+
+// countedDrain is a cut's quiescence phase: ack, then drain to the target the
+// controller always sends for a cut. It returns false when the run was
+// aborted meanwhile.
+func (w *worker) countedDrain() bool {
+	w.sendAck()
+	for {
+		m := w.roundRecv()
+		if w.stopped {
+			return false
+		}
+		if m != nil && m.Kind == msgGVTDrain {
+			expect := m.Expect
+			w.msgPool.put(m)
+			return w.drainTo(expect)
+		}
+	}
 }
 
 // step executes one scheduling decision. It returns true if an event (or
@@ -857,8 +905,19 @@ func (w *worker) routeEvent(e *Event) {
 			}
 		}
 	}
-	lp.pending.Push(e)
+	w.push(lp, e)
 	w.requeue(lp)
+}
+
+// push adds e to lp's pending events, listing lp as active. Every pending
+// push goes through here, which is what lets the per-round sweeps skip the
+// LPs off the list.
+func (w *worker) push(lp *lpRT, e *Event) {
+	if !lp.active {
+		lp.active = true
+		w.active = append(w.active, lp)
+	}
+	lp.pending.Push(e)
 }
 
 // annihilate cancels the positive twin of an anti-message, rolling back
@@ -956,7 +1015,7 @@ func (w *worker) rollbackTo(lp *lpRT, i int) {
 		}
 		dbgID(w, "unprocess", rec.ev, "")
 		// The event returns to pending — still owned here, not freed.
-		lp.pending.Push(rec.ev)
+		w.push(lp, rec.ev)
 		freed += rec.mem
 		w.recycleRec(rec)
 		lp.processed[k] = procRec{}
@@ -1046,44 +1105,53 @@ func (w *worker) routeNull(src, dst LPID, ts vtime.VT) {
 }
 
 // gvtParticipate runs the worker side of one stop-the-world GVT round, and of
-// the quiescent cut the round's msgGVTNew may announce.
+// the quiescent cut the round's msgGVTNew may announce. When the acks balance
+// the controller answers the ack with msgGVTNew at once; otherwise it first
+// sends the drain target, and the worker reports its minimum after draining.
 func (w *worker) gvtParticipate() (done bool) {
-	ack := w.msgPool.get()
-	ack.Clock = w.clock
-	ack.Modes = w.modeProposals()
-	ack.Processed = w.execTotal
-	ack.Nulls = w.nullsSent
-	if w.cfg.Migrate != nil {
-		ack.Loads = w.buildLoads()
-	}
-	if !w.countedDrain(ack) {
-		return true
-	}
-	mm := w.msgPool.get()
-	mm.Kind, mm.Min, mm.Clock = msgGVTMin, w.localMin(), w.clock
-	w.ep.Send(0, mm)
+	w.sendAck()
 	for {
 		m := w.roundRecv()
 		if w.stopped {
 			return true
 		}
-		if m == nil || m.Kind != msgGVTNew {
+		if m == nil {
 			continue
 		}
-		cut := m.Ckpt || len(m.Moves) > 0
-		w.cutMoves = append(w.cutMoves[:0], m.Moves...)
-		done = w.applyGVTNew(m)
-		w.msgPool.put(m)
-		if cut && !done {
-			return w.cutParticipate()
+		switch m.Kind {
+		case msgGVTDrain:
+			expect := m.Expect
+			w.msgPool.put(m)
+			if !w.drainTo(expect) {
+				return true
+			}
+			mm := w.msgPool.get()
+			mm.Kind, mm.Min, mm.Clock = msgGVTMin, w.localMin(), w.clock
+			w.ep.Send(0, mm)
+		case msgGVTNew:
+			return w.gvtNew(m)
 		}
-		return done
 	}
 }
 
+// gvtNew applies a msgGVTNew, whichever round shape it ends, and takes part
+// in the cut it may announce.
+func (w *worker) gvtNew(m *Msg) (done bool) {
+	cut := m.Ckpt || len(m.Moves) > 0
+	w.cutMoves = append(w.cutMoves[:0], m.Moves...)
+	done = w.applyGVTNew(m)
+	w.msgPool.put(m)
+	if cut && !done {
+		return w.cutParticipate()
+	}
+	return done
+}
+
+// localMin is the minimum unprocessed timestamp here: pending events (only
+// active LPs hold any) and deferred sends.
 func (w *worker) localMin() vtime.VT {
 	min := vtime.Inf
-	for _, lp := range w.owned {
+	for _, lp := range w.active {
 		if ts := lp.pending.MinTS(); ts.Less(min) {
 			min = ts
 		}
@@ -1154,13 +1222,23 @@ func (w *worker) applyGVTNew(m *Msg) bool {
 	}
 	w.drainLocal() // anti-messages from commit-point rollbacks
 
-	for _, lp := range w.owned {
+	// Inactive LPs have no history, no counters and nothing to requeue. The
+	// pass routes nothing, so the list can be compacted in place.
+	keep := w.active[:0]
+	for _, lp := range w.active {
 		w.fossil(lp, m.Done)
 		lp.execs, lp.rolled, lp.wakes, lp.blockedHits = 0, 0, 0, 0
 		w.requeue(lp)
-		if !m.Done && w.cfg.Lookahead && lp.mode == Conservative {
-			w.sendNulls(lp)
+		if lp.pending.Len() > 0 || len(lp.processed) > 0 {
+			keep = append(keep, lp)
+		} else {
+			lp.active = false
 		}
+	}
+	clear(w.active[len(keep):])
+	w.active = keep
+	if !m.Done {
+		w.advertise() // a GVT advance may improve every conservative promise
 	}
 	if w.memTrack && !m.Done {
 		w.cancelback()
@@ -1294,13 +1372,13 @@ func (w *worker) fossil(lp *lpRT, done bool) {
 }
 
 // modeProposals implements the self-adaptation heuristic of the dynamic
-// protocol over the last adaptation window.
-func (w *worker) modeProposals() []ModePair {
+// protocol over the last adaptation window, appending to props. An LP with
+// zero counters proposes nothing, so only active LPs are visited.
+func (w *worker) modeProposals(props []ModePair) []ModePair {
 	if w.cfg.Protocol != ProtoDynamic {
-		return nil
+		return props
 	}
-	var props []ModePair
-	for _, lp := range w.owned {
+	for _, lp := range w.active {
 		// Cooldown: a freshly adapted LP holds its mode for adaptCooldown
 		// rounds.
 		if lp.switchRound != 0 && w.roundNo-lp.switchRound < adaptCooldown {

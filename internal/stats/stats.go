@@ -74,6 +74,7 @@ type Snapshot struct {
 	LocalMsgs     uint64 // same-worker events
 	RemoteMsgs    uint64 // cross-worker events
 	GVTRounds     uint64 // global synchronizations
+	GVTShortcuts  uint64 // of GVTRounds, those committed from idle notices alone (no pause)
 	ModeSwitches  uint64 // dynamic protocol mode changes
 	StateSaves    uint64 // snapshots taken
 	Fossils       uint64 // history records reclaimed
@@ -113,9 +114,9 @@ func (s Snapshot) Efficiency() float64 {
 // String renders the snapshot as a compact single line. Supervision counters
 // are appended only when nonzero so the common report stays short.
 func (s Snapshot) String() string {
-	out := fmt.Sprintf("events=%d rollbacks=%d rolledback=%d antis=%d annih=%d orphans=%d nulls=%d local=%d remote=%d gvt=%d switches=%d eff=%.3f",
+	out := fmt.Sprintf("events=%d rollbacks=%d rolledback=%d antis=%d annih=%d orphans=%d nulls=%d local=%d remote=%d gvt=%d shortcuts=%d switches=%d eff=%.3f",
 		s.Events, s.Rollbacks, s.RolledBack, s.Antis, s.Annihilated, s.OrphanAntis, s.Nulls,
-		s.LocalMsgs, s.RemoteMsgs, s.GVTRounds, s.ModeSwitches, s.Efficiency())
+		s.LocalMsgs, s.RemoteMsgs, s.GVTRounds, s.GVTShortcuts, s.ModeSwitches, s.Efficiency())
 	if s.MemThrottled != 0 || s.Cancelbacks != 0 {
 		out += fmt.Sprintf(" memthrottled=%d cancelbacks=%d", s.MemThrottled, s.Cancelbacks)
 	}

@@ -49,8 +49,9 @@ import (
 // frame.go; version 6 added msgPhase, the sharded runs' step message, and
 // retired the cross-shard event payload; version 7 dropped the adaptive GVT
 // interval from msgGVTNew; version 8 dropped the blocked-LP list from
-// msgGVTAck.
-const protocolVersion = 8
+// msgGVTAck; version 9 moved Round from msgGVTPause to msgGVTAck, added the
+// local minimum to msgGVTAck, and made msgIdle carry the ack's fields.
+const protocolVersion = 9
 
 // helloTimeout bounds how long each side waits for the handshake exchange.
 const helloTimeout = 10 * time.Second

@@ -47,10 +47,9 @@ func TestWireFIFOAndRouting(t *testing.T) {
 	defer hub.Close()
 	defer peer.Close()
 
-	// Endpoint 1 -> endpoint 0 across the wire, in order. Kind 2 (a GVT
-	// pause) is the kind that carries Round; a kind outside the protocol
-	// does not encode.
-	const kind = 2
+	// Endpoint 1 -> endpoint 0 across the wire, in order. Kind 3 (a GVT
+	// ack) carries Round; a kind outside the protocol does not encode.
+	const kind = 3
 	e1 := peer.Endpoint(1)
 	for i := uint64(0); i < 100; i++ {
 		e1.Send(0, &pdes.Msg{Kind: kind, Round: i})

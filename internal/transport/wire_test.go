@@ -145,7 +145,8 @@ func TestEarlyDialerWaitsForFormation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer early.Close()
-	early.Endpoint(2).Send(1, &pdes.Msg{Kind: 2, Round: 41})
+	// Kind 3, a GVT ack, carries Round.
+	early.Endpoint(2).Send(1, &pdes.Msg{Kind: 3, Round: 41})
 	time.Sleep(20 * time.Millisecond) // let the hub read the frame before endpoint 1 exists
 	late, err := Dial(addr, 3, []int{1})
 	if err != nil {
