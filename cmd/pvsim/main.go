@@ -26,7 +26,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"govhdl"
@@ -35,7 +34,6 @@ import (
 	"govhdl/internal/faultinject"
 	"govhdl/internal/pdes"
 	"govhdl/internal/runopts"
-	"govhdl/internal/supervise"
 	"govhdl/internal/trace"
 	"govhdl/internal/transport"
 	"govhdl/internal/vhdl/lint"
@@ -250,16 +248,6 @@ func run(o runOpts) error {
 			fmt.Fprintf(o.stdout, "restoring from %s (GVT %v, round %d)\n", gen, cf.Ckpt.GVT, cf.Ckpt.Round)
 		}
 	}
-	// With an elastic migrate policy the transport maintains an epoch-numbered
-	// cluster view; the on-death recovery decision (migrate onto the survivors
-	// vs full absorb) reads the FIRST view that records a death, not the
-	// latest: once the run fails, teardown drops every remaining connection
-	// and the views that follow report those cascading disconnects, not the
-	// fault. The survivor count at the fault instant is the policy input.
-	var (
-		viewMu    sync.Mutex
-		deathView transport.View
-	)
 	switch {
 	case o.Listen != "" || o.Connect != "":
 		hosted, perr := runopts.ParseInts(o.hosted)
@@ -267,17 +255,6 @@ func run(o runOpts) error {
 			return fmt.Errorf("distributed mode needs -hosted (comma-separated endpoint ids)")
 		}
 		topts := []transport.Option{transport.WithHeartbeat(o.hbInterval, o.hbTimeout)}
-		if o.MigratePolicy == "on-death" || o.MigratePolicy == "balance" {
-			topts = append(topts, transport.WithOnViewChange(func(v transport.View) {
-				viewMu.Lock()
-				if deathView.Epoch == 0 && v.AliveCount() < len(v.Members) {
-					deathView = v
-				}
-				viewMu.Unlock()
-				fmt.Fprintf(o.stderr, "pvsim: cluster view epoch %d: %d/%d members alive\n",
-					v.Epoch, v.AliveCount(), len(v.Members))
-			}))
-		}
 		if o.FaultKillWrites > 0 {
 			plan := faultinject.Plan{Seed: o.faultSeed, KillAfterWrites: o.FaultKillWrites}
 			topts = append(topts, transport.WithConnWrapper(plan.Conn()))
@@ -319,23 +296,8 @@ func run(o runOpts) error {
 				attempt, err)
 		}
 		// The recovery run may not fit the dead cluster's worker count on
-		// this host, and under -migrate-policy=on-death it is further bounded
-		// by the workers the survivors of the first recorded death hosted.
+		// this host.
 		avail := runtime.GOMAXPROCS(0)
-		if o.MigratePolicy == "on-death" {
-			viewMu.Lock()
-			v := deathView
-			viewMu.Unlock()
-			if w, migrate := supervise.SurvivorWorkers(so.Workers, v.AliveWorkers(), v.AliveCount(), o.MinNodes); migrate {
-				if w < avail {
-					avail = w
-				}
-				fmt.Fprintf(o.stderr, "pvsim: failover: migrating the dead node's LPs onto %d surviving workers (view epoch %d)\n",
-					w, v.Epoch)
-			} else {
-				fmt.Fprintf(o.stderr, "pvsim: failover: too few survivors (view epoch %d); absorbing every LP locally\n", v.Epoch)
-			}
-		}
 		if so.Workers > avail {
 			fmt.Fprintf(o.stderr, "pvsim: failover: clamping %d workers to %d for the recovery run\n", so.Workers, avail)
 		}

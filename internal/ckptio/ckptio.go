@@ -29,7 +29,9 @@
 // the previous good generation set or the complete new one, never a torn
 // file. Generation rotation (path -> path.1 -> path.2 ...) happens before the
 // rename; each generation is a self-contained verified frame, so a crash
-// mid-rotation still leaves only verifiable (or detectably corrupt) files.
+// mid-rotation still leaves only verifiable (or detectably corrupt) files,
+// with at most one generation — path itself, when the crash comes just
+// before the final rename — missing from the lineage. Recover skips it.
 package ckptio
 
 import (
@@ -287,25 +289,33 @@ func Write(path string, keep int, f *File) error {
 
 // Recover loads the newest verifiable generation of the lineage rooted at
 // path: it tries path, then path.1, path.2, ... and returns the first
-// generation that verifies, its path, and the verification errors of every
-// newer generation it had to skip. When no generation verifies, the error
-// joins every failure so the operator sees the whole lineage's diagnosis.
+// generation that verifies, its path, and the errors of every newer
+// generation it had to skip, a missing one included. A crash inside Write
+// leaves at most one generation missing, so two missing in a row end the
+// lineage. When no generation exists the error is path's IsNotExist; when
+// none verifies, the error joins every failure so the operator sees the
+// whole lineage's diagnosis.
 func Recover(path string) (f *File, gen string, skipped []error, err error) {
 	var failures []error
+	missing := 0 // consecutive missing generations
 	for n := 0; ; n++ {
 		p := GenPath(path, n)
 		f, rerr := Read(p)
 		if rerr == nil {
 			return f, p, failures, nil
 		}
-		if os.IsNotExist(rerr) {
-			if n == 0 {
-				return nil, "", nil, rerr
-			}
-			failures = append(failures, rerr)
-			return nil, "", nil, fmt.Errorf("ckptio: no verifiable generation under %s: %w", path, errors.Join(failures...))
-		}
 		failures = append(failures, rerr)
+		if !os.IsNotExist(rerr) {
+			missing = 0
+			continue
+		}
+		if missing++; missing < 2 {
+			continue
+		}
+		if n == 1 {
+			return nil, "", nil, failures[0]
+		}
+		return nil, "", nil, fmt.Errorf("ckptio: no verifiable generation under %s: %w", path, errors.Join(failures...))
 	}
 }
 

@@ -326,6 +326,31 @@ func TestRecoverAllCorrupt(t *testing.T) {
 	}
 }
 
+// TestRecoverMissingNewest: a crash inside Write after the rotation and
+// before the final rename leaves no path but a verifiable path.1; Recover
+// must fall back to it and report the missing newest generation.
+func TestRecoverMissingNewest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.gvcp")
+	for round := uint64(1); round <= 2; round++ {
+		if err := Write(path, 3, sampleFile(round)); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	f, gen, skipped, err := Recover(path)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if gen != GenPath(path, 1) || f.Ckpt.Round != 1 {
+		t.Fatalf("recovered round %d from %s, want round 1 from generation 1", f.Ckpt.Round, gen)
+	}
+	if len(skipped) != 1 || !os.IsNotExist(skipped[0]) {
+		t.Fatalf("skipped = %v, want the missing newest generation", skipped)
+	}
+}
+
 func TestRecoverMissing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent.gvcp")
 	_, _, _, err := Recover(path)

@@ -158,12 +158,12 @@ func NewBalancePlanner(bc BalanceConfig) MigrationPlanner {
 }
 
 // RemapCheckpoint regroups a checkpoint's per-LP state for a different worker
-// count than the cut was taken with: the supervisor's migrate-onto-survivors
-// recovery. Every LP's committed log, pending events, channel clocks and mode
-// survive unchanged; only the worker grouping — and therefore the LP-to-worker
-// ownership of the restored run — changes, to the placement a fresh run on
-// that many workers would use. The per-worker event-ID allocators are
-// re-seeded as regroup describes.
+// count than the cut was taken with: a recovery run clamped to the controller
+// host's cores (supervise.PlanRecovery). Every LP's committed log, pending
+// events, channel clocks and mode survive unchanged; only the worker grouping
+// — and therefore the LP-to-worker ownership of the restored run — changes,
+// to the placement a fresh run on that many workers would use. The per-worker
+// event-ID allocators are re-seeded as regroup describes.
 func RemapCheckpoint(ck *Checkpoint, sys *System, workers int) (*Checkpoint, error) {
 	if ck.Format != checkpointFormat {
 		return nil, fmt.Errorf("pdes: remap: checkpoint format %d, want %d", ck.Format, checkpointFormat)

@@ -11,6 +11,7 @@ package runopts
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -51,14 +52,9 @@ type Opts struct {
 	MaxFailovers int
 
 	// MigratePolicy selects live LP migration at GVT rounds: "" or "off"
-	// (none), "on-death" (a dead node's LPs migrate onto the survivors at
-	// failover, with a full absorb only when too few nodes remain), or
-	// "balance" (sustained load imbalance triggers rebalancing moves with a
-	// cooldown). MinNodes is the minimum surviving node count for an
-	// on-death distributed recovery; below it the run falls back to a full
-	// local absorb.
+	// (none), or "balance" (sustained load imbalance triggers rebalancing
+	// moves with a cooldown).
 	MigratePolicy string
-	MinNodes      int
 
 	StallTimeout time.Duration
 	MemBudget    int64
@@ -100,8 +96,7 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 
 	fs.BoolVar(&o.Failover, "failover", false, "on a transport failure, automatically absorb the dead node's LPs and resume from the latest checkpoint (controller process only; needs checkpointing)")
 	fs.IntVar(&o.MaxFailovers, "max-failovers", supervise.DefaultMaxFailovers, "give up after this many automatic failovers")
-	fs.StringVar(&o.MigratePolicy, "migrate-policy", "", "live LP migration at GVT rounds: off, on-death (recovery migrates the dead node's LPs onto the survivors) or balance (sustained load imbalance triggers rebalancing moves)")
-	fs.IntVar(&o.MinNodes, "min-nodes", 0, "with -migrate-policy=on-death: migrate only while at least this many cluster nodes survive; below it recovery falls back to a full local absorb")
+	fs.StringVar(&o.MigratePolicy, "migrate-policy", "", "live LP migration at GVT rounds: off or balance (sustained load imbalance triggers rebalancing moves)")
 	fs.DurationVar(&o.StallTimeout, "stall-timeout", 0, "fail the run if committed GVT does not advance for this long; 0 disables the watchdog")
 	fs.Int64Var(&o.MemBudget, "mem-budget", 0, "bound tracked optimistic memory (events, snapshots, anti-message records) to this many bytes; 0 = unbounded")
 
@@ -209,28 +204,15 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 	}
 	switch o.MigratePolicy {
 	case "", "off":
-		if o.MinNodes != 0 {
-			return fmt.Errorf("-min-nodes needs -migrate-policy=on-death: it bounds when a death falls back to a full absorb")
-		}
-	case "on-death", "balance":
+	case "balance":
 		if proto == pdes.ProtoSequential {
 			return fmt.Errorf("-migrate-policy needs a parallel protocol")
 		}
 		if o.Listen == "" && o.Connect == "" {
-			return fmt.Errorf("-migrate-policy=%s needs a distributed run (-listen or -connect): live LP migration moves state between cluster nodes", o.MigratePolicy)
-		}
-		if o.MigratePolicy == "on-death" {
-			if o.Connect == "" && !o.Failover {
-				return fmt.Errorf("-migrate-policy=on-death needs -failover on the controller process: the dead node's LPs migrate when recovery reruns from the latest cut")
-			}
-			if o.MinNodes < 0 {
-				return fmt.Errorf("-min-nodes must be >= 0")
-			}
-		} else if o.MinNodes != 0 {
-			return fmt.Errorf("-min-nodes needs -migrate-policy=on-death: it bounds when a death falls back to a full absorb")
+			return fmt.Errorf("-migrate-policy=balance needs a distributed run (-listen or -connect): live LP migration moves state between cluster nodes")
 		}
 	default:
-		return fmt.Errorf("-migrate-policy must be off, on-death or balance, got %q", o.MigratePolicy)
+		return fmt.Errorf("-migrate-policy must be off or balance, got %q", o.MigratePolicy)
 	}
 	if o.StallTimeout < 0 {
 		return fmt.Errorf("-stall-timeout must be >= 0 (0 disables the watchdog)")
@@ -297,7 +279,8 @@ func ParseProtocol(s string) (pdes.Protocol, error) {
 	return 0, fmt.Errorf("unknown protocol %q", s)
 }
 
-// ParseTime parses "100ns", "2us", "1ms", "42" (bare femtoseconds).
+// ParseTime parses "100ns", "2us", "1ms", "42" (bare femtoseconds). A value
+// beyond the largest vtime.Time is a bad time, not a wrapped one.
 func ParseTime(s string) (vtime.Time, error) {
 	units := []struct {
 		suffix string
@@ -309,7 +292,7 @@ func ParseTime(s string) (vtime.Time, error) {
 	for _, u := range units {
 		if strings.HasSuffix(s, u.suffix) {
 			n, err := strconv.ParseUint(strings.TrimSuffix(s, u.suffix), 10, 64)
-			if err != nil {
+			if err != nil || n > math.MaxUint64/uint64(u.mult) {
 				return 0, fmt.Errorf("bad time %q", s)
 			}
 			return vtime.Time(n) * u.mult, nil

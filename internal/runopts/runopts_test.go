@@ -22,6 +22,9 @@ func TestParseTime(t *testing.T) {
 		"7fs":   7,
 		"3sec":  3 * vtime.S,
 		"42":    42,
+		// The largest horizons that fit a vtime.Time.
+		"18000sec":             18000 * vtime.S,
+		"18446744073709551615": 18446744073709551615,
 	}
 	for in, want := range cases {
 		got, err := ParseTime(in)
@@ -29,7 +32,8 @@ func TestParseTime(t *testing.T) {
 			t.Errorf("ParseTime(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "ns", "1.5ns", "x42", "10 ns"} {
+	// "20000sec" and "30000000ms" overflow a vtime.Time: rejected, not wrapped.
+	for _, bad := range []string{"", "ns", "1.5ns", "x42", "10 ns", "20000sec", "30000000ms"} {
 		if _, err := ParseTime(bad); err == nil {
 			t.Errorf("ParseTime(%q) accepted", bad)
 		}
@@ -192,7 +196,7 @@ var validateCases = []struct {
 		o.MigratePolicy = "on-death"
 		o.Failover = true
 		o.CkptRounds = 1
-	}, pdes.ProtoDynamic, "needs a distributed run"},
+	}, pdes.ProtoDynamic, "-migrate-policy must be off or balance"},
 	{"migrate under seq", func(o *Opts) {
 		o.MigratePolicy = "balance"
 		o.Listen = ":0"
@@ -212,31 +216,14 @@ var validateCases = []struct {
 		o.MigratePolicy = "on-death"
 		o.Listen = ":0"
 		o.Endpoints = 3
-	}, pdes.ProtoDynamic, "needs -failover"},
-	{"on-death ok", func(o *Opts) {
+	}, pdes.ProtoDynamic, "-migrate-policy must be off or balance"},
+	{"on-death with failover refused", func(o *Opts) {
 		o.MigratePolicy = "on-death"
 		o.Listen = ":0"
 		o.Endpoints = 3
 		o.Failover = true
 		o.CkptRounds = 1
-	}, pdes.ProtoDynamic, ""},
-	{"on-death with min-nodes ok", func(o *Opts) {
-		o.MigratePolicy = "on-death"
-		o.Listen = ":0"
-		o.Endpoints = 4
-		o.Failover = true
-		o.CkptRounds = 1
-		o.MinNodes = 2
-	}, pdes.ProtoDynamic, ""},
-	{"min-nodes without migrate policy", func(o *Opts) {
-		o.MinNodes = 2
-	}, pdes.ProtoDynamic, "-min-nodes needs -migrate-policy"},
-	{"min-nodes with balance", func(o *Opts) {
-		o.MigratePolicy = "balance"
-		o.Listen = ":0"
-		o.Endpoints = 3
-		o.MinNodes = 2
-	}, pdes.ProtoDynamic, "-min-nodes needs -migrate-policy"},
+	}, pdes.ProtoDynamic, "-migrate-policy must be off or balance"},
 }
 
 func TestValidate(t *testing.T) {
@@ -287,7 +274,6 @@ func flagArgs(o, def Opts) []string {
 	add("failover", o.Failover, def.Failover)
 	add("max-failovers", o.MaxFailovers, def.MaxFailovers)
 	add("migrate-policy", o.MigratePolicy, def.MigratePolicy)
-	add("min-nodes", o.MinNodes, def.MinNodes)
 	add("stall-timeout", o.StallTimeout, def.StallTimeout)
 	add("mem-budget", o.MemBudget, def.MemBudget)
 	add("fault-kill-writes", o.FaultKillWrites, def.FaultKillWrites)

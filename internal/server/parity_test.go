@@ -39,7 +39,7 @@ func TestRequestResolvesLikeFlags(t *testing.T) {
 		{"bad migrate policy", SessionRequest{Circuit: "fsm", MigratePolicy: "chaos"}, []string{"-circuit", "fsm", "-migrate-policy", "chaos"}},
 		{"cluster policy in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "balance"}, []string{"-circuit", "fsm", "-migrate-policy", "balance"}},
 		{"on-death in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "on-death"}, []string{"-circuit", "fsm", "-migrate-policy", "on-death"}},
-		{"min-nodes without policy", SessionRequest{Circuit: "fsm", MinNodes: 2}, []string{"-circuit", "fsm", "-min-nodes", "2"}},
+		{"until overflows", SessionRequest{Circuit: "fsm", Until: "20000sec"}, []string{"-circuit", "fsm", "-until", "20000sec"}},
 		{"user ordering under dynamic", SessionRequest{Circuit: "fsm", UserConsistent: true, Workers: 1, SaveEvery: 1}, []string{"-circuit", "fsm", "-user"}},
 	}
 	for _, c := range cases {

@@ -95,9 +95,9 @@ type Server struct {
 	lintRuns     int // lint passes executed: design-cache misses + /v1/lint calls; a hit runs none
 	lintFindings int // total diagnostics those passes produced
 
-	// Elasticity counters, aggregated from finished sessions' engine metrics.
+	// Migration counters, aggregated from finished sessions' engine metrics.
 	migrations    uint64 // LPs moved between workers at migration cuts
-	viewChanges   uint64 // cluster/ownership view epochs those cuts published
+	viewChanges   uint64 // migration cuts (ownership changes) those sessions made
 	forwardedMsgs uint64 // messages re-routed to an LP's new owner in handoff
 
 	wg sync.WaitGroup // running session goroutines
@@ -202,12 +202,11 @@ type SessionRequest struct {
 	// Rebalance enables live LP migration between the session's workers at
 	// GVT rounds under sustained load imbalance (govhdl.Options.Rebalance).
 	Rebalance bool `json:"rebalance,omitempty"`
-	// MigratePolicy and MinNodes exist for validation parity with the pvsim
-	// CLI: cluster-level migration policies need a distributed run, which a
-	// server session never is, so any non-off value is rejected with the
-	// same message `pvsim -migrate-policy` would print (a 400 here).
+	// MigratePolicy exists for validation parity with the pvsim CLI: a
+	// migration policy needs a distributed run, which a server session never
+	// is, so any non-off value is rejected with the same message `pvsim
+	// -migrate-policy` would print (a 400 here).
 	MigratePolicy string `json:"migrate_policy,omitempty"`
-	MinNodes      int    `json:"min_nodes,omitempty"`
 
 	// Vet gates the submission on design lint: error findings reject it with
 	// 422 and the lint report as the body. VetStrict also rejects warnings.
@@ -257,7 +256,6 @@ func (req *SessionRequest) runOpts() (runopts.Opts, error) {
 		MemBudget:     req.MemBudget,
 		StallTimeout:  stallTimeout,
 		MigratePolicy: req.MigratePolicy,
-		MinNodes:      req.MinNodes,
 		Vet:           req.Vet,
 		VetStrict:     req.VetStrict,
 	}, nil

@@ -484,16 +484,16 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"unknown circuit", SessionRequest{Circuit: "nosuch"}, "unknown circuit"},
 		{"bad protocol", SessionRequest{Circuit: "fsm", Protocol: "warp9"}, "unknown protocol"},
 		{"bad until", SessionRequest{Circuit: "fsm", Until: "10 parsecs"}, "bad until"},
+		{"until overflows", SessionRequest{Circuit: "fsm", Until: "20000sec"}, "bad until"},
 		{"compile error", SessionRequest{Top: "x", Sources: []SourceRequest{{Name: "x.vhd", Text: "entity ; garbage"}}}, ""},
 		{"too many workers", SessionRequest{Circuit: "fsm", Workers: 99}, "workers must be <="},
 		{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, "-mem-budget"},
 		{"huge deadline", SessionRequest{Circuit: "fsm", Deadline: "24h"}, "deadline must be <="},
-		// CLI/HTTP parity: cluster-level migration policies need a distributed
-		// run, which a server session never is. Same messages as pvsim.
+		// CLI/HTTP parity: a migration policy needs a distributed run, which
+		// a server session never is. Same messages as pvsim.
 		{"bad migrate policy", SessionRequest{Circuit: "fsm", MigratePolicy: "chaos"}, "-migrate-policy must be"},
 		{"migrate policy in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "balance"}, "needs a distributed run"},
-		{"on-death in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "on-death"}, "needs a distributed run"},
-		{"min-nodes without policy", SessionRequest{Circuit: "fsm", MinNodes: 2}, "-min-nodes needs -migrate-policy"},
+		{"on-death in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "on-death"}, "-migrate-policy must be off or balance"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -83,7 +83,7 @@ type Snapshot struct {
 	MemThrottled  uint64 // scheduling decisions withheld by the memory budget
 	Cancelbacks   uint64 // budget-driven rollbacks of furthest-ahead LPs
 	Migrations    uint64 // LPs moved between workers at migration cuts
-	ViewChanges   uint64 // cluster view epochs observed (membership churn + migration cuts)
+	ViewChanges   uint64 // migration cuts
 	ForwardedMsgs uint64 // messages re-routed to an LP's new owner during handoff
 	LateForwards  uint64 // forwards arriving after the nominal handoff window closed
 	// ExchangeWaitNs is wall-clock time a phase-executor worker spent waiting

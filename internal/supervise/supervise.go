@@ -15,12 +15,11 @@
 // Recovery shape. By default an absorb run keeps the same Config.Workers
 // (the paper's LP-to-processor mapping is a partition over a fixed worker
 // count, and the restored mode/ownership tables are indexed by it); the
-// survivors simply host all workers in one process over the in-process
+// controller's process simply hosts all workers over the in-process
 // fabric. But rerunning a 16-worker cut on a 4-core survivor just thrashes:
 // PlanRecovery clamps the worker count to what the surviving host can
 // actually execute and migrates the checkpoint to the new grouping with
-// pdes.RemapCheckpoint — the dead nodes' LPs land on the survivors' workers
-// instead of being absorbed at the original shape.
+// pdes.RemapCheckpoint instead of absorbing it at the original shape.
 package supervise
 
 import (
@@ -103,21 +102,6 @@ func PlanRecovery(sys *pdes.System, ck *pdes.Checkpoint, origWorkers, avail int)
 		plan.Migrated = true
 	}
 	return plan, nil
-}
-
-// SurvivorWorkers applies the on-death policy matrix: when at least minNodes
-// nodes (never fewer than two) survive a death, the recovery runs with the
-// workers those survivors hosted — the dead node's LPs migrate onto them —
-// otherwise it falls back to a full absorb at the original worker count.
-// survivorHosted counts the worker endpoints the surviving nodes host.
-func SurvivorWorkers(orig, survivorHosted, survivors, minNodes int) (workers int, migrate bool) {
-	if minNodes < 2 {
-		minNodes = 2
-	}
-	if survivors < minNodes || survivorHosted < 1 || survivorHosted >= orig {
-		return orig, false
-	}
-	return survivorHosted, true
 }
 
 // Checkpoint records the most recent cut — or seeds the first attempt's

@@ -334,29 +334,6 @@ func TestPlanRecoveryClampAndRemap(t *testing.T) {
 	}
 }
 
-// TestSurvivorWorkers pins the on-death policy matrix.
-func TestSurvivorWorkers(t *testing.T) {
-	cases := []struct {
-		orig, hosted, survivors, minNodes int
-		workers                           int
-		migrate                           bool
-	}{
-		{4, 2, 2, 0, 2, true},  // 1 of 3 nodes dies, 2 survive: migrate
-		{4, 2, 1, 0, 4, false}, // hub alone: full absorb
-		{4, 2, 2, 3, 4, false}, // min-nodes 3 not met: full absorb
-		{4, 3, 3, 3, 3, true},  // min-nodes 3 met: migrate
-		{4, 0, 2, 0, 4, false}, // survivors host no workers: full absorb
-		{4, 4, 2, 0, 4, false}, // nothing was lost: keep the shape
-	}
-	for _, c := range cases {
-		w, m := SurvivorWorkers(c.orig, c.hosted, c.survivors, c.minNodes)
-		if w != c.workers || m != c.migrate {
-			t.Errorf("SurvivorWorkers(%d,%d,%d,%d) = (%d,%v), want (%d,%v)",
-				c.orig, c.hosted, c.survivors, c.minNodes, w, m, c.workers, c.migrate)
-		}
-	}
-}
-
 // TestFailoverMigratesToSurvivors is the kill-one-of-three chaos scenario
 // with migration instead of full absorb: the primary 4-worker run dies
 // mid-run, and the recovery — planned for a 2-core survivor — resumes from

@@ -7,12 +7,11 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"govhdl/internal/pdes"
 )
 
-// Wire format, protocol version 8. Everything on a connection is a frame:
+// Wire format, protocol version 10. Everything on a connection is a frame:
 //
 //	[u32 big-endian body length | body],  body = [type u8 | ...]
 //
@@ -21,9 +20,9 @@ import (
 // injection has a crisp unit to count. Bodies are hand-coded with
 // pdes.WireEncoder (see internal/pdes/wire.go for the primitives):
 //
-//	frameHello      version, total, standby, hosted endpoints
+//	frameHello      version, total, hosted endpoints
 //	frameHelloAck   ok, diagnosis
-//	frameHeartbeat  optional membership View
+//	frameHeartbeat  nothing: the type byte alone
 //	frameMsgs       dst, count, then count messages (pdes.EncodeMsg)
 const (
 	frameHello byte = 1 + iota
@@ -57,9 +56,9 @@ type conn struct {
 	batch []*pdes.Msg // messages of the frame being decoded
 	mu    sync.Mutex  // serializes writes; guards enc
 	enc   pdes.WireEncoder
-	// viewSent is the newest view epoch pushed over this connection (hub
-	// only); the heartbeat loop piggybacks the view when it lags.
-	viewSent atomic.Uint64
+	// hosted is what the process at the other end claimed in its hello (hub
+	// only; nil on a dialer, whose one connection is the hub's).
+	hosted []int
 }
 
 func newConn(c net.Conn) *conn {
@@ -119,7 +118,6 @@ func (cn *conn) sendHello(h hello) error {
 	e := cn.begin(frameHello)
 	e.Varint(int64(h.Version))
 	e.Varint(int64(h.Total))
-	e.Bool(h.Standby)
 	encodeInts(e, h.Hosted)
 	return cn.flush()
 }
@@ -133,22 +131,11 @@ func (cn *conn) sendAck(a helloAck) error {
 	return cn.flush()
 }
 
-// sendHeartbeat sends a liveness frame, carrying v when non-nil.
-func (cn *conn) sendHeartbeat(v *View) error {
+// sendHeartbeat sends a liveness frame.
+func (cn *conn) sendHeartbeat() error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	e := cn.begin(frameHeartbeat)
-	e.Bool(v != nil)
-	if v != nil {
-		e.Uvarint(v.Epoch)
-		e.Count(len(v.Members), v.Members == nil)
-		for _, m := range v.Members {
-			e.String(m.Addr)
-			encodeInts(e, m.Hosted)
-			e.Bool(m.Alive)
-			e.Bool(m.Standby)
-		}
-	}
+	cn.begin(frameHeartbeat)
 	return cn.flush()
 }
 
@@ -204,7 +191,6 @@ func decodeHello(body []byte) (hello, error) {
 		return h, nil
 	}
 	h.Total = d.Int()
-	h.Standby = d.Bool()
 	h.Hosted = decodeInts(d)
 	return h, finish(d, "hello")
 }
@@ -216,27 +202,6 @@ func decodeAck(body []byte) (helloAck, error) {
 	}
 	a := helloAck{OK: d.Bool(), Err: d.String()}
 	return a, finish(d, "hello-ack")
-}
-
-// decodeHeartbeat returns the view a heartbeat carries, nil for a bare one.
-func decodeHeartbeat(body []byte) (*View, error) {
-	d := new(pdes.WireDecoder)
-	if err := openFrame(d, body, frameHeartbeat); err != nil {
-		return nil, err
-	}
-	var v *View
-	if d.Bool() {
-		v = &View{Epoch: d.Uvarint()}
-		// A member is at least an address length, a hosted count and two
-		// flags.
-		if n, ok := d.Count(4); ok {
-			v.Members = make([]Member, n)
-		}
-		for i := range v.Members {
-			v.Members[i] = Member{Addr: d.String(), Hosted: decodeInts(d), Alive: d.Bool(), Standby: d.Bool()}
-		}
-	}
-	return v, finish(d, "heartbeat")
 }
 
 // msgsHeader points d at a frameMsgs body and reads its destination and

@@ -44,10 +44,10 @@ func frameBytes(t testing.TB, write func(cn *conn) error) []byte {
 // pdes measures that last property on the message decoder).
 func FuzzDecodeFrame(f *testing.F) {
 	ev := func() *pdes.Event { return &pdes.Event{TS: vtime.VT{PT: 7, LT: 1}, Src: 2, Dst: 3, Kind: 1} }
-	f.Add(frameBytes(f, func(cn *conn) error { return cn.sendHeartbeat(nil) }))
-	f.Add(frameBytes(f, func(cn *conn) error {
-		return cn.sendHeartbeat(&View{Epoch: 3, Members: []Member{{Addr: "127.0.0.1:9", Hosted: []int{0, 1}, Alive: true}, {Addr: "b", Standby: true}}})
-	}))
+	f.Add(frameBytes(f, func(cn *conn) error { return cn.sendHeartbeat() }))
+	// A protocol-9 heartbeat (type byte, then a has-view flag): trailing
+	// bytes now.
+	f.Add([]byte{0, 0, 0, 2, frameHeartbeat, 0})
 	f.Add(frameBytes(f, func(cn *conn) error { return cn.sendMsgs(1, &pdes.Msg{Kind: 0, From: 2, Ev: ev()}) }))
 	f.Add(frameBytes(f, func(cn *conn) error {
 		if err := cn.sendMsgs(0, &pdes.Msg{Kind: 6, From: 1, GVT: vtime.VT{PT: 5}}); err != nil {

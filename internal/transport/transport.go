@@ -16,14 +16,10 @@
 // connection is torn down so peers notice promptly, and every hosted
 // endpoint's Recv/TryRecv returns poison messages that make the PDES
 // workers and controller unwind cleanly out of RunOn with a diagnosed
-// error. There is no transparent reconnection; recovery is by restarting
-// the cluster from a GVT-consistent checkpoint (pdes.Checkpoint).
-//
-// The opt-in membership layer (membership.go) softens the edges of that
-// model: an epoch-numbered cluster view records joins and deaths, standby
-// members come and go without failing anyone, and a participant's death is
-// published as a view change before the node fails — so recovery policy
-// knows exactly what was lost.
+// error. On the hub, the error of a dead connection names the endpoints its
+// process hosted. There is no transparent reconnection; recovery is by
+// restarting from a GVT-consistent checkpoint (pdes.Checkpoint), which the
+// controller's -failover does in-process.
 //
 // Every participating process must construct an identical System and Config
 // and call pdes.RunOn with its node's endpoints.
@@ -34,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +47,10 @@ import (
 // retired the cross-shard event payload; version 7 dropped the adaptive GVT
 // interval from msgGVTNew; version 8 dropped the blocked-LP list from
 // msgGVTAck; version 9 moved Round from msgGVTPause to msgGVTAck, added the
-// local minimum to msgGVTAck, and made msgIdle carry the ack's fields.
-const protocolVersion = 9
+// local minimum to msgGVTAck, and made msgIdle carry the ack's fields;
+// version 10 dropped the standby flag from the hello and the membership view
+// from the heartbeat, which is now its type byte alone.
+const protocolVersion = 10
 
 // helloTimeout bounds how long each side waits for the handshake exchange.
 const helloTimeout = 10 * time.Second
@@ -63,14 +62,11 @@ const helloTimeout = 10 * time.Second
 func RegisterGob() {}
 
 // hello announces a joining process's hosted endpoints. The hub validates
-// every claim before admitting the connection. Standby marks a member that
-// hosts nothing yet (see DialStandby); it is only admissible when the hub
-// runs with membership enabled.
+// every claim before admitting the connection.
 type hello struct {
 	Version int
 	Total   int
 	Hosted  []int
-	Standby bool
 }
 
 // helloAck is the hub's verdict on a hello.
@@ -87,9 +83,6 @@ type options struct {
 	dialBackoff    time.Duration
 	dialBackoffCap time.Duration
 	wrap           func(net.Conn) net.Conn
-	onError        func(error)
-	membership     bool
-	onView         func(View)
 }
 
 func defaultOptions() options {
@@ -127,12 +120,6 @@ func WithConnWrapper(wrap func(net.Conn) net.Conn) Option {
 	return func(o *options) { o.wrap = wrap }
 }
 
-// WithOnError registers a callback invoked exactly once, with the first
-// transport error, when the node fails.
-func WithOnError(f func(error)) Option {
-	return func(o *options) { o.onError = f }
-}
-
 // Node is this process's attachment to the cluster.
 type Node struct {
 	total  int
@@ -142,9 +129,8 @@ type Node struct {
 
 	mu       sync.Mutex
 	conns    map[int]*conn // remote endpoint id -> connection that hosts it
-	live     []*conn       // every started connection, standbys included
+	live     []*conn       // every started connection
 	firstErr error
-	lns      net.Listener
 
 	failed    chan struct{} // closed on first transport error
 	formed    chan struct{} // hub: closed once every endpoint is claimed
@@ -153,12 +139,6 @@ type Node struct {
 	closeOnce sync.Once
 	closed    atomic.Bool // deliberate shutdown: late conn errors are expected
 	wg        sync.WaitGroup
-
-	// Membership state (membership.go). members is hub-only: it maps each
-	// admitted connection to its index in view.Members.
-	viewMu  sync.Mutex
-	view    View
-	members map[*conn]int
 }
 
 // endpoint is a hosted endpoint's mailbox: an unbounded queue fed whole
@@ -368,10 +348,6 @@ func (n *Node) Err() error {
 	}
 }
 
-// Failed returns a channel closed when the node fails, for callers that
-// want to select on transport death.
-func (n *Node) Failed() <-chan struct{} { return n.failed }
-
 // fail records the first error, wakes every blocked receiver with poison,
 // and tears down all connections so remote peers observe the failure
 // promptly instead of hanging in the GVT protocol.
@@ -382,7 +358,6 @@ func (n *Node) fail(err error) {
 	n.failOnce.Do(func() {
 		n.mu.Lock()
 		n.firstErr = err
-		lns := n.lns
 		conns := append([]*conn(nil), n.live...)
 		n.mu.Unlock()
 		close(n.failed)
@@ -392,12 +367,6 @@ func (n *Node) fail(err error) {
 			ep.mu.Lock()
 			ep.mu.Unlock()
 			ep.wake.Broadcast()
-		}
-		if n.opts.onError != nil {
-			n.opts.onError(err)
-		}
-		if lns != nil {
-			lns.Close()
 		}
 		for _, cn := range conns {
 			cn.c.Close()
@@ -412,12 +381,8 @@ func (n *Node) Close() {
 		n.closed.Store(true)
 		close(n.stopCh)
 		n.mu.Lock()
-		lns := n.lns
 		conns := append([]*conn(nil), n.live...)
 		n.mu.Unlock()
-		if lns != nil {
-			lns.Close()
-		}
 		for _, cn := range conns {
 			cn.c.Close()
 		}
@@ -481,23 +446,32 @@ func (n *Node) drain(cn *conn) {
 			err = n.dispatch(cn, body)
 		}
 		if err != nil {
-			if !n.closed.Load() {
-				n.connDead(cn, err)
-			}
+			n.lost(cn, err)
 			return
 		}
 	}
+}
+
+// lost fails the node for an error on cn. On the hub the error names the
+// endpoints cn's process hosted, so a peer death says who died.
+func (n *Node) lost(cn *conn, err error) {
+	if n.closed.Load() {
+		return
+	}
+	if cn.hosted != nil {
+		err = fmt.Errorf("transport: peer hosting endpoints %v: %s", cn.hosted, strings.TrimPrefix(err.Error(), "transport: "))
+	}
+	n.fail(err)
 }
 
 // dispatch handles one frame from cn.
 func (n *Node) dispatch(cn *conn, body []byte) error {
 	switch body[0] {
 	case frameHeartbeat:
-		v, err := decodeHeartbeat(body)
-		if v != nil && err == nil {
-			n.applyView(v)
+		if len(body) > 1 {
+			return fmt.Errorf("transport: heartbeat frame has %d trailing bytes", len(body)-1)
 		}
-		return err
+		return nil
 	case frameMsgs:
 	default:
 		return fmt.Errorf("transport: unexpected frame type %d mid-stream", body[0])
@@ -567,15 +541,9 @@ func (n *Node) heartbeat(cn *conn) {
 	for {
 		select {
 		case <-t.C:
-			v := n.viewForHeartbeat(cn)
-			if err := cn.sendHeartbeat(v); err != nil {
-				if !n.closed.Load() {
-					n.connDead(cn, fmt.Errorf("transport: heartbeat send: %w", err))
-				}
+			if err := cn.sendHeartbeat(); err != nil {
+				n.lost(cn, fmt.Errorf("transport: heartbeat send: %w", err))
 				return
-			}
-			if v != nil {
-				cn.viewSent.Store(v.Epoch)
 			}
 		case <-n.failed:
 			return
@@ -678,11 +646,8 @@ func (n *Node) vetHello(h *hello, claimed map[int]bool) error {
 // controller). It blocks until every other endpoint has been claimed by a
 // dialing process, validating each claim and rejecting (with a diagnosed
 // helloAck) dialers whose claims conflict — a rejection does not abort
-// cluster formation.
-//
-// With membership enabled (WithMembership / WithOnViewChange) the hub also
-// publishes the epoch-1 cluster view once formed and keeps accepting standby
-// joins afterwards; see membership.go.
+// cluster formation. The listener closes once the cluster has formed, or
+// when the node fails first (an admitted dialer died meanwhile).
 func Listen(addr string, total int, hosted []int, opts ...Option) (*Node, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -698,16 +663,18 @@ func Listen(addr string, total int, hosted []int, opts ...Option) (*Node, error)
 	if err != nil {
 		return nil, err
 	}
+	defer ln.Close()
 	n := newNode(total, hosted, o)
-	n.lns = ln
-	if o.membership {
-		// The hub itself is member 0 of every view.
-		n.view.Members = append(n.view.Members, Member{
-			Addr:   ln.Addr().String(),
-			Hosted: append([]int(nil), hosted...),
-			Alive:  true,
-		})
-	}
+	// A dialer admitted early may die while formation goes on: its failure
+	// aborts the Accept below.
+	go func() {
+		select {
+		case <-n.formed:
+		case <-n.failed:
+		case <-n.stopCh:
+		}
+		ln.Close()
+	}()
 
 	claimed := make(map[int]bool, total)
 	for _, id := range hosted {
@@ -716,19 +683,19 @@ func Listen(addr string, total int, hosted []int, opts ...Option) (*Node, error)
 	for len(claimed) < total {
 		c, err := ln.Accept()
 		if err != nil {
+			if ferr := n.Err(); ferr != nil {
+				err = ferr
+			} else {
+				err = fmt.Errorf("transport: accept: %w", err)
+			}
 			n.Close()
-			return nil, fmt.Errorf("transport: accept: %w", err)
+			return nil, err
 		}
 		if o.wrap != nil {
 			c = o.wrap(c)
 		}
 		cn, h, ok := readHello(c)
 		if !ok {
-			continue
-		}
-		if h.Standby && o.membership {
-			// A standby may join while the cluster is still forming.
-			n.admitStandby(cn, &h)
 			continue
 		}
 		if err := n.vetHello(&h, claimed); err != nil {
@@ -744,17 +711,10 @@ func Listen(addr string, total int, hosted []int, opts ...Option) (*Node, error)
 			claimed[id] = true
 		}
 		n.mu.Unlock()
-		if o.membership {
-			n.addMember(cn, Member{Addr: c.RemoteAddr().String(), Hosted: append([]int(nil), h.Hosted...), Alive: true})
-		}
+		cn.hosted = h.Hosted
 		n.startConn(cn)
 	}
 	close(n.formed)
-	if o.membership {
-		n.initView()
-		n.wg.Add(1)
-		go n.acceptLoop()
-	}
 	return n, nil
 }
 

@@ -81,13 +81,82 @@ func TestHeartbeatTimeout(t *testing.T) {
 
 	muted.Store(true)
 	err := waitErr(t, hub, 5*time.Second)
-	if !strings.Contains(err.Error(), "heartbeat timeout") {
-		t.Fatalf("hub error is not a heartbeat diagnosis: %v", err)
+	if !strings.Contains(err.Error(), "peer hosting endpoints [1]: heartbeat timeout") {
+		t.Fatalf("hub error is not a heartbeat diagnosis naming the peer: %v", err)
 	}
 	// A blocked Recv on the hub's endpoint must have been poisoned.
 	m := hub.Endpoint(0).Recv()
 	if m.Err == nil {
 		t.Fatalf("Recv after failure returned a non-poison message: %+v", m)
+	}
+}
+
+// TestPeerDeathNamesEndpoints: the hub stops accepting once the cluster has
+// formed, and when a peer process exits its error names the endpoints that
+// process hosted.
+func TestPeerDeathNamesEndpoints(t *testing.T) {
+	addr := freeAddr(t)
+	off := WithHeartbeat(0, 0)
+	hubCh := make(chan *Node, 1)
+	go func() {
+		n, err := Listen(addr, 4, []int{0, 1}, off)
+		if err != nil {
+			t.Error(err)
+		}
+		hubCh <- n
+	}()
+	a, err := Dial(addr, 4, []int{2}, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Dial(addr, 4, []int{3}, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := <-hubCh
+	if hub == nil {
+		b.Close()
+		t.FailNow()
+	}
+	defer hub.Close()
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Error("the hub still accepts connections after formation")
+	}
+
+	b.Close()
+	err = waitErr(t, hub, 5*time.Second)
+	if !strings.Contains(err.Error(), "transport: peer hosting endpoints [3]: connection closed by peer") {
+		t.Fatalf("hub error does not name the dead peer's endpoints: %v", err)
+	}
+}
+
+// TestFormationAbortsOnEarlyDialerDeath: a dialer admitted while the
+// cluster is still forming dies; Listen must stop waiting for the rest and
+// report that death instead of blocking in Accept.
+func TestFormationAbortsOnEarlyDialerDeath(t *testing.T) {
+	addr := freeAddr(t)
+	errCh := make(chan error, 1)
+	go func() {
+		n, err := Listen(addr, 3, []int{0}, WithHeartbeat(0, 0))
+		if n != nil {
+			n.Close()
+		}
+		errCh <- err
+	}()
+	p, err := Dial(addr, 3, []int{1}, WithHeartbeat(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	select {
+	case err := <-errCh:
+		if err == nil || !strings.Contains(err.Error(), "peer hosting endpoints [1]") {
+			t.Fatalf("Listen = %v, want the early dialer's death", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Listen still waiting after an admitted dialer died")
 	}
 }
 
@@ -250,6 +319,7 @@ func TestHelloValidation(t *testing.T) {
 		{"v6", hello{Version: 6, Total: 4, Hosted: []int{2}}, "dialer speaks 6"},
 		{"v7", hello{Version: 7, Total: 4, Hosted: []int{2}}, "dialer speaks 7"},
 		{"v8", hello{Version: 8, Total: 4, Hosted: []int{2}}, "dialer speaks 8"},
+		{"v9", hello{Version: 9, Total: 4, Hosted: []int{2}}, "dialer speaks 9"},
 		{"total", hello{Version: protocolVersion, Total: 3, Hosted: []int{2}}, "size mismatch"},
 		{"empty", hello{Version: protocolVersion, Total: 4, Hosted: nil}, "hosts no endpoints"},
 		{"controller", hello{Version: protocolVersion, Total: 4, Hosted: []int{0}}, "controller"},

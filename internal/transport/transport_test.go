@@ -255,7 +255,7 @@ func TestDistributedMigrationOverTCP(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		node, err := Listen(addr, 3, []int{0, 1}, WithMembership())
+		node, err := Listen(addr, 3, []int{0, 1})
 		if err != nil {
 			hubErr = err
 			return
@@ -275,7 +275,7 @@ func TestDistributedMigrationOverTCP(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		node, err := Dial(addr, 3, []int{2}, WithMembership())
+		node, err := Dial(addr, 3, []int{2})
 		if err != nil {
 			peerErr = err
 			return

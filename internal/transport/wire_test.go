@@ -71,11 +71,18 @@ func TestDegenerateMessagesCross(t *testing.T) {
 }
 
 // TestFrameTrailingBytesRejected: bytes left over inside a frame after its
-// last message fail the connection instead of being skipped.
+// last message, or after a heartbeat's type byte, fail the connection
+// instead of being skipped.
 func TestFrameTrailingBytesRejected(t *testing.T) {
 	stream := frameBytes(t, func(cn *conn) error { return cn.sendMsgs(1, &pdes.Msg{}, &pdes.Msg{}) })
 	n := newNode(2, []int{1}, defaultOptions())
 	cn := newConn(fuzzConn{})
+	if err := n.dispatch(cn, []byte{frameHeartbeat}); err != nil {
+		t.Fatalf("bare heartbeat: %v", err)
+	}
+	if err := n.dispatch(cn, []byte{frameHeartbeat, 0}); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("heartbeat with a trailing byte: %v", err)
+	}
 	if err := n.dispatch(cn, stream[4:]); err != nil {
 		t.Fatalf("well-formed frame: %v", err)
 	}
