@@ -306,6 +306,17 @@ func (e *faultEndpoint) TryRecv() (*pdes.Msg, bool) {
 	return e.Endpoint.TryRecv()
 }
 
+// TryRecvAll keeps the wrapped fabric's batched drain visible, so a fault
+// run receives the way a production run does.
+func (e *faultEndpoint) TryRecvAll(buf []*pdes.Msg) []*pdes.Msg {
+	select {
+	case <-e.inj.killed:
+		return append(buf, pdes.PoisonMsg(e.inj.Err()))
+	default:
+	}
+	return pdes.TryRecvAll(e.Endpoint, buf)
+}
+
 // CorruptFile flips nbytes pseudo-random bytes of the file at path, seeded so
 // the damage is replayable. It skips the first skip bytes (set skip to the
 // frame header size to corrupt only the payload, or 0 to allow header damage

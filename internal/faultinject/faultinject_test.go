@@ -280,6 +280,34 @@ func TestPartitionAfterDropsPairTraffic(t *testing.T) {
 	}
 }
 
+// TestKilledFabricTryRecvAllPoisons: workers drain their mailbox with
+// TryRecvAll, so a killed fabric must surface there too: it yields the
+// poison alone, failure-first like TryRecv, even with messages still queued.
+func TestKilledFabricTryRecvAllPoisons(t *testing.T) {
+	eps, inj := WrapFabric(pdes.NewLocalFabric(3), Plan{DieAfterSends: 2})
+	e1, e2 := eps[1], eps[2]
+	all, ok := e2.(interface {
+		TryRecvAll([]*pdes.Msg) []*pdes.Msg
+	})
+	if !ok {
+		t.Fatal("the fault wrapper hides the fabric's TryRecvAll")
+	}
+	e1.Send(2, &pdes.Msg{Round: 1})
+	e1.Send(2, &pdes.Msg{Round: 2})
+	if got := all.TryRecvAll(nil); len(got) != 2 || got[0].Round != 1 || got[1].Round != 2 {
+		t.Fatalf("TryRecvAll on a live fabric: %+v", got)
+	}
+	e1.Send(2, &pdes.Msg{Round: 3}) // over the limit: the fabric dies
+	e2.Send(2, &pdes.Msg{Round: 4})
+	if inj.Err() == nil {
+		t.Fatal("the fabric did not die")
+	}
+	got := all.TryRecvAll(nil)
+	if len(got) != 1 || got[0].Err == nil || !strings.Contains(got[0].Err.Text, "died after") {
+		t.Fatalf("TryRecvAll after the kill returned %+v, want the poison alone", got)
+	}
+}
+
 // TestJoinDelayPostponesFirstWrite: the delayed-join wire fault holds back
 // only the connection's first write (the handshake hello).
 func TestJoinDelayPostponesFirstWrite(t *testing.T) {

@@ -125,19 +125,12 @@ type processLP struct {
 	// wherever state.wait changes (run, RestoreState).
 	fanin   []pdes.LPID
 	faninOK bool
-	// ver counts state mutations for pdes.VersionedModel (kept outside
-	// procState so rollback cannot rewind it); covers behavior variables too,
-	// which only mutate inside resumed runs.
-	ver uint64
 }
 
 var _ pdes.Model = (*processLP)(nil)
 var _ pdes.InitModel = (*processLP)(nil)
 var _ pdes.ActiveFaninModel = (*processLP)(nil)
-var _ pdes.VersionedModel = (*processLP)(nil)
 var _ pdes.RecyclingModel = (*processLP)(nil)
-
-func (p *processLP) StateVersion() uint64 { return p.ver }
 
 // ActiveFanin narrows the process LP's null-message promise to the signals
 // of the current wait's sensitivity set: only their events (or a pending
@@ -165,7 +158,6 @@ func (p *processLP) SaveStateInto(old any) any {
 }
 
 func (p *processLP) RestoreState(st any) {
-	p.ver++
 	s := st.(*procState)
 	// The live wait.Ports is the slice Run returned, which the behavior
 	// owns: copy into a new one. Restores are rare next to saves.
@@ -199,7 +191,6 @@ func (p *processLP) Execute(ctx *pdes.Ctx, ev *pdes.Event) {
 // evaluated here: simultaneous updates may arrive in any order, and only at
 // the Run phase are all of them guaranteed applied.
 func (p *processLP) update(ctx *pdes.Ctx, m *updateMsg) {
-	p.ver++ // the port write below always mutates the saved state
 	pt := &p.state.ports[m.Port]
 	pt.value = m.Value
 	pt.lastChange = ctx.Now()
@@ -243,7 +234,6 @@ func (p *processLP) run(ctx *pdes.Ctx, m *runMsg) {
 		if !p.state.hasWake || p.state.wakeAt != now {
 			return // stale tentative wake for a superseded wait — state untouched
 		}
-		p.ver++ // consuming the wake mutates state even if the condition fails
 		p.state.hasWake = false
 		if p.state.wait.HasCond {
 			p.bindCtx(ctx)
@@ -256,7 +246,6 @@ func (p *processLP) run(ctx *pdes.Ctx, m *runMsg) {
 	checkDelta(now)
 
 	// Resume.
-	p.ver++ // covers the resume bookkeeping and the behavior run below
 	p.state.timeoutSeq++
 	p.state.hasWake = false
 	p.state.hasResumed = true

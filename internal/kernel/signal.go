@@ -51,17 +51,12 @@ type SigChange struct {
 type signalLP struct {
 	sig   *Signal
 	state *signalState
-	// ver counts state mutations for pdes.VersionedModel. It lives on the LP
-	// wrapper, not in signalState, so rollback cannot rewind it into a value
-	// that would falsely match a stale snapshot.
-	ver uint64
 	// resolving is resolve's reusable argument to the resolution function:
 	// scratch, not state, so snapshots neither save nor restore it.
 	resolving []Value
 }
 
 var _ pdes.Model = (*signalLP)(nil)
-var _ pdes.VersionedModel = (*signalLP)(nil)
 var _ pdes.RecyclingModel = (*signalLP)(nil)
 
 func (s *signalLP) SaveState() any { return s.SaveStateInto(new(signalState)) }
@@ -73,11 +68,8 @@ func (s *signalLP) SaveStateInto(old any) any {
 }
 
 func (s *signalLP) RestoreState(st any) {
-	s.ver++
 	st.(*signalState).copyInto(s.state)
 }
-
-func (s *signalLP) StateVersion() uint64 { return s.ver }
 
 func (s *signalLP) Execute(ctx *pdes.Ctx, ev *pdes.Event) {
 	switch ev.Kind {
@@ -96,7 +88,6 @@ func (s *signalLP) Execute(ctx *pdes.Ctx, ev *pdes.Event) {
 // edits to the projected output waveform and schedule a Driving Value event
 // for every new transaction.
 func (s *signalLP) assign(ctx *pdes.Ctx, m *assignMsg) {
-	s.ver++ // waveform edits below mutate the saved state
 	d := &s.state.drivers[m.Driver]
 	now := ctx.Now()
 	if m.Edits == nil {
@@ -204,7 +195,6 @@ func (s *signalLP) drivingValue(ctx *pdes.Ctx) {
 	if !changed {
 		return // superseded transaction; spurious maturity event — state untouched
 	}
-	s.ver++
 	if s.sig.resolution != nil {
 		ctx.Schedule(now.NextPhase(), evResolve, nil)
 		return
@@ -231,7 +221,6 @@ func (s *signalLP) publish(ctx *pdes.Ctx, v Value, ts vtime.VT) {
 	if ValueEqual(s.state.effective, v) {
 		return
 	}
-	s.ver++
 	s.state.effective = v
 	if ctx.Recording() {
 		ctx.Record(newSigChange(v))

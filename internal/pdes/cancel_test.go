@@ -3,8 +3,10 @@ package pdes
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"govhdl/internal/vtime"
 )
@@ -306,3 +308,51 @@ func (m *panicker) Execute(ctx *Ctx, ev *Event) {
 }
 func (m *panicker) SaveState() any     { return nil }
 func (m *panicker) RestoreState(s any) {}
+
+// dropStopsTo wraps the controller's endpoint and drops its msgStops to one
+// worker, which already holds the stop the test queued for it.
+type dropStopsTo struct {
+	Endpoint
+	to int
+}
+
+func (e *dropStopsTo) Send(dst int, m *Msg) {
+	if dst != e.to || m.Kind != msgStop {
+		e.Endpoint.Send(dst, m)
+	}
+}
+
+// TestWorkerFailingMidBatchSeesDrainedStop: a worker drains its whole
+// mailbox at once, so the stop that ends the run can already sit in its
+// batch behind the message it fails on. Waiting in Recv for that stop would
+// hang the run; the worker must find it in what it drained instead.
+func TestWorkerFailingMidBatchSeesDrainedStop(t *testing.T) {
+	sys := NewSystem()
+	sys.AddLP("a", &accModel{target: NoLP})
+	sys.AddLP("b", &accModel{target: NoLP})
+	placed := sys.placement(2)
+	mine, theirs := placed[0][0], placed[1][0]
+
+	eps := NewLocalFabric(3)
+	// No edge joins the two LPs: routing this event is fatal on worker 1.
+	eps[0].Send(1, &Msg{Kind: msgEvent, Ev: &Event{
+		ID: 1, Src: theirs, Dst: mine, TS: ts(5), Sent: ts(5), Kind: 1, Data: int64(1),
+	}})
+	eps[0].Send(1, &Msg{Kind: msgStop})
+	eps[0] = &dropStopsTo{Endpoint: eps[0], to: 1}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunOn(sys, Config{Workers: 2, Protocol: ProtoOptimistic}, 100, nil, eps)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var se *SimError
+		if !errors.As(err, &se) || !strings.Contains(se.Text, "undeclared edge") {
+			t.Fatalf("run returned %v, want worker 1's SimError", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run hung: the failing worker waits for a stop it already drained")
+	}
+}

@@ -259,7 +259,8 @@ func TestCaptureRejectsUntaggedPayload(t *testing.T) {
 
 // rewriteFrom wraps the controller's endpoint and rewrites the sender of the
 // first msgGVTAck it receives, as a corrupt or hostile peer could: From is
-// wire-supplied and transport.validateWire does not check it.
+// wire-supplied and transport.validateWire does not check it. The
+// controller receives only through Recv.
 type rewriteFrom struct {
 	Endpoint
 	from int

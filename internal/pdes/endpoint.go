@@ -34,13 +34,29 @@ type Endpoint interface {
 }
 
 // batchReceiver is an optional Endpoint extension: drain every immediately
-// available message in one synchronized operation. Workers use it when
-// present (the in-process mailbox implements it) to pay one lock acquisition
-// per scheduling pass instead of one per message.
+// available message in one synchronized operation. The in-process mailbox,
+// the TCP transport and the fault injector implement it.
 type batchReceiver interface {
 	// TryRecvAll appends all immediately available messages to buf in
 	// arrival order and returns it; buf may be nil.
 	TryRecvAll(buf []*Msg) []*Msg
+}
+
+// TryRecvAll appends every message immediately available at ep to buf in
+// arrival order and returns it. It uses the endpoint's own TryRecvAll when it
+// has one, paying one synchronization per call instead of one per message,
+// and falls back to TryRecv otherwise. Workers drain their mailbox with it.
+func TryRecvAll(ep Endpoint, buf []*Msg) []*Msg {
+	if br, ok := ep.(batchReceiver); ok {
+		return br.TryRecvAll(buf)
+	}
+	for {
+		m, ok := ep.TryRecv()
+		if !ok {
+			return buf
+		}
+		buf = append(buf, m)
+	}
 }
 
 // mailbox is an unbounded MPSC queue. Unboundedness matters: with bounded

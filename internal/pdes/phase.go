@@ -149,7 +149,7 @@ func (w *phaseWorker) fatal(format string, args ...any) {
 func (w *phaseWorker) run() {
 	defer func() {
 		if r := recover(); r != nil {
-			failRun(w.ep, r)
+			failRun(w.ep, r, nil)
 		}
 	}()
 

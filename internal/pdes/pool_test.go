@@ -16,8 +16,7 @@ import (
 // history record, or an in-flight anti-message fails loudly instead of
 // corrupting the run. Half the cases run snapRelay, whose snapshots the
 // engine recycles: there the engine also fails the run when it refills a
-// snapshot a history record or lastSnap still holds, or restores a released
-// one, and every final LP state must equal the sequential run's. CI runs
+// snapshot a history record still holds, or restores a released one, and every final LP state must equal the sequential run's. CI runs
 // this under -race, which additionally checks the single-owner handoff of
 // pooled objects between sender and receiver.
 func TestPropertyRecyclingSafe(t *testing.T) {
@@ -98,29 +97,16 @@ func TestPropertyRecyclingSafe(t *testing.T) {
 }
 
 // snapRelay is a relay whose snapshots are pointers that the engine recycles
-// (RecyclingModel). Only tokens divisible by 3 change its state, so under
-// StateVersion runs of history records share one snapshot: rollbacks land
-// inside such runs, fossil collection cuts them, and mode switches end them.
+// (RecyclingModel): rollbacks, fossil collection and mode switches all
+// release snapshots that later state saves refill.
 type snapRelay struct {
 	*relay
-	ver     uint64
 	refills *atomic.Int64
 }
 
 type relaySnap struct{ sum int64 }
 
-func (r *snapRelay) Execute(ctx *Ctx, ev *Event) {
-	sum := r.sum
-	r.relay.Execute(ctx, ev)
-	if ev.Data.(int)%3 == 0 {
-		r.ver++
-	} else {
-		r.sum = sum
-	}
-}
-
-func (r *snapRelay) StateVersion() uint64 { return r.ver }
-func (r *snapRelay) SaveState() any       { return &relaySnap{sum: r.sum} }
+func (r *snapRelay) SaveState() any { return &relaySnap{sum: r.sum} }
 
 func (r *snapRelay) SaveStateInto(old any) any {
 	r.refills.Add(1)
@@ -129,10 +115,7 @@ func (r *snapRelay) SaveStateInto(old any) any {
 	return s
 }
 
-func (r *snapRelay) RestoreState(s any) {
-	r.ver++
-	r.sum = s.(*relaySnap).sum
-}
+func (r *snapRelay) RestoreState(s any) { r.sum = s.(*relaySnap).sum }
 
 // TestPoolPoisoningCatchesDoubleFree: the poisoning machinery itself works —
 // a double put of the same event panics when checks are on.

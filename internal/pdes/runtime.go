@@ -5,9 +5,8 @@ import "govhdl/internal/vtime"
 // procRec is one processed event in an optimistic LP's history. Sends are
 // recorded by value (antiRec) rather than by pointer so the receiving worker
 // exclusively owns the emitted Event objects and can recycle them (pool.go).
-// The state snapshot may be shared between consecutive records (and with
-// lpRT.lastSnap) when the model reports an unchanged StateVersion; snapshots
-// are immutable until released (releaseSnaps), so sharing is safe.
+// Each record holds its own state snapshot (or none), so destroying a
+// record releases its snapshot (releaseSnaps).
 type procRec struct {
 	ev    *Event
 	state any       // model snapshot taken before executing ev; nil between checkpoints
@@ -43,16 +42,6 @@ type lpRT struct {
 	queued    bool // present in the worker scheduling heap
 	active    bool // listed in worker.active
 
-	// Snapshot sharing (copy-on-write state saving): when the model reports
-	// a StateVersion, the engine reuses lastSnap for every checkpoint taken
-	// while the version is unchanged instead of deep-copying identical
-	// state. Invalidated on rollback (RestoreState mutates the model). While
-	// set, lastSnap is the snapshot of the newest checkpoint record, or no
-	// record holds it.
-	versioned VersionedModel
-	lastSnap  any
-	lastVer   uint64
-
 	// Snapshot recycling (RecyclingModel only): spares holds released
 	// snapshots, at most snapSpares, that the next state saves refill.
 	recycler RecyclingModel
@@ -85,7 +74,6 @@ func newLPRT(d *lpDecl, mode Mode) *lpRT {
 		mode:   mode,
 		edgeOf: make(map[LPID]int, len(d.in)),
 	}
-	lp.versioned, _ = d.model.(VersionedModel)
 	lp.recycler, _ = d.model.(RecyclingModel)
 	lp.edges = make([]edgeIn, len(d.in))
 	for i, src := range d.in {
@@ -235,38 +223,15 @@ func (lp *lpRT) restoreBase(i int) int {
 // better than 4.
 const snapSpares = 4
 
-// newestSnap returns the snapshot of the newest checkpoint record in
-// processed[:n], or nil when there is none.
-func (lp *lpRT) newestSnap(n int) any {
-	if j := lp.restoreBase(n - 1); j >= 0 {
-		return lp.processed[j].state
-	}
-	return nil
-}
-
 // releaseSnaps releases the snapshots of recs, history records about to be
-// destroyed that lie next to each other in processed. The records sharing
-// one snapshot are a contiguous run, so held — the snapshot of the nearest
-// checkpoint record that survives next to recs, nil when none does — is the
-// only surviving one that can hold a snapshot of recs.
-func (lp *lpRT) releaseSnaps(recs []procRec, held any) {
+// destroyed.
+func (lp *lpRT) releaseSnaps(recs []procRec) {
 	if lp.recycler == nil {
 		return
 	}
-	var prev any
 	for k := range recs {
-		if s := recs[k].state; s != nil && s != prev {
-			lp.release(s, held)
-			prev = s
+		if s := recs[k].state; s != nil && len(lp.spares) < snapSpares {
+			lp.spares = append(lp.spares, s)
 		}
 	}
-}
-
-// release puts snapshot s of a RecyclingModel on the spare list unless it is
-// held (by a surviving record, see releaseSnaps) or is lastSnap.
-func (lp *lpRT) release(s, held any) {
-	if s == nil || s == held || s == lp.lastSnap || len(lp.spares) >= snapSpares {
-		return
-	}
-	lp.spares = append(lp.spares, s)
 }

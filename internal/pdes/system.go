@@ -19,10 +19,9 @@ type Model interface {
 	// the engine may restore the same snapshot again.
 	//
 	// The engine owns a snapshot from SaveState until it releases it, when
-	// no history record and no shared-snapshot reuse (VersionedModel) can
-	// reach it any more. A model implementing RecyclingModel gets released
-	// snapshots back to refill; any other model's are left to the garbage
-	// collector.
+	// the history record that held it is destroyed. A model implementing
+	// RecyclingModel gets released snapshots back to refill; any other
+	// model's are left to the garbage collector.
 	SaveState() any
 	RestoreState(s any)
 }
@@ -42,20 +41,6 @@ type RecyclingModel interface {
 // before simulation starts; ctx.Now() is vtime.Zero.
 type InitModel interface {
 	Init(ctx *Ctx)
-}
-
-// VersionedModel lets a model avoid redundant state saving under optimistic
-// simulation. StateVersion returns a counter that changes (typically
-// increments) whenever the state that SaveState captures may have changed;
-// it must never stay equal across a real mutation. While the version is
-// unchanged the engine reuses the previous snapshot instead of calling
-// SaveState again, which turns CheckpointEvery=1 from a deep copy per event
-// into a deep copy per state change — valuable for models whose Executes are
-// frequently no-ops (superseded transactions, stale wakes). Over-counting
-// (bumping without a real change) is safe, merely less effective.
-type VersionedModel interface {
-	Model
-	StateVersion() uint64
 }
 
 // ActiveFaninModel lets a model sharpen its null-message promise by naming

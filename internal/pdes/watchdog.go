@@ -28,11 +28,8 @@ const (
 	memPerRec = 192
 	// memPerSend covers one antiRec send record.
 	memPerSend = 48
-	// memSnapDefault is charged per real state snapshot.
-	memSnapDefault = 256
-	// memSnapShared is charged when copy-on-write state saving reuses the
-	// previous snapshot: only a reference is retained.
-	memSnapShared = 16
+	// memPerSnap covers one state snapshot.
+	memPerSnap = 256
 )
 
 // runState is shared by the workers, the controller and the watchdog of one

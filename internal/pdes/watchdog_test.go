@@ -212,6 +212,8 @@ func TestMemBudgetDeterministic(t *testing.T) {
 // package faultinject imports pdes, so the wrapper lives here), timed so the
 // first message lost is the worker's ack of the cut that follows the first
 // GVT round, whether that round drained or committed from balanced acks.
+// The wrapper hides the fabric's TryRecvAll, so the worker drains through
+// the TryRecv fallback of TryRecvAll.
 type muteCutAck struct {
 	Endpoint
 	acks  int  // touched only by the owning worker's goroutine

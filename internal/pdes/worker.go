@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"govhdl/internal/stats"
@@ -54,9 +55,7 @@ type worker struct {
 
 	paused   bool
 	deferred []deferredMsg // remote sends generated while paused
-	// batchEp is the endpoint's optional batched-drain extension (local
-	// mailboxes implement it); recvBuf is its reusable receive buffer.
-	batchEp batchReceiver
+	// recvBuf is drainBatch's reusable receive buffer.
 	recvBuf []*Msg
 	// localQ holds local deliveries until the top of the scheduling loop:
 	// routing synchronously from inside Execute (or inside another
@@ -158,7 +157,6 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 	if sink != nil {
 		w.ctx.record = w.recordItem
 	}
-	w.batchEp, _ = ep.(batchReceiver)
 	w.logCommits = cfg.CheckpointRounds > 0 || cfg.Migrate != nil
 	return w
 }
@@ -184,7 +182,8 @@ func (w *worker) fatal(format string, args ...any) {
 func (w *worker) run() {
 	defer func() {
 		if r := recover(); r != nil {
-			failRun(w.ep, r)
+			// What drainBatch had not handled yet has left the mailbox.
+			failRun(w.ep, r, w.recvBuf)
 		}
 	}()
 
@@ -206,20 +205,8 @@ func (w *worker) run() {
 	const batch = 8
 	for {
 		w.publishDiag()
-		if w.batchEp != nil {
-			if w.drainBatch() {
-				return
-			}
-		} else {
-			for {
-				m, ok := w.ep.TryRecv()
-				if !ok {
-					break
-				}
-				if w.handle(m) {
-					return
-				}
-			}
+		if w.drainBatch() {
+			return
 		}
 		w.drainNulls() // promises queued by the messages or a GVT round
 		progressed := false
@@ -313,14 +300,17 @@ func (w *worker) flushSends() {
 // failRun turns a panic recovered on a worker of either engine into the
 // run's verdict: it reports the error to the controller, then ignores
 // everything until the controller confirms the abort — or the transport
-// dies, in which case no confirmation can ever arrive. A ModelError is a
-// diagnostic thrown by model code (a VHDL runtime error, a delta runaway):
+// dies, in which case no confirmation can ever arrive. drained holds the
+// messages the worker took from its mailbox but had not handled when it
+// failed: a stop among them is the confirmation, and no other will come.
+// A ModelError is a diagnostic thrown by model code (a VHDL runtime error, a
+// delta runaway):
 // the design is at fault, not the engine, and only the offending session of
 // a multi-tenant server dies. Under optimistic execution the diagnostic
 // could in principle come from a speculative misordering, but unwinding is
 // still strictly better than the crash it replaces, and a deterministically
 // bad design fails on every path. Any other panic is re-raised.
-func failRun(ep Endpoint, r any) {
+func failRun(ep Endpoint, r any, drained []*Msg) {
 	var err *SimError
 	switch p := r.(type) {
 	case fatalPanic:
@@ -331,6 +321,11 @@ func failRun(ep Endpoint, r any) {
 		panic(r)
 	}
 	ep.Send(0, &Msg{Kind: msgFatal, Err: err})
+	for _, m := range drained {
+		if m != nil && (m.Kind == msgStop || m.Kind == msgPoison) {
+			return
+		}
+	}
 	for {
 		if m := ep.Recv(); m.Kind == msgStop || m.Kind == msgPoison {
 			return
@@ -355,7 +350,7 @@ func (w *worker) initLPs() {
 // first or the round's drain accounting would wait for messages this worker
 // is itself holding.
 func (w *worker) drainBatch() (stop bool) {
-	w.recvBuf = w.batchEp.TryRecvAll(w.recvBuf[:0])
+	w.recvBuf = TryRecvAll(w.ep, w.recvBuf[:0])
 	var pause *Msg
 	for i, m := range w.recvBuf {
 		w.recvBuf[i] = nil
@@ -567,9 +562,8 @@ func (w *worker) execute(lp *lpRT, ev *Event) {
 			w.recRecs = w.recRecs[:n]
 		}
 		if lp.sinceCkpt == 0 {
-			var snapMem int64
-			rec.state, snapMem = w.snapshot(lp)
-			rec.mem += snapMem
+			rec.state = w.saveState(lp)
+			rec.mem += memPerSnap
 		}
 		lp.sinceCkpt++
 		if lp.sinceCkpt >= w.cfg.CheckpointEvery {
@@ -606,30 +600,7 @@ func (w *worker) execute(lp *lpRT, ev *Event) {
 	w.metrics.Events++
 }
 
-// snapshot returns the model state to checkpoint and its MemBudget charge,
-// reusing the previous snapshot when a VersionedModel reports its state
-// unchanged since then. Only real state saves are counted and charged at
-// full size (a reused snapshot retains just a reference): copy-on-write
-// state saving is the whole point.
-func (w *worker) snapshot(lp *lpRT) (any, int64) {
-	if lp.versioned != nil {
-		v := lp.versioned.StateVersion()
-		if lp.lastSnap != nil && v == lp.lastVer {
-			return lp.lastSnap, memSnapShared
-		}
-		if old := lp.lastSnap; old != nil && lp.recycler != nil {
-			// Superseded: old is free unless the newest record still holds it.
-			lp.lastSnap = nil
-			lp.release(old, lp.newestSnap(len(lp.processed)))
-		}
-		s := w.saveState(lp)
-		lp.lastSnap, lp.lastVer = s, v
-		return s, memSnapDefault
-	}
-	return w.saveState(lp), memSnapDefault
-}
-
-// saveState takes a real snapshot, refilling a released one when lp has a
+// saveState takes a state snapshot, refilling a released one when lp has a
 // spare.
 func (w *worker) saveState(lp *lpRT) any {
 	w.metrics.StateSaves++
@@ -648,15 +619,12 @@ func (w *worker) saveState(lp *lpRT) any {
 }
 
 // checkSpare fails the run when a spare about to be refilled is still
-// reachable: from a history record, from lastSnap, or from the spare list a
-// second time (poolCheck runs only).
+// reachable: from a history record, or from the spare list a second time
+// (poolCheck runs only).
 func (w *worker) checkSpare(lp *lpRT, s any) {
-	held := s == lp.lastSnap
+	held := slices.Contains(lp.spares, s)
 	for k := range lp.processed {
 		held = held || lp.processed[k].state == s
-	}
-	for _, o := range lp.spares {
-		held = held || o == s
 	}
 	if held {
 		w.fatal("pdes: LP %s: refilling a snapshot that is still held", w.sys.Name(lp.decl.id))
@@ -980,19 +948,7 @@ func (w *worker) rollbackTo(lp *lpRT, i int) {
 		}
 	}
 	lp.model.RestoreState(base)
-	// The model's live state no longer matches the shared snapshot even if
-	// its version counter happens to repeat; force a real save next time.
-	// A lastSnap no destroyed record holds (it is the newest one's if any
-	// is) is released here, the destroyed records' snapshots below.
-	old := lp.lastSnap
-	lp.lastSnap = nil
-	if lp.recycler != nil {
-		held := lp.newestSnap(i)
-		if old != lp.newestSnap(n) {
-			lp.release(old, held)
-		}
-		lp.releaseSnaps(lp.processed[i:], held)
-	}
+	lp.releaseSnaps(lp.processed[i:])
 	if i > j {
 		// Coast-forward: replay committed-side events without re-sending.
 		savedSelf, savedNow := w.ctx.self, w.ctx.now
@@ -1304,7 +1260,7 @@ func (w *worker) switchToOpt(lp *lpRT) {
 // committed record: anti timestamps are strictly above the GVT that
 // committed it).
 func (w *worker) commitHistory(lp *lpRT) {
-	lp.releaseSnaps(lp.processed, nil)
+	lp.releaseSnaps(lp.processed)
 	var freed int64
 	for k := range lp.processed {
 		freed += w.commitRec(lp, &lp.processed[k])
@@ -1354,7 +1310,7 @@ func (w *worker) fossil(lp *lpRT, done bool) {
 	}
 	// Read the new floor before recycling the records that define it.
 	floor := lp.processed[j-1].ev.TS
-	lp.releaseSnaps(lp.processed[:j], lp.processed[j].state)
+	lp.releaseSnaps(lp.processed[:j])
 	var freed int64
 	for i := 0; i < j; i++ {
 		freed += w.commitRec(lp, &lp.processed[i])

@@ -257,6 +257,14 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 			return fmt.Errorf("%d workers for %d shards: each shard is owned by one worker, so use -workers <= -shards", workers, o.Shards)
 		}
 	}
+	if o.User && proto != pdes.ProtoSequential {
+		// The engine decides which protocols user-consistent ordering runs
+		// under; say its refusal before the run starts.
+		cfg := pdes.Config{Protocol: proto, Lookahead: o.Lookahead, Ordering: pdes.OrderUserConsistent}
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("-user: %w", err)
+		}
+	}
 	return nil
 }
 

@@ -144,6 +144,19 @@ var validateCases = []struct {
 		o.Workers = 1
 		o.User = true
 	}, pdes.ProtoDynamic, "-user"},
+	{"user ordering under dynamic", func(o *Opts) {
+		o.User = true
+	}, pdes.ProtoDynamic, "only pure conservative or pure optimistic"},
+	{"user ordering under cons without lookahead", func(o *Opts) {
+		o.User = true
+	}, pdes.ProtoConservative, "blocks without lookahead"},
+	{"user ordering under cons with lookahead ok", func(o *Opts) {
+		o.User = true
+		o.Lookahead = true
+	}, pdes.ProtoConservative, ""},
+	{"user ordering under opt ok", func(o *Opts) {
+		o.User = true
+	}, pdes.ProtoOptimistic, ""},
 	{"shards with lookahead", func(o *Opts) {
 		o.Shards = 2
 		o.Workers = 2

@@ -470,32 +470,35 @@ func TestServerVCDStream(t *testing.T) {
 	}
 }
 
+// badRequests are submissions the server answers 400, each with a substring
+// of its error message ("" when any message will do).
+var badRequests = []struct {
+	name string
+	req  SessionRequest
+	want string
+}{
+	{"nothing", SessionRequest{}, "nothing to simulate"},
+	{"both", SessionRequest{Circuit: "fsm", Top: "x", Sources: []SourceRequest{{Name: "a", Text: "b"}}}, "not both"},
+	{"unknown circuit", SessionRequest{Circuit: "nosuch"}, "unknown circuit"},
+	{"bad protocol", SessionRequest{Circuit: "fsm", Protocol: "warp9"}, "unknown protocol"},
+	{"bad until", SessionRequest{Circuit: "fsm", Until: "10 parsecs"}, "bad until"},
+	{"until overflows", SessionRequest{Circuit: "fsm", Until: "20000sec"}, "bad until"},
+	{"compile error", SessionRequest{Top: "x", Sources: []SourceRequest{{Name: "x.vhd", Text: "entity ; garbage"}}}, ""},
+	{"too many workers", SessionRequest{Circuit: "fsm", Workers: 99}, "workers must be <="},
+	{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, "-mem-budget"},
+	{"huge deadline", SessionRequest{Circuit: "fsm", Deadline: "24h"}, "deadline must be <="},
+	// CLI/HTTP parity: a migration policy needs a distributed run, which
+	// a server session never is. Same messages as pvsim.
+	{"bad migrate policy", SessionRequest{Circuit: "fsm", MigratePolicy: "chaos"}, "-migrate-policy must be"},
+	{"migrate policy in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "balance"}, "needs a distributed run"},
+	{"on-death in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "on-death"}, "-migrate-policy must be off or balance"},
+}
+
 // TestServerRejectsBadRequests: compile errors, unknown names and invalid
 // combinations are client faults diagnosed at submit time with 400.
 func TestServerRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxWorkers: 4})
-	cases := []struct {
-		name string
-		req  SessionRequest
-		want string
-	}{
-		{"nothing", SessionRequest{}, "nothing to simulate"},
-		{"both", SessionRequest{Circuit: "fsm", Top: "x", Sources: []SourceRequest{{Name: "a", Text: "b"}}}, "not both"},
-		{"unknown circuit", SessionRequest{Circuit: "nosuch"}, "unknown circuit"},
-		{"bad protocol", SessionRequest{Circuit: "fsm", Protocol: "warp9"}, "unknown protocol"},
-		{"bad until", SessionRequest{Circuit: "fsm", Until: "10 parsecs"}, "bad until"},
-		{"until overflows", SessionRequest{Circuit: "fsm", Until: "20000sec"}, "bad until"},
-		{"compile error", SessionRequest{Top: "x", Sources: []SourceRequest{{Name: "x.vhd", Text: "entity ; garbage"}}}, ""},
-		{"too many workers", SessionRequest{Circuit: "fsm", Workers: 99}, "workers must be <="},
-		{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, "-mem-budget"},
-		{"huge deadline", SessionRequest{Circuit: "fsm", Deadline: "24h"}, "deadline must be <="},
-		// CLI/HTTP parity: a migration policy needs a distributed run, which
-		// a server session never is. Same messages as pvsim.
-		{"bad migrate policy", SessionRequest{Circuit: "fsm", MigratePolicy: "chaos"}, "-migrate-policy must be"},
-		{"migrate policy in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "balance"}, "needs a distributed run"},
-		{"on-death in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "on-death"}, "-migrate-policy must be off or balance"},
-	}
-	for _, c := range cases {
+	for _, c := range badRequests {
 		t.Run(c.name, func(t *testing.T) {
 			body, _ := json.Marshal(c.req)
 			resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))

@@ -102,7 +102,7 @@ func TestSessionFailoverPreservesStream(t *testing.T) {
 				Protocol: Optimistic, Workers: 2, Until: until,
 				GVTEvery: 64, ThrottleWindow: 50 * NS, CheckpointRounds: ckptRounds,
 			},
-			Fabric: dyingFabric(3000),
+			Fabric: dyingFabric(1500),
 			OnFailover: func(_ int, err error, ck *pdes.Checkpoint) int {
 				if Classify(err) != KindTransport {
 					t.Errorf("failover on a non-transport error: %v", err)
