@@ -37,7 +37,6 @@ func main() {
 	flag.IntVar(&opts.Workers, "workers", 0, "workers per leg (0 = default)")
 	flag.BoolVar(&opts.Kills, "kills", false, "fault mix: node kills + supervised failover")
 	flag.BoolVar(&opts.Delays, "delays", false, "fault mix: randomized send delays")
-	flag.BoolVar(&opts.Storms, "storms", false, "fault mix: live-migration storms at GVT cuts")
 	flag.BoolVar(&opts.Squeezes, "squeezes", false, "fault mix: memory-budget squeezes")
 	flag.BoolVar(&opts.Checkpoints, "checkpoints", false, "fault mix: checkpoint lineage churn + corrupt-latest drill")
 	flag.BoolVar(&opts.Partitions, "partitions", false, "fault mix: asymmetric partitions / muted peers (designed stalls)")

@@ -103,15 +103,6 @@ type Options struct {
 	// StallDump receives the stall watchdog's diagnostic report; nil
 	// discards it.
 	StallDump func(*pdes.StallReport)
-	// Rebalance enables live LP migration between workers at GVT rounds:
-	// when one worker's committed-event load sustains above another's, the
-	// controller moves LPs at the next quiescent cut. Committed traces are
-	// unaffected (migration changes placement, never event order); the
-	// Result metrics count the moves. Needs Workers >= 2.
-	Rebalance bool
-	// Migrate, when set, is the migration planner consulted at GVT rounds;
-	// it takes precedence over Rebalance's built-in policy.
-	Migrate pdes.MigrationPlanner
 	// Shards, when positive, clusters the LPs into this many shards that
 	// execute sequentially inside the shard. Workers step one timestamp at a
 	// time and exchange cross-shard events once per step (the phase executor,
@@ -145,18 +136,9 @@ func (o Options) config() pdes.Config {
 		StallDump:        o.StallDump,
 		GVTEvery:         o.GVTEvery,
 		CheckpointRounds: o.CheckpointRounds,
-		Migrate:          o.Migrate,
 	}
 	if o.UserConsistent {
 		cfg.Ordering = pdes.OrderUserConsistent
-	}
-	if o.Rebalance && cfg.Migrate == nil {
-		// In-process runs are short compared to cluster runs, so the policy
-		// thresholds are aggressive: any sustained >10% imbalance moves an LP,
-		// re-evaluated every round.
-		cfg.Migrate = pdes.NewBalancePlanner(pdes.BalanceConfig{
-			Ratio: 1.1, Cooldown: 1, MaxMoves: 2, MinEvents: 1,
-		})
 	}
 	return cfg
 }

@@ -32,9 +32,6 @@ type LegResult struct {
 	Events       uint64 `json:"events"`
 	Rollbacks    uint64 `json:"rollbacks"`
 	GVTRounds    uint64 `json:"gvt_rounds"`
-	Migrations   uint64 `json:"migrations"`
-	Forwarded    uint64 `json:"forwarded"`
-	LateForwards uint64 `json:"late_forwards,omitempty"`
 	MemThrottled uint64 `json:"mem_throttled,omitempty"`
 
 	// Checkpoint-churn legs: how many generations the lineage accumulated
@@ -58,11 +55,10 @@ type Verdict struct {
 // legRun carries the per-soak context every leg shares: the schedule, the
 // horizon, and the sequential oracle's rendered trace.
 type legRun struct {
-	opts      Options
-	sched     *Schedule
-	horizon   vtime.Time
-	clockHalf vtime.Time
-	oracle    []string // sequential trace in deterministic (TS, LP, item) order
+	opts    Options
+	sched   *Schedule
+	horizon vtime.Time
+	oracle  []string // sequential trace in deterministic (TS, LP, item) order
 }
 
 // Run executes the soak: derive the schedule, run the sequential oracle
@@ -94,7 +90,7 @@ func Run(opts Options) (*Verdict, error) {
 		v.Ok = false
 	}
 
-	lr := &legRun{opts: opts, sched: sched, horizon: horizon, clockHalf: c.ClockHalf, oracle: oracleRec.Lines(oracleSys)}
+	lr := &legRun{opts: opts, sched: sched, horizon: horizon, oracle: oracleRec.Lines(oracleSys)}
 	for i := range sched.Legs {
 		res := lr.runLeg(&sched.Legs[i])
 		if !res.Ok {
@@ -151,14 +147,6 @@ func (lr *legRun) run(leg *Leg, so govhdl.SessionOptions) (*legOut, error) {
 		return govhdl.FromDesign(out.circ.Design), nil
 	}
 
-	// Storm legs need GVT rounds to happen while the run is still in
-	// flight: unbounded optimism can reach the horizon inside a single
-	// round, starving the planner. One clock period of throttle forces a
-	// round cadence without changing any committed outcome.
-	if leg.StormTotal > 0 && so.ThrottleWindow == 0 {
-		so.ThrottleWindow = 2 * lr.clockHalf
-	}
-
 	var last vtime.VT
 	so.OnGVT = func(gvt vtime.VT) {
 		if gvt.Less(last) && out.gvtErr == "" {
@@ -190,9 +178,6 @@ func fillCounters(r *LegResult, res *pdes.Result) {
 	r.Events = res.Metrics.Events
 	r.Rollbacks = res.Metrics.Rollbacks
 	r.GVTRounds = res.Metrics.GVTRounds
-	r.Migrations = res.Metrics.Migrations
-	r.Forwarded = res.Metrics.ForwardedMsgs
-	r.LateForwards = res.Metrics.LateForwards
 	r.MemThrottled = res.Metrics.MemThrottled
 }
 
@@ -228,9 +213,8 @@ func (lr *legRun) containedInOracle(lines []string) string {
 }
 
 // checkSuccess runs the full post-success oracle on a leg: trace identity,
-// GVT monotonicity, reference-model verification, and counter consistency
-// with the schedule.
-func (lr *legRun) checkSuccess(leg *Leg, r *LegResult, out *legOut, emitted int) {
+// GVT monotonicity and reference-model verification.
+func (lr *legRun) checkSuccess(r *LegResult, out *legOut) {
 	fillCounters(r, out.res)
 	r.Records = len(out.lines)
 	if d := lr.diffOracle(out.lines); d != "" {
@@ -244,25 +228,6 @@ func (lr *legRun) checkSuccess(leg *Leg, r *LegResult, out *legOut, emitted int)
 	if err := out.circ.Verify(lr.horizon); err != nil {
 		r.Err = "reference model: " + err.Error()
 		return
-	}
-	if leg.StormTotal > 0 {
-		if emitted != leg.StormTotal {
-			r.Err = fmt.Sprintf("storm planner emitted %d moves, schedule planned %d", emitted, leg.StormTotal)
-			return
-		}
-		if r.Migrations != uint64(leg.StormTotal) {
-			r.Err = fmt.Sprintf("Migrations = %d, schedule planned %d moves", r.Migrations, leg.StormTotal)
-			return
-		}
-	} else {
-		if r.Migrations != 0 {
-			r.Err = fmt.Sprintf("Migrations = %d on a leg whose schedule planned none", r.Migrations)
-			return
-		}
-		if r.Forwarded != 0 {
-			r.Err = fmt.Sprintf("ForwardedMsgs = %d with no migration in the schedule", r.Forwarded)
-			return
-		}
 	}
 	r.Ok = true
 }
@@ -282,20 +247,15 @@ func (lr *legRun) runLeg(leg *Leg) LegResult {
 	return r
 }
 
-// runPlainLeg covers baseline, delay, storm, storm+delay and memory-squeeze
-// legs: one attempt, full success oracle.
+// runPlainLeg covers baseline, delay and memory-squeeze legs: one attempt,
+// full success oracle.
 func (lr *legRun) runPlainLeg(leg *Leg, r *LegResult) {
-	so := lr.baseOpts(leg)
-	emitted := new(int)
-	if leg.StormTotal > 0 {
-		so.Migrate, emitted = stormPlanner(leg.StormSeed, leg.StormTotal)
-	}
-	out, err := lr.run(leg, so)
+	out, err := lr.run(leg, lr.baseOpts(leg))
 	if err != nil {
 		r.Err = err.Error()
 		return
 	}
-	lr.checkSuccess(leg, r, out, *emitted)
+	lr.checkSuccess(r, out)
 }
 
 // runKillLeg runs the supervised failover path: attempt 0 dies of the
@@ -318,7 +278,7 @@ func (lr *legRun) runKillLeg(leg *Leg, r *LegResult) {
 		fillCounters(r, out.res)
 		return
 	}
-	lr.checkSuccess(leg, r, out, 0)
+	lr.checkSuccess(r, out)
 }
 
 // runStallLeg runs a designed-stall leg: the scheduled partition or mute
@@ -417,5 +377,5 @@ func (lr *legRun) runCheckpointLeg(leg *Leg, r *LegResult) {
 		r.Err = "restored rerun: " + err.Error()
 		return
 	}
-	lr.checkSuccess(leg, r, out, 0)
+	lr.checkSuccess(r, out)
 }

@@ -44,7 +44,7 @@ func TestScheduleCoversEnabledFamilies(t *testing.T) {
 	for _, l := range s.Legs {
 		seen[l.Kind] = true
 	}
-	for _, k := range []LegKind{LegKill, LegDelay, LegStorm, LegSqueeze, LegCheckpoint, LegPartition, LegMute} {
+	for _, k := range []LegKind{LegKill, LegDelay, LegSqueeze, LegCheckpoint, LegPartition, LegMute} {
 		if !seen[k] {
 			t.Errorf("16 legs with every family enabled never scheduled %v", k)
 		}
@@ -84,19 +84,6 @@ func TestSoakKillLegFailsOverAndMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestSoakStormLegMigratesExactlyAsPlanned(t *testing.T) {
-	opts := small(5)
-	opts.Storms = true
-	v, leg := soak(t, opts)
-	if !v.Ok {
-		t.Fatalf("storm soak verdict not ok: %+v", v.Legs)
-	}
-	if leg.Migrations == 0 || leg.Migrations != uint64(NewSchedule(opts).Legs[1].StormTotal) {
-		t.Fatalf("storm leg migrated %d LPs, schedule planned %d",
-			leg.Migrations, NewSchedule(opts).Legs[1].StormTotal)
-	}
-}
-
 func TestSoakCheckpointLegRecoversFromPreviousGeneration(t *testing.T) {
 	opts := small(9)
 	opts.Checkpoints = true
@@ -127,14 +114,14 @@ func TestSoakStallLegTripsWatchdogWithPartialTrace(t *testing.T) {
 }
 
 // Two runs of the same seed must agree on everything the schedule
-// determines: leg kinds, protocols, sharding, storm budgets, and — because
+// determines: leg kinds, protocols, sharding, and — because
 // every successful leg's trace is byte-compared to the same oracle — the
 // committed record counts.
 func TestSoakReproducibleBySeed(t *testing.T) {
 	opts := small(21)
 	opts.Legs = 3
-	opts.Storms = true
 	opts.Delays = true
+	opts.Squeezes = true
 	a, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +140,7 @@ func TestSoakReproducibleBySeed(t *testing.T) {
 	for i := range a.Legs {
 		la, lb := a.Legs[i], b.Legs[i]
 		if la.Name != lb.Name || la.Protocol != lb.Protocol || la.Shards != lb.Shards ||
-			la.Records != lb.Records || la.Migrations != lb.Migrations {
+			la.Records != lb.Records {
 			t.Fatalf("leg %d differs across runs of one seed:\n%+v\n%+v", i, la, lb)
 		}
 	}

@@ -2,21 +2,19 @@
 // circuit AND a randomized fault schedule from one seed, runs the engine
 // under every leg of that schedule, and checks an invariant oracle after
 // every recovery — the committed trace must be byte-identical to the
-// sequential simulator's, GVT must be monotonic, the migration counters must
-// match what the schedule planned, and the recovery-attempt log must
-// converge. A seed that exposes a bug is a complete reproducer: the same
+// sequential simulator's, GVT must be monotonic, and the recovery-attempt log
+// must converge. A seed that exposes a bug is a complete reproducer: the same
 // seed rebuilds the same circuit, the same fault plan, and the same
 // expectations.
 //
 // The schedule is a pure function of (seed, options): every structural
 // decision is drawn from one xorshift stream, and fault triggers are
-// expressed in event/send counts (faultinject's counters) or GVT round
-// numbers (the storm planner), never wall-clock time — so the *plan* is
-// reproducible even though the engine's thread interleaving is not. The
-// oracle then separates schedule-determined quantities (kills, storm moves,
-// trace bytes), which must be exactly equal across runs of one seed, from
-// interleaving-dependent ones (rollbacks, forwards), which are recorded and
-// consistency-checked only.
+// expressed in event/send counts (faultinject's counters), never wall-clock
+// time — so the *plan* is reproducible even though the engine's thread
+// interleaving is not. The oracle then separates schedule-determined
+// quantities (kills, trace bytes), which must be exactly equal across runs of
+// one seed, from interleaving-dependent ones (rollbacks), which are only
+// recorded.
 package chaos
 
 import (
@@ -69,7 +67,6 @@ type Options struct {
 	// Fault-mix toggles. When none is set, all families are enabled.
 	Kills       bool // fabric death at a seeded send count + supervised failover
 	Delays      bool // randomized send delays (heartbeat/late-join timing skew)
-	Storms      bool // migration storms: a deterministic planner moving LPs at GVT cuts
 	Squeezes    bool // memory-budget squeezes (backpressure + cancelback)
 	Checkpoints bool // checkpoint lineage churn + corrupt-latest fallback drill
 	Partitions  bool // asymmetric partitions / muted peers ending in a designed stall
@@ -94,8 +91,8 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 3
 	}
-	if !o.Kills && !o.Delays && !o.Storms && !o.Squeezes && !o.Checkpoints && !o.Partitions {
-		o.Kills, o.Delays, o.Storms, o.Squeezes, o.Checkpoints, o.Partitions = true, true, true, true, true, true
+	if !o.Kills && !o.Delays && !o.Squeezes && !o.Checkpoints && !o.Partitions {
+		o.Kills, o.Delays, o.Squeezes, o.Checkpoints, o.Partitions = true, true, true, true, true
 	}
 	if o.StallTimeout <= 0 {
 		o.StallTimeout = 4 * time.Second
@@ -110,8 +107,6 @@ const (
 	LegKill               // fabric death + failover from the latest checkpoint
 	LegDelay              // randomized send delays only
 	LegKillDelay          // death composed with delayed delivery
-	LegStorm              // migration storm, no faults
-	LegStormDelay         // migration storm under delayed delivery
 	LegSqueeze            // optimistic run under a small memory budget
 	LegCheckpoint         // checkpoint lineage churn + corrupt-latest drill
 	LegPartition          // asymmetric partition: designed stall
@@ -128,10 +123,6 @@ func (k LegKind) String() string {
 		return "delay"
 	case LegKillDelay:
 		return "kill+delay"
-	case LegStorm:
-		return "storm"
-	case LegStormDelay:
-		return "storm+delay"
 	case LegSqueeze:
 		return "memsqueeze"
 	case LegCheckpoint:
@@ -159,11 +150,6 @@ type Leg struct {
 	Plan faultinject.Plan `json:"-"`
 
 	MemBudget int64 `json:"mem_budget,omitempty"`
-
-	// StormSeed/StormTotal parameterize the deterministic storm planner;
-	// the oracle requires Migrations == StormTotal on storm legs.
-	StormSeed  uint64 `json:"storm_seed,omitempty"`
-	StormTotal int    `json:"storm_total,omitempty"`
 
 	// ExpectKills is how many fabric deaths the schedule injects; the
 	// recovery log must converge after exactly that many failovers.
@@ -217,12 +203,6 @@ func NewSchedule(opts Options) *Schedule {
 	if opts.Delays {
 		pool = append(pool, LegDelay)
 	}
-	if opts.Storms {
-		pool = append(pool, LegStorm)
-		if opts.Delays {
-			pool = append(pool, LegStormDelay)
-		}
-	}
 	if opts.Squeezes {
 		pool = append(pool, LegSqueeze)
 	}
@@ -267,12 +247,6 @@ func NewSchedule(opts Options) *Schedule {
 				leg.Plan.DieAfterSends = r.rangeInt(300, 1200)
 			}
 			leg.ExpectKills = 1
-		case LegStorm, LegStormDelay:
-			leg.StormSeed = r.next()
-			leg.StormTotal = r.rangeInt(2, 4)
-			// A tight cadence guarantees enough cuts for the planner to emit
-			// its whole move budget before the horizon.
-			leg.GVTEvery = 128
 		case LegSqueeze:
 			// The budget only throttles optimism; force the protocol that
 			// exercises it.
@@ -294,7 +268,7 @@ func NewSchedule(opts Options) *Schedule {
 			leg.Plan.MuteAfterSends = r.rangeInt(40, 120)
 			leg.ExpectStall = true
 		}
-		if kind == LegDelay || kind == LegKillDelay || kind == LegStormDelay {
+		if kind == LegDelay || kind == LegKillDelay {
 			if leg.Plan.Seed == 0 {
 				leg.Plan.Seed = int64(r.next() >> 1)
 			}
@@ -305,33 +279,4 @@ func NewSchedule(opts Options) *Schedule {
 		s.Legs = append(s.Legs, leg)
 	}
 	return s
-}
-
-// stormPlanner returns a deterministic migration planner that emits one move
-// per GVT round until total moves have been emitted, plus a counter of moves
-// actually emitted. Decisions depend only on the planner's own seed stream
-// and the snapshotted owner table, so two runs of the same leg emit the same
-// move sequence (timing can change *when* rounds happen, never what the
-// planner does at the Nth one).
-func stormPlanner(seed uint64, total int) (pdes.MigrationPlanner, *int) {
-	r := prng(seed)
-	if r == 0 {
-		r = 0x2545f4914f6cdd1d
-	}
-	emitted := new(int)
-	return func(st *pdes.MigrationState) []pdes.Move {
-		if *emitted >= total || st.Workers < 2 {
-			return nil
-		}
-		lp := pdes.LPID(r.next() % uint64(len(st.Owner)))
-		to := 1 + int(r.next()%uint64(st.Workers))
-		if st.Owner[lp] == to {
-			to = 1 + to%st.Workers
-		}
-		if st.Owner[lp] == to {
-			return nil
-		}
-		*emitted++
-		return []pdes.Move{{LP: lp, To: to}}
-	}, emitted
 }

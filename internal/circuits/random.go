@@ -139,8 +139,7 @@ func (g *swGate) eval(val []bool) bool {
 // register bank, closed synchronously through rising-edge flip-flops — the
 // same shape as the paper's benchmarks but parametric in size (10^3..10^5
 // LPs), arity, and delay profile, which is what ROADMAP item 1 asks for
-// ("synthetic circuit generators past 7000 LPs, exercisable under migration
-// churn"). Gate kinds, wiring, per-layer delays, and the stimulus stream are
+// ("synthetic circuit generators past 7000 LPs"). Gate kinds, wiring, per-layer delays, and the stimulus stream are
 // all drawn from one xorshift stream seeded by opts.Seed, and Verify replays
 // the identical structure through a two-valued software model, so every run
 // of the same seed is checkable against an independent bit-true reference.

@@ -383,3 +383,81 @@ func TestRecoverAfterFaultinjectCorruption(t *testing.T) {
 		t.Fatalf("skipped %d generations, want 1", len(skipped))
 	}
 }
+
+// FuzzRecover writes fuzzed bytes as the generations path, path.1 and path.2
+// of a lineage — mask bit n says whether generation n exists — and checks
+// Recover against the rule it documents: it returns the lowest-numbered
+// generation Read verifies, scanning until two generations in a row are
+// missing, with every newer generation's failure in skipped; it errors only
+// when no such generation exists (IsNotExist when neither path nor path.1
+// does); it never panics. Seeded with a real Write lineage, a truncated and a
+// bit-flipped newest generation, and a missing one.
+func FuzzRecover(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "ck.gvcp")
+	var gens [3][]byte
+	for round := uint64(1); round <= 3; round++ {
+		if err := Write(path, 3, sampleFile(round)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for n := range gens {
+		b, err := os.ReadFile(GenPath(path, n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		gens[n] = b
+	}
+	flipped := append([]byte(nil), gens[0]...)
+	flipped[len(flipped)-3] ^= 0x10
+	f.Add(gens[0], gens[1], gens[2], byte(0b111))
+	f.Add(gens[0][:len(gens[0])/2], gens[1], gens[2], byte(0b111))
+	f.Add(flipped, gens[1], gens[2], byte(0b111))
+	f.Add(gens[0], gens[1], gens[2], byte(0b110))
+	f.Add(flipped, gens[1], gens[2], byte(0b101))
+	f.Add(flipped, flipped, gens[2], byte(0b100))
+	f.Fuzz(func(t *testing.T, g0, g1, g2 []byte, mask byte) {
+		if len(g0)+len(g1)+len(g2) > 1<<12 {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "ck.gvcp")
+		for n, b := range [][]byte{g0, g1, g2} {
+			if mask&(1<<n) != 0 {
+				if err := os.WriteFile(GenPath(path, n), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, missing := -1, 0
+		for n := 0; missing < 2; n++ {
+			if n > 2 || mask&(1<<n) == 0 {
+				missing++
+				continue
+			}
+			missing = 0
+			if _, err := Read(GenPath(path, n)); err == nil {
+				want = n
+				break
+			}
+		}
+
+		got, gen, skipped, err := Recover(path)
+		if want < 0 {
+			if err == nil || got != nil {
+				t.Fatalf("mask %03b: Recover returned %s, but no generation verifies", mask, gen)
+			}
+			if mask&0b11 == 0 && !os.IsNotExist(err) {
+				t.Fatalf("mask %03b: error %v for a lineage with no newest generations, want IsNotExist", mask, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("mask %03b: Recover failed although generation %d verifies: %v", mask, want, err)
+		}
+		if gen != GenPath(path, want) || len(skipped) != want {
+			t.Fatalf("mask %03b: recovered %s skipping %d, want generation %d skipping %d", mask, gen, len(skipped), want, want)
+		}
+		if direct, _ := Read(gen); !reflect.DeepEqual(got, direct) {
+			t.Fatalf("mask %03b: Recover's image differs from Read's", mask)
+		}
+	})
+}

@@ -70,7 +70,7 @@ type ClockGen struct {
 	high bool       // next level to drive
 }
 
-// CloneFresh returns a pristine generator with the same period.
+// CloneFresh returns a fresh generator with the same period.
 func (b *ClockGen) CloneFresh() Behavior { return &ClockGen{Half: b.Half} }
 
 // Run drives the next level and waits half a period.
@@ -108,7 +108,7 @@ type Stimulus struct {
 	idx   int
 }
 
-// CloneFresh returns a pristine player over the same (immutable) schedule.
+// CloneFresh returns a fresh player over the same (immutable) schedule.
 func (b *Stimulus) CloneFresh() Behavior { return &Stimulus{Steps: b.Steps} }
 
 // Run performs the pending assignment and waits until the next step.

@@ -136,7 +136,7 @@ func (d *Design) mustBeOpen() {
 	}
 }
 
-// FreshBehavior is implemented by behaviors that can hand out a pristine
+// FreshBehavior is implemented by behaviors that can hand out a fresh
 // copy of themselves: immutable compiled tables may be shared, but every
 // piece of runtime state must be fresh. Design.CloneFresh requires it of
 // every process behavior.

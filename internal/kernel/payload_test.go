@@ -51,29 +51,32 @@ func TestSharedPayloadsStayImmutable(t *testing.T) {
 }
 
 // TestSharedPayloadsAcrossMigration: a per-process table is filled by
-// whichever worker owns the process at the time, and read by the workers of
-// the signals it drives. With LPs shuttling between two workers at every
-// other GVT round the race detector sees every such hand-over (gate delays
-// are non-zero here, so the lazily filled tables are the ones in use).
+// whichever worker runs the process, and read by the workers of the signals
+// it drives. A checkpoint restore moves every LP to the worker its blob
+// names and rebuilds it by replaying its log, with payloads decoded from the
+// blob. A mid-run cut of three workers, regrouped for two (the failover
+// path), must restore to the oracle's trace with every shared payload intact
+// (gate delays are non-zero here, so the lazily filled tables are the ones in
+// use).
 func TestSharedPayloadsAcrossMigration(t *testing.T) {
-	d, res := runAgainstOracle(t,
-		func() *circuits.Circuit { return circuits.BuildIIR(circuits.IIROpts{Sections: 1, Width: 4, Cycles: 4}) },
-		pdes.Config{
-			Workers: 2, Protocol: pdes.ProtoOptimistic, GVTEvery: 512, ThrottleWindow: 50 * vtime.NS,
-			Migrate: func(st *pdes.MigrationState) []pdes.Move {
-				if st.Round%2 != 0 {
-					return nil
-				}
-				moves := make([]pdes.Move, 8)
-				for k := range moves {
-					lp := (int(st.Round)*8 + k) * 13 % len(st.Owner)
-					moves[k] = pdes.Move{LP: pdes.LPID(lp), To: 3 - st.Owner[lp]}
-				}
-				return moves
-			},
-		})
-	if res.Metrics.Migrations == 0 {
-		t.Fatal("no migrations; the test exercised nothing")
+	build := func() *circuits.Circuit { return circuits.BuildIIR(circuits.IIROpts{Sections: 1, Width: 4, Cycles: 4}) }
+	cfg := pdes.Config{Workers: 3, Protocol: pdes.ProtoOptimistic, GVTEvery: 512, ThrottleWindow: 50 * vtime.NS}
+	var cuts []*pdes.Checkpoint
+	cut := cfg
+	cut.CheckpointRounds = 1
+	cut.CheckpointSink = func(ck *pdes.Checkpoint) error { cuts = append(cuts, ck); return nil }
+	runAgainstOracle(t, build, cut)
+	if len(cuts) == 0 {
+		t.Fatal("no checkpoint was cut; the test exercised nothing")
+	}
+	ck, err := pdes.RemapCheckpoint(cuts[len(cuts)/2], build().Design.Build(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers, cfg.Restore = 2, ck
+	d, res := runAgainstOracle(t, build, cfg)
+	if res.Metrics.CoastForward == 0 {
+		t.Fatal("the restore replayed nothing; the test exercised nothing")
 	}
 	if len(kernel.LonePayloads(d)) == 0 {
 		t.Fatal("no lazily built payloads; the test exercised nothing")

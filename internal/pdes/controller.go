@@ -44,12 +44,6 @@ type controller struct {
 	notes   []*Msg // await's: each worker's latest idle notice since the last round
 	expect  []uint64
 	msgs    msgPool
-
-	// Migration (migrate.go, Config.Migrate runs only): the authoritative
-	// LP-to-worker ownership table and the per-LP executed-event counts
-	// accumulated from GVT acks since the last migration cut.
-	owner []int
-	loads []uint64
 }
 
 func newController(ep Endpoint, cfg *Config, horizon vtime.VT, modes []Mode) *controller {
@@ -62,9 +56,6 @@ func newController(ep Endpoint, cfg *Config, horizon vtime.VT, modes []Mode) *co
 		replies: make([]*Msg, ep.N()),
 		notes:   make([]*Msg, ep.N()),
 		expect:  make([]uint64, ep.N()),
-	}
-	if cfg.Migrate != nil {
-		c.loads = make([]uint64, len(modes))
 	}
 	if cfg.Restore != nil {
 		// GVT resumes from the restored cut; the monotonicity check holds
@@ -174,12 +165,11 @@ func (c *controller) quiet(acks []*Msg) bool {
 	return true
 }
 
-// cutDue reports whether the next round may end in a cut: a due checkpoint,
-// or any round of a migrating run (the planner sees the round's loads, which
-// only a counted round's acks carry). Such rounds are always counted rounds,
-// whose msgGVTNew the cut protocol follows with its own drain.
+// cutDue reports whether the next round ends in a checkpoint cut. Such rounds
+// are always counted rounds, whose msgGVTNew the cut protocol follows with
+// its own drain.
 func (c *controller) cutDue() bool {
-	return c.cfg.Migrate != nil || (c.cfg.CheckpointRounds > 0 && c.sinceCkpt+1 >= c.cfg.CheckpointRounds)
+	return c.cfg.CheckpointRounds > 0 && c.sinceCkpt+1 >= c.cfg.CheckpointRounds
 }
 
 // verdict is what a round's acks decide, whichever shape gathered them.
@@ -191,15 +181,11 @@ type verdict struct {
 }
 
 // tally folds one ack per worker into a verdict: mode switches (applied to
-// the mode table), migration loads, progress, and the minimum and barrier
-// the acks report.
+// the mode table), progress, and the minimum and barrier the acks report.
 func (c *controller) tally(acks []*Msg) verdict {
 	v := verdict{gvt: vtime.Inf}
 	for w := 1; w <= c.workers; w++ {
 		a := acks[w]
-		for _, l := range a.Loads {
-			c.loads[l.LP] += l.Execs
-		}
 		// Null messages count as progress: under user-consistent
 		// conservative ordering, channel-clock promises may need several
 		// propagation hops (and several rounds) before any event becomes
@@ -320,15 +306,6 @@ func (c *controller) commit(v verdict, stallCandidate bool) (done, stopped bool)
 			ckpt = true
 		}
 	}
-	// A round ends in at most one cut; migration yields to a due checkpoint
-	// and the planner simply sees the same state next round.
-	var moves []Move
-	if !isDone && !ckpt && c.cfg.Migrate != nil {
-		var ok bool
-		if moves, ok = c.planMoves(gvt); !ok {
-			return false, true
-		}
-	}
 
 	// The ConsLPs/OptLPs backing arrays are shared across the broadcast;
 	// receivers only read them and recycling a Msg drops the slice header
@@ -340,13 +317,12 @@ func (c *controller) commit(v verdict, stallCandidate bool) (done, stopped bool)
 		m.OptLPs = v.opt
 		m.Done = isDone
 		m.Ckpt = ckpt
-		m.Moves = moves
 	})
 	if isDone {
 		c.finalClock = v.barrier + costs.GVTCost
 	}
-	if ckpt || len(moves) > 0 {
-		return false, c.cutRound(gvt, moves)
+	if ckpt {
+		return false, c.cutRound(gvt)
 	}
 	return isDone, false
 }

@@ -51,31 +51,44 @@ func recraft(t *testing.T, ck *Checkpoint, edit func(cw *ckptWorker)) *Checkpoin
 }
 
 // TestRestoreRejectsCraftedCheckpoint feeds checkpoints whose worker blob
-// names LPs the worker cannot install through pdes.Run. The ids are decoded
-// from a file an operator (or a govhdld tenant) supplies, so each must fail
-// the run with a SimError — never index out of range and take the process
-// down.
+// names LPs the worker cannot install, or is no blob at all, through
+// pdes.Run. The blob is decoded from a file an operator (or a govhdld tenant)
+// supplies, so each must fail the run with a SimError — never index out of
+// range and take the process down.
 func TestRestoreRejectsCraftedCheckpoint(t *testing.T) {
 	ck := takeCut(t, 2)
+	b1 := ck.Blobs[1]
 	cases := []struct {
 		name string
 		edit func(cw *ckptWorker)
+		raw  []byte // replaces worker 1's blob when edit is nil
 		want string
 	}{
-		{"id past the system", func(cw *ckptWorker) { cw.LPs[0].ID = 1 << 20 }, "outside the system"},
-		{"negative id", func(cw *ckptWorker) { cw.LPs[0].ID = -3 }, "outside the system"},
-		{"duplicate id", func(cw *ckptWorker) { cw.LPs[1].ID = cw.LPs[0].ID }, "installed twice"},
+		{"id past the system", func(cw *ckptWorker) { cw.LPs[0].ID = 1 << 20 }, nil, "outside the system"},
+		{"negative id", func(cw *ckptWorker) { cw.LPs[0].ID = -3 }, nil, "outside the system"},
+		{"duplicate id", func(cw *ckptWorker) { cw.LPs[1].ID = cw.LPs[0].ID }, nil, "installed twice"},
 		// Round-robin over two workers: LP 1 is in worker 2's blob too.
-		{"id owned elsewhere", func(cw *ckptWorker) { cw.LPs[0].ID = 1 }, "installed twice"},
-		{"missing LP", func(cw *ckptWorker) { cw.LPs = cw.LPs[1:] }, "cover 7 of 8"},
-		{"wrong worker", func(cw *ckptWorker) { cw.Worker = 2 }, "worker 2's state"},
-		{"channel clocks", func(cw *ckptWorker) { cw.LPs[0].CC = nil }, "channel clocks"},
+		{"id owned elsewhere", func(cw *ckptWorker) { cw.LPs[0].ID = 1 }, nil, "installed twice"},
+		{"missing LP", func(cw *ckptWorker) { cw.LPs = cw.LPs[1:] }, nil, "cover 7 of 8"},
+		{"wrong worker", func(cw *ckptWorker) { cw.Worker = 2 }, nil, "worker 2's state"},
+		{"channel clocks", func(cw *ckptWorker) { cw.LPs[0].CC = nil }, nil, "channel clocks"},
+		{"garbage", nil, []byte("not a blob"), "blob 1"},
+		{"format 1", nil, append([]byte{1}, b1[1:]...), "format 1"},
+		{"truncated", nil, b1[:len(b1)-1], "blob 1"},
+		{"trailing byte", nil, append(append([]byte(nil), b1...), 0), "after the last LP"},
+		{"empty", nil, nil, "blob 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			raw := *ck
+			raw.Blobs = [][]byte{nil, tc.raw, ck.Blobs[2]}
+			restore := &raw
+			if tc.edit != nil {
+				restore = recraft(t, ck, tc.edit)
+			}
 			_, err := Run(buildRing(8, 5, ProtoOptimistic), Config{
 				Workers: 2, Protocol: ProtoOptimistic, GVTEvery: 16, ThrottleWindow: 100,
-				Restore: recraft(t, ck, tc.edit),
+				Restore: restore,
 			}, 2000, nil)
 			var se *SimError
 			if !errors.As(err, &se) {
@@ -85,62 +98,6 @@ func TestRestoreRejectsCraftedCheckpoint(t *testing.T) {
 				t.Errorf("error %q does not mention %q", se.Text, tc.want)
 			}
 		})
-	}
-}
-
-// installWorker builds worker 1 of a two-worker ring as a migration install
-// sees it: LP 1 has just been flipped to it but is not installed yet.
-func installWorker(tb testing.TB) (w *worker, modes []Mode) {
-	sys := buildRing(8, 5, ProtoOptimistic)
-	sys.frozen = true
-	cfg := Config{Workers: 2, Protocol: ProtoOptimistic}
-	cfg.fillDefaults()
-	owner := []int{1, 1, 1, 2, 1, 2, 1, 2}
-	modes = make([]Mode, 8)
-	for i := range modes {
-		modes[i] = Optimistic
-	}
-	w = newWorker(NewLocalFabric(3)[1], sys, &cfg, vtime.VT{PT: 1 << 40}, owner,
-		[]LPID{0, 2, 4, 6}, modes, nil)
-	return w, modes
-}
-
-// TestInstallRejectsBadMigrationBundle is the migration side of the same
-// validation: the bundle arrives on the wire in msgCutInstall.
-func TestInstallRejectsBadMigrationBundle(t *testing.T) {
-	w, modes := installWorker(t)
-	bundle := func(ids ...LPID) []byte {
-		cw := ckptWorker{Worker: 2}
-		for _, id := range ids {
-			cw.LPs = append(cw.LPs, ckptLP{ID: id, CC: make([]vtime.VT, 1)})
-		}
-		b, err := encodeBlob(&cw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if _, err := w.decodeInstall(bundle(1), modes); err != nil {
-		t.Fatalf("well-formed bundle rejected: %v", err)
-	}
-	for name, blob := range map[string][]byte{
-		"out of range":  bundle(99),
-		"negative":      bundle(-1),
-		"already owned": bundle(2),
-		"duplicate":     bundle(1, 1),
-		"not flipped":   bundle(3),
-		"garbage":       []byte("not a blob"),
-		"format 1":      append([]byte{1}, bundle(1)[1:]...),
-		"truncated":     bundle(1)[:len(bundle(1))-1],
-		"trailing byte": append(bundle(1), 0),
-		"empty":         nil,
-	} {
-		if _, err := w.decodeInstall(blob, modes); err == nil {
-			t.Errorf("%s: bundle accepted", name)
-		}
-	}
-	if _, err := w.decodeInstall(bundle(1), modes[:3]); err == nil {
-		t.Error("short mode table accepted")
 	}
 }
 
@@ -292,14 +249,14 @@ func TestControllerRejectsBadFrom(t *testing.T) {
 	}
 }
 
-// FuzzInstallBlob drives arbitrary bytes through the blob boundary both a
-// checkpoint restore and a migration install cross — the one blob decoder and
-// the one LP validation, behind decodeRestore and decodeInstall: each must
-// return an error or a result that is safe to install, never panic, never
-// index outside the run's tables, never allocate more than a constant
-// multiple of the input, and what decodes must encode back to a blob that
-// decodes to the same value. Seeded with the worker blobs of a real cut, a
-// truncation and a flipped bit of one, and a count far beyond the input.
+// FuzzInstallBlob drives arbitrary bytes through the blob boundary a
+// checkpoint restore crosses — the one blob decoder and the one LP
+// validation, behind decodeRestore: it must return an error or a result that
+// is safe to install, never panic, never index outside the run's tables,
+// never allocate more than a constant multiple of the input, and what decodes
+// must encode back to a blob that decodes to the same value. Seeded with the
+// worker blobs of a real cut, a truncation and a flipped bit of one, and a
+// count far beyond the input.
 func FuzzInstallBlob(f *testing.F) {
 	cut := takeCut(f, 2)
 	for _, blob := range cut.Blobs[1:] {
@@ -311,7 +268,8 @@ func FuzzInstallBlob(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append(append([]byte{checkpointFormat, 2, 0}, make([]byte, 8)...), 0xff, 0xff, 0xff, 0xff, 0x0f))
 	f.Add([]byte{})
-	w, modes := installWorker(f)
+	sys := buildRing(8, 5, ProtoOptimistic)
+	cfg := Config{Workers: 2, Protocol: ProtoOptimistic}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		if len(blob) > 1<<12 {
 			return
@@ -336,19 +294,23 @@ func FuzzInstallBlob(f *testing.F) {
 
 		ck := *cut
 		ck.Blobs = [][]byte{nil, blob, cut.Blobs[2]}
-		if restored, err := decodeRestore(&ck, w.sys, w.cfg); err == nil {
-			if n := len(restored[1].LPs) + len(restored[2].LPs); n != w.sys.NumLPs() {
-				t.Fatalf("accepted checkpoint assigns %d of %d LPs", n, w.sys.NumLPs())
-			}
-		}
-		cw, err := w.decodeInstall(blob, modes)
+		restored, err := decodeRestore(&ck, sys, &cfg)
 		if err != nil {
 			return
 		}
-		for i := range cw.LPs {
-			id := cw.LPs[i].ID
-			if id < 0 || int(id) >= len(w.lps) || w.owner[id] != 1 || w.lps[id] != nil {
-				t.Fatalf("validated blob installs LP %d, which this worker cannot take", id)
+		seen := make([]bool, sys.NumLPs())
+		for _, cw := range restored[1:] {
+			for i := range cw.LPs {
+				id := cw.LPs[i].ID
+				if id < 0 || int(id) >= len(seen) || seen[id] {
+					t.Fatalf("accepted checkpoint installs LP %d out of range or twice", id)
+				}
+				seen[id] = true
+			}
+		}
+		for id, ok := range seen {
+			if !ok {
+				t.Fatalf("accepted checkpoint leaves LP %d unowned", id)
 			}
 		}
 	})

@@ -74,12 +74,10 @@ const (
 	msgFatal                   // worker -> controller: unrecoverable error
 	msgStop                    // controller -> worker: abort now
 	msgPoison                  // transport/injector -> anyone: the substrate is dead
-	// The quiescent cut (cut.go) that follows a msgGVTNew carrying Ckpt or
-	// Moves; its counted drain reuses msgGVTAck/msgGVTDrain.
-	msgCutState   // worker -> controller: captured LPs (every LP, or the moved ones; nil if none)
-	msgCutInstall // controller -> worker: flip ownership, install incoming LPs (migration cuts only)
-	msgCutDone    // worker -> controller: installed, still paused
-	msgCutResume  // controller -> worker: the cut is complete, resume
+	// The quiescent cut (cut.go) that follows a msgGVTNew carrying Ckpt; its
+	// counted drain reuses msgGVTAck/msgGVTDrain.
+	msgCutState  // worker -> controller: every captured LP
+	msgCutResume // controller -> worker: the cut is complete, resume
 	// The phase executor's step barrier (phase.go): one per peer per step.
 	msgPhase // worker -> worker: cross-shard member events, next local minimum, clock
 )
@@ -123,17 +121,9 @@ type Msg struct {
 	Nulls     uint64     // msgGVTAck/msgIdle: null messages sent so far
 	Done      bool       // msgGVTNew: termination flag
 	Ckpt      bool       // msgGVTNew: this round ends in a checkpoint cut
-	Blob      []byte     // msgCutState/msgCutInstall: an encoded ckptWorker (cut.go)
+	Blob      []byte     // msgCutState: an encoded ckptWorker (cut.go)
 	Err       *SimError  // msgFatal/msgStop/msgPoison: fatal error, if any
 	Modes     []ModePair // msgGVTAck/msgIdle: mode switches requested by this worker
-	// Loads reports per-LP executed-event counts for the controller's
-	// migration planner. Collected only when Config.Migrate is set.
-	Loads []LPLoad // msgGVTAck, msgGVTMin (phase executor syncs)
-	// Moves announces a migration cut following this GVT round.
-	Moves []Move // msgGVTNew
-	// AllModes is the full per-LP mode table, carried on msgCutInstall so a
-	// receiver can build runtime state for LPs it has never owned.
-	AllModes []Mode // msgCutInstall
 }
 
 // PoisonMsg builds the message a failing message substrate injects into every

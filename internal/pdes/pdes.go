@@ -265,16 +265,6 @@ type Config struct {
 	// Checkpoint instead of from the initial model states. The System must
 	// be constructed identically to the checkpointed run's.
 	Restore *Checkpoint
-
-	// Migrate, when non-nil, enables live LP migration: after every committed
-	// GVT round (that does not end in a checkpoint cut) the controller invokes
-	// the planner with the current ownership and per-LP load window, and a
-	// non-empty plan turns the round into a migration cut that moves the named
-	// LPs to their new owners (see migrate.go). Workers keep per-LP
-	// committed-event logs when set, exactly as for checkpoints. In
-	// distributed mode every process must use the same planner configuration;
-	// the planner itself runs only on the controller.
-	Migrate MigrationPlanner
 }
 
 func (c *Config) fillDefaults() {

@@ -71,7 +71,7 @@ func (h *pendingHarness) pop() {
 	h.now = want.ts
 }
 
-// rebuild is what shardModel.SaveState followed by RestoreState does.
+// rebuild is what a shard capture followed by an install does.
 func (h *pendingHarness) rebuild() {
 	h.t.Helper()
 	flat := h.set.AppendTo(nil)

@@ -3,7 +3,6 @@ package pdes
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"time"
 
 	"govhdl/internal/stats"
@@ -38,10 +37,10 @@ import (
 // and the first after every Config.GVTEvery events system-wide. At a sync
 // each worker reports the step's timestamp (msgGVTMin) and the controller
 // commits it as GVT, calls OnGVT and counts a GVT round. The workers wait for
-// its verdict (msgGVTNew) only when the run can cut — CheckpointRounds or
-// Migrate set — and a checkpoint or migration cut then runs right there, at a
-// step boundary where every worker is at the same step and nothing is in
-// flight, with cut.go's counted drain and blob format.
+// its verdict (msgGVTNew) only when the run can cut — CheckpointRounds set —
+// and a checkpoint cut then runs right there, at a step boundary where every
+// worker is at the same step and nothing is in flight, with cut.go's counted
+// drain and blob format.
 
 // phaseSpin bounds how often a worker polls for a missing peer msgPhase,
 // yielding the processor (runtime.Gosched) between polls, before it parks in
@@ -83,14 +82,11 @@ type phaseWorker struct {
 	processed uint64 // member events this worker executed
 	total     uint64 // member events all workers executed, as of the last exchange
 	syncedAt  uint64 // total at the last sync
-	// cuts: the run can cut (CheckpointRounds or Migrate), so workers wait
-	// for the controller at syncs and shards keep their logs.
+	// cuts: the run can cut (CheckpointRounds), so workers wait for the
+	// controller at syncs and shards keep their logs.
 	cuts     bool
 	sentTo   []uint64
 	recvd    uint64
-	ackLoads []LPLoad
-
-	cutMoves []Move
 	restored *ckptWorker
 	msgPool  msgPool
 	metrics  stats.Snapshot
@@ -120,7 +116,7 @@ func newPhaseWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT, own
 		sentMin:  vtime.Inf,
 		got:      make([]*Msg, n+1),
 		early:    make([]*Msg, n+1),
-		cuts:     cfg.CheckpointRounds > 0 || cfg.Migrate != nil,
+		cuts:     cfg.CheckpointRounds > 0,
 		sentTo:   make([]uint64, n+1),
 		restored: restored,
 		watch:    cfg.StallTimeout > 0,
@@ -158,7 +154,7 @@ func (w *phaseWorker) run() {
 		// committed trace, and the first exchange finds the cut's GVT.
 		w.clock = cw.Clock
 		for i := range cw.LPs {
-			w.install(&cw.LPs[i], true)
+			w.install(&cw.LPs[i])
 		}
 		w.restored = nil
 	} else {
@@ -196,7 +192,6 @@ func (w *phaseWorker) step() {
 		if w.cuts {
 			m.log = append(m.log, Event{Dst: NoLP, TS: w.t})
 		}
-		m.execs += k
 		n += k
 	}
 	w.processed += n
@@ -433,16 +428,6 @@ func (w *phaseWorker) recvControl() *Msg {
 func (w *phaseWorker) sync(done bool) bool {
 	m := w.msgPool.get()
 	m.Kind, m.Min = msgGVTMin, w.t
-	if w.cfg.Migrate != nil {
-		// Scratch reused across syncs: the controller consumes the loads
-		// before it answers, and with Migrate set every sync waits for that.
-		w.ackLoads = w.ackLoads[:0]
-		for _, s := range w.owned {
-			w.ackLoads = append(w.ackLoads, LPLoad{LP: s.shard, Execs: s.execs})
-			s.execs = 0
-		}
-		m.Loads = w.ackLoads
-	}
 	w.ep.Send(0, m)
 	if done || !w.cuts {
 		return true
@@ -455,8 +440,7 @@ func (w *phaseWorker) sync(done bool) bool {
 		if v.Kind != msgGVTNew {
 			w.fatal("pdes: phase worker %d received message kind %d at a sync", w.self, v.Kind)
 		}
-		w.cutMoves = append(w.cutMoves[:0], v.Moves...)
-		cut := v.Ckpt || len(v.Moves) > 0
+		cut := v.Ckpt
 		w.msgPool.put(v)
 		if !cut {
 			return true
@@ -467,7 +451,7 @@ func (w *phaseWorker) sync(done bool) bool {
 
 // cut is the worker side of a quiescent cut at a step boundary: the counted
 // drain (trivially complete — every msgPhase sent has been received), the
-// capture, the migration install and the resume barrier.
+// capture and the resume barrier.
 func (w *phaseWorker) cut() bool {
 	ack := w.msgPool.getAck()
 	ack.Kind, ack.Sent, ack.Recvd = msgGVTAck, append(ack.Sent[:0], w.sentTo...), w.recvd
@@ -495,54 +479,18 @@ func (w *phaseWorker) cut() bool {
 		if m == nil {
 			return false
 		}
-		switch m.Kind {
-		case msgCutInstall:
-			for _, mv := range w.cutMoves {
-				w.owner[mv.LP] = mv.To
-			}
-			if len(m.Blob) > 0 {
-				cw, err := w.decodeInstall(m.Blob)
-				if err != nil {
-					w.fatal("pdes: phase worker %d: migration install: %v", w.self, err)
-				}
-				for i := range cw.LPs {
-					w.install(&cw.LPs[i], false)
-				}
-			}
-			w.msgPool.put(m)
-			dm := w.msgPool.get()
-			dm.Kind = msgCutDone
-			w.ep.Send(0, dm)
-		case msgCutResume:
+		if m.Kind == msgCutResume {
 			w.msgPool.put(m)
 			return true
 		}
 	}
 }
 
-// capture encodes this worker's share of the cut: every owned shard for a
-// checkpoint, or the shards it donates, which it then drops (nil when it
-// donates none). A donated shard's pending events travel inside the blob and
-// are counted as forwarded.
+// capture encodes this worker's share of the cut: every owned shard.
 func (w *phaseWorker) capture() []byte {
 	cw := ckptWorker{Worker: w.self, Clock: w.clock}
-	if len(w.cutMoves) == 0 {
-		for _, m := range w.owned {
-			cw.LPs = append(cw.LPs, captureShard(m))
-		}
-	}
-	for _, mv := range w.cutMoves {
-		m := w.mine[mv.LP]
-		if m == nil {
-			continue // owned elsewhere
-		}
-		cl := captureShard(m)
-		w.metrics.ForwardedMsgs += uint64(len(cl.Pending))
-		cw.LPs = append(cw.LPs, cl)
-		w.drop(m, mv.To)
-	}
-	if len(w.cutMoves) > 0 && len(cw.LPs) == 0 {
-		return nil
+	for _, m := range w.owned {
+		cw.LPs = append(cw.LPs, captureShard(m))
 	}
 	blob, err := encodeBlob(&cw)
 	if err != nil {
@@ -561,48 +509,13 @@ func captureShard(m *shardModel) ckptLP {
 	return cl
 }
 
-// drop removes a donated shard. Within one process the shard object is
-// shared, so the new owner adopts it as it is; one that left the process is
-// stale here from now on (runState.localModel).
-func (w *phaseWorker) drop(m *shardModel, to int) {
-	w.mine[m.shard] = nil
-	w.owned = slices.DeleteFunc(w.owned, func(x *shardModel) bool { return x == m })
-	m.log = nil
-	if w.rs != nil && w.rs.localModel != nil && to < len(w.rs.hostedEps) && !w.rs.hostedEps[to] {
-		w.rs.localModel[m.shard] = false
-	}
-}
-
-// decodeInstall decodes a migration bundle and validates it against this
-// worker: a shard may be installed when the just-flipped ownership table
-// gives it to this worker and it is not here already.
-func (w *phaseWorker) decodeInstall(blob []byte) (*ckptWorker, error) {
-	cw, err := decodeBlob(blob)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[LPID]bool, len(cw.LPs))
-	return cw, w.sys.checkBlob(cw, func(id LPID) bool {
-		ok := w.owner[id] == w.self && w.mine[id] == nil && !seen[id]
-		seen[id] = true
-		return ok
-	})
-}
-
-// install adopts one captured shard: member models by Init plus log replay
-// (unless this process's shard object is already current), then the pending
-// set. A restore replays with records flowing to the sink, re-emitting the
-// committed trace; a migration install suppresses them.
-func (w *phaseWorker) install(cl *ckptLP, emit bool) {
+// install adopts one restored shard: member models by Init plus log replay,
+// with records flowing to the sink to re-emit the committed trace, then the
+// pending set.
+func (w *phaseWorker) install(cl *ckptLP) {
 	m := w.sys.lps[cl.ID].model.(*shardModel)
 	w.own(m)
-	tracked := w.rs != nil && w.rs.localModel != nil
-	if !tracked || !w.rs.localModel[cl.ID] {
-		if w.rs != nil && w.rs.pristine != nil {
-			m.RestoreState(w.rs.pristine[cl.ID])
-		}
-		w.metrics.CoastForward += uint64(m.replay(cl.Log, emit))
-	}
+	w.metrics.CoastForward += uint64(m.replay(cl.Log))
 	m.reset()
 	for k := range cl.Pending {
 		m.push(&cl.Pending[k])
@@ -610,9 +523,6 @@ func (w *phaseWorker) install(cl *ckptLP, emit bool) {
 	m.now, m.log = cl.Now, nil
 	if w.cuts {
 		m.log = cl.Log // later cuts extend the same log
-	}
-	if tracked {
-		w.rs.localModel[cl.ID] = true
 	}
 }
 
@@ -647,7 +557,7 @@ func (w *phaseWorker) result() workerResult {
 // reports, hands it to OnGVT, and coordinates the cuts. It never takes part
 // in a step.
 func (c *controller) runPhase() {
-	cuts := c.cfg.CheckpointRounds > 0 || c.cfg.Migrate != nil
+	cuts := c.cfg.CheckpointRounds > 0
 	early := make([][]*Msg, c.workers+1)
 	for {
 		if !c.collectSync(early) {
@@ -657,9 +567,6 @@ func (c *controller) runPhase() {
 		for w := 1; w <= c.workers; w++ {
 			m := c.replies[w]
 			agree = agree && m.Min == gvt
-			for _, l := range m.Loads {
-				c.loads[l.LP] += l.Execs
-			}
 		}
 		c.recycle()
 		switch {
@@ -686,23 +593,15 @@ func (c *controller) runPhase() {
 		if !cuts {
 			continue
 		}
-		ckpt := false
-		if c.cfg.CheckpointRounds > 0 {
-			if c.sinceCkpt++; c.sinceCkpt >= c.cfg.CheckpointRounds {
-				c.sinceCkpt, ckpt = 0, true
-			}
-		}
-		var moves []Move
-		if !ckpt && c.cfg.Migrate != nil {
-			var ok bool
-			if moves, ok = c.planMoves(gvt); !ok {
-				return
-			}
+		c.sinceCkpt++
+		ckpt := c.sinceCkpt >= c.cfg.CheckpointRounds
+		if ckpt {
+			c.sinceCkpt = 0
 		}
 		c.broadcast(msgGVTNew, func(_ int, m *Msg) {
-			m.GVT, m.Ckpt, m.Moves = gvt, ckpt, moves
+			m.GVT, m.Ckpt = gvt, ckpt
 		})
-		if (ckpt || len(moves) > 0) && c.cutRound(gvt, moves) {
+		if ckpt && c.cutRound(gvt) {
 			return
 		}
 	}

@@ -85,9 +85,8 @@ func phaseRun(t *testing.T, build func() *pdes.System, until vtime.Time, shards 
 }
 
 // phaseCases runs every shard count 1..4 with every worker count 1..shards,
-// in-process and over loopback transport, plain, restored from a mid-run
-// checkpoint of the same configuration, and migrating shards between workers
-// at every sync, and requires the sequential trace.
+// in-process and over loopback transport, plain and restored from a mid-run
+// checkpoint of the same configuration, and requires the sequential trace.
 func phaseCases(t *testing.T, build func() *pdes.System, until vtime.Time) {
 	want := &lineSink{}
 	if _, err := pdes.RunSequential(build(), until, want); err != nil {
@@ -111,26 +110,10 @@ func phaseCases(t *testing.T, build func() *pdes.System, until vtime.Time) {
 					}
 					cfg.Restore, cfg.CheckpointRounds, cfg.CheckpointSink = cuts[len(cuts)/2], 0, nil
 					requireLines(t, "restored", phaseRun(t, build, until, shards, cfg, tcp), want.recs)
-					if workers > 1 {
-						moved := 0
-						cfg = pdes.Config{Workers: workers, Protocol: pdes.ProtoDynamic, GVTEvery: 64,
-							Migrate: func(st *pdes.MigrationState) []pdes.Move { moved++; return rotate(st) }}
-						requireLines(t, "migrated", phaseRun(t, build, until, shards, cfg, tcp), want.recs)
-						if moved == 0 {
-							t.Fatal("the migrating run never planned a move")
-						}
-					}
 				})
 			}
 		}
 	}
-}
-
-// rotate moves one shard to the next worker at every sync: over loopback
-// transport shards leave their process and come back, rebuilt by replay.
-func rotate(st *pdes.MigrationState) []pdes.Move {
-	lp := pdes.LPID(st.Round % uint64(len(st.Owner)))
-	return []pdes.Move{{LP: lp, To: st.Owner[lp]%st.Workers + 1}}
 }
 
 func requireLines(t *testing.T, what string, got, want []string) {

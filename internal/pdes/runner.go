@@ -140,26 +140,6 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 	}
 
 	rs := &runState{}
-	if cfg.Migrate != nil {
-		// Migration support: record which endpoints live here, whether each
-		// LP's local model object is current (it is when its owner is hosted
-		// here and initializes it; in a restored run no object is until the
-		// install replays it), and a pristine pre-Init snapshot of every
-		// model so an LP installed from another process can be rebuilt by
-		// log replay.
-		rs.hostedEps = make([]bool, total)
-		for _, ep := range eps {
-			rs.hostedEps[ep.Self()] = true
-		}
-		rs.localModel = make([]bool, sys.NumLPs())
-		for id := range rs.localModel {
-			rs.localModel[id] = cfg.Restore == nil && rs.hostedEps[owner[id]]
-		}
-		rs.pristine = make([]any, sys.NumLPs())
-		for id := range rs.pristine {
-			rs.pristine[id] = sys.lps[id].model.SaveState()
-		}
-	}
 	var workers []engineWorker
 	var ctrl *controller
 	for _, ep := range eps {
@@ -169,26 +149,18 @@ func RunOn(sys *System, cfg Config, until vtime.Time, sink TraceSink, eps []Endp
 			ctrl = newController(ep, &cfg, horizon, ctrlModes)
 			ctrl.sys = sys
 			ctrl.rs = rs
-			ctrl.owner = append([]int(nil), owner...)
 			continue
 		}
 		wi := ep.Self() - 1
-		wOwner := owner
-		if cfg.Migrate != nil {
-			// Migration flips ownership tables per worker at the cut; a shared
-			// slice would make those (identical) writes race across the
-			// process's workers.
-			wOwner = append([]int(nil), owner...)
-		}
 		var rw *ckptWorker
 		if restored != nil {
 			rw = restored[ep.Self()]
 		}
 		if sys.sharded != nil {
-			workers = append(workers, newPhaseWorker(ep, sys, &cfg, horizon, wOwner, owned[wi], sink, rs, rw))
+			workers = append(workers, newPhaseWorker(ep, sys, &cfg, horizon, owner, owned[wi], sink, rs, rw))
 			continue
 		}
-		w := newWorker(ep, sys, &cfg, horizon, wOwner, owned[wi], modes, sink)
+		w := newWorker(ep, sys, &cfg, horizon, owner, owned[wi], modes, sink)
 		w.rs = rs
 		w.memTrack = cfg.MemBudget > 0
 		w.restored = rw

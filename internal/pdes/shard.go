@@ -116,8 +116,7 @@ type shardModel struct {
 	// log is what reached the shard since t=0, in order: cross-shard arrivals
 	// (member events) and drain marks (Dst NoLP, TS the drained timestamp).
 	// Kept only when the run can cut (phaseWorker.cuts).
-	log   []Event
-	execs uint64 // member events executed since the last sync (migration loads)
+	log []Event
 
 	// w is the executor that owns the shard in this process; nil while a
 	// captured log is replayed, which suppresses cross-shard sends — they
@@ -146,12 +145,8 @@ func newShardModel(ss *ShardedSystem, shard LPID, members []LPID) *shardModel {
 // adopt binds the shard to the executor that owns it in this process.
 func (m *shardModel) adopt(w *phaseWorker) {
 	m.w, m.sink = w, w.sink
-	m.setRecording(w.sink != nil)
-}
-
-func (m *shardModel) setRecording(on bool) {
 	m.mctx.record = nil
-	if on {
+	if w.sink != nil {
 		m.mctx.record = m.record
 	}
 }
@@ -219,13 +214,12 @@ func (m *shardModel) reset() {
 
 // replay rebuilds the member models from a captured log: Inits, then every
 // arrival pushed and every drain mark drained, in order, with cross-shard
-// sends suppressed and records committed only when emit is set. The pending
+// sends suppressed and records committed, re-emitting the trace. The pending
 // set it leaves behind is discarded; the caller installs the captured one.
 // It returns the number of member events re-executed.
-func (m *shardModel) replay(log []Event, emit bool) int {
+func (m *shardModel) replay(log []Event) int {
 	w := m.w
 	m.w = nil
-	m.setRecording(emit && m.sink != nil)
 	m.init()
 	n := 0
 	for k := range log {
@@ -236,7 +230,6 @@ func (m *shardModel) replay(log []Event, emit bool) int {
 		}
 	}
 	m.w = w
-	m.setRecording(m.sink != nil)
 	m.reset()
 	return n
 }
@@ -270,21 +263,6 @@ func (m *shardModel) Execute(*Ctx, *Event) {
 	panic(fmt.Sprintf("pdes: shard %d executed outside the phase executor", m.shard))
 }
 
-// SaveState snapshots the member models — the pre-Init base a migration
-// install rebuilds a stale local shard from (runState.pristine).
-func (m *shardModel) SaveState() any {
-	states := make([]any, len(m.members))
-	for i, id := range m.members {
-		states[i] = m.orig.lps[id].model.SaveState()
-	}
-	return states
-}
-
-// RestoreState installs a SaveState snapshot and empties the scheduler.
-func (m *shardModel) RestoreState(st any) {
-	for i, id := range m.members {
-		m.orig.lps[id].model.RestoreState(st.([]any)[i])
-	}
-	m.reset()
-	m.now, m.log = vtime.VT{}, nil
-}
+// SaveState and RestoreState are never called: a shard never rolls back.
+func (m *shardModel) SaveState() any   { panic("pdes: shard state saved") }
+func (m *shardModel) RestoreState(any) { panic("pdes: shard state restored") }

@@ -48,21 +48,6 @@ type runState struct {
 	// memUsed/memPeak track Config.MemBudget bytes (see worker.memAdd).
 	memUsed atomic.Int64
 	memPeak atomic.Int64
-
-	// Migration support (migrate.go, Config.Migrate runs only). All three are
-	// written by RunOn before any worker starts; localModel entries are
-	// mutated only by the worker owning the LP at a fully barriered migration
-	// cut, so no extra synchronization is needed.
-	//
-	// hostedEps marks the endpoints this process hosts. localModel[id] records
-	// whether this process's shared model object (System.lps[id].model) holds
-	// the LP's current committed state — false once the LP migrates to
-	// another process, true again after an install replays it. pristine[id] is
-	// the model's pre-Init SaveState snapshot, the defined base an install
-	// rebuilds a stale local model from.
-	hostedEps  []bool
-	localModel []bool
-	pristine   []any
 }
 
 // LPDiag is one LP's entry in a stall report.

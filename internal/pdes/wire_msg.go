@@ -46,9 +46,6 @@ const (
 	fBlob
 	fErr
 	fModes
-	fLoads
-	fMoves
-	fAllModes
 	fBatch
 )
 
@@ -57,22 +54,20 @@ const (
 // setting on a kind must be added here (TestWireFieldCoverage fails for a Msg
 // field no kind claims).
 var wireFields = [...]msgField{
-	msgEvent:      fEv,
-	msgNull:       fSrc | fDst | fTS,
-	msgGVTPause:   0,
-	msgGVTAck:     fRound | fSent | fRecvd | fMin | fClock | fProcessed | fNulls | fModes | fLoads,
-	msgGVTDrain:   fExpect,
-	msgGVTMin:     fMin | fClock | fLoads,
-	msgGVTNew:     fGVT | fClock | fConsLPs | fOptLPs | fDone | fCkpt | fMoves,
-	msgIdle:       fRound | fSent | fRecvd | fMin | fClock | fIdle | fRequest | fProcessed | fNulls | fModes,
-	msgFatal:      fErr,
-	msgStop:       fErr,
-	msgPoison:     fErr,
-	msgCutState:   fBlob,
-	msgCutInstall: fBlob | fAllModes,
-	msgCutDone:    0,
-	msgCutResume:  0,
-	msgPhase:      fMin | fClock | fProcessed | fBatch,
+	msgEvent:     fEv,
+	msgNull:      fSrc | fDst | fTS,
+	msgGVTPause:  0,
+	msgGVTAck:    fRound | fSent | fRecvd | fMin | fClock | fProcessed | fNulls | fModes,
+	msgGVTDrain:  fExpect,
+	msgGVTMin:    fMin | fClock,
+	msgGVTNew:    fGVT | fClock | fConsLPs | fOptLPs | fDone | fCkpt,
+	msgIdle:      fRound | fSent | fRecvd | fMin | fClock | fIdle | fRequest | fProcessed | fNulls | fModes,
+	msgFatal:     fErr,
+	msgStop:      fErr,
+	msgPoison:    fErr,
+	msgCutState:  fBlob,
+	msgCutResume: 0,
+	msgPhase:     fMin | fClock | fProcessed | fBatch,
 }
 
 // SimError flag bits on the wire.
@@ -239,26 +234,6 @@ func encodeControl(e *WireEncoder, m *Msg) {
 			e.Byte(byte(p.Mode))
 		}
 	}
-	if f&fLoads != 0 {
-		e.Count(len(m.Loads), m.Loads == nil)
-		for _, l := range m.Loads {
-			e.LP(l.LP)
-			e.Uvarint(l.Execs)
-		}
-	}
-	if f&fMoves != 0 {
-		e.Count(len(m.Moves), m.Moves == nil)
-		for _, mv := range m.Moves {
-			e.LP(mv.LP)
-			e.Varint(int64(mv.To))
-		}
-	}
-	if f&fAllModes != 0 {
-		e.Count(len(m.AllModes), m.AllModes == nil)
-		for _, md := range m.AllModes {
-			e.Byte(byte(md))
-		}
-	}
 }
 
 func encodeLPs(e *WireEncoder, ids []LPID) {
@@ -377,30 +352,6 @@ func decodeControl(d *WireDecoder, m *Msg) {
 			m.Modes = make([]ModePair, n)
 			for i := range m.Modes {
 				m.Modes[i] = ModePair{LP: d.LP(), Mode: Mode(d.Byte())}
-			}
-		}
-	}
-	if f&fLoads != 0 {
-		if n, ok := d.Count(2); ok {
-			m.Loads = make([]LPLoad, n)
-			for i := range m.Loads {
-				m.Loads[i] = LPLoad{LP: d.LP(), Execs: d.Uvarint()}
-			}
-		}
-	}
-	if f&fMoves != 0 {
-		if n, ok := d.Count(2); ok {
-			m.Moves = make([]Move, n)
-			for i := range m.Moves {
-				m.Moves[i] = Move{LP: d.LP(), To: d.Int()}
-			}
-		}
-	}
-	if f&fAllModes != 0 {
-		if n, ok := d.Count(1); ok {
-			m.AllModes = make([]Mode, n)
-			for i := range m.AllModes {
-				m.AllModes[i] = Mode(d.Byte())
 			}
 		}
 	}

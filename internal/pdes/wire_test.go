@@ -15,22 +15,20 @@ import (
 // round trip must keep exactly these fields (plus Kind and From) and nothing
 // else, so dropping one from its kind's encoder fails here.
 var wantFields = map[msgKind][]string{
-	msgEvent:      {"Ev"},
-	msgNull:       {"Src", "Dst", "TS"},
-	msgGVTPause:   nil,
-	msgGVTAck:     {"Round", "Sent", "Recvd", "Min", "Clock", "Processed", "Nulls", "Modes", "Loads"},
-	msgGVTDrain:   {"Expect"},
-	msgGVTMin:     {"Min", "Clock", "Loads"},
-	msgGVTNew:     {"GVT", "Clock", "ConsLPs", "OptLPs", "Done", "Ckpt", "Moves"},
-	msgIdle:       {"Round", "Sent", "Recvd", "Min", "Clock", "Idle", "Request", "Processed", "Nulls", "Modes"},
-	msgFatal:      {"Err"},
-	msgStop:       {"Err"},
-	msgPoison:     {"Err"},
-	msgCutState:   {"Blob"},
-	msgCutInstall: {"Blob", "AllModes"},
-	msgCutDone:    nil,
-	msgCutResume:  nil,
-	msgPhase:      {"Min", "Clock", "Processed", "Batch"},
+	msgEvent:     {"Ev"},
+	msgNull:      {"Src", "Dst", "TS"},
+	msgGVTPause:  nil,
+	msgGVTAck:    {"Round", "Sent", "Recvd", "Min", "Clock", "Processed", "Nulls", "Modes"},
+	msgGVTDrain:  {"Expect"},
+	msgGVTMin:    {"Min", "Clock"},
+	msgGVTNew:    {"GVT", "Clock", "ConsLPs", "OptLPs", "Done", "Ckpt"},
+	msgIdle:      {"Round", "Sent", "Recvd", "Min", "Clock", "Idle", "Request", "Processed", "Nulls", "Modes"},
+	msgFatal:     {"Err"},
+	msgStop:      {"Err"},
+	msgPoison:    {"Err"},
+	msgCutState:  {"Blob"},
+	msgCutResume: nil,
+	msgPhase:     {"Min", "Clock", "Processed", "Batch"},
 }
 
 // fill sets v (addressable) to a non-zero value of its type, exported fields
@@ -188,16 +186,17 @@ func wireSamples() []*Msg {
 		{Kind: msgNull, From: 1, Src: 1, Dst: NoLP, TS: vtime.Inf},
 		{Kind: msgGVTPause},
 		{Kind: msgGVTAck, From: 1}, // nil slices
-		{Kind: msgGVTAck, From: 2, Sent: []uint64{}, Modes: []ModePair{}, Loads: []LPLoad{}},
+		{Kind: msgGVTAck, From: 2, Sent: []uint64{}, Modes: []ModePair{}},
 		{Kind: msgGVTAck, From: 2, Round: math.MaxUint64, Sent: []uint64{0, 5, math.MaxUint64}, Recvd: 8,
 			Min: vtime.VT{PT: 6, LT: 2}, Clock: 0.25, Processed: 11, Nulls: 3,
-			Modes: []ModePair{{LP: 4, Mode: Optimistic}, {LP: 0, Mode: Conservative}},
-			Loads: []LPLoad{{LP: 1, Execs: 99}}},
+			Modes: []ModePair{{LP: 4, Mode: Optimistic}, {LP: 0, Mode: Conservative}}},
 		{Kind: msgGVTDrain, Expect: 12},
+		{Kind: msgGVTDrain},
 		{Kind: msgGVTMin, From: 1, Min: vtime.Inf, Clock: 9},
-		{Kind: msgGVTMin, From: 2, Min: vtime.VT{PT: 4}, Loads: []LPLoad{{LP: 0, Execs: 7}}},
+		{Kind: msgGVTMin, From: 2, Min: vtime.VT{PT: 4}},
 		{Kind: msgGVTNew, GVT: vtime.VT{PT: 9}, Clock: 3, ConsLPs: []LPID{1, 2}, OptLPs: []LPID{},
-			Done: true, Ckpt: true, Moves: []Move{{LP: 3, To: 2}}},
+			Done: true, Ckpt: true},
+		{Kind: msgGVTNew, GVT: vtime.Inf},                  // a round that ends in no cut, nil lists
 		{Kind: msgIdle, From: 1, Idle: true, Processed: 4}, // a notice without an ack
 		{Kind: msgIdle, From: 1, Request: true},
 		{Kind: msgIdle, From: 2, Idle: true, Round: 7, Sent: []uint64{0, 3, 12}, Recvd: 5, Min: vtime.Inf,
@@ -210,8 +209,6 @@ func wireSamples() []*Msg {
 		{Kind: msgFatal, From: 1, Err: &SimError{Text: "s", Stall: true}},
 		{Kind: msgCutState, From: 1, Blob: []byte("blob")},
 		{Kind: msgCutState, From: 1, Blob: []byte{}},
-		{Kind: msgCutInstall, AllModes: []Mode{Optimistic, Conservative}},
-		{Kind: msgCutDone, From: 2},
 		{Kind: msgCutResume},
 		{Kind: msgPhase, From: 1, Min: vtime.Inf}, // the empty barrier token
 		{Kind: msgPhase, From: 2, Min: vtime.VT{PT: 3, LT: 1}, Clock: 17.5, Processed: 379, Batch: []Event{

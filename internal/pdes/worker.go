@@ -73,10 +73,10 @@ type worker struct {
 	ctx    *Ctx
 	curRec *procRec
 	// supSends/supRecs suppress Ctx side effects during replay: rollback
-	// coast-forward and a migration install suppress both (sends were already
-	// made, records already retained or committed); a restore suppresses
-	// sends only, so its replay RE-EMITS every committed trace record and the
-	// restored run's trace is complete from t=0 (see installLP).
+	// coast-forward suppresses both (sends were already made, records
+	// already retained); a restore suppresses sends only, so its replay
+	// RE-EMITS every committed trace record and the restored run's trace is
+	// complete from t=0 (see installLP).
 	supSends bool
 	supRecs  bool
 
@@ -95,21 +95,11 @@ type worker struct {
 	err        *SimError // why the worker stopped (abort or transport death)
 
 	// Quiescent cuts (cut.go): logCommits enables the per-LP committed-event
-	// logs a cut captures; cutMoves holds the round's migration plan (copied
-	// out of msgGVTNew before the Msg is recycled; empty for a checkpoint
-	// cut).
+	// logs a checkpoint captures.
 	logCommits bool
-	cutMoves   []Move
 	// restored is this worker's decoded, validated share of Config.Restore,
 	// set by the runner; run installs it instead of initializing LPs.
 	restored *ckptWorker
-
-	// Migration (migrate.go, Config.Migrate runs only): ackLoads is the
-	// reusable per-LP load report carried on GVT acks, and migRound is the
-	// round number of the last migration cut this worker applied — the anchor
-	// of the bounded forwarding window.
-	ackLoads []LPLoad
-	migRound uint64
 
 	// Supervision (watchdog.go): rs is the run-wide shared state, set by the
 	// runner before the worker starts (nil in isolated unit tests); memTrack
@@ -157,7 +147,7 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 	if sink != nil {
 		w.ctx.record = w.recordItem
 	}
-	w.logCommits = cfg.CheckpointRounds > 0 || cfg.Migrate != nil
+	w.logCommits = cfg.CheckpointRounds > 0
 	return w
 }
 
@@ -193,7 +183,7 @@ func (w *worker) run() {
 		// with restored ones), and the replay re-emits the committed trace.
 		w.gvt, w.seq, w.clock = w.cfg.Restore.GVT, cw.Seq, cw.Clock
 		for i := range cw.LPs {
-			w.installLP(&cw.LPs[i], w.cfg.Restore.Modes, true)
+			w.installLP(&cw.LPs[i], w.cfg.Restore.Modes)
 		}
 		w.restored = nil
 		w.advertise()
@@ -447,9 +437,6 @@ func (w *worker) sendAck() {
 	ack := w.msgPool.getAck()
 	ack.Kind = msgGVTAck
 	w.fillAck(ack)
-	if w.cfg.Migrate != nil {
-		ack.Loads = w.buildLoads()
-	}
 	w.ep.Send(0, ack)
 }
 
@@ -739,6 +726,16 @@ func (w *worker) sendMsg(dst int, m *Msg) {
 	w.outBuf[dst] = append(w.outBuf[dst], m)
 }
 
+// releaseDeferred sends the messages deferred while the worker was paused, to
+// the destinations they were deferred with.
+func (w *worker) releaseDeferred() {
+	for _, d := range w.deferred {
+		w.sentTo[d.dst]++
+		w.ep.Send(d.dst, d.m)
+	}
+	w.deferred = w.deferred[:0]
+}
+
 // sendAnti builds and delivers the anti-message for one recorded send. The
 // anti is a fresh pooled Event: the positive twin lives at (and is owned by)
 // the receiver.
@@ -807,25 +804,6 @@ func (w *worker) requeue(lp *lpRT) {
 	w.sched.Push(lp.pending.MinTS(), lp)
 }
 
-// forwardTo names the worker a message for an LP not owned here must chase.
-// After a migration cut a message can legitimately race the flip (e.g. sent
-// by a worker that resumed an instant earlier); the flipped ownership table
-// is authoritative, so forwarding stays correct however late the straggler
-// is — arrivals past the nominal window are counted separately, not dropped
-// or treated as fatal. With no migration in this worker's history a misroute
-// is a protocol violation (ok false).
-func (w *worker) forwardTo(dst LPID) (owner int, ok bool) {
-	owner = w.owner[dst]
-	if owner == w.ep.Self() || w.migRound == 0 {
-		return owner, false
-	}
-	w.metrics.ForwardedMsgs++
-	if w.roundNo-w.migRound > migForwardWindow {
-		w.metrics.LateForwards++
-	}
-	return owner, true
-}
-
 // routeEvent inserts an incoming event at its destination LP, handling
 // channel clocks, anti-messages, stragglers and rollback.
 func (w *worker) routeEvent(e *Event) {
@@ -833,14 +811,7 @@ func (w *worker) routeEvent(e *Event) {
 	dbgID(w, "route", e, "")
 	lp := w.lps[e.Dst]
 	if lp == nil {
-		o, ok := w.forwardTo(e.Dst)
-		if !ok {
-			w.fatal("event %v routed to worker %d which does not own LP %d", e, w.ep.Self(), e.Dst)
-		}
-		m := w.msgPool.get()
-		m.Kind, m.Ev = msgEvent, e
-		w.sendMsg(o, m)
-		return
+		w.fatal("event %v routed to worker %d which does not own LP %d", e, w.ep.Self(), e.Dst)
 	}
 	if e.Neg {
 		w.annihilate(lp, e)
@@ -1033,14 +1004,7 @@ func (w *worker) drainNulls() {
 func (w *worker) routeNull(src, dst LPID, ts vtime.VT) {
 	lp := w.lps[dst]
 	if lp == nil {
-		o, ok := w.forwardTo(dst)
-		if !ok {
-			w.fatal("null %d->%d routed to worker %d which does not own the destination", src, dst, w.ep.Self())
-		}
-		m := w.msgPool.get()
-		m.Kind, m.Src, m.Dst, m.TS = msgNull, src, dst, ts
-		w.sendMsg(o, m)
-		return
+		w.fatal("null %d->%d routed to worker %d which does not own the destination", src, dst, w.ep.Self())
 	}
 	i, ok := lp.edgeOf[src]
 	if !ok {
@@ -1093,8 +1057,7 @@ func (w *worker) gvtParticipate() (done bool) {
 // gvtNew applies a msgGVTNew, whichever round shape it ends, and takes part
 // in the cut it may announce.
 func (w *worker) gvtNew(m *Msg) (done bool) {
-	cut := m.Ckpt || len(m.Moves) > 0
-	w.cutMoves = append(w.cutMoves[:0], m.Moves...)
+	cut := m.Ckpt
 	done = w.applyGVTNew(m)
 	w.msgPool.put(m)
 	if cut && !done {

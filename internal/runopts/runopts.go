@@ -51,11 +51,6 @@ type Opts struct {
 	Failover     bool
 	MaxFailovers int
 
-	// MigratePolicy selects live LP migration at GVT rounds: "" or "off"
-	// (none), or "balance" (sustained load imbalance triggers rebalancing
-	// moves with a cooldown).
-	MigratePolicy string
-
 	StallTimeout time.Duration
 	MemBudget    int64
 
@@ -96,7 +91,6 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 
 	fs.BoolVar(&o.Failover, "failover", false, "on a transport failure, automatically absorb the dead node's LPs and resume from the latest checkpoint (controller process only; needs checkpointing)")
 	fs.IntVar(&o.MaxFailovers, "max-failovers", supervise.DefaultMaxFailovers, "give up after this many automatic failovers")
-	fs.StringVar(&o.MigratePolicy, "migrate-policy", "", "live LP migration at GVT rounds: off or balance (sustained load imbalance triggers rebalancing moves)")
 	fs.DurationVar(&o.StallTimeout, "stall-timeout", 0, "fail the run if committed GVT does not advance for this long; 0 disables the watchdog")
 	fs.Int64Var(&o.MemBudget, "mem-budget", 0, "bound tracked optimistic memory (events, snapshots, anti-message records) to this many bytes; 0 = unbounded")
 
@@ -138,12 +132,6 @@ func (o *Opts) Resolve() (govhdl.SessionOptions, error) {
 	}
 	if o.Listen != "" || o.Connect != "" {
 		so.Workers = o.Endpoints - 1
-	}
-	if o.MigratePolicy == "balance" {
-		// Every distributed process needs the planner set (workers keep the
-		// commit/load accounting only when migration is configured); the
-		// controller is the one that actually emits plans.
-		so.Migrate = pdes.NewBalancePlanner(pdes.BalanceConfig{})
 	}
 	so.MaxFailovers = o.MaxFailovers
 	if !o.Failover {
@@ -201,18 +189,6 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 		if o.Connect == "" && o.CkptFile == "" && !o.Failover {
 			return fmt.Errorf("-checkpoint-rounds needs -checkpoint-file on the controller process (or -failover, which keeps cuts in memory)")
 		}
-	}
-	switch o.MigratePolicy {
-	case "", "off":
-	case "balance":
-		if proto == pdes.ProtoSequential {
-			return fmt.Errorf("-migrate-policy needs a parallel protocol")
-		}
-		if o.Listen == "" && o.Connect == "" {
-			return fmt.Errorf("-migrate-policy=balance needs a distributed run (-listen or -connect): live LP migration moves state between cluster nodes")
-		}
-	default:
-		return fmt.Errorf("-migrate-policy must be off or balance, got %q", o.MigratePolicy)
 	}
 	if o.StallTimeout < 0 {
 		return fmt.Errorf("-stall-timeout must be >= 0 (0 disables the watchdog)")

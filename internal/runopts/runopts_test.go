@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"govhdl"
 	"govhdl/internal/pdes"
 	"govhdl/internal/vtime"
 )
@@ -196,47 +195,6 @@ var validateCases = []struct {
 		o.Listen = ":0"
 		o.Endpoints = 4
 	}, pdes.ProtoDynamic, "-workers <= -shards"},
-	{"bad migrate policy", func(o *Opts) {
-		o.MigratePolicy = "chaos"
-	}, pdes.ProtoDynamic, "-migrate-policy must be"},
-	{"migrate policy off ok", func(o *Opts) {
-		o.MigratePolicy = "off"
-	}, pdes.ProtoDynamic, ""},
-	{"migrate without distributed run", func(o *Opts) {
-		o.MigratePolicy = "balance"
-	}, pdes.ProtoDynamic, "needs a distributed run"},
-	{"on-death without distributed run", func(o *Opts) {
-		o.MigratePolicy = "on-death"
-		o.Failover = true
-		o.CkptRounds = 1
-	}, pdes.ProtoDynamic, "-migrate-policy must be off or balance"},
-	{"migrate under seq", func(o *Opts) {
-		o.MigratePolicy = "balance"
-		o.Listen = ":0"
-		o.Endpoints = 3
-	}, pdes.ProtoSequential, "needs a parallel protocol"},
-	{"balance ok", func(o *Opts) {
-		o.MigratePolicy = "balance"
-		o.Listen = ":0"
-		o.Endpoints = 3
-	}, pdes.ProtoDynamic, ""},
-	{"balance on a connect worker ok", func(o *Opts) {
-		o.MigratePolicy = "balance"
-		o.Connect = "host:1"
-		o.Endpoints = 3
-	}, pdes.ProtoDynamic, ""},
-	{"on-death without failover", func(o *Opts) {
-		o.MigratePolicy = "on-death"
-		o.Listen = ":0"
-		o.Endpoints = 3
-	}, pdes.ProtoDynamic, "-migrate-policy must be off or balance"},
-	{"on-death with failover refused", func(o *Opts) {
-		o.MigratePolicy = "on-death"
-		o.Listen = ":0"
-		o.Endpoints = 3
-		o.Failover = true
-		o.CkptRounds = 1
-	}, pdes.ProtoDynamic, "-migrate-policy must be off or balance"},
 }
 
 func TestValidate(t *testing.T) {
@@ -286,7 +244,6 @@ func flagArgs(o, def Opts) []string {
 	add("restore", o.Restore, def.Restore)
 	add("failover", o.Failover, def.Failover)
 	add("max-failovers", o.MaxFailovers, def.MaxFailovers)
-	add("migrate-policy", o.MigratePolicy, def.MigratePolicy)
 	add("stall-timeout", o.StallTimeout, def.StallTimeout)
 	add("mem-budget", o.MemBudget, def.MemBudget)
 	add("fault-kill-writes", o.FaultKillWrites, def.FaultKillWrites)
@@ -306,14 +263,6 @@ func parseFlags(t *testing.T, args ...string) Opts {
 		t.Fatal(err)
 	}
 	return o
-}
-
-// stripPlanner strips what reflect.DeepEqual cannot compare — the migration
-// planner, a func — after recording whether one was set.
-func stripPlanner(so govhdl.SessionOptions) (govhdl.SessionOptions, bool) {
-	planned := so.Migrate != nil
-	so.Migrate = nil
-	return so, planned
 }
 
 // Every row of the conflict table, spelled as pvsim flags and parsed through
@@ -338,10 +287,8 @@ func TestFlagsResolveLikeOpts(t *testing.T) {
 				if wantErr != nil || gotErr != nil {
 					t.Fatalf("unexpected errors: %v / %v", wantErr, gotErr)
 				}
-				w, wPlanned := stripPlanner(wantSO)
-				g, gPlanned := stripPlanner(gotSO)
-				if !reflect.DeepEqual(w, g) || wPlanned != gPlanned {
-					t.Fatalf("session options differ:\n opts:  %+v\n flags: %+v", w, g)
+				if !reflect.DeepEqual(wantSO, gotSO) {
+					t.Fatalf("session options differ:\n opts:  %+v\n flags: %+v", wantSO, gotSO)
 				}
 				return
 			}
@@ -366,11 +313,11 @@ func TestResolveMapping(t *testing.T) {
 		so.CheckpointRounds != 1 || so.MaxFailovers != -1 {
 		t.Errorf("resolved %+v", so)
 	}
-	so, err = (&Opts{Top: "tb", Listen: ":0", Endpoints: 4, Failover: true, CkptRounds: 2, MaxFailovers: 5, MigratePolicy: "balance"}).Resolve()
+	so, err = (&Opts{Top: "tb", Listen: ":0", Endpoints: 4, Failover: true, CkptRounds: 2, MaxFailovers: 5}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if so.Workers != 3 || so.Until != 1*vtime.MS || so.MaxFailovers != 5 || so.CheckpointRounds != 2 || so.Migrate == nil {
+	if so.Workers != 3 || so.Until != 1*vtime.MS || so.MaxFailovers != 5 || so.CheckpointRounds != 2 {
 		t.Errorf("resolved %+v", so)
 	}
 	for want, o := range map[string]*Opts{

@@ -12,8 +12,7 @@ import (
 // seeds are every request the table tests submit.
 func FuzzSessionRequest(f *testing.F) {
 	for _, c := range badRequests {
-		b, _ := json.Marshal(c.req)
-		f.Add(b)
+		f.Add(c.bytes())
 	}
 	for _, c := range parityCases {
 		b, _ := json.Marshal(c.req)
@@ -23,7 +22,7 @@ func FuzzSessionRequest(f *testing.F) {
 	f.Add([]byte(`{"circuit":"fsm","throttle":"-1ns","stall_timeout":"1h","deadline":"x"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SessionRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if err := decodeBody(bytes.NewReader(body), &req); err != nil {
 			return
 		}
 		if _, err := parseDuration(req.Deadline); err != nil {

@@ -20,9 +20,9 @@ var parityCases = []struct {
 		[]string{"-circuit", "fsm", "-protocol", "mixed", "-workers", "2", "-until", "300ns"}},
 	{"every shared tunable",
 		SessionRequest{Top: "tb", Protocol: "cons", Workers: 3, Lookahead: true, UserConsistent: true,
-			Throttle: "40ns", SaveEvery: 4, MemBudget: 1 << 20, StallTimeout: "3s", MigratePolicy: "off"},
+			Throttle: "40ns", SaveEvery: 4, MemBudget: 1 << 20, StallTimeout: "3s"},
 		[]string{"-top", "tb", "-protocol", "cons", "-workers", "3", "-lookahead", "-user",
-			"-throttle", "40ns", "-checkpoint", "4", "-mem-budget", "1048576", "-stall-timeout", "3s", "-migrate-policy", "off"}},
+			"-throttle", "40ns", "-checkpoint", "4", "-mem-budget", "1048576", "-stall-timeout", "3s"}},
 	{"default protocol and horizon",
 		SessionRequest{Circuit: "iir", Workers: 1, SaveEvery: 1},
 		[]string{"-circuit", "iir"}},
@@ -33,9 +33,6 @@ var parityCases = []struct {
 	{"vet with circuit", SessionRequest{Circuit: "fsm", Vet: true}, []string{"-circuit", "fsm", "-vet"}},
 	{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, []string{"-circuit", "fsm", "-mem-budget", "-1"}},
 	{"negative stall timeout", SessionRequest{Circuit: "fsm", StallTimeout: "-1s"}, []string{"-circuit", "fsm", "-stall-timeout", "-1s"}},
-	{"bad migrate policy", SessionRequest{Circuit: "fsm", MigratePolicy: "chaos"}, []string{"-circuit", "fsm", "-migrate-policy", "chaos"}},
-	{"cluster policy in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "balance"}, []string{"-circuit", "fsm", "-migrate-policy", "balance"}},
-	{"on-death in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "on-death"}, []string{"-circuit", "fsm", "-migrate-policy", "on-death"}},
 	{"until overflows", SessionRequest{Circuit: "fsm", Until: "20000sec"}, []string{"-circuit", "fsm", "-until", "20000sec"}},
 	{"user ordering under dynamic", SessionRequest{Circuit: "fsm", UserConsistent: true, Workers: 1, SaveEvery: 1}, []string{"-circuit", "fsm", "-user"}},
 }

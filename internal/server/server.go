@@ -14,7 +14,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -94,11 +96,6 @@ type Server struct {
 
 	lintRuns     int // lint passes executed: design-cache misses + /v1/lint calls; a hit runs none
 	lintFindings int // total diagnostics those passes produced
-
-	// Migration counters, aggregated from finished sessions' engine metrics.
-	migrations    uint64 // LPs moved between workers at migration cuts
-	viewChanges   uint64 // migration cuts (ownership changes) those sessions made
-	forwardedMsgs uint64 // messages re-routed to an LP's new owner in handoff
 
 	wg sync.WaitGroup // running session goroutines
 }
@@ -199,15 +196,6 @@ type SessionRequest struct {
 	Deadline       string `json:"deadline,omitempty"`
 	NoTrace        bool   `json:"no_trace,omitempty"`
 
-	// Rebalance enables live LP migration between the session's workers at
-	// GVT rounds under sustained load imbalance (govhdl.Options.Rebalance).
-	Rebalance bool `json:"rebalance,omitempty"`
-	// MigratePolicy exists for validation parity with the pvsim CLI: a
-	// migration policy needs a distributed run, which a server session never
-	// is, so any non-off value is rejected with the same message `pvsim
-	// -migrate-policy` would print (a 400 here).
-	MigratePolicy string `json:"migrate_policy,omitempty"`
-
 	// Vet gates the submission on design lint: error findings reject it with
 	// 422 and the lint report as the body. VetStrict also rejects warnings.
 	// Findings are attached to the session status either way.
@@ -244,27 +232,42 @@ func (req *SessionRequest) runOpts() (runopts.Opts, error) {
 		return runopts.Opts{}, fmt.Errorf("bad stall_timeout: %v", err)
 	}
 	return runopts.Opts{
-		Top:           req.Top,
-		Circuit:       req.Circuit,
-		Protocol:      req.Protocol,
-		Workers:       req.Workers,
-		Until:         req.Until,
-		Lookahead:     req.Lookahead,
-		User:          req.UserConsistent,
-		Throttle:      req.Throttle,
-		SaveEvery:     req.SaveEvery,
-		MemBudget:     req.MemBudget,
-		StallTimeout:  stallTimeout,
-		MigratePolicy: req.MigratePolicy,
-		Vet:           req.Vet,
-		VetStrict:     req.VetStrict,
+		Top:          req.Top,
+		Circuit:      req.Circuit,
+		Protocol:     req.Protocol,
+		Workers:      req.Workers,
+		Until:        req.Until,
+		Lookahead:    req.Lookahead,
+		User:         req.UserConsistent,
+		Throttle:     req.Throttle,
+		SaveEvery:    req.SaveEvery,
+		MemBudget:    req.MemBudget,
+		StallTimeout: stallTimeout,
+		Vet:          req.Vet,
+		VetStrict:    req.VetStrict,
 	}, nil
+}
+
+// decodeBody decodes a request body that must be exactly one JSON object of
+// v's shape: a field v does not declare (a misspelt or retired option) and
+// any data after the object are refused, never silently dropped. The error
+// names the unknown field.
+func decodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return errors.New("data after the request object")
+	}
+	return nil
 }
 
 func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
 	r.Body = http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -287,8 +290,8 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The shared resolver keeps a request and the equivalent pvsim invocation
 	// rejecting the same combinations with the same messages, and running
 	// the same session when accepted. What the server adds is its deployment
-	// policy (the deadline, always-on transparent retry) and the two request
-	// fields no pvsim flag spells.
+	// policy (the deadline, always-on transparent retry) and the one request
+	// field no pvsim flag spells (no_trace).
 	ro, err := req.runOpts()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -300,7 +303,7 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	so.Deadline, so.MaxFailovers = deadline, sv.cfg.MaxFailovers
-	so.NoTrace, so.Rebalance = req.NoTrace, req.Rebalance
+	so.NoTrace = req.NoTrace
 
 	// A VHDL submission resolves through the design cache before anything
 	// is parsed: a hit carries the lint report of the miss that elaborated
@@ -405,7 +408,7 @@ type LintRequest struct {
 func (sv *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	var req LintRequest
 	r.Body = http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -503,11 +506,6 @@ func (sv *Server) runSession(ss *session) {
 	state, _, _, _, _, _ := ss.snapshot()
 	sv.mu.Lock()
 	sv.active--
-	if res != nil && res.Run != nil {
-		sv.migrations += res.Run.Metrics.Migrations
-		sv.viewChanges += res.Run.Metrics.ViewChanges
-		sv.forwardedMsgs += res.Run.Metrics.ForwardedMsgs
-	}
 	switch state {
 	case StateDone:
 		sv.done++
@@ -637,7 +635,6 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	queued, active := sv.queued, sv.active
 	done, failed, canceled := sv.done, sv.failed, sv.canceled
 	lintRuns, lintFindings := sv.lintRuns, sv.lintFindings
-	migrations, viewChanges, forwarded := sv.migrations, sv.viewChanges, sv.forwardedMsgs
 	total := len(sv.order)
 	ids := append([]string(nil), sv.order...)
 	sessions := make([]*session, len(ids))
@@ -661,9 +658,6 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "sessions_total %d\n", total)
 	fmt.Fprintf(w, "lint_runs %d\n", lintRuns)
 	fmt.Fprintf(w, "lint_findings %d\n", lintFindings)
-	fmt.Fprintf(w, "migrations_total %d\n", migrations)
-	fmt.Fprintf(w, "view_changes_total %d\n", viewChanges)
-	fmt.Fprintf(w, "forwarded_msgs_total %d\n", forwarded)
 
 	for _, ss := range sessions {
 		rep := replyFor(ss)

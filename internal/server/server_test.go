@@ -471,27 +471,44 @@ func TestServerVCDStream(t *testing.T) {
 }
 
 // badRequests are submissions the server answers 400, each with a substring
-// of its error message ("" when any message will do).
-var badRequests = []struct {
+// of its error message ("" when any message will do). A row with a body
+// submits it verbatim instead of req.
+type badRequest struct {
 	name string
 	req  SessionRequest
+	body string
 	want string
-}{
-	{"nothing", SessionRequest{}, "nothing to simulate"},
-	{"both", SessionRequest{Circuit: "fsm", Top: "x", Sources: []SourceRequest{{Name: "a", Text: "b"}}}, "not both"},
-	{"unknown circuit", SessionRequest{Circuit: "nosuch"}, "unknown circuit"},
-	{"bad protocol", SessionRequest{Circuit: "fsm", Protocol: "warp9"}, "unknown protocol"},
-	{"bad until", SessionRequest{Circuit: "fsm", Until: "10 parsecs"}, "bad until"},
-	{"until overflows", SessionRequest{Circuit: "fsm", Until: "20000sec"}, "bad until"},
-	{"compile error", SessionRequest{Top: "x", Sources: []SourceRequest{{Name: "x.vhd", Text: "entity ; garbage"}}}, ""},
-	{"too many workers", SessionRequest{Circuit: "fsm", Workers: 99}, "workers must be <="},
-	{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, "-mem-budget"},
-	{"huge deadline", SessionRequest{Circuit: "fsm", Deadline: "24h"}, "deadline must be <="},
-	// CLI/HTTP parity: a migration policy needs a distributed run, which
-	// a server session never is. Same messages as pvsim.
-	{"bad migrate policy", SessionRequest{Circuit: "fsm", MigratePolicy: "chaos"}, "-migrate-policy must be"},
-	{"migrate policy in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "balance"}, "needs a distributed run"},
-	{"on-death in-process", SessionRequest{Circuit: "fsm", MigratePolicy: "on-death"}, "-migrate-policy must be off or balance"},
+}
+
+var badRequests = []badRequest{
+	{"nothing", SessionRequest{}, "", "nothing to simulate"},
+	{"both", SessionRequest{Circuit: "fsm", Top: "x", Sources: []SourceRequest{{Name: "a", Text: "b"}}}, "", "not both"},
+	{"unknown circuit", SessionRequest{Circuit: "nosuch"}, "", "unknown circuit"},
+	{"bad protocol", SessionRequest{Circuit: "fsm", Protocol: "warp9"}, "", "unknown protocol"},
+	{"bad until", SessionRequest{Circuit: "fsm", Until: "10 parsecs"}, "", "bad until"},
+	{"until overflows", SessionRequest{Circuit: "fsm", Until: "20000sec"}, "", "bad until"},
+	{"compile error", SessionRequest{Top: "x", Sources: []SourceRequest{{Name: "x.vhd", Text: "entity ; garbage"}}}, "", ""},
+	{"too many workers", SessionRequest{Circuit: "fsm", Workers: 99}, "", "workers must be <="},
+	{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, "", "-mem-budget"},
+	{"huge deadline", SessionRequest{Circuit: "fsm", Deadline: "24h"}, "", "deadline must be <="},
+	// A field the request does not declare is refused by name, never
+	// dropped: a misspelling would otherwise run with the default, and
+	// the retired live-migration options would silently do nothing.
+	{"misspelt workers", SessionRequest{}, `{"circuit":"fsm","wokers":4}`, `"wokers"`},
+	{"rebalance", SessionRequest{}, `{"circuit":"fsm","rebalance":true}`, `"rebalance"`},
+	{"bad migrate policy", SessionRequest{}, `{"circuit":"fsm","migrate_policy":"chaos"}`, `"migrate_policy"`},
+	{"migrate policy in-process", SessionRequest{}, `{"circuit":"fsm","migrate_policy":"balance"}`, `"migrate_policy"`},
+	{"unknown source field", SessionRequest{}, `{"top":"x","sources":[{"name":"x.vhd","text":"","path":"x.vhd"}]}`, `"path"`},
+	{"trailing data", SessionRequest{}, `{"circuit":"fsm"}{}`, "after the request object"},
+}
+
+// bytes returns the row's submit body.
+func (c badRequest) bytes() []byte {
+	if c.body != "" {
+		return []byte(c.body)
+	}
+	b, _ := json.Marshal(c.req)
+	return b
 }
 
 // TestServerRejectsBadRequests: compile errors, unknown names and invalid
@@ -500,8 +517,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxWorkers: 4})
 	for _, c := range badRequests {
 		t.Run(c.name, func(t *testing.T) {
-			body, _ := json.Marshal(c.req)
-			resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(c.bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -516,40 +532,21 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			}
 		})
 	}
-	resp, err := http.Get(ts.URL + "/v1/sessions/nope")
+	resp, err := http.Post(ts.URL+"/v1/lint", "application/json", strings.NewReader(`{"sources":[],"srcs":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("lint request with an unknown field: status %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/sessions/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestServerElasticRebalance: a session submitted with rebalance=true
-// migrates LPs between its workers at GVT rounds without restarting, the
-// committed trace stays byte-identical to the sequential run, and /metrics
-// exposes the elasticity counters.
-func TestServerElasticRebalance(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	req := counterRequest()
-	req.Rebalance = true
-	rep := submit(t, ts, req)
-	got := streamTrace(t, ts, rep.ID)
-	if fin := waitFinished(t, ts, rep.ID); fin.State != StateDone {
-		t.Fatalf("session: %s (%s)", fin.State, fin.Error)
-	}
-	if want := soloCounterTrace(t); got != want {
-		t.Fatal("rebalancing session trace differs from the sequential run")
-	}
-	if n := metricValue(t, ts, "migrations_total"); n == 0 {
-		t.Fatal("migrations_total = 0: the rebalance policy never moved an LP")
-	}
-	if n := metricValue(t, ts, "view_changes_total"); n == 0 {
-		t.Fatal("view_changes_total = 0: migration cuts must publish new views")
-	}
-	if n := metricValue(t, ts, "forwarded_msgs_total"); n == 0 {
-		t.Fatal("forwarded_msgs_total = 0: handoffs must account forwarded traffic")
 	}
 }
 

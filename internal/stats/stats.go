@@ -64,28 +64,24 @@ func Default() CostModel {
 // sharing and no atomics; the runner sums them once the goroutines have
 // joined, and Result.Metrics is that sum.
 type Snapshot struct {
-	Events        uint64 // committed + later-rolled-back executions
-	Rollbacks     uint64 // rollback episodes
-	RolledBack    uint64 // events undone by rollbacks
-	CoastForward  uint64 // events re-executed silently after checkpoint restore
-	Antis         uint64 // anti-messages sent
-	Annihilated   uint64 // event/anti pairs annihilated
-	Nulls         uint64 // null messages sent
-	LocalMsgs     uint64 // same-worker events
-	RemoteMsgs    uint64 // cross-worker events
-	GVTRounds     uint64 // global synchronizations
-	GVTShortcuts  uint64 // of GVTRounds, those committed from idle notices alone (no pause)
-	ModeSwitches  uint64 // dynamic protocol mode changes
-	StateSaves    uint64 // snapshots taken
-	Fossils       uint64 // history records reclaimed
-	Blocked       uint64 // times a conservative LP had events but none safe
-	OrphanAntis   uint64 // anti-messages never matched by a positive (bug indicator)
-	MemThrottled  uint64 // scheduling decisions withheld by the memory budget
-	Cancelbacks   uint64 // budget-driven rollbacks of furthest-ahead LPs
-	Migrations    uint64 // LPs moved between workers at migration cuts
-	ViewChanges   uint64 // migration cuts
-	ForwardedMsgs uint64 // messages re-routed to an LP's new owner during handoff
-	LateForwards  uint64 // forwards arriving after the nominal handoff window closed
+	Events       uint64 // committed + later-rolled-back executions
+	Rollbacks    uint64 // rollback episodes
+	RolledBack   uint64 // events undone by rollbacks
+	CoastForward uint64 // events re-executed silently after checkpoint restore
+	Antis        uint64 // anti-messages sent
+	Annihilated  uint64 // event/anti pairs annihilated
+	Nulls        uint64 // null messages sent
+	LocalMsgs    uint64 // same-worker events
+	RemoteMsgs   uint64 // cross-worker events
+	GVTRounds    uint64 // global synchronizations
+	GVTShortcuts uint64 // of GVTRounds, those committed from idle notices alone (no pause)
+	ModeSwitches uint64 // dynamic protocol mode changes
+	StateSaves   uint64 // snapshots taken
+	Fossils      uint64 // history records reclaimed
+	Blocked      uint64 // times a conservative LP had events but none safe
+	OrphanAntis  uint64 // anti-messages never matched by a positive (bug indicator)
+	MemThrottled uint64 // scheduling decisions withheld by the memory budget
+	Cancelbacks  uint64 // budget-driven rollbacks of furthest-ahead LPs
 	// ExchangeWaitNs is wall-clock time a phase-executor worker spent waiting
 	// for its peers' step messages (sharded runs): the cost of the event skew
 	// between workers. Read around each wait, never per event.
@@ -119,12 +115,6 @@ func (s Snapshot) String() string {
 		s.LocalMsgs, s.RemoteMsgs, s.GVTRounds, s.GVTShortcuts, s.ModeSwitches, s.Efficiency())
 	if s.MemThrottled != 0 || s.Cancelbacks != 0 {
 		out += fmt.Sprintf(" memthrottled=%d cancelbacks=%d", s.MemThrottled, s.Cancelbacks)
-	}
-	if s.Migrations != 0 || s.ForwardedMsgs != 0 {
-		out += fmt.Sprintf(" migrations=%d viewchanges=%d forwarded=%d", s.Migrations, s.ViewChanges, s.ForwardedMsgs)
-	}
-	if s.LateForwards != 0 {
-		out += fmt.Sprintf(" lateforwards=%d", s.LateForwards)
 	}
 	if s.ExchangeWaitNs != 0 {
 		out += fmt.Sprintf(" exchangewait=%v", time.Duration(s.ExchangeWaitNs).Round(time.Microsecond))

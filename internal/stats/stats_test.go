@@ -9,10 +9,10 @@ import (
 // field of every operand lands in the total, including the last one.
 func TestSnapshotAdd(t *testing.T) {
 	var s Snapshot
-	s.Add(Snapshot{Events: 60, RolledBack: 25, Rollbacks: 5, Antis: 7, LateForwards: 1})
-	s.Add(Snapshot{Events: 40, Annihilated: 7, LateForwards: 2})
+	s.Add(Snapshot{Events: 60, RolledBack: 25, Rollbacks: 5, Antis: 7, ExchangeWaitNs: 1})
+	s.Add(Snapshot{Events: 40, Annihilated: 7, ExchangeWaitNs: 2})
 	s.Add(Snapshot{GVTRounds: 3})
-	want := Snapshot{Events: 100, RolledBack: 25, Rollbacks: 5, Antis: 7, Annihilated: 7, GVTRounds: 3, LateForwards: 3}
+	want := Snapshot{Events: 100, RolledBack: 25, Rollbacks: 5, Antis: 7, Annihilated: 7, GVTRounds: 3, ExchangeWaitNs: 3}
 	if s != want {
 		t.Fatalf("sum %+v, want %+v", s, want)
 	}

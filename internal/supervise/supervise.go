@@ -18,7 +18,7 @@
 // controller's process simply hosts all workers over the in-process
 // fabric. But rerunning a 16-worker cut on a 4-core survivor just thrashes:
 // PlanRecovery clamps the worker count to what the surviving host can
-// actually execute and migrates the checkpoint to the new grouping with
+// actually execute and regroups the checkpoint for that count with
 // pdes.RemapCheckpoint instead of absorbing it at the original shape.
 package supervise
 
@@ -64,19 +64,13 @@ type RecoveryPlan struct {
 	// Restore is the checkpoint to resume from, remapped to Workers when
 	// that differs from the cut's worker count; nil means from scratch.
 	Restore *pdes.Checkpoint
-	// Clamped reports that Workers is smaller than the original because of
-	// the surviving host's capacity.
-	Clamped bool
-	// Migrated reports that the checkpoint was regrouped: the dead nodes'
-	// LPs migrate onto the surviving workers instead of a full-shape absorb.
-	Migrated bool
 }
 
 // PlanRecovery computes the shape of an absorb attempt on a surviving host
 // with avail executable cores (runtime.GOMAXPROCS(0) for the local machine).
 // origWorkers is the primary run's Config.Workers. The checkpoint, when one
-// exists and the clamped worker count differs from its cut, is migrated to
-// the new grouping with pdes.RemapCheckpoint.
+// exists and the clamped worker count differs from its cut, is regrouped
+// for that count with pdes.RemapCheckpoint.
 func PlanRecovery(sys *pdes.System, ck *pdes.Checkpoint, origWorkers, avail int) (*RecoveryPlan, error) {
 	if origWorkers < 1 {
 		return nil, fmt.Errorf("supervise: original worker count %d out of range", origWorkers)
@@ -84,22 +78,17 @@ func PlanRecovery(sys *pdes.System, ck *pdes.Checkpoint, origWorkers, avail int)
 	if avail < 1 {
 		avail = 1
 	}
-	workers := origWorkers
-	clamped := false
-	if workers > avail {
-		workers, clamped = avail, true
-	}
+	workers := min(origWorkers, avail)
 	if n := sys.NumLPs(); workers > n {
 		workers = n
 	}
-	plan := &RecoveryPlan{Workers: workers, Restore: ck, Clamped: clamped}
+	plan := &RecoveryPlan{Workers: workers, Restore: ck}
 	if ck != nil && workers != ck.Workers {
 		remapped, err := pdes.RemapCheckpoint(ck, sys, workers)
 		if err != nil {
-			return nil, fmt.Errorf("supervise: migrating the checkpoint to %d workers: %w", workers, err)
+			return nil, fmt.Errorf("supervise: regrouping the checkpoint for %d workers: %w", workers, err)
 		}
 		plan.Restore = remapped
-		plan.Migrated = true
 	}
 	return plan, nil
 }

@@ -283,7 +283,7 @@ func TestFailoverBudgetExhausted(t *testing.T) {
 
 // TestPlanRecoveryClampAndRemap pins the recovery-shape arithmetic: a
 // surviving host with fewer cores than the cut's workers gets a clamped
-// count and a migrated checkpoint; a roomy host keeps the original shape and
+// count and a regrouped checkpoint; a roomy host keeps the original shape and
 // the original checkpoint object.
 func TestPlanRecoveryClampAndRemap(t *testing.T) {
 	var cks []*pdes.Checkpoint
@@ -305,23 +305,20 @@ func TestPlanRecoveryClampAndRemap(t *testing.T) {
 	ck := cks[len(cks)/2]
 
 	sys := buildRing(ringLPs, ringSeed)
-	// Two cores: clamp 4 -> 2 and migrate the checkpoint.
+	// Two cores: clamp 4 -> 2 and regroup the checkpoint.
 	plan, err := PlanRecovery(sys, ck, ringWorkers, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Workers != 2 || !plan.Clamped || !plan.Migrated {
+	if plan.Workers != 2 || plan.Restore == ck || plan.Restore.Workers != 2 {
 		t.Fatalf("clamped plan wrong: %+v", plan)
 	}
-	if plan.Restore == ck || plan.Restore.Workers != 2 {
-		t.Fatalf("checkpoint not migrated: workers=%d", plan.Restore.Workers)
-	}
-	// Plenty of cores: original shape, original checkpoint, no migration.
+	// Plenty of cores: original shape, original checkpoint.
 	plan, err = PlanRecovery(sys, ck, ringWorkers, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Workers != ringWorkers || plan.Clamped || plan.Migrated || plan.Restore != ck {
+	if plan.Workers != ringWorkers || plan.Restore != ck {
 		t.Fatalf("unclamped plan wrong: %+v", plan)
 	}
 	// No checkpoint yet: from-scratch restart, still clamped.
@@ -329,24 +326,24 @@ func TestPlanRecoveryClampAndRemap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Workers != 2 || !plan.Clamped || plan.Migrated || plan.Restore != nil {
+	if plan.Workers != 2 || plan.Restore != nil {
 		t.Fatalf("from-scratch plan wrong: %+v", plan)
 	}
 }
 
 // TestFailoverMigratesToSurvivors is the kill-one-of-three chaos scenario
-// with migration instead of full absorb: the primary 4-worker run dies
-// mid-run, and the recovery — planned for a 2-core survivor — resumes from
-// the checkpoint remapped to 2 workers. The dead workers' LPs migrate onto
-// the survivors, the recovery plan records the clamp and the migration, and
-// the final trace is byte-identical to the uninterrupted oracle.
+// with a regroup instead of a full-shape absorb: the primary 4-worker run
+// dies mid-run, and the recovery — planned for a 2-core survivor — resumes
+// from the checkpoint regrouped for 2 workers. The dead workers' LPs land on
+// the survivors, and the final trace is byte-identical to the uninterrupted
+// oracle.
 func TestFailoverMigratesToSurvivors(t *testing.T) {
 	want := oracle(t)
 	var died []int // attempts the supervisor saw die
 	sup := &Supervisor{OnFailover: func(attempt int, _ error, _ *pdes.Checkpoint) { died = append(died, attempt) }}
 	final := &atomicSink{}
 	var last *RecoveryPlan
-	migrated := false
+	var cut *pdes.Checkpoint // the checkpoint the last recovery resumed from
 	run := func(attempt int, restore *pdes.Checkpoint) (*pdes.Result, error) {
 		sink := &memSink{}
 		final.set(sink)
@@ -366,13 +363,12 @@ func TestFailoverMigratesToSurvivors(t *testing.T) {
 				faultinject.Plan{Seed: 7, DieAfterSends: 300})
 			return pdes.RunOn(buildRing(ringLPs, ringSeed), cfg, ringUntil, sink, eps)
 		}
-		// The survivor has two cores: clamp and migrate.
+		// The survivor has two cores: clamp and regroup.
 		plan, err := PlanRecovery(buildRing(ringLPs, ringSeed), restore, ringWorkers, 2)
 		if err != nil {
 			return nil, err
 		}
-		last = plan
-		migrated = migrated || plan.Migrated
+		last, cut = plan, restore
 		cfg.Workers = plan.Workers
 		cfg.Restore = plan.Restore
 		return pdes.RunOn(buildRing(ringLPs, ringSeed), cfg, ringUntil, sink,
@@ -399,10 +395,10 @@ func TestFailoverMigratesToSurvivors(t *testing.T) {
 	if res.GVT.Less(vtime.VT{PT: ringUntil}) {
 		t.Fatalf("recovered run stopped at GVT %v", res.GVT)
 	}
-	if !migrated {
-		t.Skip("the fabric died before the first checkpoint; migration path not exercised")
+	if cut == nil {
+		t.Skip("the fabric died before the first checkpoint; regroup path not exercised")
 	}
-	if last.Workers != 2 || !last.Clamped || !last.Migrated {
+	if last.Workers != 2 || last.Restore == cut || last.Restore.Workers != 2 {
 		t.Fatalf("recovery plan wrong: %+v", last)
 	}
 	if len(died) == 0 || died[0] != 0 {

@@ -11,7 +11,7 @@ import (
 	"govhdl/internal/pdes"
 )
 
-// Wire format, protocol version 10. Everything on a connection is a frame:
+// Wire format, protocol version 11. Everything on a connection is a frame:
 //
 //	[u32 big-endian body length | body],  body = [type u8 | ...]
 //
@@ -37,7 +37,7 @@ const maxFrameBytes = 16 << 20
 
 // readBufBytes sizes a connection's read buffer: one read syscall picks up
 // every frame the peer has written since the last, and a frame that fits is
-// decoded in place. A larger frame (a migration or checkpoint blob) is
+// decoded in place. A larger frame (a checkpoint blob) is
 // assembled in a buffer that grows only as its bytes actually arrive, so a
 // corrupt or hostile length prefix can never drive allocation.
 const readBufBytes = 32 << 10

@@ -49,8 +49,10 @@ import (
 // msgGVTAck; version 9 moved Round from msgGVTPause to msgGVTAck, added the
 // local minimum to msgGVTAck, and made msgIdle carry the ack's fields;
 // version 10 dropped the standby flag from the hello and the membership view
-// from the heartbeat, which is now its type byte alone.
-const protocolVersion = 10
+// from the heartbeat, which is now its type byte alone; version 11 dropped
+// live LP migration: two cut message kinds (renumbering msgCutResume and
+// msgPhase) and the load and move fields of the GVT messages.
+const protocolVersion = 11
 
 // helloTimeout bounds how long each side waits for the handshake exchange.
 const helloTimeout = 10 * time.Second

@@ -320,6 +320,7 @@ func TestHelloValidation(t *testing.T) {
 		{"v7", hello{Version: 7, Total: 4, Hosted: []int{2}}, "dialer speaks 7"},
 		{"v8", hello{Version: 8, Total: 4, Hosted: []int{2}}, "dialer speaks 8"},
 		{"v9", hello{Version: 9, Total: 4, Hosted: []int{2}}, "dialer speaks 9"},
+		{"v10", hello{Version: 10, Total: 4, Hosted: []int{2}}, "dialer speaks 10"},
 		{"total", hello{Version: protocolVersion, Total: 3, Hosted: []int{2}}, "size mismatch"},
 		{"empty", hello{Version: protocolVersion, Total: 4, Hosted: nil}, "hosts no endpoints"},
 		{"controller", hello{Version: protocolVersion, Total: 4, Hosted: []int{0}}, "controller"},

@@ -191,124 +191,3 @@ func TestDistributedSimulationOverTCP(t *testing.T) {
 			len(got), len(wantLines), strings.Join(got, "\n"), strings.Join(wantLines, "\n"))
 	}
 }
-
-// buildMultiCounter is buildCounter with several counters on one clock, so
-// migrating a single counter LP between workers leaves both sides with work.
-func buildMultiCounter(nCnt int) (*kernel.Design, *pdes.System) {
-	d := kernel.NewDesign("dist")
-	clk := d.AddSignal("clk", stdlogic.L0, kernel.WithSignalClass(kernel.ClassClock))
-	d.AddProcess("clkgen", &kernel.ClockGen{Half: 5 * vtime.NS}, nil,
-		[]*kernel.Signal{clk}, kernel.WithProcClass(kernel.ClassClock))
-	for i := 0; i < nCnt; i++ {
-		q := d.AddSignal(fmt.Sprintf("q%d", i), stdlogic.NewVec(4, stdlogic.L0))
-		d.AddProcess(fmt.Sprintf("cnt%d", i), &distCounter{}, []*kernel.Signal{clk},
-			[]*kernel.Signal{q}, kernel.WithProcClass(kernel.ClassRegister))
-	}
-	return d, d.Build()
-}
-
-// TestDistributedMigrationOverTCP shuttles one LP between a hub-hosted and a
-// peer-hosted worker while the run is live. Every shuttle crosses the process
-// boundary, so this is the only test that exercises the remote install path:
-// the receiver rebuilds the LP's model from its pristine snapshot by
-// committed-log replay. The merged trace must still match the sequential
-// oracle byte for byte.
-func TestDistributedMigrationOverTCP(t *testing.T) {
-	const until = 500 * vtime.NS
-
-	_, oracleSys := buildMultiCounter(5)
-	want := &lineSink{sys: oracleSys}
-	if _, err := pdes.RunSequential(oracleSys, until, want); err != nil {
-		t.Fatal(err)
-	}
-	wantLines := want.recs
-	if len(wantLines) == 0 {
-		t.Fatal("oracle produced no records")
-	}
-
-	// Both processes configure the same deterministic planner (the engine
-	// requires it even though only the controller invokes it): bounce LP 3
-	// between worker 1 (hub) and worker 2 (peer) every other committed round.
-	planner := func(st *pdes.MigrationState) []pdes.Move {
-		if st.Round == 0 || st.Round%2 != 0 {
-			return nil
-		}
-		if st.Owner[3] == 1 {
-			return []pdes.Move{{LP: 3, To: 2}}
-		}
-		return []pdes.Move{{LP: 3, To: 1}}
-	}
-	addr := freeAddr(t)
-	cfg := pdes.Config{
-		Workers:        2,
-		Protocol:       pdes.ProtoDynamic,
-		GVTEvery:       32,
-		ThrottleWindow: 64,
-		Migrate:        planner,
-	}
-
-	var wg sync.WaitGroup
-	var hubLines, peerLines []string
-	var hubErr, peerErr error
-	var hubRes *pdes.Result
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		node, err := Listen(addr, 3, []int{0, 1})
-		if err != nil {
-			hubErr = err
-			return
-		}
-		defer node.Close()
-		_, sys := buildMultiCounter(5)
-		sink := &lineSink{sys: sys}
-		res, err := pdes.RunOn(sys, cfg, until, sink, node.Endpoints())
-		if err != nil {
-			hubErr = err
-			return
-		}
-		hubRes = res
-		hubLines = sink.recs
-	}()
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		node, err := Dial(addr, 3, []int{2})
-		if err != nil {
-			peerErr = err
-			return
-		}
-		defer node.Close()
-		_, sys := buildMultiCounter(5)
-		sink := &lineSink{sys: sys}
-		if _, err := pdes.RunOn(sys, cfg, until, sink, node.Endpoints()); err != nil {
-			peerErr = err
-			return
-		}
-		peerLines = sink.recs
-	}()
-
-	wg.Wait()
-	if hubErr != nil {
-		t.Fatalf("hub: %v", hubErr)
-	}
-	if peerErr != nil {
-		t.Fatalf("peer: %v", peerErr)
-	}
-	if hubRes.Metrics.Migrations == 0 {
-		t.Fatal("no migrations happened; the test exercised nothing")
-	}
-	if hubRes.GVT.Less(vtime.VT{PT: until}) {
-		t.Errorf("final GVT %v below horizon", hubRes.GVT)
-	}
-
-	got := append(append([]string{}, hubLines...), peerLines...)
-	sort.Strings(got)
-	sort.Strings(wantLines)
-	if strings.Join(got, "\n") != strings.Join(wantLines, "\n") {
-		t.Errorf("migrating distributed trace mismatch:\n got %d records\nwant %d records\n%s\n----\n%s",
-			len(got), len(wantLines), strings.Join(got, "\n"), strings.Join(wantLines, "\n"))
-	}
-}

@@ -50,7 +50,7 @@ type interpSnap struct {
 	until   cbool
 }
 
-// CloneFresh produces a pristine interpreter for kernel.Design.CloneFresh:
+// CloneFresh produces a fresh interpreter for kernel.Design.CloneFresh:
 // the program is immutable and shared, the run state starts empty.
 func (b *procInterp) CloneFresh() kernel.Behavior {
 	return &procInterp{prog: b.prog}

@@ -60,7 +60,7 @@ type SessionOptions struct {
 // SequentialKernel reports whether the session runs on the sequential kernel
 // rather than the PDES engine: under the Sequential protocol, and on one
 // worker unless the run needs what only the engine has — a Fabric, a
-// Restore, checkpoint cuts or migration. One worker has nothing to
+// Restore or checkpoint cuts. One worker has nothing to
 // synchronize with, and the sequential kernel commits the same trace without
 // GVT rounds, state saving or a controller. Such a session never fails over:
 // it has no transport to lose.
@@ -69,7 +69,7 @@ func (o SessionOptions) SequentialKernel() bool {
 		return true
 	}
 	return o.Workers <= 1 && o.Fabric == nil && o.Restore == nil &&
-		o.CheckpointRounds == 0 && o.Migrate == nil && !o.Rebalance
+		o.CheckpointRounds == 0
 }
 
 // TraceFunc receives finalized trace increments: entries is a batch of the

@@ -303,7 +303,6 @@ func TestSessionOneWorkerRunsSequentialKernel(t *testing.T) {
 func TestSessionOneWorkerEngineCases(t *testing.T) {
 	engine := []SessionOptions{
 		{Options: Options{Protocol: Dynamic, Workers: 1, CheckpointRounds: 1}},
-		{Options: Options{Protocol: Dynamic, Workers: 1, Rebalance: true}},
 		{Options: Options{Protocol: Dynamic, Workers: 1}, Fabric: dyingFabric(1 << 30)},
 		{Options: Options{Protocol: Dynamic, Workers: 1}, Restore: &pdes.Checkpoint{}},
 		{Options: Options{Protocol: Dynamic, Workers: 2}},
