@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"govhdl/internal/pdes"
 	"govhdl/internal/vtime"
@@ -15,7 +17,6 @@ type Signal struct {
 
 	resolution Resolution
 	lpid       pdes.LPID
-	lp         *signalLP
 	readers    []reader
 	drivers    []*Process // one entry per driver, the writing process
 	// lookahead declares the minimum "after" delay every driver of this
@@ -47,7 +48,6 @@ type Process struct {
 	reads    []*Signal
 	writes   []outPort
 	lpid     pdes.LPID
-	lp       *processLP
 }
 
 // outPort is one output connection: which signal and which of its drivers.
@@ -59,16 +59,31 @@ type outPort struct {
 // Design is an elaborated VHDL model: a bi-partite graph of signals and
 // processes ready to be mapped onto PDES LPs.
 type Design struct {
-	Name    string
+	Name string
+	*decl
+	// behaviors are this design's process behaviors, parallel to procs;
+	// nil on the design that declared them, which runs the declared ones.
+	behaviors []Behavior
+	built     bool
+	sys       *pdes.System
+}
+
+// decl is what a design declares — its signals and processes with their
+// wiring — and the LP graph Build derives from them. A design and its
+// CloneFresh copies share one decl read-only: the graph is built once, and
+// each Build adds only model state.
+type decl struct {
 	signals []*Signal
 	procs   []*Process
-	built   bool
-	sys     *pdes.System
+	// closed is set by the first Build or CloneFresh: no more declarations.
+	closed atomic.Bool
+	once   sync.Once
+	graph  *pdes.System // LP graph without models (System.Rebind); set by once
 }
 
 // NewDesign returns an empty design.
 func NewDesign(name string) *Design {
-	return &Design{Name: name}
+	return &Design{Name: name, decl: &decl{}}
 }
 
 // SignalOpt configures a signal at declaration.
@@ -131,8 +146,8 @@ func (d *Design) AddProcess(name string, b Behavior, reads, writes []*Signal, op
 }
 
 func (d *Design) mustBeOpen() {
-	if d.built {
-		panic("kernel: design modified after Build")
+	if d.closed.Load() {
+		panic("kernel: design modified after Build or CloneFresh")
 	}
 }
 
@@ -146,40 +161,33 @@ type FreshBehavior interface {
 }
 
 // CloneFresh returns an unbuilt copy of the design suitable for an
-// independent simulation run. Signals and processes are replayed in their
-// original declaration order, so driver indices, LP numbering and therefore
-// committed traces are identical to the original's. It fails if any process
-// behavior does not implement FreshBehavior (e.g. a Comb whose Eval closure
-// may capture state outside the design); callers fall back to re-elaborating
+// independent simulation run. The copy shares the original's declarations
+// and LP graph read-only — so driver indices, LP numbering and therefore
+// committed traces are identical to the original's — and has its own fresh
+// process behaviors; its Build allocates only model state. Neither design
+// accepts further declarations. CloneFresh fails if any process behavior
+// does not implement FreshBehavior (e.g. a Comb whose Eval closure may
+// capture state outside the design); callers fall back to re-elaborating
 // from source in that case.
 func (d *Design) CloneFresh() (*Design, error) {
-	nd := NewDesign(d.Name)
-	sigOf := make(map[*Signal]*Signal, len(d.signals))
-	for _, s := range d.signals {
-		ns := nd.AddSignal(s.Name, s.Init)
-		ns.Class = s.Class
-		ns.resolution = s.resolution
-		ns.lookahead = s.lookahead
-		sigOf[s] = ns
-	}
-	for _, p := range d.procs {
-		fb, ok := p.behavior.(FreshBehavior)
+	behaviors := make([]Behavior, len(d.procs))
+	for i, p := range d.procs {
+		fb, ok := d.behavior(i).(FreshBehavior)
 		if !ok {
-			return nil, fmt.Errorf("kernel: CloneFresh: process %s: %T cannot produce a fresh copy", p.Name, p.behavior)
+			return nil, fmt.Errorf("kernel: CloneFresh: process %s: %T cannot produce a fresh copy", p.Name, d.behavior(i))
 		}
-		reads := make([]*Signal, len(p.reads))
-		for i, s := range p.reads {
-			reads[i] = sigOf[s]
-		}
-		// p.writes preserves declaration order, so replaying through
-		// AddProcess reallocates the same driver indices.
-		writes := make([]*Signal, len(p.writes))
-		for i, w := range p.writes {
-			writes[i] = sigOf[w.sig]
-		}
-		nd.AddProcess(p.Name, fb.CloneFresh(), reads, writes, WithProcClass(p.Class))
+		behaviors[i] = fb.CloneFresh()
 	}
-	return nd, nil
+	d.closed.Store(true)
+	return &Design{Name: d.Name, decl: d.decl, behaviors: behaviors}, nil
+}
+
+// behavior returns the behavior this design runs for process i.
+func (d *Design) behavior(i int) Behavior {
+	if d.behaviors != nil {
+		return d.behaviors[i]
+	}
+	return d.procs[i].behavior
 }
 
 // NumLPs returns the number of LPs the design maps to (paper: one per
@@ -197,29 +205,75 @@ func (d *Design) Signals() []*Signal { return d.signals }
 
 // Build maps the design onto a PDES system: every signal and every process
 // becomes an LP, with the static bi-partite edge set of the paper. Build
-// may be called once; the design is frozen afterwards.
+// may be called once; the design is frozen afterwards. The LP graph is built
+// by the first Build of the design or of any of its clones and shared by
+// all of them (pdes.System.Rebind).
 func (d *Design) Build() *pdes.System {
 	if d.built {
 		return d.sys
 	}
 	d.built = true
-	sys := pdes.NewSystem()
-	d.sys = sys
-
+	d.closed.Store(true)
+	nDrivers, nReads, nWrites := 0, 0, 0
 	for _, s := range d.signals {
 		if s.resolution == nil && len(s.drivers) > 1 {
 			panic(fmt.Sprintf("kernel: signal %s has %d drivers but no resolution function", s.Name, len(s.drivers)))
 		}
-		st := &signalState{effective: s.Init}
-		n := len(s.drivers)
-		if n == 0 {
-			n = 1 // undriven signal holds its initial value
+		nDrivers += max(len(s.drivers), 1) // an undriven signal holds its initial value
+	}
+	for _, p := range d.procs {
+		nReads += len(p.reads)
+		nWrites += len(p.writes)
+	}
+	d.once.Do(d.buildGraph)
+
+	// The models' state comes in one slab per kind, each LP taking a
+	// capacity-capped window of it: a handful of allocations per run instead
+	// of several per LP.
+	models := make([]pdes.Model, len(d.signals)+len(d.procs))
+	sigLPs := make([]signalLP, len(d.signals))
+	sigStates := make([]signalState, len(d.signals))
+	drivers := make([]driver, nDrivers)
+	for i, s := range d.signals {
+		n := max(len(s.drivers), 1)
+		st := &sigStates[i]
+		st.effective = s.Init
+		st.drivers, drivers = drivers[:n:n], drivers[n:]
+		for k := range st.drivers {
+			st.drivers[k] = driver{driving: s.Init}
 		}
-		st.drivers = make([]driver, n)
-		for i := range st.drivers {
-			st.drivers[i] = driver{driving: s.Init}
+		sigLPs[i] = signalLP{sig: s, state: st}
+		models[s.lpid] = &sigLPs[i]
+	}
+	procLPs := make([]processLP, len(d.procs))
+	procStates := make([]procState, len(d.procs))
+	ports := make([]port, nReads)
+	fanins := make([]pdes.LPID, nReads)
+	lones := make([]loneAssigns, nWrites)
+	pendings := make([]pendingOut, nWrites)
+	for i, p := range d.procs {
+		r, w := len(p.reads), len(p.writes)
+		st := &procStates[i]
+		st.ports, ports = ports[:r:r], ports[r:]
+		for k, s := range p.reads {
+			st.ports[k] = port{value: s.Init}
 		}
-		s.lp = &signalLP{sig: s, state: st}
+		lp := &procLPs[i]
+		*lp = processLP{proc: p, state: st, behavior: d.behavior(i),
+			lone: lones[:w:w], fanin: fanins[:0:r]}
+		lp.ctx.pending = pendings[:w:w]
+		fanins, lones, pendings = fanins[r:], lones[w:], pendings[w:]
+		models[p.lpid] = lp
+	}
+	d.sys = d.graph.Rebind(models)
+	return d.sys
+}
+
+// buildGraph declares the LPs and the static edges of the design once:
+// signals first, then processes, each in declaration order.
+func (d *decl) buildGraph() {
+	g := pdes.NewSystem()
+	for _, s := range d.signals {
 		// Signals broadcast at least two phases after any assignment
 		// (Assign -> Driving Value -> Update), which the phase lookahead
 		// exposes to the conservative protocol.
@@ -227,23 +281,11 @@ func (d *Design) Build() *pdes.System {
 		if s.lookahead > 0 {
 			opts = append(opts, pdes.WithLookahead(s.lookahead))
 		}
-		s.lpid = sys.AddLP("sig:"+s.Name, s.lp, opts...)
+		s.lpid = g.AddLP("sig:"+s.Name, nil, opts...)
 	}
 	for _, p := range d.procs {
-		st := &procState{ports: make([]port, len(p.reads))}
-		for i, s := range p.reads {
-			st.ports[i] = port{value: s.Init}
-		}
-		p.lp = &processLP{
-			proc:     p,
-			state:    st,
-			behavior: p.behavior,
-			lone:     make([]loneAssigns, len(p.writes)),
-			fanin:    make([]pdes.LPID, 0, len(p.reads)),
-		}
-		p.lp.ctx.pending = make([]pendingOut, len(p.writes))
 		// A process runs one phase after the update that wakes it.
-		p.lpid = sys.AddLP("proc:"+p.Name, p.lp,
+		p.lpid = g.AddLP("proc:"+p.Name, nil,
 			pdes.WithHint(hintOf(p.Class)), pdes.WithLTLookahead(1))
 	}
 
@@ -251,15 +293,15 @@ func (d *Design) Build() *pdes.System {
 	// processes.
 	for _, p := range d.procs {
 		for _, w := range p.writes {
-			sys.Connect(p.lpid, w.sig.lpid)
+			g.Connect(p.lpid, w.sig.lpid)
 		}
 	}
 	for _, s := range d.signals {
 		for _, r := range s.readers {
-			sys.Connect(s.lpid, r.proc.lpid)
+			g.Connect(s.lpid, r.proc.lpid)
 		}
 	}
-	return sys
+	d.graph = g
 }
 
 func hintOf(c Class) pdes.Mode {
@@ -277,4 +319,6 @@ func (d *Design) ProcessLPID(p *Process) pdes.LPID { return p.lpid }
 
 // Effective returns a signal's effective value after a run (the model is
 // inspected in place; call only after the simulation finished).
-func (d *Design) Effective(s *Signal) Value { return s.lp.state.effective }
+func (d *Design) Effective(s *Signal) Value {
+	return d.sys.Model(s.lpid).(*signalLP).state.effective
+}

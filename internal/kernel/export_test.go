@@ -39,8 +39,9 @@ func CheckSharedPayloads(designs ...*Design) error {
 	}
 	for _, d := range designs {
 		for _, p := range d.procs {
-			for port := range p.lp.lone {
-				t := &p.lp.lone[port]
+			lp := d.procLP(p)
+			for port := range lp.lone {
+				t := &lp.lone[port]
 				for i, m := range t.msgs {
 					want := &assignMsg{Driver: p.writes[port].driver, Value: values[i], After: t.after}
 					if m != nil && !reflect.DeepEqual(m, want) {
@@ -57,8 +58,9 @@ func CheckSharedPayloads(designs ...*Design) error {
 func LonePayloads(d *Design) map[any]bool {
 	out := make(map[any]bool)
 	for _, p := range d.procs {
-		for port := range p.lp.lone {
-			for _, m := range p.lp.lone[port].msgs {
+		lp := d.procLP(p)
+		for port := range lp.lone {
+			for _, m := range lp.lone[port].msgs {
 				if m != nil {
 					out[m] = true
 				}
@@ -67,3 +69,9 @@ func LonePayloads(d *Design) map[any]bool {
 	}
 	return out
 }
+
+// procLP returns the model running p in the built design d.
+func (d *Design) procLP(p *Process) *processLP { return d.sys.Model(p.lpid).(*processLP) }
+
+// sigLP returns the model running s in the built design d.
+func (d *Design) sigLP(s *Signal) *signalLP { return d.sys.Model(s.lpid).(*signalLP) }

@@ -251,7 +251,7 @@ func TestRestoreStateCopiesIntoLiveState(t *testing.T) {
 	var cnt *processLP
 	for _, p := range d.procs {
 		if p.Name == "cnt" {
-			cnt = p.lp
+			cnt = d.procLP(p)
 		}
 	}
 	snap := cnt.SaveState().(*procState)
@@ -275,7 +275,7 @@ func TestRestoreStateCopiesIntoLiveState(t *testing.T) {
 		t.Fatalf("SaveStateInto returned %v with behavior %v, want the refilled snapshot", got, snap.behavior)
 	}
 
-	sig := q.lp
+	sig := d.sigLP(q)
 	sigSnap := sig.SaveState().(*signalState)
 	sigLive := sig.state
 	sig.RestoreState(sigSnap)

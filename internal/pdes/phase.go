@@ -125,7 +125,7 @@ func newPhaseWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT, own
 	if restored == nil {
 		// A restored worker's shards are installed from its blob instead.
 		for _, id := range ownedIDs {
-			w.own(sys.lps[id].model.(*shardModel))
+			w.own(sys.models[id].(*shardModel))
 		}
 	}
 	return w
@@ -513,7 +513,7 @@ func captureShard(m *shardModel) ckptLP {
 // with records flowing to the sink to re-emit the committed trace, then the
 // pending set.
 func (w *phaseWorker) install(cl *ckptLP) {
-	m := w.sys.lps[cl.ID].model.(*shardModel)
+	m := w.sys.models[cl.ID].(*shardModel)
 	w.own(m)
 	w.metrics.CoastForward += uint64(m.replay(cl.Log))
 	m.reset()

@@ -67,14 +67,14 @@ type lpRT struct {
 	edgeOf map[LPID]int // src LPID -> index into edges
 }
 
-func newLPRT(d *lpDecl, mode Mode) *lpRT {
+func newLPRT(d *lpDecl, m Model, mode Mode) *lpRT {
 	lp := &lpRT{
 		decl:   d,
-		model:  d.model,
+		model:  m,
 		mode:   mode,
 		edgeOf: make(map[LPID]int, len(d.in)),
 	}
-	lp.recycler, _ = d.model.(RecyclingModel)
+	lp.recycler, _ = m.(RecyclingModel)
 	lp.edges = make([]edgeIn, len(d.in))
 	for i, src := range d.in {
 		lp.edges[i] = edgeIn{src: src}

@@ -100,9 +100,9 @@ func runSequential(sys *System, cfg Config, until vtime.Time, sink TraceSink) (r
 
 	// Initialization: every LP that wants to schedules its first events at
 	// virtual time zero.
-	for _, d := range sys.lps {
-		if im, ok := d.model.(InitModel); ok {
-			cur, now = d.id, vtime.Zero
+	for id, m := range sys.models {
+		if im, ok := m.(InitModel); ok {
+			cur, now = LPID(id), vtime.Zero
 			ctx.self, ctx.now = cur, now
 			im.Init(ctx)
 		}
@@ -129,7 +129,7 @@ func runSequential(sys *System, cfg Config, until vtime.Time, sink TraceSink) (r
 		ev := pend.Pop()
 		cur, now = ev.Dst, ev.TS
 		ctx.self, ctx.now = cur, now
-		sys.lps[ev.Dst].model.Execute(ctx, ev)
+		sys.models[ev.Dst].Execute(ctx, ev)
 		pool.put(ev) // models must not retain events beyond Execute
 		processed++
 	}

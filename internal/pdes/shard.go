@@ -104,7 +104,7 @@ func ShardSystem(orig *System, shards int, part Partition) (*ShardedSystem, erro
 // its members, driven by the phase executor.
 type shardModel struct {
 	shard   LPID
-	members []LPID // sorted original LPs; their models are orig.lps[id].model
+	members []LPID // sorted original LPs; their models are orig.models[id]
 	orig    *System
 	shardOf []LPID // shared with the ShardedSystem
 
@@ -175,7 +175,7 @@ func (m *shardModel) memberRecord(item any) {
 // init runs every member's Init at time zero.
 func (m *shardModel) init() {
 	for _, id := range m.members {
-		if im, ok := m.orig.lps[id].model.(InitModel); ok {
+		if im, ok := m.orig.models[id].(InitModel); ok {
 			m.mctx.self, m.mctx.now = id, vtime.Zero
 			im.Init(m.mctx)
 		}
@@ -197,7 +197,7 @@ func (m *shardModel) drain(limit vtime.VT) int {
 	for m.pend.MinTS().LessEq(limit) { // vtime.Inf when empty
 		e := m.pend.Pop()
 		m.mctx.self, m.mctx.now = e.Dst, e.TS
-		m.orig.lps[e.Dst].model.Execute(m.mctx, e)
+		m.orig.models[e.Dst].Execute(m.mctx, e)
 		m.pool.put(e) // models must not retain events beyond Execute
 		n++
 	}

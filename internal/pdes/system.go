@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"govhdl/internal/vtime"
 )
@@ -84,7 +85,6 @@ func WithLTLookahead(n uint64) LPOpt { return func(l *lpDecl) { l.lookaheadLT = 
 type lpDecl struct {
 	id          LPID
 	name        string
-	model       Model
 	hint        Mode
 	lookahead   vtime.Time
 	lookaheadLT uint64
@@ -92,28 +92,61 @@ type lpDecl struct {
 	in          []LPID // deduplicated fan-in (edge sources)
 }
 
-// System is the static LP graph under simulation: the paper's
-// post-elaboration model of processes and signals.
+// System is the LP graph under simulation — the paper's post-elaboration
+// model of processes and signals — with one model per LP.
 type System struct {
-	lps     []*lpDecl
-	nameIdx map[string]LPID
-	frozen  bool
+	*graph
+	// models holds each LP's model, indexed by LPID: the run state, which
+	// is never shared (Rebind).
+	models []Model
+	frozen bool
 	// sharded is set on the shard-level System of a ShardedSystem: a run of
 	// it executes on the phase executor (phase.go).
 	sharded *ShardedSystem
 }
 
+// graph is the static part of a System: the LP declarations (names, hints,
+// lookaheads, edges) and the name index. Systems made by Rebind share it
+// read-only.
+type graph struct {
+	lps     []*lpDecl
+	nameIdx map[string]LPID
+	// shared is set by the first Rebind: the graph can no longer grow.
+	shared atomic.Bool
+}
+
 // NewSystem returns an empty system.
 func NewSystem() *System {
-	return &System{nameIdx: make(map[string]LPID)}
+	return &System{graph: &graph{nameIdx: make(map[string]LPID)}}
+}
+
+// Rebind returns a System on s's LP graph whose LP i runs models[i]. The
+// graph — names, name index, edges, hints and lookaheads — is shared, not
+// copied, so a design elaborated once can be run any number of times,
+// concurrently, at the cost of its models alone. From the first Rebind on,
+// no System on the graph can add LPs or edges.
+func (s *System) Rebind(models []Model) *System {
+	if len(models) != len(s.lps) {
+		panic(fmt.Sprintf("pdes: Rebind with %d models for %d LPs", len(models), len(s.lps)))
+	}
+	s.shared.Store(true)
+	return &System{graph: s.graph, models: models}
+}
+
+// mustBeOpen panics unless LPs and edges may still be declared.
+func (s *System) mustBeOpen(op string) {
+	if s.frozen {
+		panic("pdes: " + op + " after simulation started")
+	}
+	if s.shared.Load() {
+		panic("pdes: " + op + " on an LP graph shared by Rebind")
+	}
 }
 
 // AddLP declares an LP and returns its ID. Names must be unique and
 // non-empty.
 func (s *System) AddLP(name string, m Model, opts ...LPOpt) LPID {
-	if s.frozen {
-		panic("pdes: AddLP after simulation started")
-	}
+	s.mustBeOpen("AddLP")
 	if name == "" {
 		panic("pdes: empty LP name")
 	}
@@ -121,11 +154,12 @@ func (s *System) AddLP(name string, m Model, opts ...LPOpt) LPID {
 		panic(fmt.Sprintf("pdes: duplicate LP name %q", name))
 	}
 	id := LPID(len(s.lps))
-	d := &lpDecl{id: id, name: name, model: m, hint: Optimistic}
+	d := &lpDecl{id: id, name: name, hint: Optimistic}
 	for _, o := range opts {
 		o(d)
 	}
 	s.lps = append(s.lps, d)
+	s.models = append(s.models, m)
 	s.nameIdx[name] = id
 	return id
 }
@@ -134,9 +168,7 @@ func (s *System) AddLP(name string, m Model, opts ...LPOpt) LPID {
 // follow a declared edge (self-sends are implicit). Duplicate declarations
 // are ignored.
 func (s *System) Connect(src, dst LPID) {
-	if s.frozen {
-		panic("pdes: Connect after simulation started")
-	}
+	s.mustBeOpen("Connect")
 	if src == dst {
 		return
 	}
@@ -163,7 +195,7 @@ func (s *System) Lookup(name string) (LPID, bool) {
 }
 
 // Model returns the LP's model (for post-simulation inspection).
-func (s *System) Model(id LPID) Model { return s.lps[id].model }
+func (s *System) Model(id LPID) Model { return s.models[id] }
 
 // Fanout returns the declared out-edges of id. The returned slice must not
 // be modified.

@@ -155,7 +155,7 @@ func newWorker(ep Endpoint, sys *System, cfg *Config, horizon vtime.VT,
 // in-edges with the mode-broadcast watch lists. modes is the full per-LP
 // table: the trust of an in-edge depends on its source's mode.
 func (w *worker) addLP(id LPID, modes []Mode) *lpRT {
-	lp := newLPRT(w.sys.lps[id], modes[id])
+	lp := newLPRT(w.sys.lps[id], w.sys.models[id], modes[id])
 	for i := range lp.edges {
 		lp.edges[i].srcCons = modes[lp.edges[i].src] == Conservative
 		w.watchers[lp.edges[i].src] = append(w.watchers[lp.edges[i].src], lp)

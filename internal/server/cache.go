@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
+	"hash"
 	"sync"
 
 	"govhdl/internal/kernel"
@@ -150,19 +150,24 @@ func (c *Cache) Stats() CacheStats {
 // prefixes keep ("ab","c") distinct from ("a","bc").
 func DesignKey(top string, srcs []SourceRequest) string {
 	h := sha256.New()
-	writeField(h, top)
+	buf := make([]byte, 0, 4<<10)
+	writeField(h, buf, top)
 	for _, s := range srcs {
-		writeField(h, s.Name)
-		writeField(h, s.Text)
+		writeField(h, buf, s.Name)
+		writeField(h, buf, s.Text)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func writeField(w io.Writer, s string) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	w.Write(n[:])
-	io.WriteString(w, s)
+// writeField hashes s behind its length. The hash takes bytes, and s goes
+// in through buf a chunk at a time rather than as a copy of the whole text.
+func writeField(h hash.Hash, buf []byte, s string) {
+	h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(len(s))))
+	for len(s) > 0 {
+		n := copy(buf[:cap(buf)], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
 }
 
 // The weights of designBytes, calibrated on the live heap of elaborated

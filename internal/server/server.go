@@ -14,9 +14,7 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -248,26 +246,9 @@ func (req *SessionRequest) runOpts() (runopts.Opts, error) {
 	}, nil
 }
 
-// decodeBody decodes a request body that must be exactly one JSON object of
-// v's shape: a field v does not declare (a misspelt or retired option) and
-// any data after the object are refused, never silently dropped. The error
-// names the unknown field.
-func decodeBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return errors.New("data after the request object")
-	}
-	return nil
-}
-
 func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	r.Body = http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, sv.cfg.MaxBodyBytes, func(d *decoder) error { return decodeSubmit(d, &req) }); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -407,8 +388,7 @@ type LintRequest struct {
 // surfaces emit byte-identical reports for the same sources.
 func (sv *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	var req LintRequest
-	r.Body = http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, sv.cfg.MaxBodyBytes, func(d *decoder) error { return decodeLint(d, &req) }); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -562,24 +542,36 @@ func (sv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace streams the finalized trace as chunked plain text: lines are
 // written as the simulation commits them, from the requested offset
-// (?from=N) to the end of the run. Reconnecting with the delivered line
-// count resumes exactly.
+// (?from=N, a line count) to the end of the run. Reconnecting with the
+// delivered line count resumes exactly.
 func (sv *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ss := sv.lookup(w, r)
 	if ss == nil {
 		return
 	}
-	from, _ := strconv.Atoi(r.URL.Query().Get("from"))
-	if from < 0 {
-		from = 0
+	from := 0
+	if q := r.URL.Query().Get("from"); q != "" {
+		n, err := strconv.Atoi(q)
+		if err != nil || n < 0 {
+			httpError(w, http.StatusBadRequest, "bad from %q: want a line count", q)
+			return
+		}
+		from = n
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	flusher, _ := w.(http.Flusher)
+	buf := make([]byte, 0, 32<<10) // lines go out a buffer at a time
 	for {
 		lines, done := ss.waitLines(r.Context(), from)
-		for _, ln := range lines {
-			fmt.Fprintln(w, ln)
+		for i, ln := range lines {
+			buf = append(append(buf, ln...), '\n')
+			if len(buf) >= cap(buf)-1024 || i == len(lines)-1 {
+				if _, err := w.Write(buf); err != nil {
+					return // the client is gone
+				}
+				buf = buf[:0]
+			}
 		}
 		if len(lines) > 0 && flusher != nil {
 			flusher.Flush()

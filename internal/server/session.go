@@ -130,8 +130,8 @@ func (s *session) snapshot() (state State, cached bool, nlines int, sum *runSumm
 
 // waitLines blocks until the session has rendered lines past from, or has
 // finished, or ctx is done; it returns the new lines and whether the stream
-// is complete. The ctx watcher goroutine wakes the cond so a disconnected
-// client does not leak a waiter.
+// is complete. A done ctx wakes the cond, so a disconnected client does not
+// leak a waiter.
 func (s *session) waitLines(ctx context.Context, from int) ([]string, bool) {
 	return waitBuf(ctx, s, func() int { return len(s.lines) }, func(lo, hi int) []string {
 		return append([]string(nil), s.lines[lo:hi]...)
@@ -149,8 +149,7 @@ func (s *session) waitEntries(ctx context.Context, from int) ([]trace.Entry, boo
 // VHDL design, at the first attempt for a circuit), or the session finished
 // without one.
 func (s *session) waitTable(ctx context.Context) *trace.Table {
-	stop := wakeOnDone(ctx, s.cond)
-	defer stop()
+	defer context.AfterFunc(ctx, s.wake)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.table == nil && !s.finished() && ctx.Err() == nil {
@@ -160,8 +159,7 @@ func (s *session) waitTable(ctx context.Context) *trace.Table {
 }
 
 func waitBuf[T any](ctx context.Context, s *session, size func() int, copyRange func(lo, hi int) []T, from int) ([]T, bool) {
-	stop := wakeOnDone(ctx, s.cond)
-	defer stop()
+	defer context.AfterFunc(ctx, s.wake)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for size() <= from && !s.finished() && ctx.Err() == nil {
@@ -174,19 +172,10 @@ func waitBuf[T any](ctx context.Context, s *session, size func() int, copyRange 
 	return copyRange(from, n), s.finished()
 }
 
-// wakeOnDone broadcasts on the cond when ctx is canceled, so cond waiters
-// that also check ctx.Err() unblock. The returned stop func releases the
-// watcher.
-func wakeOnDone(ctx context.Context, cond *sync.Cond) func() {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cond.L.Lock()
-			cond.Broadcast()
-			cond.L.Unlock()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
+// wake broadcasts on the cond, so waiters recheck their ctx: context.AfterFunc
+// runs it when a waiter's ctx is done, on a goroutine of its own only then.
+func (s *session) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }

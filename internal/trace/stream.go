@@ -41,23 +41,52 @@ func NewCursor(rec *Recorder) *Cursor { return &Cursor{rec: rec} }
 func (c *Cursor) Advance(wm vtime.VT) []Entry {
 	fresh, n := c.rec.Since(c.consumed)
 	c.consumed = n
-	c.pending = append(c.pending, fresh...)
-	// Partition in place: ready below the watermark, the rest stays pending.
-	ready := make([]Entry, 0, len(c.pending))
-	keep := c.pending[:0]
-	for _, e := range c.pending {
-		if e.TS.Less(wm) {
-			ready = append(ready, e)
-		} else {
-			keep = append(keep, e)
-		}
+	if len(c.pending) == 0 {
+		c.pending = fresh // Since's copy: the cursor's to keep
+	} else {
+		c.pending = append(c.pending, fresh...)
 	}
-	c.pending = keep
-	if len(ready) == 0 {
-		return nil
+	// In timestamp order — the sequential kernel's case — what is final is a
+	// prefix: hand it out and keep a copy of the rest, one timestamp at most.
+	k := 0
+	for k < len(c.pending) && c.pending[k].TS.Less(wm) {
+		k++
+	}
+	var ready []Entry
+	if rest := c.pending[k:]; notBefore(rest, wm) {
+		if k == 0 {
+			return nil
+		}
+		ready, c.pending = c.pending[:k:k], append([]Entry(nil), rest...)
+	} else {
+		// Partition in place: ready below the watermark, the rest stays
+		// pending.
+		ready = make([]Entry, 0, len(c.pending))
+		keep := c.pending[:0]
+		for _, e := range c.pending {
+			if e.TS.Less(wm) {
+				ready = append(ready, e)
+			} else {
+				keep = append(keep, e)
+			}
+		}
+		c.pending = keep
+		if len(ready) == 0 {
+			return nil
+		}
 	}
 	SortEntries(ready)
 	return ready
+}
+
+// notBefore reports whether no entry is before wm.
+func notBefore(es []Entry, wm vtime.VT) bool {
+	for _, e := range es {
+		if e.TS.Less(wm) {
+			return false
+		}
+	}
+	return true
 }
 
 // Drain returns everything not yet emitted, sorted; call it once after the

@@ -9,9 +9,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -82,17 +83,43 @@ func (r *Recorder) Since(n int) ([]Entry, int) {
 }
 
 // SortEntries orders entries in the deterministic (TS, LP, item) total
-// order used for trace comparison and rendering.
+// order used for trace comparison and rendering, items comparing by their
+// fmt.Sprint text. A batch already in timestamp order — what the sequential
+// kernel commits — has only its runs of equal timestamp sorted; any other
+// batch is sorted whole.
 func SortEntries(out []Entry) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS.Less(out[j].TS)
+	if !slices.IsSortedFunc(out, func(a, b Entry) int { return a.TS.Cmp(b.TS) }) {
+		slices.SortFunc(out, compareEntries)
+		return
+	}
+	for i := 0; i < len(out); {
+		j := i + 1
+		for j < len(out) && out[j].TS == out[i].TS {
+			j++
 		}
-		if out[i].LP != out[j].LP {
-			return out[i].LP < out[j].LP
+		if j-i > 1 {
+			slices.SortFunc(out[i:j], compareTies)
 		}
-		return fmt.Sprint(out[i].Item) < fmt.Sprint(out[j].Item)
-	})
+		i = j
+	}
+}
+
+// compareEntries is the (TS, LP, item) order.
+func compareEntries(a, b Entry) int {
+	if c := a.TS.Cmp(b.TS); c != 0 {
+		return c
+	}
+	return compareTies(a, b)
+}
+
+// compareTies is the (LP, item) order of entries at one timestamp. Items
+// are rendered only to break a tie at one (TS, LP), which the kernel's one
+// change per signal per virtual time makes rare.
+func compareTies(a, b Entry) int {
+	if c := cmp.Compare(a.LP, b.LP); c != 0 {
+		return c
+	}
+	return strings.Compare(fmt.Sprint(a.Item), fmt.Sprint(b.Item))
 }
 
 // Sorted returns the entries in deterministic (TS, LP, item) order.
@@ -104,17 +131,47 @@ func (r *Recorder) Sorted() []Entry {
 	return out
 }
 
-// Lines renders entries with LP names from sys, one string per entry,
-// through one reused buffer.
+// Lines renders entries with LP names from sys, one string per entry. A
+// batch is rendered into one reused buffer and copied out as one string of
+// its exact size, whose substrings are the lines; a batch past renderChunk
+// bytes (a whole long trace) becomes one such string per chunk, so the
+// buffer stays bounded.
 func Lines(sys *pdes.System, entries []Entry) []string {
+	r := renders.Get().(*render)
+	defer renders.Put(r)
 	lines := make([]string, len(entries))
-	var buf []byte
-	for i, e := range entries {
-		buf = appendLine(buf[:0], sys, e)
-		lines[i] = string(buf)
+	first := 0 // the first entry of the chunk in r.buf
+	flush := func() {
+		text, start := string(r.buf), 0
+		for k, end := range r.ends {
+			lines[first+k] = text[start:end]
+			start = end
+		}
+		first += len(r.ends)
+		r.buf, r.ends = r.buf[:0], r.ends[:0]
 	}
+	for _, e := range entries {
+		r.buf = appendLine(r.buf, sys, e)
+		r.ends = append(r.ends, len(r.buf))
+		if len(r.buf) >= renderChunk {
+			flush()
+		}
+	}
+	flush()
 	return lines
 }
+
+// renderChunk bounds Lines' buffer: far above a streamed batch, far below a
+// long run's whole trace.
+const renderChunk = 1 << 20
+
+// render is Lines' scratch: the batch text and where each line ends.
+type render struct {
+	buf  []byte
+	ends []int
+}
+
+var renders = sync.Pool{New: func() any { return new(render) }}
 
 // Lines renders the sorted entries with LP names from sys, one per line.
 func (r *Recorder) Lines(sys *pdes.System) []string {
@@ -149,6 +206,8 @@ func appendValue(b []byte, v kernel.Value) []byte {
 		return strconv.AppendBool(b, val)
 	case int64:
 		return strconv.AppendInt(b, val, 10)
+	case fmt.Stringer: // an enumeration literal; fmt would print String() too
+		return append(b, val.String()...)
 	default:
 		return fmt.Append(b, v)
 	}

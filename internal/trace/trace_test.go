@@ -187,3 +187,24 @@ func TestLinesRenderEveryItemKind(t *testing.T) {
 		}
 	}
 }
+
+// TestLinesAcrossChunks: a batch longer than one render chunk comes out
+// line for line as each entry renders alone, across the chunk boundaries.
+func TestLinesAcrossChunks(t *testing.T) {
+	_, sys := buildToggler()
+	var es []Entry
+	for len(es)*24 < 3*renderChunk {
+		i := len(es)
+		es = append(es, Entry{LP: pdes.LPID(i % sys.NumLPs()), TS: vtime.VT{PT: vtime.Time(i), LT: uint64(i % 7)},
+			Item: kernel.SigChange{Value: stdlogic.Std(i % 9)}})
+	}
+	lines := Lines(sys, es)
+	if len(lines) != len(es) {
+		t.Fatalf("%d lines for %d entries", len(lines), len(es))
+	}
+	for i, e := range es {
+		if want := string(appendLine(nil, sys, e)); lines[i] != want {
+			t.Fatalf("line %d: %q, want %q", i, lines[i], want)
+		}
+	}
+}
