@@ -11,7 +11,7 @@ func TokensOf(file, src string) ([]string, error) {
 	}
 	out := make([]string, len(toks))
 	for i, t := range toks {
-		out[i] = fmt.Sprintf("%d:%d %v %q", t.Line, t.Col, t.Kind, t.Text)
+		out[i] = fmt.Sprintf("%d:%d %v %q", t.Line, t.Col, t.Kind, tokenText(src, t))
 	}
 	return out, nil
 }

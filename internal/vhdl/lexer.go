@@ -2,26 +2,32 @@ package vhdl
 
 import (
 	"fmt"
-	"strings"
+	"sync"
 )
 
 // lexer tokenizes VHDL source. VHDL is case-insensitive: identifiers and
 // keywords are lower-cased; character and string literals keep their case.
+// A token records only where its text lies (token.Off, token.End), and the
+// lexer tracks the start of the current line rather than a column counter,
+// so most bytes cost one comparison and one increment.
 type lexer struct {
-	file string
-	src  string
-	pos  int
-	line int
-	col  int
+	file      string
+	src       string
+	pos       int
+	line      int
+	lineStart int // offset of the first byte of the current line
 }
 
 func newLexer(file, src string) *lexer {
-	return &lexer{file: file, src: src, line: 1, col: 1}
+	return &lexer{file: file, src: src, line: 1}
 }
 
 func (l *lexer) errorf(line, col int, format string, args ...any) *Error {
 	return &Error{File: l.file, Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
+
+// col is the column of the byte at l.pos: columns count bytes from 1.
+func (l *lexer) col() int { return l.pos - l.lineStart + 1 }
 
 func (l *lexer) peek() byte {
 	if l.pos >= len(l.src) {
@@ -37,17 +43,30 @@ func (l *lexer) peek2() byte {
 	return l.src[l.pos+1]
 }
 
+// advance consumes one byte, which may be a newline.
 func (l *lexer) advance() byte {
 	c := l.src[l.pos]
 	l.pos++
 	if c == '\n' {
 		l.line++
-		l.col = 1
-	} else {
-		l.col++
+		l.lineStart = l.pos
 	}
 	return c
 }
+
+// wordByte maps each byte that may continue an identifier (a letter, digit
+// or underscore) to its lower-case form, and every other byte to 0.
+var wordByte = func() (t [256]byte) {
+	for c := 0; c < 256; c++ {
+		switch {
+		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '_':
+			t[c] = byte(c)
+		case c >= 'A' && c <= 'Z':
+			t[c] = byte(c) + 'a' - 'A'
+		}
+	}
+	return t
+}()
 
 func isLetter(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
@@ -61,97 +80,132 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 // allocation instead of a chain of append regrowths.
 const bytesPerToken = 4
 
+// tokenBufs recycles token arrays (as *[]token) between parses. A parse
+// tree keeps no token (its strings are taken from the source), and a token
+// holds no pointer, so a returned array is plain memory to overwrite.
+var tokenBufs = sync.Pool{New: func() any { return new([]token) }}
+
 // lex tokenizes the whole input.
 func (l *lexer) lex() ([]token, error) {
-	toks := make([]token, 0, len(l.src)/bytesPerToken+1)
+	return l.lexInto(nil)
+}
+
+// lexInto tokenizes the whole input into buf, which it grows when needed.
+func (l *lexer) lexInto(buf []token) ([]token, error) {
+	toks := buf[:0]
+	if want := len(l.src)/bytesPerToken + 1; cap(toks) < want {
+		toks = make([]token, 0, want)
+	}
 	lastEnd := -1 // byte offset just past the previous token
 	for {
 		l.skipSpaceAndComments()
-		if l.pos >= len(l.src) {
-			toks = append(toks, token{Kind: tokEOF, Line: l.line, Col: l.col})
-			return toks, nil
+		start := l.pos
+		tok := token{Line: int32(l.line), Col: int32(l.col()), Off: int32(start)}
+		if start >= len(l.src) {
+			tok.End = tok.Off
+			return append(toks, tok), nil
 		}
-		line, col := l.line, l.col
-		c := l.peek()
+		c := l.src[start]
 		switch {
 		case isLetter(c):
-			start := l.pos
-			for l.pos < len(l.src) && (isLetter(l.peek()) || isDigit(l.peek())) {
-				l.advance()
-			}
-			word := strings.ToLower(l.src[start:l.pos])
-			kind := tokIdent
-			if keywords[word] {
-				kind = tokKeyword
-			}
-			toks = append(toks, token{Kind: kind, Text: word, Line: line, Col: col})
+			l.lexWord(&tok)
 		case isDigit(c):
-			tok, err := l.lexNumber(line, col)
-			if err != nil {
+			if err := l.lexNumber(&tok); err != nil {
 				return nil, err
 			}
-			toks = append(toks, tok)
 		case c == '\'':
 			// Character literal ('x') or tick (attribute). An attribute
 			// tick immediately follows an identifier or ')' with no
 			// whitespace; anything else of the form 'c' is a character
 			// literal.
-			isAttr := len(toks) > 0 && closesName(toks[len(toks)-1]) && lastEnd == l.pos
-			if l.pos+2 < len(l.src) && l.src[l.pos+2] == '\'' && !isAttr {
+			isAttr := len(toks) > 0 && closesName(toks[len(toks)-1]) && lastEnd == start
+			if start+2 < len(l.src) && l.src[start+2] == '\'' && !isAttr {
 				l.advance()
 				ch := l.advance()
 				l.advance()
-				toks = append(toks, token{Kind: tokChar, Text: string(ch), Line: line, Col: col})
+				// The literal's text is string(ch): a byte above 0x7f
+				// reads as that code point, not as the raw byte.
+				tok.Kind, tok.Off, tok.End, tok.Fix = tokChar, int32(start+1), int32(start+2), ch >= 0x80
 			} else {
-				l.advance()
-				toks = append(toks, token{Kind: tokTick, Line: line, Col: col})
+				l.pos++
+				tok.Kind, tok.End = tokTick, tok.Off
 			}
 		case c == '"':
-			l.advance()
-			var sb strings.Builder
-			for {
-				if l.pos >= len(l.src) {
-					return nil, l.errorf(line, col, "unterminated string literal")
-				}
-				ch := l.advance()
-				if ch == '"' {
-					if l.peek() == '"' { // escaped quote
-						l.advance()
-						sb.WriteByte('"')
-						continue
-					}
-					break
-				}
-				sb.WriteByte(ch)
-			}
-			toks = append(toks, token{Kind: tokString, Text: sb.String(), Line: line, Col: col})
-		default:
-			tok, err := l.lexOperator(line, col)
-			if err != nil {
+			if err := l.lexString(&tok); err != nil {
 				return nil, err
 			}
-			toks = append(toks, tok)
+		default:
+			if err := l.lexOperator(&tok); err != nil {
+				return nil, err
+			}
 		}
+		toks = append(toks, tok)
 		lastEnd = l.pos
+	}
+}
+
+// lexWord scans an identifier or keyword. Its bytes are lower-cased and
+// hashed in the one pass, so classifying it needs neither a map lookup nor
+// a lower-cased copy.
+func (l *lexer) lexWord(tok *token) {
+	h := uint32(wordHashSeed)
+	folded := false
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
+		lc := wordByte[c]
+		if lc == 0 {
+			break
+		}
+		folded = folded || lc != c
+		h = wordHash(h, lc)
+		l.pos++
+	}
+	tok.End = int32(l.pos)
+	tok.Kind, tok.Fix = tokIdent, folded
+	if kw := lookupKeyword(h, l.src[tok.Off:tok.End], folded); kw != kwNone {
+		tok.Kind, tok.Kw, tok.Fix = tokKeyword, kw, false
+	}
+}
+
+// lexString scans a string literal; its text is the body between the
+// quotes, with each doubled quote read as one.
+func (l *lexer) lexString(tok *token) error {
+	l.pos++ // opening quote
+	tok.Kind, tok.Off = tokString, int32(l.pos)
+	for {
+		if l.pos >= len(l.src) {
+			return l.errorf(int(tok.Line), int(tok.Col), "unterminated string literal")
+		}
+		if l.advance() == '"' {
+			if l.peek() == '"' { // escaped quote
+				l.pos++
+				tok.Fix = true
+				continue
+			}
+			tok.End = int32(l.pos - 1)
+			return nil
+		}
 	}
 }
 
 // closesName reports whether tok can end a name (so a following tick is an
 // attribute tick, not a character literal).
 func closesName(tok token) bool {
-	return tok.Kind == tokIdent || tok.Kind == tokRParen ||
-		(tok.Kind == tokKeyword && tok.Text == "all")
+	return tok.Kind == tokIdent || tok.Kind == tokRParen || tok.Kw == kwAll
 }
 
 func (l *lexer) skipSpaceAndComments() {
 	for l.pos < len(l.src) {
-		c := l.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
+		switch c := l.src[l.pos]; {
+		case c == ' ' || c == '\t' || c == '\r':
+			l.pos++
+		case c == '\n':
+			l.pos++
+			l.line++
+			l.lineStart = l.pos
 		case c == '-' && l.peek2() == '-':
-			for l.pos < len(l.src) && l.peek() != '\n' {
-				l.advance()
+			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
+				l.pos++
 			}
 		default:
 			return
@@ -159,90 +213,74 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-func (l *lexer) lexNumber(line, col int) (token, error) {
-	start := l.pos
-	for l.pos < len(l.src) && (isDigit(l.peek()) || l.peek() == '_') {
-		l.advance()
-	}
-	isReal := false
-	if l.peek() == '.' && isDigit(l.peek2()) {
-		isReal = true
-		l.advance()
-		for l.pos < len(l.src) && (isDigit(l.peek()) || l.peek() == '_') {
-			l.advance()
+func (l *lexer) lexNumber(tok *token) error {
+	digits := func() {
+		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '_') {
+			if l.src[l.pos] == '_' {
+				tok.Fix = true
+			}
+			l.pos++
 		}
 	}
+	digits()
+	tok.Kind = tokInt
+	if l.peek() == '.' && isDigit(l.peek2()) {
+		tok.Kind = tokReal
+		l.pos++
+		digits()
+	}
 	if l.peek() == 'e' || l.peek() == 'E' {
-		return token{}, l.errorf(line, col, "exponent literals are not supported")
+		return l.errorf(int(tok.Line), int(tok.Col), "exponent literals are not supported")
 	}
-	text := strings.ReplaceAll(l.src[start:l.pos], "_", "")
-	kind := tokInt
-	if isReal {
-		kind = tokReal
-	}
-	return token{Kind: kind, Text: text, Line: line, Col: col}, nil
+	tok.End = int32(l.pos)
+	return nil
 }
 
-func (l *lexer) lexOperator(line, col int) (token, error) {
-	c := l.advance()
-	mk := func(k tokKind) (token, error) {
-		return token{Kind: k, Line: line, Col: col}, nil
+func (l *lexer) lexOperator(tok *token) error {
+	c := l.src[l.pos]
+	l.pos++
+	// two gives the kind of c followed by next, or one when c stands alone.
+	two := func(next byte, both, one tokKind) tokKind {
+		if l.peek() == next {
+			l.pos++
+			return both
+		}
+		return one
 	}
 	switch c {
 	case ';':
-		return mk(tokSemi)
+		tok.Kind = tokSemi
 	case ',':
-		return mk(tokComma)
+		tok.Kind = tokComma
 	case '(':
-		return mk(tokLParen)
+		tok.Kind = tokLParen
 	case ')':
-		return mk(tokRParen)
+		tok.Kind = tokRParen
 	case '+':
-		return mk(tokPlus)
+		tok.Kind = tokPlus
 	case '-':
-		return mk(tokMinus)
+		tok.Kind = tokMinus
 	case '&':
-		return mk(tokAmp)
+		tok.Kind = tokAmp
 	case '.':
-		return mk(tokDot)
+		tok.Kind = tokDot
 	case '|':
-		return mk(tokBar)
+		tok.Kind = tokBar
 	case '*':
-		if l.peek() == '*' {
-			l.advance()
-			return mk(tokStarStar)
-		}
-		return mk(tokStar)
+		tok.Kind = two('*', tokStarStar, tokStar)
 	case '/':
-		if l.peek() == '=' {
-			l.advance()
-			return mk(tokNeq)
-		}
-		return mk(tokSlash)
+		tok.Kind = two('=', tokNeq, tokSlash)
 	case ':':
-		if l.peek() == '=' {
-			l.advance()
-			return mk(tokAssign)
-		}
-		return mk(tokColon)
+		tok.Kind = two('=', tokAssign, tokColon)
 	case '<':
-		if l.peek() == '=' {
-			l.advance()
-			return mk(tokArrowSig)
-		}
-		return mk(tokLt)
+		tok.Kind = two('=', tokArrowSig, tokLt)
 	case '>':
-		if l.peek() == '=' {
-			l.advance()
-			return mk(tokGe)
-		}
-		return mk(tokGt)
+		tok.Kind = two('=', tokGe, tokGt)
 	case '=':
-		if l.peek() == '>' {
-			l.advance()
-			return mk(tokArrow)
-		}
-		return mk(tokEq)
+		tok.Kind = two('>', tokArrow, tokEq)
+	default:
+		return l.errorf(int(tok.Line), int(tok.Col), "unexpected character %q", string(c))
 	}
-	return token{}, l.errorf(line, col, "unexpected character %q", string(c))
+	tok.End = tok.Off // a delimiter has no text
+	return nil
 }

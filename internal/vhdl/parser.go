@@ -25,26 +25,29 @@ func ParseAll(srcs []Source) ([]*DesignFile, error) {
 
 // Parse parses one VHDL source file.
 func Parse(file, src string) (*DesignFile, error) {
-	toks, err := newLexer(file, src).lex()
+	buf := tokenBufs.Get().(*[]token)
+	defer tokenBufs.Put(buf)
+	toks, err := newLexer(file, src).lexInto(*buf)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{file: file, toks: toks}
+	*buf = toks
+	p := &parser{file: file, src: src, toks: toks}
 	df := &DesignFile{File: file}
 	for !p.atEOF() {
 		switch {
-		case p.isKw("library"), p.isKw("use"):
+		case p.isKw(kwLibrary), p.isKw(kwUse):
 			// Context clauses are accepted and ignored: the ieee builtins
 			// are always available.
 			p.skipPast(tokSemi)
-		case p.isKw("entity"):
+		case p.isKw(kwEntity):
 			e, err := p.parseEntity()
 			if err != nil {
 				return nil, err
 			}
 			e.File = file
 			df.Entities = append(df.Entities, e)
-		case p.isKw("architecture"):
+		case p.isKw(kwArchitecture):
 			a, err := p.parseArch()
 			if err != nil {
 				return nil, err
@@ -52,7 +55,7 @@ func Parse(file, src string) (*DesignFile, error) {
 			a.File = file
 			df.Archs = append(df.Archs, a)
 		default:
-			return nil, p.errorf("expected a design unit (entity or architecture), found %v", p.cur())
+			return nil, p.errorf("expected a design unit (entity or architecture), found %s", p.curDesc())
 		}
 	}
 	return df, nil
@@ -60,9 +63,11 @@ func Parse(file, src string) (*DesignFile, error) {
 
 type parser struct {
 	file  string
+	src   string
 	toks  []token
 	pos   int
 	depth int // recursion depth (expressions + statement nesting)
+	a     nodes
 }
 
 // maxParseDepth bounds recursive-descent depth. Real designs nest a handful
@@ -81,7 +86,7 @@ func (p *parser) enter() error {
 func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) atEOF() bool { return p.cur().Kind == tokEOF }
+func (p *parser) atEOF() bool { return p.toks[p.pos].Kind == tokEOF }
 
 func (p *parser) next() token {
 	t := p.toks[p.pos]
@@ -91,15 +96,26 @@ func (p *parser) next() token {
 	return t
 }
 
-func (p *parser) at(k tokKind) bool { return p.cur().Kind == k }
+// text returns the text of t: see tokenText.
+func (p *parser) text(t token) string { return tokenText(p.src, t) }
 
-func (p *parser) isKw(w string) bool {
-	t := p.cur()
-	return t.Kind == tokKeyword && t.Text == w
+// nextText consumes the current token and returns its text.
+func (p *parser) nextText() string { return p.text(p.next()) }
+
+// curDesc renders the current token for an error message.
+func (p *parser) curDesc() string { return describe(p.src, p.toks[p.pos]) }
+
+func (p *parser) at(k tokKind) bool { return p.toks[p.pos].Kind == k }
+
+// peekAt reports whether the token after the current one is of kind k.
+func (p *parser) peekAt(k tokKind) bool {
+	return p.pos+1 < len(p.toks) && p.toks[p.pos+1].Kind == k
 }
 
-func (p *parser) acceptKw(w string) bool {
-	if p.isKw(w) {
+func (p *parser) isKw(k keyword) bool { return p.toks[p.pos].Kw == k }
+
+func (p *parser) acceptKw(k keyword) bool {
+	if p.isKw(k) {
 		p.pos++
 		return true
 	}
@@ -115,30 +131,37 @@ func (p *parser) accept(k tokKind) bool {
 }
 
 func (p *parser) errorf(format string, args ...any) *Error {
-	t := p.cur()
-	return &Error{File: p.file, Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
+	t := p.toks[p.pos]
+	return &Error{File: p.file, Line: int(t.Line), Col: int(t.Col), Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) expect(k tokKind) (token, error) {
+// expect consumes a token of kind k.
+func (p *parser) expect(k tokKind) error {
 	if !p.at(k) {
-		return token{}, p.errorf("expected %v, found %v", k, p.cur())
+		return p.errorf("expected %v, found %s", k, p.curDesc())
 	}
-	return p.next(), nil
+	p.pos++
+	return nil
 }
 
-func (p *parser) expectKw(w string) error {
-	if !p.acceptKw(w) {
-		return p.errorf("expected %q, found %v", w, p.cur())
+func (p *parser) expectKw(k keyword) error {
+	if !p.acceptKw(k) {
+		return p.errorf("expected %q, found %s", keywordNames[k], p.curDesc())
 	}
 	return nil
 }
 
 func (p *parser) expectIdent() (string, error) {
-	t, err := p.expect(tokIdent)
-	return t.Text, err
+	if !p.at(tokIdent) {
+		return "", p.errorf("expected %v, found %s", tokIdent, p.curDesc())
+	}
+	return p.nextText(), nil
 }
 
-func (p *parser) pos0() Pos { return Pos{p.cur().Line, p.cur().Col} }
+func (p *parser) pos0() Pos {
+	t := p.toks[p.pos]
+	return Pos{int(t.Line), int(t.Col)}
+}
 
 // skipPast advances past the next token of the given kind.
 func (p *parser) skipPast(k tokKind) {
@@ -158,46 +181,46 @@ func (p *parser) parseEntity() (*EntityDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("is"); err != nil {
+	if err := p.expectKw(kwIs); err != nil {
 		return nil, err
 	}
 	e := &EntityDecl{Pos: pos, Name: name}
-	if p.isKw("generic") {
+	if p.isKw(kwGeneric) {
 		if e.Generics, err = p.parseGenericClause(); err != nil {
 			return nil, err
 		}
 	}
-	if p.isKw("port") {
+	if p.isKw(kwPort) {
 		if e.Ports, err = p.parsePortClause(); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectKw("end"); err != nil {
+	if err := p.expectKw(kwEnd); err != nil {
 		return nil, err
 	}
-	p.acceptKw("entity")
+	p.acceptKw(kwEntity)
 	if p.at(tokIdent) {
-		if got := p.next().Text; got != name {
+		if got := p.nextText(); got != name {
 			return nil, p.errorf("entity end label %q does not match %q", got, name)
 		}
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return e, err
 }
 
 func (p *parser) parseGenericClause() ([]*GenericDecl, error) {
 	p.next() // generic
-	if _, err := p.expect(tokLParen); err != nil {
+	if err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	var out []*GenericDecl
+	mark := p.a.genList.mark()
 	for {
 		pos := p.pos0()
 		names, err := p.parseIdentList()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokColon); err != nil {
+		if err := p.expect(tokColon); err != nil {
 			return nil, err
 		}
 		tr, err := p.parseTypeRef()
@@ -211,42 +234,43 @@ func (p *parser) parseGenericClause() ([]*GenericDecl, error) {
 			}
 		}
 		for _, n := range names {
-			out = append(out, &GenericDecl{Pos: pos, Name: n, Type: tr, Default: def})
+			p.a.genList.push(p.a.generics.of(GenericDecl{Pos: pos, Name: n, Type: tr, Default: def}))
 		}
 		if !p.accept(tokSemi) {
 			break
 		}
 	}
-	if _, err := p.expect(tokRParen); err != nil {
+	out := p.a.genList.list(mark)
+	if err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
-	_, err := p.expect(tokSemi)
+	err := p.expect(tokSemi)
 	return out, err
 }
 
 func (p *parser) parsePortClause() ([]*PortDecl, error) {
 	p.next() // port
-	if _, err := p.expect(tokLParen); err != nil {
+	if err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	var out []*PortDecl
+	mark := p.a.portList.mark()
 	for {
 		pos := p.pos0()
 		names, err := p.parseIdentList()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokColon); err != nil {
+		if err := p.expect(tokColon); err != nil {
 			return nil, err
 		}
 		mode := ModeIn
 		switch {
-		case p.acceptKw("in"):
-		case p.acceptKw("out"):
+		case p.acceptKw(kwIn):
+		case p.acceptKw(kwOut):
 			mode = ModeOut
-		case p.acceptKw("inout"):
+		case p.acceptKw(kwInout):
 			mode = ModeInOut
-		case p.acceptKw("buffer"):
+		case p.acceptKw(kwBuffer):
 			mode = ModeOut
 		}
 		tr, err := p.parseTypeRef()
@@ -260,29 +284,30 @@ func (p *parser) parsePortClause() ([]*PortDecl, error) {
 			}
 		}
 		for _, n := range names {
-			out = append(out, &PortDecl{Pos: pos, Name: n, Mode: mode, Type: tr, Default: def})
+			p.a.portList.push(p.a.ports.of(PortDecl{Pos: pos, Name: n, Mode: mode, Type: tr, Default: def}))
 		}
 		if !p.accept(tokSemi) {
 			break
 		}
 	}
-	if _, err := p.expect(tokRParen); err != nil {
+	out := p.a.portList.list(mark)
+	if err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
-	_, err := p.expect(tokSemi)
+	err := p.expect(tokSemi)
 	return out, err
 }
 
 func (p *parser) parseIdentList() ([]string, error) {
-	var names []string
+	mark := p.a.idents.mark()
 	for {
 		n, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		names = append(names, n)
+		p.a.idents.push(n)
 		if !p.accept(tokComma) {
-			return names, nil
+			return p.a.idents.list(mark), nil
 		}
 	}
 }
@@ -294,7 +319,7 @@ func (p *parser) parseTypeRef() (*TypeRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &TypeRef{Pos: pos, Name: name}
+	tr := p.a.typeRefs.of(TypeRef{Pos: pos, Name: name})
 	switch {
 	case p.at(tokLParen):
 		p.next()
@@ -302,9 +327,9 @@ func (p *parser) parseTypeRef() (*TypeRef, error) {
 			return nil, err
 		}
 		switch {
-		case p.acceptKw("downto"):
+		case p.acceptKw(kwDownto):
 			tr.Downto = true
-		case p.acceptKw("to"):
+		case p.acceptKw(kwTo):
 		default:
 			return nil, p.errorf("expected 'to' or 'downto' in index constraint")
 		}
@@ -312,18 +337,18 @@ func (p *parser) parseTypeRef() (*TypeRef, error) {
 			return nil, err
 		}
 		tr.HasRng = true
-		if _, err := p.expect(tokRParen); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-	case p.isKw("range"):
+	case p.isKw(kwRange):
 		p.next()
 		if tr.Lo, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
 		switch {
-		case p.acceptKw("downto"):
+		case p.acceptKw(kwDownto):
 			tr.Downto = true
-		case p.acceptKw("to"):
+		case p.acceptKw(kwTo):
 		default:
 			return nil, p.errorf("expected 'to' or 'downto' in range constraint")
 		}
@@ -342,51 +367,49 @@ func (p *parser) parseArch() (*ArchBody, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("of"); err != nil {
+	if err := p.expectKw(kwOf); err != nil {
 		return nil, err
 	}
 	entName, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("is"); err != nil {
+	if err := p.expectKw(kwIs); err != nil {
 		return nil, err
 	}
 	a := &ArchBody{Pos: pos, Name: name, EntityName: entName}
-	for !p.isKw("begin") {
+	mark := p.a.decls.mark()
+	for !p.isKw(kwBegin) {
 		d, err := p.parseBlockDecl()
 		if err != nil {
 			return nil, err
 		}
-		a.Decls = append(a.Decls, d)
+		p.a.decls.push(d)
 	}
+	a.Decls = p.a.decls.list(mark)
 	p.next() // begin
-	for !p.isKw("end") {
-		s, err := p.parseConcStmt()
-		if err != nil {
-			return nil, err
-		}
-		a.Stmts = append(a.Stmts, s)
+	if a.Stmts, err = p.parseConcStmts(); err != nil {
+		return nil, err
 	}
 	p.next() // end
-	p.acceptKw("architecture")
+	p.acceptKw(kwArchitecture)
 	if p.at(tokIdent) {
 		p.next()
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return a, err
 }
 
 func (p *parser) parseBlockDecl() (Decl, error) {
 	switch {
-	case p.isKw("signal"):
+	case p.isKw(kwSignal):
 		pos := p.pos0()
 		p.next()
 		names, err := p.parseIdentList()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokColon); err != nil {
+		if err := p.expect(tokColon); err != nil {
 			return nil, err
 		}
 		tr, err := p.parseTypeRef()
@@ -399,63 +422,63 @@ func (p *parser) parseBlockDecl() (Decl, error) {
 				return nil, err
 			}
 		}
-		if _, err := p.expect(tokSemi); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
-		return &SignalDecl{Pos: pos, Names: names, Type: tr, Init: init}, nil
-	case p.isKw("constant"):
+		return p.a.signals.of(SignalDecl{Pos: pos, Names: names, Type: tr, Init: init}), nil
+	case p.isKw(kwConstant):
 		pos := p.pos0()
 		p.next()
 		names, err := p.parseIdentList()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokColon); err != nil {
+		if err := p.expect(tokColon); err != nil {
 			return nil, err
 		}
 		tr, err := p.parseTypeRef()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokAssign); err != nil {
+		if err := p.expect(tokAssign); err != nil {
 			return nil, err
 		}
 		v, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokSemi); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
-		return &ConstDecl{Pos: pos, Names: names, Type: tr, Value: v}, nil
-	case p.isKw("type"):
+		return p.a.consts.of(ConstDecl{Pos: pos, Names: names, Type: tr, Value: v}), nil
+	case p.isKw(kwType):
 		pos := p.pos0()
 		p.next()
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("is"); err != nil {
+		if err := p.expectKw(kwIs); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokLParen); err != nil {
+		if err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		lits, err := p.parseIdentList()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokSemi); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		return &EnumTypeDecl{Pos: pos, Name: name, Literals: lits}, nil
-	case p.isKw("component"):
+	case p.isKw(kwComponent):
 		return p.parseComponent()
 	}
-	return nil, p.errorf("unsupported declaration starting with %v", p.cur())
+	return nil, p.errorf("unsupported declaration starting with %s", p.curDesc())
 }
 
 func (p *parser) parseComponent() (*ComponentDecl, error) {
@@ -465,27 +488,27 @@ func (p *parser) parseComponent() (*ComponentDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.acceptKw("is")
+	p.acceptKw(kwIs)
 	c := &ComponentDecl{Pos: pos, Name: name}
-	if p.isKw("generic") {
+	if p.isKw(kwGeneric) {
 		if c.Generics, err = p.parseGenericClause(); err != nil {
 			return nil, err
 		}
 	}
-	if p.isKw("port") {
+	if p.isKw(kwPort) {
 		if c.Ports, err = p.parsePortClause(); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectKw("end"); err != nil {
+	if err := p.expectKw(kwEnd); err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("component"); err != nil {
+	if err := p.expectKw(kwComponent); err != nil {
 		return nil, err
 	}
 	if p.at(tokIdent) {
 		p.next()
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return c, err
 }

@@ -24,14 +24,11 @@ func (p *parser) parseExpr() (Expr, error) {
 		return nil, err
 	}
 	for {
-		op := ""
-		for _, w := range []string{"and", "or", "nand", "nor", "xor", "xnor"} {
-			if p.isKw(w) {
-				op = w
-				break
-			}
-		}
-		if op == "" {
+		var op string
+		switch kw := p.cur().Kw; kw {
+		case kwAnd, kwOr, kwNand, kwNor, kwXor, kwXnor:
+			op = keywordNames[kw]
+		default:
 			return l, nil
 		}
 		pos := p.pos0()
@@ -40,7 +37,7 @@ func (p *parser) parseExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Pos: pos, Op: op, L: l, R: r}
+		l = p.a.binaries.of(Binary{Pos: pos, Op: op, L: l, R: r})
 	}
 }
 
@@ -73,7 +70,7 @@ func (p *parser) parseRelation() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Binary{Pos: pos, Op: op, L: l, R: r}, nil
+	return p.a.binaries.of(Binary{Pos: pos, Op: op, L: l, R: r}), nil
 }
 
 func (p *parser) parseShift() (Expr, error) {
@@ -83,9 +80,9 @@ func (p *parser) parseShift() (Expr, error) {
 	}
 	op := ""
 	switch {
-	case p.isKw("sll"):
+	case p.isKw(kwSll):
 		op = "sll"
-	case p.isKw("srl"):
+	case p.isKw(kwSrl):
 		op = "srl"
 	}
 	if op == "" {
@@ -97,7 +94,7 @@ func (p *parser) parseShift() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Binary{Pos: pos, Op: op, L: l, R: r}, nil
+	return p.a.binaries.of(Binary{Pos: pos, Op: op, L: l, R: r}), nil
 }
 
 func (p *parser) parseSimple() (Expr, error) {
@@ -113,7 +110,7 @@ func (p *parser) parseSimple() (Expr, error) {
 		return nil, err
 	}
 	if neg {
-		l = &Unary{Pos: pos, Op: "-", X: l}
+		l = p.a.unaries.of(Unary{Pos: pos, Op: "-", X: l})
 	}
 	for {
 		op := ""
@@ -134,7 +131,7 @@ func (p *parser) parseSimple() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Pos: opos, Op: op, L: l, R: r}
+		l = p.a.binaries.of(Binary{Pos: opos, Op: op, L: l, R: r})
 	}
 }
 
@@ -150,9 +147,9 @@ func (p *parser) parseTerm() (Expr, error) {
 			op = "*"
 		case p.at(tokSlash):
 			op = "/"
-		case p.isKw("mod"):
+		case p.isKw(kwMod):
 			op = "mod"
-		case p.isKw("rem"):
+		case p.isKw(kwRem):
 			op = "rem"
 		}
 		if op == "" {
@@ -164,27 +161,27 @@ func (p *parser) parseTerm() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Pos: pos, Op: op, L: l, R: r}
+		l = p.a.binaries.of(Binary{Pos: pos, Op: op, L: l, R: r})
 	}
 }
 
 func (p *parser) parseFactor() (Expr, error) {
 	pos := p.pos0()
 	switch {
-	case p.isKw("not"):
+	case p.isKw(kwNot):
 		p.next()
 		x, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Pos: pos, Op: "not", X: x}, nil
-	case p.isKw("abs"):
+		return p.a.unaries.of(Unary{Pos: pos, Op: "not", X: x}), nil
+	case p.isKw(kwAbs):
 		p.next()
 		x, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Pos: pos, Op: "abs", X: x}, nil
+		return p.a.unaries.of(Unary{Pos: pos, Op: "abs", X: x}), nil
 	}
 	l, err := p.parsePrimary()
 	if err != nil {
@@ -196,7 +193,7 @@ func (p *parser) parseFactor() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Binary{Pos: pos, Op: "**", L: l, R: r}, nil
+		return p.a.binaries.of(Binary{Pos: pos, Op: "**", L: l, R: r}), nil
 	}
 	return l, nil
 }
@@ -206,31 +203,41 @@ var timeUnits = map[string]int64{
 	"fs": 1, "ps": 1e3, "ns": 1e6, "us": 1e9, "ms": 1e12, "sec": 1e15,
 }
 
+// isTimeUnit reports whether name is a key of timeUnits, without hashing it.
+func isTimeUnit(name string) bool {
+	switch name {
+	case "fs", "ps", "ns", "us", "ms", "sec":
+		return true
+	}
+	return false
+}
+
 func (p *parser) parsePrimary() (Expr, error) {
 	pos := p.pos0()
 	switch t := p.cur(); t.Kind {
 	case tokInt:
 		p.next()
-		v, err := strconv.ParseInt(t.Text, 10, 64)
+		text := p.text(t)
+		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return nil, p.errorf("bad integer literal %q", t.Text)
+			return nil, p.errorf("bad integer literal %q", text)
 		}
 		// Physical literal: integer followed by a time unit.
 		if p.at(tokIdent) {
-			if _, ok := timeUnits[p.cur().Text]; ok {
-				unit := p.next().Text
-				return &TimeLit{Pos: pos, Val: v, Unit: unit}, nil
+			if unit := p.text(p.cur()); isTimeUnit(unit) {
+				p.next()
+				return p.a.times.of(TimeLit{Pos: pos, Val: v, Unit: unit}), nil
 			}
 		}
-		return &IntLit{Pos: pos, Val: v}, nil
+		return p.a.ints.of(IntLit{Pos: pos, Val: v}), nil
 	case tokReal:
 		return nil, p.errorf("real literals are not supported")
 	case tokChar:
 		p.next()
-		return &CharLit{Pos: pos, Val: t.Text[0]}, nil
+		return p.a.chars.of(CharLit{Pos: pos, Val: p.text(t)[0]}), nil
 	case tokString:
 		p.next()
-		return &StrLit{Pos: pos, Val: t.Text}, nil
+		return p.a.strs.of(StrLit{Pos: pos, Val: p.text(t)}), nil
 	case tokLParen:
 		return p.parseParenOrAggregate()
 	case tokIdent:
@@ -238,9 +245,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tokKeyword:
 		// Boolean literals and others arrive as identifiers in VHDL; only
 		// "others" aggregates and similar are handled elsewhere.
-		return nil, p.errorf("unexpected keyword %q in expression", t.Text)
+		return nil, p.errorf("unexpected keyword %q in expression", keywordNames[t.Kw])
 	}
-	return nil, p.errorf("unexpected %v in expression", p.cur())
+	return nil, p.errorf("unexpected %s in expression", p.curDesc())
 }
 
 // parseParenOrAggregate handles (expr), (others => e) and positional
@@ -248,19 +255,19 @@ func (p *parser) parsePrimary() (Expr, error) {
 func (p *parser) parseParenOrAggregate() (Expr, error) {
 	pos := p.pos0()
 	p.next() // (
-	if p.isKw("others") {
+	if p.isKw(kwOthers) {
 		p.next()
-		if _, err := p.expect(tokArrow); err != nil {
+		if err := p.expect(tokArrow); err != nil {
 			return nil, err
 		}
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return &Aggregate{Pos: pos, Others: e}, nil
+		return p.a.aggregates.of(Aggregate{Pos: pos, Others: e}), nil
 	}
 	first, err := p.parseExpr()
 	if err != nil {
@@ -269,11 +276,13 @@ func (p *parser) parseParenOrAggregate() (Expr, error) {
 	if p.accept(tokRParen) {
 		return first, nil
 	}
-	agg := &Aggregate{Pos: pos, Elems: []Expr{first}}
+	agg := p.a.aggregates.of(Aggregate{Pos: pos})
+	mark := p.a.exprs.mark()
+	p.a.exprs.push(first)
 	for p.accept(tokComma) {
-		if p.isKw("others") {
+		if p.isKw(kwOthers) {
 			p.next()
-			if _, err := p.expect(tokArrow); err != nil {
+			if err := p.expect(tokArrow); err != nil {
 				return nil, err
 			}
 			if agg.Others, err = p.parseExpr(); err != nil {
@@ -285,9 +294,10 @@ func (p *parser) parseParenOrAggregate() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		agg.Elems = append(agg.Elems, e)
+		p.a.exprs.push(e)
 	}
-	_, err = p.expect(tokRParen)
+	agg.Elems = p.a.exprs.list(mark)
+	err = p.expect(tokRParen)
 	return agg, err
 }
 
@@ -298,7 +308,7 @@ func (p *parser) parseName() (*Name, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Name{Pos: pos, Ident: id}
+	n := p.a.names.of(Name{Pos: pos, Ident: id})
 	if p.accept(tokLParen) {
 		// Either a slice (expr to/downto expr) or argument list.
 		first, err := p.parseExpr()
@@ -306,8 +316,8 @@ func (p *parser) parseName() (*Name, error) {
 			return nil, err
 		}
 		switch {
-		case p.isKw("downto"), p.isKw("to"):
-			n.SliceDownto = p.cur().Text == "downto"
+		case p.isKw(kwDownto), p.isKw(kwTo):
+			n.SliceDownto = p.isKw(kwDownto)
 			p.next()
 			if n.SliceHi, err = p.parseExpr(); err != nil {
 				return nil, err
@@ -315,16 +325,18 @@ func (p *parser) parseName() (*Name, error) {
 			n.SliceLo = first
 			n.HasSlice = true
 		default:
-			n.Args = []Expr{first}
+			mark := p.a.exprs.mark()
+			p.a.exprs.push(first)
 			for p.accept(tokComma) {
 				a, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
-				n.Args = append(n.Args, a)
+				p.a.exprs.push(a)
 			}
+			n.Args = p.a.exprs.list(mark)
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 	}
@@ -332,8 +344,8 @@ func (p *parser) parseName() (*Name, error) {
 		var attr string
 		switch {
 		case p.at(tokIdent):
-			attr = p.next().Text
-		case p.isKw("range"):
+			attr = p.nextText()
+		case p.isKw(kwRange):
 			p.next()
 			attr = "range"
 		default:
@@ -352,7 +364,7 @@ func (p *parser) parseName() (*Name, error) {
 					break
 				}
 			}
-			if _, err := p.expect(tokRParen); err != nil {
+			if err := p.expect(tokRParen); err != nil {
 				return nil, err
 			}
 		}

@@ -5,18 +5,18 @@ package vhdl
 func (p *parser) parseConcStmt() (ConcStmt, error) {
 	// Optional label.
 	label := ""
-	if p.at(tokIdent) && p.toks[p.pos+1].Kind == tokColon {
-		label = p.next().Text
+	if p.at(tokIdent) && p.peekAt(tokColon) {
+		label = p.nextText()
 		p.next() // colon
 	}
 	switch {
-	case p.isKw("process"):
+	case p.isKw(kwProcess):
 		return p.parseProcess(label)
-	case p.isKw("with"):
+	case p.isKw(kwWith):
 		return p.parseSelAssign(label)
-	case p.isKw("for"):
+	case p.isKw(kwFor):
 		return p.parseGenerate(label)
-	case p.isKw("component"), p.isKw("entity"):
+	case p.isKw(kwComponent), p.isKw(kwEntity):
 		return p.parseInst(label)
 	case p.at(tokIdent):
 		// Either an instantiation ("label: unit port map (...)") or a
@@ -26,7 +26,7 @@ func (p *parser) parseConcStmt() (ConcStmt, error) {
 		}
 		return p.parseCondAssign(label)
 	}
-	return nil, p.errorf("unsupported concurrent statement starting with %v", p.cur())
+	return nil, p.errorf("unsupported concurrent statement starting with %s", p.curDesc())
 }
 
 // looksLikeAssign scans ahead for "<=" before the next semicolon at paren
@@ -46,7 +46,7 @@ func (p *parser) looksLikeAssign() bool {
 		case tokSemi, tokEOF:
 			return false
 		case tokKeyword:
-			if w := p.toks[i].Text; depth == 0 && (w == "port" || w == "generic") {
+			if kw := p.toks[i].Kw; depth == 0 && (kw == kwPort || kw == kwGeneric) {
 				return false
 			}
 		}
@@ -57,52 +57,54 @@ func (p *parser) looksLikeAssign() bool {
 func (p *parser) parseProcess(label string) (*ProcessStmt, error) {
 	pos := p.pos0()
 	p.next() // process
-	ps := &ProcessStmt{Pos: pos, Label: label}
+	ps := p.a.processes.of(ProcessStmt{Pos: pos, Label: label})
 	if p.accept(tokLParen) {
 		names, err := p.parseIdentList()
 		if err != nil {
 			return nil, err
 		}
 		ps.Sensitivity = names
-		if _, err := p.expect(tokRParen); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 	}
-	p.acceptKw("is")
-	for !p.isKw("begin") {
+	p.acceptKw(kwIs)
+	mark := p.a.decls.mark()
+	for !p.isKw(kwBegin) {
 		switch {
-		case p.isKw("variable"):
+		case p.isKw(kwVariable):
 			d, err := p.parseVarDecl()
 			if err != nil {
 				return nil, err
 			}
-			ps.Decls = append(ps.Decls, d)
-		case p.isKw("constant"), p.isKw("type"):
+			p.a.decls.push(d)
+		case p.isKw(kwConstant), p.isKw(kwType):
 			d, err := p.parseBlockDecl()
 			if err != nil {
 				return nil, err
 			}
-			ps.Decls = append(ps.Decls, d)
+			p.a.decls.push(d)
 		default:
-			return nil, p.errorf("unsupported process declaration starting with %v", p.cur())
+			return nil, p.errorf("unsupported process declaration starting with %s", p.curDesc())
 		}
 	}
+	ps.Decls = p.a.decls.list(mark)
 	p.next() // begin
 	body, err := p.parseStmts()
 	if err != nil {
 		return nil, err
 	}
 	ps.Body = body
-	if err := p.expectKw("end"); err != nil {
+	if err := p.expectKw(kwEnd); err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("process"); err != nil {
+	if err := p.expectKw(kwProcess); err != nil {
 		return nil, err
 	}
 	if p.at(tokIdent) {
 		p.next()
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return ps, err
 }
 
@@ -113,7 +115,7 @@ func (p *parser) parseVarDecl() (*VarDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokColon); err != nil {
+	if err := p.expect(tokColon); err != nil {
 		return nil, err
 	}
 	tr, err := p.parseTypeRef()
@@ -126,10 +128,10 @@ func (p *parser) parseVarDecl() (*VarDecl, error) {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(tokSemi); err != nil {
+	if err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
-	return &VarDecl{Pos: pos, Names: names, Type: tr, Init: init}, nil
+	return p.a.vars.of(VarDecl{Pos: pos, Names: names, Type: tr, Init: init}), nil
 }
 
 func (p *parser) parseCondAssign(label string) (*CondAssign, error) {
@@ -138,42 +140,44 @@ func (p *parser) parseCondAssign(label string) (*CondAssign, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokArrowSig); err != nil {
+	if err := p.expect(tokArrowSig); err != nil {
 		return nil, err
 	}
-	ca := &CondAssign{Pos: pos, Label: label, Target: target}
+	ca := p.a.conds.of(CondAssign{Pos: pos, Label: label, Target: target})
 	switch {
-	case p.acceptKw("transport"):
+	case p.acceptKw(kwTransport):
 		ca.Transport = true
-	case p.acceptKw("reject"):
+	case p.acceptKw(kwReject):
 		if ca.Reject, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("inertial"); err != nil {
+		if err := p.expectKw(kwInertial); err != nil {
 			return nil, err
 		}
-	case p.acceptKw("inertial"):
+	case p.acceptKw(kwInertial):
 	}
+	mark := p.a.condArms.mark()
 	for {
 		wave, err := p.parseWaveform()
 		if err != nil {
 			return nil, err
 		}
 		arm := CondArm{Wave: wave}
-		if p.acceptKw("when") {
+		if p.acceptKw(kwWhen) {
 			if arm.Cond, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
-			ca.Arms = append(ca.Arms, arm)
-			if err := p.expectKw("else"); err != nil {
+			p.a.condArms.push(arm)
+			if err := p.expectKw(kwElse); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		ca.Arms = append(ca.Arms, arm)
+		p.a.condArms.push(arm)
 		break
 	}
-	_, err = p.expect(tokSemi)
+	ca.Arms = p.a.condArms.list(mark)
+	err = p.expect(tokSemi)
 	return ca, err
 }
 
@@ -185,59 +189,52 @@ func (p *parser) parseSelAssign(label string) (*SelAssign, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("select"); err != nil {
+	if err := p.expectKw(kwSelect); err != nil {
 		return nil, err
 	}
 	target, err := p.parseName()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokArrowSig); err != nil {
+	if err := p.expect(tokArrowSig); err != nil {
 		return nil, err
 	}
-	sa := &SelAssign{Pos: pos, Label: label, Selector: sel, Target: target}
+	sa := p.a.sels.of(SelAssign{Pos: pos, Label: label, Selector: sel, Target: target})
 	switch {
-	case p.acceptKw("transport"):
+	case p.acceptKw(kwTransport):
 		sa.Transport = true
-	case p.acceptKw("reject"):
+	case p.acceptKw(kwReject):
 		if sa.Reject, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("inertial"); err != nil {
+		if err := p.expectKw(kwInertial); err != nil {
 			return nil, err
 		}
-	case p.acceptKw("inertial"):
+	case p.acceptKw(kwInertial):
 	}
+	mark := p.a.selArms.mark()
 	for {
 		wave, err := p.parseWaveform()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("when"); err != nil {
+		if err := p.expectKw(kwWhen); err != nil {
 			return nil, err
 		}
 		arm := SelArm{Wave: wave}
-		if p.isKw("others") {
+		if p.isKw(kwOthers) {
 			p.next()
 			arm.Others = true
-		} else {
-			for {
-				c, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				arm.Choices = append(arm.Choices, c)
-				if !p.accept(tokBar) {
-					break
-				}
-			}
+		} else if arm.Choices, err = p.parseChoices(); err != nil {
+			return nil, err
 		}
-		sa.Arms = append(sa.Arms, arm)
+		p.a.selArms.push(arm)
 		if !p.accept(tokComma) {
 			break
 		}
 	}
-	_, err = p.expect(tokSemi)
+	sa.Arms = p.a.selArms.list(mark)
+	err = p.expect(tokSemi)
 	return sa, err
 }
 
@@ -246,9 +243,9 @@ func (p *parser) parseInst(label string) (*InstStmt, error) {
 	if label == "" {
 		return nil, p.errorf("instantiation requires a label")
 	}
-	inst := &InstStmt{Pos: pos, Label: label}
+	inst := p.a.insts.of(InstStmt{Pos: pos, Label: label})
 	switch {
-	case p.acceptKw("entity"):
+	case p.acceptKw(kwEntity):
 		inst.DirectEnt = true
 		name, err := p.expectIdent()
 		if err != nil {
@@ -265,12 +262,12 @@ func (p *parser) parseInst(label string) (*InstStmt, error) {
 			if _, err := p.expectIdent(); err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tokRParen); err != nil {
+			if err := p.expect(tokRParen); err != nil {
 				return nil, err
 			}
 		}
 	default:
-		p.acceptKw("component")
+		p.acceptKw(kwComponent)
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
@@ -278,41 +275,41 @@ func (p *parser) parseInst(label string) (*InstStmt, error) {
 		inst.Unit = name
 	}
 	var err error
-	if p.isKw("generic") {
+	if p.isKw(kwGeneric) {
 		p.next()
-		if err := p.expectKw("map"); err != nil {
+		if err := p.expectKw(kwMap); err != nil {
 			return nil, err
 		}
 		if inst.GenericMap, err = p.parseAssocList(); err != nil {
 			return nil, err
 		}
 	}
-	if p.isKw("port") {
+	if p.isKw(kwPort) {
 		p.next()
-		if err := p.expectKw("map"); err != nil {
+		if err := p.expectKw(kwMap); err != nil {
 			return nil, err
 		}
 		if inst.PortMap, err = p.parseAssocList(); err != nil {
 			return nil, err
 		}
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return inst, err
 }
 
 func (p *parser) parseAssocList() ([]Assoc, error) {
-	if _, err := p.expect(tokLParen); err != nil {
+	if err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	var out []Assoc
+	mark := p.a.assocs.mark()
 	for {
 		var a Assoc
 		// Named association: ident => actual.
-		if p.at(tokIdent) && p.toks[p.pos+1].Kind == tokArrow {
-			a.Formal = p.next().Text
+		if p.at(tokIdent) && p.peekAt(tokArrow) {
+			a.Formal = p.nextText()
 			p.next() // =>
 		}
-		if p.isKw("open") {
+		if p.isKw(kwOpen) {
 			p.next()
 		} else {
 			e, err := p.parseExpr()
@@ -321,12 +318,13 @@ func (p *parser) parseAssocList() ([]Assoc, error) {
 			}
 			a.Actual = e
 		}
-		out = append(out, a)
+		p.a.assocs.push(a)
 		if !p.accept(tokComma) {
 			break
 		}
 	}
-	_, err := p.expect(tokRParen)
+	out := p.a.assocs.list(mark)
+	err := p.expect(tokRParen)
 	return out, err
 }
 
@@ -340,7 +338,7 @@ func (p *parser) parseGenerate(label string) (*GenerateStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("in"); err != nil {
+	if err := p.expectKw(kwIn); err != nil {
 		return nil, err
 	}
 	g := &GenerateStmt{Pos: pos, Label: label, Var: v}
@@ -348,34 +346,59 @@ func (p *parser) parseGenerate(label string) (*GenerateStmt, error) {
 		return nil, err
 	}
 	switch {
-	case p.acceptKw("downto"):
+	case p.acceptKw(kwDownto):
 		g.Downto = true
-	case p.acceptKw("to"):
+	case p.acceptKw(kwTo):
 	default:
 		return nil, p.errorf("expected 'to' or 'downto' in generate range")
 	}
 	if g.Hi, err = p.parseExpr(); err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("generate"); err != nil {
+	if err := p.expectKw(kwGenerate); err != nil {
 		return nil, err
 	}
-	for !p.isKw("end") {
-		s, err := p.parseConcStmt()
-		if err != nil {
-			return nil, err
-		}
-		g.Body = append(g.Body, s)
+	if g.Body, err = p.parseConcStmts(); err != nil {
+		return nil, err
 	}
 	p.next() // end
-	if err := p.expectKw("generate"); err != nil {
+	if err := p.expectKw(kwGenerate); err != nil {
 		return nil, err
 	}
 	if p.at(tokIdent) {
 		p.next()
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return g, err
+}
+
+// parseConcStmts parses concurrent statements up to "end".
+func (p *parser) parseConcStmts() ([]ConcStmt, error) {
+	mark := p.a.concs.mark()
+	for !p.isKw(kwEnd) {
+		s, err := p.parseConcStmt()
+		if err != nil {
+			return nil, err
+		}
+		p.a.concs.push(s)
+	}
+	return p.a.concs.list(mark), nil
+}
+
+// parseChoices parses the choices of a case or selected-assignment arm,
+// "c1 | c2 | ...".
+func (p *parser) parseChoices() ([]Expr, error) {
+	mark := p.a.exprs.mark()
+	for {
+		c, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		p.a.exprs.push(c)
+		if !p.accept(tokBar) {
+			return p.a.exprs.list(mark), nil
+		}
+	}
 }
 
 // ---- Sequential statements ----
@@ -388,16 +411,17 @@ func (p *parser) parseStmts() ([]Stmt, error) {
 		return nil, err
 	}
 	defer p.leave()
-	var out []Stmt
+	mark := p.a.stmts.mark()
 	for {
-		if p.isKw("end") || p.isKw("elsif") || p.isKw("else") || p.isKw("when") {
-			return out, nil
+		switch p.cur().Kw {
+		case kwEnd, kwElsif, kwElse, kwWhen:
+			return p.a.stmts.list(mark), nil
 		}
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		p.a.stmts.push(s)
 	}
 }
 
@@ -405,70 +429,70 @@ func (p *parser) parseStmt() (Stmt, error) {
 	pos := p.pos0()
 	// Optional loop label.
 	label := ""
-	if p.at(tokIdent) && p.toks[p.pos+1].Kind == tokColon {
-		label = p.next().Text
+	if p.at(tokIdent) && p.peekAt(tokColon) {
+		label = p.nextText()
 		p.next()
 	}
 	switch {
-	case p.isKw("if"):
+	case p.isKw(kwIf):
 		return p.parseIf()
-	case p.isKw("case"):
+	case p.isKw(kwCase):
 		return p.parseCase()
-	case p.isKw("for"), p.isKw("while"), p.isKw("loop"):
+	case p.isKw(kwFor), p.isKw(kwWhile), p.isKw(kwLoop):
 		return p.parseLoop(label)
-	case p.isKw("wait"):
+	case p.isKw(kwWait):
 		return p.parseWait()
-	case p.isKw("null"):
+	case p.isKw(kwNull):
 		p.next()
-		_, err := p.expect(tokSemi)
+		err := p.expect(tokSemi)
 		return &NullStmt{Pos: pos}, err
-	case p.isKw("report"):
+	case p.isKw(kwReport):
 		p.next()
 		msg, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		sev := ""
-		if p.acceptKw("severity") {
+		if p.acceptKw(kwSeverity) {
 			if sev, err = p.expectIdent(); err != nil {
 				return nil, err
 			}
 		}
-		_, err = p.expect(tokSemi)
+		err = p.expect(tokSemi)
 		return &ReportStmt{Pos: pos, Message: msg, Severity: sev}, err
-	case p.isKw("assert"):
+	case p.isKw(kwAssert):
 		p.next()
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		st := &ReportStmt{Pos: pos, Assert: cond}
-		if p.acceptKw("report") {
+		if p.acceptKw(kwReport) {
 			if st.Message, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
 		}
-		if p.acceptKw("severity") {
+		if p.acceptKw(kwSeverity) {
 			if st.Severity, err = p.expectIdent(); err != nil {
 				return nil, err
 			}
 		}
-		_, err = p.expect(tokSemi)
+		err = p.expect(tokSemi)
 		return st, err
-	case p.isKw("exit"), p.isKw("next"):
-		isExit := p.next().Text == "exit"
+	case p.isKw(kwExit), p.isKw(kwNext):
+		isExit := p.next().Kw == kwExit
 		lbl := ""
 		if p.at(tokIdent) {
-			lbl = p.next().Text
+			lbl = p.nextText()
 		}
 		var when Expr
 		var err error
-		if p.acceptKw("when") {
+		if p.acceptKw(kwWhen) {
 			if when, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
 		}
-		if _, err := p.expect(tokSemi); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		if isExit {
@@ -478,7 +502,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case p.at(tokIdent):
 		return p.parseAssignStmt()
 	}
-	return nil, p.errorf("unsupported statement starting with %v", p.cur())
+	return nil, p.errorf("unsupported statement starting with %s", p.curDesc())
 }
 
 func (p *parser) parseAssignStmt() (Stmt, error) {
@@ -493,51 +517,51 @@ func (p *parser) parseAssignStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokSemi); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
-		return &VarAssign{Pos: pos, Target: target, Value: v}, nil
+		return p.a.varAssigns.of(VarAssign{Pos: pos, Target: target, Value: v}), nil
 	case p.accept(tokArrowSig):
-		sa := &SigAssign{Pos: pos, Target: target}
+		sa := p.a.sigAssigns.of(SigAssign{Pos: pos, Target: target})
 		switch {
-		case p.acceptKw("transport"):
+		case p.acceptKw(kwTransport):
 			sa.Transport = true
-		case p.acceptKw("reject"):
+		case p.acceptKw(kwReject):
 			if sa.Reject, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
-			if err := p.expectKw("inertial"); err != nil {
+			if err := p.expectKw(kwInertial); err != nil {
 				return nil, err
 			}
-		case p.acceptKw("inertial"):
+		case p.acceptKw(kwInertial):
 		}
 		if sa.Wave, err = p.parseWaveform(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokSemi); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		return sa, nil
 	}
-	return nil, p.errorf("expected ':=' or '<=' after name, found %v", p.cur())
+	return nil, p.errorf("expected ':=' or '<=' after name, found %s", p.curDesc())
 }
 
 func (p *parser) parseWaveform() ([]WaveElem, error) {
-	var wave []WaveElem
+	mark := p.a.waves.mark()
 	for {
 		v, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		we := WaveElem{Value: v}
-		if p.acceptKw("after") {
+		if p.acceptKw(kwAfter) {
 			if we.After, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
 		}
-		wave = append(wave, we)
+		p.a.waves.push(we)
 		if !p.accept(tokComma) {
-			return wave, nil
+			return p.a.waves.list(mark), nil
 		}
 	}
 }
@@ -549,39 +573,41 @@ func (p *parser) parseIf() (*IfStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("then"); err != nil {
+	if err := p.expectKw(kwThen); err != nil {
 		return nil, err
 	}
-	st := &IfStmt{Pos: pos, Cond: cond}
+	st := p.a.ifs.of(IfStmt{Pos: pos, Cond: cond})
 	if st.Then, err = p.parseStmts(); err != nil {
 		return nil, err
 	}
-	for p.isKw("elsif") {
+	mark := p.a.elifs.mark()
+	for p.isKw(kwElsif) {
 		p.next()
 		var e Elif
 		if e.Cond, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("then"); err != nil {
+		if err := p.expectKw(kwThen); err != nil {
 			return nil, err
 		}
 		if e.Then, err = p.parseStmts(); err != nil {
 			return nil, err
 		}
-		st.Elifs = append(st.Elifs, e)
+		p.a.elifs.push(e)
 	}
-	if p.acceptKw("else") {
+	st.Elifs = p.a.elifs.list(mark)
+	if p.acceptKw(kwElse) {
 		if st.Else, err = p.parseStmts(); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectKw("end"); err != nil {
+	if err := p.expectKw(kwEnd); err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("if"); err != nil {
+	if err := p.expectKw(kwIf); err != nil {
 		return nil, err
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return st, err
 }
 
@@ -592,55 +618,48 @@ func (p *parser) parseCase() (*CaseStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("is"); err != nil {
+	if err := p.expectKw(kwIs); err != nil {
 		return nil, err
 	}
-	st := &CaseStmt{Pos: pos, Expr: e}
-	for p.isKw("when") {
+	st := p.a.cases.of(CaseStmt{Pos: pos, Expr: e})
+	mark := p.a.caseArms.mark()
+	for p.isKw(kwWhen) {
 		p.next()
 		var arm CaseArm
-		if p.isKw("others") {
+		if p.isKw(kwOthers) {
 			p.next()
 			arm.Others = true
-		} else {
-			for {
-				c, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				arm.Choices = append(arm.Choices, c)
-				if !p.accept(tokBar) {
-					break
-				}
-			}
+		} else if arm.Choices, err = p.parseChoices(); err != nil {
+			return nil, err
 		}
-		if _, err := p.expect(tokArrow); err != nil {
+		if err := p.expect(tokArrow); err != nil {
 			return nil, err
 		}
 		if arm.Body, err = p.parseStmts(); err != nil {
 			return nil, err
 		}
-		st.Arms = append(st.Arms, arm)
+		p.a.caseArms.push(arm)
 	}
-	if err := p.expectKw("end"); err != nil {
+	st.Arms = p.a.caseArms.list(mark)
+	if err := p.expectKw(kwEnd); err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("case"); err != nil {
+	if err := p.expectKw(kwCase); err != nil {
 		return nil, err
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return st, err
 }
 
 func (p *parser) parseLoop(label string) (Stmt, error) {
 	pos := p.pos0()
 	switch {
-	case p.acceptKw("for"):
+	case p.acceptKw(kwFor):
 		v, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("in"); err != nil {
+		if err := p.expectKw(kwIn); err != nil {
 			return nil, err
 		}
 		fl := &ForLoop{Pos: pos, Label: label, Var: v}
@@ -654,9 +673,9 @@ func (p *parser) parseLoop(label string) (Stmt, error) {
 		} else {
 			fl.Lo = lo
 			switch {
-			case p.acceptKw("downto"):
+			case p.acceptKw(kwDownto):
 				fl.Downto = true
-			case p.acceptKw("to"):
+			case p.acceptKw(kwTo):
 			default:
 				return nil, p.errorf("expected 'to' or 'downto' in for range")
 			}
@@ -664,7 +683,7 @@ func (p *parser) parseLoop(label string) (Stmt, error) {
 				return nil, err
 			}
 		}
-		if err := p.expectKw("loop"); err != nil {
+		if err := p.expectKw(kwLoop); err != nil {
 			return nil, err
 		}
 		if fl.Body, err = p.parseStmts(); err != nil {
@@ -674,12 +693,12 @@ func (p *parser) parseLoop(label string) (Stmt, error) {
 			return nil, err
 		}
 		return fl, nil
-	case p.acceptKw("while"):
+	case p.acceptKw(kwWhile):
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("loop"); err != nil {
+		if err := p.expectKw(kwLoop); err != nil {
 			return nil, err
 		}
 		wl := &WhileLoop{Pos: pos, Label: label, Cond: cond}
@@ -705,41 +724,41 @@ func (p *parser) parseLoop(label string) (Stmt, error) {
 }
 
 func (p *parser) endLoop() error {
-	if err := p.expectKw("end"); err != nil {
+	if err := p.expectKw(kwEnd); err != nil {
 		return err
 	}
-	if err := p.expectKw("loop"); err != nil {
+	if err := p.expectKw(kwLoop); err != nil {
 		return err
 	}
 	if p.at(tokIdent) {
 		p.next()
 	}
-	_, err := p.expect(tokSemi)
+	err := p.expect(tokSemi)
 	return err
 }
 
 func (p *parser) parseWait() (*WaitStmt, error) {
 	pos := p.pos0()
 	p.next() // wait
-	st := &WaitStmt{Pos: pos}
+	st := p.a.waits.of(WaitStmt{Pos: pos})
 	var err error
-	if p.acceptKw("on") {
+	if p.acceptKw(kwOn) {
 		if st.On, err = p.parseIdentList(); err != nil {
 			return nil, err
 		}
 	}
-	if p.acceptKw("until") {
+	if p.acceptKw(kwUntil) {
 		if st.Until, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
 		st.HasCond = true
 	}
-	if p.acceptKw("for") {
+	if p.acceptKw(kwFor) {
 		if st.For, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
 		st.HasFor = true
 	}
-	_, err = p.expect(tokSemi)
+	err = p.expect(tokSemi)
 	return st, err
 }

@@ -24,7 +24,10 @@
 //     'high, 'low; rising_edge/falling_edge and other ieee builtins
 package vhdl
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // tokKind enumerates token categories.
 type tokKind uint8
@@ -36,7 +39,7 @@ const (
 	tokReal    // 3.14 (parsed, rejected in analysis where unsupported)
 	tokChar    // '0'
 	tokString  // "0101"
-	tokKeyword // reserved word (Text holds the lower-cased word)
+	tokKeyword // reserved word (token.Kw says which)
 	// Delimiters.
 	tokSemi     // ;
 	tokColon    // :
@@ -62,7 +65,7 @@ const (
 	tokBar      // |
 )
 
-var kindNames = map[tokKind]string{
+var kindNames = [...]string{
 	tokEOF: "end of file", tokIdent: "identifier", tokInt: "integer literal",
 	tokReal: "real literal", tokChar: "character literal", tokString: "string literal",
 	tokKeyword: "keyword", tokSemi: "';'", tokColon: "':'", tokComma: "','",
@@ -74,59 +77,243 @@ var kindNames = map[tokKind]string{
 }
 
 func (k tokKind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("token(%d)", uint8(k))
 }
 
-// token is one lexical token.
+// token is one lexical token. It holds no pointer: its text is the byte
+// range [Off, End) of the source, so a file's token array is one allocation
+// the garbage collector never scans. That range is the token's text as it
+// stands (an identifier already in lower case, a literal with nothing to
+// unescape) unless Fix is set; tokenText applies the fix.
 type token struct {
 	Kind tokKind
-	Text string // identifier (lower-cased), keyword, or literal body
-	Line int
-	Col  int
+	Kw   keyword // the reserved word when Kind is tokKeyword, else kwNone
+	// Fix marks text that differs from its source range: an identifier with
+	// upper-case letters, a string literal with a doubled quote, a number
+	// with underscores.
+	Fix       bool
+	Line, Col int32
+	Off, End  int32
 }
 
-func (t token) String() string {
+// tokenText returns the text of t in src: an identifier lower-cased, a
+// keyword's word, a literal's body.
+func tokenText(src string, t token) string {
+	if t.Kw != kwNone {
+		return keywordNames[t.Kw]
+	}
+	s := src[t.Off:t.End]
+	if !t.Fix {
+		return s
+	}
+	switch t.Kind {
+	case tokIdent:
+		return strings.ToLower(s)
+	case tokChar:
+		return string(rune(s[0]))
+	case tokString:
+		return strings.ReplaceAll(s, `""`, `"`)
+	}
+	return strings.ReplaceAll(s, "_", "")
+}
+
+// describe renders t for an error message.
+func describe(src string, t token) string {
 	switch t.Kind {
 	case tokIdent, tokKeyword:
-		return fmt.Sprintf("%q", t.Text)
+		return fmt.Sprintf("%q", tokenText(src, t))
 	case tokInt, tokReal:
-		return t.Text
+		return tokenText(src, t)
 	case tokChar:
-		return "'" + t.Text + "'"
+		return "'" + tokenText(src, t) + "'"
 	case tokString:
-		return `"` + t.Text + `"`
+		return `"` + tokenText(src, t) + `"`
 	default:
 		return t.Kind.String()
 	}
 }
 
-// keywords is the set of reserved words of the supported subset (plus the
-// reserved words we must recognize to reject gracefully).
-var keywords = map[string]bool{
-	"abs": true, "after": true, "alias": true, "all": true, "and": true,
-	"architecture": true, "array": true, "assert": true, "attribute": true,
-	"begin": true, "block": true, "body": true, "buffer": true, "bus": true,
-	"case": true, "component": true, "configuration": true, "constant": true,
-	"disconnect": true, "downto": true, "else": true, "elsif": true,
-	"end": true, "entity": true, "exit": true, "file": true, "for": true,
-	"function": true, "generate": true, "generic": true, "group": true,
-	"guarded": true, "if": true, "impure": true, "in": true, "inertial": true,
-	"inout": true, "is": true, "label": true, "library": true, "linkage": true,
-	"literal": true, "loop": true, "map": true, "mod": true, "nand": true,
-	"new": true, "next": true, "nor": true, "not": true, "null": true,
-	"of": true, "on": true, "open": true, "or": true, "others": true,
-	"out": true, "package": true, "port": true, "postponed": true,
-	"procedure": true, "process": true, "pure": true, "range": true,
-	"record": true, "register": true, "reject": true, "rem": true,
-	"report": true, "return": true, "rol": true, "ror": true, "select": true,
-	"severity": true, "signal": true, "shared": true, "sla": true,
-	"sll": true, "sra": true, "srl": true, "subtype": true, "then": true,
-	"to": true, "transport": true, "type": true, "unaffected": true,
-	"units": true, "until": true, "use": true, "variable": true, "wait": true,
-	"when": true, "while": true, "with": true, "xnor": true, "xor": true,
+// keyword identifies a reserved word of the supported subset (plus the
+// reserved words we must recognize to reject gracefully). The zero value,
+// kwNone, marks every token that is not a keyword, so the parser tests for a
+// keyword with one byte comparison.
+type keyword uint8
+
+const kwNone keyword = 0
+
+const (
+	kwAbs keyword = iota + 1
+	kwAfter
+	kwAlias
+	kwAll
+	kwAnd
+	kwArchitecture
+	kwArray
+	kwAssert
+	kwAttribute
+	kwBegin
+	kwBlock
+	kwBody
+	kwBuffer
+	kwBus
+	kwCase
+	kwComponent
+	kwConfiguration
+	kwConstant
+	kwDisconnect
+	kwDownto
+	kwElse
+	kwElsif
+	kwEnd
+	kwEntity
+	kwExit
+	kwFile
+	kwFor
+	kwFunction
+	kwGenerate
+	kwGeneric
+	kwGroup
+	kwGuarded
+	kwIf
+	kwImpure
+	kwIn
+	kwInertial
+	kwInout
+	kwIs
+	kwLabel
+	kwLibrary
+	kwLinkage
+	kwLiteral
+	kwLoop
+	kwMap
+	kwMod
+	kwNand
+	kwNew
+	kwNext
+	kwNor
+	kwNot
+	kwNull
+	kwOf
+	kwOn
+	kwOpen
+	kwOr
+	kwOthers
+	kwOut
+	kwPackage
+	kwPort
+	kwPostponed
+	kwProcedure
+	kwProcess
+	kwPure
+	kwRange
+	kwRecord
+	kwRegister
+	kwReject
+	kwRem
+	kwReport
+	kwReturn
+	kwRol
+	kwRor
+	kwSelect
+	kwSeverity
+	kwSignal
+	kwShared
+	kwSla
+	kwSll
+	kwSra
+	kwSrl
+	kwSubtype
+	kwThen
+	kwTo
+	kwTransport
+	kwType
+	kwUnaffected
+	kwUnits
+	kwUntil
+	kwUse
+	kwVariable
+	kwWait
+	kwWhen
+	kwWhile
+	kwWith
+	kwXnor
+	kwXor
+	numKeywords
+)
+
+// keywordNames spells each keyword.
+var keywordNames = [numKeywords]string{
+	kwAbs: "abs", kwAfter: "after", kwAlias: "alias", kwAll: "all",
+	kwAnd: "and", kwArchitecture: "architecture", kwArray: "array",
+	kwAssert: "assert", kwAttribute: "attribute", kwBegin: "begin",
+	kwBlock: "block", kwBody: "body", kwBuffer: "buffer", kwBus: "bus",
+	kwCase: "case", kwComponent: "component", kwConfiguration: "configuration",
+	kwConstant: "constant", kwDisconnect: "disconnect", kwDownto: "downto",
+	kwElse: "else", kwElsif: "elsif", kwEnd: "end", kwEntity: "entity",
+	kwExit: "exit", kwFile: "file", kwFor: "for", kwFunction: "function",
+	kwGenerate: "generate", kwGeneric: "generic", kwGroup: "group",
+	kwGuarded: "guarded", kwIf: "if", kwImpure: "impure", kwIn: "in",
+	kwInertial: "inertial", kwInout: "inout", kwIs: "is", kwLabel: "label",
+	kwLibrary: "library", kwLinkage: "linkage", kwLiteral: "literal",
+	kwLoop: "loop", kwMap: "map", kwMod: "mod", kwNand: "nand", kwNew: "new",
+	kwNext: "next", kwNor: "nor", kwNot: "not", kwNull: "null", kwOf: "of",
+	kwOn: "on", kwOpen: "open", kwOr: "or", kwOthers: "others", kwOut: "out",
+	kwPackage: "package", kwPort: "port", kwPostponed: "postponed",
+	kwProcedure: "procedure", kwProcess: "process", kwPure: "pure",
+	kwRange: "range", kwRecord: "record", kwRegister: "register",
+	kwReject: "reject", kwRem: "rem", kwReport: "report", kwReturn: "return",
+	kwRol: "rol", kwRor: "ror", kwSelect: "select", kwSeverity: "severity",
+	kwSignal: "signal", kwShared: "shared", kwSla: "sla", kwSll: "sll",
+	kwSra: "sra", kwSrl: "srl", kwSubtype: "subtype", kwThen: "then",
+	kwTo: "to", kwTransport: "transport", kwType: "type",
+	kwUnaffected: "unaffected", kwUnits: "units", kwUntil: "until",
+	kwUse: "use", kwVariable: "variable", kwWait: "wait", kwWhen: "when",
+	kwWhile: "while", kwWith: "with", kwXnor: "xnor", kwXor: "xor",
+}
+
+// kwTable maps the hash of a lower-cased word (wordHash) to its keyword by
+// open addressing; a zero slot ends a probe. It is filled once from
+// keywordNames, so the lexer classifies a word without hashing it into a map
+// or building its lower-cased string.
+var kwTable = func() (t [kwTableSize]keyword) {
+	for k := keyword(1); k < numKeywords; k++ {
+		h := uint32(wordHashSeed)
+		for i := 0; i < len(keywordNames[k]); i++ {
+			h = wordHash(h, keywordNames[k][i])
+		}
+		i := h & (kwTableSize - 1)
+		for t[i] != kwNone {
+			i = (i + 1) & (kwTableSize - 1)
+		}
+		t[i] = k
+	}
+	return t
+}()
+
+const (
+	kwTableSize  = 512 // a power of two, over four times numKeywords
+	wordHashSeed = 2166136261
+)
+
+// wordHash folds the lower-cased byte c into h (FNV-1a).
+func wordHash(h uint32, c byte) uint32 { return (h ^ uint32(c)) * 16777619 }
+
+// lookupKeyword returns the keyword spelled by word, whose lower-cased bytes
+// hash to h; folded says word has upper-case letters.
+func lookupKeyword(h uint32, word string, folded bool) keyword {
+	for i := h & (kwTableSize - 1); ; i = (i + 1) & (kwTableSize - 1) {
+		k := kwTable[i]
+		if k == kwNone {
+			return kwNone
+		}
+		name := keywordNames[k]
+		if len(name) == len(word) && (name == word || folded && strings.EqualFold(name, word)) {
+			return k
+		}
+	}
 }
 
 // Error is a front-end error with source position.

@@ -420,14 +420,15 @@ func TestElaborationErrors(t *testing.T) {
 }
 
 func TestLexerBasics(t *testing.T) {
-	toks, err := newLexer("t", `enTity -- comment
-	X_1 '0' "01Z" 42 3 ns <= => := /= ** s'event`).lex()
+	src := `enTity -- comment
+	X_1 '0' "01Z" 42 3 ns <= => := /= ** s'event`
+	toks, err := newLexer("t", src).lex()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kinds []string
 	for _, tk := range toks {
-		kinds = append(kinds, fmt.Sprintf("%v:%s", tk.Kind, tk.Text))
+		kinds = append(kinds, fmt.Sprintf("%v:%s", tk.Kind, tokenText(src, tk)))
 	}
 	joined := strings.Join(kinds, " ")
 	for _, want := range []string{
@@ -441,7 +442,7 @@ func TestLexerBasics(t *testing.T) {
 	// The tick in s'event must lex as an attribute tick, not a char.
 	found := false
 	for i, tk := range toks {
-		if tk.Kind == tokTick && i > 0 && toks[i-1].Text == "s" {
+		if tk.Kind == tokTick && i > 0 && tokenText(src, toks[i-1]) == "s" {
 			found = true
 		}
 	}
