@@ -88,17 +88,17 @@ type nodes struct {
 	cases      arena[CaseStmt]
 	waits      arena[WaitStmt]
 
-	exprs     arena[Expr]
-	stmts     arena[Stmt]
-	concs     arena[ConcStmt]
-	decls     arena[Decl]
-	idents    arena[string]
-	waves     arena[WaveElem]
-	portList  arena[*PortDecl]
-	genList   arena[*GenericDecl]
-	assocs    arena[Assoc]
-	condArms  arena[CondArm]
-	selArms   arena[SelArm]
-	caseArms  arena[CaseArm]
-	elifs     arena[Elif]
+	exprs    arena[Expr]
+	stmts    arena[Stmt]
+	concs    arena[ConcStmt]
+	decls    arena[Decl]
+	idents   arena[string]
+	waves    arena[WaveElem]
+	portList arena[*PortDecl]
+	genList  arena[*GenericDecl]
+	assocs   arena[Assoc]
+	condArms arena[CondArm]
+	selArms  arena[SelArm]
+	caseArms arena[CaseArm]
+	elifs    arena[Elif]
 }
