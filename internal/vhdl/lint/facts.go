@@ -1,14 +1,17 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"govhdl/internal/vhdl"
 )
 
 // Facts is the extracted fact base: one Unit per (entity, architecture)
-// pair, with per-signal driver/reader sets and per-process read/write/wait
+// pair, with per-signal driver/reader counts and per-process read/write/wait
 // facts. Rules never walk the AST themselves — everything they need is here.
 type Facts struct {
 	Units []*Unit
@@ -17,14 +20,38 @@ type Facts struct {
 	entities map[string]*vhdl.EntityDecl
 }
 
-// Unit is the fact scope of one architecture body.
+// Unit is the fact scope of one architecture body. Its signals are numbered
+// densely in declaration order: a signal's number is its index in Signals,
+// and every other fact names a signal by that number.
 type Unit struct {
-	File     string
-	Entity   *vhdl.EntityDecl // nil when the named entity is not in the set
-	Arch     *vhdl.ArchBody
-	Signals  map[string]*SignalFact
-	SigOrder []string // declaration order, for deterministic iteration
-	Procs    []*ProcFact
+	File    string
+	Entity  *vhdl.EntityDecl // nil when the named entity is not in the set
+	Arch    *vhdl.ArchBody
+	Signals []SignalFact // declaration order
+	Procs   []*ProcFact
+	// Drivers lists every driving endpoint of every signal, in extraction
+	// order; a signal's count is SignalFact.Drivers.
+	Drivers []Endpoint
+
+	index map[string]int32 // signal name -> number, for units with many signals
+}
+
+// smallUnit is the signal count up to which a unit finds a name by scanning
+// its signals rather than through a map.
+const smallUnit = 16
+
+// signal returns the number of the signal declared as name.
+func (u *Unit) signal(name string) (int32, bool) {
+	if u.index == nil {
+		for i := range u.Signals {
+			if u.Signals[i].Name == name {
+				return int32(i), true
+			}
+		}
+		return 0, false
+	}
+	i, ok := u.index[name]
+	return i, ok
 }
 
 // SignalFact aggregates everything known about one declared signal or port.
@@ -40,18 +67,20 @@ type SignalFact struct {
 	Resolved bool
 	IsPort   bool
 	Mode     vhdl.PortMode
-	Drivers  []Endpoint
-	Readers  []Endpoint
+	// Drivers and Readers count the processes and instance connections
+	// driving and reading the signal.
+	Drivers, Readers int
+
+	builtin bool  // the name is a predefined function's (never a signal)
+	shadow  int32 // declarations in scope that hide the signal
 }
 
-// Endpoint is one process or instance connection touching a signal.
+// Endpoint is one process or instance connection driving a signal.
 type Endpoint struct {
+	Sig   int32     // the signal's number in its unit
 	Proc  *ProcFact // nil for an instance connection
 	Label string    // process label or instance label
-	Pos   vhdl.Pos  // first write / read position
-	// Delayed reports that every assignment this endpoint makes to the
-	// signal carries an explicit "after" delay (drivers only).
-	Delayed bool
+	Pos   vhdl.Pos  // first write position
 }
 
 // ProcKind distinguishes explicit processes from desugared concurrent
@@ -72,14 +101,33 @@ type ProcFact struct {
 	Pos         vhdl.Pos
 	Kind        ProcKind
 	Sensitivity []string // nil when the process has none
-	SensSet     map[string]bool
-	HasWait     bool
-	EdgeDetect  bool // rising_edge/falling_edge/'event anywhere in the body
-	Reads       map[string]vhdl.Pos
-	Writes      map[string]vhdl.Pos
-	// DeltaWrites marks signals with at least one zero-delay assignment in
-	// this process (a delta-cycle edge for loop detection).
-	DeltaWrites map[string]bool
+	// Sens numbers the sensitivity-list names that are signals of the unit,
+	// in list order.
+	Sens       []int32
+	HasWait    bool
+	EdgeDetect bool // rising_edge/falling_edge/'event anywhere in the body
+	// Reads and Writes hold each signal the process reads or writes once, at
+	// its first read or write, ordered by that position (then by name).
+	Reads, Writes []Access
+}
+
+// Access is a process's reads or writes of one signal.
+type Access struct {
+	Sig int32    // the signal's number in its unit
+	Pos vhdl.Pos // the first read or write
+	// Delta marks a written signal with at least one zero-delay assignment
+	// in this process (a delta-cycle edge for loop detection).
+	Delta bool
+}
+
+// sensitive reports whether signal sig is on p's sensitivity list.
+func (p *ProcFact) sensitive(sig int32) bool {
+	for _, s := range p.Sens {
+		if s == sig {
+			return true
+		}
+	}
+	return false
 }
 
 // Desc names a process in diagnostics: its label when it has one, otherwise
@@ -96,13 +144,18 @@ func (p *ProcFact) Desc() string {
 	return fmt.Sprintf("%s at %d:%d", what, p.Pos.Line, p.Pos.Col)
 }
 
-// resolvedTypes are the type marks the elaborator gives a kernel resolution
-// function (tStd -> StdResolution, tVec -> StdVecResolution). Multiple
-// drivers on anything else silently lose every driver but the first.
-var resolvedTypes = map[string]bool{
-	"std_logic": true, "std_ulogic": true, "bit": true,
-	"std_logic_vector": true, "std_ulogic_vector": true, "bit_vector": true,
-	"unsigned": true, "signed": true,
+// isResolvedType reports whether the elaborator gives type mark name a
+// kernel resolution function (tStd -> StdResolution, tVec ->
+// StdVecResolution). Multiple drivers on anything else silently lose every
+// driver but the first.
+func isResolvedType(name string) bool {
+	switch name {
+	case "std_logic", "std_ulogic", "bit",
+		"std_logic_vector", "std_ulogic_vector", "bit_vector",
+		"unsigned", "signed":
+		return true
+	}
+	return false
 }
 
 // ExtractFacts runs phase one: walk the parsed files and build the fact
@@ -116,27 +169,54 @@ func ExtractFacts(files []*vhdl.DesignFile) *Facts {
 			}
 		}
 	}
+	ex := &unitExtractor{facts: f}
 	for _, df := range files {
 		for _, a := range df.Archs {
-			f.Units = append(f.Units, extractUnit(f, df.File, a))
+			f.Units = append(f.Units, ex.extract(df.File, a))
 		}
 	}
 	return f
 }
 
-func extractUnit(f *Facts, file string, arch *vhdl.ArchBody) *Unit {
-	u := &Unit{File: file, Entity: f.entities[arch.EntityName], Arch: arch,
-		Signals: map[string]*SignalFact{}}
+// unitExtractor walks architectures' concurrent statements. Its scratch
+// state is reused from one process and one unit to the next.
+type unitExtractor struct {
+	facts *Facts
+	unit  *Unit
+	comps map[string]*vhdl.ComponentDecl
+	procN int
+	// readAt and writeAt give, per signal, 1 + the index of its entry in
+	// reads and writes: the current process's accesses so far.
+	readAt, writeAt []int32
+	reads, writes   []Access
+	hidden          []int32 // signals whose shadow count the current scope raised
+	// slab and procs are the free parts of the chunks accesses and process
+	// facts are allocated from.
+	slab  []Access
+	procs []ProcFact
+}
+
+func (ex *unitExtractor) extract(file string, arch *vhdl.ArchBody) *Unit {
+	u := &Unit{File: file, Entity: ex.facts.entities[arch.EntityName], Arch: arch}
+	ex.unit, ex.procN = u, 0
 
 	declare := func(name, typeName string, pos vhdl.Pos, isPort bool, mode vhdl.PortMode) {
-		if _, dup := u.Signals[name]; dup {
+		if _, dup := u.signal(name); dup {
 			return
 		}
-		u.Signals[name] = &SignalFact{
+		u.Signals = append(u.Signals, SignalFact{
 			Name: name, File: file, Pos: pos, TypeName: typeName,
-			Resolved: resolvedTypes[typeName], IsPort: isPort, Mode: mode,
+			Resolved: isResolvedType(typeName), IsPort: isPort, Mode: mode,
+			builtin: vhdl.IsBuiltinName(name),
+		})
+		if u.index != nil {
+			u.index[name] = int32(len(u.Signals) - 1)
+		} else if len(u.Signals) > smallUnit {
+			u.index = make(map[string]int32, 2*len(u.Signals))
+			for i := range u.Signals {
+				u.index[u.Signals[i].Name] = int32(i)
+			}
 		}
-		u.SigOrder = append(u.SigOrder, name)
 	}
 	if u.Entity != nil {
 		for _, p := range u.Entity.Ports {
@@ -144,13 +224,14 @@ func extractUnit(f *Facts, file string, arch *vhdl.ArchBody) *Unit {
 		}
 	}
 
-	// Arch-level shadowing scope: constants, generics, enum literals and
-	// component names are not signals even when a name collides.
-	shadow := map[string]bool{}
-	comps := map[string]*vhdl.ComponentDecl{}
+	// Arch-level shadowing: constants, generics, enumeration types and
+	// literals are not signals even when a name collides, whichever is
+	// declared first.
+	var shadows []string
+	ex.comps = nil
 	if u.Entity != nil {
 		for _, g := range u.Entity.Generics {
-			shadow[g.Name] = true
+			shadows = append(shadows, g.Name)
 		}
 	}
 	for _, d := range arch.Decls {
@@ -160,50 +241,58 @@ func extractUnit(f *Facts, file string, arch *vhdl.ArchBody) *Unit {
 				declare(n, typeName(d.Type), d.Pos, false, vhdl.ModeIn)
 			}
 		case *vhdl.ConstDecl:
-			for _, n := range d.Names {
-				shadow[n] = true
-			}
+			shadows = append(shadows, d.Names...)
 		case *vhdl.EnumTypeDecl:
-			shadow[d.Name] = true
-			for _, lit := range d.Literals {
-				shadow[lit] = true
-			}
+			shadows = append(shadows, d.Name)
+			shadows = append(shadows, d.Literals...)
 		case *vhdl.ComponentDecl:
-			comps[d.Name] = d
+			if ex.comps == nil {
+				ex.comps = map[string]*vhdl.ComponentDecl{}
+			}
+			ex.comps[d.Name] = d
 		}
 	}
+	for _, n := range shadows {
+		if i, ok := u.signal(n); ok {
+			u.Signals[i].shadow = 1
+		}
+	}
+	if n := len(u.Signals); cap(ex.readAt) < n {
+		ex.readAt, ex.writeAt = make([]int32, n), make([]int32, n)
+	}
 
-	ex := &unitExtractor{facts: f, unit: u, shadow: shadow, comps: comps}
-	ex.concStmts(arch.Stmts, nil)
+	ex.concStmts(arch.Stmts)
 	return u
 }
 
-// unitExtractor walks one architecture's concurrent statements.
-type unitExtractor struct {
-	facts *Facts
-	unit  *Unit
-	// shadow holds arch-level non-signal names; loopVars the generate
-	// variables currently in scope.
-	shadow   map[string]bool
-	loopVars []string
-	comps    map[string]*vhdl.ComponentDecl
-	procN    int
+// isSignal resolves name to a signal of the unit that no declaration in
+// scope hides.
+func (ex *unitExtractor) isSignal(name string) (int32, bool) {
+	i, ok := ex.unit.signal(name)
+	if !ok {
+		return 0, false
+	}
+	sf := &ex.unit.Signals[i]
+	return i, sf.shadow == 0 && !sf.builtin
 }
 
-func (ex *unitExtractor) isSignal(name string) bool {
-	if ex.shadow[name] || vhdl.IsBuiltinName(name) {
-		return false
+// hide raises the shadow count of the signal named name, if there is one,
+// until unhide(mark) with the mark taken before.
+func (ex *unitExtractor) hide(name string) {
+	if i, ok := ex.unit.signal(name); ok {
+		ex.unit.Signals[i].shadow++
+		ex.hidden = append(ex.hidden, i)
 	}
-	for _, v := range ex.loopVars {
-		if v == name {
-			return false
-		}
-	}
-	_, ok := ex.unit.Signals[name]
-	return ok
 }
 
-func (ex *unitExtractor) concStmts(stmts []vhdl.ConcStmt, _ []string) {
+func (ex *unitExtractor) unhide(mark int) {
+	for _, i := range ex.hidden[mark:] {
+		ex.unit.Signals[i].shadow--
+	}
+	ex.hidden = ex.hidden[:mark]
+}
+
+func (ex *unitExtractor) concStmts(stmts []vhdl.ConcStmt) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *vhdl.ProcessStmt:
@@ -233,36 +322,57 @@ func (ex *unitExtractor) concStmts(stmts []vhdl.ConcStmt, _ []string) {
 		case *vhdl.InstStmt:
 			ex.instance(s)
 		case *vhdl.GenerateStmt:
-			ex.loopVars = append(ex.loopVars, s.Var)
-			ex.concStmts(s.Body, nil)
-			ex.loopVars = ex.loopVars[:len(ex.loopVars)-1]
+			mark := len(ex.hidden)
+			ex.hide(s.Var)
+			ex.concStmts(s.Body)
+			ex.unhide(mark)
 		}
 	}
 }
 
 func (ex *unitExtractor) newProc(label string, pos vhdl.Pos, kind ProcKind) *ProcFact {
 	if label == "" {
-		label = fmt.Sprintf("p%d", ex.procN)
+		label = "p" + strconv.Itoa(ex.procN)
 	}
-	return &ProcFact{
-		Unit: ex.unit, Label: label, Pos: pos, Kind: kind,
-		Reads: map[string]vhdl.Pos{}, Writes: map[string]vhdl.Pos{},
-		DeltaWrites: map[string]bool{},
+	if len(ex.procs) == 0 {
+		ex.procs = make([]ProcFact, 64)
 	}
+	p := &ex.procs[0]
+	ex.procs = ex.procs[1:]
+	*p = ProcFact{Unit: ex.unit, Label: label, Pos: pos, Kind: kind}
+	return p
 }
 
-// finishProc registers the process facts onto each touched signal.
-func (ex *unitExtractor) finishProc(p *ProcFact) {
-	ex.unit.Procs = append(ex.unit.Procs, p)
-	for name, pos := range p.Writes {
-		sf := ex.unit.Signals[name]
-		sf.Drivers = append(sf.Drivers, Endpoint{
-			Proc: p, Label: p.Label, Pos: pos, Delayed: !p.DeltaWrites[name],
-		})
+// keep copies the current process's accesses out of the scratch list,
+// sorted by position.
+func (ex *unitExtractor) keep(acc []Access, at []int32) []Access {
+	for _, a := range acc {
+		at[a.Sig] = 0
 	}
-	for name, pos := range p.Reads {
-		sf := ex.unit.Signals[name]
-		sf.Readers = append(sf.Readers, Endpoint{Proc: p, Label: p.Label, Pos: pos})
+	if len(acc) == 0 {
+		return nil
+	}
+	sortByPos(ex.unit, acc)
+	if cap(ex.slab)-len(ex.slab) < len(acc) {
+		ex.slab = make([]Access, 0, max(256, len(acc)))
+	}
+	n := len(ex.slab)
+	ex.slab = append(ex.slab, acc...)
+	return ex.slab[n:len(ex.slab):len(ex.slab)]
+}
+
+// finishProc files the process facts and counts it on each touched signal.
+func (ex *unitExtractor) finishProc(p *ProcFact) {
+	u := ex.unit
+	u.Procs = append(u.Procs, p)
+	p.Reads, p.Writes = ex.keep(ex.reads, ex.readAt), ex.keep(ex.writes, ex.writeAt)
+	ex.reads, ex.writes = ex.reads[:0], ex.writes[:0]
+	for _, w := range p.Writes {
+		u.Signals[w.Sig].Drivers++
+		u.Drivers = append(u.Drivers, Endpoint{Sig: w.Sig, Proc: p, Label: p.Label, Pos: w.Pos})
+	}
+	for _, r := range p.Reads {
+		u.Signals[r.Sig].Readers++
 	}
 }
 
@@ -270,61 +380,56 @@ func (ex *unitExtractor) finishProc(p *ProcFact) {
 func (ex *unitExtractor) process(ps *vhdl.ProcessStmt) {
 	p := ex.newProc(ps.Label, ps.Pos, ProcExplicit)
 	p.Sensitivity = ps.Sensitivity
-	if ps.Sensitivity != nil {
-		p.SensSet = map[string]bool{}
-		for _, n := range ps.Sensitivity {
-			p.SensSet[n] = true
-			if ex.isSignal(n) {
-				ex.read(p, n, ps.Pos)
-			}
+	for _, n := range ps.Sensitivity {
+		if i, ok := ex.unit.signal(n); ok {
+			p.Sens = append(p.Sens, i)
 		}
+		ex.read(p, n, ps.Pos)
 	}
 	// Process-local declarations shadow like-named signals for the body.
-	saved := ex.shadow
-	ex.shadow = map[string]bool{}
-	for k := range saved {
-		ex.shadow[k] = true
-	}
+	mark := len(ex.hidden)
 	for _, d := range ps.Decls {
 		switch d := d.(type) {
 		case *vhdl.VarDecl:
 			for _, n := range d.Names {
-				ex.shadow[n] = true
+				ex.hide(n)
 			}
 		case *vhdl.ConstDecl:
 			for _, n := range d.Names {
-				ex.shadow[n] = true
+				ex.hide(n)
 			}
 		case *vhdl.EnumTypeDecl:
-			ex.shadow[d.Name] = true
+			ex.hide(d.Name)
 			for _, lit := range d.Literals {
-				ex.shadow[lit] = true
+				ex.hide(lit)
 			}
 		}
 	}
 	ex.stmts(p, ps.Body)
-	ex.shadow = saved
+	ex.unhide(mark)
 	ex.finishProc(p)
 }
 
 func (ex *unitExtractor) read(p *ProcFact, name string, pos vhdl.Pos) {
-	if !ex.isSignal(name) {
+	i, ok := ex.isSignal(name)
+	if !ok || ex.readAt[i] != 0 {
 		return
 	}
-	if _, seen := p.Reads[name]; !seen {
-		p.Reads[name] = pos
-	}
+	ex.reads = append(ex.reads, Access{Sig: i, Pos: pos})
+	ex.readAt[i] = int32(len(ex.reads))
 }
 
 func (ex *unitExtractor) write(p *ProcFact, name string, pos vhdl.Pos, delayed bool) {
-	if !ex.isSignal(name) {
+	i, ok := ex.isSignal(name)
+	if !ok {
 		return
 	}
-	if _, seen := p.Writes[name]; !seen {
-		p.Writes[name] = pos
+	if ex.writeAt[i] == 0 {
+		ex.writes = append(ex.writes, Access{Sig: i, Pos: pos})
+		ex.writeAt[i] = int32(len(ex.writes))
 	}
 	if !delayed {
-		p.DeltaWrites[name] = true
+		ex.writes[ex.writeAt[i]-1].Delta = true
 	}
 }
 
@@ -388,9 +493,10 @@ func (ex *unitExtractor) stmt(p *ProcFact, st vhdl.Stmt) {
 		if st.RangeAttr != nil {
 			ex.exprReads(p, st.RangeAttr)
 		}
-		ex.loopVars = append(ex.loopVars, st.Var)
+		mark := len(ex.hidden)
+		ex.hide(st.Var)
 		ex.stmts(p, st.Body)
-		ex.loopVars = ex.loopVars[:len(ex.loopVars)-1]
+		ex.unhide(mark)
 	case *vhdl.WhileLoop:
 		ex.exprReads(p, st.Cond)
 		ex.stmts(p, st.Body)
@@ -448,6 +554,7 @@ func (ex *unitExtractor) exprReads(p *ProcFact, e vhdl.Expr) {
 // count as both reading and driving every actual, so incomplete designs
 // never produce false unused/undriven findings.
 func (ex *unitExtractor) instance(inst *vhdl.InstStmt) {
+	u := ex.unit
 	var ports []*vhdl.PortDecl
 	if comp, ok := ex.comps[inst.Unit]; ok && !inst.DirectEnt {
 		ports = comp.Ports
@@ -480,65 +587,52 @@ func (ex *unitExtractor) instance(inst *vhdl.InstStmt) {
 
 		// A plain signal name is connected directly; any other expression
 		// only reads its signals (constant folding or conversions).
-		if n, ok := a.Actual.(*vhdl.Name); ok && n.Args == nil && !n.HasSlice &&
-			n.Attr == "" && ex.isSignal(n.Ident) {
-			sf := ex.unit.Signals[n.Ident]
-			if reads {
-				sf.Readers = append(sf.Readers, Endpoint{Label: label, Pos: n.Pos})
-			}
-			if drives {
-				sf.Drivers = append(sf.Drivers, Endpoint{Label: label, Pos: n.Pos})
-			}
-			continue
-		}
-		for _, name := range exprSignalNames(a.Actual) {
-			if ex.isSignal(name) {
-				sf := ex.unit.Signals[name]
-				sf.Readers = append(sf.Readers, Endpoint{Label: label, Pos: inst.Pos})
+		if n, ok := a.Actual.(*vhdl.Name); ok && n.Args == nil && !n.HasSlice && n.Attr == "" {
+			if sig, ok := ex.isSignal(n.Ident); ok {
+				if reads {
+					u.Signals[sig].Readers++
+				}
+				if drives {
+					u.Signals[sig].Drivers++
+					u.Drivers = append(u.Drivers, Endpoint{Sig: sig, Label: label, Pos: n.Pos})
+				}
+				continue
 			}
 		}
+		ex.instanceReads(a.Actual)
 	}
 	// Generic-map actuals are reads of any signals they mention (rare, but
 	// keeps "unused" honest).
 	for _, a := range inst.GenericMap {
-		for _, name := range exprSignalNames(a.Actual) {
-			if ex.isSignal(name) {
-				sf := ex.unit.Signals[name]
-				sf.Readers = append(sf.Readers, Endpoint{Label: label, Pos: inst.Pos})
-			}
-		}
+		ex.instanceReads(a.Actual)
 	}
 }
 
-// exprSignalNames lists identifiers in an expression (callers filter with
-// isSignal).
-func exprSignalNames(e vhdl.Expr) []string {
-	var out []string
-	var walk func(vhdl.Expr)
-	walk = func(e vhdl.Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *vhdl.Name:
-			out = append(out, e.Ident)
-			for _, a := range e.Args {
-				walk(a)
-			}
-			walk(e.SliceLo)
-			walk(e.SliceHi)
-		case *vhdl.Unary:
-			walk(e.X)
-		case *vhdl.Binary:
-			walk(e.L)
-			walk(e.R)
-		case *vhdl.Aggregate:
-			for _, el := range e.Elems {
-				walk(el)
-			}
-			walk(e.Others)
+// instanceReads counts a read by an instance connection on every signal
+// an actual expression names, once per mention.
+func (ex *unitExtractor) instanceReads(e vhdl.Expr) {
+	switch e := e.(type) {
+	case nil:
+	case *vhdl.Name:
+		if sig, ok := ex.isSignal(e.Ident); ok {
+			ex.unit.Signals[sig].Readers++
 		}
+		for _, a := range e.Args {
+			ex.instanceReads(a)
+		}
+		ex.instanceReads(e.SliceLo)
+		ex.instanceReads(e.SliceHi)
+	case *vhdl.Unary:
+		ex.instanceReads(e.X)
+	case *vhdl.Binary:
+		ex.instanceReads(e.L)
+		ex.instanceReads(e.R)
+	case *vhdl.Aggregate:
+		for _, el := range e.Elems {
+			ex.instanceReads(el)
+		}
+		ex.instanceReads(e.Others)
 	}
-	walk(e)
-	return out
 }
 
 func typeName(tr *vhdl.TypeRef) string {
@@ -548,22 +642,16 @@ func typeName(tr *vhdl.TypeRef) string {
 	return tr.Name
 }
 
-// sortedKeys returns map keys ordered by source position (then name), so
-// rules iterate deterministically.
-func sortedByPos(m map[string]vhdl.Pos) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := m[keys[i]], m[keys[j]]
-		if a.Line != b.Line {
-			return a.Line < b.Line
+// sortByPos orders accesses by source position, then signal name, so rules
+// iterate deterministically.
+func sortByPos(u *Unit, acc []Access) {
+	slices.SortFunc(acc, func(a, b Access) int {
+		if c := cmp.Compare(a.Pos.Line, b.Pos.Line); c != 0 {
+			return c
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
+		if c := cmp.Compare(a.Pos.Col, b.Pos.Col); c != 0 {
+			return c
 		}
-		return keys[i] < keys[j]
+		return strings.Compare(u.Signals[a.Sig].Name, u.Signals[b.Sig].Name)
 	})
-	return keys
 }

@@ -51,12 +51,18 @@ var ruleMultipleDrivers = &Rule{
 	Doc: "multiple drivers on a signal whose type has no resolution function",
 	Run: func(f *Facts, report func(Diagnostic)) {
 		for _, u := range f.Units {
-			for _, name := range u.SigOrder {
-				sf := u.Signals[name]
-				if sf.Resolved || len(sf.Drivers) < 2 {
+			for i := range u.Signals {
+				sf := &u.Signals[i]
+				if sf.Resolved || sf.Drivers < 2 {
 					continue
 				}
-				drivers := sortEndpoints(sf.Drivers)
+				var drivers []Endpoint
+				for _, d := range u.Drivers {
+					if d.Sig == int32(i) {
+						drivers = append(drivers, d)
+					}
+				}
+				drivers = sortEndpoints(drivers)
 				for _, d := range drivers[1:] {
 					report(Diagnostic{
 						File: u.File, Pos: d.Pos,
@@ -86,12 +92,13 @@ var ruleMissingSensitivity = &Rule{
 				if p.Kind != ProcExplicit || p.Sensitivity == nil || p.EdgeDetect {
 					continue
 				}
-				for _, name := range sortedByPos(p.Reads) {
-					if p.SensSet[name] {
+				for _, r := range p.Reads {
+					if p.sensitive(r.Sig) {
 						continue
 					}
+					name := u.Signals[r.Sig].Name
 					report(Diagnostic{
-						File: u.File, Pos: p.Reads[name],
+						File: u.File, Pos: r.Pos,
 						Message: fmt.Sprintf(
 							"%s reads %q, which is not in its sensitivity list (%s); the process will not re-run when %q changes",
 							p.Desc(), name, strings.Join(p.Sensitivity, ", "), name),
@@ -110,9 +117,9 @@ var ruleUnusedSignal = &Rule{
 	Doc: "signal declared but never read or driven",
 	Run: func(f *Facts, report func(Diagnostic)) {
 		for _, u := range f.Units {
-			for _, name := range u.SigOrder {
-				sf := u.Signals[name]
-				if sf.IsPort || len(sf.Drivers) > 0 || len(sf.Readers) > 0 {
+			for i := range u.Signals {
+				sf := &u.Signals[i]
+				if sf.IsPort || sf.Drivers > 0 || sf.Readers > 0 {
 					continue
 				}
 				report(Diagnostic{
@@ -134,9 +141,9 @@ var ruleUndriven = &Rule{
 	Doc: "signal read (or output port exposed) but never driven",
 	Run: func(f *Facts, report func(Diagnostic)) {
 		for _, u := range f.Units {
-			for _, name := range u.SigOrder {
-				sf := u.Signals[name]
-				if len(sf.Drivers) > 0 {
+			for i := range u.Signals {
+				sf := &u.Signals[i]
+				if sf.Drivers > 0 {
 					continue
 				}
 				switch {
@@ -146,7 +153,7 @@ var ruleUndriven = &Rule{
 						Message:    fmt.Sprintf("output port %q is never driven; the parent sees only its initial value", sf.Name),
 						Suggestion: fmt.Sprintf("drive %q from a process or concurrent assignment", sf.Name),
 					})
-				case !sf.IsPort && len(sf.Readers) > 0:
+				case !sf.IsPort && sf.Readers > 0:
 					report(Diagnostic{
 						File: u.File, Pos: sf.Pos,
 						Message:    fmt.Sprintf("signal %q is read but never driven; it keeps its initial value forever", sf.Name),
@@ -166,9 +173,9 @@ var ruleUnread = &Rule{
 	Doc: "signal driven (or input port declared) but never read",
 	Run: func(f *Facts, report func(Diagnostic)) {
 		for _, u := range f.Units {
-			for _, name := range u.SigOrder {
-				sf := u.Signals[name]
-				if len(sf.Readers) > 0 {
+			for i := range u.Signals {
+				sf := &u.Signals[i]
+				if sf.Readers > 0 {
 					continue
 				}
 				switch {
@@ -178,7 +185,7 @@ var ruleUnread = &Rule{
 						Message:    fmt.Sprintf("input port %q is never read", sf.Name),
 						Suggestion: fmt.Sprintf("use %q in the architecture, or drop the port", sf.Name),
 					})
-				case !sf.IsPort && len(sf.Drivers) > 0:
+				case !sf.IsPort && sf.Drivers > 0:
 					report(Diagnostic{
 						File: u.File, Pos: sf.Pos,
 						Message:    fmt.Sprintf("signal %q is driven but never read", sf.Name),
@@ -224,147 +231,189 @@ var ruleCombLoop = &Rule{
 	ID: "V007", Name: "comb-loop", Severity: SevError,
 	Doc: "zero-delay combinational loop in the driver->reader graph",
 	Run: func(f *Facts, report func(Diagnostic)) {
+		var g combGraph
 		for _, u := range f.Units {
-			reportCombLoops(u, report)
+			g.reportLoops(u, report)
 		}
 	},
 }
 
 // combEdge is one zero-delay trigger->target dependency.
 type combEdge struct {
-	from, to string
+	from, to int32    // signal numbers
 	pos      vhdl.Pos // position of the write creating the edge
 }
 
-func reportCombLoops(u *Unit, report func(Diagnostic)) {
-	// Build the delta-delay dependency graph: an edge s -> t means "a
-	// change of s re-runs a combinational process that assigns t in the
-	// same delta cycle".
-	adj := map[string][]combEdge{}
-	var nodes []string
-	seen := map[string]bool{}
-	addNode := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
+// combGraph is the delta-delay dependency graph of one unit: an edge s -> t
+// means "a change of s re-runs a combinational process that assigns t in
+// the same delta cycle". Nodes are signal numbers; the per-signal arrays
+// are reused from one unit to the next.
+type combGraph struct {
+	edges []combEdge // in creation order
+	nodes []int32    // signals on an edge, in first-seen order
+	adj   []combEdge // edges grouped by source, creation order within each
+	first []int32    // adj[first[s]:first[s+1]] leave s
+
+	// Tarjan state: index and low are 1-based (0 = unvisited); comp is
+	// 1 + the SCC a node was assigned to, and 0 while on the stack.
+	index, low, comp []int32
+	stack            []int32
+	next, sccs       int32
+}
+
+func (g *combGraph) reset(n int) {
+	g.edges, g.nodes, g.stack = g.edges[:0], g.nodes[:0], g.stack[:0]
+	g.next, g.sccs = 0, 0
+	if cap(g.first) < n+1 {
+		g.index, g.low, g.comp = make([]int32, n), make([]int32, n), make([]int32, n)
+		g.first = make([]int32, n+1)
 	}
+	g.index, g.low, g.comp, g.first = g.index[:n], g.low[:n], g.comp[:n], g.first[:n+1]
+	clear(g.index)
+	clear(g.low)
+	clear(g.comp)
+	clear(g.first)
+}
+
+func (g *combGraph) addNode(s int32) {
+	if g.index[s] == 0 {
+		g.index[s] = -1 // seen, not yet visited
+		g.nodes = append(g.nodes, s)
+	}
+}
+
+// addEdge adds the edge from trigger t to the signal of write w.
+func (g *combGraph) addEdge(t int32, w Access) {
+	g.addNode(t)
+	g.addNode(w.Sig)
+	g.edges = append(g.edges, combEdge{from: t, to: w.Sig, pos: w.Pos})
+}
+
+func (g *combGraph) reportLoops(u *Unit, report func(Diagnostic)) {
+	g.reset(len(u.Signals))
 	for _, p := range u.Procs {
 		if p.EdgeDetect || p.HasWait {
 			continue
 		}
 		// Triggers: the sensitivity list for explicit processes, the read
 		// set for desugared concurrent assignments (their implicit list).
-		var triggers []string
-		if p.Kind == ProcExplicit {
-			if p.Sensitivity == nil {
-				continue
-			}
-			for _, s := range p.Sensitivity {
-				if _, ok := u.Signals[s]; ok {
-					triggers = append(triggers, s)
-				}
-			}
-		} else {
-			triggers = sortedByPos(p.Reads)
+		if p.Kind == ProcExplicit && p.Sensitivity == nil {
+			continue
 		}
-		for _, w := range sortedByPos(p.Writes) {
-			if !p.DeltaWrites[w] {
+		for _, w := range p.Writes {
+			if !w.Delta {
 				continue // every assignment to w is time-delayed
 			}
-			for _, t := range triggers {
-				addNode(t)
-				addNode(w)
-				adj[t] = append(adj[t], combEdge{from: t, to: w, pos: p.Writes[w]})
+			if p.Kind == ProcExplicit {
+				for _, t := range p.Sens {
+					g.addEdge(t, w)
+				}
+			} else {
+				for _, r := range p.Reads {
+					g.addEdge(r.Sig, w)
+				}
 			}
 		}
+	}
+	if len(g.edges) == 0 {
+		return
+	}
+	for _, e := range g.edges {
+		g.first[e.from+1]++
+	}
+	for s := 1; s < len(g.first); s++ {
+		g.first[s] += g.first[s-1]
+	}
+	// Place each edge at its source's cursor, first[from], which leaves
+	// first[s] at the start of s+1's edges; shift it back.
+	g.adj = append(g.adj[:0], g.edges...)
+	for _, e := range g.edges {
+		g.adj[g.first[e.from]] = e
+		g.first[e.from]++
+	}
+	copy(g.first[1:], g.first)
+	g.first[0] = 0
+	for _, s := range g.nodes {
+		g.index[s] = 0
 	}
 
 	// Tarjan SCC over the (deterministic) node list: every SCC with more
 	// than one node — or a self-edge — is a delta loop.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	var sccs [][]string
-	var strongConnect func(v string)
-	strongConnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, e := range adj[v] {
-			w := e.to
-			if _, visited := index[w]; !visited {
-				strongConnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
+	for _, s := range g.nodes {
+		if g.index[s] == 0 {
+			g.strongConnect(u, s, report)
 		}
 	}
-	for _, n := range nodes {
-		if _, visited := index[n]; !visited {
-			strongConnect(n)
-		}
-	}
+}
 
-	for _, scc := range sccs {
-		inSCC := map[string]bool{}
-		for _, n := range scc {
-			inSCC[n] = true
+func (g *combGraph) strongConnect(u *Unit, v int32, report func(Diagnostic)) {
+	g.next++
+	g.index[v], g.low[v] = g.next, g.next
+	g.stack = append(g.stack, v)
+	for _, e := range g.adj[g.first[v]:g.first[v+1]] {
+		w := e.to
+		switch {
+		case g.index[w] == 0:
+			g.strongConnect(u, w, report)
+			g.low[v] = min(g.low[v], g.low[w])
+		case g.comp[w] == 0: // on the stack
+			g.low[v] = min(g.low[v], g.index[w])
 		}
-		// Collect the edges internal to this SCC; a single node only loops
-		// if it has a self-edge.
-		var internal []combEdge
-		for _, n := range scc {
-			for _, e := range adj[n] {
-				if inSCC[e.to] && (len(scc) > 1 || e.to == e.from) {
-					internal = append(internal, e)
-				}
-			}
-		}
-		if len(internal) == 0 {
-			continue
-		}
-		// Anchor the diagnostic on the first (by position) looping write.
-		sort.Slice(internal, func(i, j int) bool {
-			a, b := internal[i], internal[j]
-			if a.pos.Line != b.pos.Line {
-				return a.pos.Line < b.pos.Line
-			}
-			if a.pos.Col != b.pos.Col {
-				return a.pos.Col < b.pos.Col
-			}
-			return a.to < b.to
-		})
-		names := append([]string(nil), scc...)
-		sort.Strings(names)
-		report(Diagnostic{
-			File: u.File, Pos: internal[0].pos,
-			Message: fmt.Sprintf(
-				"zero-delay combinational loop through %s: each delta cycle re-triggers the next, so simulation time never advances",
-				quoteList(names)),
-			Suggestion: "break the loop with a clocked process or an explicit \"after\" delay",
-		})
 	}
+	if g.low[v] != g.index[v] {
+		return
+	}
+	// v and the nodes above it on the stack form an SCC.
+	g.sccs++
+	top := len(g.stack) - 1
+	for g.stack[top] != v {
+		top--
+	}
+	for _, w := range g.stack[top:] {
+		g.comp[w] = g.sccs
+	}
+	g.reportSCC(u, g.stack[top:], report)
+	g.stack = g.stack[:top]
+}
+
+// reportSCC reports scc, the SCC numbered g.sccs, if it is a delta loop.
+func (g *combGraph) reportSCC(u *Unit, scc []int32, report func(Diagnostic)) {
+	// Collect the edges internal to this SCC; a single node only loops if
+	// it has a self-edge.
+	var internal []combEdge
+	for _, n := range scc {
+		for _, e := range g.adj[g.first[n]:g.first[n+1]] {
+			if g.comp[e.to] == g.sccs && (len(scc) > 1 || e.to == e.from) {
+				internal = append(internal, e)
+			}
+		}
+	}
+	if len(internal) == 0 {
+		return
+	}
+	// Anchor the diagnostic on the first (by position) looping write.
+	sort.Slice(internal, func(i, j int) bool {
+		a, b := internal[i], internal[j]
+		if a.pos.Line != b.pos.Line {
+			return a.pos.Line < b.pos.Line
+		}
+		if a.pos.Col != b.pos.Col {
+			return a.pos.Col < b.pos.Col
+		}
+		return u.Signals[a.to].Name < u.Signals[b.to].Name
+	})
+	names := make([]string, len(scc))
+	for i, n := range scc {
+		names[i] = u.Signals[n].Name
+	}
+	sort.Strings(names)
+	report(Diagnostic{
+		File: u.File, Pos: internal[0].pos,
+		Message: fmt.Sprintf(
+			"zero-delay combinational loop through %s: each delta cycle re-triggers the next, so simulation time never advances",
+			quoteList(names)),
+		Suggestion: "break the loop with a clocked process or an explicit \"after\" delay",
+	})
 }
 
 func quoteList(names []string) string {
