@@ -134,6 +134,9 @@ func (d *Design) AddProcess(name string, b Behavior, reads, writes []*Signal, op
 	for _, o := range opts {
 		o(p)
 	}
+	if len(writes) > 0 {
+		p.writes = make([]outPort, 0, len(writes))
+	}
 	for _, s := range writes {
 		p.writes = append(p.writes, outPort{sig: s, driver: len(s.drivers)})
 		s.drivers = append(s.drivers, p)

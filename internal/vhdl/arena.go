@@ -6,7 +6,9 @@ package vhdl
 // once it is complete. A parse then costs a few allocations per node type
 // instead of one or more per node. A tree lives and dies as a whole (the
 // elaborator keeps no node, only the strings and positions it read), so a
-// chunk keeps nothing alive longer than its tree would.
+// chunk keeps nothing alive longer than its tree would. The elaborator takes
+// the compiled statement lists of a design's processes from an arena in the
+// same way: the programs live and die with the design.
 
 // arena hands out values of type T from chunks, and builds lists of T.
 type arena[T any] struct {
@@ -37,6 +39,14 @@ func (a *arena[T]) of(v T) *T {
 	return n
 }
 
+// take returns n zero values, as a slice whose capacity is its length.
+func (a *arena[T]) take(n int) []T {
+	a.reserve(n)
+	out := a.free[:n:n]
+	a.free = a.free[n:]
+	return out
+}
+
 // mark opens a list: its items are those pushed after it.
 func (a *arena[T]) mark() int { return len(a.stack) }
 
@@ -51,9 +61,7 @@ func (a *arena[T]) list(mark int) []T {
 	if n == 0 {
 		return nil
 	}
-	a.reserve(n)
-	out := a.free[:n:n]
-	a.free = a.free[n:]
+	out := a.take(n)
 	copy(out, items)
 	clear(items)
 	a.stack = a.stack[:mark]

@@ -149,6 +149,7 @@ type compiler struct {
 	writes   ports            // written signals, by port
 	signals  map[string]*sigRef
 	nslots   int
+	lists    *arena[cstmt] // where statement lists come from (nil: make)
 }
 
 // slot resolves a loop variable or process variable.
@@ -163,18 +164,49 @@ func (c *compiler) slot(name string) (int, bool) {
 }
 
 // lookup resolves a bare identifier: variables, constants, enumeration
-// literals, then signals.
+// literals, then signals. A read signal is tried before the constant scope:
+// the process's scan made it a read only after finding no constant or
+// enumeration literal of that name.
 func (c *compiler) lookup(name string) (cx, bool) {
 	if s, ok := c.slot(name); ok {
-		return dyn(func(b *procInterp) kernel.Value { return b.slots[s] }), true
+		return dyn(slotReader(s)), true
+	}
+	if p, ok := c.reads.port(name); ok {
+		return dyn(portReader(p)), true
 	}
 	if v, ok := c.ec.lookupPlain(name); ok {
 		return konst(v), true
 	}
-	if p, ok := c.reads.port(name); ok {
-		return dyn(func(b *procInterp) kernel.Value { return b.pc.Val(p) }), true
-	}
 	return cx{}, false
+}
+
+// sharedReaders is how many slot and port readers are made once and shared
+// by every program: processes with more variables or inputs than that make
+// their own for the rest.
+const sharedReaders = 16
+
+var slotReaders, portReaders = func() (slots, ports [sharedReaders]cexpr) {
+	for i := range sharedReaders {
+		slots[i] = func(b *procInterp) kernel.Value { return b.slots[i] }
+		ports[i] = func(b *procInterp) kernel.Value { return b.pc.Val(i) }
+	}
+	return slots, ports
+}()
+
+// slotReader returns the expression reading variable slot s.
+func slotReader(s int) cexpr {
+	if s < sharedReaders {
+		return slotReaders[s]
+	}
+	return func(b *procInterp) kernel.Value { return b.slots[s] }
+}
+
+// portReader returns the expression reading input port p.
+func portReader(p int) cexpr {
+	if p < sharedReaders {
+		return portReaders[p]
+	}
+	return func(b *procInterp) kernel.Value { return b.pc.Val(p) }
 }
 
 // objectType is the index mapping of vector object name: a read signal's
@@ -221,8 +253,9 @@ func objOffset(t *Type, vec stdlogic.Vec, idx int64) (int, error) {
 
 // ---- Processes ----
 
-// process compiles the variable declarations and the body of a process.
-func (c *compiler) process(decls []*VarDecl, body []Stmt) ([]cinit, []cstmt) {
+// process compiles the variable declarations and the body of a process,
+// followed by the wait its sensitivity list implies (nil without one).
+func (c *compiler) process(decls []*VarDecl, body []Stmt, implicitWait *WaitStmt) ([]cinit, []cstmt) {
 	var vars map[string]int
 	var inits []cinit
 	if len(decls) > 0 {
@@ -254,7 +287,14 @@ func (c *compiler) process(decls []*VarDecl, body []Stmt) ([]cinit, []cstmt) {
 		}
 	}
 	c.vars = vars
-	return inits, c.stmts(body)
+	if implicitWait == nil {
+		return inits, c.stmts(body)
+	}
+	out := make([]cstmt, len(body), len(body)+1)
+	for i, st := range body {
+		out[i] = c.stmt(st)
+	}
+	return inits, append(out, c.wait(implicitWait))
 }
 
 // ---- Statements ----
@@ -263,7 +303,12 @@ func (c *compiler) stmts(list []Stmt) []cstmt {
 	if list == nil {
 		return nil
 	}
-	out := make([]cstmt, len(list))
+	var out []cstmt
+	if c.lists != nil {
+		out = c.lists.take(len(list))
+	} else {
+		out = make([]cstmt, len(list))
+	}
 	for i, st := range list {
 		out[i] = c.stmt(st)
 	}
@@ -356,7 +401,10 @@ func (c *compiler) coerced(pos Pos, x cx, t *Type) cx {
 	}
 	if x.konst {
 		v := x.val
-		return finish(func(*procInterp) kernel.Value { return coerce(pos, v, t) }, true)
+		if r, ok := fold(func() kernel.Value { return coerce(pos, v, t) }); ok {
+			return konst(r)
+		}
+		return dyn(func(*procInterp) kernel.Value { return coerce(pos, v, t) })
 	}
 	f := x.fn
 	return dyn(func(b *procInterp) kernel.Value { return coerce(pos, f(b), t) })
@@ -651,7 +699,7 @@ func (c *compiler) wait(st *WaitStmt) cstmt {
 	}
 	// The sensitivity list is shared by every execution of the wait: the
 	// kernel only reads a Wait's ports, and copies them into its snapshots.
-	var ports []int
+	ports := make([]int, 0, len(names))
 	for _, n := range names {
 		p, ok := c.reads.port(n)
 		if !ok {

@@ -2,6 +2,8 @@ package vhdl
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"govhdl/internal/kernel"
 	"govhdl/internal/stdlogic"
@@ -48,15 +50,21 @@ type sigRef struct {
 	typ *Type
 }
 
-// instCtx is the elaboration scope of one design-unit instance.
+// instCtx is the elaboration scope of one design-unit instance. Its maps
+// are made when the first name goes in.
 type instCtx struct {
 	path    string
-	types   map[string]*Type
-	enums   map[string]kernel.Value
-	consts  map[string]kernel.Value
 	signals map[string]*sigRef
 	comps   map[string]*ComponentDecl
-	scope   *evalCtx // consts, types and enums as a constant scope
+	scope   *evalCtx // the instance's constants, types and enums
+	ev      evalCtx  // what scope points at
+}
+
+func (c *instCtx) setSignal(name string, ref *sigRef) {
+	if c.signals == nil {
+		c.signals = make(map[string]*sigRef)
+	}
+	c.signals[name] = ref
 }
 
 // elaborator builds a kernel design from the library.
@@ -70,9 +78,15 @@ type elaborator struct {
 	// instDepth guards against unbounded recursion (an entity instantiating
 	// itself); see maxElabDepth.
 	instDepth int
-	// sigDecl maps each kernel signal name back to its declaration site, so
-	// post-elaboration checks (driver conflicts) report exact positions.
-	sigDecl map[string]declSite
+	// sigDecl holds the declaration site of each kernel signal, in the
+	// design's signal order, so post-elaboration checks (driver conflicts)
+	// report exact positions.
+	sigDecl []declSite
+	// lists holds the compiled statement lists of every process;
+	// reads and writes are the scan buffers of the process being compiled.
+	lists         arena[cstmt]
+	reads, writes ports
+	refs          arena[sigRef] // the signal bindings of every instance
 }
 
 // declSite is a recorded declaration position.
@@ -100,11 +114,15 @@ func (l *Library) Elaborate(top string) (d *kernel.Design, err error) {
 			panic(r)
 		}
 	}()
-	ent, ok := l.entities[top]
+	// VHDL names are case-insensitive, and the lexer lower-cases every
+	// identifier, so the top entity is found by its lower-case name.
+	name := strings.ToLower(top)
+	ent, ok := l.entities[name]
 	if !ok {
 		return nil, fmt.Errorf("vhdl: no entity %q in the library", top)
 	}
-	e = &elaborator{lib: l, design: kernel.NewDesign(top), curFile: ent.File, sigDecl: map[string]declSite{}}
+	top = name
+	e = &elaborator{lib: l, design: kernel.NewDesign(top), curFile: ent.File}
 	ctx := e.newCtx(top)
 	// Top-level ports become free signals (undriven inputs keep defaults).
 	bindings := map[string]*sigRef{}
@@ -114,8 +132,7 @@ func (l *Library) Elaborate(top string) (d *kernel.Design, err error) {
 		if p.Default != nil {
 			init = ctx.scope.eval(p.Default, t)
 		}
-		bindings[p.Name] = e.newSignal(ctx, top+"."+p.Name, t, init)
-		e.sigDecl[top+"."+p.Name] = declSite{file: ent.File, pos: p.Pos}
+		bindings[p.Name] = e.newSignal(top+"."+p.Name, t, init, declSite{file: ent.File, pos: p.Pos})
 	}
 	if err := e.elabInstance(ent, top, nil, bindings); err != nil {
 		return nil, err
@@ -131,11 +148,11 @@ func (l *Library) Elaborate(top string) (d *kernel.Design, err error) {
 // anchored at the signal's declaration. Design lint flags the same designs
 // statically (rule V001) before they reach elaboration.
 func (e *elaborator) checkDrivers() error {
-	for _, s := range e.design.Signals() {
+	for i, s := range e.design.Signals() {
 		if s.Resolved() || s.NumDrivers() <= 1 {
 			continue
 		}
-		site := e.sigDecl[s.Name]
+		site := e.sigDecl[i]
 		return &Error{File: site.file, Line: site.pos.Line, Col: site.pos.Col,
 			Msg: fmt.Sprintf("signal %s has %d drivers but its type has no resolution function (drive it from one process, or declare it std_logic)",
 				s.Name, s.NumDrivers())}
@@ -144,23 +161,13 @@ func (e *elaborator) checkDrivers() error {
 }
 
 // builtinScope holds what every instance sees without declaring it: the
-// std and ieee.std_logic_1164 types and the boolean literals. Instances
-// chain to it and never write it.
-var builtinScope = &evalCtx{
-	types:  builtinTypes(),
-	consts: map[string]kernel.Value{"true": true, "false": false},
-}
+// std and ieee.std_logic_1164 types (the boolean literals every scope sees,
+// see evalCtx.constant). Instances chain to it and never write it.
+var builtinScope = &evalCtx{types: builtinTypes()}
 
 func (e *elaborator) newCtx(path string) *instCtx {
-	c := &instCtx{
-		path:    path,
-		types:   map[string]*Type{},
-		enums:   map[string]kernel.Value{},
-		consts:  map[string]kernel.Value{},
-		signals: map[string]*sigRef{},
-		comps:   map[string]*ComponentDecl{},
-	}
-	c.scope = &evalCtx{consts: c.consts, types: c.types, enums: c.enums, outer: builtinScope}
+	c := &instCtx{path: path, ev: evalCtx{outer: builtinScope}}
+	c.scope = &c.ev
 	return c
 }
 
@@ -188,17 +195,26 @@ func (e *elaborator) resolveType(ec *evalCtx, tr *TypeRef) *Type {
 	return base
 }
 
-// newSignal creates a kernel signal with std resolution where applicable.
-func (e *elaborator) newSignal(ctx *instCtx, name string, t *Type, init kernel.Value) *sigRef {
-	var opts []kernel.SignalOpt
+// Resolution options shared by every std_logic and vector signal.
+var (
+	withStdResolution    = kernel.WithResolution(kernel.StdResolution)
+	withStdVecResolution = kernel.WithResolution(kernel.StdVecResolution)
+)
+
+// newSignal creates a kernel signal with std resolution where applicable,
+// declared at site.
+func (e *elaborator) newSignal(name string, t *Type, init kernel.Value, site declSite) *sigRef {
+	var sig *kernel.Signal
 	switch t.Kind {
 	case tStd:
-		opts = append(opts, kernel.WithResolution(kernel.StdResolution))
+		sig = e.design.AddSignal(name, init, withStdResolution)
 	case tVec:
-		opts = append(opts, kernel.WithResolution(kernel.StdVecResolution))
+		sig = e.design.AddSignal(name, init, withStdVecResolution)
+	default:
+		sig = e.design.AddSignal(name, init)
 	}
-	sig := e.design.AddSignal(name, init, opts...)
-	return &sigRef{sig: sig, typ: t}
+	e.sigDecl = append(e.sigDecl, site)
+	return e.refs.of(sigRef{sig: sig, typ: t})
 }
 
 // elabInstance elaborates one entity instance: pick its architecture,
@@ -230,6 +246,16 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 	defer func() { e.curFile = prevFile }()
 
 	ctx := e.newCtx(path)
+	// An instance binds its ports and declared signals: size the map once.
+	nsig := len(ent.Ports)
+	for _, d := range arch.Decls {
+		if sd, ok := d.(*SignalDecl); ok {
+			nsig += len(sd.Names)
+		}
+	}
+	if nsig > 0 {
+		ctx.signals = make(map[string]*sigRef, nsig)
+	}
 	for _, g := range ent.Generics {
 		v, ok := generics[g.Name]
 		if !ok {
@@ -239,7 +265,7 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 			}
 			v = ctx.scope.eval(g.Default, e.resolveType(ctx.scope, g.Type))
 		}
-		ctx.consts[g.Name] = v
+		ctx.ev.setConst(g.Name, v)
 	}
 	for _, p := range ent.Ports {
 		ref, ok := ports[p.Name]
@@ -250,10 +276,9 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 			if p.Default != nil {
 				init = ctx.scope.eval(p.Default, t)
 			}
-			ref = e.newSignal(ctx, path+"."+p.Name+".open", t, init)
-			e.sigDecl[path+"."+p.Name+".open"] = declSite{file: ent.File, pos: p.Pos}
+			ref = e.newSignal(path+"."+p.Name+".open", t, init, declSite{file: ent.File, pos: p.Pos})
 		}
-		ctx.signals[p.Name] = ref
+		ctx.setSignal(p.Name, ref)
 	}
 
 	if err := e.elabDecls(ctx, arch.Decls); err != nil {
@@ -267,19 +292,12 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 	for _, d := range decls {
 		switch d := d.(type) {
 		case *EnumTypeDecl:
-			info := &EnumInfo{Name: d.Name, Lits: d.Literals}
-			ctx.types[d.Name] = &Type{Kind: tEnum, Enum: info}
-			for i, lit := range d.Literals {
-				ctx.enums[lit] = EnumVal{Enum: info, Ord: i}
-			}
+			ec.declareEnum(d)
 		case *ConstDecl:
-			t := e.resolveType(ctx.scope, d.Type)
+			t := e.resolveType(ec, d.Type)
 			v := ec.eval(d.Value, t)
 			for _, name := range d.Names {
-				ctx.consts[name] = v
-				if t.Kind == tVec {
-					ctx.types["__obj_"+name] = t
-				}
+				ec.declareConst(name, t, v)
 			}
 		case *SignalDecl:
 			t := e.resolveType(ctx.scope, d.Type)
@@ -288,10 +306,12 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 				init = ec.eval(d.Init, t)
 			}
 			for _, name := range d.Names {
-				ctx.signals[name] = e.newSignal(ctx, ctx.path+"."+name, t, init)
-				e.sigDecl[ctx.path+"."+name] = declSite{file: e.curFile, pos: d.Pos}
+				ctx.setSignal(name, e.newSignal(ctx.path+"."+name, t, init, declSite{file: e.curFile, pos: d.Pos}))
 			}
 		case *ComponentDecl:
+			if ctx.comps == nil {
+				ctx.comps = make(map[string]*ComponentDecl)
+			}
 			ctx.comps[d.Name] = d
 		default:
 			return fmt.Errorf("vhdl: %s: unsupported declaration %T", ctx.path, d)
@@ -318,23 +338,11 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 			ps := condAssignToProcess(s)
 			// The equivalent process is sensitive to every signal read in
 			// the conditions and waveform values (IEEE 1076 §11.6).
-			seen := map[string]bool{}
 			ps.Sensitivity = []string{}
-			addSens := func(e Expr) {
-				for _, n := range exprNames(e) {
-					if _, isSig := ctx.signals[n]; isSig && !seen[n] {
-						if _, isConst := ctx.scope.constant(n); isConst {
-							continue
-						}
-						seen[n] = true
-						ps.Sensitivity = append(ps.Sensitivity, n)
-					}
-				}
-			}
 			for _, arm := range s.Arms {
-				addSens(arm.Cond)
+				ps.Sensitivity = ctx.addSensitivity(ps.Sensitivity, arm.Cond)
 				for _, w := range arm.Wave {
-					addSens(w.Value)
+					ps.Sensitivity = ctx.addSensitivity(ps.Sensitivity, w.Value)
 				}
 			}
 			label := s.Label
@@ -347,23 +355,10 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 		case *SelAssign:
 			procN++
 			ps := selAssignToProcess(s)
-			seen := map[string]bool{}
-			ps.Sensitivity = []string{}
-			addSens := func(e Expr) {
-				for _, n := range exprNames(e) {
-					if _, isSig := ctx.signals[n]; isSig && !seen[n] {
-						if _, isConst := ctx.scope.constant(n); isConst {
-							continue
-						}
-						seen[n] = true
-						ps.Sensitivity = append(ps.Sensitivity, n)
-					}
-				}
-			}
-			addSens(s.Selector)
+			ps.Sensitivity = ctx.addSensitivity([]string{}, s.Selector)
 			for _, arm := range s.Arms {
 				for _, w := range arm.Wave {
-					addSens(w.Value)
+					ps.Sensitivity = ctx.addSensitivity(ps.Sensitivity, w.Value)
 				}
 			}
 			label := s.Label
@@ -385,13 +380,13 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 				step = -1
 			}
 			for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
-				saved, had := ctx.consts[s.Var]
-				ctx.consts[s.Var] = i
+				saved, had := ctx.ev.consts[s.Var]
+				ctx.ev.setConst(s.Var, i)
 				err := e.elabConcStmts(ctx, s.Body, fmt.Sprintf("%s.%s(%d)", path, s.Label, i))
 				if had {
-					ctx.consts[s.Var] = saved
+					ctx.ev.consts[s.Var] = saved
 				} else {
-					delete(ctx.consts, s.Var)
+					delete(ctx.ev.consts, s.Var)
 				}
 				if err != nil {
 					return err
@@ -516,7 +511,7 @@ func (e *elaborator) actualToSignal(ctx *instCtx, actual Expr, pos Pos, path, la
 			Msg: fmt.Sprintf("%s: unsupported port actual for %s.%s", path, label, formal)}
 	}
 	name := fmt.Sprintf("%s.%s.%s.const", path, label, formal)
-	return e.newSignal(ctx, name, t, v), nil
+	return e.newSignal(name, t, v, declSite{}), nil
 }
 
 // elabProcess analyzes a process, compiles it and adds it (plus its
@@ -547,47 +542,29 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		case *ConstDecl:
 			t := e.resolveType(local, d.Type)
 			v := local.eval(d.Value, t)
-			if local.consts == nil {
-				local.consts = map[string]kernel.Value{}
-			}
 			for _, n := range d.Names {
-				local.consts[n] = v
-				if t.Kind == tVec {
-					if local.types == nil {
-						local.types = map[string]*Type{}
-					}
-					local.types["__obj_"+n] = t
-				}
+				local.declareConst(n, t, v)
 			}
 		case *EnumTypeDecl:
-			if local.types == nil {
-				local.types = map[string]*Type{}
-			}
-			if local.enums == nil {
-				local.enums = map[string]kernel.Value{}
-			}
-			info := &EnumInfo{Name: d.Name, Lits: d.Literals}
-			local.types[d.Name] = &Type{Kind: tEnum, Enum: info}
-			for i, lit := range d.Literals {
-				local.enums[lit] = EnumVal{Enum: info, Ord: i}
-			}
+			local.declareEnum(d)
 		default:
 			return &Error{File: e.curFile, Line: ps.Pos.Line, Col: ps.Pos.Col,
 				Msg: fmt.Sprintf("%s: unsupported process declaration %T", name, d)}
 		}
 	}
 
-	body := ps.Body
+	var implicitWait *WaitStmt
 	if ps.Sensitivity != nil {
 		// Sensitivity list = implicit trailing "wait on ...".
-		body = make([]Stmt, len(ps.Body), len(ps.Body)+1)
-		copy(body, ps.Body)
-		body = append(body, &WaitStmt{Pos: ps.Pos, On: ps.Sensitivity})
+		implicitWait = &WaitStmt{Pos: ps.Pos, On: ps.Sensitivity}
 	}
 
 	// Discover the read and written signals.
-	sc := &sigScan{ctx: ctx, ec: local, vars: varTypes}
-	sc.scanStmts(body)
+	sc := &sigScan{ctx: ctx, ec: local, vars: varTypes, reads: e.reads[:0], writes: e.writes[:0]}
+	sc.scanStmts(ps.Body)
+	if implicitWait != nil {
+		sc.scanStmt(implicitWait)
+	}
 	if sc.err != nil {
 		// sigScan errors are positioned; stamp the file and fold in the
 		// process name so the *Error survives to the caller intact.
@@ -606,8 +583,9 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		reads:    sc.reads,
 		writes:   sc.writes,
 		signals:  ctx.signals,
+		lists:    &e.lists,
 	}
-	inits, stmts := c.process(varDecls, body)
+	inits, stmts := c.process(varDecls, ps.Body, implicitWait)
 	bi := &procInterp{prog: &program{
 		name:   name,
 		file:   e.curFile,
@@ -617,6 +595,7 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		body:   stmts,
 	}}
 	readSigs, writeSigs := sc.signals(sc.reads), sc.signals(sc.writes)
+	e.reads, e.writes = sc.reads, sc.writes
 
 	class := kernel.ClassComb
 	switch {
@@ -682,13 +661,20 @@ var builtinFuncs = map[string]bool{
 // uses.
 func IsBuiltinName(name string) bool { return builtinFuncs[name] }
 
-func (s *sigScan) isShadowed(name string) bool {
+// isVariable reports whether name is a loop variable in scope or a process
+// variable.
+func (s *sigScan) isVariable(name string) bool {
 	for _, v := range s.shadow {
 		if v == name {
 			return true
 		}
 	}
-	if _, ok := s.vars[name]; ok {
+	_, ok := s.vars[name]
+	return ok
+}
+
+func (s *sigScan) isShadowed(name string) bool {
+	if s.isVariable(name) {
 		return true
 	}
 	_, ok := s.ec.lookupPlain(name)
@@ -696,7 +682,13 @@ func (s *sigScan) isShadowed(name string) bool {
 }
 
 func (s *sigScan) markRead(name string, pos Pos) {
-	if s.isShadowed(name) || builtinFuncs[name] {
+	if s.isVariable(name) {
+		return
+	}
+	if _, ok := s.reads.port(name); ok {
+		return // a signal, and no constant: the first read found that
+	}
+	if _, ok := s.ec.lookupPlain(name); ok || builtinFuncs[name] {
 		return
 	}
 	if _, ok := s.ctx.signals[name]; !ok {
@@ -705,12 +697,15 @@ func (s *sigScan) markRead(name string, pos Pos) {
 		}
 		return
 	}
-	if _, ok := s.reads.port(name); !ok {
-		s.reads = append(s.reads, name)
-	}
+	s.reads = append(s.reads, name)
 }
 
 func (s *sigScan) markWrite(name string, pos Pos) {
+	if !s.isVariable(name) {
+		if _, ok := s.writes.port(name); ok {
+			return // a signal, and no constant: the first write found that
+		}
+	}
 	if s.isShadowed(name) {
 		if s.err == nil {
 			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("assignment to non-signal %q with <=", name)}
@@ -723,9 +718,7 @@ func (s *sigScan) markWrite(name string, pos Pos) {
 		}
 		return
 	}
-	if _, ok := s.writes.port(name); !ok {
-		s.writes = append(s.writes, name)
-	}
+	s.writes = append(s.writes, name)
 }
 
 func (s *sigScan) scanStmts(stmts []Stmt) {
@@ -862,35 +855,34 @@ func selAssignToProcess(sa *SelAssign) *ProcessStmt {
 	return &ProcessStmt{Pos: sa.Pos, Label: sa.Label, Body: []Stmt{cs}}
 }
 
-// exprNames lists every identifier referenced by an expression (callers
-// filter for signals).
-func exprNames(e Expr) []string {
-	var out []string
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *Name:
-			if !builtinFuncs[e.Ident] {
-				out = append(out, e.Ident)
+// addSensitivity appends to sens, in order of first mention, the signals e
+// names that sens does not hold yet: every identifier that is not a
+// builtin's, names a signal of the instance and no constant.
+func (c *instCtx) addSensitivity(sens []string, e Expr) []string {
+	switch e := e.(type) {
+	case nil:
+	case *Name:
+		n := e.Ident
+		if _, isSig := c.signals[n]; isSig && !builtinFuncs[n] && !slices.Contains(sens, n) {
+			if _, isConst := c.scope.constant(n); !isConst {
+				sens = append(sens, n)
 			}
-			for _, a := range e.Args {
-				walk(a)
-			}
-			walk(e.SliceLo)
-			walk(e.SliceHi)
-		case *Unary:
-			walk(e.X)
-		case *Binary:
-			walk(e.L)
-			walk(e.R)
-		case *Aggregate:
-			for _, el := range e.Elems {
-				walk(el)
-			}
-			walk(e.Others)
 		}
+		for _, a := range e.Args {
+			sens = c.addSensitivity(sens, a)
+		}
+		sens = c.addSensitivity(sens, e.SliceLo)
+		sens = c.addSensitivity(sens, e.SliceHi)
+	case *Unary:
+		sens = c.addSensitivity(sens, e.X)
+	case *Binary:
+		sens = c.addSensitivity(sens, e.L)
+		sens = c.addSensitivity(sens, e.R)
+	case *Aggregate:
+		for _, el := range e.Elems {
+			sens = c.addSensitivity(sens, el)
+		}
+		sens = c.addSensitivity(sens, e.Others)
 	}
-	walk(e)
-	return out
+	return sens
 }

@@ -26,12 +26,58 @@ type evalCtx struct {
 	outer  *evalCtx
 }
 
-// constant resolves a constant, generic or generate variable.
+func (c *evalCtx) setConst(name string, v kernel.Value) {
+	if c.consts == nil {
+		c.consts = make(map[string]kernel.Value)
+	}
+	c.consts[name] = v
+}
+
+func (c *evalCtx) setType(name string, t *Type) {
+	if c.types == nil {
+		c.types = make(map[string]*Type)
+	}
+	c.types[name] = t
+}
+
+// declareConst declares constant name of type t with value v. A vector
+// constant's type is recorded too, under "__obj_"+name, for indexing and
+// attributes.
+func (c *evalCtx) declareConst(name string, t *Type, v kernel.Value) {
+	c.setConst(name, v)
+	if t.Kind == tVec {
+		c.setType("__obj_"+name, t)
+	}
+}
+
+// declareEnum declares an enumeration type and its literals.
+func (c *evalCtx) declareEnum(d *EnumTypeDecl) {
+	info := &EnumInfo{Name: d.Name, Lits: d.Literals}
+	c.setType(d.Name, &Type{Kind: tEnum, Enum: info})
+	if c.enums == nil {
+		c.enums = make(map[string]kernel.Value, len(d.Literals))
+	}
+	for i, lit := range d.Literals {
+		c.enums[lit] = EnumVal{Enum: info, Ord: i}
+	}
+}
+
+// constant resolves a constant, generic or generate variable, or else one
+// of the boolean literals, which every scope sees.
 func (c *evalCtx) constant(name string) (kernel.Value, bool) {
 	for s := c; s != nil; s = s.outer {
+		if s.consts == nil {
+			continue
+		}
 		if v, ok := s.consts[name]; ok {
 			return v, true
 		}
+	}
+	switch name {
+	case "true":
+		return true, true
+	case "false":
+		return false, true
 	}
 	return nil, false
 }
@@ -53,6 +99,9 @@ func (c *evalCtx) lookupPlain(ident string) (kernel.Value, bool) {
 		return v, true
 	}
 	for s := c; s != nil; s = s.outer {
+		if s.enums == nil {
+			continue
+		}
 		if v, ok := s.enums[ident]; ok {
 			return v, true
 		}
