@@ -183,7 +183,7 @@ func (o *runOpts) build(quiet bool) (*govhdl.Model, *circuits.Circuit, error) {
 		if err == nil && !quiet {
 			d := m.Design
 			fmt.Fprintf(o.stdout, "design: %s (%d signals + %d processes = %d LPs)\n",
-				o.Top, d.NumSignals(), d.NumProcesses(), d.NumLPs())
+				d.Name, d.NumSignals(), d.NumProcesses(), d.NumLPs())
 		}
 		return m, nil, err
 	}

@@ -164,3 +164,21 @@ func TestRunOneWorkerAnnouncesSequentialKernel(t *testing.T) {
 		}
 	}
 }
+
+// VHDL names are case-insensitive: -top SHIFTER_TB elaborates the entity
+// declared as shifter_tb and prints the trace -top shifter_tb does.
+func TestRunTopIsCaseInsensitive(t *testing.T) {
+	trace := func(top string) string {
+		var out strings.Builder
+		o := runOpts{Opts: runopts.Opts{Top: top, Protocol: "dynamic", Workers: 1, SaveEvery: 1, Until: "100ns"},
+			stdout: &out, stderr: io.Discard, showTrace: true}
+		o.files = []string{filepath.Join("..", "..", "testdata", "shifter.vhd")}
+		if err := run(o); err != nil {
+			t.Fatalf("-top %s: %v", top, err)
+		}
+		return out.String()
+	}
+	if lower, upper := trace("shifter_tb"), trace("SHIFTER_TB"); lower != upper {
+		t.Fatalf("-top SHIFTER_TB printed\n%s\nwant\n%s", upper, lower)
+	}
+}

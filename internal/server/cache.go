@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"strings"
 	"sync"
 
 	"govhdl/internal/kernel"
@@ -147,11 +148,13 @@ func (c *Cache) Stats() CacheStats {
 
 // DesignKey is the cache key: a content hash over the top entity and the
 // sources in submission order (order can matter to elaboration). Length
-// prefixes keep ("ab","c") distinct from ("a","bc").
+// prefixes keep ("ab","c") distinct from ("a","bc"). VHDL names are
+// case-insensitive, so the top entity goes in lower-cased: "GEN_TB" and
+// "gen_tb" name one design.
 func DesignKey(top string, srcs []SourceRequest) string {
 	h := sha256.New()
 	buf := make([]byte, 0, 4<<10)
-	writeField(h, buf, top)
+	writeField(h, buf, strings.ToLower(top))
 	for _, s := range srcs {
 		writeField(h, buf, s.Name)
 		writeField(h, buf, s.Text)

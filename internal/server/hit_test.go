@@ -189,3 +189,25 @@ func TestWaitersLeaveNoGoroutines(t *testing.T) {
 		t.Fatalf("%d goroutines after every waiter returned, want %d", n, base)
 	}
 }
+
+// TestTopIsCaseInsensitive: VHDL names are case-insensitive, so a design
+// submitted under its top entity spelled in upper case elaborates, and both
+// spellings share one cache entry.
+func TestTopIsCaseInsensitive(t *testing.T) {
+	want := soloCounterTrace(t)
+	sv, ts := newTestServer(t, Config{})
+	for i, top := range []string{"CTB", "ctb", "Ctb"} {
+		req := counterRequest()
+		req.Top = top
+		rep := submit(t, ts, req)
+		if rep.Cached != (i > 0) {
+			t.Fatalf("top %q: cached %t", top, rep.Cached)
+		}
+		if got := streamTrace(t, ts, rep.ID); got != want {
+			t.Fatalf("top %q: trace diverged from the oracle (%d vs %d bytes)", top, len(got), len(want))
+		}
+	}
+	if st := sv.cache.Stats(); st.Entries != 1 || st.Elaborations != 1 {
+		t.Fatalf("cache: %d entries, %d elaborations; want one of each", st.Entries, st.Elaborations)
+	}
+}

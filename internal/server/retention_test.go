@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -210,4 +211,30 @@ func TestFinishedSessionRetainsOnlyItsTrace(t *testing.T) {
 		t.Errorf("a finished session retains %.0f B, more than 8x its %.0f B trace", perSession, perTrace)
 	}
 	runtime.KeepAlive(sv)
+}
+
+// TestBatchesCopyRange checks the session's batched buffer against a flat
+// slice for every range, batches of every size including empty ones.
+func TestBatchesCopyRange(t *testing.T) {
+	var b batches[int]
+	var flat []int
+	for size := range 6 {
+		part := make([]int, size)
+		for i := range part {
+			part[i] = len(flat) + i
+		}
+		b.add(part)
+		flat = append(flat, part...)
+		for lo := 0; lo <= len(flat); lo++ {
+			for hi := lo; hi <= len(flat); hi++ {
+				got := b.copyRange(lo, hi)
+				if !slices.Equal(got, flat[lo:hi]) {
+					t.Fatalf("copyRange(%d, %d) = %v, want %v", lo, hi, got, flat[lo:hi])
+				}
+			}
+		}
+	}
+	if b.len() != len(flat) {
+		t.Fatalf("len() = %d, want %d", b.len(), len(flat))
+	}
 }

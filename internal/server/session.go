@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"sync"
 
 	"govhdl"
@@ -47,10 +49,10 @@ type session struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	state   State
-	table   *trace.Table  // the design's VCD signals; set once the design exists
-	lines   []string      // finalized rendered trace, all batches
-	entries []trace.Entry // same increments, structured (VCD streaming)
-	sum     *runSummary   // set when the run returned an engine result
+	table   *trace.Table         // the design's VCD signals; set once the design exists
+	lines   batches[string]      // finalized rendered trace, all batches
+	entries batches[trace.Entry] // same increments, structured (VCD streaming)
+	sum     *runSummary          // set when the run returned an engine result
 	err     error
 	kind    govhdl.ErrorKind
 }
@@ -67,11 +69,51 @@ func newSession(id string, cached bool) *session {
 	return s
 }
 
-// append receives one finalized trace increment (govhdl.TraceFunc).
+// batches is a growing sequence kept as the batches it arrived in: adding a
+// batch never copies what is already stored, and nothing is kept beyond the
+// items themselves.
+type batches[T any] struct {
+	parts [][]T
+	ends  []int // ends[i] is the number of items in parts[:i+1]
+}
+
+func (b *batches[T]) len() int {
+	if len(b.ends) == 0 {
+		return 0
+	}
+	return b.ends[len(b.ends)-1]
+}
+
+func (b *batches[T]) add(part []T) {
+	if len(part) > 0 {
+		b.ends = append(b.ends, b.len()+len(part))
+		b.parts = append(b.parts, part)
+	}
+}
+
+// copyRange returns a copy of items [lo, hi), nil when that is empty.
+func (b *batches[T]) copyRange(lo, hi int) []T {
+	if lo >= hi {
+		return nil
+	}
+	out := make([]T, 0, hi-lo)
+	for i := sort.SearchInts(b.ends, lo+1); i < len(b.parts) && lo < hi; i++ {
+		start := b.ends[i] - len(b.parts[i])
+		out = append(out, b.parts[i][lo-start:min(hi, b.ends[i])-start]...)
+		lo = b.ends[i]
+	}
+	return out
+}
+
+// append receives one finalized trace increment (govhdl.TraceFunc). The
+// rendered lines are the session's own (trace.Lines made them for this
+// call); the entries may be a view of the run's recorder, which a finished
+// session must not keep, so they are copied.
 func (s *session) append(entries []trace.Entry, lines []string) {
+	entries = slices.Clone(entries)
 	s.mu.Lock()
-	s.entries = append(s.entries, entries...)
-	s.lines = append(s.lines, lines...)
+	s.entries.add(entries)
+	s.lines.add(lines)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -125,7 +167,7 @@ func (s *session) finished() bool {
 func (s *session) snapshot() (state State, cached bool, nlines int, sum *runSummary, err error, kind govhdl.ErrorKind) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state, s.cached, len(s.lines), s.sum, s.err, s.kind
+	return s.state, s.cached, s.lines.len(), s.sum, s.err, s.kind
 }
 
 // waitLines blocks until the session has rendered lines past from, or has
@@ -133,16 +175,12 @@ func (s *session) snapshot() (state State, cached bool, nlines int, sum *runSumm
 // is complete. A done ctx wakes the cond, so a disconnected client does not
 // leak a waiter.
 func (s *session) waitLines(ctx context.Context, from int) ([]string, bool) {
-	return waitBuf(ctx, s, func() int { return len(s.lines) }, func(lo, hi int) []string {
-		return append([]string(nil), s.lines[lo:hi]...)
-	}, from)
+	return waitBuf(ctx, s, s.lines.len, s.lines.copyRange, from)
 }
 
 // waitEntries is waitLines for the structured entry buffer.
 func (s *session) waitEntries(ctx context.Context, from int) ([]trace.Entry, bool) {
-	return waitBuf(ctx, s, func() int { return len(s.entries) }, func(lo, hi int) []trace.Entry {
-		return append([]trace.Entry(nil), s.entries[lo:hi]...)
-	}, from)
+	return waitBuf(ctx, s, s.entries.len, s.entries.copyRange, from)
 }
 
 // waitTable blocks until the session's trace table exists (at submit for a
