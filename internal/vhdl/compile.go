@@ -147,7 +147,6 @@ type compiler struct {
 	loops    []loopScope      // enclosing loops, innermost last
 	reads    ports            // read signals, by port
 	writes   ports            // written signals, by port
-	signals  map[string]*sigRef
 	nslots   int
 	lists    *arena[cstmt] // where statement lists come from (nil: make)
 }
@@ -213,8 +212,8 @@ func portReader(p int) cexpr {
 // type, a vector variable's or a vector constant's; nil when only the
 // value's width gives it, as (w-1 downto 0).
 func (c *compiler) objectType(name string) *Type {
-	if _, ok := c.reads.port(name); ok {
-		return c.signals[name].typ
+	if p, ok := c.reads.port(name); ok {
+		return c.reads[p].ref.typ
 	}
 	if t, ok := c.vecVars[name]; ok {
 		return t
@@ -416,7 +415,7 @@ func (c *compiler) sigAssign(st *SigAssign) cstmt {
 	if !ok {
 		return raiseStmt(st.Pos, "assignment to unknown signal %q", name)
 	}
-	t := c.signals[name].typ
+	t := c.writes[port].ref.typ
 	pos := st.Pos
 	if len(st.Wave) == 1 && !st.Transport && st.Reject == nil {
 		// The common statement, "sig <= value [after d]": no Edit to build.
@@ -842,10 +841,7 @@ func (c *compiler) aggregate(a *Aggregate) (agg func(b *procInterp, w int) kerne
 
 func (c *compiler) unary(u *Unary) cx {
 	x := c.expr(u.X, nil)
-	op, ok := unOps[u.Op]
-	if !ok {
-		op = opBadUnary
-	}
+	op, _ := unOpNamed(u.Op)
 	pos, name := u.Pos, u.Op
 	if x.konst {
 		v := x.val
@@ -884,7 +880,7 @@ func literalBeside(e Expr) (plain, timed kernel.Value, ok bool) {
 }
 
 func (c *compiler) binary(e *Binary) cx {
-	op, known := binOps[e.Op]
+	op, known := binOpNamed(e.Op)
 	if !known {
 		return raise(e.Pos, "unsupported operator %q", e.Op)
 	}

@@ -582,7 +582,6 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		varTypes: varTypes,
 		reads:    sc.reads,
 		writes:   sc.writes,
-		signals:  ctx.signals,
 		lists:    &e.lists,
 	}
 	inits, stmts := c.process(varDecls, ps.Body, implicitWait)
@@ -594,7 +593,7 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		inits:  inits,
 		body:   stmts,
 	}}
-	readSigs, writeSigs := sc.signals(sc.reads), sc.signals(sc.writes)
+	readSigs, writeSigs := sc.reads.signals(), sc.writes.signals()
 	e.reads, e.writes = sc.reads, sc.writes
 
 	class := kernel.ClassComb
@@ -621,14 +620,19 @@ type sigScan struct {
 	err           error
 }
 
-// ports are the signals a process reads or writes, by port index. A process
-// touches a handful, so a scan beats a map.
-type ports []string
+// ports are the signals a process reads or writes, by port index, each with
+// its binding. A process touches a handful, so a scan beats a map.
+type ports []portSig
+
+type portSig struct {
+	name string
+	ref  *sigRef
+}
 
 // port returns the port index of signal name.
 func (p ports) port(name string) (int, bool) {
-	for i, n := range p {
-		if n == name {
+	for i := range p {
+		if p[i].name == name {
 			return i, true
 		}
 	}
@@ -636,13 +640,13 @@ func (p ports) port(name string) (int, bool) {
 }
 
 // signals returns the kernel signals behind p (nil when p is empty).
-func (s *sigScan) signals(p ports) []*kernel.Signal {
+func (p ports) signals() []*kernel.Signal {
 	if len(p) == 0 {
 		return nil
 	}
 	out := make([]*kernel.Signal, len(p))
-	for i, n := range p {
-		out[i] = s.ctx.signals[n].sig
+	for i := range p {
+		out[i] = p[i].ref.sig
 	}
 	return out
 }
@@ -691,13 +695,14 @@ func (s *sigScan) markRead(name string, pos Pos) {
 	if _, ok := s.ec.lookupPlain(name); ok || builtinFuncs[name] {
 		return
 	}
-	if _, ok := s.ctx.signals[name]; !ok {
+	ref, ok := s.ctx.signals[name]
+	if !ok {
 		if s.err == nil {
 			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("unknown name %q", name)}
 		}
 		return
 	}
-	s.reads = append(s.reads, name)
+	s.reads = append(s.reads, portSig{name, ref})
 }
 
 func (s *sigScan) markWrite(name string, pos Pos) {
@@ -712,13 +717,14 @@ func (s *sigScan) markWrite(name string, pos Pos) {
 		}
 		return
 	}
-	if _, ok := s.ctx.signals[name]; !ok {
+	ref, ok := s.ctx.signals[name]
+	if !ok {
 		if s.err == nil {
 			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("unknown signal %q", name)}
 		}
 		return
 	}
-	s.writes = append(s.writes, name)
+	s.writes = append(s.writes, portSig{name, ref})
 }
 
 func (s *sigScan) scanStmts(stmts []Stmt) {

@@ -158,7 +158,18 @@ const (
 	opBadUnary
 )
 
-var unOps = map[string]unOp{"not": opNot, "-": opNeg, "abs": opAbs}
+// unOpNamed returns the unary operator spelled name.
+func unOpNamed(name string) (unOp, bool) {
+	switch name {
+	case "not":
+		return opNot, true
+	case "-":
+		return opNeg, true
+	case "abs":
+		return opAbs, true
+	}
+	return opBadUnary, false
+}
 
 // unaryVal applies unary operator op (spelled name) to x.
 func unaryVal(pos Pos, op unOp, name string, x kernel.Value) kernel.Value {
@@ -226,13 +237,15 @@ var binOpNames = [...]string{
 	opPow: "**", opSll: "sll", opSrl: "srl",
 }
 
-var binOps = func() map[string]binOp {
-	m := make(map[string]binOp, len(binOpNames))
-	for op, name := range binOpNames {
-		m[name] = binOp(op)
+// binOpNamed returns the binary operator spelled name.
+func binOpNamed(name string) (binOp, bool) {
+	for op, n := range binOpNames {
+		if n == name {
+			return binOp(op), true
+		}
 	}
-	return m
-}()
+	return 0, false
+}
 
 func (op binOp) String() string { return binOpNames[op] }
 

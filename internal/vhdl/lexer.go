@@ -2,24 +2,29 @@ package vhdl
 
 import (
 	"fmt"
-	"sync"
 )
 
 // lexer tokenizes VHDL source. VHDL is case-insensitive: identifiers and
 // keywords are lower-cased; character and string literals keep their case.
-// A token records only where its text lies (token.Off, token.End), and the
-// lexer tracks the start of the current line rather than a column counter,
-// so most bytes cost one comparison and one increment.
+// It hands out one token at a time (the parser pulls them as it goes, so a
+// file is never held as a token array). A token records only where its
+// text lies (token.Off, token.End), and the lexer tracks the start of the
+// current line rather than a column counter, so most bytes cost one
+// comparison and one increment.
 type lexer struct {
 	file      string
 	src       string
 	pos       int
 	line      int
 	lineStart int // offset of the first byte of the current line
+	// closesName and lastEnd describe the previous token: whether it can
+	// end a name, and the offset just past it.
+	closesName bool
+	lastEnd    int
 }
 
 func newLexer(file, src string) *lexer {
-	return &lexer{file: file, src: src, line: 1}
+	return &lexer{file: file, src: src, line: 1, lastEnd: -1}
 }
 
 func (l *lexer) errorf(line, col int, format string, args ...any) *Error {
@@ -74,74 +79,72 @@ func isLetter(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// bytesPerToken sizes the token slice upfront: VHDL runs 4.6 to 5.9 source
-// bytes per token on testdata/, examples/vhdl/ and the benchmark's generated
-// design, so len(src)/bytesPerToken tokens covers a whole file in one
-// allocation instead of a chain of append regrowths.
+// bytesPerToken sizes lex's token slice upfront: VHDL runs 4.6 to 5.9
+// source bytes per token on testdata/, examples/vhdl/ and the benchmark's
+// generated design, so len(src)/bytesPerToken tokens covers a whole file in
+// one allocation instead of a chain of append regrowths.
 const bytesPerToken = 4
 
-// tokenBufs recycles token arrays (as *[]token) between parses. A parse
-// tree keeps no token (its strings are taken from the source), and a token
-// holds no pointer, so a returned array is plain memory to overwrite.
-var tokenBufs = sync.Pool{New: func() any { return new([]token) }}
-
-// lex tokenizes the whole input.
+// lex tokenizes the whole input. The parser does not need the whole token
+// array; lex is for tools and tests that look at the token stream.
 func (l *lexer) lex() ([]token, error) {
-	return l.lexInto(nil)
-}
-
-// lexInto tokenizes the whole input into buf, which it grows when needed.
-func (l *lexer) lexInto(buf []token) ([]token, error) {
-	toks := buf[:0]
-	if want := len(l.src)/bytesPerToken + 1; cap(toks) < want {
-		toks = make([]token, 0, want)
-	}
-	lastEnd := -1 // byte offset just past the previous token
+	toks := make([]token, 0, len(l.src)/bytesPerToken+1)
 	for {
-		l.skipSpaceAndComments()
-		start := l.pos
-		tok := token{Line: int32(l.line), Col: int32(l.col()), Off: int32(start)}
-		if start >= len(l.src) {
-			tok.End = tok.Off
-			return append(toks, tok), nil
-		}
-		c := l.src[start]
-		switch {
-		case isLetter(c):
-			l.lexWord(&tok)
-		case isDigit(c):
-			if err := l.lexNumber(&tok); err != nil {
-				return nil, err
-			}
-		case c == '\'':
-			// Character literal ('x') or tick (attribute). An attribute
-			// tick immediately follows an identifier or ')' with no
-			// whitespace; anything else of the form 'c' is a character
-			// literal.
-			isAttr := len(toks) > 0 && closesName(toks[len(toks)-1]) && lastEnd == start
-			if start+2 < len(l.src) && l.src[start+2] == '\'' && !isAttr {
-				l.advance()
-				ch := l.advance()
-				l.advance()
-				// The literal's text is string(ch): a byte above 0x7f
-				// reads as that code point, not as the raw byte.
-				tok.Kind, tok.Off, tok.End, tok.Fix = tokChar, int32(start+1), int32(start+2), ch >= 0x80
-			} else {
-				l.pos++
-				tok.Kind, tok.End = tokTick, tok.Off
-			}
-		case c == '"':
-			if err := l.lexString(&tok); err != nil {
-				return nil, err
-			}
-		default:
-			if err := l.lexOperator(&tok); err != nil {
-				return nil, err
-			}
+		tok, err := l.next()
+		if err != nil {
+			return nil, err
 		}
 		toks = append(toks, tok)
-		lastEnd = l.pos
+		if tok.Kind == tokEOF {
+			return toks, nil
+		}
 	}
+}
+
+// next scans the next token; at the end of the input it returns tokEOF,
+// again on every call.
+func (l *lexer) next() (token, error) {
+	l.skipSpaceAndComments()
+	start := l.pos
+	tok := token{Line: int32(l.line), Col: int32(l.col()), Off: int32(start), End: int32(start)}
+	if start >= len(l.src) {
+		return tok, nil
+	}
+	c := l.src[start]
+	switch {
+	case isLetter(c):
+		l.lexWord(&tok)
+	case isDigit(c):
+		if err := l.lexNumber(&tok); err != nil {
+			return tok, err
+		}
+	case c == '\'':
+		// Character literal ('x') or tick (attribute). An attribute tick
+		// immediately follows an identifier or ')' with no whitespace;
+		// anything else of the form 'c' is a character literal.
+		isAttr := l.closesName && l.lastEnd == start
+		if start+2 < len(l.src) && l.src[start+2] == '\'' && !isAttr {
+			l.advance()
+			ch := l.advance()
+			l.advance()
+			// The literal's text is string(ch): a byte above 0x7f reads as
+			// that code point, not as the raw byte.
+			tok.Kind, tok.Off, tok.End, tok.Fix = tokChar, int32(start+1), int32(start+2), ch >= 0x80
+		} else {
+			l.pos++
+			tok.Kind = tokTick
+		}
+	case c == '"':
+		if err := l.lexString(&tok); err != nil {
+			return tok, err
+		}
+	default:
+		if err := l.lexOperator(&tok); err != nil {
+			return tok, err
+		}
+	}
+	l.closesName, l.lastEnd = closesName(tok), l.pos
+	return tok, nil
 }
 
 // lexWord scans an identifier or keyword. Its bytes are lower-cased and
@@ -281,6 +284,5 @@ func (l *lexer) lexOperator(tok *token) error {
 	default:
 		return l.errorf(int(tok.Line), int(tok.Col), "unexpected character %q", string(c))
 	}
-	tok.End = tok.Off // a delimiter has no text
-	return nil
+	return nil // a delimiter has no text: End stays at Off
 }

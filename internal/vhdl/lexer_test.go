@@ -9,9 +9,9 @@ import (
 
 // TestLexAllocBytesCeiling bounds what lexing allocates per source byte on
 // every shipped design. The token slice is sized once from the source length
-// (about 10-12 bytes per source byte in all); letting it grow by append
-// instead roughly doubles that in discarded backing arrays (18-24), which
-// this ceiling catches.
+// (about 5-6 bytes per source byte in all); letting it grow by append
+// instead roughly doubles that in discarded backing arrays, which this
+// ceiling catches.
 func TestLexAllocBytesCeiling(t *testing.T) {
 	const ceiling = 14 // bytes allocated per source byte
 	files, err := filepath.Glob("../../testdata/*.vhd")

@@ -23,16 +23,25 @@ func ParseAll(srcs []Source) ([]*DesignFile, error) {
 	return files, nil
 }
 
-// Parse parses one VHDL source file.
+// Parse parses one VHDL source file. A lexical error anywhere in the file is
+// the error it returns, even after a syntax error earlier in the file.
 func Parse(file, src string) (*DesignFile, error) {
-	buf := tokenBufs.Get().(*[]token)
-	defer tokenBufs.Put(buf)
-	toks, err := newLexer(file, src).lexInto(*buf)
+	p := &parser{file: file, src: src, lx: newLexer(file, src)}
+	p.la = append(p.la, p.lex())
+	df, err := p.parseFile()
 	if err != nil {
-		return nil, err
+		// Scan the rest of the file for a lexical error, which wins.
+		for p.lexErr == nil && p.lex().Kind != tokEOF {
+		}
 	}
-	*buf = toks
-	p := &parser{file: file, src: src, toks: toks}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return df, err
+}
+
+func (p *parser) parseFile() (*DesignFile, error) {
+	file := p.file
 	df := &DesignFile{File: file}
 	for !p.atEOF() {
 		switch {
@@ -62,12 +71,37 @@ func Parse(file, src string) (*DesignFile, error) {
 }
 
 type parser struct {
-	file  string
-	src   string
-	toks  []token
-	pos   int
-	depth int // recursion depth (expressions + statement nesting)
-	a     nodes
+	file string
+	src  string
+	lx   *lexer
+	// la holds the tokens lexed and not yet consumed: la[0] is the current
+	// token, the rest lookahead. It is never empty: after a lexical error
+	// the lexer's place is taken by an endless end of file.
+	la     []token
+	lexErr error // the lexical error that ended the token stream
+	depth  int   // recursion depth (expressions + statement nesting)
+	a      nodes
+}
+
+// lex returns the next token of the file, or end of file once the lexer
+// has failed.
+func (p *parser) lex() token {
+	if p.lexErr == nil {
+		t, err := p.lx.next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return token{Kind: tokEOF}
+}
+
+// peek returns the token i places after the current one.
+func (p *parser) peek(i int) token {
+	for len(p.la) <= i {
+		p.la = append(p.la, p.lex())
+	}
+	return p.la[i]
 }
 
 // maxParseDepth bounds recursive-descent depth. Real designs nest a handful
@@ -85,15 +119,27 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) atEOF() bool { return p.toks[p.pos].Kind == tokEOF }
+func (p *parser) cur() token  { return p.la[0] }
+func (p *parser) atEOF() bool { return p.la[0].Kind == tokEOF }
 
+// next consumes the current token and returns it; end of file is never
+// consumed.
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.la[0]
 	if t.Kind != tokEOF {
-		p.pos++
+		p.advance()
 	}
 	return t
+}
+
+// advance makes the next token current.
+func (p *parser) advance() {
+	if len(p.la) == 1 {
+		p.la[0] = p.lex()
+		return
+	}
+	copy(p.la, p.la[1:])
+	p.la = p.la[:len(p.la)-1]
 }
 
 // text returns the text of t: see tokenText.
@@ -103,20 +149,18 @@ func (p *parser) text(t token) string { return tokenText(p.src, t) }
 func (p *parser) nextText() string { return p.text(p.next()) }
 
 // curDesc renders the current token for an error message.
-func (p *parser) curDesc() string { return describe(p.src, p.toks[p.pos]) }
+func (p *parser) curDesc() string { return describe(p.src, p.la[0]) }
 
-func (p *parser) at(k tokKind) bool { return p.toks[p.pos].Kind == k }
+func (p *parser) at(k tokKind) bool { return p.la[0].Kind == k }
 
 // peekAt reports whether the token after the current one is of kind k.
-func (p *parser) peekAt(k tokKind) bool {
-	return p.pos+1 < len(p.toks) && p.toks[p.pos+1].Kind == k
-}
+func (p *parser) peekAt(k tokKind) bool { return p.peek(1).Kind == k }
 
-func (p *parser) isKw(k keyword) bool { return p.toks[p.pos].Kw == k }
+func (p *parser) isKw(k keyword) bool { return p.la[0].Kw == k }
 
 func (p *parser) acceptKw(k keyword) bool {
 	if p.isKw(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -124,14 +168,14 @@ func (p *parser) acceptKw(k keyword) bool {
 
 func (p *parser) accept(k tokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
 }
 
 func (p *parser) errorf(format string, args ...any) *Error {
-	t := p.toks[p.pos]
+	t := p.la[0]
 	return &Error{File: p.file, Line: int(t.Line), Col: int(t.Col), Msg: fmt.Sprintf(format, args...)}
 }
 
@@ -140,7 +184,7 @@ func (p *parser) expect(k tokKind) error {
 	if !p.at(k) {
 		return p.errorf("expected %v, found %s", k, p.curDesc())
 	}
-	p.pos++
+	p.advance()
 	return nil
 }
 
@@ -159,7 +203,7 @@ func (p *parser) expectIdent() (string, error) {
 }
 
 func (p *parser) pos0() Pos {
-	t := p.toks[p.pos]
+	t := p.la[0]
 	return Pos{int(t.Line), int(t.Col)}
 }
 

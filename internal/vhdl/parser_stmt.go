@@ -33,8 +33,8 @@ func (p *parser) parseConcStmt() (ConcStmt, error) {
 // depth zero, distinguishing "lbl: name <= e;" from "lbl: comp port map".
 func (p *parser) looksLikeAssign() bool {
 	depth := 0
-	for i := p.pos; i < len(p.toks); i++ {
-		switch p.toks[i].Kind {
+	for i := 0; ; i++ {
+		switch t := p.peek(i); t.Kind {
 		case tokLParen:
 			depth++
 		case tokRParen:
@@ -46,12 +46,11 @@ func (p *parser) looksLikeAssign() bool {
 		case tokSemi, tokEOF:
 			return false
 		case tokKeyword:
-			if kw := p.toks[i].Kw; depth == 0 && (kw == kwPort || kw == kwGeneric) {
+			if depth == 0 && (t.Kw == kwPort || t.Kw == kwGeneric) {
 				return false
 			}
 		}
 	}
-	return false
 }
 
 func (p *parser) parseProcess(label string) (*ProcessStmt, error) {
