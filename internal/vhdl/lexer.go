@@ -21,6 +21,7 @@ type lexer struct {
 	// end a name, and the offset just past it.
 	closesName bool
 	lastEnd    int
+	err        error // the lexical error that ended the token stream
 }
 
 func newLexer(file, src string) *lexer {
@@ -88,35 +89,47 @@ const bytesPerToken = 4
 // lex tokenizes the whole input. The parser does not need the whole token
 // array; lex is for tools and tests that look at the token stream.
 func (l *lexer) lex() ([]token, error) {
-	toks := make([]token, 0, len(l.src)/bytesPerToken+1)
+	toks := make([]token, 1, len(l.src)/bytesPerToken+1)
 	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
+		l.scan(&toks[len(toks)-1])
+		if l.err != nil {
+			return nil, l.err
 		}
-		toks = append(toks, tok)
-		if tok.Kind == tokEOF {
+		if toks[len(toks)-1].Kind == tokEOF {
 			return toks, nil
 		}
+		toks = append(toks, token{})
 	}
 }
 
-// next scans the next token; at the end of the input it returns tokEOF,
-// again on every call.
-func (l *lexer) next() (token, error) {
+// scan scans the next token into tok. At the end of the input it yields
+// tokEOF, again on every call; so it does after a lexical error, which it
+// leaves in l.err.
+func (l *lexer) scan(tok *token) {
+	if l.err != nil {
+		*tok = token{Kind: tokEOF}
+		return
+	}
+	if err := l.scanToken(tok); err != nil {
+		l.err = err
+		*tok = token{Kind: tokEOF}
+	}
+}
+
+func (l *lexer) scanToken(tok *token) error {
 	l.skipSpaceAndComments()
 	start := l.pos
-	tok := token{Line: int32(l.line), Col: int32(l.col()), Off: int32(start), End: int32(start)}
+	*tok = token{Line: int32(l.line), Col: int32(l.col()), Off: int32(start), End: int32(start)}
 	if start >= len(l.src) {
-		return tok, nil
+		return nil
 	}
 	c := l.src[start]
 	switch {
 	case isLetter(c):
-		l.lexWord(&tok)
+		l.lexWord(tok)
 	case isDigit(c):
-		if err := l.lexNumber(&tok); err != nil {
-			return tok, err
+		if err := l.lexNumber(tok); err != nil {
+			return err
 		}
 	case c == '\'':
 		// Character literal ('x') or tick (attribute). An attribute tick
@@ -135,16 +148,16 @@ func (l *lexer) next() (token, error) {
 			tok.Kind = tokTick
 		}
 	case c == '"':
-		if err := l.lexString(&tok); err != nil {
-			return tok, err
+		if err := l.lexString(tok); err != nil {
+			return err
 		}
 	default:
-		if err := l.lexOperator(&tok); err != nil {
-			return tok, err
+		if err := l.lexOperator(tok); err != nil {
+			return err
 		}
 	}
-	l.closesName, l.lastEnd = closesName(tok), l.pos
-	return tok, nil
+	l.closesName, l.lastEnd = closesName(*tok), l.pos
+	return nil
 }
 
 // lexWord scans an identifier or keyword. Its bytes are lower-cased and

@@ -27,15 +27,17 @@ func ParseAll(srcs []Source) ([]*DesignFile, error) {
 // the error it returns, even after a syntax error earlier in the file.
 func Parse(file, src string) (*DesignFile, error) {
 	p := &parser{file: file, src: src, lx: newLexer(file, src)}
-	p.la = append(p.la, p.lex())
+	p.la = p.buf[:1]
+	p.lx.scan(&p.la[0])
 	df, err := p.parseFile()
 	if err != nil {
 		// Scan the rest of the file for a lexical error, which wins.
-		for p.lexErr == nil && p.lex().Kind != tokEOF {
+		var t token
+		for p.lx.scan(&t); t.Kind != tokEOF; p.lx.scan(&t) {
 		}
 	}
-	if p.lexErr != nil {
-		return nil, p.lexErr
+	if p.lx.err != nil {
+		return nil, p.lx.err
 	}
 	return df, err
 }
@@ -76,30 +78,19 @@ type parser struct {
 	lx   *lexer
 	// la holds the tokens lexed and not yet consumed: la[0] is the current
 	// token, the rest lookahead. It is never empty: after a lexical error
-	// the lexer's place is taken by an endless end of file.
-	la     []token
-	lexErr error // the lexical error that ended the token stream
-	depth  int   // recursion depth (expressions + statement nesting)
-	a      nodes
-}
-
-// lex returns the next token of the file, or end of file once the lexer
-// has failed.
-func (p *parser) lex() token {
-	if p.lexErr == nil {
-		t, err := p.lx.next()
-		if err == nil {
-			return t
-		}
-		p.lexErr = err
-	}
-	return token{Kind: tokEOF}
+	// the lexer yields an endless end of file. buf backs it while the
+	// lookahead is short.
+	la    []token
+	buf   [4]token
+	depth int // recursion depth (expressions + statement nesting)
+	a     nodes
 }
 
 // peek returns the token i places after the current one.
 func (p *parser) peek(i int) token {
 	for len(p.la) <= i {
-		p.la = append(p.la, p.lex())
+		p.la = append(p.la, token{})
+		p.lx.scan(&p.la[len(p.la)-1])
 	}
 	return p.la[i]
 }
@@ -135,7 +126,7 @@ func (p *parser) next() token {
 // advance makes the next token current.
 func (p *parser) advance() {
 	if len(p.la) == 1 {
-		p.la[0] = p.lex()
+		p.lx.scan(&p.la[0])
 		return
 	}
 	copy(p.la, p.la[1:])
