@@ -54,17 +54,10 @@ type sigRef struct {
 // are made when the first name goes in.
 type instCtx struct {
 	path    string
-	signals map[string]*sigRef
+	signals table[*sigRef]
 	comps   map[string]*ComponentDecl
 	scope   *evalCtx // the instance's constants, types and enums
 	ev      evalCtx  // what scope points at
-}
-
-func (c *instCtx) setSignal(name string, ref *sigRef) {
-	if c.signals == nil {
-		c.signals = make(map[string]*sigRef)
-	}
-	c.signals[name] = ref
 }
 
 // elaborator builds a kernel design from the library.
@@ -253,9 +246,7 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 			nsig += len(sd.Names)
 		}
 	}
-	if nsig > 0 {
-		ctx.signals = make(map[string]*sigRef, nsig)
-	}
+	ctx.signals = withCap[*sigRef](nsig)
 	for _, g := range ent.Generics {
 		v, ok := generics[g.Name]
 		if !ok {
@@ -278,7 +269,7 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 			}
 			ref = e.newSignal(path+"."+p.Name+".open", t, init, declSite{file: ent.File, pos: p.Pos})
 		}
-		ctx.setSignal(p.Name, ref)
+		ctx.signals.set(p.Name, ref)
 	}
 
 	if err := e.elabDecls(ctx, arch.Decls); err != nil {
@@ -306,7 +297,7 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 				init = ec.eval(d.Init, t)
 			}
 			for _, name := range d.Names {
-				ctx.setSignal(name, e.newSignal(ctx.path+"."+name, t, init, declSite{file: e.curFile, pos: d.Pos}))
+				ctx.signals.set(name, e.newSignal(ctx.path+"."+name, t, init, declSite{file: e.curFile, pos: d.Pos}))
 			}
 		case *ComponentDecl:
 			if ctx.comps == nil {
@@ -380,13 +371,13 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 				step = -1
 			}
 			for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
-				saved, had := ctx.ev.consts[s.Var]
+				saved, had := ctx.ev.consts.get(s.Var)
 				ctx.ev.setConst(s.Var, i)
 				err := e.elabConcStmts(ctx, s.Body, fmt.Sprintf("%s.%s(%d)", path, s.Label, i))
 				if had {
-					ctx.ev.consts[s.Var] = saved
+					ctx.ev.setConst(s.Var, saved)
 				} else {
-					delete(ctx.ev.consts, s.Var)
+					ctx.ev.consts.del(s.Var)
 				}
 				if err != nil {
 					return err
@@ -490,7 +481,7 @@ func (e *elaborator) elabInst(ctx *instCtx, inst *InstStmt, path string) error {
 // expression (materialized as an undriven constant signal).
 func (e *elaborator) actualToSignal(ctx *instCtx, actual Expr, pos Pos, path, label, formal string) (*sigRef, error) {
 	if n, ok := actual.(*Name); ok && n.Args == nil && !n.HasSlice && n.Attr == "" {
-		if ref, ok := ctx.signals[n.Ident]; ok {
+		if ref, ok := ctx.signals.get(n.Ident); ok {
 			return ref, nil
 		}
 	}
@@ -695,7 +686,7 @@ func (s *sigScan) markRead(name string, pos Pos) {
 	if _, ok := s.ec.lookupPlain(name); ok || builtinFuncs[name] {
 		return
 	}
-	ref, ok := s.ctx.signals[name]
+	ref, ok := s.ctx.signals.get(name)
 	if !ok {
 		if s.err == nil {
 			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("unknown name %q", name)}
@@ -717,7 +708,7 @@ func (s *sigScan) markWrite(name string, pos Pos) {
 		}
 		return
 	}
-	ref, ok := s.ctx.signals[name]
+	ref, ok := s.ctx.signals.get(name)
 	if !ok {
 		if s.err == nil {
 			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("unknown signal %q", name)}
@@ -811,7 +802,7 @@ func (s *sigScan) scanExpr(e Expr) {
 			e.Attr == "image" {
 			// Type attributes may reference type names; only mark known
 			// signals, and scan any attribute arguments ('image).
-			if _, ok := s.ctx.signals[e.Ident]; ok {
+			if _, ok := s.ctx.signals.get(e.Ident); ok {
 				s.markRead(e.Ident, e.Pos)
 			}
 			for _, a := range e.Args {
@@ -869,7 +860,7 @@ func (c *instCtx) addSensitivity(sens []string, e Expr) []string {
 	case nil:
 	case *Name:
 		n := e.Ident
-		if _, isSig := c.signals[n]; isSig && !builtinFuncs[n] && !slices.Contains(sens, n) {
+		if _, isSig := c.signals.get(n); isSig && !builtinFuncs[n] && !slices.Contains(sens, n) {
 			if _, isConst := c.scope.constant(n); !isConst {
 				sens = append(sens, n)
 			}

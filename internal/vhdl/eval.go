@@ -20,25 +20,15 @@ func evalPanic(pos Pos, format string, args ...any) {
 // instance's scope through outer. A name resolves in the innermost scope that
 // declares it.
 type evalCtx struct {
-	consts map[string]kernel.Value // constants, generics, generate/loop vars
-	types  map[string]*Type        // named types
-	enums  map[string]kernel.Value // enum literal -> its EnumVal, boxed once
+	consts table[kernel.Value] // constants, generics, generate/loop vars
+	types  table[*Type]        // named types
+	enums  table[kernel.Value] // enum literal -> its EnumVal, boxed once
 	outer  *evalCtx
 }
 
-func (c *evalCtx) setConst(name string, v kernel.Value) {
-	if c.consts == nil {
-		c.consts = make(map[string]kernel.Value)
-	}
-	c.consts[name] = v
-}
+func (c *evalCtx) setConst(name string, v kernel.Value) { c.consts.set(name, v) }
 
-func (c *evalCtx) setType(name string, t *Type) {
-	if c.types == nil {
-		c.types = make(map[string]*Type)
-	}
-	c.types[name] = t
-}
+func (c *evalCtx) setType(name string, t *Type) { c.types.set(name, t) }
 
 // declareConst declares constant name of type t with value v. A vector
 // constant's type is recorded too, under "__obj_"+name, for indexing and
@@ -54,11 +44,8 @@ func (c *evalCtx) declareConst(name string, t *Type, v kernel.Value) {
 func (c *evalCtx) declareEnum(d *EnumTypeDecl) {
 	info := &EnumInfo{Name: d.Name, Lits: d.Literals}
 	c.setType(d.Name, &Type{Kind: tEnum, Enum: info})
-	if c.enums == nil {
-		c.enums = make(map[string]kernel.Value, len(d.Literals))
-	}
 	for i, lit := range d.Literals {
-		c.enums[lit] = EnumVal{Enum: info, Ord: i}
+		c.enums.set(lit, EnumVal{Enum: info, Ord: i})
 	}
 }
 
@@ -66,10 +53,7 @@ func (c *evalCtx) declareEnum(d *EnumTypeDecl) {
 // of the boolean literals, which every scope sees.
 func (c *evalCtx) constant(name string) (kernel.Value, bool) {
 	for s := c; s != nil; s = s.outer {
-		if s.consts == nil {
-			continue
-		}
-		if v, ok := s.consts[name]; ok {
+		if v, ok := s.consts.get(name); ok {
 			return v, true
 		}
 	}
@@ -85,7 +69,7 @@ func (c *evalCtx) constant(name string) (kernel.Value, bool) {
 // typ resolves a named type.
 func (c *evalCtx) typ(name string) (*Type, bool) {
 	for s := c; s != nil; s = s.outer {
-		if t, ok := s.types[name]; ok {
+		if t, ok := s.types.get(name); ok {
 			return t, true
 		}
 	}
@@ -99,10 +83,7 @@ func (c *evalCtx) lookupPlain(ident string) (kernel.Value, bool) {
 		return v, true
 	}
 	for s := c; s != nil; s = s.outer {
-		if s.enums == nil {
-			continue
-		}
-		if v, ok := s.enums[ident]; ok {
+		if v, ok := s.enums.get(ident); ok {
 			return v, true
 		}
 	}

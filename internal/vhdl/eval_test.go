@@ -23,13 +23,9 @@ func evalStr(t *testing.T, expr string, consts map[string]kernel.Value) kernel.V
 	}
 	ps := df.Archs[0].Stmts[0].(*ProcessStmt)
 	sa := ps.Body[0].(*SigAssign)
-	ec := &evalCtx{
-		consts: map[string]kernel.Value{"true": true, "false": false},
-		types:  builtinTypes(),
-		enums:  map[string]kernel.Value{},
-	}
+	ec := &evalCtx{types: builtinTypes()}
 	for k, v := range consts {
-		ec.consts[k] = v
+		ec.setConst(k, v)
 	}
 	var out kernel.Value
 	func() {
@@ -123,7 +119,7 @@ func TestEvalVectorOps(t *testing.T) {
 }
 
 func TestEvalAggregates(t *testing.T) {
-	ec := &evalCtx{consts: map[string]kernel.Value{}, types: builtinTypes(), enums: map[string]kernel.Value{}}
+	ec := &evalCtx{types: builtinTypes()}
 	want := &Type{Kind: tVec, Lo: 7, Hi: 0, Downto: true}
 	agg := &Aggregate{Others: &CharLit{Val: '0'}}
 	v := ec.eval(agg, want).(stdlogic.Vec)
@@ -141,11 +137,9 @@ func TestEvalIndexingRespectsDeclaredRange(t *testing.T) {
 	// v : std_logic_vector(7 downto 0) := "10000001": v(7)='1', v(0)='1',
 	// v(6)='0'.
 	downto := &Type{Kind: tVec, Lo: 7, Hi: 0, Downto: true}
-	ec := &evalCtx{
-		consts: map[string]kernel.Value{"v": stdlogic.MustVec("10000001")},
-		types:  map[string]*Type{"__obj_v": downto},
-		enums:  map[string]kernel.Value{},
-	}
+	ec := &evalCtx{}
+	ec.setConst("v", stdlogic.MustVec("10000001"))
+	ec.setType("__obj_v", downto)
 	idx := func(i int64) stdlogic.Std {
 		n := &Name{Ident: "v", Args: []Expr{&IntLit{Val: i}}}
 		return ec.eval(n, nil).(stdlogic.Std)
@@ -154,7 +148,7 @@ func TestEvalIndexingRespectsDeclaredRange(t *testing.T) {
 		t.Errorf("downto indexing broken: v(7)=%v v(6)=%v v(0)=%v", idx(7), idx(6), idx(0))
 	}
 	// "0 to 7" direction flips the mapping.
-	ec.types["__obj_v"] = &Type{Kind: tVec, Lo: 0, Hi: 7}
+	ec.setType("__obj_v", &Type{Kind: tVec, Lo: 0, Hi: 7})
 	if idx(0) != stdlogic.L1 || idx(7) != stdlogic.L1 || idx(1) != stdlogic.L0 {
 		t.Errorf("to indexing broken: v(0)=%v v(1)=%v v(7)=%v", idx(0), idx(1), idx(7))
 	}
@@ -162,11 +156,9 @@ func TestEvalIndexingRespectsDeclaredRange(t *testing.T) {
 
 func TestEvalAttributes(t *testing.T) {
 	downto := &Type{Kind: tVec, Lo: 7, Hi: 0, Downto: true}
-	ec := &evalCtx{
-		consts: map[string]kernel.Value{"v": stdlogic.NewVec(8, stdlogic.L0)},
-		types:  map[string]*Type{"__obj_v": downto},
-		enums:  map[string]kernel.Value{},
-	}
+	ec := &evalCtx{}
+	ec.setConst("v", stdlogic.NewVec(8, stdlogic.L0))
+	ec.setType("__obj_v", downto)
 	attr := func(a string) kernel.Value {
 		return ec.eval(&Name{Ident: "v", Attr: a}, nil)
 	}
@@ -179,7 +171,7 @@ func TestEvalAttributes(t *testing.T) {
 
 func TestVecUintQuickAgainstEval(t *testing.T) {
 	// Property: to_integer(to_unsigned(x, 16)) == x for any uint16.
-	ec := &evalCtx{consts: map[string]kernel.Value{}, types: builtinTypes(), enums: map[string]kernel.Value{}}
+	ec := &evalCtx{types: builtinTypes()}
 	f := func(x uint16) bool {
 		call := &Name{Ident: "to_integer", Args: []Expr{
 			&Name{Ident: "to_unsigned", Args: []Expr{&IntLit{Val: int64(x)}, &IntLit{Val: 16}}},

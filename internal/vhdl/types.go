@@ -177,18 +177,17 @@ func (t *Type) defaultValue() kernel.Value {
 }
 
 // builtinTypes are always in scope (std + ieee.std_logic_1164).
-func builtinTypes() map[string]*Type {
-	intT := &Type{Kind: tInt, Lo: -1 << 62, Hi: 1<<62 - 1}
-	return map[string]*Type{
-		"std_logic":  {Kind: tStd},
-		"std_ulogic": {Kind: tStd},
-		"bit":        {Kind: tStd},
-		"boolean":    {Kind: tBool},
-		"integer":    intT,
-		"natural":    {Kind: tInt, Lo: 0, Hi: 1<<62 - 1},
-		"positive":   {Kind: tInt, Lo: 1, Hi: 1<<62 - 1},
-		"time":       {Kind: tTime},
-	}
+func builtinTypes() table[*Type] {
+	var t table[*Type]
+	t.set("std_logic", &Type{Kind: tStd})
+	t.set("std_ulogic", &Type{Kind: tStd})
+	t.set("bit", &Type{Kind: tStd})
+	t.set("boolean", &Type{Kind: tBool})
+	t.set("integer", &Type{Kind: tInt, Lo: -1 << 62, Hi: 1<<62 - 1})
+	t.set("natural", &Type{Kind: tInt, Lo: 0, Hi: 1<<62 - 1})
+	t.set("positive", &Type{Kind: tInt, Lo: 1, Hi: 1<<62 - 1})
+	t.set("time", &Type{Kind: tTime})
+	return t
 }
 
 // valueString renders a kernel value as VHDL-ish text (for report messages
