@@ -148,7 +148,7 @@ type compiler struct {
 	reads    ports            // read signals, by port
 	writes   ports            // written signals, by port
 	nslots   int
-	lists    *arena[cstmt] // where statement lists come from (nil: make)
+	lists    *arena[cstmt] // where a process's statement lists come from
 }
 
 // slot resolves a loop variable or process variable.
@@ -289,11 +289,12 @@ func (c *compiler) process(decls []*VarDecl, body []Stmt, implicitWait *WaitStmt
 	if implicitWait == nil {
 		return inits, c.stmts(body)
 	}
-	out := make([]cstmt, len(body), len(body)+1)
+	out := c.lists.take(len(body) + 1)
 	for i, st := range body {
 		out[i] = c.stmt(st)
 	}
-	return inits, append(out, c.wait(implicitWait))
+	out[len(body)] = c.wait(implicitWait)
+	return inits, out
 }
 
 // ---- Statements ----
@@ -302,12 +303,7 @@ func (c *compiler) stmts(list []Stmt) []cstmt {
 	if list == nil {
 		return nil
 	}
-	var out []cstmt
-	if c.lists != nil {
-		out = c.lists.take(len(list))
-	} else {
-		out = make([]cstmt, len(list))
-	}
+	out := c.lists.take(len(list))
 	for i, st := range list {
 		out[i] = c.stmt(st)
 	}

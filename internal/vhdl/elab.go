@@ -239,7 +239,7 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 	defer func() { e.curFile = prevFile }()
 
 	ctx := e.newCtx(path)
-	// An instance binds its ports and declared signals: size the map once.
+	// An instance binds its ports and declared signals: size the table once.
 	nsig := len(ent.Ports)
 	for _, d := range arch.Decls {
 		if sd, ok := d.(*SignalDecl); ok {
