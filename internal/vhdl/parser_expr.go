@@ -203,15 +203,6 @@ var timeUnits = map[string]int64{
 	"fs": 1, "ps": 1e3, "ns": 1e6, "us": 1e9, "ms": 1e12, "sec": 1e15,
 }
 
-// isTimeUnit reports whether name is a key of timeUnits, without hashing it.
-func isTimeUnit(name string) bool {
-	switch name {
-	case "fs", "ps", "ns", "us", "ms", "sec":
-		return true
-	}
-	return false
-}
-
 func (p *parser) parsePrimary() (Expr, error) {
 	pos := p.pos0()
 	switch t := p.cur(); t.Kind {
@@ -224,7 +215,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		// Physical literal: integer followed by a time unit.
 		if p.at(tokIdent) {
-			if unit := p.text(p.cur()); isTimeUnit(unit) {
+			if unit := p.text(p.cur()); timeUnits[unit] != 0 {
 				p.next()
 				return p.a.times.of(TimeLit{Pos: pos, Val: v, Unit: unit}), nil
 			}
