@@ -16,10 +16,9 @@ import (
 
 // frontEndAllocsBound caps the allocations of parsing, linting and
 // elaborating testdata/gen12.vhd, per source line. The front end measures
-// 3.03 (it was 8.17 when each token, tree node, per-process fact map and
-// instance scope map was an allocation of its own); the bound leaves about
-// 15 % for small changes to the design's shape. Allocating the parser's
-// names one by one again reads 3.61.
+// 3.03; the bound leaves about 15 % for small changes to the design's
+// shape. Allocating each parsed name on its own, outside the parser's
+// arena, reads 3.61.
 const frontEndAllocsBound = 3.5
 
 func TestFrontEndAllocs(t *testing.T) {

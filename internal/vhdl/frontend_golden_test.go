@@ -28,9 +28,10 @@ var frontendSources = []string{
 
 // TestFrontendGolden pins what the front end makes of every shipped source:
 // the token stream, the parse tree, the lint report and, for each entity
-// taken as the top, the elaborated LP graph (or the elaboration error). The
-// goldens were recorded before the lexer, parser, lint and elaborator were
-// reworked for speed and must not change with such work.
+// taken as the top, the elaborated LP graph (or the elaboration error). A
+// change meant to keep the front end's behaviour, such as one for speed,
+// must leave them byte-identical; -update rewrites them only for a change
+// of behaviour.
 func TestFrontendGolden(t *testing.T) {
 	var paths []string
 	for _, pat := range frontendSources {
