@@ -181,7 +181,9 @@ func (c *compiler) lookup(name string) (cx, bool) {
 
 // sharedReaders is how many slot and port readers are made once and shared
 // by every program: processes with more variables or inputs than that make
-// their own for the rest.
+// their own for the rest. Elaborating the benchmark's generated 807-LP
+// design makes 14,785 allocations sharing one reader of each kind, 14,072
+// sharing 4, 14,060 sharing 16 and 14,044 sharing 32.
 const sharedReaders = 16
 
 var slotReaders, portReaders = func() (slots, ports [sharedReaders]cexpr) {

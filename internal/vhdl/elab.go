@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"govhdl/internal/kernel"
+	"govhdl/internal/nametab"
 	"govhdl/internal/stdlogic"
 )
 
@@ -54,7 +55,7 @@ type sigRef struct {
 // are made when the first name goes in.
 type instCtx struct {
 	path    string
-	signals table[*sigRef]
+	signals nametab.Table[*sigRef]
 	comps   map[string]*ComponentDecl
 	scope   *evalCtx // the instance's constants, types and enums
 	ev      evalCtx  // what scope points at
@@ -246,7 +247,7 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 			nsig += len(sd.Names)
 		}
 	}
-	ctx.signals = withCap[*sigRef](nsig)
+	ctx.signals = nametab.WithCap[*sigRef](nsig)
 	for _, g := range ent.Generics {
 		v, ok := generics[g.Name]
 		if !ok {
@@ -269,7 +270,7 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 			}
 			ref = e.newSignal(path+"."+p.Name+".open", t, init, declSite{file: ent.File, pos: p.Pos})
 		}
-		ctx.signals.set(p.Name, ref)
+		ctx.signals.Set(p.Name, ref)
 	}
 
 	if err := e.elabDecls(ctx, arch.Decls); err != nil {
@@ -297,7 +298,7 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 				init = ec.eval(d.Init, t)
 			}
 			for _, name := range d.Names {
-				ctx.signals.set(name, e.newSignal(ctx.path+"."+name, t, init, declSite{file: e.curFile, pos: d.Pos}))
+				ctx.signals.Set(name, e.newSignal(ctx.path+"."+name, t, init, declSite{file: e.curFile, pos: d.Pos}))
 			}
 		case *ComponentDecl:
 			if ctx.comps == nil {
@@ -371,13 +372,13 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 				step = -1
 			}
 			for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
-				saved, had := ctx.ev.consts.get(s.Var)
+				saved, had := ctx.ev.consts.Get(s.Var)
 				ctx.ev.setConst(s.Var, i)
 				err := e.elabConcStmts(ctx, s.Body, fmt.Sprintf("%s.%s(%d)", path, s.Label, i))
 				if had {
 					ctx.ev.setConst(s.Var, saved)
 				} else {
-					ctx.ev.consts.del(s.Var)
+					ctx.ev.consts.Del(s.Var)
 				}
 				if err != nil {
 					return err
@@ -481,7 +482,7 @@ func (e *elaborator) elabInst(ctx *instCtx, inst *InstStmt, path string) error {
 // expression (materialized as an undriven constant signal).
 func (e *elaborator) actualToSignal(ctx *instCtx, actual Expr, pos Pos, path, label, formal string) (*sigRef, error) {
 	if n, ok := actual.(*Name); ok && n.Args == nil && !n.HasSlice && n.Attr == "" {
-		if ref, ok := ctx.signals.get(n.Ident); ok {
+		if ref, ok := ctx.signals.Get(n.Ident); ok {
 			return ref, nil
 		}
 	}
@@ -686,7 +687,7 @@ func (s *sigScan) markRead(name string, pos Pos) {
 	if _, ok := s.ec.lookupPlain(name); ok || builtinFuncs[name] {
 		return
 	}
-	ref, ok := s.ctx.signals.get(name)
+	ref, ok := s.ctx.signals.Get(name)
 	if !ok {
 		if s.err == nil {
 			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("unknown name %q", name)}
@@ -708,7 +709,7 @@ func (s *sigScan) markWrite(name string, pos Pos) {
 		}
 		return
 	}
-	ref, ok := s.ctx.signals.get(name)
+	ref, ok := s.ctx.signals.Get(name)
 	if !ok {
 		if s.err == nil {
 			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("unknown signal %q", name)}
@@ -802,7 +803,7 @@ func (s *sigScan) scanExpr(e Expr) {
 			e.Attr == "image" {
 			// Type attributes may reference type names; only mark known
 			// signals, and scan any attribute arguments ('image).
-			if _, ok := s.ctx.signals.get(e.Ident); ok {
+			if _, ok := s.ctx.signals.Get(e.Ident); ok {
 				s.markRead(e.Ident, e.Pos)
 			}
 			for _, a := range e.Args {
@@ -860,7 +861,7 @@ func (c *instCtx) addSensitivity(sens []string, e Expr) []string {
 	case nil:
 	case *Name:
 		n := e.Ident
-		if _, isSig := c.signals.get(n); isSig && !builtinFuncs[n] && !slices.Contains(sens, n) {
+		if _, isSig := c.signals.Get(n); isSig && !builtinFuncs[n] && !slices.Contains(sens, n) {
 			if _, isConst := c.scope.constant(n); !isConst {
 				sens = append(sens, n)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"govhdl/internal/kernel"
+	"govhdl/internal/nametab"
 	"govhdl/internal/stdlogic"
 )
 
@@ -20,15 +21,15 @@ func evalPanic(pos Pos, format string, args ...any) {
 // instance's scope through outer. A name resolves in the innermost scope that
 // declares it.
 type evalCtx struct {
-	consts table[kernel.Value] // constants, generics, generate/loop vars
-	types  table[*Type]        // named types
-	enums  table[kernel.Value] // enum literal -> its EnumVal, boxed once
+	consts nametab.Table[kernel.Value] // constants, generics, generate/loop vars
+	types  nametab.Table[*Type]        // named types
+	enums  nametab.Table[kernel.Value] // enum literal -> its EnumVal, boxed once
 	outer  *evalCtx
 }
 
-func (c *evalCtx) setConst(name string, v kernel.Value) { c.consts.set(name, v) }
+func (c *evalCtx) setConst(name string, v kernel.Value) { c.consts.Set(name, v) }
 
-func (c *evalCtx) setType(name string, t *Type) { c.types.set(name, t) }
+func (c *evalCtx) setType(name string, t *Type) { c.types.Set(name, t) }
 
 // declareConst declares constant name of type t with value v. A vector
 // constant's type is recorded too, under "__obj_"+name, for indexing and
@@ -45,7 +46,7 @@ func (c *evalCtx) declareEnum(d *EnumTypeDecl) {
 	info := &EnumInfo{Name: d.Name, Lits: d.Literals}
 	c.setType(d.Name, &Type{Kind: tEnum, Enum: info})
 	for i, lit := range d.Literals {
-		c.enums.set(lit, EnumVal{Enum: info, Ord: i})
+		c.enums.Set(lit, EnumVal{Enum: info, Ord: i})
 	}
 }
 
@@ -53,7 +54,7 @@ func (c *evalCtx) declareEnum(d *EnumTypeDecl) {
 // of the boolean literals, which every scope sees.
 func (c *evalCtx) constant(name string) (kernel.Value, bool) {
 	for s := c; s != nil; s = s.outer {
-		if v, ok := s.consts.get(name); ok {
+		if v, ok := s.consts.Get(name); ok {
 			return v, true
 		}
 	}
@@ -69,7 +70,7 @@ func (c *evalCtx) constant(name string) (kernel.Value, bool) {
 // typ resolves a named type.
 func (c *evalCtx) typ(name string) (*Type, bool) {
 	for s := c; s != nil; s = s.outer {
-		if t, ok := s.types.get(name); ok {
+		if t, ok := s.types.Get(name); ok {
 			return t, true
 		}
 	}
@@ -83,7 +84,7 @@ func (c *evalCtx) lookupPlain(ident string) (kernel.Value, bool) {
 		return v, true
 	}
 	for s := c; s != nil; s = s.outer {
-		if v, ok := s.enums.get(ident); ok {
+		if v, ok := s.enums.Get(ident); ok {
 			return v, true
 		}
 	}

@@ -80,28 +80,6 @@ func isLetter(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// bytesPerToken sizes lex's token slice upfront: VHDL runs 4.6 to 5.9
-// source bytes per token on testdata/, examples/vhdl/ and the benchmark's
-// generated design, so len(src)/bytesPerToken tokens covers a whole file in
-// one allocation instead of a chain of append regrowths.
-const bytesPerToken = 4
-
-// lex tokenizes the whole input. The parser does not need the whole token
-// array; lex is for tools and tests that look at the token stream.
-func (l *lexer) lex() ([]token, error) {
-	toks := make([]token, 1, len(l.src)/bytesPerToken+1)
-	for {
-		l.scan(&toks[len(toks)-1])
-		if l.err != nil {
-			return nil, l.err
-		}
-		if toks[len(toks)-1].Kind == tokEOF {
-			return toks, nil
-		}
-		toks = append(toks, token{})
-	}
-}
-
 // scan scans the next token into tok. At the end of the input it yields
 // tokEOF, again on every call; so it does after a lexical error, which it
 // leaves in l.err.

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"govhdl/internal/nametab"
 	"govhdl/internal/vhdl"
 )
 
@@ -33,26 +34,11 @@ type Unit struct {
 	// order; a signal's count is SignalFact.Drivers.
 	Drivers []Endpoint
 
-	index map[string]int32 // signal name -> number, for units with many signals
+	numbers nametab.Table[int32] // signal name -> number
 }
-
-// smallUnit is the signal count up to which a unit finds a name by scanning
-// its signals rather than through a map.
-const smallUnit = 16
 
 // signal returns the number of the signal declared as name.
-func (u *Unit) signal(name string) (int32, bool) {
-	if u.index == nil {
-		for i := range u.Signals {
-			if u.Signals[i].Name == name {
-				return int32(i), true
-			}
-		}
-		return 0, false
-	}
-	i, ok := u.index[name]
-	return i, ok
-}
+func (u *Unit) signal(name string) (int32, bool) { return u.numbers.Get(name) }
 
 // SignalFact aggregates everything known about one declared signal or port.
 type SignalFact struct {
@@ -209,14 +195,7 @@ func (ex *unitExtractor) extract(file string, arch *vhdl.ArchBody) *Unit {
 			Resolved: isResolvedType(typeName), IsPort: isPort, Mode: mode,
 			builtin: vhdl.IsBuiltinName(name),
 		})
-		if u.index != nil {
-			u.index[name] = int32(len(u.Signals) - 1)
-		} else if len(u.Signals) > smallUnit {
-			u.index = make(map[string]int32, 2*len(u.Signals))
-			for i := range u.Signals {
-				u.index[u.Signals[i].Name] = int32(i)
-			}
-		}
+		u.numbers.Set(name, int32(len(u.Signals)-1))
 	}
 	if u.Entity != nil {
 		for _, p := range u.Entity.Ports {

@@ -79,7 +79,9 @@ type parser struct {
 	// la holds the tokens lexed and not yet consumed: la[0] is the current
 	// token, the rest lookahead. It is never empty: after a lexical error
 	// the lexer yields an endless end of file. buf backs it while the
-	// lookahead is short.
+	// lookahead is short. Consuming a token reslices la past it, so a long
+	// lookahead (looksLikeAssign scans a whole statement) drains in time
+	// linear in its length.
 	la    []token
 	buf   [4]token
 	depth int // recursion depth (expressions + statement nesting)
@@ -126,11 +128,11 @@ func (p *parser) next() token {
 // advance makes the next token current.
 func (p *parser) advance() {
 	if len(p.la) == 1 {
+		p.la = p.buf[:1]
 		p.lx.scan(&p.la[0])
 		return
 	}
-	copy(p.la, p.la[1:])
-	p.la = p.la[:len(p.la)-1]
+	p.la = p.la[1:]
 }
 
 // text returns the text of t: see tokenText.

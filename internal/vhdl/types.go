@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"govhdl/internal/kernel"
+	"govhdl/internal/nametab"
 	"govhdl/internal/pdes"
 	"govhdl/internal/stdlogic"
 	"govhdl/internal/vtime"
@@ -177,16 +178,16 @@ func (t *Type) defaultValue() kernel.Value {
 }
 
 // builtinTypes are always in scope (std + ieee.std_logic_1164).
-func builtinTypes() table[*Type] {
-	var t table[*Type]
-	t.set("std_logic", &Type{Kind: tStd})
-	t.set("std_ulogic", &Type{Kind: tStd})
-	t.set("bit", &Type{Kind: tStd})
-	t.set("boolean", &Type{Kind: tBool})
-	t.set("integer", &Type{Kind: tInt, Lo: -1 << 62, Hi: 1<<62 - 1})
-	t.set("natural", &Type{Kind: tInt, Lo: 0, Hi: 1<<62 - 1})
-	t.set("positive", &Type{Kind: tInt, Lo: 1, Hi: 1<<62 - 1})
-	t.set("time", &Type{Kind: tTime})
+func builtinTypes() nametab.Table[*Type] {
+	var t nametab.Table[*Type]
+	t.Set("std_logic", &Type{Kind: tStd})
+	t.Set("std_ulogic", &Type{Kind: tStd})
+	t.Set("bit", &Type{Kind: tStd})
+	t.Set("boolean", &Type{Kind: tBool})
+	t.Set("integer", &Type{Kind: tInt, Lo: -1 << 62, Hi: 1<<62 - 1})
+	t.Set("natural", &Type{Kind: tInt, Lo: 0, Hi: 1<<62 - 1})
+	t.Set("positive", &Type{Kind: tInt, Lo: 1, Hi: 1<<62 - 1})
+	t.Set("time", &Type{Kind: tTime})
 	return t
 }
 

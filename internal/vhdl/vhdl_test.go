@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"govhdl/internal/kernel"
 	"govhdl/internal/pdes"
@@ -453,4 +454,40 @@ func TestLexerBasics(t *testing.T) {
 
 func runSeqHelper(d *kernel.Design) (any, error) {
 	return pdes.RunSequential(d.Build(), 10*vtime.NS, nil)
+}
+
+// TestLongLookaheadParsesInLinearTime parses a labelled assignment whose
+// target has 200,000 arguments. Telling it from an instantiation looks
+// ahead over the whole target; consuming that lookahead one token at a time
+// must not move the rest of it each time, which would cost about 2e10 token
+// moves here (hours) instead of milliseconds.
+func TestLongLookaheadParsesInLinearTime(t *testing.T) {
+	const args = 200_000
+	var b strings.Builder
+	b.WriteString("entity e is end entity;\narchitecture a of e is\nbegin\nl: x(1")
+	b.WriteString(strings.Repeat(",1", args-1))
+	b.WriteString(") <= y;\nend architecture;\n")
+	start := time.Now()
+	type result struct {
+		df  *DesignFile
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		df, err := Parse("long.vhd", b.String())
+		done <- result{df, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if n := len(r.df.Archs); n != 1 {
+			t.Fatalf("parsed %d architectures, want 1", n)
+		}
+		t.Logf("parsed a %d-argument target in %v", args, time.Since(start))
+	case <-time.After(5 * time.Second):
+		// Parse cannot be cancelled; the process exits at the end of the run.
+		t.Fatalf("parsing a %d-argument target takes more than 5s", args)
+	}
 }
