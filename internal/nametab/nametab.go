@@ -34,7 +34,20 @@ func WithCap[V any](n int) Table[V] {
 // Len returns the number of names bound.
 func (t *Table[V]) Len() int { return len(t.ents) }
 
-func (t *Table[V]) find(key string) (int, bool) {
+// At returns the name and value at position i, 0 <= i < Len. Names keep the
+// order they were first set in, except that Del moves the last name into
+// the place of the one it removes.
+func (t *Table[V]) At(i int) (string, V) { return t.ents[i].key, t.ents[i].val }
+
+// Reset empties the table and keeps its storage for reuse.
+func (t *Table[V]) Reset() {
+	clear(t.ents)
+	t.ents = t.ents[:0]
+	t.index = nil
+}
+
+// Find returns the position of key, for At.
+func (t *Table[V]) Find(key string) (int, bool) {
 	if t.index != nil {
 		i, ok := t.index[key]
 		return i, ok
@@ -49,7 +62,7 @@ func (t *Table[V]) find(key string) (int, bool) {
 
 // Get returns the value bound to key.
 func (t *Table[V]) Get(key string) (v V, ok bool) {
-	i, ok := t.find(key)
+	i, ok := t.Find(key)
 	if ok {
 		v = t.ents[i].val
 	}
@@ -58,7 +71,7 @@ func (t *Table[V]) Get(key string) (v V, ok bool) {
 
 // Set binds key to v, replacing an earlier binding.
 func (t *Table[V]) Set(key string, v V) {
-	if i, ok := t.find(key); ok {
+	if i, ok := t.Find(key); ok {
 		t.ents[i].val = v
 		return
 	}
@@ -76,7 +89,7 @@ func (t *Table[V]) Set(key string, v V) {
 
 // Del removes key's binding, if it has one.
 func (t *Table[V]) Del(key string) {
-	i, ok := t.find(key)
+	i, ok := t.Find(key)
 	if !ok {
 		return
 	}

@@ -215,7 +215,7 @@ func portReader(p int) cexpr {
 // value's width gives it, as (w-1 downto 0).
 func (c *compiler) objectType(name string) *Type {
 	if p, ok := c.reads.port(name); ok {
-		return c.reads[p].ref.typ
+		return c.reads.ref(p).typ
 	}
 	if t, ok := c.vecVars[name]; ok {
 		return t
@@ -413,7 +413,7 @@ func (c *compiler) sigAssign(st *SigAssign) cstmt {
 	if !ok {
 		return raiseStmt(st.Pos, "assignment to unknown signal %q", name)
 	}
-	t := c.writes[port].ref.typ
+	t := c.writes.ref(port).typ
 	pos := st.Pos
 	if len(st.Wave) == 1 && !st.Transport && st.Reject == nil {
 		// The common statement, "sig <= value [after d]": no Edit to build.
@@ -692,7 +692,7 @@ func (c *compiler) wait(st *WaitStmt) cstmt {
 	names := st.On
 	if names == nil && st.Until != nil {
 		// Implicit sensitivity: the signals in the condition.
-		names = signalNamesIn(st.Until, c.reads)
+		names = signalNamesIn(st.Until, &c.reads)
 	}
 	// The sensitivity list is shared by every execution of the wait: the
 	// kernel only reads a Wait's ports, and copies them into its snapshots.

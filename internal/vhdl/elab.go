@@ -2,7 +2,6 @@ package vhdl
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"govhdl/internal/kernel"
@@ -77,9 +76,11 @@ type elaborator struct {
 	// report exact positions.
 	sigDecl []declSite
 	// lists holds the compiled statement lists of every process;
-	// reads and writes are the scan buffers of the process being compiled.
+	// reads and writes are the scan buffers of the process being compiled,
+	// sens that of a concurrent assignment's sensitivity list.
 	lists         arena[cstmt]
 	reads, writes ports
+	sens          nametab.Table[struct{}]
 	refs          arena[sigRef] // the signal bindings of every instance
 }
 
@@ -330,13 +331,14 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 			ps := condAssignToProcess(s)
 			// The equivalent process is sensitive to every signal read in
 			// the conditions and waveform values (IEEE 1076 §11.6).
-			ps.Sensitivity = []string{}
+			e.sens.Reset()
 			for _, arm := range s.Arms {
-				ps.Sensitivity = ctx.addSensitivity(ps.Sensitivity, arm.Cond)
+				ctx.addSensitivity(&e.sens, arm.Cond)
 				for _, w := range arm.Wave {
-					ps.Sensitivity = ctx.addSensitivity(ps.Sensitivity, w.Value)
+					ctx.addSensitivity(&e.sens, w.Value)
 				}
 			}
+			ps.Sensitivity = names(&e.sens)
 			label := s.Label
 			if label == "" {
 				label = fmt.Sprintf("a%d", procN)
@@ -347,12 +349,14 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 		case *SelAssign:
 			procN++
 			ps := selAssignToProcess(s)
-			ps.Sensitivity = ctx.addSensitivity([]string{}, s.Selector)
+			e.sens.Reset()
+			ctx.addSensitivity(&e.sens, s.Selector)
 			for _, arm := range s.Arms {
 				for _, w := range arm.Wave {
-					ps.Sensitivity = ctx.addSensitivity(ps.Sensitivity, w.Value)
+					ctx.addSensitivity(&e.sens, w.Value)
 				}
 			}
+			ps.Sensitivity = names(&e.sens)
 			label := s.Label
 			if label == "" {
 				label = fmt.Sprintf("a%d", procN)
@@ -552,7 +556,9 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 	}
 
 	// Discover the read and written signals.
-	sc := &sigScan{ctx: ctx, ec: local, vars: varTypes, reads: e.reads[:0], writes: e.writes[:0]}
+	sc := &sigScan{ctx: ctx, ec: local, vars: varTypes, reads: e.reads, writes: e.writes}
+	sc.reads.Reset()
+	sc.writes.Reset()
 	sc.scanStmts(ps.Body)
 	if implicitWait != nil {
 		sc.scanStmt(implicitWait)
@@ -612,33 +618,27 @@ type sigScan struct {
 	err           error
 }
 
-// ports are the signals a process reads or writes, by port index, each with
-// its binding. A process touches a handful, so a scan beats a map.
-type ports []portSig
-
-type portSig struct {
-	name string
-	ref  *sigRef
-}
+// ports are the signals a process reads or writes, each with its binding,
+// in order of first use: a signal's port index is its position.
+type ports struct{ nametab.Table[*sigRef] }
 
 // port returns the port index of signal name.
-func (p ports) port(name string) (int, bool) {
-	for i := range p {
-		if p[i].name == name {
-			return i, true
-		}
-	}
-	return 0, false
+func (p *ports) port(name string) (int, bool) { return p.Find(name) }
+
+// ref returns the binding of port i.
+func (p *ports) ref(i int) *sigRef {
+	_, r := p.At(i)
+	return r
 }
 
 // signals returns the kernel signals behind p (nil when p is empty).
-func (p ports) signals() []*kernel.Signal {
-	if len(p) == 0 {
+func (p *ports) signals() []*kernel.Signal {
+	if p.Len() == 0 {
 		return nil
 	}
-	out := make([]*kernel.Signal, len(p))
-	for i := range p {
-		out[i] = p[i].ref.sig
+	out := make([]*kernel.Signal, p.Len())
+	for i := range out {
+		out[i] = p.ref(i).sig
 	}
 	return out
 }
@@ -694,7 +694,7 @@ func (s *sigScan) markRead(name string, pos Pos) {
 		}
 		return
 	}
-	s.reads = append(s.reads, portSig{name, ref})
+	s.reads.Set(name, ref)
 }
 
 func (s *sigScan) markWrite(name string, pos Pos) {
@@ -716,7 +716,7 @@ func (s *sigScan) markWrite(name string, pos Pos) {
 		}
 		return
 	}
-	s.writes = append(s.writes, portSig{name, ref})
+	s.writes.Set(name, ref)
 }
 
 func (s *sigScan) scanStmts(stmts []Stmt) {
@@ -853,34 +853,45 @@ func selAssignToProcess(sa *SelAssign) *ProcessStmt {
 	return &ProcessStmt{Pos: sa.Pos, Label: sa.Label, Body: []Stmt{cs}}
 }
 
-// addSensitivity appends to sens, in order of first mention, the signals e
-// names that sens does not hold yet: every identifier that is not a
-// builtin's, names a signal of the instance and no constant.
-func (c *instCtx) addSensitivity(sens []string, e Expr) []string {
+// addSensitivity adds to sens, in order of first mention, the signals e
+// names: every identifier that is not a builtin's, names a signal of the
+// instance and no constant.
+func (c *instCtx) addSensitivity(sens *nametab.Table[struct{}], e Expr) {
 	switch e := e.(type) {
 	case nil:
 	case *Name:
 		n := e.Ident
-		if _, isSig := c.signals.Get(n); isSig && !builtinFuncs[n] && !slices.Contains(sens, n) {
-			if _, isConst := c.scope.constant(n); !isConst {
-				sens = append(sens, n)
+		if _, isSig := c.signals.Get(n); isSig && !builtinFuncs[n] {
+			if _, seen := sens.Find(n); !seen {
+				if _, isConst := c.scope.constant(n); !isConst {
+					sens.Set(n, struct{}{})
+				}
 			}
 		}
 		for _, a := range e.Args {
-			sens = c.addSensitivity(sens, a)
+			c.addSensitivity(sens, a)
 		}
-		sens = c.addSensitivity(sens, e.SliceLo)
-		sens = c.addSensitivity(sens, e.SliceHi)
+		c.addSensitivity(sens, e.SliceLo)
+		c.addSensitivity(sens, e.SliceHi)
 	case *Unary:
-		sens = c.addSensitivity(sens, e.X)
+		c.addSensitivity(sens, e.X)
 	case *Binary:
-		sens = c.addSensitivity(sens, e.L)
-		sens = c.addSensitivity(sens, e.R)
+		c.addSensitivity(sens, e.L)
+		c.addSensitivity(sens, e.R)
 	case *Aggregate:
 		for _, el := range e.Elems {
-			sens = c.addSensitivity(sens, el)
+			c.addSensitivity(sens, el)
 		}
-		sens = c.addSensitivity(sens, e.Others)
+		c.addSensitivity(sens, e.Others)
 	}
-	return sens
+}
+
+// names returns the names in t in order, as a non-nil slice: a sensitivity
+// list, even an empty one, makes a process wait at its end.
+func names[V any](t *nametab.Table[V]) []string {
+	out := make([]string, t.Len())
+	for i := range out {
+		out[i], _ = t.At(i)
+	}
+	return out
 }

@@ -211,7 +211,7 @@ func (b *procInterp) unwindLoop(target *cloop, pos Pos, isExit bool) {
 }
 
 // signalNamesIn lists the distinct signal names referenced by an expression.
-func signalNamesIn(e Expr, sigs ports) []string {
+func signalNamesIn(e Expr, sigs *ports) []string {
 	seen := map[string]bool{}
 	var out []string
 	var walk func(Expr)

@@ -491,3 +491,45 @@ func TestLongLookaheadParsesInLinearTime(t *testing.T) {
 		t.Fatalf("parsing a %d-argument target takes more than 5s", args)
 	}
 }
+
+// TestWideReadsElaborateInLinearTime elaborates a concurrent assignment that
+// reads 40,000 signals. Its process's read ports and its sensitivity list
+// are each looked up once per name; a scan per lookup would make that about
+// 1e9 string comparisons (tens of seconds) instead of milliseconds.
+func TestWideReadsElaborateInLinearTime(t *testing.T) {
+	const n = 40_000
+	var b strings.Builder
+	b.WriteString("entity wide is end entity;\narchitecture a of wide is\n")
+	for i := range n {
+		fmt.Fprintf(&b, "signal a%d : std_logic := '0';\n", i)
+	}
+	b.WriteString("signal y : std_logic;\nbegin\ny <= a0")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, " or a%d", i)
+	}
+	b.WriteString(";\nend architecture;\n")
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		lib := NewLibrary()
+		if err := lib.ParseAndAdd("wide.vhd", b.String()); err != nil {
+			done <- err
+			return
+		}
+		d, err := lib.Elaborate("wide")
+		if err == nil && d.NumLPs() != n+2 {
+			err = fmt.Errorf("%d LPs, want %d", d.NumLPs(), n+2)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("elaborated a %d-signal read in %v", n, time.Since(start))
+	case <-time.After(5 * time.Second):
+		// Elaborate cannot be cancelled; the process exits at the end of the run.
+		t.Fatalf("elaborating a %d-signal read takes more than 5s", n)
+	}
+}
