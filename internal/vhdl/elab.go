@@ -888,7 +888,7 @@ func (c *instCtx) addSensitivity(sens *nametab.Table[struct{}], e Expr) {
 
 // names returns the names in t in order, as a non-nil slice: a sensitivity
 // list, even an empty one, makes a process wait at its end.
-func names[V any](t *nametab.Table[V]) []string {
+func names(t *nametab.Table[struct{}]) []string {
 	out := make([]string, t.Len())
 	for i := range out {
 		out[i], _ = t.At(i)
