@@ -192,7 +192,7 @@ type Config struct {
 	// counts system-wide: every worker syncs at the first step boundary after
 	// GVTEvery more member events in total. Rounds are also triggered
 	// whenever all workers go idle. A sequential run has no rounds; it calls
-	// OnGVT every GVTEvery events.
+	// OnGVT at the first timestamp boundary after every GVTEvery events.
 	GVTEvery int
 
 	// GVTAdapt has no effect: the GVT cadence is always GVTEvery.
@@ -231,7 +231,8 @@ type Config struct {
 	// Cancel, when non-nil, is an external abort hook: closing the channel
 	// unwinds the run promptly with a Canceled SimError (see IsCanceled).
 	// Parallel runs poison every locally hosted endpoint, exactly like the
-	// stall watchdog; sequential runs observe the channel between events.
+	// stall watchdog; sequential runs observe the channel between
+	// timestamps.
 	// Cancellation never retries (it is neither Transport nor Model) and,
 	// like all supervision, never influences the committed prefix of the
 	// trace — a canceled run's committed records are a prefix of the full

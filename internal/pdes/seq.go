@@ -31,30 +31,28 @@ type Result struct {
 	MemPeak int64
 }
 
-// RunSequential simulates the system on a single pending-event set with no
-// synchronization machinery: the paper's "1 processor execution (improved
-// for sequential simulation)" baseline and the correctness oracle. Events
-// are processed in deterministic (timestamp, event ID) order until every
-// pending event is at or beyond the horizon `until` (exclusive). Run with
+// RunSequential simulates the system as one shard with no synchronization
+// machinery: the paper's "1 processor execution (improved for sequential
+// simulation)" baseline and the correctness oracle. Events are processed in
+// (timestamp, push) order, one timestamp at a time, until every pending
+// event is at or beyond the horizon `until` (exclusive). Run with
 // ProtoSequential is the same kernel with Config.Cancel and Config.OnGVT.
 func RunSequential(sys *System, until vtime.Time, sink TraceSink) (*Result, error) {
 	return runSequential(sys, Config{}, until, sink)
 }
 
-// cancelCheckEvery is how many sequential events execute between looks at the
-// cancel channel: cheap enough to be invisible, frequent enough that a cancel
-// lands within microseconds.
-const cancelCheckEvery = 4096
-
-// runSequential is the sequential kernel. Of cfg it reads only what a run
-// without synchronization has:
-//   - Cancel: once closed, the run stops within cancelCheckEvery events and
-//     returns a Canceled SimError.
-//   - OnGVT: called on the run's goroutine every GVTEvery events with the
-//     smallest pending timestamp, and once at the end with the final GVT.
-//     Every record below that time has been committed when it is called —
-//     the watermark itself, not the previous one as on the parallel engine —
-//     so a streaming consumer can emit through it at once.
+// runSequential is the sequential kernel: the whole system drained as one
+// shard (wholeShard), one timestamp per drain. Of cfg it reads only what a
+// run without synchronization has, at timestamp boundaries, as the phase
+// executor's workers do:
+//   - Cancel: once closed, the run stops at the next boundary and returns a
+//     Canceled SimError.
+//   - OnGVT: called on the run's goroutine at the first boundary after
+//     every GVTEvery events with the next pending timestamp, and once at the
+//     end with the final GVT. Every record below that time has been
+//     committed when it is called — the watermark itself, not the previous
+//     one as on the parallel engine — so a streaming consumer can emit
+//     through it at once.
 //
 // A panic carrying a ModelError (a diagnostic from the simulated design) is
 // converted into a Model-flagged SimError instead of crashing the caller,
@@ -79,62 +77,29 @@ func runSequential(sys *System, cfg Config, until vtime.Time, sink TraceSink) (r
 	start := time.Now()
 	horizon := vtime.VT{PT: until}
 
-	var (
-		pend   pendingSet[*Event]
-		nextID uint64
-		now    vtime.VT
-		cur    LPID
-		pool   eventPool
-	)
-
-	emit := func(dst LPID, ts vtime.VT, kind uint8, data any) {
-		nextID++
-		e := pool.get()
-		e.ID, e.Src, e.Dst, e.TS, e.Kind, e.Data = nextID, cur, dst, ts, kind, data
-		pend.Push(ts, e)
-	}
-	ctx := &Ctx{sys: sys, emit: emit}
-	if sink != nil {
-		ctx.record = func(item any) { sink.Commit(cur, now, item) }
-	}
-
-	// Initialization: every LP that wants to schedules its first events at
-	// virtual time zero.
-	for id, m := range sys.models {
-		if im, ok := m.(InitModel); ok {
-			cur, now = LPID(id), vtime.Zero
-			ctx.self, ctx.now = cur, now
-			im.Init(ctx)
-		}
-	}
-
-	var processed uint64
-	round := uint64(cfg.GVTEvery)
+	m := wholeShard(sys, sink)
+	m.init()
+	var processed, synced uint64
 	for {
-		if cfg.Cancel != nil && processed%cancelCheckEvery == 0 {
+		if cfg.Cancel != nil {
 			select {
 			case <-cfg.Cancel:
 				return nil, errCanceled()
 			default:
 			}
 		}
-		next := pend.MinTS()
+		next := m.pend.MinTS()
 		if !next.Less(horizon) { // vtime.Inf when empty
 			break
 		}
-		if cfg.OnGVT != nil && processed >= round {
+		if cfg.OnGVT != nil && processed-synced >= uint64(cfg.GVTEvery) {
 			cfg.OnGVT(next)
-			round = processed + uint64(cfg.GVTEvery)
+			synced = processed
 		}
-		ev := pend.Pop()
-		cur, now = ev.Dst, ev.TS
-		ctx.self, ctx.now = cur, now
-		sys.models[ev.Dst].Execute(ctx, ev)
-		pool.put(ev) // models must not retain events beyond Execute
-		processed++
+		processed += uint64(m.drain(next))
 	}
 
-	gvt := pend.MinTS()
+	gvt := m.pend.MinTS()
 	if horizon.Less(gvt) {
 		gvt = horizon
 	}

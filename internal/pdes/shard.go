@@ -142,6 +142,21 @@ func newShardModel(ss *ShardedSystem, shard LPID, members []LPID) *shardModel {
 	return m
 }
 
+// wholeShard returns every LP of sys as the members of one shard, which no
+// executor owns: the sequential kernel drains it itself, committing member
+// records to sink (nil: none).
+func wholeShard(sys *System, sink TraceSink) *shardModel {
+	all := make([]LPID, sys.NumLPs())
+	for i := range all {
+		all[i] = LPID(i)
+	}
+	m := newShardModel(&ShardedSystem{orig: sys, shardOf: make([]LPID, len(all))}, 0, all)
+	if sink != nil {
+		m.sink, m.mctx.record = sink, m.record
+	}
+	return m
+}
+
 // adopt binds the shard to the executor that owns it in this process.
 func (m *shardModel) adopt(w *phaseWorker) {
 	m.w, m.sink = w, w.sink

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"hash"
 	"strings"
 	"sync"
@@ -83,8 +84,25 @@ func (c *Cache) Get(key string, build func() (*Design, int64, error)) (*Design, 
 	c.entries[key] = e
 	c.mu.Unlock()
 
+	// A build that panics has failed: its entry goes and its waiters get an
+	// error while the panic unwinds, so no later Get of the key waits for a
+	// build that will never finish.
+	built := false
+	defer func() {
+		if !built {
+			c.finish(e, nil, 0, errBuildPanicked)
+		}
+	}()
 	d, n, err := build()
+	built = true
+	c.finish(e, d, n, err)
+	return d, false, err
+}
 
+var errBuildPanicked = errors.New("server: building the design panicked")
+
+// finish records the outcome of e's build and releases its waiters.
+func (c *Cache) finish(e *entry, d *Design, n int64, err error) {
 	c.mu.Lock()
 	e.d, e.bytes, e.err, e.done = d, n, err, true
 	if err != nil {
@@ -95,7 +113,6 @@ func (c *Cache) Get(key string, build func() (*Design, int64, error)) (*Design, 
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return d, false, err
 }
 
 // evictLocked drops least-recently-used ready entries until the cache fits

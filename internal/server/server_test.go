@@ -610,3 +610,60 @@ func TestCacheLRU(t *testing.T) {
 		t.Errorf("builds = %d, want 1 (single-flight)", builds)
 	}
 }
+
+// TestCacheSurvivesPanickingBuild: a build that panics passes its panic on,
+// hands a waiter an error, and leaves no entry behind, so the next Get of the
+// same key builds again instead of waiting forever.
+func TestCacheSurvivesPanickingBuild(t *testing.T) {
+	c := NewCache(1 << 20)
+	started, release := make(chan struct{}), make(chan struct{})
+	boom := func() (*Design, int64, error) {
+		close(started)
+		<-release
+		panic("boom")
+	}
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Get("k", boom)
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := c.Get("k", nil) // joins the build in flight
+		waiter <- err
+	}()
+	for c.Stats().Hits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("the build's panic became %v", r)
+	}
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Fatal("a waiter on the panicked build got no error")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a waiter on the panicked build did not return within 1s")
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, hit, err := c.Get("k", func() (*Design, int64, error) {
+			return &Design{Proto: kernel.NewDesign("d")}, 10, nil
+		})
+		if hit {
+			err = fmt.Errorf("the panicked build was cached")
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Get after a panicked build did not return within 1s")
+	}
+}

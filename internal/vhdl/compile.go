@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"govhdl/internal/kernel"
+	"govhdl/internal/nametab"
 	"govhdl/internal/stdlogic"
 )
 
@@ -13,6 +14,15 @@ import (
 // running process, a constant or enumeration literal its value, a signal the
 // port it is read through. Operators and builtins are chosen there too, so a
 // resumed process evaluates no name, operator or type by its spelling.
+//
+// The same walk finds the process's ports: a name that is no variable,
+// constant, enumeration literal or builtin but a signal of the instance
+// becomes the next input port when it is first read, and the target of a
+// signal assignment the next output port, so ports are numbered in order of
+// first use. A name that resolves to nothing, or an assignment target that
+// is no signal, is an elaboration error. Where a construct compiles to a
+// run-time failure, its operands are compiled all the same: which signals a
+// process reads does not depend on whether a branch of it can run.
 //
 // A sub-expression that reads no variable or signal is folded to its value
 // when evaluating it succeeds. When it fails, the closure raises the same
@@ -140,7 +150,11 @@ type compiler struct {
 	ec *evalCtx // constants, types and enumeration literals
 
 	// The process scope; all empty in a constant context.
-	proc     bool             // compiling a process: signals are in scope
+	proc bool // compiling a process: signals are in scope
+	// sigs are the instance's signals while a process body compiles, where
+	// a signal read or assigned becomes a port; nil in constant expressions
+	// and initial values, which add none.
+	sigs     *nametab.Table[*sigRef]
 	vars     map[string]int   // process variable -> slot (nil in initial values)
 	varTypes map[string]*Type // declared type of each process variable
 	vecVars  map[string]*Type // vector variables declared so far, by type
@@ -149,6 +163,35 @@ type compiler struct {
 	writes   ports            // written signals, by port
 	nslots   int
 	lists    *arena[cstmt] // where a process's statement lists come from
+
+	edge    bool   // the body detects an edge: 'event, rising_edge, falling_edge
+	sensing bool   // a wait until's condition is compiling: sensed collects
+	sensed  []int  // the ports resolved while it compiles, repeats included
+	err     *Error // the first elaboration error, in walk order
+}
+
+// ports are the signals a process reads or writes, each with its binding,
+// in order of first use: a signal's port index is its position.
+type ports = nametab.Table[*sigRef]
+
+// signalsOf returns the kernel signals behind p (nil when p is empty).
+func signalsOf(p *ports) []*kernel.Signal {
+	if p.Len() == 0 {
+		return nil
+	}
+	out := make([]*kernel.Signal, p.Len())
+	for i := range out {
+		_, ref := p.At(i)
+		out[i] = ref.sig
+	}
+	return out
+}
+
+// fail records an elaboration error at pos unless an earlier one is.
+func (c *compiler) fail(pos Pos, format string, args ...any) {
+	if c.err == nil {
+		c.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf(format, args...)}
+	}
 }
 
 // slot resolves a loop variable or process variable.
@@ -162,21 +205,102 @@ func (c *compiler) slot(name string) (int, bool) {
 	return s, ok
 }
 
-// lookup resolves a bare identifier: variables, constants, enumeration
-// literals, then signals. A read signal is tried before the constant scope:
-// the process's scan made it a read only after finding no constant or
-// enumeration literal of that name.
-func (c *compiler) lookup(name string) (cx, bool) {
+// lookup resolves a bare identifier read at pos: a variable, a signal, then
+// a constant or enumeration literal (a signal shadowed by one of those is
+// never made a port, see signal).
+func (c *compiler) lookup(name string, pos Pos) (cx, bool) {
 	if s, ok := c.slot(name); ok {
 		return dyn(slotReader(s)), true
 	}
-	if p, ok := c.reads.port(name); ok {
+	if p, ok := c.signal(name, pos); ok {
 		return dyn(portReader(p)), true
 	}
 	if v, ok := c.ec.lookupPlain(name); ok {
 		return konst(v), true
 	}
 	return cx{}, false
+}
+
+// port resolves name, read at pos, to its input port: a signal that no
+// variable shadows.
+func (c *compiler) port(name string, pos Pos) (int, bool) {
+	if _, ok := c.slot(name); ok {
+		return 0, false
+	}
+	return c.signal(name, pos)
+}
+
+// signal resolves a name no variable shadows to the input port it is read
+// through. In a process body the first read of a signal of the instance
+// that no constant, enumeration literal or builtin shadows adds the next
+// port, and a name that is none of these is unknown: an elaboration error
+// at pos.
+func (c *compiler) signal(name string, pos Pos) (int, bool) {
+	p, ok := c.reads.Find(name)
+	if !ok {
+		if c.sigs == nil || builtinFuncs[name] {
+			return 0, false
+		}
+		if _, isConst := c.ec.lookupPlain(name); isConst {
+			return 0, false
+		}
+		ref, isSig := c.sigs.Get(name)
+		if !isSig {
+			c.fail(pos, "unknown name %q", name)
+			return 0, false
+		}
+		p = c.reads.Len()
+		c.reads.Set(name, ref)
+	}
+	if c.sensing {
+		c.sensed = append(c.sensed, p)
+	}
+	return p, true
+}
+
+// write resolves the target of a signal assignment at pos to its output
+// port, adding the next one on a signal's first assignment. A target that is
+// no signal is an elaboration error.
+func (c *compiler) write(name string, pos Pos) (int, bool) {
+	_, shadowed := c.slot(name)
+	if !shadowed {
+		if p, ok := c.writes.Find(name); ok {
+			return p, true
+		}
+		_, shadowed = c.ec.lookupPlain(name)
+	}
+	if shadowed {
+		c.fail(pos, "assignment to non-signal %q with <=", name)
+		return 0, false
+	}
+	ref, ok := c.sigs.Get(name)
+	if !ok {
+		c.fail(pos, "unknown signal %q", name)
+		return 0, false
+	}
+	c.writes.Set(name, ref)
+	return c.writes.Len() - 1, true
+}
+
+// resolve compiles es only for the names in them: what holds them fails when
+// it runs, but the signals they name are read all the same.
+func (c *compiler) resolve(es ...Expr) {
+	for _, e := range es {
+		if e != nil {
+			c.expr(e, nil)
+		}
+	}
+}
+
+// mention reads the signal a type attribute names (s'length): any other name
+// there may be a type mark and is left to the attribute.
+func (c *compiler) mention(n *Name) {
+	if c.sigs == nil {
+		return
+	}
+	if _, ok := c.sigs.Get(n.Ident); ok {
+		c.port(n.Ident, n.Pos)
+	}
 }
 
 // sharedReaders is how many slot and port readers are made once and shared
@@ -214,8 +338,8 @@ func portReader(p int) cexpr {
 // type, a vector variable's or a vector constant's; nil when only the
 // value's width gives it, as (w-1 downto 0).
 func (c *compiler) objectType(name string) *Type {
-	if p, ok := c.reads.port(name); ok {
-		return c.reads.ref(p).typ
+	if ref, ok := c.reads.Get(name); ok {
+		return ref.typ
 	}
 	if t, ok := c.vecVars[name]; ok {
 		return t
@@ -226,17 +350,23 @@ func (c *compiler) objectType(name string) *Type {
 	return nil
 }
 
-// namedType resolves the type an attribute or a range names: a type mark, or
-// the type of a named object.
-func (c *compiler) namedType(name string) (*Type, bool) {
+// namedType resolves the type an attribute or a range names (n'length,
+// n'range): a type mark, or the type of a named object.
+func (c *compiler) namedType(n *Name) (*Type, bool) {
+	c.mention(n)
+	c.resolve(n.Args...)
+	name := n.Ident
 	if t, ok := c.ec.typ(name); ok {
 		return t, true
 	}
 	if t := c.objectType(name); t != nil {
 		return t, true
 	}
-	if x, ok := c.lookup(name); ok && x.konst {
-		if vec, isVec := x.val.(stdlogic.Vec); isVec {
+	if _, isVar := c.slot(name); isVar {
+		return nil, false
+	}
+	if v, ok := c.ec.lookupPlain(name); ok {
+		if vec, isVec := v.(stdlogic.Vec); isVec {
 			return &Type{Kind: tVec, Lo: int64(len(vec)) - 1, Hi: 0, Downto: true}, true
 		}
 	}
@@ -254,17 +384,41 @@ func objOffset(t *Type, vec stdlogic.Vec, idx int64) (int, error) {
 
 // ---- Processes ----
 
-// process compiles the variable declarations and the body of a process,
-// followed by the wait its sensitivity list implies (nil without one).
-func (c *compiler) process(decls []*VarDecl, body []Stmt, implicitWait *WaitStmt) ([]cinit, []cstmt) {
-	var vars map[string]int
-	var inits []cinit
+// process compiles the body of a process with its variables in scope,
+// followed by the wait its sensitivity list implies (nil without one). The
+// variables take the first slots, in declaration order.
+func (c *compiler) process(decls []*VarDecl, body []Stmt, implicitWait *WaitStmt) []cstmt {
 	if len(decls) > 0 {
-		vars = make(map[string]int, len(c.varTypes))
-		inits = make([]cinit, 0, len(c.varTypes))
+		c.vars = make(map[string]int, len(c.varTypes))
 	}
-	// Initial values see no variable; a vector variable's type is known to
-	// the attributes of the declarations after it.
+	for _, d := range decls {
+		for _, n := range d.Names {
+			c.vars[n] = c.nslots
+			c.nslots++
+			c.declaredVec(n, c.varTypes[d.Names[0]])
+		}
+	}
+	if implicitWait == nil {
+		return c.stmts(body)
+	}
+	out := c.lists.take(len(body) + 1)
+	for i, st := range body {
+		out[i] = c.stmt(st)
+	}
+	out[len(body)] = c.wait(implicitWait)
+	return out
+}
+
+// inits compiles the initial values of a process's variables, after its
+// body: they see no variable and add no port, so they read only signals the
+// body reads, and a vector variable's type is known to the attributes of
+// the declarations after it.
+func (c *compiler) inits(decls []*VarDecl) []cinit {
+	if len(decls) == 0 {
+		return nil
+	}
+	inits := make([]cinit, 0, len(c.vars))
+	c.vars, c.sigs, c.vecVars = nil, nil, nil
 	for _, d := range decls {
 		t := c.varTypes[d.Names[0]]
 		for _, n := range d.Names {
@@ -276,27 +430,23 @@ func (c *compiler) process(decls []*VarDecl, body []Stmt, implicitWait *WaitStmt
 			} else {
 				x = dyn(func(*procInterp) kernel.Value { return t.defaultValue() })
 			}
-			inits = append(inits, cinit{slot: c.nslots, val: x.val, fn: x.fn})
-			vars[n] = c.nslots
-			c.nslots++
-			if t.Kind == tVec {
-				if c.vecVars == nil {
-					c.vecVars = map[string]*Type{}
-				}
-				c.vecVars[n] = t
-			}
+			inits = append(inits, cinit{slot: len(inits), val: x.val, fn: x.fn})
+			c.declaredVec(n, t)
 		}
 	}
-	c.vars = vars
-	if implicitWait == nil {
-		return inits, c.stmts(body)
+	return inits
+}
+
+// declaredVec records that variable n of type t is declared, when it is a
+// vector.
+func (c *compiler) declaredVec(n string, t *Type) {
+	if t.Kind != tVec {
+		return
 	}
-	out := c.lists.take(len(body) + 1)
-	for i, st := range body {
-		out[i] = c.stmt(st)
+	if c.vecVars == nil {
+		c.vecVars = map[string]*Type{}
 	}
-	out[len(body)] = c.wait(implicitWait)
-	return inits, out
+	c.vecVars[n] = t
 }
 
 // ---- Statements ----
@@ -341,16 +491,19 @@ func (c *compiler) stmt(st Stmt) cstmt {
 }
 
 func (c *compiler) varAssign(st *VarAssign) cstmt {
-	name := st.Target.Ident
+	name, tg := st.Target.Ident, st.Target
 	s, ok := c.slot(name)
 	if !ok {
+		c.resolve(tg.Args...)
+		c.resolve(tg.SliceLo, tg.SliceHi, st.Value)
 		return raiseStmt(st.Pos, "assignment to undeclared variable %q", name)
 	}
 	t := c.varTypes[name]
 	pos := st.Pos
 	switch {
-	case st.Target.Args != nil:
-		idx := c.integer(st.Target.Args[0])
+	case tg.Args != nil:
+		idx := c.integer(tg.Args[0])
+		c.resolve(tg.Args[1:]...)
 		val := c.expr(st.Value, stdType).run()
 		return func(b *procInterp) (kernel.Wait, bool) {
 			vec, ok := b.slots[s].(stdlogic.Vec)
@@ -373,7 +526,8 @@ func (c *compiler) varAssign(st *VarAssign) cstmt {
 			b.slots[s] = nv
 			return kernel.Wait{}, false
 		}
-	case st.Target.HasSlice:
+	case tg.HasSlice:
+		c.resolve(tg.SliceLo, tg.SliceHi, st.Value)
 		return raiseStmt(pos, "slice assignment targets are not supported")
 	}
 	x := c.coerced(pos, c.expr(st.Value, t), t)
@@ -408,12 +562,16 @@ func (c *compiler) coerced(pos Pos, x cx, t *Type) cx {
 }
 
 func (c *compiler) sigAssign(st *SigAssign) cstmt {
-	name := st.Target.Ident
-	port, ok := c.writes.port(name)
-	if !ok {
-		return raiseStmt(st.Pos, "assignment to unknown signal %q", name)
+	if st.Target.Args != nil || st.Target.HasSlice {
+		c.fail(st.Pos, "indexed or sliced signal assignment targets are not supported (assign the whole signal)")
+		return nullStmt
 	}
-	t := c.writes.ref(port).typ
+	port, ok := c.write(st.Target.Ident, st.Pos)
+	if !ok {
+		return nullStmt // elaboration fails
+	}
+	_, ref := c.writes.At(port)
+	t := ref.typ
 	pos := st.Pos
 	if len(st.Wave) == 1 && !st.Transport && st.Reject == nil {
 		// The common statement, "sig <= value [after d]": no Edit to build.
@@ -526,10 +684,7 @@ func (c *compiler) caseStmt(st *CaseStmt) cstmt {
 	sel := c.expr(st.Expr, nil).run()
 	arms := make([]arm, len(st.Arms))
 	for i, a := range st.Arms {
-		arms[i] = arm{others: a.Others, body: c.stmts(a.Body)}
-		if a.Others {
-			continue
-		}
+		arms[i].others = a.Others // with no choices
 		arms[i].choices = make([]choice, len(a.Choices))
 		for j, ch := range a.Choices {
 			if ag, ok := ch.(*Aggregate); ok {
@@ -551,6 +706,7 @@ func (c *compiler) caseStmt(st *CaseStmt) cstmt {
 				arms[i].choices[j].fn = func(b *procInterp, _ kernel.Value) kernel.Value { return f(b) }
 			}
 		}
+		arms[i].body = c.stmts(a.Body)
 	}
 	pos := st.Pos
 	return func(b *procInterp) (kernel.Wait, bool) {
@@ -579,16 +735,15 @@ func (c *compiler) caseStmt(st *CaseStmt) cstmt {
 
 func (c *compiler) forLoop(st *ForLoop) cstmt {
 	var lo, hi cint
-	downto := st.Downto
+	downto, typed := st.Downto, true
 	if st.RangeAttr != nil {
-		t, ok := c.namedType(st.RangeAttr.Ident)
-		if !ok {
-			return raiseStmt(st.Pos, "cannot resolve the type of %q", st.RangeAttr.Ident)
+		var t *Type
+		if t, typed = c.namedType(st.RangeAttr); typed {
+			l, h := t.Lo, t.Hi
+			lo = func(*procInterp) int64 { return l }
+			hi = func(*procInterp) int64 { return h }
+			downto = t.Downto
 		}
-		l, h := t.Lo, t.Hi
-		lo = func(*procInterp) int64 { return l }
-		hi = func(*procInterp) int64 { return h }
-		downto = t.Downto
 	} else {
 		lo = c.integer(st.Lo)
 		hi = c.integer(st.Hi)
@@ -601,6 +756,9 @@ func (c *compiler) forLoop(st *ForLoop) cstmt {
 	c.loops = append(c.loops, loopScope{name: st.Var, label: st.Label, loop: lp})
 	body := c.stmts(st.Body)
 	c.loops = c.loops[:len(c.loops)-1]
+	if !typed {
+		return raiseStmt(st.Pos, "cannot resolve the type of %q", st.RangeAttr.Ident)
+	}
 	return func(b *procInterp) (kernel.Wait, bool) {
 		l := lo(b)
 		h := hi(b)
@@ -689,29 +847,42 @@ func (c *compiler) report(st *ReportStmt) cstmt {
 }
 
 func (c *compiler) wait(st *WaitStmt) cstmt {
-	names := st.On
-	if names == nil && st.Until != nil {
-		// Implicit sensitivity: the signals in the condition.
-		names = signalNamesIn(st.Until, &c.reads)
-	}
 	// The sensitivity list is shared by every execution of the wait: the
 	// kernel only reads a Wait's ports, and copies them into its snapshots.
-	ports := make([]int, 0, len(names))
-	for _, n := range names {
-		p, ok := c.reads.port(n)
-		if !ok {
-			return raiseStmt(st.Pos, "wait on unknown signal %q", n)
+	ports := make([]int, 0, len(st.On))
+	var notSignal *string
+	for i, n := range st.On {
+		if p, ok := c.port(n, st.Pos); ok {
+			ports = append(ports, p)
+		} else if notSignal == nil {
+			notSignal = &st.On[i]
 		}
-		ports = append(ports, p)
 	}
 	hasCond := st.HasCond
 	var until cbool
 	if hasCond {
+		// Without an explicit list the wait is sensitive to the signals its
+		// condition reads, in order of first mention.
+		implicit := st.On == nil
+		c.sensing, c.sensed = implicit, c.sensed[:0]
 		until = c.boolean(st.Until)
+		c.sensing = false
+		if implicit {
+			seen := make([]bool, c.reads.Len())
+			for _, p := range c.sensed {
+				if !seen[p] {
+					seen[p] = true
+					ports = append(ports, p)
+				}
+			}
+		}
 	}
 	var timeout ctime
 	if st.HasFor {
 		timeout = c.duration(st.For)
+	}
+	if notSignal != nil {
+		return raiseStmt(st.Pos, "wait on unknown signal %q", *notSignal)
 	}
 	return func(b *procInterp) (kernel.Wait, bool) {
 		w := kernel.Wait{Ports: ports, HasCond: hasCond}
@@ -780,6 +951,7 @@ func (c *compiler) expr(e Expr, want *Type) cx {
 		return konst(strLit(e.Val, want))
 	case *Aggregate:
 		if want == nil || want.Kind != tVec {
+			c.aggregate(e)
 			return raise(e.Pos, "aggregate requires a vector context")
 		}
 		agg, pure := c.aggregate(e)
@@ -799,17 +971,17 @@ func (c *compiler) expr(e Expr, want *Type) cx {
 // pure reports that every element is constant.
 func (c *compiler) aggregate(a *Aggregate) (agg func(b *procInterp, w int) kernel.Value, pure bool) {
 	pure = true
-	var fill cexpr
-	if a.Others != nil {
-		x := c.expr(a.Others, stdType)
-		pure = x.konst
-		fill = x.run()
-	}
 	elems := make([]cexpr, len(a.Elems))
 	for i, el := range a.Elems {
 		x := c.expr(el, stdType)
 		pure = pure && x.konst
 		elems[i] = x.run()
+	}
+	var fill cexpr
+	if a.Others != nil {
+		x := c.expr(a.Others, stdType)
+		pure = pure && x.konst
+		fill = x.run()
 	}
 	pos := a.Pos
 	return func(b *procInterp, w int) kernel.Value {
@@ -880,6 +1052,7 @@ func literalBeside(e Expr) (plain, timed kernel.Value, ok bool) {
 func (c *compiler) binary(e *Binary) cx {
 	op, known := binOpNamed(e.Op)
 	if !known {
+		c.resolve(e.L, e.R)
 		return raise(e.Pos, "unsupported operator %q", e.Op)
 	}
 	pos := e.Pos
@@ -939,6 +1112,9 @@ func (c *compiler) name(n *Name) cx {
 	if n.Attr != "" {
 		return c.attr(n)
 	}
+	if n.Ident == "rising_edge" || n.Ident == "falling_edge" {
+		c.edge = true // even where the call fails to compile
+	}
 	if n.Args != nil {
 		if x, ok := c.builtin(n); ok {
 			return x
@@ -948,18 +1124,20 @@ func (c *compiler) name(n *Name) cx {
 	if n.HasSlice {
 		return c.slice(n)
 	}
-	if x, ok := c.lookup(n.Ident); ok {
+	if x, ok := c.lookup(n.Ident, n.Pos); ok {
 		return x
 	}
 	return raise(n.Pos, "unknown name %q", n.Ident)
 }
 
 func (c *compiler) index(n *Name) cx {
-	base, ok := c.lookup(n.Ident)
+	base, ok := c.lookup(n.Ident, n.Pos)
 	if !ok {
+		c.resolve(n.Args...)
 		return raise(n.Pos, "unknown function or array %q", n.Ident)
 	}
 	if len(n.Args) != 1 {
+		c.resolve(n.Args...)
 		return raise(n.Pos, "multidimensional indexing is not supported")
 	}
 	idx := c.expr(n.Args[0], nil)
@@ -985,8 +1163,9 @@ func (c *compiler) index(n *Name) cx {
 }
 
 func (c *compiler) slice(n *Name) cx {
-	base, ok := c.lookup(n.Ident)
+	base, ok := c.lookup(n.Ident, n.Pos)
 	if !ok {
+		c.resolve(n.SliceLo, n.SliceHi)
 		return raise(n.Pos, "unknown name %q", n.Ident)
 	}
 	lo := c.expr(n.SliceLo, nil)
@@ -1029,10 +1208,13 @@ func intOf(x cx) cint {
 func (c *compiler) attr(n *Name) cx {
 	switch n.Attr {
 	case "event":
+		c.edge = true
+		p, ok := c.port(n.Ident, n.Pos)
+		c.resolve(n.Args...)
+		c.resolve(n.SliceLo, n.SliceHi)
 		if !c.proc {
 			return raise(n.Pos, "'event outside a process")
 		}
-		p, ok := c.reads.port(n.Ident)
 		if !ok {
 			return raise(n.Pos, "'event on non-signal %q", n.Ident)
 		}
@@ -1040,7 +1222,9 @@ func (c *compiler) attr(n *Name) cx {
 	case "image":
 		// type'image(expr): VHDL predefined attribute; rendered with the
 		// same formatting used by report messages.
+		c.mention(n)
 		if len(n.Args) != 1 {
+			c.resolve(n.Args...)
 			return raise(n.Pos, "'image takes one argument")
 		}
 		x := c.expr(n.Args[0], nil)
@@ -1049,8 +1233,14 @@ func (c *compiler) attr(n *Name) cx {
 		}
 		f := x.fn
 		return dyn(func(b *procInterp) kernel.Value { return valueString(f(b)) })
+	case "range":
+		// Only a for loop ranges over it; the signal it names is read as
+		// there.
+		c.mention(n)
+		c.resolve(n.Args...)
+		return raise(n.Pos, "unsupported attribute '%s", n.Attr)
 	case "length", "left", "right", "high", "low":
-		t, ok := c.namedType(n.Ident)
+		t, ok := c.namedType(n)
 		if !ok {
 			return raise(n.Pos, "cannot resolve the type of %q", n.Ident)
 		}
@@ -1073,6 +1263,9 @@ func (c *compiler) attr(n *Name) cx {
 			return konst(t.Lo)
 		}
 	}
+	c.port(n.Ident, n.Pos)
+	c.resolve(n.Args...)
+	c.resolve(n.SliceLo, n.SliceHi)
 	return raise(n.Pos, "unsupported attribute '%s", n.Attr)
 }
 
@@ -1091,11 +1284,12 @@ func (c *compiler) builtin(n *Name) (cx, bool) {
 	switch ident {
 	case "rising_edge", "falling_edge":
 		// Needs event info: the argument must be a plain signal name.
+		c.resolve(n.Args...)
 		sn, ok := n.Args[0].(*Name)
 		if !ok || !c.proc {
 			return raise(pos, "%s requires a signal argument", ident), true
 		}
-		p, ok := c.reads.port(sn.Ident)
+		p, ok := c.port(sn.Ident, sn.Pos)
 		if !ok {
 			return raise(pos, "%s on non-signal %q", ident, sn.Ident), true
 		}
@@ -1113,6 +1307,7 @@ func (c *compiler) builtin(n *Name) (cx, bool) {
 		}), true
 	case "to_integer", "to_int", "conv_integer":
 		a := c.arg(n, 0)
+		c.resolve(n.Args[1:]...) // unused, but read
 		af := a.run()
 		return finish(func(b *procInterp) kernel.Value { return toInteger(pos, af(b)) }, a.konst), true
 	case "to_unsigned", "to_stdlogicvector", "std_logic_vector", "to_slv", "conv_std_logic_vector":
@@ -1122,6 +1317,7 @@ func (c *compiler) builtin(n *Name) (cx, bool) {
 		if len(n.Args) > 1 {
 			w := c.expr(n.Args[1], nil)
 			width, pure = intOf(w), pure && w.konst
+			c.resolve(n.Args[2:]...)
 		}
 		af := a.run()
 		return finish(func(b *procInterp) kernel.Value {
@@ -1141,6 +1337,7 @@ func (c *compiler) builtin(n *Name) (cx, bool) {
 	case "unsigned", "signed":
 		// numeric_std casts are identity in this value model.
 		if len(n.Args) != 1 {
+			c.resolve(n.Args...)
 			return raise(pos, "%s cast requires a vector", ident), true
 		}
 		a := c.arg(n, 0)
@@ -1157,6 +1354,7 @@ func (c *compiler) builtin(n *Name) (cx, bool) {
 	case "to_x01":
 		// Any other argument makes to_x01 an indexed name.
 		a := c.arg(n, 0)
+		c.resolve(n.Args[1:]...)
 		if a.konst {
 			if v, ok := toX01(a.val); ok {
 				return konst(v), true
@@ -1171,6 +1369,7 @@ func (c *compiler) builtin(n *Name) (cx, bool) {
 			return idx(b)
 		}), true
 	case "now":
+		c.resolve(n.Args...)
 		return raise(pos, "the now function is not supported"), true
 	}
 	return cx{}, false

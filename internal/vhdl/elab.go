@@ -76,7 +76,7 @@ type elaborator struct {
 	// report exact positions.
 	sigDecl []declSite
 	// lists holds the compiled statement lists of every process;
-	// reads and writes are the scan buffers of the process being compiled,
+	// reads and writes are the port buffers of the process being compiled,
 	// sens that of a concurrent assignment's sensitivity list.
 	lists         arena[cstmt]
 	reads, writes ports
@@ -271,6 +271,9 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 			}
 			ref = e.newSignal(path+"."+p.Name+".open", t, init, declSite{file: ent.File, pos: p.Pos})
 		}
+		if _, dup := ctx.signals.Get(p.Name); dup {
+			return duplicate(path, p.Name, ent.File, p.Pos)
+		}
 		ctx.signals.Set(p.Name, ref)
 	}
 
@@ -278,6 +281,14 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 		return err
 	}
 	return e.elabConcStmts(ctx, arch.Stmts, path)
+}
+
+// duplicate is the error for a name the scope at path already declares,
+// declared again at pos of file: two objects of one name would make two LPs
+// of one name.
+func duplicate(path, name, file string, pos Pos) error {
+	return &Error{File: file, Line: pos.Line, Col: pos.Col,
+		Msg: fmt.Sprintf("%s: %q is already declared", path, name)}
 }
 
 func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
@@ -299,6 +310,9 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 				init = ec.eval(d.Init, t)
 			}
 			for _, name := range d.Names {
+				if _, dup := ctx.signals.Get(name); dup {
+					return duplicate(ctx.path, name, e.curFile, d.Pos)
+				}
 				ctx.signals.Set(name, e.newSignal(ctx.path+"."+name, t, init, declSite{file: e.curFile, pos: d.Pos}))
 			}
 		case *ComponentDecl:
@@ -313,22 +327,61 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 	return nil
 }
 
+// concLabel returns the label of a concurrent statement ("" for none) and
+// its position.
+func concLabel(s ConcStmt) (string, Pos) {
+	switch s := s.(type) {
+	case *ProcessStmt:
+		return s.Label, s.Pos
+	case *CondAssign:
+		return s.Label, s.Pos
+	case *SelAssign:
+		return s.Label, s.Pos
+	case *InstStmt:
+		return s.Label, s.Pos
+	case *GenerateStmt:
+		return s.Label, s.Pos
+	}
+	return "", Pos{}
+}
+
 func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) error {
-	procN := 0
+	// A label names one statement of the statement part, and an unlabeled
+	// process or assignment is named pN or aN by its place, past any label
+	// the statement part declares.
+	var labels nametab.Table[struct{}]
 	for _, s := range stmts {
+		if label, pos := concLabel(s); label != "" {
+			if _, dup := labels.Find(label); dup {
+				return &Error{File: e.curFile, Line: pos.Line, Col: pos.Col,
+					Msg: fmt.Sprintf("%s: label %q is already used", path, label)}
+			}
+			labels.Set(label, struct{}{})
+		}
+	}
+	procN := 0
+	madeUp := func(prefix string) string {
+		for {
+			label := fmt.Sprintf("%s%d", prefix, procN)
+			if _, taken := labels.Find(label); !taken {
+				return label
+			}
+			procN++
+		}
+	}
+	for _, s := range stmts {
+		label, _ := concLabel(s)
+		var ps *ProcessStmt
 		switch s := s.(type) {
 		case *ProcessStmt:
-			label := s.Label
+			ps = s
 			if label == "" {
 				procN++
-				label = fmt.Sprintf("p%d", procN)
-			}
-			if err := e.elabProcess(ctx, s, path+"."+label); err != nil {
-				return err
+				label = madeUp("p")
 			}
 		case *CondAssign:
 			procN++
-			ps := condAssignToProcess(s)
+			ps = condAssignToProcess(s)
 			// The equivalent process is sensitive to every signal read in
 			// the conditions and waveform values (IEEE 1076 §11.6).
 			e.sens.Reset()
@@ -339,16 +392,9 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 				}
 			}
 			ps.Sensitivity = names(&e.sens)
-			label := s.Label
-			if label == "" {
-				label = fmt.Sprintf("a%d", procN)
-			}
-			if err := e.elabProcess(ctx, ps, path+"."+label); err != nil {
-				return err
-			}
 		case *SelAssign:
 			procN++
-			ps := selAssignToProcess(s)
+			ps = selAssignToProcess(s)
 			e.sens.Reset()
 			ctx.addSensitivity(&e.sens, s.Selector)
 			for _, arm := range s.Arms {
@@ -357,17 +403,11 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 				}
 			}
 			ps.Sensitivity = names(&e.sens)
-			label := s.Label
-			if label == "" {
-				label = fmt.Sprintf("a%d", procN)
-			}
-			if err := e.elabProcess(ctx, ps, path+"."+label); err != nil {
-				return err
-			}
 		case *InstStmt:
 			if err := e.elabInst(ctx, s, path); err != nil {
 				return err
 			}
+			continue
 		case *GenerateStmt:
 			ec := ctx.scope
 			lo, hi := ec.evalInt(s.Lo), ec.evalInt(s.Hi)
@@ -388,8 +428,15 @@ func (e *elaborator) elabConcStmts(ctx *instCtx, stmts []ConcStmt, path string) 
 					return err
 				}
 			}
+			continue
 		default:
 			return fmt.Errorf("vhdl: %s: unsupported concurrent statement %T", path, s)
+		}
+		if label == "" {
+			label = madeUp("a") // an unlabeled assignment
+		}
+		if err := e.elabProcess(ctx, ps, path+"."+label); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -555,34 +602,34 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		implicitWait = &WaitStmt{Pos: ps.Pos, On: ps.Sensitivity}
 	}
 
-	// Discover the read and written signals.
-	sc := &sigScan{ctx: ctx, ec: local, vars: varTypes, reads: e.reads, writes: e.writes}
-	sc.reads.Reset()
-	sc.writes.Reset()
-	sc.scanStmts(ps.Body)
-	if implicitWait != nil {
-		sc.scanStmt(implicitWait)
-	}
-	if sc.err != nil {
-		// sigScan errors are positioned; stamp the file and fold in the
-		// process name so the *Error survives to the caller intact.
-		if ee, ok := sc.err.(*Error); ok {
-			ee.File = e.curFile
-			ee.Msg = fmt.Sprintf("%s: %s", name, ee.Msg)
-			return ee
-		}
-		return fmt.Errorf("vhdl: %s: %w", name, sc.err)
-	}
-
+	// Compiling the body finds the signals the process reads and writes.
 	c := &compiler{
 		ec:       local,
 		proc:     true,
+		sigs:     &ctx.signals,
 		varTypes: varTypes,
-		reads:    sc.reads,
-		writes:   sc.writes,
+		reads:    e.reads,
+		writes:   e.writes,
 		lists:    &e.lists,
 	}
-	inits, stmts := c.process(varDecls, ps.Body, implicitWait)
+	c.reads.Reset()
+	c.writes.Reset()
+	stmts := c.process(varDecls, ps.Body, implicitWait)
+	if ee := c.err; ee != nil {
+		ee.File = e.curFile
+		ee.Msg = fmt.Sprintf("%s: %s", name, ee.Msg)
+		return ee
+	}
+	readSigs, writeSigs := signalsOf(&c.reads), signalsOf(&c.writes)
+	e.reads, e.writes = c.reads, c.writes
+	class := kernel.ClassComb
+	switch {
+	case c.edge:
+		class = kernel.ClassRegister
+	case len(readSigs) == 0:
+		class = kernel.ClassStimulus
+	}
+	inits := c.inits(varDecls)
 	bi := &procInterp{prog: &program{
 		name:   name,
 		file:   e.curFile,
@@ -591,56 +638,8 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		inits:  inits,
 		body:   stmts,
 	}}
-	readSigs, writeSigs := sc.reads.signals(), sc.writes.signals()
-	e.reads, e.writes = sc.reads, sc.writes
-
-	class := kernel.ClassComb
-	switch {
-	case sc.hasEdgeDetect:
-		class = kernel.ClassRegister
-	case len(readSigs) == 0:
-		class = kernel.ClassStimulus
-	}
 	e.design.AddProcess(name, bi, readSigs, writeSigs, kernel.WithProcClass(class))
 	return nil
-}
-
-// sigScan walks a process body resolving which names are signal reads and
-// writes, with variables/constants/enum literals/builtins shadowing.
-type sigScan struct {
-	ctx    *instCtx
-	ec     *evalCtx // the process's constant scope
-	vars   map[string]*Type
-	shadow []string // loop variables currently in scope
-
-	reads, writes ports // in first-use order
-	hasEdgeDetect bool
-	err           error
-}
-
-// ports are the signals a process reads or writes, each with its binding,
-// in order of first use: a signal's port index is its position.
-type ports struct{ nametab.Table[*sigRef] }
-
-// port returns the port index of signal name.
-func (p *ports) port(name string) (int, bool) { return p.Find(name) }
-
-// ref returns the binding of port i.
-func (p *ports) ref(i int) *sigRef {
-	_, r := p.At(i)
-	return r
-}
-
-// signals returns the kernel signals behind p (nil when p is empty).
-func (p *ports) signals() []*kernel.Signal {
-	if p.Len() == 0 {
-		return nil
-	}
-	out := make([]*kernel.Signal, p.Len())
-	for i := range out {
-		out[i] = p.ref(i).sig
-	}
-	return out
 }
 
 var builtinFuncs = map[string]bool{
@@ -656,185 +655,6 @@ var builtinFuncs = map[string]bool{
 // lint (internal/vhdl/lint) filters names with the same rules elaboration
 // uses.
 func IsBuiltinName(name string) bool { return builtinFuncs[name] }
-
-// isVariable reports whether name is a loop variable in scope or a process
-// variable.
-func (s *sigScan) isVariable(name string) bool {
-	for _, v := range s.shadow {
-		if v == name {
-			return true
-		}
-	}
-	_, ok := s.vars[name]
-	return ok
-}
-
-func (s *sigScan) isShadowed(name string) bool {
-	if s.isVariable(name) {
-		return true
-	}
-	_, ok := s.ec.lookupPlain(name)
-	return ok
-}
-
-func (s *sigScan) markRead(name string, pos Pos) {
-	if s.isVariable(name) {
-		return
-	}
-	if _, ok := s.reads.port(name); ok {
-		return // a signal, and no constant: the first read found that
-	}
-	if _, ok := s.ec.lookupPlain(name); ok || builtinFuncs[name] {
-		return
-	}
-	ref, ok := s.ctx.signals.Get(name)
-	if !ok {
-		if s.err == nil {
-			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("unknown name %q", name)}
-		}
-		return
-	}
-	s.reads.Set(name, ref)
-}
-
-func (s *sigScan) markWrite(name string, pos Pos) {
-	if !s.isVariable(name) {
-		if _, ok := s.writes.port(name); ok {
-			return // a signal, and no constant: the first write found that
-		}
-	}
-	if s.isShadowed(name) {
-		if s.err == nil {
-			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("assignment to non-signal %q with <=", name)}
-		}
-		return
-	}
-	ref, ok := s.ctx.signals.Get(name)
-	if !ok {
-		if s.err == nil {
-			s.err = &Error{Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf("unknown signal %q", name)}
-		}
-		return
-	}
-	s.writes.Set(name, ref)
-}
-
-func (s *sigScan) scanStmts(stmts []Stmt) {
-	for _, st := range stmts {
-		s.scanStmt(st)
-	}
-}
-
-func (s *sigScan) scanStmt(st Stmt) {
-	switch st := st.(type) {
-	case *SigAssign:
-		if st.Target.Args != nil || st.Target.HasSlice {
-			if s.err == nil {
-				s.err = &Error{Line: st.Pos.Line, Col: st.Pos.Col,
-					Msg: "indexed or sliced signal assignment targets are not supported (assign the whole signal)"}
-			}
-			return
-		}
-		s.markWrite(st.Target.Ident, st.Pos)
-		for _, w := range st.Wave {
-			s.scanExpr(w.Value)
-			s.scanExpr(w.After)
-		}
-		s.scanExpr(st.Reject)
-	case *VarAssign:
-		// Target is a variable; its index expressions are reads.
-		for _, a := range st.Target.Args {
-			s.scanExpr(a)
-		}
-		s.scanExpr(st.Target.SliceLo)
-		s.scanExpr(st.Target.SliceHi)
-		s.scanExpr(st.Value)
-	case *IfStmt:
-		s.scanExpr(st.Cond)
-		s.scanStmts(st.Then)
-		for _, e := range st.Elifs {
-			s.scanExpr(e.Cond)
-			s.scanStmts(e.Then)
-		}
-		s.scanStmts(st.Else)
-	case *CaseStmt:
-		s.scanExpr(st.Expr)
-		for _, arm := range st.Arms {
-			for _, c := range arm.Choices {
-				s.scanExpr(c)
-			}
-			s.scanStmts(arm.Body)
-		}
-	case *ForLoop:
-		s.scanExpr(st.Lo)
-		s.scanExpr(st.Hi)
-		if st.RangeAttr != nil {
-			s.scanExpr(st.RangeAttr)
-		}
-		s.shadow = append(s.shadow, st.Var)
-		s.scanStmts(st.Body)
-		s.shadow = s.shadow[:len(s.shadow)-1]
-	case *WhileLoop:
-		s.scanExpr(st.Cond)
-		s.scanStmts(st.Body)
-	case *WaitStmt:
-		for _, n := range st.On {
-			s.markRead(n, st.Pos)
-		}
-		s.scanExpr(st.Until)
-		s.scanExpr(st.For)
-	case *ReportStmt:
-		s.scanExpr(st.Assert)
-		s.scanExpr(st.Message)
-	case *ExitStmt:
-		s.scanExpr(st.When)
-	case *NextStmt:
-		s.scanExpr(st.When)
-	case *NullStmt:
-	}
-}
-
-func (s *sigScan) scanExpr(e Expr) {
-	switch e := e.(type) {
-	case nil:
-	case *Name:
-		if e.Attr == "range" || e.Attr == "length" || e.Attr == "left" ||
-			e.Attr == "right" || e.Attr == "high" || e.Attr == "low" ||
-			e.Attr == "image" {
-			// Type attributes may reference type names; only mark known
-			// signals, and scan any attribute arguments ('image).
-			if _, ok := s.ctx.signals.Get(e.Ident); ok {
-				s.markRead(e.Ident, e.Pos)
-			}
-			for _, a := range e.Args {
-				s.scanExpr(a)
-			}
-			return
-		}
-		if e.Attr == "event" {
-			s.hasEdgeDetect = true
-		}
-		if e.Ident == "rising_edge" || e.Ident == "falling_edge" {
-			s.hasEdgeDetect = true
-		}
-		s.markRead(e.Ident, e.Pos)
-		for _, a := range e.Args {
-			s.scanExpr(a)
-		}
-		s.scanExpr(e.SliceLo)
-		s.scanExpr(e.SliceHi)
-	case *Unary:
-		s.scanExpr(e.X)
-	case *Binary:
-		s.scanExpr(e.L)
-		s.scanExpr(e.R)
-	case *Aggregate:
-		for _, el := range e.Elems {
-			s.scanExpr(el)
-		}
-		s.scanExpr(e.Others)
-	}
-}
 
 // selAssignToProcess desugars a selected signal assignment into the
 // equivalent case-statement process per IEEE Std 1076 §11.6.

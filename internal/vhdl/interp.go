@@ -209,37 +209,3 @@ func (b *procInterp) unwindLoop(target *cloop, pos Pos, isExit bool) {
 	}
 	evalPanic(pos, "exit/next outside a loop")
 }
-
-// signalNamesIn lists the distinct signal names referenced by an expression.
-func signalNamesIn(e Expr, sigs *ports) []string {
-	seen := map[string]bool{}
-	var out []string
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *Name:
-			if _, ok := sigs.port(e.Ident); ok && !seen[e.Ident] {
-				seen[e.Ident] = true
-				out = append(out, e.Ident)
-			}
-			for _, a := range e.Args {
-				walk(a)
-			}
-			walk(e.SliceLo)
-			walk(e.SliceHi)
-		case *Unary:
-			walk(e.X)
-		case *Binary:
-			walk(e.L)
-			walk(e.R)
-		case *Aggregate:
-			for _, el := range e.Elems {
-				walk(el)
-			}
-			walk(e.Others)
-		}
-	}
-	walk(e)
-	return out
-}
