@@ -187,19 +187,39 @@ func BenchmarkWallClockIIR(b *testing.B) {
 
 // BenchmarkSequentialKernel measures the raw sequential kernel event rate —
 // the "1 processor execution (improved for sequential simulation)" baseline
-// every speedup is measured against.
+// every speedup is measured against: the smoke-scale FSM, and the gate-level
+// IIR of the iir_seq benchmark workload (six cycles, no trace sink) with its
+// system built outside the timer.
 func BenchmarkSequentialKernel(b *testing.B) {
-	build, until := figures.FSMCircuit(figures.ScaleSmoke)
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		c := build()
-		res, err := pdes.RunSequential(c.Design.Build(), until, nil)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("FSM", func(b *testing.B) {
+		build, until := figures.FSMCircuit(figures.ScaleSmoke)
+		var events uint64
+		for i := 0; i < b.N; i++ {
+			c := build()
+			res, err := pdes.RunSequential(c.Design.Build(), until, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events = res.Metrics.Events
 		}
-		events = res.Metrics.Events
-	}
-	b.ReportMetric(float64(events), "events/op")
+		b.ReportMetric(float64(events), "events/op")
+	})
+	b.Run("IIR", func(b *testing.B) {
+		var events uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := circuits.BuildIIR(circuits.IIROpts{Cycles: 6})
+			sys := c.Design.Build()
+			b.StartTimer()
+			res, err := pdes.RunSequential(sys, c.DefaultHorizon, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events += res.Metrics.Events
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	})
 }
 
 // BenchmarkVHDLCompile measures front-end throughput (parse + elaborate).

@@ -182,3 +182,34 @@ func TestRunTopIsCaseInsensitive(t *testing.T) {
 		t.Fatalf("-top SHIFTER_TB printed\n%s\nwant\n%s", upper, lower)
 	}
 }
+
+// A null range (7 to 0) is a vector of no elements: it elaborates and runs,
+// and an initial value of another length is a positioned error, not a
+// makeslice panic.
+func TestRunNullRangeVector(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ name, init, want string }{
+		{"uninitialised", "", ""},
+		{"empty", ` := ""`, ""},
+		{"eight elements", ` := "00000000"`, "nr.vhd:4:3: nr: initial value of 8 elements for std_logic_vector(7 to 0), which has 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := "library ieee; use ieee.std_logic_1164.all;\nentity nr is end entity;\narchitecture a of nr is\n" +
+				"  signal d : std_logic_vector(7 to 0)" + c.init + ";\nbegin end architecture;\n"
+			file := filepath.Join(dir, "nr.vhd")
+			if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			o := runOpts{Opts: runopts.Opts{Top: "nr", Workers: 1, SaveEvery: 1, Until: "10ns"},
+				stdout: io.Discard, stderr: io.Discard}
+			o.files = []string{file}
+			err := run(o)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("run: %v", err)
+			case c.want != "" && (err == nil || !strings.HasSuffix(err.Error(), c.want)):
+				t.Fatalf("run: %v, want an error ending %q", err, c.want)
+			}
+		})
+	}
+}

@@ -185,7 +185,7 @@ func (w *phaseWorker) run() {
 func (w *phaseWorker) step() {
 	var n uint64
 	for _, m := range w.owned {
-		if !m.pend.MinTS().LessEq(w.t) {
+		if !m.minTS().LessEq(w.t) {
 			continue
 		}
 		k := uint64(m.drain(w.t))
@@ -224,7 +224,7 @@ func (w *phaseWorker) exchange() bool {
 	w.diag.publish(w.rs, w)
 	min := w.sentMin
 	for _, m := range w.owned {
-		if ts := m.pend.MinTS(); ts.Less(min) {
+		if ts := m.minTS(); ts.Less(min) {
 			min = ts
 		}
 	}
@@ -500,9 +500,12 @@ func (w *phaseWorker) capture() []byte {
 }
 
 // captureShard copies one shard's state at a step boundary: its log and its
-// pending member events by value. A shard has no channel clocks or orphans.
+// pending member events by value, in pop order (the next-phase lane is
+// flushed into the pending set first). A shard has no channel clocks or
+// orphans.
 func captureShard(m *shardModel) ckptLP {
 	cl := ckptLP{ID: m.shard, Now: m.now, Floor: m.now, Log: m.log}
+	m.flush(&m.nxt)
 	for _, e := range m.pend.AppendTo(nil) {
 		cl.Pending = append(cl.Pending, *e)
 	}
@@ -535,8 +538,8 @@ func (w *phaseWorker) fillDiag(d *WorkerDiag) {
 			LP:         m.shard,
 			Name:       w.sys.Name(m.shard),
 			Now:        m.now,
-			Pending:    m.pend.Len(),
-			MinPending: m.pend.MinTS(),
+			Pending:    m.pending(),
+			MinPending: m.minTS(),
 			Guarantee:  w.t,
 			BlockedOn:  NoLP,
 		})

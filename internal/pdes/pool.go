@@ -23,6 +23,13 @@ import (
 //	                                       \-> conservative execute ----------/
 //	                                       \-> annihilated by anti-message ---/
 //
+// A shard (shard.go) pools only the member events its delta lanes miss: an
+// event for the phase being drained or the next one is a value in a lane
+// block, which the shard reuses whole and never puts here; the member's
+// Execute reads it in place under the same rule, no reference past Execute.
+// Such an event becomes pooled only when a lane is flushed into the pending
+// set (a capture), and a cross-shard event is a value in an outbox.
+//
 // Msgs carrying events or nulls are likewise allocated by the sending worker
 // and recycled by the receiving worker once decoded. Control messages are
 // recycled too: a GVT ack or idle notice carries its Sent counts in the Msg's

@@ -88,7 +88,7 @@ func runSequential(sys *System, cfg Config, until vtime.Time, sink TraceSink) (r
 			default:
 			}
 		}
-		next := m.pend.MinTS()
+		next := m.minTS()
 		if !next.Less(horizon) { // vtime.Inf when empty
 			break
 		}
@@ -99,7 +99,7 @@ func runSequential(sys *System, cfg Config, until vtime.Time, sink TraceSink) (r
 		processed += uint64(m.drain(next))
 	}
 
-	gvt := m.pend.MinTS()
+	gvt := m.minTS()
 	if horizon.Less(gvt) {
 		gvt = horizon
 	}

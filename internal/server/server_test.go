@@ -488,6 +488,10 @@ var badRequests = []badRequest{
 	{"bad until", SessionRequest{Circuit: "fsm", Until: "10 parsecs"}, "", "bad until"},
 	{"until overflows", SessionRequest{Circuit: "fsm", Until: "20000sec"}, "", "bad until"},
 	{"compile error", SessionRequest{Top: "x", Sources: []SourceRequest{{Name: "x.vhd", Text: "entity ; garbage"}}}, "", ""},
+	// A null range is a vector of no elements; eight initial ones are an
+	// elaboration error, not a panic that drops the connection.
+	{"null range initialised", SessionRequest{Top: "nr", Sources: []SourceRequest{{Name: "nr.vhd", Text: nullRangeVHDL}}}, "",
+		"nr.vhd:3:3: nr: initial value of 8 elements for std_logic_vector(7 to 0), which has 0"},
 	{"too many workers", SessionRequest{Circuit: "fsm", Workers: 99}, "", "workers must be <="},
 	{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, "", "-mem-budget"},
 	{"huge deadline", SessionRequest{Circuit: "fsm", Deadline: "24h"}, "", "deadline must be <="},
@@ -501,6 +505,12 @@ var badRequests = []badRequest{
 	{"unknown source field", SessionRequest{}, `{"top":"x","sources":[{"name":"x.vhd","text":"","path":"x.vhd"}]}`, `"path"`},
 	{"trailing data", SessionRequest{}, `{"circuit":"fsm"}{}`, "after the request object"},
 }
+
+const nullRangeVHDL = `library ieee; use ieee.std_logic_1164.all;
+entity nr is end entity; architecture a of nr is
+  signal d : std_logic_vector(7 to 0) := "00000000";
+begin end architecture;
+`
 
 // bytes returns the row's submit body.
 func (c badRequest) bytes() []byte {

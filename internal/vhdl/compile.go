@@ -237,6 +237,13 @@ func (c *compiler) port(name string, pos Pos) (int, bool) {
 // at pos.
 func (c *compiler) signal(name string, pos Pos) (int, bool) {
 	p, ok := c.reads.Find(name)
+	if ok && c.sigs == nil && c.proc {
+		// A variable initialiser sees the process's constants, which shadow
+		// a signal only its sensitivity list (listed) made a port.
+		if _, isConst := c.ec.lookupPlain(name); isConst {
+			return 0, false
+		}
+	}
 	if !ok {
 		if c.sigs == nil || builtinFuncs[name] {
 			return 0, false
@@ -405,8 +412,20 @@ func (c *compiler) process(decls []*VarDecl, body []Stmt, implicitWait *WaitStmt
 	for i, st := range body {
 		out[i] = c.stmt(st)
 	}
-	out[len(body)] = c.wait(implicitWait)
+	out[len(body)] = c.wait(implicitWait, c.listed)
 	return out
+}
+
+// listed resolves a name of a sensitivity list, which comes before the
+// process's declarations: a signal of the instance, whatever the process
+// declares under its name. Any other name resolves as in a wait.
+func (c *compiler) listed(name string, pos Pos) (int, bool) {
+	if _, read := c.reads.Find(name); !read {
+		if ref, ok := c.sigs.Get(name); ok {
+			c.reads.Set(name, ref)
+		}
+	}
+	return c.signal(name, pos)
 }
 
 // inits compiles the initial values of a process's variables, after its
@@ -485,7 +504,7 @@ func (c *compiler) stmt(st Stmt) cstmt {
 	case *ReportStmt:
 		return c.report(st)
 	case *WaitStmt:
-		return c.wait(st)
+		return c.wait(st, c.port)
 	}
 	return raiseStmt(Pos{}, "unsupported statement %T", st)
 }
@@ -846,13 +865,14 @@ func (c *compiler) report(st *ReportStmt) cstmt {
 	}
 }
 
-func (c *compiler) wait(st *WaitStmt) cstmt {
+// wait compiles a wait statement whose "on" names resolve through port.
+func (c *compiler) wait(st *WaitStmt, port func(string, Pos) (int, bool)) cstmt {
 	// The sensitivity list is shared by every execution of the wait: the
 	// kernel only reads a Wait's ports, and copies them into its snapshots.
 	ports := make([]int, 0, len(st.On))
 	var notSignal *string
 	for i, n := range st.On {
-		if p, ok := c.port(n, st.Pos); ok {
+		if p, ok := port(n, st.Pos); ok {
 			ports = append(ports, p)
 		} else if notSignal == nil {
 			notSignal = &st.On[i]

@@ -308,6 +308,10 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 			init := t.defaultValue()
 			if d.Init != nil {
 				init = ec.eval(d.Init, t)
+				if v, ok := init.(stdlogic.Vec); ok && t.Kind == tVec && len(v) != t.Width() {
+					return &Error{File: e.curFile, Line: d.Pos.Line, Col: d.Pos.Col,
+						Msg: fmt.Sprintf("%s: initial value of %d elements for %s, which has %d", ctx.path, len(v), t, t.Width())}
+				}
 			}
 			for _, name := range d.Names {
 				if _, dup := ctx.signals.Get(name); dup {

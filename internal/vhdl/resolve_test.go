@@ -64,6 +64,12 @@ func TestProcessNamesResolve(t *testing.T) {
 		{name: "process constant shadows a signal",
 			proc:   "process constant a : std_logic := '1'; begin y <= a; wait; end process;",
 			writes: "r.y", class: stim},
+		{name: "sensitivity list names the signal a constant shadows",
+			proc:  "process (a) constant a : std_logic := '1'; variable x : std_logic := a; begin y <= a and x; end process;",
+			reads: "r.a", writes: "r.y", class: comb},
+		{name: "sensitivity list names the signal a variable shadows",
+			proc:  "process (a, b) variable a : std_logic; begin a := b; y <= a; end process;",
+			reads: "r.b r.a", writes: "r.y", class: comb},
 		{name: "read only through 'length",
 			proc:  "process begin o <= v'length; wait; end process;",
 			reads: "r.v", writes: "r.o", class: comb},

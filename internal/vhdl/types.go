@@ -119,15 +119,17 @@ func (t *Type) String() string {
 	return "?"
 }
 
-// Width returns the element count of a vector type.
+// Width returns the element count of a vector type: 0 for a null range
+// such as 7 to 0, which the LRM allows.
 func (t *Type) Width() int {
 	if t.Kind != tVec {
 		return 1
 	}
+	w := t.Hi - t.Lo + 1
 	if t.Downto {
-		return int(t.Lo - t.Hi + 1)
+		w = t.Lo - t.Hi + 1
 	}
-	return int(t.Hi - t.Lo + 1)
+	return int(max(w, 0))
 }
 
 // indexOffset maps a VHDL index to the 0-based element offset (MSB-first

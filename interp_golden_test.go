@@ -27,6 +27,7 @@ var goldenDesigns = []struct {
 	{"majority", "examples/vhdl/majority.vhd", "majority_tb", 20 * NS},
 	{"gen12", "testdata/gen12.vhd", "gen_tb", 100 * NS},
 	{"slots", "testdata/slots.vhd", "slots", 200 * NS},
+	{"shadow", "testdata/shadow.vhd", "shadow", 30 * NS},
 }
 
 // goldenTrace compiles file and returns its committed trace under o.
