@@ -183,6 +183,43 @@ func TestRunTopIsCaseInsensitive(t *testing.T) {
 	}
 }
 
+// An initial value of another length than its vector type is a positioned
+// elaboration error for a constant (of the architecture or of a process)
+// and for a variable, as for a signal: not a width mismatch when a process
+// first uses it.
+func TestRunInitialValueWidth(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ name, arch, proc, want string }{
+		{"constant", `  constant c : std_logic_vector(3 downto 0) := "00000000";` + "\n", "",
+			"w.vhd:4:3: w: initial value of 8 elements for std_logic_vector(3 downto 0), which has 4"},
+		{"process constant", "", `    constant c : std_logic_vector(3 downto 0) := "1";` + "\n",
+			"w.vhd:7:5: w.p: initial value of 1 elements for std_logic_vector(3 downto 0), which has 4"},
+		{"variable", "", `    variable c : std_logic_vector(3 downto 0) := "111";` + "\n",
+			"w.vhd:7:5: w.p: initial value of 3 elements for std_logic_vector(3 downto 0), which has 4"},
+		{"fitting variable", "", `    variable c : std_logic_vector(3 downto 0) := "0101";` + "\n", ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := "library ieee; use ieee.std_logic_1164.all;\nentity w is end entity;\narchitecture a of w is\n" +
+				c.arch + "  signal s : std_logic_vector(3 downto 0);\nbegin\n  p : process\n" +
+				c.proc + "  begin\n    s <= c;\n    wait for 1 ns;\n  end process;\nend architecture;\n"
+			file := filepath.Join(dir, "w.vhd")
+			if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			o := runOpts{Opts: runopts.Opts{Top: "w", Workers: 1, SaveEvery: 1, Until: "10ns"},
+				stdout: io.Discard, stderr: io.Discard}
+			o.files = []string{file}
+			err := run(o)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("run: %v", err)
+			case c.want != "" && (err == nil || !strings.HasSuffix(err.Error(), c.want)):
+				t.Fatalf("run: %v, want an error ending %q", err, c.want)
+			}
+		})
+	}
+}
+
 // A null range (7 to 0) is a vector of no elements: it elaborates and runs,
 // and an initial value of another length is a positioned error, not a
 // makeslice panic.

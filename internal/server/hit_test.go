@@ -14,7 +14,11 @@ import (
 	"time"
 
 	"govhdl"
+	"govhdl/internal/kernel"
 	"govhdl/internal/pdes"
+	"govhdl/internal/stdlogic"
+	"govhdl/internal/trace"
+	"govhdl/internal/vtime"
 )
 
 // TestConcurrentHitsShareThePrototype: two hits on one cached design run at
@@ -71,10 +75,11 @@ func TestConcurrentHitsShareThePrototype(t *testing.T) {
 }
 
 // runningSession registers a session that is running and has streamed
-// lines l0..l(n-1), as the server registers a submitted one.
+// lines 0..n-1 (fakeLine), as the server registers a submitted one.
 func runningSession(sv *Server, id string, n int) *session {
 	ss := newSession(id, false)
 	ss.sim = govhdl.NewSession(func() (*govhdl.Model, error) { return nil, io.EOF }, govhdl.SessionOptions{})
+	ss.table = fakeTable
 	ss.setRunning()
 	appendLines(ss, 0, n)
 	sv.mu.Lock()
@@ -84,13 +89,28 @@ func runningSession(sv *Server, id string, n int) *session {
 	return ss
 }
 
-// appendLines streams lines l<from>..l<to-1> into the session.
+// fakeTable is the table of a design of one signal, the LP fake entries
+// are committed by.
+var fakeTable = func() *trace.Table {
+	d := kernel.NewDesign("fake")
+	d.AddSignal("l", stdlogic.L0)
+	return trace.NewTable(d)
+}()
+
+// fakeEntry is the i-th entry a fake session streams, and fakeLine its line.
+func fakeEntry(i int) trace.Entry {
+	return trace.Entry{TS: vtime.VT{PT: vtime.Time(i)}, Item: "l" + strconv.Itoa(i)}
+}
+
+func fakeLine(i int) string { return string(fakeTable.AppendLine(nil, fakeEntry(i))) }
+
+// appendLines streams the entries of lines from..to-1 into the session.
 func appendLines(ss *session, from, to int) {
-	var lines []string
+	var entries []trace.Entry
 	for i := from; i < to; i++ {
-		lines = append(lines, "l"+strconv.Itoa(i))
+		entries = append(entries, fakeEntry(i))
 	}
-	ss.append(nil, lines)
+	ss.append(entries, nil)
 }
 
 // TestTraceResumesFrom: ?from=N streams exactly lines N and on, from a
@@ -118,7 +138,7 @@ func TestTraceResumesFrom(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	rd := bufio.NewReader(resp.Body)
-	for _, want := range []string{"l3", "l4"} {
+	for _, want := range []string{fakeLine(3), fakeLine(4)} {
 		if ln, err := rd.ReadString('\n'); err != nil || ln != want+"\n" {
 			t.Fatalf("running session: read %q, %v; want %q", ln, err, want)
 		}
@@ -126,7 +146,7 @@ func TestTraceResumesFrom(t *testing.T) {
 	appendLines(ss, 5, 8)
 	ss.finish(nil, nil)
 	rest, err := io.ReadAll(rd)
-	if err != nil || string(rest) != "l5\nl6\nl7\n" {
+	if want := fakeLine(5) + "\n" + fakeLine(6) + "\n" + fakeLine(7) + "\n"; err != nil || string(rest) != want {
 		t.Fatalf("running session after more lines and the end: read %q, %v", rest, err)
 	}
 
@@ -157,9 +177,9 @@ func TestWaitersLeaveNoGoroutines(t *testing.T) {
 		return n
 	}
 	base := runtime.NumGoroutine()
-	for range 1000 { // lines are there: nothing waits
-		if lines, done := ss.waitLines(context.Background(), 0); len(lines) != 2 || done {
-			t.Fatalf("waitLines: %v, done %t", lines, done)
+	for range 1000 { // entries are there: nothing waits
+		if entries, done := ss.waitEntries(context.Background(), 0); len(entries) != 2 || done {
+			t.Fatalf("waitEntries: %v, done %t", entries, done)
 		}
 	}
 	if n := settle(func(n int) bool { return n <= base }); n > base {
@@ -173,8 +193,8 @@ func TestWaitersLeaveNoGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if lines, done := ss.waitLines(ctx, 2); len(lines) != 0 || done {
-				t.Errorf("disconnected waiter got %v, done %t", lines, done)
+			if entries, done := ss.waitEntries(ctx, 2); len(entries) != 0 || done {
+				t.Errorf("disconnected waiter got %v, done %t", entries, done)
 			}
 		}()
 	}

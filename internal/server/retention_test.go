@@ -178,39 +178,55 @@ func TestFinishedSessionReplaysStreams(t *testing.T) {
 // TestFinishedSessionRetainsOnlyItsTrace: a server keeps every session it
 // ran, so what a finished session pins must be proportional to its trace,
 // not to its run — the clone, its engine state and its recorder must all be
-// collectable once the session is done.
+// collectable once the session is done — and it keeps one copy of the trace:
+// its entries, rendered to text only when /trace is read.
 func TestFinishedSessionRetainsOnlyItsTrace(t *testing.T) {
-	sv, ts := newTestServer(t, Config{})
-	req := SessionRequest{
-		Top:     "wide_tb",
-		Sources: []SourceRequest{{Name: "wide.vhd", Text: wideSource(t, 64)}},
-		Until:   "40ns",
-	}
-	run := func() int {
-		sub := submit(t, ts, req)
-		n := len(fetch(t, ts, "/v1/sessions/"+sub.ID+"/trace"))
-		if fin := waitFinished(t, ts, sub.ID); fin.State != StateDone {
-			t.Fatalf("%s: %s (%s)", sub.ID, fin.State, fin.Error)
-		}
-		return n
-	}
-	run() // the miss: the cached design is not a session's to retain
+	for _, leg := range []struct {
+		name     string
+		protocol string
+		workers  int
+	}{
+		{"sequential", "", 0},
+		{"dynamic-2", "dynamic", 2},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			sv, ts := newTestServer(t, Config{})
+			req := SessionRequest{
+				Top:      "wide_tb",
+				Sources:  []SourceRequest{{Name: "wide.vhd", Text: wideSource(t, 64)}},
+				Until:    "40ns",
+				Protocol: leg.protocol,
+				Workers:  leg.workers,
+			}
+			run := func() int {
+				sub := submit(t, ts, req)
+				n := len(fetch(t, ts, "/v1/sessions/"+sub.ID+"/trace"))
+				if fin := waitFinished(t, ts, sub.ID); fin.State != StateDone {
+					t.Fatalf("%s: %s (%s)", sub.ID, fin.State, fin.Error)
+				}
+				return n
+			}
+			run() // the miss: the cached design is not a session's to retain
 
-	const n = 8
-	traceBytes := 0
-	before := liveHeap()
-	for i := 0; i < n; i++ {
-		traceBytes += run()
+			const n = 8
+			traceBytes := 0
+			before := liveHeap()
+			for i := 0; i < n; i++ {
+				traceBytes += run()
+			}
+			perSession := float64(liveHeap()-before) / n
+			perTrace := float64(traceBytes) / n
+			t.Logf("a finished session retains %.0f B for a %.0f B trace (%.1fx)", perSession, perTrace, perSession/perTrace)
+			// The entries (40 B and a boxed item each, for a line of about
+			// 30 B) and their batches' slack come to about 1.3x the trace
+			// bytes; a second, rendered copy of the trace would put it over
+			// 2.5x, and the run itself over 40x.
+			if perSession > 2*perTrace {
+				t.Errorf("a finished session retains %.0f B, more than 2x its %.0f B trace", perSession, perTrace)
+			}
+			runtime.KeepAlive(sv)
+		})
 	}
-	perSession := float64(liveHeap()-before) / n
-	perTrace := float64(traceBytes) / n
-	t.Logf("a finished session retains %.0f B for a %.0f B trace (%.1fx)", perSession, perTrace, perSession/perTrace)
-	// The rendered lines, the structured entries and their buffers' append
-	// slack come to about 3x the trace bytes; the run itself was over 40x.
-	if perSession > 8*perTrace {
-		t.Errorf("a finished session retains %.0f B, more than 8x its %.0f B trace", perSession, perTrace)
-	}
-	runtime.KeepAlive(sv)
 }
 
 // TestBatchesCopyRange checks the session's batched buffer against a flat

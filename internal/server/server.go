@@ -541,9 +541,11 @@ func (sv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace streams the finalized trace as chunked plain text: lines are
-// written as the simulation commits them, from the requested offset
-// (?from=N, a line count) to the end of the run. Reconnecting with the
-// delivered line count resumes exactly.
+// rendered from the session's entries with its design's LP names as the
+// simulation commits them, from the requested offset (?from=N, a line count)
+// to the end of the run. Reconnecting with the delivered line count resumes
+// exactly. A session that ended without a design has no trace: an empty
+// reply.
 func (sv *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ss := sv.lookup(w, r)
 	if ss == nil {
@@ -560,27 +562,23 @@ func (sv *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
-	flusher, _ := w.(http.Flusher)
+	table := ss.waitTable(r.Context())
+	if table == nil {
+		return
+	}
 	buf := make([]byte, 0, 32<<10) // lines go out a buffer at a time
-	for {
-		lines, done := ss.waitLines(r.Context(), from)
-		for i, ln := range lines {
-			buf = append(append(buf, ln...), '\n')
-			if len(buf) >= cap(buf)-1024 || i == len(lines)-1 {
+	stream(w, r, ss, from, func(entries []trace.Entry) error {
+		for i, e := range entries {
+			buf = append(table.AppendLine(buf, e), '\n')
+			if len(buf) >= cap(buf)-1024 || i == len(entries)-1 {
 				if _, err := w.Write(buf); err != nil {
-					return // the client is gone
+					return err // the client is gone
 				}
 				buf = buf[:0]
 			}
 		}
-		if len(lines) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		from += len(lines)
-		if r.Context().Err() != nil || (done && len(lines) == 0) {
-			return
-		}
-	}
+		return nil
+	})
 }
 
 // handleVCD streams the run as a Value Change Dump: full header upfront,
@@ -596,24 +594,31 @@ func (sv *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	flusher, _ := w.(http.Flusher)
 	str, err := table.Streamer(w)
 	if err != nil {
 		return
 	}
-	from := 0
+	if stream(w, r, ss, 0, str.Feed) == nil {
+		str.Close()
+	}
+}
+
+// stream hands feed the session's trace entries from from on as they
+// finalize, flushing w after each batch, until the run has ended and every
+// entry is fed, the client is gone or feed fails; it returns feed's error.
+func stream(w http.ResponseWriter, r *http.Request, ss *session, from int, feed func([]trace.Entry) error) error {
+	flusher, _ := w.(http.Flusher)
 	for {
 		entries, done := ss.waitEntries(r.Context(), from)
-		if err := str.Feed(entries); err != nil {
-			return
+		if err := feed(entries); err != nil {
+			return err
 		}
 		if len(entries) > 0 && flusher != nil {
 			flusher.Flush()
 		}
 		from += len(entries)
 		if r.Context().Err() != nil || (done && len(entries) == 0) {
-			str.Close()
-			return
+			return nil
 		}
 	}
 }

@@ -492,6 +492,10 @@ var badRequests = []badRequest{
 	// elaboration error, not a panic that drops the connection.
 	{"null range initialised", SessionRequest{Top: "nr", Sources: []SourceRequest{{Name: "nr.vhd", Text: nullRangeVHDL}}}, "",
 		"nr.vhd:3:3: nr: initial value of 8 elements for std_logic_vector(7 to 0), which has 0"},
+	// So is a constant's initial value of another length, read by a
+	// process: refused at submit, not a width mismatch when the run uses it.
+	{"constant initialised", SessionRequest{Top: "w", Sources: []SourceRequest{{Name: "w.vhd", Text: wideConstVHDL}}}, "",
+		"w.vhd:3:3: w: initial value of 8 elements for std_logic_vector(3 downto 0), which has 4"},
 	{"too many workers", SessionRequest{Circuit: "fsm", Workers: 99}, "", "workers must be <="},
 	{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, "", "-mem-budget"},
 	{"huge deadline", SessionRequest{Circuit: "fsm", Deadline: "24h"}, "", "deadline must be <="},
@@ -510,6 +514,19 @@ const nullRangeVHDL = `library ieee; use ieee.std_logic_1164.all;
 entity nr is end entity; architecture a of nr is
   signal d : std_logic_vector(7 to 0) := "00000000";
 begin end architecture;
+`
+
+const wideConstVHDL = `library ieee; use ieee.std_logic_1164.all;
+entity w is end entity; architecture a of w is
+  constant c : std_logic_vector(3 downto 0) := "00000000";
+  signal s : std_logic_vector(3 downto 0);
+begin
+  p : process
+  begin
+    s <= c;
+    wait for 1 ns;
+  end process;
+end architecture;
 `
 
 // bytes returns the row's submit body.

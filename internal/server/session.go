@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"sync"
 
@@ -29,9 +28,10 @@ const (
 )
 
 // session is one tenant simulation: the govhdl.Session plus the server-side
-// stream buffers its HTTP consumers read from. Trace increments accumulate
-// here (finalized, deterministic order) so any number of readers can stream
-// from any offset, attach late, or re-read after completion.
+// stream buffer its HTTP consumers read from. Trace increments accumulate
+// here (finalized, deterministic order) as entries, so any number of readers
+// can stream from any offset, attach late, or re-read after completion; /trace
+// renders them to text as it reads them, /vcd feeds them to a VCD streamer.
 //
 // A finished session keeps its trace and a summary of its run, never the run
 // itself: no model, recorder or engine result stays reachable from it, so
@@ -49,9 +49,8 @@ type session struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	state   State
-	table   *trace.Table         // the design's VCD signals; set once the design exists
-	lines   batches[string]      // finalized rendered trace, all batches
-	entries batches[trace.Entry] // same increments, structured (VCD streaming)
+	table   *trace.Table         // the design's LP names and VCD signals; set once the design exists
+	entries batches[trace.Entry] // the finalized trace, one line per entry
 	sum     *runSummary          // set when the run returned an engine result
 	err     error
 	kind    govhdl.ErrorKind
@@ -105,15 +104,11 @@ func (b *batches[T]) copyRange(lo, hi int) []T {
 	return out
 }
 
-// append receives one finalized trace increment (govhdl.TraceFunc). The
-// rendered lines are the session's own (trace.Lines made them for this
-// call); the entries may be a view of the run's recorder, which a finished
-// session must not keep, so they are copied.
-func (s *session) append(entries []trace.Entry, lines []string) {
-	entries = slices.Clone(entries)
+// append receives one finalized trace increment (govhdl.TraceFunc), which
+// is the session's to keep.
+func (s *session) append(entries []trace.Entry, _ []string) {
 	s.mu.Lock()
 	s.entries.add(entries)
-	s.lines.add(lines)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -167,20 +162,22 @@ func (s *session) finished() bool {
 func (s *session) snapshot() (state State, cached bool, nlines int, sum *runSummary, err error, kind govhdl.ErrorKind) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state, s.cached, s.lines.len(), s.sum, s.err, s.kind
+	return s.state, s.cached, s.entries.len(), s.sum, s.err, s.kind
 }
 
-// waitLines blocks until the session has rendered lines past from, or has
-// finished, or ctx is done; it returns the new lines and whether the stream
-// is complete. A done ctx wakes the cond, so a disconnected client does not
-// leak a waiter.
-func (s *session) waitLines(ctx context.Context, from int) ([]string, bool) {
-	return waitBuf(ctx, s, s.lines.len, s.lines.copyRange, from)
-}
-
-// waitEntries is waitLines for the structured entry buffer.
+// waitEntries blocks until the session has trace entries past from, or has
+// finished, or ctx is done; it returns the new entries and whether the
+// stream is complete. A done ctx wakes the cond, so a disconnected client
+// does not leak a waiter.
 func (s *session) waitEntries(ctx context.Context, from int) ([]trace.Entry, bool) {
-	return waitBuf(ctx, s, s.entries.len, s.entries.copyRange, from)
+	defer context.AfterFunc(ctx, s.wake)()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.entries.len() <= from && !s.finished() && ctx.Err() == nil {
+		s.cond.Wait()
+	}
+	n := s.entries.len()
+	return s.entries.copyRange(min(from, n), n), s.finished()
 }
 
 // waitTable blocks until the session's trace table exists (at submit for a
@@ -194,20 +191,6 @@ func (s *session) waitTable(ctx context.Context) *trace.Table {
 		s.cond.Wait()
 	}
 	return s.table
-}
-
-func waitBuf[T any](ctx context.Context, s *session, size func() int, copyRange func(lo, hi int) []T, from int) ([]T, bool) {
-	defer context.AfterFunc(ctx, s.wake)()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for size() <= from && !s.finished() && ctx.Err() == nil {
-		s.cond.Wait()
-	}
-	n := size()
-	if from > n {
-		from = n
-	}
-	return copyRange(from, n), s.finished()
 }
 
 // wake broadcasts on the cond, so waiters recheck their ctx: context.AfterFunc

@@ -104,17 +104,18 @@ func (c *Cursor) Drain() []Entry {
 	return out
 }
 
-// Table is what a Value Change Dump needs of a design, detached from the
-// design itself: the module name and the dumped signals with their VCD
-// identifiers and widths. It is immutable once built, so one table serves
-// any number of concurrent streamers. Clones made by kernel.Design.CloneFresh
-// keep their original's LP numbering, so a table built from a prototype
-// serves every run of its clones, and a finished run needs to keep only the
-// table, not its design.
+// Table is what rendering a trace needs of a design, detached from it: the
+// LP names of trace lines, and the module name and signals (VCD identifiers
+// and widths) of a Value Change Dump. It is immutable once built, so one
+// table serves any number of concurrent readers. Clones made by
+// kernel.Design.CloneFresh keep their original's LP numbering, so a table
+// built from a prototype serves every run of its clones, and a finished run
+// needs to keep only the table, not its design.
 type Table struct {
-	name string
-	vars []vcdVar
-	ids  map[pdes.LPID]string // signal LP -> VCD identifier
+	name  string
+	names []string // LP names by LPID, sharing the LP graph's strings
+	vars  []vcdVar
+	ids   map[pdes.LPID]string // signal LP -> VCD identifier
 }
 
 type vcdVar struct {
@@ -122,15 +123,24 @@ type vcdVar struct {
 	width    int
 }
 
-// NewTable declares every signal of the design, in declaration order, with
-// widths derived from the initial values. The design must be built (so
-// signal LP IDs are assigned).
+// NewTable names every LP of the design and declares every signal, in
+// declaration order, with widths derived from the initial values. The design
+// must be built (so LP IDs are assigned; Build then returns its system).
 func NewTable(d *kernel.Design) *Table {
-	t := &Table{name: d.Name, ids: make(map[pdes.LPID]string, d.NumSignals())}
+	sys := d.Build()
+	t := &Table{name: d.Name, names: make([]string, sys.NumLPs()), ids: make(map[pdes.LPID]string, d.NumSignals())}
+	for lp := range t.names {
+		t.names[lp] = sys.Name(pdes.LPID(lp))
+	}
 	for _, sig := range d.Signals() {
 		t.add(d.SignalLPID(sig), sig.Name, vcdWidth(sig.Init))
 	}
 	return t
+}
+
+// AppendLine appends to b the line Lines renders for e, without a newline.
+func (t *Table) AppendLine(b []byte, e Entry) []byte {
+	return appendLine(b, t.names[e.LP], e)
 }
 
 func (t *Table) add(lp pdes.LPID, name string, width int) {

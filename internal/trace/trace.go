@@ -151,7 +151,7 @@ func Lines(sys *pdes.System, entries []Entry) []string {
 		r.buf, r.ends = r.buf[:0], r.ends[:0]
 	}
 	for _, e := range entries {
-		r.buf = appendLine(r.buf, sys, e)
+		r.buf = appendLine(r.buf, sys.Name(e.LP), e)
 		r.ends = append(r.ends, len(r.buf))
 		if len(r.buf) >= renderChunk {
 			flush()
@@ -178,9 +178,10 @@ func (r *Recorder) Lines(sys *pdes.System) []string {
 	return Lines(sys, r.Sorted())
 }
 
-// appendLine appends "<lp name> @<virtual time> <item>" to b.
-func appendLine(b []byte, sys *pdes.System, e Entry) []byte {
-	b = append(append(b, sys.Name(e.LP)...), " @"...)
+// appendLine appends "<lp name> @<virtual time> <item>" to b: the one
+// rendering of an entry, behind Lines and Table.AppendLine alike.
+func appendLine(b []byte, lp string, e Entry) []byte {
+	b = append(append(b, lp...), " @"...)
 	b = append(e.TS.Append(b), ' ')
 	switch it := e.Item.(type) {
 	case kernel.SigChange:

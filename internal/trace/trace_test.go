@@ -189,9 +189,11 @@ func TestLinesRenderEveryItemKind(t *testing.T) {
 }
 
 // TestLinesAcrossChunks: a batch longer than one render chunk comes out
-// line for line as each entry renders alone, across the chunk boundaries.
+// line for line as each entry renders alone, across the chunk boundaries,
+// and as the design's Table renders it.
 func TestLinesAcrossChunks(t *testing.T) {
-	_, sys := buildToggler()
+	d, sys := buildToggler()
+	table := NewTable(d)
 	var es []Entry
 	for len(es)*24 < 3*renderChunk {
 		i := len(es)
@@ -203,8 +205,11 @@ func TestLinesAcrossChunks(t *testing.T) {
 		t.Fatalf("%d lines for %d entries", len(lines), len(es))
 	}
 	for i, e := range es {
-		if want := string(appendLine(nil, sys, e)); lines[i] != want {
+		if want := string(appendLine(nil, sys.Name(e.LP), e)); lines[i] != want {
 			t.Fatalf("line %d: %q, want %q", i, lines[i], want)
+		}
+		if got := string(table.AppendLine(nil, e)); got != lines[i] {
+			t.Fatalf("line %d: the table renders %q, Lines %q", i, got, lines[i])
 		}
 	}
 }

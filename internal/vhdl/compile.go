@@ -443,7 +443,11 @@ func (c *compiler) inits(decls []*VarDecl) []cinit {
 		for _, n := range d.Names {
 			var x cx
 			if d.Init != nil {
-				x = c.expr(d.Init, t)
+				if x = c.expr(d.Init, t); x.konst {
+					if msg := misfit(x.val, t); msg != "" {
+						c.fail(d.Pos, "%s", msg)
+					}
+				}
 			} else if v, ok := fold(t.defaultValue); ok {
 				x = konst(v)
 			} else {

@@ -283,6 +283,15 @@ func (e *elaborator) elabInstance(ent *EntityDecl, path string,
 	return e.elabConcStmts(ctx, arch.Stmts, path)
 }
 
+// misfit is the message for an initial value v of a vector type t with
+// another number of elements, "" when v fits t.
+func misfit(v kernel.Value, t *Type) string {
+	if vec, ok := v.(stdlogic.Vec); ok && t.Kind == tVec && len(vec) != t.Width() {
+		return fmt.Sprintf("initial value of %d elements for %s, which has %d", len(vec), t, t.Width())
+	}
+	return ""
+}
+
 // duplicate is the error for a name the scope at path already declares,
 // declared again at pos of file: two objects of one name would make two LPs
 // of one name.
@@ -300,6 +309,9 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 		case *ConstDecl:
 			t := e.resolveType(ec, d.Type)
 			v := ec.eval(d.Value, t)
+			if msg := misfit(v, t); msg != "" {
+				return &Error{File: e.curFile, Line: d.Pos.Line, Col: d.Pos.Col, Msg: ctx.path + ": " + msg}
+			}
 			for _, name := range d.Names {
 				ec.declareConst(name, t, v)
 			}
@@ -308,9 +320,8 @@ func (e *elaborator) elabDecls(ctx *instCtx, decls []Decl) error {
 			init := t.defaultValue()
 			if d.Init != nil {
 				init = ec.eval(d.Init, t)
-				if v, ok := init.(stdlogic.Vec); ok && t.Kind == tVec && len(v) != t.Width() {
-					return &Error{File: e.curFile, Line: d.Pos.Line, Col: d.Pos.Col,
-						Msg: fmt.Sprintf("%s: initial value of %d elements for %s, which has %d", ctx.path, len(v), t, t.Width())}
+				if msg := misfit(init, t); msg != "" {
+					return &Error{File: e.curFile, Line: d.Pos.Line, Col: d.Pos.Col, Msg: ctx.path + ": " + msg}
 				}
 			}
 			for _, name := range d.Names {
@@ -589,6 +600,9 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 		case *ConstDecl:
 			t := e.resolveType(local, d.Type)
 			v := local.eval(d.Value, t)
+			if msg := misfit(v, t); msg != "" {
+				return &Error{File: e.curFile, Line: d.Pos.Line, Col: d.Pos.Col, Msg: name + ": " + msg}
+			}
 			for _, n := range d.Names {
 				local.declareConst(n, t, v)
 			}
@@ -619,6 +633,7 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 	c.reads.Reset()
 	c.writes.Reset()
 	stmts := c.process(varDecls, ps.Body, implicitWait)
+	inits := c.inits(varDecls)
 	if ee := c.err; ee != nil {
 		ee.File = e.curFile
 		ee.Msg = fmt.Sprintf("%s: %s", name, ee.Msg)
@@ -633,7 +648,6 @@ func (e *elaborator) elabProcess(ctx *instCtx, ps *ProcessStmt, name string) err
 	case len(readSigs) == 0:
 		class = kernel.ClassStimulus
 	}
-	inits := c.inits(varDecls)
 	bi := &procInterp{prog: &program{
 		name:   name,
 		file:   e.curFile,

@@ -73,10 +73,11 @@ func (o SessionOptions) SequentialKernel() bool {
 }
 
 // TraceFunc receives finalized trace increments: entries is a batch of the
-// deterministic (TS, LP, item)-sorted committed trace, lines the rendered
-// form. The concatenation of all batches equals Result.TraceLines() of the
-// finished run — including across transparent retries, which replay
+// deterministic (TS, LP, item)-sorted committed trace, the callee's to keep.
+// Rendered by trace.Lines, the batches concatenate to Result.TraceLines() of
+// the finished run — including across transparent retries, which replay
 // deterministically so already-delivered entries are skipped, never re-sent.
+// lines is deprecated and always nil: the session renders no text.
 type TraceFunc func(entries []trace.Entry, lines []string)
 
 // ErrDeadlineExceeded marks a session that was canceled by its own deadline.
@@ -310,7 +311,7 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 		if len(fresh) == 0 {
 			return
 		}
-		s.onTrace(fresh, trace.Lines(m.sys, fresh))
+		s.onTrace(fresh, nil)
 	}
 
 	cfg.Cancel = s.cancel

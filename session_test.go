@@ -18,17 +18,29 @@ func fsmFactory(machines int) ModelFactory {
 	}
 }
 
-// lineCollector accumulates streamed batches, serialized by the session.
+// lineCollector accumulates streamed batches, serialized by the session, as
+// lines rendered with the LP names of sys.
 type lineCollector struct {
+	sys     *pdes.System
 	mu      sync.Mutex
 	lines   []string
 	batches int
 }
 
+// collectLines returns a collector for the sessions of models f makes.
+func collectLines(t *testing.T, f ModelFactory) *lineCollector {
+	t.Helper()
+	m, err := f()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &lineCollector{sys: m.System()}
+}
+
 func (c *lineCollector) fn() TraceFunc {
-	return func(_ []trace.Entry, lines []string) {
+	return func(entries []trace.Entry, _ []string) {
 		c.mu.Lock()
-		c.lines = append(c.lines, lines...)
+		c.lines = append(c.lines, trace.Lines(c.sys, entries)...)
 		c.batches++
 		c.mu.Unlock()
 	}
@@ -60,7 +72,7 @@ func TestSessionStreamsIdenticalTrace(t *testing.T) {
 	s := NewSession(fsmFactory(2), SessionOptions{Options: Options{
 		Protocol: Mixed, Workers: 2, Until: until,
 	}})
-	col := &lineCollector{}
+	col := collectLines(t, fsmFactory(2))
 	s.OnTrace(col.fn())
 	res, err := s.Run()
 	if err != nil {
@@ -112,7 +124,7 @@ func TestSessionFailoverPreservesStream(t *testing.T) {
 				return 0
 			},
 		})
-		col := &lineCollector{}
+		col := collectLines(t, fsmFactory(2))
 		s.OnTrace(col.fn())
 		res, err := s.Run()
 		if err != nil {
@@ -280,7 +292,7 @@ func TestSessionOneWorkerRunsSequentialKernel(t *testing.T) {
 			t.Fatalf("%v: a one-worker session is not on the sequential kernel", proto)
 		}
 		s := NewSession(fsmFactory(2), so)
-		col := &lineCollector{}
+		col := collectLines(t, fsmFactory(2))
 		s.OnTrace(col.fn())
 		res, err := s.Run()
 		if err != nil {
