@@ -124,8 +124,8 @@ type vcdVar struct {
 }
 
 // NewTable names every LP of the design and declares every signal, in
-// declaration order, with widths derived from the initial values. The design
-// must be built (so LP IDs are assigned; Build then returns its system).
+// declaration order, with widths derived from the initial values. It builds
+// the design if it is not built yet, which numbers its LPs.
 func NewTable(d *kernel.Design) *Table {
 	sys := d.Build()
 	t := &Table{name: d.Name, names: make([]string, sys.NumLPs()), ids: make(map[pdes.LPID]string, d.NumSignals())}
