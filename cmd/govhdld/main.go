@@ -37,30 +37,26 @@ import (
 )
 
 func main() {
-	var (
-		listen          = flag.String("listen", ":9190", "HTTP listen address")
-		cacheBytes      = flag.Int64("cache-bytes", 64<<20, "design cache bound in bytes (LRU eviction)")
-		maxSessions     = flag.Int("max-sessions", 4, "simulation sessions running concurrently")
-		queueDepth      = flag.Int("queue", 16, "admitted sessions waiting for a slot before submits get 429")
-		maxWorkers      = flag.Int("max-workers", 8, "per-session worker cap")
-		defaultDeadline = flag.Duration("default-deadline", 2*time.Minute, "deadline for sessions that request none")
-		maxDeadline     = flag.Duration("max-deadline", 10*time.Minute, "largest per-session deadline a request may ask for")
-		maxFailovers    = flag.Int("max-failovers", 0, "transparent retries per session after recoverable transport faults (0 = engine default)")
-	)
+	listen, cfg := registerFlags(flag.CommandLine)
 	flag.Parse()
-
-	if err := run(*listen, server.Config{
-		CacheBytes:      *cacheBytes,
-		MaxSessions:     *maxSessions,
-		QueueDepth:      *queueDepth,
-		MaxWorkers:      *maxWorkers,
-		DefaultDeadline: *defaultDeadline,
-		MaxDeadline:     *maxDeadline,
-		MaxFailovers:    *maxFailovers,
-	}); err != nil {
+	if err := run(*listen, *cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "govhdld:", err)
 		os.Exit(1)
 	}
+}
+
+// registerFlags defines govhdld's flags on fs: the listen address and the
+// server configuration they fill.
+func registerFlags(fs *flag.FlagSet) (listen *string, cfg *server.Config) {
+	cfg = new(server.Config)
+	listen = fs.String("listen", ":9190", "HTTP listen address")
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 64<<20, "design cache bound in bytes (LRU eviction)")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", 4, "simulation sessions running concurrently")
+	fs.IntVar(&cfg.QueueDepth, "queue", 16, "admitted sessions waiting for a slot before submits get 429")
+	fs.IntVar(&cfg.MaxWorkers, "max-workers", 8, "per-session worker cap")
+	fs.DurationVar(&cfg.DefaultDeadline, "default-deadline", 2*time.Minute, "deadline for sessions that request none")
+	fs.DurationVar(&cfg.MaxDeadline, "max-deadline", 10*time.Minute, "largest per-session deadline a request may ask for")
+	return listen, cfg
 }
 
 func run(listen string, cfg server.Config) error {

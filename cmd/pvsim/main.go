@@ -9,9 +9,10 @@
 //	pvsim -circuit fsm -workers 4 -vcd fsm.vcd
 //
 // Distributed simulation across two machines (both need the same sources):
+// two workers, so three endpoints, of which endpoint 0 is the controller.
 //
-//	host A: pvsim -top tb -listen :9190 -endpoints 3 -hosted 0,1 design.vhd
-//	host B: pvsim -top tb -connect hostA:9190 -endpoints 3 -hosted 2 design.vhd
+//	host A: pvsim -top tb -listen :9190 -workers 2 -hosted 0,1 design.vhd
+//	host B: pvsim -top tb -connect hostA:9190 -workers 2 -hosted 2 design.vhd
 //
 // Fault-tolerant operation: checkpoint every committed GVT round and, after
 // a crash, resume from the saved cut with the complete trace preserved:
@@ -21,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -198,16 +200,26 @@ func run(o runOpts) error {
 	if err != nil {
 		return err
 	}
-	// Every attempt gets a fresh model; only the first announces itself.
+	// Every attempt gets a fresh model; only the first announces itself and,
+	// once the design is built, the kernel it runs on.
 	var bench *circuits.Circuit
 	quiet := false
 	factory := func() (m *govhdl.Model, err error) {
 		m, bench, err = o.build(quiet)
+		if err == nil && !quiet {
+			switch {
+			case so.SequentialKernel() && so.Protocol != govhdl.Sequential:
+				fmt.Fprintf(o.stdout, "one worker: running on the sequential kernel (nothing to synchronize)\n")
+			case so.Shards > 0:
+				fmt.Fprintf(o.stdout, "sharding: %d shards, intra-shard sequential\n", so.Shards)
+			}
+		}
 		quiet = true
 		return m, err
 	}
-
-	so.StallDump = func(r *pdes.StallReport) { fmt.Fprint(o.stderr, r.String()) }
+	// A distributed process simulates only its hosted endpoints' LPs: -verify
+	// needs them all hosted, or absorbed by a failover.
+	partial := false
 	if o.CkptFile != "" {
 		// Checkpoint files go through internal/ckptio: a versioned,
 		// sha256-framed container written atomically, with the previous cuts
@@ -260,18 +272,19 @@ func run(o runOpts) error {
 			topts = append(topts, transport.WithConnWrapper(plan.Conn()))
 			fmt.Fprintf(o.stdout, "fault injection: killing this process's connection after %d writes\n", o.FaultKillWrites)
 		}
-		so.Fabric = func(int) ([]pdes.Endpoint, func(), error) {
+		so.Fabric = func(n int) ([]pdes.Endpoint, func(), error) {
 			var node *transport.Node
 			var err error
 			if o.Listen != "" {
-				fmt.Fprintf(o.stdout, "listening on %s for %d endpoints...\n", o.Listen, o.Endpoints)
-				node, err = transport.Listen(o.Listen, o.Endpoints, hosted, topts...)
+				fmt.Fprintf(o.stdout, "listening on %s for %d endpoints...\n", o.Listen, n)
+				node, err = transport.Listen(o.Listen, n, hosted, topts...)
 			} else {
-				node, err = transport.Dial(o.Connect, o.Endpoints, hosted, topts...)
+				node, err = transport.Dial(o.Connect, n, hosted, topts...)
 			}
 			if err != nil {
 				return nil, nil, err
 			}
+			partial = len(hosted) < n
 			return node.Endpoints(), func() { node.Close() }, nil
 		}
 	case o.FaultDieSends > 0 || o.FaultMuteSends > 0:
@@ -288,6 +301,7 @@ func run(o runOpts) error {
 	}
 
 	so.OnFailover = func(attempt int, err error, ck *pdes.Checkpoint) int {
+		partial = false
 		if ck != nil {
 			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v); absorbing all LPs locally from the checkpoint at GVT %v\n",
 				attempt, err, ck.GVT)
@@ -304,14 +318,12 @@ func run(o runOpts) error {
 		return avail
 	}
 
-	switch {
-	case so.SequentialKernel() && so.Protocol != govhdl.Sequential:
-		fmt.Fprintf(o.stdout, "one worker: running on the sequential kernel (nothing to synchronize)\n")
-	case so.Shards > 0:
-		fmt.Fprintf(o.stdout, "sharding: %d shards, intra-shard sequential\n", so.Shards)
-	}
 	res, err := govhdl.NewSession(factory, so).Run()
 	if err != nil {
+		var se *pdes.SimError
+		if errors.As(err, &se) && se.Report() != nil {
+			fmt.Fprint(o.stderr, se.Report())
+		}
 		return err
 	}
 
@@ -333,7 +345,11 @@ func run(o runOpts) error {
 			fmt.Fprintf(o.stdout, "modeled makespan: %.0f cost units\n", res.Run.Makespan)
 		}
 	}
-	if bench != nil && o.verify {
+	switch {
+	case bench == nil || !o.verify:
+	case partial:
+		fmt.Fprintln(o.stdout, "verification: skipped (this process simulated only the LPs of its hosted endpoints)")
+	default:
 		if err := bench.Verify(so.Until); err != nil {
 			return fmt.Errorf("verification FAILED: %w", err)
 		}

@@ -18,6 +18,27 @@ import (
 // Parse and Validate tables live with the shared package
 // (internal/runopts); here we only cover pvsim's own wiring of them.
 
+// TestFlagSet pins pvsim's flags: adding or removing one shows up here.
+func TestFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("pvsim", flag.ContinueOnError)
+	new(runOpts).registerFlags(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	want := []string{
+		"checkpoint", "checkpoint-file", "checkpoint-keep", "checkpoint-rounds",
+		"circuit", "compare", "connect",
+		"fault-die-sends", "fault-kill-writes", "fault-mute-sends", "fault-seed",
+		"gvt-every", "hb-interval", "hb-timeout", "hosted",
+		"listen", "lookahead", "max-failovers", "mem-budget",
+		"protocol", "restore", "shards", "stall-timeout", "stats",
+		"throttle", "top", "trace", "until", "user",
+		"vcd", "verify", "vet", "vet-json", "vet-strict", "workers",
+	}
+	if got := strings.Join(names, " "); got != strings.Join(want, " ") {
+		t.Fatalf("pvsim flags (%d):\n got %s\nwant %s", len(names), got, strings.Join(want, " "))
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	base := func(mutate func(*runOpts)) runOpts {
 		o := runOpts{Opts: runopts.Opts{Protocol: "dynamic", Workers: 1, SaveEvery: 1}, stdout: io.Discard, stderr: io.Discard}
@@ -35,9 +56,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := fs.Parse([]string{"-partition", "topo"}); err == nil {
 		t.Error("-partition accepted")
 	}
-	// Nor is a recovery policy: a dead node's LPs go through -failover.
+	// Nor is a recovery policy: a dead node's LPs go through -max-failovers.
 	// LPs never move during a run, so there is no migration policy either.
-	for _, name := range []string{"-min-nodes", "-migrate-policy"} {
+	// A distributed run's endpoint count is -workers plus the controller's.
+	for _, name := range []string{"-min-nodes", "-migrate-policy", "-endpoints", "-failover"} {
 		if err := fs.Parse([]string{name, "2"}); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s: %v, want an unknown flag", name, err)
 		}
@@ -206,8 +228,9 @@ func TestRunInitialValueWidth(t *testing.T) {
 			if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 				t.Fatal(err)
 			}
+			var out strings.Builder
 			o := runOpts{Opts: runopts.Opts{Top: "w", Workers: 1, SaveEvery: 1, Until: "10ns"},
-				stdout: io.Discard, stderr: io.Discard}
+				stdout: &out, stderr: io.Discard}
 			o.files = []string{file}
 			err := run(o)
 			switch {
@@ -215,6 +238,11 @@ func TestRunInitialValueWidth(t *testing.T) {
 				t.Fatalf("run: %v", err)
 			case c.want != "" && (err == nil || !strings.HasSuffix(err.Error(), c.want)):
 				t.Fatalf("run: %v, want an error ending %q", err, c.want)
+			}
+			// The kernel choice is reported for a design that was built,
+			// never for one that failed to elaborate.
+			if announced := strings.Contains(out.String(), "sequential kernel"); announced != (c.want == "") {
+				t.Fatalf("kernel choice announced: %v, want %v:\n%s", announced, c.want == "", out.String())
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"net"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -91,13 +92,13 @@ func requireTrace(t *testing.T, what string, got, want []string) {
 	}
 }
 
-// The fabric dies mid-run; with -failover the run absorbs every LP locally,
+// The fabric dies mid-run; with -max-failovers the run absorbs every LP locally,
 // resumes from the in-memory cut and commits the sequential trace, logging
 // exactly one failover (CI chaos scenario 4, in-process).
 func TestRunFailoverMatchesSequential(t *testing.T) {
 	want := golden(t)
 	out, errOut, err := pvsim("-circuit", "fsm", "-until", "500ns", "-protocol", "opt", "-workers", "3",
-		"-throttle", "100ns", "-checkpoint-rounds", "1", "-failover", "-fault-die-sends", "1000", "-fault-seed", "7")
+		"-throttle", "100ns", "-checkpoint-rounds", "1", "-max-failovers", "3", "-fault-die-sends", "1000", "-fault-seed", "7")
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, errOut)
 	}
@@ -107,7 +108,7 @@ func TestRunFailoverMatchesSequential(t *testing.T) {
 	}
 }
 
-// Without -failover the same fault is a single failed attempt: the attempt's
+// Without -max-failovers the same fault is a single failed attempt: the attempt's
 // own transport error, no recovery line, no second build.
 func TestRunWithoutFailoverNeverRetries(t *testing.T) {
 	out, errOut, err := pvsim("-circuit", "fsm", "-until", "500ns", "-protocol", "opt", "-workers", "3",
@@ -116,7 +117,7 @@ func TestRunWithoutFailoverNeverRetries(t *testing.T) {
 		t.Fatalf("err = %v, want the attempt's own transport failure", err)
 	}
 	if strings.Contains(errOut, "failover") {
-		t.Fatalf("a run without -failover logged a recovery:\n%s", errOut)
+		t.Fatalf("a run without -max-failovers logged a recovery:\n%s", errOut)
 	}
 	if strings.Contains(out, "simulated to") {
 		t.Fatalf("the doomed run reported completion:\n%s", out)
@@ -140,8 +141,11 @@ func TestRunRestoreShardedFromCheckpointFile(t *testing.T) {
 		}
 		return errors.New("injected death after the second cut")
 	}
-	if _, _, err := pvsimWith(die, append(common, "-shards", "4", "-checkpoint-file", ck)...); err == nil || cuts != 2 {
+	if _, _, err := pvsimWith(die, append(common, "-shards", "4", "-checkpoint-file", ck, "-checkpoint-keep", "1")...); err == nil || cuts != 2 {
 		t.Fatalf("the doomed run did not die at its second cut (%d cuts): %v", cuts, err)
+	}
+	if _, err := os.Stat(ck + ".1"); !os.IsNotExist(err) {
+		t.Fatalf("-checkpoint-keep 1 kept an older generation: %v", err)
 	}
 	out, errOut, err := pvsim(append(common, "-restore", ck)...)
 	if err != nil {
@@ -154,32 +158,126 @@ func TestRunRestoreShardedFromCheckpointFile(t *testing.T) {
 	requireTrace(t, "restored run", sigLines(out), want)
 }
 
-// A -listen/-connect pair over loopback, one goroutine per process: the
-// union of the two traces is the sequential trace (CI chaos scenario 1).
-func TestRunDistributedPairMatchesSequential(t *testing.T) {
-	want := golden(t)
-	// Reserve a loopback port for the hub. The connect side retries until
-	// the hub is up, so the two may start in either order.
+// loopback reserves a loopback port for a hub. The connect side retries
+// until the hub is up, so the two may start in either order.
+func loopback(t *testing.T) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
+	defer l.Close()
+	return l.Addr().String()
+}
 
+// A -listen/-connect pair over loopback, one goroutine per process: the
+// union of the two traces is the sequential trace (CI chaos scenario 1).
+// Under -verify each process says it checked nothing: it simulated only the
+// LPs of its own endpoints, so the reference model does not apply to it.
+func TestRunDistributedPairMatchesSequential(t *testing.T) {
+	want := golden(t)
+	addr := loopback(t)
 	var hubOut, hubErr string
 	var hubRunErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		hubOut, hubErr, hubRunErr = pvsim("-circuit", "fsm", "-until", "500ns",
-			"-listen", addr, "-endpoints", "3", "-hosted", "0,1")
+		hubOut, hubErr, hubRunErr = pvsim("-circuit", "fsm", "-until", "500ns", "-verify",
+			"-listen", addr, "-workers", "2", "-hosted", "0,1")
 	}()
-	peerOut, peerErr, err := pvsim("-circuit", "fsm", "-until", "500ns",
-		"-connect", addr, "-endpoints", "3", "-hosted", "2")
+	peerOut, peerErr, err := pvsim("-circuit", "fsm", "-until", "500ns", "-verify",
+		"-connect", addr, "-workers", "2", "-hosted", "2")
 	<-done
 	if hubRunErr != nil || err != nil {
 		t.Fatalf("hub: %v\n%s\npeer: %v\n%s", hubRunErr, hubErr, err, peerErr)
 	}
 	requireTrace(t, "hub+peer union", sigLines(hubOut, peerOut), want)
+	if !strings.Contains(hubOut, "listening on "+addr+" for 3 endpoints") {
+		t.Errorf("-workers 2 did not make three endpoints:\n%.300s", hubOut)
+	}
+	for who, out := range map[string]string{"hub": hubOut, "peer": peerOut} {
+		if !strings.Contains(out, "verification: skipped") {
+			t.Errorf("%s did not skip verification:\n%.300s", who, out)
+		}
+	}
+}
+
+// A hub that hosts every endpoint simulated every LP, so -verify checks it;
+// -workers 4 makes five endpoints.
+func TestRunHubHostingEverythingVerifies(t *testing.T) {
+	addr := loopback(t)
+	out, errOut, err := pvsim("-circuit", "fsm", "-until", "500ns", "-verify",
+		"-listen", addr, "-workers", "4", "-hosted", "0,1,2,3,4")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, errOut)
+	}
+	if !strings.Contains(out, "for 5 endpoints") || !strings.Contains(out, "verification: OK") {
+		t.Fatalf("a hub hosting all five endpoints did not verify:\n%.400s", out)
+	}
+}
+
+// A peer dies mid-run; the hub fails over, absorbs every LP and, having
+// simulated them all, verifies against the reference model (CI chaos
+// scenario 5, two processes in-process).
+func TestRunDistributedFailoverVerifies(t *testing.T) {
+	want := golden(t)
+	addr := loopback(t)
+	hb := []string{"-hb-interval", "100ms", "-hb-timeout", "1s", "-checkpoint-rounds", "1"}
+	var hubOut, hubErr string
+	var hubRunErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		hubOut, hubErr, hubRunErr = pvsim(append([]string{"-circuit", "fsm", "-until", "500ns", "-verify",
+			"-listen", addr, "-workers", "2", "-hosted", "0,1", "-max-failovers", "3"}, hb...)...)
+	}()
+	_, _, peerErr := pvsim(append([]string{"-circuit", "fsm", "-until", "500ns",
+		"-connect", addr, "-workers", "2", "-hosted", "2", "-fault-kill-writes", "60", "-fault-seed", "7"}, hb...)...)
+	<-done
+	if peerErr == nil {
+		t.Fatal("the peer whose connection was killed reported success")
+	}
+	if hubRunErr != nil {
+		t.Fatalf("hub: %v\n%s", hubRunErr, hubErr)
+	}
+	if !strings.Contains(hubErr, "pvsim: failover: attempt 0") || !strings.Contains(hubOut, "verification: OK") {
+		t.Fatalf("the hub did not fail over and verify:\n%.400s\n%s", hubOut, hubErr)
+	}
+	requireTrace(t, "hub after failover", sigLines(hubOut), want)
+}
+
+// Muted sends wedge the run without killing the fabric; the watchdog's
+// verdict carries its report, and pvsim prints it to stderr (CI chaos
+// scenario 6, both legs).
+func TestRunStallReportReachesStderr(t *testing.T) {
+	for name, args := range map[string][]string{
+		"unsharded": {"-workers", "4", "-fault-mute-sends", "5000"},
+		"sharded":   {"-workers", "2", "-shards", "2", "-fault-mute-sends", "300"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, errOut, err := pvsim(append([]string{"-circuit", "fsm", "-until", "500ns", "-stall-timeout", "500ms"}, args...)...)
+			if govhdl.Classify(err) != govhdl.KindStall {
+				t.Fatalf("err = %v, want the stall watchdog's verdict", err)
+			}
+			if !strings.Contains(errOut, "stall watchdog: committed GVT stuck") || !strings.Contains(errOut, "blocked in Recv") {
+				t.Fatalf("no stall report on stderr:\n%s", errOut)
+			}
+		})
+	}
+}
+
+// -compare reruns the design on the sequential kernel and requires the same
+// committed trace; -vcd writes the run's value change dump.
+func TestRunCompareWritesVCD(t *testing.T) {
+	vcd := filepath.Join(t.TempDir(), "fsm.vcd")
+	out, errOut, err := pvsim("-circuit", "fsm", "-until", "100ns", "-workers", "2", "-compare", "-vcd", vcd)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, errOut)
+	}
+	if !strings.Contains(out, "compare: OK") || !strings.Contains(out, "wrote "+vcd) {
+		t.Fatalf("no compare verdict or VCD line:\n%.400s", out)
+	}
+	if b, err := os.ReadFile(vcd); err != nil || !strings.Contains(string(b), "$enddefinitions") {
+		t.Fatalf("VCD file: %v\n%.200s", err, b)
+	}
 }

@@ -97,12 +97,9 @@ type Options struct {
 	// and cancels back to stay under it.
 	MemBudget int64
 	// StallTimeout, when positive, arms the GVT stall watchdog: a run whose
-	// committed GVT stops advancing for this long fails with a diagnostic
-	// instead of hanging.
+	// committed GVT stops advancing for this long fails with a stall
+	// *pdes.SimError whose Report is the diagnostic, instead of hanging.
 	StallTimeout time.Duration
-	// StallDump receives the stall watchdog's diagnostic report; nil
-	// discards it.
-	StallDump func(*pdes.StallReport)
 	// Shards, when positive, clusters the LPs into this many shards that
 	// execute sequentially inside the shard. Workers step one timestamp at a
 	// time and exchange cross-shard events once per step (the phase executor,
@@ -133,7 +130,6 @@ func (o Options) config() pdes.Config {
 		CheckpointEvery:  o.CheckpointEvery,
 		MemBudget:        o.MemBudget,
 		StallTimeout:     o.StallTimeout,
-		StallDump:        o.StallDump,
 		GVTEvery:         o.GVTEvery,
 		CheckpointRounds: o.CheckpointRounds,
 	}
@@ -202,7 +198,7 @@ type Result struct {
 // and process state is mutated by the run; build a fresh Model to simulate
 // again from time zero.
 func (m *Model) Simulate(o Options) (*Result, error) {
-	return m.NewSession(SessionOptions{Options: o, MaxFailovers: -1}).Run()
+	return m.NewSession(SessionOptions{Options: o}).Run()
 }
 
 // TraceLines renders the committed value changes deterministically.

@@ -115,7 +115,8 @@ type legOut struct {
 }
 
 // baseOpts is the leg's session options before fault- and
-// checkpoint-specific fields. Retry is off: only kill legs fail over.
+// checkpoint-specific fields. It has no failover budget: only kill legs
+// fail over.
 func (lr *legRun) baseOpts(leg *Leg) govhdl.SessionOptions {
 	return govhdl.SessionOptions{
 		Options: govhdl.Options{
@@ -126,7 +127,6 @@ func (lr *legRun) baseOpts(leg *Leg) govhdl.SessionOptions {
 			MemBudget: leg.MemBudget,
 			Shards:    leg.Shards,
 		},
-		MaxFailovers: -1,
 	}
 }
 
@@ -265,7 +265,7 @@ func (lr *legRun) runPlainLeg(leg *Leg, r *LegResult) {
 func (lr *legRun) runKillLeg(leg *Leg, r *LegResult) {
 	so := lr.baseOpts(leg)
 	so.CheckpointRounds = 1
-	so.MaxFailovers = 0 // the supervise default
+	so.MaxFailovers = leg.ExpectKills
 	out, err := lr.run(leg, so)
 	r.Failovers = out.failovers
 	if err != nil {

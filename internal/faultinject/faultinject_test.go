@@ -356,21 +356,12 @@ func TestMutedFabricTriggersStallWatchdog(t *testing.T) {
 	plan := Plan{Seed: 11, MuteAfterSends: 200}
 	eps, inj := WrapFabric(pdes.NewLocalFabric(workers+1), plan)
 
-	var (
-		mu      sync.Mutex
-		reports []*pdes.StallReport
-	)
 	cfg := pdes.Config{
 		Workers:        workers,
 		Protocol:       pdes.ProtoOptimistic,
 		GVTEvery:       64,
 		ThrottleWindow: 100,
 		StallTimeout:   400 * time.Millisecond,
-		StallDump: func(r *pdes.StallReport) {
-			mu.Lock()
-			reports = append(reports, r)
-			mu.Unlock()
-		},
 	}
 	errCh := make(chan error, 1)
 	go func() {
@@ -400,12 +391,10 @@ func TestMutedFabricTriggersStallWatchdog(t *testing.T) {
 		t.Fatalf("mute must not kill the fabric: %v", inj.Err())
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) == 0 {
-		t.Fatal("no diagnostic dump produced")
+	r := se.Report()
+	if r == nil {
+		t.Fatal("the verdict carries no diagnostic report")
 	}
-	r := reports[len(reports)-1]
 	if len(r.Workers) != workers {
 		t.Fatalf("dump covers %d workers, want %d", len(r.Workers), workers)
 	}

@@ -45,7 +45,9 @@ type batchReceiver interface {
 // TryRecvAll appends every message immediately available at ep to buf in
 // arrival order and returns it. It uses the endpoint's own TryRecvAll when it
 // has one, paying one synchronization per call instead of one per message,
-// and falls back to TryRecv otherwise. Workers drain their mailbox with it.
+// and falls back to TryRecv otherwise, stopping at a poison message (a
+// poisoned endpoint returns one from every call). Workers drain their
+// mailbox with it.
 func TryRecvAll(ep Endpoint, buf []*Msg) []*Msg {
 	if br, ok := ep.(batchReceiver); ok {
 		return br.TryRecvAll(buf)
@@ -56,6 +58,9 @@ func TryRecvAll(ep Endpoint, buf []*Msg) []*Msg {
 			return buf
 		}
 		buf = append(buf, m)
+		if m.Kind == msgPoison {
+			return buf
+		}
 	}
 }
 

@@ -170,9 +170,15 @@ type SimError struct {
 	// deadlock detector: the run stopped making progress and was unwound.
 	// Deterministically reproducible, so never retried.
 	Stall bool
+
+	report *StallReport
 }
 
 func (e *SimError) Error() string { return e.Text }
+
+// Report is the stall watchdog's diagnostic when e is its verdict, else nil;
+// the wire carries no report.
+func (e *SimError) Report() *StallReport { return e.report }
 
 // ModelError is implemented by panic values thrown from model code that
 // diagnose the simulated design itself (e.g. a VHDL evaluation error) rather

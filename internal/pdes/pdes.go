@@ -209,14 +209,12 @@ type Config struct {
 	// StallTimeout, when positive, arms the GVT stall watchdog: if the
 	// committed GVT does not advance for this long of wall-clock time, the
 	// watchdog collects a diagnostic StallReport (per-LP mode, local clock,
-	// blocked-on edge, mailbox depth), hands it to StallDump, and fails the
-	// run with a stall SimError. The timeout must comfortably exceed the
-	// expected GVT round cadence; wall-clock supervision never influences the
-	// committed trace, only whether a wedged run is unwound.
+	// blocked-on edge, mailbox depth) and fails the run with a stall
+	// SimError that carries it (SimError.Report). The timeout must
+	// comfortably exceed the expected GVT round cadence; wall-clock
+	// supervision never influences the committed trace, only whether a
+	// wedged run is unwound.
 	StallTimeout time.Duration
-	// StallDump receives the diagnostic report when the watchdog fires.
-	// Nil discards the report (the run still fails).
-	StallDump func(*StallReport)
 
 	// MemBudget, when positive, bounds the approximate bytes of optimistic
 	// runtime memory — retained history events, saved state snapshots and

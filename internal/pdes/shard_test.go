@@ -271,3 +271,19 @@ func TestMailboxTryRecvAll(t *testing.T) {
 		t.Fatalf("blocked Recv woke with kind %d", m.Kind)
 	}
 }
+
+// plainEndpoint hides the mailbox's TryRecvAll, so TryRecvAll falls back to
+// TryRecv.
+type plainEndpoint struct{ Endpoint }
+
+// A poisoned endpoint returns a poison message from every TryRecv; the
+// fallback drain stops at the first instead of appending forever.
+func TestTryRecvAllFallbackStopsAtPoison(t *testing.T) {
+	eps := NewLocalFabric(2)
+	eps[0].Send(1, &Msg{Kind: msgNull})
+	eps[1].Poison(errors.New("gone"))
+	got := TryRecvAll(plainEndpoint{eps[1]}, nil)
+	if len(got) != 1 || got[0].Kind != msgPoison {
+		t.Fatalf("drained %d messages, want the one poison message", len(got))
+	}
+}

@@ -232,12 +232,9 @@ func (wd *watchdog) run() {
 			continue
 		}
 		report := wd.collect(time.Since(lastAdvance))
-		if wd.cfg.StallDump != nil {
-			wd.cfg.StallDump(report)
-		}
 		err := &SimError{Text: fmt.Sprintf(
 			"pdes: stall watchdog: committed GVT did not advance for %v; see the diagnostic dump",
-			report.Elapsed.Round(time.Millisecond)), Stall: true}
+			report.Elapsed.Round(time.Millisecond)), Stall: true, report: report}
 		for _, ep := range wd.eps {
 			ep.Poison(err)
 		}

@@ -38,6 +38,18 @@ func (m *wedge) Execute(ctx *Ctx, ev *Event) {
 func (m *wedge) SaveState() any     { return m.count }
 func (m *wedge) RestoreState(s any) { m.count = s.(int) }
 
+// releaseOnPoison closes release the first time the fabric is poisoned.
+type releaseOnPoison struct {
+	Endpoint
+	once    *sync.Once
+	release chan struct{}
+}
+
+func (e releaseOnPoison) Poison(err error) {
+	e.Endpoint.Poison(err)
+	e.once.Do(func() { close(e.release) })
+}
+
 // TestWatchdogDiagnosesWedgedExecute wedges a model inside Execute and
 // checks the watchdog (a) fires with a non-transport SimError rather than
 // letting the run hang, and (b) flags the wedged worker as stale/unresponsive
@@ -53,28 +65,23 @@ func TestWatchdogDiagnosesWedgedExecute(t *testing.T) {
 	sys.Connect(a, b)
 	sys.Connect(b, a)
 
-	var (
-		mu      sync.Mutex
-		reports []*StallReport
-	)
-	var once sync.Once
 	cfg := Config{
 		Workers:      2,
 		Protocol:     ProtoConservative,
 		GVTEvery:     8,
 		StallTimeout: 300 * time.Millisecond,
-		StallDump: func(r *StallReport) {
-			mu.Lock()
-			reports = append(reports, r)
-			mu.Unlock()
-			// Unwedge after the dump so the run can unwind; a real hang
-			// would keep the worker goroutine pinned forever.
-			once.Do(func() { close(release) })
-		},
+	}
+	// Unwedge once the verdict poisons the fabric (the report is collected
+	// by then) so the run can unwind; a real hang would keep the worker
+	// goroutine pinned forever.
+	eps := NewLocalFabric(3)
+	var once sync.Once
+	for i := range eps {
+		eps[i] = releaseOnPoison{eps[i], &once, release}
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := Run(sys, cfg, 1000*vtime.NS, nil)
+		_, err := RunOn(sys, cfg, 1000*vtime.NS, nil, eps)
 		errCh <- err
 	}()
 	var err error
@@ -96,13 +103,10 @@ func TestWatchdogDiagnosesWedgedExecute(t *testing.T) {
 	if se.Transport {
 		t.Error("watchdog verdict marked as transport failure; failover would retry a deterministic hang")
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) == 0 {
-		t.Fatal("no diagnostic dump produced")
+	r := se.Report()
+	if r == nil {
+		t.Fatal("the verdict carries no diagnostic report")
 	}
-	r := reports[len(reports)-1]
 	if len(r.Workers) != 2 {
 		t.Fatalf("dump covers %d workers, want 2", len(r.Workers))
 	}
@@ -245,10 +249,6 @@ func TestWatchdogSeesWorkerParkedInCut(t *testing.T) {
 	eps := NewLocalFabric(3)
 	eps[2] = &muteCutAck{Endpoint: eps[2]}
 
-	var (
-		mu      sync.Mutex
-		reports []*StallReport
-	)
 	cfg := Config{
 		Workers:          2,
 		Protocol:         ProtoOptimistic,
@@ -257,32 +257,25 @@ func TestWatchdogSeesWorkerParkedInCut(t *testing.T) {
 		CheckpointRounds: 1,
 		CheckpointSink:   func(*Checkpoint) error { return nil },
 		StallTimeout:     300 * time.Millisecond,
-		StallDump: func(r *StallReport) {
-			mu.Lock()
-			reports = append(reports, r)
-			mu.Unlock()
-		},
 	}
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := RunOn(buildRing(8, 5, ProtoOptimistic), cfg, 4000, nil, eps)
 		errCh <- err
 	}()
+	var se *SimError
 	select {
 	case err := <-errCh:
-		if !IsStall(err) {
+		if !IsStall(err) || !errors.As(err, &se) {
 			t.Fatalf("muted cut ended with %v, want the stall watchdog's verdict", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run hung despite the stall watchdog")
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) == 0 {
-		t.Fatal("no diagnostic dump produced")
+	r := se.Report()
+	if r == nil {
+		t.Fatal("the verdict carries no diagnostic report")
 	}
-	r := reports[len(reports)-1]
 	for _, w := range r.Workers {
 		if w.Worker != 1 {
 			continue

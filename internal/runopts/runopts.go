@@ -19,7 +19,6 @@ import (
 	"govhdl"
 	"govhdl/internal/circuits"
 	"govhdl/internal/pdes"
-	"govhdl/internal/supervise"
 	"govhdl/internal/vtime"
 )
 
@@ -41,14 +40,12 @@ type Opts struct {
 	Shards   int
 	GVTEvery int
 
-	Listen    string
-	Connect   string
-	Endpoints int
+	Listen  string
+	Connect string
 
 	CkptFile     string
 	CkptRounds   int
 	Restore      string
-	Failover     bool
 	MaxFailovers int
 
 	StallTimeout time.Duration
@@ -70,7 +67,7 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Top, "top", "", "top entity to elaborate (with VHDL files)")
 	fs.StringVar(&o.Circuit, "circuit", "", "built-in benchmark circuit: fsm, iir or dct")
 	fs.StringVar(&o.Protocol, "protocol", "dynamic", "seq, cons, opt, mixed or dynamic")
-	fs.IntVar(&o.Workers, "workers", 1, "number of parallel workers")
+	fs.IntVar(&o.Workers, "workers", 1, "number of parallel workers (distributed: of all processes together)")
 	fs.StringVar(&o.Until, "until", "", "simulation horizon, e.g. 100ns, 2us (default: circuit default or 1ms)")
 	fs.BoolVar(&o.Lookahead, "lookahead", false, "enable null messages (conservative lookahead)")
 	fs.BoolVar(&o.User, "user", false, "user-consistent simultaneous-event ordering")
@@ -81,7 +78,6 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 
 	fs.StringVar(&o.Listen, "listen", "", "distributed: listen address (this process hosts the controller)")
 	fs.StringVar(&o.Connect, "connect", "", "distributed: hub address to join")
-	fs.IntVar(&o.Endpoints, "endpoints", 0, "distributed: total endpoint count (controller + workers)")
 	fs.IntVar(&o.Shards, "shards", 0, "cluster LPs into this many shards that execute sequentially inside the shard; workers step one timestamp at a time and exchange cross-shard events once per step, under any parallel -protocol (0 = no sharding, one LP per signal/process)")
 	fs.IntVar(&o.GVTEvery, "gvt-every", 0, "GVT cadence in events: per worker between round requests, or system-wide between syncs with -shards (0 = engine default)")
 
@@ -89,8 +85,7 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.CkptRounds, "checkpoint-rounds", 0, "committed GVT rounds between checkpoint cuts (default 1 when -checkpoint-file is set; pass the same value to every distributed process)")
 	fs.StringVar(&o.Restore, "restore", "", "resume from a checkpoint file written by -checkpoint-file (every distributed process needs the file)")
 
-	fs.BoolVar(&o.Failover, "failover", false, "on a transport failure, automatically absorb the dead node's LPs and resume from the latest checkpoint (controller process only; needs checkpointing)")
-	fs.IntVar(&o.MaxFailovers, "max-failovers", supervise.DefaultMaxFailovers, "give up after this many automatic failovers")
+	fs.IntVar(&o.MaxFailovers, "max-failovers", 0, "on a transport failure, absorb the dead node's LPs and resume from the latest checkpoint, up to this many times (controller process only; needs checkpointing; 0 = no failover)")
 	fs.DurationVar(&o.StallTimeout, "stall-timeout", 0, "fail the run if committed GVT does not advance for this long; 0 disables the watchdog")
 	fs.Int64Var(&o.MemBudget, "mem-budget", 0, "bound tracked optimistic memory (events, snapshots, anti-message records) to this many bytes; 0 = unbounded")
 
@@ -101,24 +96,21 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 
 // Resolve validates the options and maps them onto session options: the
 // protocol and times parsed, -checkpoint-file's -checkpoint-rounds default
-// applied, the horizon defaulted (the circuit's own, else 1ms), a distributed
-// run's worker count taken from -endpoints, and retry disabled unless
-// -failover asks for it. The frontends add
-// only what is theirs: pvsim its seams (fabric, persistence, restore),
-// govhdld its deadline and retry budget.
+// applied and the horizon defaulted (the circuit's own, else 1ms). The
+// frontends add only what is theirs: pvsim its seams (fabric, persistence,
+// restore), govhdld its deadline.
 func (o *Opts) Resolve() (govhdl.SessionOptions, error) {
-	var so govhdl.SessionOptions
 	proto, err := ParseProtocol(o.Protocol)
 	if err != nil {
 		return govhdl.SessionOptions{}, err
 	}
-	if o.CkptFile != "" && o.CkptRounds <= 0 {
+	if o.CkptFile != "" && o.CkptRounds == 0 {
 		o.CkptRounds = 1
 	}
 	if err := o.Validate(proto); err != nil {
 		return govhdl.SessionOptions{}, err
 	}
-	so.Options = govhdl.Options{
+	so := govhdl.SessionOptions{MaxFailovers: o.MaxFailovers, Options: govhdl.Options{
 		Protocol:         proto,
 		Workers:          o.Workers,
 		Lookahead:        o.Lookahead,
@@ -129,14 +121,7 @@ func (o *Opts) Resolve() (govhdl.SessionOptions, error) {
 		Shards:           o.Shards,
 		GVTEvery:         o.GVTEvery,
 		CheckpointRounds: o.CkptRounds,
-	}
-	if o.Listen != "" || o.Connect != "" {
-		so.Workers = o.Endpoints - 1
-	}
-	so.MaxFailovers = o.MaxFailovers
-	if !o.Failover {
-		so.MaxFailovers = -1
-	}
+	}}
 	if o.Throttle != "" {
 		if so.ThrottleWindow, err = ParseTime(o.Throttle); err != nil {
 			return govhdl.SessionOptions{}, fmt.Errorf("bad throttle: %v", err)
@@ -171,36 +156,41 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 	if (o.FaultDieSends > 0 || o.FaultMuteSends > 0) && proto == pdes.ProtoSequential {
 		return fmt.Errorf("fabric fault injection needs a parallel protocol")
 	}
-	if o.Failover {
-		if o.CkptRounds <= 0 {
-			return fmt.Errorf("-failover needs -checkpoint-rounds (or -checkpoint-file): recovery resumes from the latest GVT-consistent cut")
+	for _, f := range []struct {
+		name, zero string
+		val        int64
+	}{
+		{"-workers", "0 = one worker", int64(o.Workers)},
+		{"-checkpoint", "0 = every event", int64(o.SaveEvery)},
+		{"-gvt-every", "0 = engine default", int64(o.GVTEvery)},
+		{"-checkpoint-rounds", "0 = no checkpoint cuts", int64(o.CkptRounds)},
+		{"-max-failovers", "0 = no failover", int64(o.MaxFailovers)},
+		{"-shards", "0 disables sharding", int64(o.Shards)},
+		{"-stall-timeout", "0 disables the watchdog", int64(o.StallTimeout)},
+		{"-mem-budget", "0 = unbounded", o.MemBudget},
+	} {
+		if f.val < 0 {
+			return fmt.Errorf("%s must be >= 0 (%s)", f.name, f.zero)
+		}
+	}
+	if o.MaxFailovers > 0 {
+		if o.CkptRounds == 0 {
+			return fmt.Errorf("-max-failovers needs -checkpoint-rounds (or -checkpoint-file): recovery resumes from the latest GVT-consistent cut")
 		}
 		if o.Connect != "" {
-			return fmt.Errorf("-failover belongs on the controller's process (the -listen hub or a single process), not on a -connect worker")
+			return fmt.Errorf("-max-failovers belongs on the controller's process (the -listen hub or a single process), not on a -connect worker")
 		}
 		if proto == pdes.ProtoSequential {
-			return fmt.Errorf("-failover needs a parallel protocol")
+			return fmt.Errorf("-max-failovers needs a parallel protocol")
 		}
 	}
 	if o.CkptRounds > 0 {
 		if proto == pdes.ProtoSequential {
 			return fmt.Errorf("-checkpoint-rounds needs a parallel protocol (the sequential kernel has no GVT rounds)")
 		}
-		if o.Connect == "" && o.CkptFile == "" && !o.Failover {
-			return fmt.Errorf("-checkpoint-rounds needs -checkpoint-file on the controller process (or -failover, which keeps cuts in memory)")
+		if o.Connect == "" && o.CkptFile == "" && o.MaxFailovers == 0 {
+			return fmt.Errorf("-checkpoint-rounds needs -checkpoint-file on the controller process (or -max-failovers, which keeps cuts in memory)")
 		}
-	}
-	if o.StallTimeout < 0 {
-		return fmt.Errorf("-stall-timeout must be >= 0 (0 disables the watchdog)")
-	}
-	if o.MemBudget < 0 {
-		return fmt.Errorf("-mem-budget must be >= 0 (0 = unbounded)")
-	}
-	if (o.Listen != "" || o.Connect != "") && o.Endpoints < 2 {
-		return fmt.Errorf("distributed mode needs -endpoints >= 2")
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("-shards must be >= 0 (0 disables sharding)")
 	}
 	if o.Restore != "" && o.Shards > 0 {
 		return fmt.Errorf("-shards is recorded in the checkpoint file; -restore derives it (drop the explicit flag)")
@@ -225,12 +215,8 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 				return fmt.Errorf("-shards cannot be combined with %s: a sharded run steps one timestamp at a time with no null messages, speculation or rollback, so it would do nothing", f.name)
 			}
 		}
-		workers := o.Workers
-		if o.Listen != "" || o.Connect != "" {
-			workers = o.Endpoints - 1
-		}
-		if workers > o.Shards {
-			return fmt.Errorf("%d workers for %d shards: each shard is owned by one worker, so use -workers <= -shards", workers, o.Shards)
+		if o.Workers > o.Shards {
+			return fmt.Errorf("%d workers for %d shards: each shard is owned by one worker, so use -workers <= -shards", o.Workers, o.Shards)
 		}
 	}
 	if o.User && proto != pdes.ProtoSequential {

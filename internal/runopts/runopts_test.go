@@ -98,31 +98,54 @@ var validateCases = []struct {
 		o.FaultDieSends = 10
 	}, pdes.ProtoSequential, "needs a parallel protocol"},
 	{"failover without checkpointing", func(o *Opts) {
-		o.Failover = true
-	}, pdes.ProtoDynamic, "-failover needs -checkpoint-rounds"},
+		o.MaxFailovers = 3
+	}, pdes.ProtoDynamic, "-max-failovers needs -checkpoint-rounds"},
 	{"failover on a connect worker", func(o *Opts) {
-		o.Failover = true
+		o.MaxFailovers = 3
 		o.CkptRounds = 1
 		o.Connect = "host:1"
-		o.Endpoints = 3
+		o.Workers = 2
 	}, pdes.ProtoDynamic, "controller's process"},
 	{"failover under seq", func(o *Opts) {
-		o.Failover = true
+		o.MaxFailovers = 3
 		o.CkptRounds = 1
 	}, pdes.ProtoSequential, "needs a parallel protocol"},
 	{"failover ok", func(o *Opts) {
-		o.Failover = true
+		o.MaxFailovers = 3
 		o.CkptRounds = 1
 	}, pdes.ProtoDynamic, ""},
+	{"checkpoint rounds without a file or failover", func(o *Opts) {
+		o.CkptRounds = 1
+	}, pdes.ProtoDynamic, "or -max-failovers"},
 	{"negative stall timeout", func(o *Opts) {
 		o.StallTimeout = -time.Second
 	}, pdes.ProtoDynamic, "-stall-timeout"},
 	{"negative mem budget", func(o *Opts) {
 		o.MemBudget = -1
 	}, pdes.ProtoDynamic, "-mem-budget"},
-	{"distributed without endpoints", func(o *Opts) {
+	{"distributed one worker ok", func(o *Opts) {
 		o.Listen = ":0"
-	}, pdes.ProtoDynamic, "-endpoints >= 2"},
+		o.Workers = 1
+	}, pdes.ProtoDynamic, ""},
+	{"negative workers", func(o *Opts) {
+		o.Workers = -3
+	}, pdes.ProtoDynamic, "-workers must be >= 0 (0 = one worker)"},
+	{"negative state-saving interval", func(o *Opts) {
+		o.SaveEvery = -5
+	}, pdes.ProtoOptimistic, "-checkpoint must be >= 0 (0 = every event)"},
+	{"negative gvt cadence", func(o *Opts) {
+		o.GVTEvery = -7
+	}, pdes.ProtoDynamic, "-gvt-every must be >= 0 (0 = engine default)"},
+	{"negative checkpoint rounds", func(o *Opts) {
+		o.CkptRounds = -1
+	}, pdes.ProtoDynamic, "-checkpoint-rounds must be >= 0 (0 = no checkpoint cuts)"},
+	{"negative checkpoint rounds with a file", func(o *Opts) {
+		o.CkptFile = "ck"
+		o.CkptRounds = -1
+	}, pdes.ProtoDynamic, "-checkpoint-rounds must be >= 0"},
+	{"negative failover bound", func(o *Opts) {
+		o.MaxFailovers = -1
+	}, pdes.ProtoDynamic, "-max-failovers must be >= 0 (0 = no failover)"},
 	{"sharded ok", func(o *Opts) {
 		o.Shards = 4
 		o.Workers = 4
@@ -191,9 +214,8 @@ var validateCases = []struct {
 	}, pdes.ProtoDynamic, "-workers <= -shards"},
 	{"more distributed workers than shards", func(o *Opts) {
 		o.Shards = 2
-		o.Workers = 1
+		o.Workers = 3
 		o.Listen = ":0"
-		o.Endpoints = 4
 	}, pdes.ProtoDynamic, "-workers <= -shards"},
 }
 
@@ -238,11 +260,9 @@ func flagArgs(o, def Opts) []string {
 	add("gvt-every", o.GVTEvery, def.GVTEvery)
 	add("listen", o.Listen, def.Listen)
 	add("connect", o.Connect, def.Connect)
-	add("endpoints", o.Endpoints, def.Endpoints)
 	add("checkpoint-file", o.CkptFile, def.CkptFile)
 	add("checkpoint-rounds", o.CkptRounds, def.CkptRounds)
 	add("restore", o.Restore, def.Restore)
-	add("failover", o.Failover, def.Failover)
 	add("max-failovers", o.MaxFailovers, def.MaxFailovers)
 	add("stall-timeout", o.StallTimeout, def.StallTimeout)
 	add("mem-budget", o.MemBudget, def.MemBudget)
@@ -303,21 +323,21 @@ func TestFlagsResolveLikeOpts(t *testing.T) {
 }
 
 // Resolve's own mapping, beyond Validate: defaults, the distributed worker
-// count, the retry switch, and its two parse errors.
+// count, the failover bound, and its two parse errors.
 func TestResolveMapping(t *testing.T) {
 	so, err := (&Opts{Circuit: "fsm", Workers: 2, Throttle: "40ns", CkptFile: "x"}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if so.Protocol != pdes.ProtoDynamic || so.Until != 2*vtime.US || so.ThrottleWindow != 40*vtime.NS ||
-		so.CheckpointRounds != 1 || so.MaxFailovers != -1 {
+		so.CheckpointRounds != 1 || so.MaxFailovers != 0 {
 		t.Errorf("resolved %+v", so)
 	}
-	so, err = (&Opts{Top: "tb", Listen: ":0", Endpoints: 4, Failover: true, CkptRounds: 2, MaxFailovers: 5}).Resolve()
+	so, err = (&Opts{Top: "tb", Listen: ":0", Workers: 4, CkptRounds: 2, MaxFailovers: 5}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if so.Workers != 3 || so.Until != 1*vtime.MS || so.MaxFailovers != 5 || so.CheckpointRounds != 2 {
+	if so.Workers != 4 || so.Until != 1*vtime.MS || so.MaxFailovers != 5 || so.CheckpointRounds != 2 {
 		t.Errorf("resolved %+v", so)
 	}
 	for want, o := range map[string]*Opts{

@@ -5,11 +5,10 @@
 // worker pool.
 //
 // Tenant isolation follows the session semantics of the govhdl facade: a
-// recoverable transport fault retries that session transparently (the
-// streamed trace stays exact); a model diagnostic, stall verdict, memory
-// blowout, deadline or cancel fails only the offending session — every
-// other tenant keeps running. Cached design prototypes are never mutated by
-// runs: sessions simulate fresh clones (kernel.Design.CloneFresh).
+// model diagnostic, stall verdict, memory blowout, deadline or cancel fails
+// only the offending session — every other tenant keeps running. Cached
+// design prototypes are never mutated by runs: sessions simulate fresh
+// clones (kernel.Design.CloneFresh).
 package server
 
 import (
@@ -44,8 +43,6 @@ type Config struct {
 	MaxDeadline     time.Duration
 	// MaxWorkers caps the per-session worker count (default 8).
 	MaxWorkers int
-	// MaxFailovers caps transparent retries per session (0 = engine default).
-	MaxFailovers int
 	// MaxBodyBytes bounds a submit request body (default 8 MiB).
 	MaxBodyBytes int64
 }
@@ -271,8 +268,10 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The shared resolver keeps a request and the equivalent pvsim invocation
 	// rejecting the same combinations with the same messages, and running
 	// the same session when accepted. What the server adds is its deployment
-	// policy (the deadline, always-on transparent retry) and the one request
-	// field no pvsim flag spells (no_trace).
+	// policy (the deadline) and the one request field no pvsim flag spells
+	// (no_trace). A session makes one attempt: only the cancel watcher and
+	// the stall watchdog poison its in-process fabric, never with a
+	// recoverable transport fault.
 	ro, err := req.runOpts()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -283,7 +282,7 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	so.Deadline, so.MaxFailovers = deadline, sv.cfg.MaxFailovers
+	so.Deadline = deadline
 	so.NoTrace = req.NoTrace
 
 	// A VHDL submission resolves through the design cache before anything

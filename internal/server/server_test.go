@@ -321,6 +321,26 @@ func TestServerTenantIsolation(t *testing.T) {
 	}
 }
 
+// The two bounds no request can lift: a session that asks for no deadline
+// gets DefaultDeadline, and a body past MaxBodyBytes is refused with 400.
+func TestServerDefaultDeadlineAndBodyBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{DefaultDeadline: 150 * time.Millisecond, MaxBodyBytes: 512})
+	runaway := submit(t, ts, SessionRequest{Circuit: "fsm", Protocol: "opt", Workers: 2, Until: "1000ms"})
+	if rep := waitFinished(t, ts, runaway.ID); rep.State != StateFailed || rep.ErrorKind != "deadline" {
+		t.Errorf("session without a deadline: state=%s kind=%s (%s)", rep.State, rep.ErrorKind, rep.Error)
+	}
+	body := `{"circuit":"fsm","until":"` + strings.Repeat("1", 600) + `ns"}`
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "too large") {
+		t.Fatalf("%d-byte body: %d %s", len(body), resp.StatusCode, msg)
+	}
+}
+
 // TestServerQueueFull: a bounded pool plus a bounded queue turns overload
 // into 429, not unbounded admission.
 func TestServerQueueFull(t *testing.T) {
@@ -497,6 +517,7 @@ var badRequests = []badRequest{
 	{"constant initialised", SessionRequest{Top: "w", Sources: []SourceRequest{{Name: "w.vhd", Text: wideConstVHDL}}}, "",
 		"w.vhd:3:3: w: initial value of 8 elements for std_logic_vector(3 downto 0), which has 4"},
 	{"too many workers", SessionRequest{Circuit: "fsm", Workers: 99}, "", "workers must be <="},
+	{"negative workers", SessionRequest{Circuit: "fsm", Workers: -1}, "", "-workers must be >= 0 (0 = one worker)"},
 	{"negative mem budget", SessionRequest{Circuit: "fsm", MemBudget: -1}, "", "-mem-budget"},
 	{"huge deadline", SessionRequest{Circuit: "fsm", Deadline: "24h"}, "", "deadline must be <="},
 	// A field the request does not declare is refused by name, never

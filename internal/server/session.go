@@ -122,14 +122,11 @@ func (s *session) setRunning() {
 	s.mu.Unlock()
 }
 
-// setTable publishes the trace table of an attempt's design (first attempt
-// wins; retries rebuild an identical design).
+// setTable publishes the trace table of the session's design.
 func (s *session) setTable(d *kernel.Design) {
 	t := trace.NewTable(d)
 	s.mu.Lock()
-	if s.table == nil {
-		s.table = t
-	}
+	s.table = t
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }

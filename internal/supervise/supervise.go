@@ -30,11 +30,6 @@ import (
 	"govhdl/internal/pdes"
 )
 
-// DefaultMaxFailovers bounds how many times Run re-attempts after failures.
-// Each absorb run is fully local, so repeated recoverable failures indicate
-// a fault-injection plan or a broken machine rather than flaky peers.
-const DefaultMaxFailovers = 3
-
 // RunFunc executes one simulation attempt. Attempt 0 is the primary run
 // (distributed or fault-injected); attempts >= 1 are recovery runs and must
 // be fully local, with fresh model state, resuming from restore (nil means
@@ -44,8 +39,9 @@ type RunFunc func(attempt int, restore *pdes.Checkpoint) (*pdes.Result, error)
 
 // Supervisor coordinates the attempt loop. The zero value is ready to use.
 type Supervisor struct {
-	// MaxFailovers caps recovery attempts; 0 means DefaultMaxFailovers,
-	// negative means none.
+	// MaxFailovers caps recovery attempts; 0 means none. Each absorb run is
+	// fully local, so repeated recoverable failures point to a fault plan or
+	// a broken machine rather than flaky peers: a small bound suffices.
 	MaxFailovers int
 	// OnFailover, if set, observes each recovery decision before the next
 	// attempt starts: the attempt that died, its error, and the checkpoint
@@ -109,24 +105,20 @@ func (s *Supervisor) Latest() *pdes.Checkpoint {
 }
 
 // Run drives run until an attempt succeeds, fails unrecoverably, or the
-// failover budget is exhausted. With a negative MaxFailovers there is no
-// failover at all: a recoverable fault is a single failed attempt whose
-// error is returned as is.
+// failover budget is exhausted. With MaxFailovers 0 there is no failover at
+// all: a recoverable fault is a single failed attempt whose error is
+// returned as is.
 func (s *Supervisor) Run(run RunFunc) (*pdes.Result, error) {
-	max := s.MaxFailovers
-	if max == 0 {
-		max = DefaultMaxFailovers
-	}
 	for attempt := 0; ; attempt++ {
 		res, err := run(attempt, s.Latest())
-		if err == nil || !Recoverable(err) || max < 0 {
+		if err == nil || !Recoverable(err) || s.MaxFailovers <= 0 {
 			return res, err
 		}
 		if s.OnFailover != nil {
 			s.OnFailover(attempt, err, s.Latest())
 		}
-		if attempt >= max {
-			return nil, &giveUpError{failovers: max, err: err}
+		if attempt >= s.MaxFailovers {
+			return nil, &giveUpError{failovers: s.MaxFailovers, err: err}
 		}
 	}
 }

@@ -103,7 +103,7 @@ func oracle(t *testing.T) []string {
 	return lines
 }
 
-// failoverAttempt builds the RunFunc the pvsim -failover path uses: attempt
+// failoverAttempt builds the RunFunc the pvsim -max-failovers path uses: attempt
 // 0 runs on a fabric doomed by the seeded plan, attempts >= 1 absorb
 // everything locally on a clean fabric, resuming from the supervisor's
 // latest checkpoint. The returned pointer exposes the surviving attempt's
@@ -162,7 +162,7 @@ func diffTrace(t *testing.T, want, got []string) {
 // uninterrupted oracle — with no manual restore step anywhere.
 func TestFailoverReproducesTrace(t *testing.T) {
 	want := oracle(t)
-	sup := &Supervisor{}
+	sup := &Supervisor{MaxFailovers: 3}
 	var failovers []int
 	sup.OnFailover = func(attempt int, err error, ck *pdes.Checkpoint) {
 		failovers = append(failovers, attempt)
@@ -209,7 +209,7 @@ func TestFailoverReproducesTrace(t *testing.T) {
 // still reproduce the oracle trace.
 func TestFailoverFromScratchWithoutCheckpoint(t *testing.T) {
 	want := oracle(t)
-	sup := &Supervisor{}
+	sup := &Supervisor{MaxFailovers: 3}
 	sawNil := false
 	sup.OnFailover = func(attempt int, err error, ck *pdes.Checkpoint) {
 		if ck == nil {
@@ -244,7 +244,7 @@ func TestFailoverFromScratchWithoutCheckpoint(t *testing.T) {
 // stall verdicts, model bugs) recur deterministically on replay, so the
 // supervisor must surface them after one attempt.
 func TestUnrecoverableErrorNotRetried(t *testing.T) {
-	sup := &Supervisor{OnFailover: func(int, error, *pdes.Checkpoint) {
+	sup := &Supervisor{MaxFailovers: 3, OnFailover: func(int, error, *pdes.Checkpoint) {
 		t.Error("OnFailover called for an unrecoverable error")
 	}}
 	attempts := 0
@@ -278,6 +278,23 @@ func TestFailoverBudgetExhausted(t *testing.T) {
 	}
 	if Recoverable(err) {
 		t.Error("the give-up error itself must not be classified recoverable")
+	}
+}
+
+// TestZeroBudgetIsSingleAttempt: the zero Supervisor never fails over; a
+// transport failure comes back as the attempt's own error.
+func TestZeroBudgetIsSingleAttempt(t *testing.T) {
+	sup := &Supervisor{OnFailover: func(int, error, *pdes.Checkpoint) {
+		t.Error("OnFailover called without a failover budget")
+	}}
+	attempts := 0
+	transportErr := &pdes.SimError{Text: "pdes: transport failure: peer gone", Transport: true}
+	_, err := sup.Run(func(attempt int, restore *pdes.Checkpoint) (*pdes.Result, error) {
+		attempts++
+		return nil, transportErr
+	})
+	if attempts != 1 || err != error(transportErr) {
+		t.Fatalf("%d attempts ending in %v, want one ending in the attempt's own error", attempts, err)
 	}
 }
 
@@ -340,7 +357,7 @@ func TestPlanRecoveryClampAndRemap(t *testing.T) {
 func TestFailoverMigratesToSurvivors(t *testing.T) {
 	want := oracle(t)
 	var died []int // attempts the supervisor saw die
-	sup := &Supervisor{OnFailover: func(attempt int, _ error, _ *pdes.Checkpoint) { died = append(died, attempt) }}
+	sup := &Supervisor{MaxFailovers: 3, OnFailover: func(attempt int, _ error, _ *pdes.Checkpoint) { died = append(died, attempt) }}
 	final := &atomicSink{}
 	var last *RecoveryPlan
 	var cut *pdes.Checkpoint // the checkpoint the last recovery resumed from

@@ -19,7 +19,7 @@
 // error. On the hub, the error of a dead connection names the endpoints its
 // process hosted. There is no transparent reconnection; recovery is by
 // restarting from a GVT-consistent checkpoint (pdes.Checkpoint), which the
-// controller's -failover does in-process.
+// controller's -max-failovers does in-process.
 //
 // Every participating process must construct an identical System and Config
 // and call pdes.RunOn with its node's endpoints.

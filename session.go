@@ -30,8 +30,8 @@ type SessionOptions struct {
 	// Run returns an error wrapping ErrDeadlineExceeded.
 	Deadline time.Duration
 	// MaxFailovers caps transparent retries after recoverable transport
-	// faults; 0 selects the supervise default, negative disables retry (a
-	// transport fault is then a single failed attempt).
+	// faults. At 0, the default, a transport fault is a single failed
+	// attempt.
 	MaxFailovers int
 
 	// Fabric, when set, supplies the first attempt's endpoints in place of
@@ -144,8 +144,9 @@ func Classify(err error) ErrorKind {
 // register a streaming consumer, Run (blocking), Cancel from any goroutine.
 // A session is single-use; Run may be called once.
 //
-// Failure isolation: a recoverable transport fault retries the run
-// transparently (deterministic replay keeps the delivered trace exact); a
+// Failure isolation: with MaxFailovers set, a recoverable transport fault
+// retries the run transparently (deterministic replay keeps the delivered
+// trace exact); a
 // model diagnostic, stall verdict, cancel or deadline fails only this
 // session with a classified error (see Classify).
 type Session struct {

@@ -114,7 +114,8 @@ func TestSessionFailoverPreservesStream(t *testing.T) {
 				Protocol: Optimistic, Workers: 2, Until: until,
 				GVTEvery: 64, ThrottleWindow: 50 * NS, CheckpointRounds: ckptRounds,
 			},
-			Fabric: dyingFabric(1500),
+			MaxFailovers: 1,
+			Fabric:       dyingFabric(1500),
 			OnFailover: func(_ int, err error, ck *pdes.Checkpoint) int {
 				if Classify(err) != KindTransport {
 					t.Errorf("failover on a non-transport error: %v", err)
@@ -166,9 +167,8 @@ func TestSessionNoFailoverIsSingleAttempt(t *testing.T) {
 		return fsmFactory(2)()
 	}
 	s := NewSession(factory, SessionOptions{
-		Options:      Options{Protocol: Mixed, Workers: 2, Until: 1 * US},
-		MaxFailovers: -1,
-		Fabric:       dyingFabric(400),
+		Options: Options{Protocol: Mixed, Workers: 2, Until: 1 * US},
+		Fabric:  dyingFabric(400),
 	})
 	res, err := s.Run()
 	if Classify(err) != KindTransport || strings.Contains(err.Error(), "giving up") {
@@ -325,9 +325,13 @@ func TestSessionOneWorkerEngineCases(t *testing.T) {
 		}
 	}
 
+	// The throttle makes the worker wait for committed GVT, so rounds (and
+	// their cuts) happen however the Go scheduler runs the controller: on
+	// one OS thread an unthrottled worker reaches the horizon first.
 	cuts := 0
 	res, err := NewSession(fsmFactory(2), SessionOptions{
-		Options:      Options{Protocol: Optimistic, Workers: 1, Until: 1 * US, GVTEvery: 64, CheckpointRounds: 1},
+		Options: Options{Protocol: Optimistic, Workers: 1, Until: 1 * US, GVTEvery: 64, CheckpointRounds: 1,
+			ThrottleWindow: 50 * NS},
 		OnCheckpoint: func(*pdes.Checkpoint) error { cuts++; return nil },
 	}).Run()
 	if err != nil {
