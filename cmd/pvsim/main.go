@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"govhdl"
@@ -300,22 +299,15 @@ func run(o runOpts) error {
 		so.Fabric = plan.Fabric
 	}
 
-	so.OnFailover = func(attempt int, err error, ck *pdes.Checkpoint) int {
+	so.OnFailover = func(attempt int, err error, ck *pdes.Checkpoint) {
 		partial = false
 		if ck != nil {
-			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v); absorbing all LPs locally from the checkpoint at GVT %v\n",
-				attempt, err, ck.GVT)
+			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v); absorbing all LPs into %d local workers from the checkpoint at GVT %v\n",
+				attempt, err, so.Workers, ck.GVT)
 		} else {
-			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v) before the first checkpoint cut; restarting locally from scratch\n",
-				attempt, err)
+			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v) before the first checkpoint cut; absorbing all LPs into %d local workers from scratch\n",
+				attempt, err, so.Workers)
 		}
-		// The recovery run may not fit the dead cluster's worker count on
-		// this host.
-		avail := runtime.GOMAXPROCS(0)
-		if so.Workers > avail {
-			fmt.Fprintf(o.stderr, "pvsim: failover: clamping %d workers to %d for the recovery run\n", so.Workers, avail)
-		}
-		return avail
 	}
 
 	res, err := govhdl.NewSession(factory, so).Run()

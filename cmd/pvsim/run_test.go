@@ -92,9 +92,10 @@ func requireTrace(t *testing.T, what string, got, want []string) {
 	}
 }
 
-// The fabric dies mid-run; with -max-failovers the run absorbs every LP locally,
-// resumes from the in-memory cut and commits the sequential trace, logging
-// exactly one failover (CI chaos scenario 4, in-process).
+// The fabric dies mid-run; with -max-failovers the run absorbs every LP into
+// the same number of local workers, resumes from the in-memory cut and
+// commits the sequential trace, logging exactly one failover (CI chaos
+// scenario 4, in-process).
 func TestRunFailoverMatchesSequential(t *testing.T) {
 	want := golden(t)
 	out, errOut, err := pvsim("-circuit", "fsm", "-until", "500ns", "-protocol", "opt", "-workers", "3",
@@ -105,6 +106,9 @@ func TestRunFailoverMatchesSequential(t *testing.T) {
 	requireTrace(t, "failover run", sigLines(out), want)
 	if n := strings.Count(errOut, "pvsim: failover: attempt"); n != 1 {
 		t.Fatalf("%d failovers logged, want exactly 1:\n%s", n, errOut)
+	}
+	if !strings.Contains(errOut, "into 3 local workers") {
+		t.Fatalf("the recovery did not run the dead run's 3 workers:\n%s", errOut)
 	}
 }
 

@@ -154,11 +154,9 @@ func (lr *legRun) run(leg *Leg, so govhdl.SessionOptions) (*legOut, error) {
 		}
 		last = gvt
 	}
-	so.OnFailover = func(int, error, *pdes.Checkpoint) int {
+	so.OnFailover = func(int, error, *pdes.Checkpoint) {
 		out.failovers++
 		last = vtime.VT{}
-		// Recover at the leg's own shape, whatever host the soak runs on.
-		return so.Workers
 	}
 	if planActive(leg.Plan) {
 		so.Fabric = leg.Plan.Fabric

@@ -1,9 +1,9 @@
 // Package faultinject wraps the PDES message substrate with deterministic,
-// seeded fault injection for robustness testing: wire-level faults (killed,
-// truncated, muted, or delayed connections) compose with package transport
-// via WithConnWrapper, and fabric-level faults (process death after N sends,
-// randomized send delays) wrap any []pdes.Endpoint, including the in-process
-// fabric, via WrapFabric.
+// seeded fault injection for robustness testing: a killed connection
+// composes with package transport via WithConnWrapper, and fabric-level
+// faults (process death after N sends, muted or partitioned endpoints,
+// randomized send delays) wrap any []pdes.Endpoint, including the
+// in-process fabric, via WrapFabric.
 //
 // Everything is driven by a Plan with an explicit Seed, so a chaos run that
 // exposes a bug is replayable: the same seed produces the same fault
@@ -23,35 +23,17 @@ import (
 )
 
 // Plan schedules the faults to inject. The zero value injects nothing.
-// Counters are per connection (wire faults) or per endpoint (fabric faults).
+// Counters are per connection (the wire fault) or per endpoint (fabric faults).
 type Plan struct {
 	// Seed drives every randomized decision. Per-endpoint generators are
 	// derived as Seed+self so endpoints fault independently but repeatably.
 	Seed int64
 
-	// Wire faults (transport.WithConnWrapper via Plan.Conn).
+	// Wire fault (transport.WithConnWrapper via Plan.Conn).
 
 	// KillAfterWrites hard-closes the connection on write number N+1,
 	// simulating abrupt process death. 0 disables.
 	KillAfterWrites int
-	// TruncateOnKill writes half of the fatal frame before closing, so the
-	// survivor sees a corrupt stream instead of a clean EOF.
-	TruncateOnKill bool
-	// MuteAfterWrites blackholes writes after N, keeping the connection
-	// open but silent — the failure mode heartbeat timeouts exist for.
-	// 0 disables.
-	MuteAfterWrites int
-	// WriteDelayEvery sleeps WriteDelay before every Nth write. 0 disables.
-	WriteDelayEvery int
-	WriteDelay      time.Duration
-	// ReadDelayEvery sleeps ReadDelay before every Nth read. 0 disables.
-	ReadDelayEvery int
-	ReadDelay      time.Duration
-	// JoinDelay postpones the connection's very first write (the handshake
-	// hello) by this duration, simulating a node that joins the cluster late:
-	// a slow container start, a delayed dial, an operator adding capacity
-	// mid-run. The connection behaves normally afterwards. 0 disables.
-	JoinDelay time.Duration
 
 	// Fabric faults (WrapFabric).
 
@@ -83,11 +65,11 @@ type Plan struct {
 }
 
 // Conn returns a connection wrapper for transport.WithConnWrapper that
-// applies the plan's wire faults. Each wrapped connection gets its own
-// counters and generator.
+// applies the plan's wire fault. Each wrapped connection counts its own
+// writes.
 func (p Plan) Conn() func(net.Conn) net.Conn {
 	return func(c net.Conn) net.Conn {
-		return &faultConn{Conn: c, plan: p, rng: rand.New(rand.NewSource(p.Seed))}
+		return &faultConn{Conn: c, plan: p}
 	}
 }
 
@@ -96,9 +78,7 @@ type faultConn struct {
 	plan Plan
 
 	mu     sync.Mutex
-	rng    *rand.Rand
 	writes int
-	reads  int
 	dead   bool
 }
 
@@ -111,42 +91,16 @@ func (f *faultConn) Write(p []byte) (int, error) {
 	if kill {
 		f.dead = true
 	}
-	mute := f.plan.MuteAfterWrites > 0 && w > f.plan.MuteAfterWrites
-	delay := f.plan.WriteDelayEvery > 0 && w%f.plan.WriteDelayEvery == 0
-	joinDelay := w == 1 && f.plan.JoinDelay > 0
 	f.mu.Unlock()
 
 	if dead {
 		return 0, errors.New("faultinject: connection already killed")
 	}
-	if joinDelay {
-		time.Sleep(f.plan.JoinDelay)
-	}
 	if kill {
-		if f.plan.TruncateOnKill && len(p) > 1 {
-			f.Conn.Write(p[:len(p)/2])
-		}
 		f.Conn.Close()
 		return 0, fmt.Errorf("faultinject: connection killed after %d writes", w-1)
 	}
-	if mute {
-		return len(p), nil // blackhole: peer sees silence, not an error
-	}
-	if delay {
-		time.Sleep(f.plan.WriteDelay)
-	}
 	return f.Conn.Write(p)
-}
-
-func (f *faultConn) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	f.reads++
-	delay := f.plan.ReadDelayEvery > 0 && f.reads%f.plan.ReadDelayEvery == 0
-	f.mu.Unlock()
-	if delay {
-		time.Sleep(f.plan.ReadDelay)
-	}
-	return f.Conn.Read(p)
 }
 
 // Injector is the shared kill switch of a wrapped fabric.

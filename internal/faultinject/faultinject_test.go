@@ -3,7 +3,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -305,37 +304,6 @@ func TestKilledFabricTryRecvAllPoisons(t *testing.T) {
 	got := all.TryRecvAll(nil)
 	if len(got) != 1 || got[0].Err == nil || !strings.Contains(got[0].Err.Text, "died after") {
 		t.Fatalf("TryRecvAll after the kill returned %+v, want the poison alone", got)
-	}
-}
-
-// TestJoinDelayPostponesFirstWrite: the delayed-join wire fault holds back
-// only the connection's first write (the handshake hello).
-func TestJoinDelayPostponesFirstWrite(t *testing.T) {
-	const delay = 50 * time.Millisecond
-	a, b := net.Pipe()
-	defer b.Close()
-	wrapped := Plan{JoinDelay: delay}.Conn()(a)
-
-	done := make(chan time.Duration, 2)
-	go func() {
-		start := time.Now()
-		wrapped.Write([]byte("hello"))
-		done <- time.Since(start)
-		start = time.Now()
-		wrapped.Write([]byte("again"))
-		done <- time.Since(start)
-	}()
-	buf := make([]byte, 16)
-	for i := 0; i < 2; i++ {
-		if _, err := b.Read(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if first := <-done; first < delay {
-		t.Fatalf("first write completed in %v, want >= %v", first, delay)
-	}
-	if second := <-done; second >= delay {
-		t.Fatalf("second write also delayed (%v); only the join must be", second)
 	}
 }
 

@@ -34,50 +34,6 @@ type Checkpoint struct {
 	Blobs [][]byte
 }
 
-// RemapCheckpoint regroups a checkpoint's per-LP state for a different worker
-// count than the cut was taken with: a recovery run clamped to the controller
-// host's cores (supervise.PlanRecovery). Every LP's committed log, pending
-// events, channel clocks and mode survive unchanged; only the worker grouping
-// — and therefore the LP-to-worker ownership of the restored run — changes,
-// to the placement a fresh run on that many workers would use. The per-worker
-// event-ID allocators are re-seeded as regroup describes.
-func RemapCheckpoint(ck *Checkpoint, sys *System, workers int) (*Checkpoint, error) {
-	if ck.Format != checkpointFormat {
-		return nil, fmt.Errorf("pdes: remap: checkpoint format %d, want %d", ck.Format, checkpointFormat)
-	}
-	if ck.NumLPs != sys.NumLPs() {
-		return nil, fmt.Errorf("pdes: remap: checkpoint was taken against %d LPs, the system has %d", ck.NumLPs, sys.NumLPs())
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("pdes: remap: need at least 1 worker, got %d", workers)
-	}
-	if workers > sys.NumLPs() {
-		workers = sys.NumLPs()
-	}
-	if workers == ck.Workers {
-		return ck, nil
-	}
-	dest, err := regroup(ck.Blobs, ck.NumLPs, sys.placement(workers))
-	if err != nil {
-		return nil, fmt.Errorf("pdes: remap: %w", err)
-	}
-	blobs := make([][]byte, workers+1)
-	for w := 1; w <= workers; w++ {
-		if blobs[w], err = encodeBlob(&dest[w]); err != nil {
-			return nil, fmt.Errorf("pdes: remap: encode worker %d blob: %w", w, err)
-		}
-	}
-	return &Checkpoint{
-		Format:  ck.Format,
-		GVT:     ck.GVT,
-		Round:   ck.Round,
-		Workers: workers,
-		NumLPs:  ck.NumLPs,
-		Modes:   append([]Mode(nil), ck.Modes...),
-		Blobs:   blobs,
-	}, nil
-}
-
 // decodeRestore checks a checkpoint against the run it is restored into and
 // decodes its worker blobs (indexed by endpoint, like Blobs). The blobs decide
 // who owns what: a restored run resumes with the cut's LP ownership, not the

@@ -241,96 +241,6 @@ func TestRestoreValidation(t *testing.T) {
 	}
 }
 
-// TestRemapCheckpointRestore is the survivors-recovery path: a checkpoint cut
-// with 4 workers, remapped to 2, restored on a 2-worker run — the dead nodes'
-// LPs land on the survivors and the trace still matches the oracle.
-func TestRemapCheckpointRestore(t *testing.T) {
-	const (
-		nLPs  = 12
-		seed  = 5
-		until = vtime.Time(2000)
-	)
-	protocol := ProtoMixed
-
-	oracle := &memSink{}
-	if _, err := RunSequential(buildRing(nLPs, seed, protocol), until, oracle); err != nil {
-		t.Fatalf("sequential oracle: %v", err)
-	}
-	want := sortedLines(oracle.snapshot())
-
-	var cks []*Checkpoint
-	cfg := Config{
-		Workers:          4,
-		Protocol:         protocol,
-		GVTEvery:         64,
-		ThrottleWindow:   100,
-		CheckpointRounds: 1,
-		CheckpointSink:   func(ck *Checkpoint) error { cks = append(cks, ck); return nil },
-	}
-	if _, err := Run(buildRing(nLPs, seed, protocol), cfg, until, &memSink{}); err != nil {
-		t.Fatalf("checkpointed run: %v", err)
-	}
-	if len(cks) == 0 {
-		t.Fatal("no checkpoints were taken")
-	}
-	ck := cks[len(cks)/2]
-
-	sys := buildRing(nLPs, seed, protocol)
-	same, err := RemapCheckpoint(ck, sys, 4)
-	if err != nil {
-		t.Fatalf("identity remap: %v", err)
-	}
-	if same != ck {
-		t.Fatal("remap to the original worker count must return the checkpoint unchanged")
-	}
-
-	remapped, err := RemapCheckpoint(ck, sys, 2)
-	if err != nil {
-		t.Fatalf("remap 4 -> 2: %v", err)
-	}
-	if remapped.Workers != 2 || len(remapped.Blobs) != 3 {
-		t.Fatalf("remapped shape: workers=%d blobs=%d", remapped.Workers, len(remapped.Blobs))
-	}
-	if remapped.GVT != ck.GVT || remapped.NumLPs != ck.NumLPs {
-		t.Fatal("remap must preserve the cut's GVT and LP count")
-	}
-
-	sink := &memSink{}
-	cfg2 := Config{
-		Workers:          2,
-		Protocol:         protocol,
-		GVTEvery:         64,
-		ThrottleWindow:   100,
-		Restore:          remapped,
-		CheckpointRounds: 2,
-		CheckpointSink:   func(*Checkpoint) error { return nil },
-	}
-	res, err := Run(buildRing(nLPs, seed, protocol), cfg2, until, sink)
-	if err != nil {
-		t.Fatalf("restored 2-worker run: %v", err)
-	}
-	if res.GVT.Less(vtime.VT{PT: until}) {
-		t.Fatalf("restored run stopped at GVT %v", res.GVT)
-	}
-	diffLines(t, want, sortedLines(sink.snapshot()))
-}
-
-func TestRemapCheckpointRejectsMismatch(t *testing.T) {
-	sys := buildRing(6, 3, ProtoOptimistic)
-	ck := &Checkpoint{Format: checkpointFormat, Workers: 2, NumLPs: 7}
-	if _, err := RemapCheckpoint(ck, sys, 1); err == nil {
-		t.Fatal("LP-count mismatch not rejected")
-	}
-	ck = &Checkpoint{Format: checkpointFormat + 1, Workers: 2, NumLPs: 6}
-	if _, err := RemapCheckpoint(ck, sys, 1); err == nil {
-		t.Fatal("format mismatch not rejected")
-	}
-	ck = &Checkpoint{Format: checkpointFormat, Workers: 2, NumLPs: 6}
-	if _, err := RemapCheckpoint(ck, sys, 0); err == nil {
-		t.Fatal("zero workers not rejected")
-	}
-}
-
 // TestMisrouteIsFatal: an event or null message for an LP this worker does
 // not own is a protocol violation that stops the run, never forwarded.
 func TestMisrouteIsFatal(t *testing.T) {

@@ -19,8 +19,8 @@ import (
 // hands the assembled Checkpoint to Config.CheckpointSink, and releases
 // everyone at once (msgCutResume). Config.Restore is the install half alone:
 // at startup each worker installs its blob of a previously captured
-// Checkpoint, so the run resumes with the cut's LP ownership
-// (RemapCheckpoint regroups a Checkpoint for a different worker count).
+// Checkpoint, so the run resumes with the cut's LP ownership and worker
+// count: a restore into any other Config.Workers is refused.
 //
 // Model state is never serialized (kernel snapshots keep their fields
 // unexported): a captured LP is its committed event log, and install rebuilds
@@ -324,56 +324,4 @@ func (c *controller) cutRound(gvt vtime.VT) (stopped bool) {
 	}
 	c.broadcast(msgCutResume, nil)
 	return false
-}
-
-// regroup decodes captured worker blobs and regroups their LPs by
-// placement: placement[i] lists the LPs worker endpoint i+1 receives, and the
-// result holds one ckptWorker per worker endpoint (index 0 unused) listing
-// its LPs in placement order. Every regrouped worker's event-ID allocator and
-// clock are seeded with the maximum any source worker had reached, so IDs
-// minted after an install of the result can never collide with IDs living in
-// the regrouped pending sets or logs.
-func regroup(blobs [][]byte, numLPs int, placement [][]LPID) ([]ckptWorker, error) {
-	byLP := make([]*ckptLP, numLPs)
-	var seq uint64
-	var clock float64
-	for w := 1; w < len(blobs); w++ {
-		if len(blobs[w]) == 0 {
-			continue
-		}
-		cw, err := decodeBlob(blobs[w])
-		if err != nil {
-			return nil, fmt.Errorf("worker %d: %w", w, err)
-		}
-		if cw.Seq > seq {
-			seq = cw.Seq
-		}
-		if cw.Clock > clock {
-			clock = cw.Clock
-		}
-		for i := range cw.LPs {
-			cl := &cw.LPs[i]
-			if cl.ID < 0 || int(cl.ID) >= numLPs {
-				return nil, fmt.Errorf("worker %d: blob LP %d out of range", w, cl.ID)
-			}
-			if byLP[cl.ID] != nil {
-				return nil, fmt.Errorf("LP %d appears in two worker blobs", cl.ID)
-			}
-			byLP[cl.ID] = cl
-		}
-	}
-	dest := make([]ckptWorker, len(placement)+1)
-	for w := range dest {
-		dest[w] = ckptWorker{Worker: w, Seq: seq, Clock: clock}
-	}
-	for wi, ids := range placement {
-		for _, id := range ids {
-			cl := byLP[id]
-			if cl == nil {
-				return nil, fmt.Errorf("no worker blob carries LP %d", id)
-			}
-			dest[wi+1].LPs = append(dest[wi+1].LPs, *cl)
-		}
-	}
-	return dest, nil
 }

@@ -260,6 +260,51 @@ func TestServerCacheHitSkipsElaboration(t *testing.T) {
 	}
 }
 
+// TestServerNoTrace: a session submitted with no_trace runs to completion but
+// retains no trace, so /trace answers an empty 200; the same submit without
+// it retains the run's trace.
+func TestServerNoTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	run := func(body string) (SessionReply, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep SessionReply
+		json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d (%+v)", body, resp.StatusCode, rep)
+		}
+		rep = waitFinished(t, ts, rep.ID)
+		resp, err = http.Get(ts.URL + "/v1/sessions/" + rep.ID + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace: status %d", resp.StatusCode)
+		}
+		return rep, string(b)
+	}
+
+	rep, body := run(`{"circuit":"fsm","until":"100ns","no_trace":true}`)
+	if rep.State != StateDone || rep.TraceLines != 0 || body != "" {
+		t.Fatalf("no_trace session: state %s, trace_lines %d, %d trace bytes; want done, 0, 0",
+			rep.State, rep.TraceLines, len(body))
+	}
+	rep, body = run(`{"circuit":"fsm","until":"100ns"}`)
+	if rep.State != StateDone || rep.TraceLines == 0 || body == "" {
+		t.Fatalf("traced session: state %s, trace_lines %d, %d trace bytes; want done and a trace",
+			rep.State, rep.TraceLines, len(body))
+	}
+}
+
 // TestServerCacheEvictionUnderPressure: with a cache bound smaller than one
 // design, every residency is evicted, yet sessions keep succeeding — the
 // bound degrades performance, never correctness.

@@ -12,14 +12,11 @@
 // diagnose, and this package knows which failures are worth retrying and
 // what state to retry from.
 //
-// Recovery shape. By default an absorb run keeps the same Config.Workers
+// A recovery attempt re-runs the dead run's shape: the same Config.Workers
 // (the paper's LP-to-processor mapping is a partition over a fixed worker
-// count, and the restored mode/ownership tables are indexed by it); the
-// controller's process simply hosts all workers over the in-process
-// fabric. But rerunning a 16-worker cut on a 4-core survivor just thrashes:
-// PlanRecovery clamps the worker count to what the surviving host can
-// actually execute and regroups the checkpoint for that count with
-// pdes.RemapCheckpoint instead of absorbing it at the original shape.
+// count, and the restored mode and ownership tables are indexed by it), the
+// latest cut restored as it was taken, every worker hosted by the
+// controller's process over the in-process fabric.
 package supervise
 
 import (
@@ -43,50 +40,14 @@ type Supervisor struct {
 	// fully local, so repeated recoverable failures point to a fault plan or
 	// a broken machine rather than flaky peers: a small bound suffices.
 	MaxFailovers int
-	// OnFailover, if set, observes each recovery decision before the next
-	// attempt starts: the attempt that died, its error, and the checkpoint
-	// the next attempt will resume from (nil for a from-scratch restart).
+	// OnFailover, if set, observes each failover before the recovery attempt
+	// starts: the attempt that died, its error, and the checkpoint the
+	// recovery resumes from (nil for a from-scratch restart). It only
+	// observes: the recovery's shape is the dead attempt's.
 	OnFailover func(attempt int, err error, ck *pdes.Checkpoint)
 
 	mu     sync.Mutex
 	latest *pdes.Checkpoint
-}
-
-// RecoveryPlan describes how a recovery attempt should run.
-type RecoveryPlan struct {
-	// Workers is the worker count for the recovery run: the original count
-	// clamped to what the surviving host can execute.
-	Workers int
-	// Restore is the checkpoint to resume from, remapped to Workers when
-	// that differs from the cut's worker count; nil means from scratch.
-	Restore *pdes.Checkpoint
-}
-
-// PlanRecovery computes the shape of an absorb attempt on a surviving host
-// with avail executable cores (runtime.GOMAXPROCS(0) for the local machine).
-// origWorkers is the primary run's Config.Workers. The checkpoint, when one
-// exists and the clamped worker count differs from its cut, is regrouped
-// for that count with pdes.RemapCheckpoint.
-func PlanRecovery(sys *pdes.System, ck *pdes.Checkpoint, origWorkers, avail int) (*RecoveryPlan, error) {
-	if origWorkers < 1 {
-		return nil, fmt.Errorf("supervise: original worker count %d out of range", origWorkers)
-	}
-	if avail < 1 {
-		avail = 1
-	}
-	workers := min(origWorkers, avail)
-	if n := sys.NumLPs(); workers > n {
-		workers = n
-	}
-	plan := &RecoveryPlan{Workers: workers, Restore: ck}
-	if ck != nil && workers != ck.Workers {
-		remapped, err := pdes.RemapCheckpoint(ck, sys, workers)
-		if err != nil {
-			return nil, fmt.Errorf("supervise: regrouping the checkpoint for %d workers: %w", workers, err)
-		}
-		plan.Restore = remapped
-	}
-	return plan, nil
 }
 
 // Checkpoint records the most recent cut — or seeds the first attempt's

@@ -298,132 +298,6 @@ func TestZeroBudgetIsSingleAttempt(t *testing.T) {
 	}
 }
 
-// TestPlanRecoveryClampAndRemap pins the recovery-shape arithmetic: a
-// surviving host with fewer cores than the cut's workers gets a clamped
-// count and a regrouped checkpoint; a roomy host keeps the original shape and
-// the original checkpoint object.
-func TestPlanRecoveryClampAndRemap(t *testing.T) {
-	var cks []*pdes.Checkpoint
-	cfg := pdes.Config{
-		Workers:          ringWorkers,
-		Protocol:         pdes.ProtoOptimistic,
-		GVTEvery:         64,
-		ThrottleWindow:   100,
-		CheckpointRounds: 1,
-		CheckpointSink:   func(ck *pdes.Checkpoint) error { cks = append(cks, ck); return nil },
-	}
-	if _, err := pdes.RunOn(buildRing(ringLPs, ringSeed), cfg, ringUntil, &memSink{},
-		pdes.NewLocalFabric(ringWorkers+1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(cks) == 0 {
-		t.Fatal("no checkpoints were cut")
-	}
-	ck := cks[len(cks)/2]
-
-	sys := buildRing(ringLPs, ringSeed)
-	// Two cores: clamp 4 -> 2 and regroup the checkpoint.
-	plan, err := PlanRecovery(sys, ck, ringWorkers, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Workers != 2 || plan.Restore == ck || plan.Restore.Workers != 2 {
-		t.Fatalf("clamped plan wrong: %+v", plan)
-	}
-	// Plenty of cores: original shape, original checkpoint.
-	plan, err = PlanRecovery(sys, ck, ringWorkers, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Workers != ringWorkers || plan.Restore != ck {
-		t.Fatalf("unclamped plan wrong: %+v", plan)
-	}
-	// No checkpoint yet: from-scratch restart, still clamped.
-	plan, err = PlanRecovery(sys, nil, ringWorkers, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Workers != 2 || plan.Restore != nil {
-		t.Fatalf("from-scratch plan wrong: %+v", plan)
-	}
-}
-
-// TestFailoverMigratesToSurvivors is the kill-one-of-three chaos scenario
-// with a regroup instead of a full-shape absorb: the primary 4-worker run
-// dies mid-run, and the recovery — planned for a 2-core survivor — resumes
-// from the checkpoint regrouped for 2 workers. The dead workers' LPs land on
-// the survivors, and the final trace is byte-identical to the uninterrupted
-// oracle.
-func TestFailoverMigratesToSurvivors(t *testing.T) {
-	want := oracle(t)
-	var died []int // attempts the supervisor saw die
-	sup := &Supervisor{MaxFailovers: 3, OnFailover: func(attempt int, _ error, _ *pdes.Checkpoint) { died = append(died, attempt) }}
-	final := &atomicSink{}
-	var last *RecoveryPlan
-	var cut *pdes.Checkpoint // the checkpoint the last recovery resumed from
-	run := func(attempt int, restore *pdes.Checkpoint) (*pdes.Result, error) {
-		sink := &memSink{}
-		final.set(sink)
-		cfg := pdes.Config{
-			Workers:          ringWorkers,
-			Protocol:         pdes.ProtoOptimistic,
-			GVTEvery:         64,
-			ThrottleWindow:   100,
-			CheckpointRounds: 1,
-			CheckpointSink: func(ck *pdes.Checkpoint) error {
-				sup.Checkpoint(ck)
-				return nil
-			},
-		}
-		if attempt == 0 {
-			eps, _ := faultinject.WrapFabric(pdes.NewLocalFabric(ringWorkers+1),
-				faultinject.Plan{Seed: 7, DieAfterSends: 300})
-			return pdes.RunOn(buildRing(ringLPs, ringSeed), cfg, ringUntil, sink, eps)
-		}
-		// The survivor has two cores: clamp and regroup.
-		plan, err := PlanRecovery(buildRing(ringLPs, ringSeed), restore, ringWorkers, 2)
-		if err != nil {
-			return nil, err
-		}
-		last, cut = plan, restore
-		cfg.Workers = plan.Workers
-		cfg.Restore = plan.Restore
-		return pdes.RunOn(buildRing(ringLPs, ringSeed), cfg, ringUntil, sink,
-			pdes.NewLocalFabric(plan.Workers+1))
-	}
-
-	done := make(chan struct{})
-	var (
-		res    *pdes.Result
-		runErr error
-	)
-	go func() {
-		defer close(done)
-		res, runErr = sup.Run(run)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("failover run hung")
-	}
-	if runErr != nil {
-		t.Fatalf("supervised run failed: %v", runErr)
-	}
-	if res.GVT.Less(vtime.VT{PT: ringUntil}) {
-		t.Fatalf("recovered run stopped at GVT %v", res.GVT)
-	}
-	if cut == nil {
-		t.Skip("the fabric died before the first checkpoint; regroup path not exercised")
-	}
-	if last.Workers != 2 || last.Restore == cut || last.Restore.Workers != 2 {
-		t.Fatalf("recovery plan wrong: %+v", last)
-	}
-	if len(died) == 0 || died[0] != 0 {
-		t.Fatalf("the supervisor must observe the primary attempt's death: %v", died)
-	}
-	diffTrace(t, want, sortedLines(final.get().snapshot()))
-}
-
 // TestRecoverableClassification pins the retry predicate.
 func TestRecoverableClassification(t *testing.T) {
 	cases := []struct {

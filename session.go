@@ -3,7 +3,6 @@ package govhdl
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,11 +49,11 @@ type SessionOptions struct {
 	// OnGVT observes every committed GVT value of every attempt, in
 	// nondecreasing order within an attempt (pdes.Config.OnGVT's contract).
 	OnGVT func(gvt vtime.VT)
-	// OnFailover observes each recovery decision before the next attempt
-	// starts — the attempt that died, its error, and the cut the recovery
-	// resumes from (nil: from scratch) — and returns the worker capacity the
-	// recovery may use; 0 means this host's GOMAXPROCS.
-	OnFailover func(attempt int, err error, from *pdes.Checkpoint) (capacity int)
+	// OnFailover observes each failover before the recovery attempt starts:
+	// the attempt that died, its error, and the cut the recovery resumes
+	// from (nil: from scratch). The recovery runs the same Workers on the
+	// in-process fabric.
+	OnFailover func(attempt int, err error, from *pdes.Checkpoint)
 }
 
 // SequentialKernel reports whether the session runs on the sequential kernel
@@ -219,16 +218,10 @@ func (s *Session) Run() (*Result, error) {
 		})
 		defer t.Stop()
 	}
-	capacity := 0
-	sup := &supervise.Supervisor{MaxFailovers: s.opts.MaxFailovers}
-	if s.opts.OnFailover != nil {
-		sup.OnFailover = func(attempt int, err error, from *pdes.Checkpoint) {
-			capacity = s.opts.OnFailover(attempt, err, from)
-		}
-	}
+	sup := &supervise.Supervisor{MaxFailovers: s.opts.MaxFailovers, OnFailover: s.opts.OnFailover}
 	sup.Checkpoint(s.opts.Restore)
 	run, err := sup.Run(func(n int, restore *pdes.Checkpoint) (*pdes.Result, error) {
-		return s.attempt(sup, n, restore, capacity)
+		return s.attempt(sup, n, restore)
 	})
 	if err != nil && s.deadlined.Load() && Classify(err) == KindCanceled {
 		err = fmt.Errorf("%w (%v): %v", ErrDeadlineExceeded, s.opts.Deadline, err)
@@ -249,8 +242,9 @@ func (s *Session) Run() (*Result, error) {
 // attempt executes attempt n: build a fresh model, shard it, map the options
 // onto the engine, pick the fabric, and run with streaming delivery. Attempt
 // 0 is the primary run; attempts >= 1 are recoveries that absorb every LP
-// into this process and resume from restore, the latest retained cut.
-func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkpoint, capacity int) (*pdes.Result, error) {
+// into this process at the same worker count and resume from restore, the
+// latest retained cut.
+func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkpoint) (*pdes.Result, error) {
 	m, err := s.factory()
 	if err != nil {
 		return nil, err
@@ -372,21 +366,6 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 		}
 		res, err = pdes.RunOn(sys, cfg, o.Until, sink, eps)
 	default:
-		if n > 0 {
-			// Recovery keeps the config but not blindly the worker count:
-			// the surviving host may have fewer cores than the dead cluster
-			// had workers, so the shape is clamped to the capacity and the
-			// cut remapped to it. Either way the committed
-			// trace is the one the dead run would have emitted.
-			if capacity <= 0 {
-				capacity = runtime.GOMAXPROCS(0)
-			}
-			plan, perr := supervise.PlanRecovery(sys, restore, cfg.Workers, capacity)
-			if perr != nil {
-				return nil, perr
-			}
-			cfg.Workers, cfg.Restore = plan.Workers, plan.Restore
-		}
 		res, err = pdes.Run(sys, cfg, o.Until, sink)
 	}
 	if err != nil {

@@ -1,6 +1,7 @@
 package govhdl
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -116,13 +117,12 @@ func TestSessionFailoverPreservesStream(t *testing.T) {
 			},
 			MaxFailovers: 1,
 			Fabric:       dyingFabric(1500),
-			OnFailover: func(_ int, err error, ck *pdes.Checkpoint) int {
+			OnFailover: func(_ int, err error, ck *pdes.Checkpoint) {
 				if Classify(err) != KindTransport {
 					t.Errorf("failover on a non-transport error: %v", err)
 				}
 				failovers++
 				from = ck
-				return 0
 			},
 		})
 		col := collectLines(t, fsmFactory(2))
@@ -155,6 +155,46 @@ func TestSessionFailoverPreservesStream(t *testing.T) {
 	}
 	if resumed >= scratch {
 		t.Errorf("retry from the cut at GVT %v executed %d events net of rollbacks, the from-scratch retry %d: it did not resume", from.GVT, resumed, scratch)
+	}
+}
+
+// A recovery re-runs the dead attempt's worker count whatever GOMAXPROCS the
+// surviving process has: four workers die mid-run on a one-core process,
+// and the recovery restores the cut into four workers again.
+func TestSessionFailoverKeepsShape(t *testing.T) {
+	const until = 1 * US
+	want := soloFSMTrace(t, 2, until)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	failovers := 0
+	var from *pdes.Checkpoint
+	s := NewSession(fsmFactory(2), SessionOptions{
+		Options: Options{
+			Protocol: Optimistic, Workers: 4, Until: until,
+			GVTEvery: 64, ThrottleWindow: 50 * NS, CheckpointRounds: 1,
+		},
+		MaxFailovers: 1,
+		Fabric:       dyingFabric(1500),
+		OnFailover: func(_ int, _ error, ck *pdes.Checkpoint) {
+			failovers++
+			from = ck
+		},
+	})
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failovers != 1 {
+		t.Fatalf("expected exactly one failover, got %d", failovers)
+	}
+	if from == nil {
+		t.Fatal("the session failed over before its first cut; lower GVTEvery or raise the fault's send count")
+	}
+	if n := len(res.Run.Workers); n != 4 {
+		t.Fatalf("the recovery ran %d workers, want the dead attempt's 4", n)
+	}
+	if got := strings.Join(res.TraceLines(), "\n"); got != want {
+		t.Fatal("Result trace after failover diverged from solo run")
 	}
 }
 
