@@ -35,7 +35,7 @@ func main() {
 	flag.IntVar(&opts.Cycles, "cycles", 0, "simulation horizon in clock cycles (0 = default)")
 	flag.IntVar(&opts.Legs, "legs", 0, "number of fault legs to run (0 = default; leg 0 is always the fault-free baseline)")
 	flag.IntVar(&opts.Workers, "workers", 0, "workers per leg (0 = default)")
-	flag.BoolVar(&opts.Kills, "kills", false, "fault mix: node kills + supervised failover")
+	flag.BoolVar(&opts.Kills, "kills", false, "fault mix: node kills + failover")
 	flag.BoolVar(&opts.Delays, "delays", false, "fault mix: randomized send delays")
 	flag.BoolVar(&opts.Squeezes, "squeezes", false, "fault mix: memory-budget squeezes")
 	flag.BoolVar(&opts.Checkpoints, "checkpoints", false, "fault mix: checkpoint lineage churn + corrupt-latest drill")

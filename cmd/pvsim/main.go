@@ -299,14 +299,14 @@ func run(o runOpts) error {
 		so.Fabric = plan.Fabric
 	}
 
-	so.OnFailover = func(attempt int, err error, ck *pdes.Checkpoint) {
+	so.OnFailover = func(err error, ck *pdes.Checkpoint) {
 		partial = false
 		if ck != nil {
-			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v); absorbing all LPs into %d local workers from the checkpoint at GVT %v\n",
-				attempt, err, so.Workers, ck.GVT)
+			fmt.Fprintf(o.stderr, "pvsim: failover: the run died (%v); absorbing all LPs into %d local workers from the checkpoint at GVT %v\n",
+				err, so.Workers, ck.GVT)
 		} else {
-			fmt.Fprintf(o.stderr, "pvsim: failover: attempt %d died (%v) before the first checkpoint cut; absorbing all LPs into %d local workers from scratch\n",
-				attempt, err, so.Workers)
+			fmt.Fprintf(o.stderr, "pvsim: failover: the run died (%v) before the first checkpoint cut; absorbing all LPs into %d local workers from scratch\n",
+				err, so.Workers)
 		}
 	}
 

@@ -26,10 +26,10 @@ func TestFlagSet(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	want := []string{
 		"checkpoint", "checkpoint-file", "checkpoint-keep", "checkpoint-rounds",
-		"circuit", "compare", "connect",
+		"circuit", "compare", "connect", "failover",
 		"fault-die-sends", "fault-kill-writes", "fault-mute-sends", "fault-seed",
 		"gvt-every", "hb-interval", "hb-timeout", "hosted",
-		"listen", "lookahead", "max-failovers", "mem-budget",
+		"listen", "lookahead", "mem-budget",
 		"protocol", "restore", "shards", "stall-timeout", "stats",
 		"throttle", "top", "trace", "until", "user",
 		"vcd", "verify", "vet", "vet-json", "vet-strict", "workers",
@@ -56,10 +56,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := fs.Parse([]string{"-partition", "topo"}); err == nil {
 		t.Error("-partition accepted")
 	}
-	// Nor is a recovery policy: a dead node's LPs go through -max-failovers.
+	// Nor is a recovery policy: a dead node's LPs go through -failover.
 	// LPs never move during a run, so there is no migration policy either.
 	// A distributed run's endpoint count is -workers plus the controller's.
-	for _, name := range []string{"-min-nodes", "-migrate-policy", "-endpoints", "-failover"} {
+	for _, name := range []string{"-min-nodes", "-migrate-policy", "-endpoints"} {
 		if err := fs.Parse([]string{name, "2"}); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s: %v, want an unknown flag", name, err)
 		}

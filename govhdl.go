@@ -194,11 +194,11 @@ type Result struct {
 	model *Model
 }
 
-// Simulate runs the model once: a single-attempt Session. A model's signal
-// and process state is mutated by the run; build a fresh Model to simulate
-// again from time zero.
+// Simulate runs the model once: a Session without failover, so the one
+// attempt it makes is on m itself. A model's signal and process state is
+// mutated by the run; build a fresh Model to simulate again from time zero.
 func (m *Model) Simulate(o Options) (*Result, error) {
-	return m.NewSession(SessionOptions{Options: o}).Run()
+	return NewSession(func() (*Model, error) { return m, nil }, SessionOptions{Options: o}).Run()
 }
 
 // TraceLines renders the committed value changes deterministically.
@@ -209,12 +209,21 @@ func (r *Result) TraceLines() []string {
 	return r.Trace.Lines(r.model.sys)
 }
 
-// WriteVCD dumps the run as a Value Change Dump for waveform viewers.
+// WriteVCD dumps the run as a Value Change Dump for waveform viewers,
+// through the design's trace.Table: every signal declared, in declaration
+// order, the bytes a govhdld session's /vcd streams for the same run.
 func (r *Result) WriteVCD(w io.Writer) error {
 	if r.Trace == nil {
 		return fmt.Errorf("govhdl: the run was traced with NoTrace")
 	}
-	return trace.WriteVCD(w, r.model.sys, r.Trace, r.model.Design.Name)
+	s, err := trace.NewTable(r.model.Design).Streamer(w)
+	if err != nil {
+		return err
+	}
+	if err := s.Feed(r.Trace.Sorted()); err != nil {
+		return err
+	}
+	return s.Close()
 }
 
 // SignalValue returns the named signal's effective value after a run.

@@ -107,7 +107,6 @@ func DefaultConfig() *Config {
 			"govhdl/internal/pdes",
 			"govhdl/internal/server",
 			"govhdl/internal/trace",
-			"govhdl/internal/supervise",
 			"govhdl/internal/circuits",
 			"govhdl/internal/chaos",
 			"govhdl/internal/ckptio",

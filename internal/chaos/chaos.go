@@ -154,7 +154,7 @@ func (lr *legRun) run(leg *Leg, so govhdl.SessionOptions) (*legOut, error) {
 		}
 		last = gvt
 	}
-	so.OnFailover = func(int, error, *pdes.Checkpoint) {
+	so.OnFailover = func(error, *pdes.Checkpoint) {
 		out.failovers++
 		last = vtime.VT{}
 	}
@@ -233,7 +233,7 @@ func (lr *legRun) checkSuccess(r *LegResult, out *legOut) {
 func (lr *legRun) runLeg(leg *Leg) LegResult {
 	r := LegResult{Index: leg.Index, Name: leg.Name, Protocol: leg.Proto, Shards: leg.Shards}
 	switch {
-	case leg.ExpectKills > 0:
+	case leg.ExpectKill:
 		lr.runKillLeg(leg, &r)
 	case leg.ExpectStall:
 		lr.runStallLeg(leg, &r)
@@ -256,14 +256,14 @@ func (lr *legRun) runPlainLeg(leg *Leg, r *LegResult) {
 	lr.checkSuccess(r, out)
 }
 
-// runKillLeg runs the supervised failover path: attempt 0 dies of the
+// runKillLeg runs the failover path: the first attempt dies of the
 // scheduled fabric fault, the session resumes from the latest cut it
-// retained, and it must converge after exactly the scheduled number of
-// failovers with the oracle trace intact.
+// retained, and it must converge after exactly one failover with the oracle
+// trace intact.
 func (lr *legRun) runKillLeg(leg *Leg, r *LegResult) {
 	so := lr.baseOpts(leg)
 	so.CheckpointRounds = 1
-	so.MaxFailovers = leg.ExpectKills
+	so.Failover = true
 	out, err := lr.run(leg, so)
 	r.Failovers = out.failovers
 	if err != nil {
@@ -271,8 +271,8 @@ func (lr *legRun) runKillLeg(leg *Leg, r *LegResult) {
 		fillCounters(r, out.res)
 		return
 	}
-	if out.failovers != leg.ExpectKills {
-		r.Err = fmt.Sprintf("recovery log shows %d failovers, schedule injected %d kills", out.failovers, leg.ExpectKills)
+	if out.failovers != 1 {
+		r.Err = fmt.Sprintf("recovery log shows %d failovers, schedule injected one kill", out.failovers)
 		fillCounters(r, out.res)
 		return
 	}

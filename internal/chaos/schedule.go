@@ -65,7 +65,7 @@ type Options struct {
 	Workers int
 
 	// Fault-mix toggles. When none is set, all families are enabled.
-	Kills       bool // fabric death at a seeded send count + supervised failover
+	Kills       bool // fabric death at a seeded send count + failover
 	Delays      bool // randomized send delays (heartbeat/late-join timing skew)
 	Squeezes    bool // memory-budget squeezes (backpressure + cancelback)
 	Checkpoints bool // checkpoint lineage churn + corrupt-latest fallback drill
@@ -146,14 +146,14 @@ type Leg struct {
 	Shards   int           `json:"shards"`
 	GVTEvery int           `json:"gvt_every"`
 
-	// Plan carries the leg's fabric faults (attempt 0 only).
+	// Plan carries the leg's fabric faults (the first attempt only).
 	Plan faultinject.Plan `json:"-"`
 
 	MemBudget int64 `json:"mem_budget,omitempty"`
 
-	// ExpectKills is how many fabric deaths the schedule injects; the
-	// recovery log must converge after exactly that many failovers.
-	ExpectKills int `json:"expect_kills,omitempty"`
+	// ExpectKill marks kill legs: the schedule injects one fabric death,
+	// and the run must converge after exactly one failover.
+	ExpectKill bool `json:"expect_kill,omitempty"`
 
 	// ExpectStall marks designed-stall legs: the run must abort with a
 	// stall verdict and its partial trace must be contained in the oracle.
@@ -246,7 +246,7 @@ func NewSchedule(opts Options) *Schedule {
 			} else {
 				leg.Plan.DieAfterSends = r.rangeInt(300, 1200)
 			}
-			leg.ExpectKills = 1
+			leg.ExpectKill = true
 		case LegSqueeze:
 			// The budget only throttles optimism; force the protocol that
 			// exercises it.

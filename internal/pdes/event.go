@@ -137,7 +137,8 @@ func PoisonMsg(err error) *Msg {
 	se, ok := err.(*SimError)
 	if !ok {
 		// A substrate failure is environmental, not a simulation bug: mark it
-		// recoverable so a supervisor may restart from a checkpoint.
+		// a transport failure, which a session with failover re-runs locally
+		// from its latest checkpoint.
 		se = &SimError{Text: "pdes: transport failure: " + err.Error(), Transport: true}
 	}
 	return &Msg{Kind: msgPoison, Err: se}

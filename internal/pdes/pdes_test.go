@@ -306,7 +306,7 @@ func TestDeadlockDetected(t *testing.T) {
 	if !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	// A deadlock is a stall verdict: a supervisor must not retry it.
+	// A deadlock is a stall verdict: a failover must not retry it.
 	if !IsStall(err) {
 		t.Fatalf("deadlock is not a stall verdict: %v", err)
 	}

@@ -27,7 +27,7 @@ func Run(sys *System, cfg Config, until vtime.Time, sink TraceSink) (*Result, er
 }
 
 // errCanceled is the verdict a canceled run unwinds with: not a transport
-// failure (a supervisor must not retry an explicit cancel) and not a model
+// failure (a failover must not retry an explicit cancel) and not a model
 // error (the design did nothing wrong).
 func errCanceled() *SimError {
 	return &SimError{Text: "pdes: run canceled", Canceled: true}

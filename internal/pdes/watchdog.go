@@ -36,7 +36,7 @@ const (
 // RunOn call: progress and memory accounting, plus the watchdog's requests.
 // In distributed mode each process has its own runState; GVT advancement is
 // observed by every process (workers bump progress when a broadcast raises
-// their GVT), so each process's watchdog supervises independently.
+// their GVT), so each process's watchdog watches independently.
 type runState struct {
 	// progress counts committed-GVT advancements; the watchdog only ever
 	// compares successive values.
@@ -185,7 +185,7 @@ func (b *diagBox) copy(f diagFiller) WorkerDiag {
 	return d
 }
 
-// watchdog supervises one RunOn call from its own goroutine.
+// watchdog watches one RunOn call from its own goroutine.
 type watchdog struct {
 	rs      *runState
 	cfg     *Config

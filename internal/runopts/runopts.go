@@ -43,10 +43,10 @@ type Opts struct {
 	Listen  string
 	Connect string
 
-	CkptFile     string
-	CkptRounds   int
-	Restore      string
-	MaxFailovers int
+	CkptFile   string
+	CkptRounds int
+	Restore    string
+	Failover   bool
 
 	StallTimeout time.Duration
 	MemBudget    int64
@@ -85,7 +85,7 @@ func (o *Opts) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.CkptRounds, "checkpoint-rounds", 0, "committed GVT rounds between checkpoint cuts (default 1 when -checkpoint-file is set; pass the same value to every distributed process)")
 	fs.StringVar(&o.Restore, "restore", "", "resume from a checkpoint file written by -checkpoint-file (every distributed process needs the file)")
 
-	fs.IntVar(&o.MaxFailovers, "max-failovers", 0, "on a transport failure, absorb the dead node's LPs and resume from the latest checkpoint, up to this many times (controller process only; needs checkpointing; 0 = no failover)")
+	fs.BoolVar(&o.Failover, "failover", false, "on a transport failure, re-run once with every LP in this process, from the latest checkpoint (controller process only; needs checkpointing)")
 	fs.DurationVar(&o.StallTimeout, "stall-timeout", 0, "fail the run if committed GVT does not advance for this long; 0 disables the watchdog")
 	fs.Int64Var(&o.MemBudget, "mem-budget", 0, "bound tracked optimistic memory (events, snapshots, anti-message records) to this many bytes; 0 = unbounded")
 
@@ -110,7 +110,7 @@ func (o *Opts) Resolve() (govhdl.SessionOptions, error) {
 	if err := o.Validate(proto); err != nil {
 		return govhdl.SessionOptions{}, err
 	}
-	so := govhdl.SessionOptions{MaxFailovers: o.MaxFailovers, Options: govhdl.Options{
+	so := govhdl.SessionOptions{Failover: o.Failover, Options: govhdl.Options{
 		Protocol:         proto,
 		Workers:          o.Workers,
 		Lookahead:        o.Lookahead,
@@ -164,7 +164,6 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 		{"-checkpoint", "0 = every event", int64(o.SaveEvery)},
 		{"-gvt-every", "0 = engine default", int64(o.GVTEvery)},
 		{"-checkpoint-rounds", "0 = no checkpoint cuts", int64(o.CkptRounds)},
-		{"-max-failovers", "0 = no failover", int64(o.MaxFailovers)},
 		{"-shards", "0 disables sharding", int64(o.Shards)},
 		{"-stall-timeout", "0 disables the watchdog", int64(o.StallTimeout)},
 		{"-mem-budget", "0 = unbounded", o.MemBudget},
@@ -173,23 +172,23 @@ func (o *Opts) Validate(proto pdes.Protocol) error {
 			return fmt.Errorf("%s must be >= 0 (%s)", f.name, f.zero)
 		}
 	}
-	if o.MaxFailovers > 0 {
+	if o.Failover {
 		if o.CkptRounds == 0 {
-			return fmt.Errorf("-max-failovers needs -checkpoint-rounds (or -checkpoint-file): recovery resumes from the latest GVT-consistent cut")
+			return fmt.Errorf("-failover needs -checkpoint-rounds (or -checkpoint-file): recovery resumes from the latest GVT-consistent cut")
 		}
 		if o.Connect != "" {
-			return fmt.Errorf("-max-failovers belongs on the controller's process (the -listen hub or a single process), not on a -connect worker")
+			return fmt.Errorf("-failover belongs on the controller's process (the -listen hub or a single process), not on a -connect worker")
 		}
 		if proto == pdes.ProtoSequential {
-			return fmt.Errorf("-max-failovers needs a parallel protocol")
+			return fmt.Errorf("-failover needs a parallel protocol")
 		}
 	}
 	if o.CkptRounds > 0 {
 		if proto == pdes.ProtoSequential {
 			return fmt.Errorf("-checkpoint-rounds needs a parallel protocol (the sequential kernel has no GVT rounds)")
 		}
-		if o.Connect == "" && o.CkptFile == "" && o.MaxFailovers == 0 {
-			return fmt.Errorf("-checkpoint-rounds needs -checkpoint-file on the controller process (or -max-failovers, which keeps cuts in memory)")
+		if o.Connect == "" && o.CkptFile == "" && !o.Failover {
+			return fmt.Errorf("-checkpoint-rounds needs -checkpoint-file on the controller process (or -failover, which keeps cuts in memory)")
 		}
 	}
 	if o.Restore != "" && o.Shards > 0 {

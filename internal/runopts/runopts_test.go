@@ -98,25 +98,25 @@ var validateCases = []struct {
 		o.FaultDieSends = 10
 	}, pdes.ProtoSequential, "needs a parallel protocol"},
 	{"failover without checkpointing", func(o *Opts) {
-		o.MaxFailovers = 3
-	}, pdes.ProtoDynamic, "-max-failovers needs -checkpoint-rounds"},
+		o.Failover = true
+	}, pdes.ProtoDynamic, "-failover needs -checkpoint-rounds"},
 	{"failover on a connect worker", func(o *Opts) {
-		o.MaxFailovers = 3
+		o.Failover = true
 		o.CkptRounds = 1
 		o.Connect = "host:1"
 		o.Workers = 2
 	}, pdes.ProtoDynamic, "controller's process"},
 	{"failover under seq", func(o *Opts) {
-		o.MaxFailovers = 3
+		o.Failover = true
 		o.CkptRounds = 1
 	}, pdes.ProtoSequential, "needs a parallel protocol"},
 	{"failover ok", func(o *Opts) {
-		o.MaxFailovers = 3
+		o.Failover = true
 		o.CkptRounds = 1
 	}, pdes.ProtoDynamic, ""},
 	{"checkpoint rounds without a file or failover", func(o *Opts) {
 		o.CkptRounds = 1
-	}, pdes.ProtoDynamic, "or -max-failovers"},
+	}, pdes.ProtoDynamic, "or -failover"},
 	{"negative stall timeout", func(o *Opts) {
 		o.StallTimeout = -time.Second
 	}, pdes.ProtoDynamic, "-stall-timeout"},
@@ -143,9 +143,6 @@ var validateCases = []struct {
 		o.CkptFile = "ck"
 		o.CkptRounds = -1
 	}, pdes.ProtoDynamic, "-checkpoint-rounds must be >= 0"},
-	{"negative failover bound", func(o *Opts) {
-		o.MaxFailovers = -1
-	}, pdes.ProtoDynamic, "-max-failovers must be >= 0 (0 = no failover)"},
 	{"sharded ok", func(o *Opts) {
 		o.Shards = 4
 		o.Workers = 4
@@ -263,7 +260,7 @@ func flagArgs(o, def Opts) []string {
 	add("checkpoint-file", o.CkptFile, def.CkptFile)
 	add("checkpoint-rounds", o.CkptRounds, def.CkptRounds)
 	add("restore", o.Restore, def.Restore)
-	add("max-failovers", o.MaxFailovers, def.MaxFailovers)
+	add("failover", o.Failover, def.Failover)
 	add("stall-timeout", o.StallTimeout, def.StallTimeout)
 	add("mem-budget", o.MemBudget, def.MemBudget)
 	add("fault-kill-writes", o.FaultKillWrites, def.FaultKillWrites)
@@ -323,21 +320,21 @@ func TestFlagsResolveLikeOpts(t *testing.T) {
 }
 
 // Resolve's own mapping, beyond Validate: defaults, the distributed worker
-// count, the failover bound, and its two parse errors.
+// count, the failover switch, and its two parse errors.
 func TestResolveMapping(t *testing.T) {
 	so, err := (&Opts{Circuit: "fsm", Workers: 2, Throttle: "40ns", CkptFile: "x"}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if so.Protocol != pdes.ProtoDynamic || so.Until != 2*vtime.US || so.ThrottleWindow != 40*vtime.NS ||
-		so.CheckpointRounds != 1 || so.MaxFailovers != 0 {
+		so.CheckpointRounds != 1 || so.Failover {
 		t.Errorf("resolved %+v", so)
 	}
-	so, err = (&Opts{Top: "tb", Listen: ":0", Workers: 4, CkptRounds: 2, MaxFailovers: 5}).Resolve()
+	so, err = (&Opts{Top: "tb", Listen: ":0", Workers: 4, CkptRounds: 2, Failover: true}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if so.Workers != 4 || so.Until != 1*vtime.MS || so.MaxFailovers != 5 || so.CheckpointRounds != 2 {
+	if so.Workers != 4 || so.Until != 1*vtime.MS || !so.Failover || so.CheckpointRounds != 2 {
 		t.Errorf("resolved %+v", so)
 	}
 	for want, o := range map[string]*Opts{

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"govhdl"
 	"govhdl/internal/kernel"
+	"govhdl/internal/runopts"
 )
 
 // counterSrc is a self-clocked 4-bit counter testbench: enough activity to
@@ -532,6 +534,44 @@ func TestServerVCDStream(t *testing.T) {
 	}
 	if rep := waitFinished(t, ts, rep.ID); rep.State != StateDone {
 		t.Fatalf("session: %s (%s)", rep.State, rep.Error)
+	}
+}
+
+// A session's /vcd and Result.WriteVCD of the same run are one writer's
+// output, byte-identical: every signal declared, in declaration order, the
+// ones that never change and the ones that change out of that order alike.
+func TestServerVCDMatchesResultWriteVCD(t *testing.T) {
+	blinker, err := os.ReadFile("../../examples/vhdl/blinker.vhd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	for _, req := range []SessionRequest{
+		counterRequest(),
+		{Top: "blinker_tb", Sources: []SourceRequest{{Name: "blinker.vhd", Text: string(blinker)}}, Until: "200ns",
+			Protocol: "dynamic", Workers: 2},
+	} {
+		src := req.Sources[0]
+		m, err := govhdl.Compile(req.Top, govhdl.Source{Name: src.Name, Text: src.Text})
+		if err != nil {
+			t.Fatal(err)
+		}
+		until, err := runopts.ParseTime(req.Until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Simulate(govhdl.Options{Protocol: govhdl.Sequential, Until: until})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := res.WriteVCD(&want); err != nil {
+			t.Fatal(err)
+		}
+		id := submit(t, ts, req).ID
+		if got := fetch(t, ts, "/v1/sessions/"+id+"/vcd"); got != want.String() {
+			t.Fatalf("%s: /vcd differs from Result.WriteVCD:\n%.600s\n--- vs ---\n%.600s", req.Top, got, want.String())
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"govhdl/internal/kernel"
 	"govhdl/internal/pdes"
@@ -149,13 +148,11 @@ func (t *Table) add(lp pdes.LPID, name string, width int) {
 	t.ids[lp] = id
 }
 
-// VCDStreamer renders a Value Change Dump incrementally from Cursor batches.
-// Unlike WriteVCD — which discovers signals from the finished trace — a
-// streamer needs the header before any data, so it declares every signal of
-// its Table upfront. The output for a completed run is semantically
-// equivalent to WriteVCD's (same changes at the same times); the $var
-// section may order or include signals differently, since WriteVCD omits
-// signals that never change.
+// VCDStreamer renders a Value Change Dump from sorted batches: Cursor
+// increments while a run goes, or a finished run's whole trace in one. It
+// declares every signal of its Table upfront, and its output does not depend
+// on how the entries were batched, so govhdl.Result.WriteVCD and govhdld's
+// /vcd write the same bytes for the same run.
 type VCDStreamer struct {
 	w       io.Writer
 	ids     map[pdes.LPID]string
@@ -165,8 +162,8 @@ type VCDStreamer struct {
 	order   []string
 }
 
-// NewVCDStreamer writes the full VCD header for the built design under the
-// given module name and returns a streamer ready for Feed.
+// NewVCDStreamer is NewTable(d).Streamer(w) under another module name
+// (bench/probes.go times it).
 func NewVCDStreamer(w io.Writer, d *kernel.Design, designName string) (*VCDStreamer, error) {
 	t := NewTable(d)
 	t.name = designName
@@ -237,15 +234,4 @@ func (s *VCDStreamer) flush() error {
 	s.pending = map[string]string{}
 	s.order = s.order[:0]
 	return nil
-}
-
-// vcdBody strips the header (everything through $enddefinitions) so the
-// change section of two dumps can be compared regardless of how the signals
-// were declared.
-func vcdBody(dump string) string {
-	const marker = "$enddefinitions $end\n"
-	if i := strings.Index(dump, marker); i >= 0 {
-		return dump[i+len(marker):]
-	}
-	return dump
 }

@@ -230,11 +230,13 @@ func Equal(sys *pdes.System, a, b *Recorder) (bool, string) {
 	return true, ""
 }
 
-// WriteVCD renders the signal changes as a Value Change Dump. Only
-// kernel.SigChange records from LPs named "sig:<name>" are dumped, declared
-// in the order they first change; delta cycles collapse onto their physical
-// time, keeping the last value of each time step, as waveform viewers
-// expect.
+// WriteVCD renders the signal changes as a Value Change Dump without the
+// design: only kernel.SigChange records from LPs named "sig:<name>" are
+// dumped, declared in the order they first change. Delta cycles collapse
+// onto their physical time, keeping the last value of each time step, as
+// waveform viewers expect. A run whose design is at hand renders through
+// the design's Table instead, which declares every signal
+// (govhdl.Result.WriteVCD); bench/probes.go times this one.
 func WriteVCD(w io.Writer, sys *pdes.System, r *Recorder, designName string) error {
 	entries := r.Sorted()
 	t := &Table{name: designName, ids: map[pdes.LPID]string{}}

@@ -82,28 +82,41 @@ func TestEqualAcrossCommitOrders(t *testing.T) {
 	}
 }
 
+// tableVCD renders rec through the design's Table in one batch, as
+// govhdl.Result.WriteVCD does.
+func tableVCD(t *testing.T, d *kernel.Design, rec *Recorder) string {
+	t.Helper()
+	var sb strings.Builder
+	s, err := NewTable(d).Streamer(&sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Feed(rec.Sorted()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func TestWriteVCD(t *testing.T) {
-	_, sys := buildToggler()
+	d, sys := buildToggler()
 	rec := NewRecorder()
 	if _, err := pdes.RunSequential(sys, 50*vtime.NS, rec); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := WriteVCD(&sb, sys, rec, "toggler"); err != nil {
-		t.Fatal(err)
-	}
-	vcd := sb.String()
-	// IDs are assigned in first-appearance order: v changes at time zero
-	// (the initial evaluation drives "01"), a first changes at 5ns.
+	vcd := tableVCD(t, d, rec)
+	// IDs are assigned in declaration order: a, then v.
 	for _, want := range []string{
 		"$timescale",
 		"$scope module toggler $end",
-		"$var wire 2 ! v $end",
-		`$var wire 1 " a $end`,
+		"$var wire 1 ! a $end",
+		`$var wire 2 " v $end`,
 		"$enddefinitions $end",
 		"#5000000", // 5ns in fs
-		`1"`,
-		"b11 !",
+		"1!",
+		`b11 "`,
 	} {
 		if !strings.Contains(vcd, want) {
 			t.Errorf("VCD missing %q:\n%s", want, vcd)
@@ -113,6 +126,20 @@ func TestWriteVCD(t *testing.T) {
 	// signal appears, so "b01" at t=0 (initial eval) then "b11" at 5ns.
 	if strings.Count(vcd, "#5000000") != 1 {
 		t.Error("duplicate timestamp sections")
+	}
+
+	// WriteVCD, which declares only the signals that change, in the order
+	// they first change (v at time zero, then a), dumps the same changes
+	// under swapped identifiers.
+	var sb strings.Builder
+	if err := WriteVCD(&sb, sys, rec, "toggler"); err != nil {
+		t.Fatal(err)
+	}
+	const defs = "$enddefinitions $end\n"
+	_, want, _ := strings.Cut(vcd, defs)
+	_, got, _ := strings.Cut(sb.String(), defs)
+	if want = strings.NewReplacer("!", `"`, `"`, "!").Replace(want); got != want {
+		t.Errorf("WriteVCD's changes differ from the table's:\n%s\n--- vs ---\n%s", got, want)
 	}
 }
 
@@ -135,16 +162,12 @@ func TestRenderReportAndScalars(t *testing.T) {
 }
 
 func TestVCDBitRendering(t *testing.T) {
-	_, sys := buildToggler()
+	d, _ := buildToggler()
 	rec := NewRecorder()
 	for i, v := range []stdlogic.Std{stdlogic.L0, stdlogic.L1, stdlogic.Z, stdlogic.X, stdlogic.U} {
 		rec.Commit(0, vtime.VT{PT: vtime.Time(i + 1)}, kernel.SigChange{Value: v})
 	}
-	var sb strings.Builder
-	if err := WriteVCD(&sb, sys, rec, "bits"); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := tableVCD(t, d, rec)
 	for _, want := range []string{"0!", "1!", "z!", "x!"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in VCD:\n%s", want, out)

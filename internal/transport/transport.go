@@ -19,7 +19,7 @@
 // error. On the hub, the error of a dead connection names the endpoints its
 // process hosted. There is no transparent reconnection; recovery is by
 // restarting from a GVT-consistent checkpoint (pdes.Checkpoint), which the
-// controller's -max-failovers does in-process.
+// controller's -failover does once, in-process.
 //
 // Every participating process must construct an identical System and Config
 // and call pdes.RunOn with its node's endpoints.
@@ -313,7 +313,7 @@ func (n *Node) connTo(dst int) *conn {
 
 // sendFailed fails the node for a send error. A *pdes.SimError (a payload
 // the codec cannot encode) is passed on as it is, so the run reports a
-// simulation error, not a transport failure a supervisor would retry.
+// simulation error, not a transport failure a failover would retry.
 func (n *Node) sendFailed(dst int, err error) {
 	if err == nil || n.closed.Load() {
 		return

@@ -14,7 +14,7 @@ import (
 // TestUnregisteredPayloadFailsNode: an event whose payload type has no wire
 // tag fails the sending node with a diagnosis naming the Go type and the LP
 // pair, and the poison its endpoints hand out is a simulation error, not a
-// transport failure a supervisor would retry from a checkpoint.
+// transport failure a failover would retry from a checkpoint.
 func TestUnregisteredPayloadFailsNode(t *testing.T) {
 	hub, peer := formPair(t, nil, nil)
 	defer hub.Close()

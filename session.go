@@ -8,17 +8,16 @@ import (
 	"time"
 
 	"govhdl/internal/pdes"
-	"govhdl/internal/supervise"
 	"govhdl/internal/trace"
 	"govhdl/internal/vtime"
 )
 
 // ModelFactory produces a fresh Model for one simulation attempt. A model's
-// signal and process state is consumed by a run, and a session may run more
-// than once (transparent retry after a recoverable transport fault), so the
-// session asks for a new model per attempt. Factories built on a cached
-// design use kernel.Design.CloneFresh; factories for ad-hoc runs re-compile
-// or re-build.
+// signal and process state is consumed by a run, and a session may run twice
+// (a failover re-runs it after a transport fault), so the session asks for a
+// new model per attempt. Factories built on a cached design use
+// kernel.Design.CloneFresh; factories for ad-hoc runs re-compile or
+// re-build.
 type ModelFactory func() (*Model, error)
 
 // SessionOptions parameterizes one simulation session.
@@ -28,19 +27,23 @@ type SessionOptions struct {
 	// together); 0 means none. A session past its deadline is canceled and
 	// Run returns an error wrapping ErrDeadlineExceeded.
 	Deadline time.Duration
-	// MaxFailovers caps transparent retries after recoverable transport
-	// faults. At 0, the default, a transport fault is a single failed
-	// attempt.
-	MaxFailovers int
+	// Failover, when set, answers a transport fault of the first attempt
+	// with one recovery attempt: the same Workers on a fresh in-process
+	// fabric, from the latest cut the session retained. Nothing on the
+	// in-process fabric raises a transport fault, so there is never a
+	// second failover. Off, a transport fault is a single failed attempt.
+	Failover bool
 
 	// Fabric, when set, supplies the first attempt's endpoints in place of
 	// the in-process fabric: a transport node's hosted endpoints, or a
 	// fault-wrapped local fabric. n is Workers+1 (endpoint 0 is the GVT
-	// controller). release, if non-nil, runs when the attempt ends. Recovery
-	// attempts always run on a fresh in-process fabric.
+	// controller). release, if non-nil, runs when the attempt ends. A
+	// recovery attempt runs on a fresh in-process fabric.
 	Fabric func(n int) (eps []pdes.Endpoint, release func(), err error)
 	// Restore, when set, starts the first attempt from a saved cut instead
 	// of time zero; the restored run re-emits the committed prefix itself.
+	// It is also the cut a failover resumes from until the run cuts a newer
+	// one.
 	Restore *pdes.Checkpoint
 	// OnCheckpoint receives every cut the session retains (CheckpointRounds
 	// > 0) — the persistence hook. The cut is self-contained: a restore
@@ -49,11 +52,10 @@ type SessionOptions struct {
 	// OnGVT observes every committed GVT value of every attempt, in
 	// nondecreasing order within an attempt (pdes.Config.OnGVT's contract).
 	OnGVT func(gvt vtime.VT)
-	// OnFailover observes each failover before the recovery attempt starts:
-	// the attempt that died, its error, and the cut the recovery resumes
-	// from (nil: from scratch). The recovery runs the same Workers on the
-	// in-process fabric.
-	OnFailover func(attempt int, err error, from *pdes.Checkpoint)
+	// OnFailover observes the failover before the recovery attempt starts:
+	// the first attempt's error and the cut the recovery resumes from (nil:
+	// from scratch).
+	OnFailover func(err error, from *pdes.Checkpoint)
 }
 
 // SequentialKernel reports whether the session runs on the sequential kernel
@@ -74,7 +76,7 @@ func (o SessionOptions) SequentialKernel() bool {
 // TraceFunc receives finalized trace increments: entries is a batch of the
 // deterministic (TS, LP, item)-sorted committed trace, the callee's to keep.
 // Rendered by trace.Lines, the batches concatenate to Result.TraceLines() of
-// the finished run — including across transparent retries, which replay
+// the finished run — including across a failover, whose recovery replays
 // deterministically so already-delivered entries are skipped, never re-sent.
 // lines is deprecated and always nil: the session renders no text.
 type TraceFunc func(entries []trace.Entry, lines []string)
@@ -98,7 +100,7 @@ const (
 	KindDeadline
 	// KindStall is a stall-watchdog or deadlock verdict.
 	KindStall
-	// KindTransport is a transport fault that outlived the failover budget.
+	// KindTransport is a transport fault of a session without Failover.
 	KindTransport
 )
 
@@ -143,11 +145,10 @@ func Classify(err error) ErrorKind {
 // register a streaming consumer, Run (blocking), Cancel from any goroutine.
 // A session is single-use; Run may be called once.
 //
-// Failure isolation: with MaxFailovers set, a recoverable transport fault
-// retries the run transparently (deterministic replay keeps the delivered
-// trace exact); a
-// model diagnostic, stall verdict, cancel or deadline fails only this
-// session with a classified error (see Classify).
+// Failure isolation: with Failover set, a transport fault re-runs the
+// session once, locally (deterministic replay keeps the delivered trace
+// exact); a model diagnostic, stall verdict, cancel or deadline fails only
+// this session with a classified error (see Classify) and is never retried.
 type Session struct {
 	factory ModelFactory
 	opts    SessionOptions
@@ -161,7 +162,8 @@ type Session struct {
 	ran       bool
 	model     *Model
 	rec       *trace.Recorder
-	delivered int // finalized entries handed to onTrace, across attempts
+	delivered int              // finalized entries handed to onTrace, across attempts
+	latest    *pdes.Checkpoint // the cut a recovery resumes from: Restore, then each new cut
 }
 
 // NewSession creates a session. The factory is invoked once per attempt.
@@ -172,21 +174,7 @@ func NewSession(factory ModelFactory, o SessionOptions) *Session {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	return &Session{factory: factory, opts: o, cancel: make(chan struct{})}
-}
-
-// NewSession builds a single-attempt session over an already-compiled model.
-// Transparent retry needs a fresh model per attempt, which an existing model
-// cannot provide, so prefer NewSession with a factory when retries matter.
-func (m *Model) NewSession(o SessionOptions) *Session {
-	used := false
-	return NewSession(func() (*Model, error) {
-		if used {
-			return nil, fmt.Errorf("govhdl: model state was consumed by the previous attempt; use a ModelFactory for retryable sessions")
-		}
-		used = true
-		return m, nil
-	}, o)
+	return &Session{factory: factory, opts: o, cancel: make(chan struct{}), latest: o.Restore}
 }
 
 // OnTrace registers the streaming consumer. Must be called before Run; the
@@ -199,9 +187,11 @@ func (s *Session) OnTrace(fn TraceFunc) { s.onTrace = fn }
 func (s *Session) Cancel() { s.cancelOnce.Do(func() { close(s.cancel) }) }
 
 // Run executes the session to completion and returns its result. Blocking;
-// use a goroutine and Cancel/Deadline for asynchronous control. On failure
-// the Result, when non-nil, holds what the last attempt committed before it
-// aborted (its Run field may be nil).
+// use a goroutine and Cancel/Deadline for asynchronous control. It makes at
+// most two attempts: the first, and with Failover a recovery after a
+// transport fault, which runs in-process where no transport can fail. On
+// failure the Result, when non-nil, holds what the last attempt committed
+// before it aborted (its Run field may be nil).
 func (s *Session) Run() (*Result, error) {
 	s.mu.Lock()
 	if s.ran {
@@ -218,11 +208,16 @@ func (s *Session) Run() (*Result, error) {
 		})
 		defer t.Stop()
 	}
-	sup := &supervise.Supervisor{MaxFailovers: s.opts.MaxFailovers, OnFailover: s.opts.OnFailover}
-	sup.Checkpoint(s.opts.Restore)
-	run, err := sup.Run(func(n int, restore *pdes.Checkpoint) (*pdes.Result, error) {
-		return s.attempt(sup, n, restore)
-	})
+	run, err := s.attempt(s.opts.Fabric)
+	if s.opts.Failover && recoverable(err) {
+		if s.opts.OnFailover != nil {
+			s.mu.Lock()
+			from := s.latest
+			s.mu.Unlock()
+			s.opts.OnFailover(err, from)
+		}
+		run, err = s.attempt(nil)
+	}
 	if err != nil && s.deadlined.Load() && Classify(err) == KindCanceled {
 		err = fmt.Errorf("%w (%v): %v", ErrDeadlineExceeded, s.opts.Deadline, err)
 	}
@@ -239,12 +234,17 @@ func (s *Session) Run() (*Result, error) {
 	return &Result{Run: run, Trace: rec, model: m}, err
 }
 
-// attempt executes attempt n: build a fresh model, shard it, map the options
-// onto the engine, pick the fabric, and run with streaming delivery. Attempt
-// 0 is the primary run; attempts >= 1 are recoveries that absorb every LP
-// into this process at the same worker count and resume from restore, the
-// latest retained cut.
-func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkpoint) (*pdes.Result, error) {
+// recoverable reports whether a failover can absorb err: a transport fault.
+// A model diagnostic or a stall verdict would recur on replay, and a cancel
+// or a deadline ends the session.
+func recoverable(err error) bool { return Classify(err) == KindTransport }
+
+// attempt runs the session once: build a fresh model, shard it, map the
+// options onto the engine, and run from the latest retained cut with
+// streaming delivery, on fabric's endpoints or, when fabric is nil, on the
+// in-process fabric. The first attempt runs on SessionOptions.Fabric; a
+// recovery absorbs every LP into this process at the same worker count.
+func (s *Session) attempt(fabric func(n int) ([]pdes.Endpoint, func(), error)) (*pdes.Result, error) {
 	m, err := s.factory()
 	if err != nil {
 		return nil, err
@@ -281,7 +281,7 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 		sys = ss.Sys()
 	}
 
-	// Cross-attempt dedup: a retry deterministically replays the committed
+	// Cross-attempt dedup: a recovery deterministically replays the committed
 	// trace, so the first `delivered` finalized entries are skipped instead
 	// of re-sent. attemptSeen counts this attempt's finalized entries.
 	attemptSeen := 0
@@ -310,10 +310,14 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 	}
 
 	cfg.Cancel = s.cancel
-	cfg.Restore = restore
+	s.mu.Lock()
+	cfg.Restore = s.latest
+	s.mu.Unlock()
 	if cfg.CheckpointRounds > 0 {
 		cfg.CheckpointSink = func(ck *pdes.Checkpoint) error {
-			sup.Checkpoint(ck)
+			s.mu.Lock()
+			s.latest = ck
+			s.mu.Unlock()
 			if s.opts.OnCheckpoint == nil {
 				return nil
 			}
@@ -356,8 +360,8 @@ func (s *Session) attempt(sup *supervise.Supervisor, n int, restore *pdes.Checkp
 		res, err = pdes.Run(sys, pdes.Config{
 			Protocol: Sequential, GVTEvery: cfg.GVTEvery, Cancel: s.cancel, OnGVT: cfg.OnGVT,
 		}, o.Until, sink)
-	case n == 0 && s.opts.Fabric != nil:
-		eps, release, ferr := s.opts.Fabric(cfg.Workers + 1)
+	case fabric != nil:
+		eps, release, ferr := fabric(cfg.Workers + 1)
 		if ferr != nil {
 			return nil, ferr
 		}
