@@ -5,6 +5,12 @@
 // randomized send delays) wrap any []pdes.Endpoint, including the
 // in-process fabric, via WrapFabric.
 //
+// A fabric kill is a poisoned fabric: the injector calls the wrapped
+// endpoint's Poison once, and from then on the fabric itself fails its
+// receivers by pdes.Endpoint's failure rule — a parked Recv wakes, after its
+// backlog, to the injector's poison — exactly as a production substrate
+// failure does. The wrapper adds nothing to any receive path.
+//
 // Everything is driven by a Plan with an explicit Seed, so a chaos run that
 // exposes a bug is replayable: the same seed produces the same fault
 // schedule relative to the traffic pattern.
@@ -17,6 +23,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"govhdl/internal/pdes"
@@ -38,9 +45,9 @@ type Plan struct {
 	// Fabric faults (WrapFabric).
 
 	// DieAfterSends kills the whole wrapped fabric after N sends from any
-	// single endpoint: subsequent sends are dropped and every Recv/TryRecv
-	// returns poison, simulating process death under the in-process
-	// fabric. 0 disables.
+	// single endpoint: the fabric is poisoned (pdes.Endpoint.Poison), so
+	// later sends are dropped and receivers get poison, simulating process
+	// death under the in-process fabric. 0 disables.
 	DieAfterSends int
 	// MuteAfterSends silently drops each endpoint's sends after its Nth,
 	// WITHOUT killing the fabric: receivers see silence, not poison. This
@@ -105,35 +112,24 @@ func (f *faultConn) Write(p []byte) (int, error) {
 
 // Injector is the shared kill switch of a wrapped fabric.
 type Injector struct {
-	once   sync.Once
-	killed chan struct{}
-
-	mu  sync.Mutex
-	err error
+	err atomic.Pointer[error]
 }
 
 // Err reports the injected failure, or nil while the fabric is healthy.
 func (in *Injector) Err() error {
-	select {
-	case <-in.killed:
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		return in.err
-	default:
-		return nil
+	if p := in.err.Load(); p != nil {
+		return *p
 	}
+	return nil
 }
 
-// Killed returns a channel closed once the fabric has been killed.
-func (in *Injector) Killed() <-chan struct{} { return in.killed }
-
-func (in *Injector) kill(err error) {
-	in.once.Do(func() {
-		in.mu.Lock()
-		in.err = err
-		in.mu.Unlock()
-		close(in.killed)
-	})
+// kill poisons the fabric ep belongs to, the first time only: from then on
+// it fails its receivers by pdes.Endpoint's failure rule, as a dead
+// substrate does.
+func (in *Injector) kill(ep pdes.Endpoint, err error) {
+	if in.err.CompareAndSwap(nil, &err) {
+		ep.Poison(err)
+	}
 }
 
 // Fabric builds an in-process fabric of n endpoints with the plan's fabric
@@ -147,7 +143,7 @@ func (p Plan) Fabric(n int) ([]pdes.Endpoint, func(), error) {
 // WrapFabric wraps every endpoint with the plan's fabric faults. The
 // returned Injector reports whether (and why) the fabric was killed.
 func WrapFabric(eps []pdes.Endpoint, plan Plan) ([]pdes.Endpoint, *Injector) {
-	in := &Injector{killed: make(chan struct{})}
+	in := &Injector{}
 	out := make([]pdes.Endpoint, len(eps))
 	for i, ep := range eps {
 		out[i] = &faultEndpoint{
@@ -174,10 +170,8 @@ type faultEndpoint struct {
 // dropped because the fabric is (now) dead. It also applies randomized
 // send delays while alive.
 func (e *faultEndpoint) tick(n int) (drop bool) {
-	select {
-	case <-e.inj.killed:
+	if e.inj.Err() != nil {
 		return true
-	default:
 	}
 	e.mu.Lock()
 	e.sends += n
@@ -189,7 +183,7 @@ func (e *faultEndpoint) tick(n int) (drop bool) {
 	}
 	e.mu.Unlock()
 	if die {
-		e.inj.kill(fmt.Errorf("faultinject: endpoint %d died after %d sends (seed %d)",
+		e.inj.kill(e.Endpoint, fmt.Errorf("faultinject: endpoint %d died after %d sends (seed %d)",
 			e.Self(), e.plan.DieAfterSends, e.plan.Seed))
 		return true
 	}
@@ -234,40 +228,9 @@ func (e *faultEndpoint) SendBatch(dst int, ms []*pdes.Msg) {
 	e.Endpoint.SendBatch(dst, ms)
 }
 
-// Recv polls instead of delegating to the blocking Recv: the underlying
-// fabric never learns about the injected death, so a blocked receive would
-// otherwise hang forever once senders start dropping.
-func (e *faultEndpoint) Recv() *pdes.Msg {
-	for {
-		select {
-		case <-e.inj.killed:
-			return pdes.PoisonMsg(e.inj.Err())
-		default:
-		}
-		if m, ok := e.Endpoint.TryRecv(); ok {
-			return m
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-func (e *faultEndpoint) TryRecv() (*pdes.Msg, bool) {
-	select {
-	case <-e.inj.killed:
-		return pdes.PoisonMsg(e.inj.Err()), true
-	default:
-	}
-	return e.Endpoint.TryRecv()
-}
-
 // TryRecvAll keeps the wrapped fabric's batched drain visible, so a fault
 // run receives the way a production run does.
 func (e *faultEndpoint) TryRecvAll(buf []*pdes.Msg) []*pdes.Msg {
-	select {
-	case <-e.inj.killed:
-		return append(buf, pdes.PoisonMsg(e.inj.Err()))
-	default:
-	}
 	return pdes.TryRecvAll(e.Endpoint, buf)
 }
 

@@ -307,6 +307,42 @@ func TestKilledFabricTryRecvAllPoisons(t *testing.T) {
 	}
 }
 
+// TestKilledFabricWakesParkedRecv: a kill poisons the wrapped fabric itself,
+// so a receiver already parked in the fabric's own Recv wakes to the
+// injector's poison, the fabric under the wrapper reports the death too, and
+// a receiver with a backlog gets it first — pdes.Endpoint's failure rule,
+// as in a production run; nothing polls.
+func TestKilledFabricWakesParkedRecv(t *testing.T) {
+	raw := pdes.NewLocalFabric(3)
+	eps, inj := WrapFabric(raw, Plan{Seed: 3, DieAfterSends: 1})
+	parked := make(chan *pdes.Msg)
+	go func() { parked <- eps[0].Recv() }()
+	time.Sleep(20 * time.Millisecond) // let the receiver park
+
+	eps[1].Send(2, &pdes.Msg{Round: 1})
+	eps[1].Send(2, &pdes.Msg{Round: 2}) // over the limit: the fabric dies
+	if inj.Err() == nil {
+		t.Fatal("the fabric did not die")
+	}
+	select {
+	case m := <-parked:
+		if m.Err == nil || !m.Err.Transport || !strings.Contains(m.Err.Text, "died after 1 sends") {
+			t.Fatalf("the parked Recv returned %+v, want the injector's transport poison", m)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked Recv never woke")
+	}
+	if m, ok := raw[0].TryRecv(); !ok || m.Err == nil {
+		t.Fatalf("the wrapped fabric did not learn of the death: %+v, %v", m, ok)
+	}
+	if m := eps[2].Recv(); m.Err != nil || m.Round != 1 {
+		t.Fatalf("Recv with a backlog returned %+v, want round 1 before the poison", m)
+	}
+	if m := eps[2].Recv(); m.Err == nil {
+		t.Fatalf("Recv after the backlog returned %+v, want the poison", m)
+	}
+}
+
 // TestMutedFabricTriggersStallWatchdog is the wedged-peer chaos scenario:
 // MuteAfterSends silences every endpoint past its Nth send without killing
 // the fabric, so no poison ever arrives and the run would otherwise hang

@@ -4,9 +4,21 @@ import "sync"
 
 // Endpoint is one end of the message substrate connecting the GVT controller
 // (endpoint 0) and the workers (endpoints 1..N). Implementations must
-// deliver messages reliably and FIFO per (sender, receiver) pair. The
-// in-process implementation below uses unbounded queues; package transport
-// provides a TCP implementation with the same contract.
+// deliver messages reliably and FIFO per (sender, receiver) pair. Both
+// implementations — NewLocalFabric's in-process endpoints and package
+// transport's TCP node — receive through a Mailbox, and so share one
+// failure rule:
+//
+//   - Poison marks the substrate dead with err, poisoning every locally
+//     hosted endpoint; the first poison sticks.
+//   - Recv hands out what was queued before the poison, then a fresh
+//     PoisonMsg(err) on every call. A peer that finishes and closes right
+//     after the last round therefore cannot turn a completed run into a
+//     transport error.
+//   - TryRecv and TryRecvAll return the poison first, backlog or not, so a
+//     busy scheduling loop stops at once.
+//   - A poisoned endpoint takes no more messages, so the backlog a parked
+//     receiver drains is finite and the poison follows promptly.
 type Endpoint interface {
 	// Self returns this endpoint's index.
 	Self() int
@@ -24,9 +36,8 @@ type Endpoint interface {
 	Recv() *Msg
 	// TryRecv returns a message if one is immediately available.
 	TryRecv() (*Msg, bool)
-	// Poison marks the substrate dead with err: every locally hosted
-	// endpoint's Recv/TryRecv returns a fresh PoisonMsg(err) from now on,
-	// unwinding goroutines blocked mid-protocol. The first poison sticks.
+	// Poison marks the substrate dead with err (see the failure rule
+	// above), unwinding goroutines blocked mid-protocol.
 	Poison(err error)
 	// QueueLen reports the number of undelivered messages waiting at this
 	// endpoint (diagnostics only; the value is immediately stale).
@@ -34,8 +45,8 @@ type Endpoint interface {
 }
 
 // batchReceiver is an optional Endpoint extension: drain every immediately
-// available message in one synchronized operation. The in-process mailbox,
-// the TCP transport and the fault injector implement it.
+// available message in one synchronized operation. Mailbox, and so both
+// fabrics, and the fault injector implement it.
 type batchReceiver interface {
 	// TryRecvAll appends all immediately available messages to buf in
 	// arrival order and returns it; buf may be nil.
@@ -64,48 +75,46 @@ func TryRecvAll(ep Endpoint, buf []*Msg) []*Msg {
 	}
 }
 
-// mailbox is an unbounded MPSC queue. Unboundedness matters: with bounded
-// channels two workers sending to each other through full buffers would
-// deadlock.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*Msg
-	head   int
-	closed bool
+// Mailbox is the unbounded MPSC queue behind every Endpoint: the in-process
+// fabric's endpoints and a TCP node's hosted endpoints (package transport)
+// each receive through one, so both keep the failure rule of Endpoint's doc.
+// Unboundedness matters: with bounded channels two workers sending to each
+// other through full buffers would deadlock.
+type Mailbox struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []*Msg
+	head  int
 	// waiting is the number of takers blocked in cond.Wait (0 or 1: the
 	// queue is single-consumer). Producers skip the Signal syscall entirely
 	// while the consumer is running — the common case under load, where the
 	// consumer drains in batches and only parks when truly idle.
 	waiting int
-	// poison, once set, short-circuits take/tryTake: each call returns a
-	// fresh PoisonMsg so concurrent and repeated receives all observe death
-	// (poison messages are never recycled).
+	// poison, once set, stops Put and PutAll, and receives return a fresh
+	// PoisonMsg by Endpoint's failure rule, so repeated receives all observe
+	// death (poison messages are never recycled).
 	poison error
 }
 
-func newMailbox() *mailbox {
-	mb := &mailbox{}
+// NewMailbox returns an empty, healthy mailbox.
+func NewMailbox() *Mailbox {
+	mb := &Mailbox{}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
 
-func (mb *mailbox) put(m *Msg) {
-	mb.mu.Lock()
-	mb.queue = append(mb.queue, m)
-	wake := mb.waiting > 0
-	mb.mu.Unlock()
-	if wake {
-		mb.cond.Signal()
-	}
-}
+// Put appends m; a poisoned mailbox drops it.
+func (mb *Mailbox) Put(m *Msg) { mb.PutAll([]*Msg{m}) }
 
-// putAll appends a batch under one lock acquisition. A single Signal
-// suffices: the mailbox has one consumer, and take only waits while the
+// PutAll appends a batch under one lock acquisition; it keeps the messages,
+// not the slice, and a poisoned mailbox drops them. A single Signal
+// suffices: the mailbox has one consumer, and Recv only waits while the
 // queue is empty.
-func (mb *mailbox) putAll(ms []*Msg) {
+func (mb *Mailbox) PutAll(ms []*Msg) {
 	mb.mu.Lock()
-	mb.queue = append(mb.queue, ms...)
+	if mb.poison == nil {
+		mb.queue = append(mb.queue, ms...)
+	}
 	wake := mb.waiting > 0
 	mb.mu.Unlock()
 	if wake {
@@ -113,47 +122,23 @@ func (mb *mailbox) putAll(ms []*Msg) {
 	}
 }
 
-func (mb *mailbox) take() *Msg {
+// Recv blocks for the next message: the backlog first, then the poison.
+func (mb *Mailbox) Recv() *Msg {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if mb.poison != nil {
-		return PoisonMsg(mb.poison)
-	}
 	for mb.head >= len(mb.queue) {
-		mb.waiting++
-		mb.cond.Wait()
-		mb.waiting--
 		if mb.poison != nil {
 			return PoisonMsg(mb.poison)
 		}
+		mb.waiting++
+		mb.cond.Wait()
+		mb.waiting--
 	}
 	return mb.pop()
 }
 
-// drainAll appends every queued message to buf and empties the queue under
-// one lock acquisition.
-func (mb *mailbox) drainAll(buf []*Msg) []*Msg {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.poison != nil {
-		return append(buf, PoisonMsg(mb.poison))
-	}
-	buf = append(buf, mb.queue[mb.head:]...)
-	for i := mb.head; i < len(mb.queue); i++ {
-		mb.queue[i] = nil
-	}
-	// Keep the backing array for reuse unless a burst left it oversized, so
-	// a GVT drain after heavy optimism does not pin its high-water memory.
-	if cap(mb.queue) > 1024 {
-		mb.queue = nil
-	} else {
-		mb.queue = mb.queue[:0]
-	}
-	mb.head = 0
-	return buf
-}
-
-func (mb *mailbox) tryTake() (*Msg, bool) {
+// TryRecv returns the poison first, else the next message if there is one.
+func (mb *Mailbox) TryRecv() (*Msg, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	if mb.poison != nil {
@@ -165,9 +150,31 @@ func (mb *mailbox) tryTake() (*Msg, bool) {
 	return mb.pop(), true
 }
 
-// poisonWith makes the mailbox permanently return poison; the first error
-// sticks. Broadcast wakes every blocked taker.
-func (mb *mailbox) poisonWith(err error) {
+// TryRecvAll implements batchReceiver: it appends every queued message to
+// buf and empties the queue under one lock acquisition — or, once poisoned,
+// appends the poison alone.
+func (mb *Mailbox) TryRecvAll(buf []*Msg) []*Msg {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.poison != nil {
+		return append(buf, PoisonMsg(mb.poison))
+	}
+	buf = append(buf, mb.queue[mb.head:]...)
+	clear(mb.queue[mb.head:])
+	// Keep the backing array for reuse unless a burst left it oversized, so
+	// a GVT drain after heavy optimism does not pin its high-water memory.
+	if cap(mb.queue) > 1024 {
+		mb.queue = nil
+	} else {
+		mb.queue = mb.queue[:0]
+	}
+	mb.head = 0
+	return buf
+}
+
+// Poison fails this mailbox with err; the first error sticks. Broadcast
+// wakes a parked Recv.
+func (mb *Mailbox) Poison(err error) {
 	mb.mu.Lock()
 	if mb.poison == nil {
 		mb.poison = err
@@ -176,8 +183,8 @@ func (mb *mailbox) poisonWith(err error) {
 	mb.cond.Broadcast()
 }
 
-// depth reports the live queue length.
-func (mb *mailbox) depth() int {
+// QueueLen reports the live queue length.
+func (mb *Mailbox) QueueLen() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	return len(mb.queue) - mb.head
@@ -188,7 +195,7 @@ func (mb *mailbox) depth() int {
 // array when a drain leaves the capacity more than 4x the live count, so a
 // burst (e.g. a GVT drain after heavy optimism) does not pin its high-water
 // memory for the rest of the run.
-func (mb *mailbox) pop() *Msg {
+func (mb *Mailbox) pop() *Msg {
 	m := mb.queue[mb.head]
 	mb.queue[mb.head] = nil
 	mb.head++
@@ -200,9 +207,7 @@ func (mb *mailbox) pop() *Msg {
 			mb.queue = nq
 		} else {
 			n := copy(mb.queue, mb.queue[mb.head:])
-			for i := n; i < len(mb.queue); i++ {
-				mb.queue[i] = nil
-			}
+			clear(mb.queue[n:])
 			mb.queue = mb.queue[:n]
 		}
 		mb.head = 0
@@ -210,58 +215,46 @@ func (mb *mailbox) pop() *Msg {
 	return m
 }
 
-// localFabric connects n endpoints with in-process mailboxes.
-type localFabric struct {
-	boxes []*mailbox
-}
-
 // NewLocalFabric returns n connected in-process endpoints. Endpoint 0 is
 // conventionally the GVT controller.
 func NewLocalFabric(n int) []Endpoint {
-	f := &localFabric{boxes: make([]*mailbox, n)}
-	for i := range f.boxes {
-		f.boxes[i] = newMailbox()
+	boxes := make([]*Mailbox, n)
+	for i := range boxes {
+		boxes[i] = NewMailbox()
 	}
 	eps := make([]Endpoint, n)
 	for i := range eps {
-		eps[i] = &localEndpoint{fabric: f, self: i}
+		eps[i] = &localEndpoint{Mailbox: boxes[i], boxes: boxes, self: i}
 	}
 	return eps
 }
 
+// localEndpoint receives through its own mailbox and sends into the others.
 type localEndpoint struct {
-	fabric *localFabric
-	self   int
+	*Mailbox
+	boxes []*Mailbox // every endpoint's, by index
+	self  int
 }
 
 func (e *localEndpoint) Self() int { return e.self }
-func (e *localEndpoint) N() int    { return len(e.fabric.boxes) }
+func (e *localEndpoint) N() int    { return len(e.boxes) }
 
 func (e *localEndpoint) Send(dst int, m *Msg) {
 	m.From = e.self
-	e.fabric.boxes[dst].put(m)
+	e.boxes[dst].Put(m)
 }
 
 func (e *localEndpoint) SendBatch(dst int, ms []*Msg) {
 	for _, m := range ms {
 		m.From = e.self
 	}
-	e.fabric.boxes[dst].putAll(ms)
+	e.boxes[dst].PutAll(ms)
 }
 
-func (e *localEndpoint) Recv() *Msg            { return e.fabric.boxes[e.self].take() }
-func (e *localEndpoint) TryRecv() (*Msg, bool) { return e.fabric.boxes[e.self].tryTake() }
-func (e *localEndpoint) QueueLen() int         { return e.fabric.boxes[e.self].depth() }
-
-// TryRecvAll implements batchReceiver.
-func (e *localEndpoint) TryRecvAll(buf []*Msg) []*Msg {
-	return e.fabric.boxes[e.self].drainAll(buf)
-}
-
-// Poison kills the whole local fabric: every endpoint of this process starts
-// returning poison, matching the PoisonMsg contract for a dead substrate.
+// Poison kills the whole local fabric: every endpoint of this process is
+// poisoned, matching the Endpoint contract for a dead substrate.
 func (e *localEndpoint) Poison(err error) {
-	for _, mb := range e.fabric.boxes {
-		mb.poisonWith(err)
+	for _, mb := range e.boxes {
+		mb.Poison(err)
 	}
 }

@@ -129,10 +129,9 @@ type Msg struct {
 // PoisonMsg builds the message a failing message substrate injects into every
 // locally hosted endpoint so that workers and the controller — possibly
 // blocked in Recv, mid GVT round — observe transport death and unwind RunOn
-// with a diagnosed error instead of hanging at the barrier. The substrate must
-// return a fresh poison message from every Recv/TryRecv after failure: poison
-// messages are sticky on the substrate side, never recycled on the engine
-// side.
+// with a diagnosed error instead of hanging at the barrier. When a receive
+// returns one is Endpoint's failure rule; each is fresh: poison messages are
+// sticky on the substrate side, never recycled on the engine side.
 func PoisonMsg(err error) *Msg {
 	se, ok := err.(*SimError)
 	if !ok {

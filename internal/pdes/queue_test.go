@@ -118,15 +118,15 @@ func TestMailboxTryRecv(t *testing.T) {
 func TestMailboxCompaction(t *testing.T) {
 	// Interleaved put/take must not lose or duplicate messages when the
 	// ring compacts.
-	mb := newMailbox()
+	mb := NewMailbox()
 	var sent, got uint64
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 37; i++ {
-			mb.put(&Msg{Round: sent})
+			mb.Put(&Msg{Round: sent})
 			sent++
 		}
 		for i := 0; i < 37; i++ {
-			m, ok := mb.tryTake()
+			m, ok := mb.TryRecv()
 			if !ok || m.Round != got {
 				t.Fatalf("round %d: got %v ok=%v want %d", round, m, ok, got)
 			}

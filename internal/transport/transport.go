@@ -14,12 +14,13 @@
 // a broken stream, a heartbeat timeout, a send to an unroutable endpoint —
 // permanently fails the whole Node: the error is recorded (Err), every
 // connection is torn down so peers notice promptly, and every hosted
-// endpoint's Recv/TryRecv returns poison messages that make the PDES
-// workers and controller unwind cleanly out of RunOn with a diagnosed
-// error. On the hub, the error of a dead connection names the endpoints its
-// process hosted. There is no transparent reconnection; recovery is by
-// restarting from a GVT-consistent checkpoint (pdes.Checkpoint), which the
-// controller's -failover does once, in-process.
+// endpoint's pdes.Mailbox is poisoned, which makes the PDES workers and
+// controller unwind cleanly out of RunOn with a diagnosed error, by the
+// failure rule in pdes.Endpoint's doc. On the hub, the error of a dead
+// connection names the endpoints its process hosted. There is no
+// transparent reconnection; recovery is by restarting from a GVT-consistent
+// checkpoint (pdes.Checkpoint), which the controller's -failover does once,
+// in-process.
 //
 // Every participating process must construct an identical System and Config
 // and call pdes.RunOn with its node's endpoints.
@@ -143,28 +144,17 @@ type Node struct {
 	wg        sync.WaitGroup
 }
 
-// endpoint is a hosted endpoint's mailbox: an unbounded queue fed whole
-// batches at a time by senders in this process and by the connections' drain
-// goroutines. The GVT drain protocol bounds what is in flight, so it grows
-// only as far as a run needs.
+// endpoint is a hosted endpoint: it routes what it sends and receives
+// through a pdes.Mailbox, fed whole batches at a time by senders in this
+// process and by the connections' drain goroutines. The GVT drain protocol
+// bounds what is in flight, so it grows only as far as a run needs.
 type endpoint struct {
+	*pdes.Mailbox
 	node *Node
 	self int
-
-	mu      sync.Mutex
-	wake    sync.Cond // on mu: the queue grew, or the node failed
-	queue   []*pdes.Msg
-	head    int
-	waiting int // receivers parked in Recv; senders signal only when there are any
 }
 
 var _ pdes.Endpoint = (*endpoint)(nil)
-
-func newEndpoint(n *Node, self int) *endpoint {
-	e := &endpoint{node: n, self: self}
-	e.wake.L = &e.mu
-	return e
-}
 
 func (e *endpoint) Self() int { return e.self }
 func (e *endpoint) N() int    { return e.node.total }
@@ -181,103 +171,10 @@ func (e *endpoint) SendBatch(dst int, ms []*pdes.Msg) {
 	e.node.route(dst, ms...)
 }
 
-// deliver appends ms in one operation; it keeps the messages, not the slice.
-func (e *endpoint) deliver(ms []*pdes.Msg) {
-	e.mu.Lock()
-	e.queue = append(e.queue, ms...)
-	wake := e.waiting > 0
-	e.mu.Unlock()
-	if wake {
-		e.wake.Signal()
-	}
-}
-
-// pop removes the head; the caller holds mu and has checked it exists. An
-// emptied queue restarts at the front of its array (dropping an array a
-// burst left oversized), and a long-lived backlog is slid down once its dead
-// prefix is half the slice.
-func (e *endpoint) pop() *pdes.Msg {
-	m := e.queue[e.head]
-	e.queue[e.head] = nil
-	e.head++
-	switch {
-	case e.head == len(e.queue):
-		e.reset()
-	case e.head >= 1024 && e.head*2 >= len(e.queue):
-		n := copy(e.queue, e.queue[e.head:])
-		clear(e.queue[n:])
-		e.queue, e.head = e.queue[:n], 0
-	}
-	return m
-}
-
-func (e *endpoint) reset() {
-	if cap(e.queue) > 4096 {
-		e.queue = nil
-	}
-	e.queue, e.head = e.queue[:0], 0
-}
-
-// Recv delivers what arrived before a failure ahead of the poison: a peer
-// that finishes the run and closes its node right after sending the final
-// round's messages must not turn a completed run into a transport error on
-// the receiver, whose reader sees those messages and then EOF. The backlog is
-// finite (senders stop once they observe the failure), so poison still
-// follows promptly; TryRecv and TryRecvAll stay failure-first, which keeps a
-// busy scheduling loop from outrunning it.
-func (e *endpoint) Recv() *pdes.Msg {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.head == len(e.queue) {
-		// fail wakes every endpoint under mu after recording the error, so
-		// checking here, with mu held, cannot miss it.
-		if err := e.node.Err(); err != nil {
-			return pdes.PoisonMsg(err)
-		}
-		e.waiting++
-		e.wake.Wait()
-		e.waiting--
-	}
-	return e.pop()
-}
-
-func (e *endpoint) TryRecv() (*pdes.Msg, bool) {
-	if err := e.node.Err(); err != nil {
-		return pdes.PoisonMsg(err), true
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.head == len(e.queue) {
-		return nil, false
-	}
-	return e.pop(), true
-}
-
-// TryRecvAll drains the mailbox in one locked operation; workers prefer it
-// to TryRecv when an endpoint offers it.
-func (e *endpoint) TryRecvAll(buf []*pdes.Msg) []*pdes.Msg {
-	if err := e.node.Err(); err != nil {
-		return append(buf, pdes.PoisonMsg(err))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	buf = append(buf, e.queue[e.head:]...)
-	clear(e.queue[e.head:])
-	e.reset()
-	return buf
-}
-
 // Poison fails the whole node: on a fail-fast transport a local supervision
 // error (stall watchdog) is indistinguishable from a peer death — every
 // hosted endpoint must unwind, and remote peers must notice promptly.
 func (e *endpoint) Poison(err error) { e.node.fail(err) }
-
-// QueueLen reports the messages buffered for this endpoint.
-func (e *endpoint) QueueLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue) - e.head
-}
 
 // route delivers ms to endpoint dst: into its mailbox when it lives here
 // (the receiver owns the messages from then on), otherwise encoded onto the
@@ -290,7 +187,7 @@ func (n *Node) route(dst int, ms ...*pdes.Msg) {
 	default:
 	}
 	if ep, ok := n.eps[dst]; ok {
-		ep.deliver(ms)
+		ep.PutAll(ms)
 		return
 	}
 	cn := n.connTo(dst)
@@ -350,9 +247,9 @@ func (n *Node) Err() error {
 	}
 }
 
-// fail records the first error, wakes every blocked receiver with poison,
-// and tears down all connections so remote peers observe the failure
-// promptly instead of hanging in the GVT protocol.
+// fail records the first error, poisons every hosted mailbox, and tears
+// down all connections so remote peers observe the failure promptly instead
+// of hanging in the GVT protocol.
 func (n *Node) fail(err error) {
 	if n.closed.Load() {
 		return
@@ -364,11 +261,7 @@ func (n *Node) fail(err error) {
 		n.mu.Unlock()
 		close(n.failed)
 		for _, ep := range n.eps {
-			// Taking mu orders this wake-up after a receiver's check of Err:
-			// the receiver is either still ahead of the check or parked.
-			ep.mu.Lock()
-			ep.mu.Unlock()
-			ep.wake.Broadcast()
+			ep.Mailbox.Poison(err)
 		}
 		for _, cn := range conns {
 			cn.c.Close()
@@ -404,7 +297,7 @@ func newNode(total int, hosted []int, o options) *Node {
 		stopCh: make(chan struct{}),
 	}
 	for _, id := range hosted {
-		n.eps[id] = newEndpoint(n, id)
+		n.eps[id] = &endpoint{Mailbox: pdes.NewMailbox(), node: n, self: id}
 	}
 	return n
 }
@@ -516,7 +409,7 @@ func (n *Node) dispatch(cn *conn, body []byte) error {
 	if d.Len() != 0 {
 		return fmt.Errorf("transport: frame for endpoint %d has %d trailing bytes", dst, d.Len())
 	}
-	ep.deliver(cn.batch)
+	ep.PutAll(cn.batch)
 	clear(cn.batch)
 	return nil
 }

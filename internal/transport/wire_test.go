@@ -103,11 +103,11 @@ func TestFrameTrailingBytesRejected(t *testing.T) {
 func TestMailboxFailureOrder(t *testing.T) {
 	n := newNode(2, []int{1}, defaultOptions())
 	ep := n.eps[1]
-	ep.deliver([]*pdes.Msg{{Round: 1}, {Round: 2}})
+	ep.PutAll([]*pdes.Msg{{Round: 1}, {Round: 2}})
 	if got := ep.TryRecvAll(nil); len(got) != 2 || got[0].Round != 1 || got[1].Round != 2 {
 		t.Fatalf("TryRecvAll on a healthy node: %+v", got)
 	}
-	ep.deliver([]*pdes.Msg{{Round: 3}, {Round: 4}})
+	ep.PutAll([]*pdes.Msg{{Round: 3}, {Round: 4}})
 	recvd := make(chan *pdes.Msg)
 	go func() {
 		for i := 0; i < 3; i++ {
