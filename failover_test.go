@@ -78,7 +78,7 @@ func TestFailoverReproducesTrace(t *testing.T) {
 			GVTEvery: 64, ThrottleWindow: 100 * NS, CheckpointRounds: 1,
 		},
 		Failover: true,
-		Fabric:   faultinject.Plan{Seed: 7, DieAfterSends: 1500}.Fabric,
+		Fabric:   faultinject.Plan{Seed: 7, DieAfterSends: 500}.Fabric,
 		OnCheckpoint: func(*pdes.Checkpoint) error {
 			cuts++
 			return nil

@@ -158,13 +158,7 @@ func Compile(top string, sources ...Source) (*Model, error) {
 // Elaborate is Compile for sources that are already parsed (a caller that
 // linted them first elaborates the same trees).
 func Elaborate(top string, files ...*vhdl.DesignFile) (*Model, error) {
-	lib := vhdl.NewLibrary()
-	for _, df := range files {
-		if err := lib.Add(df); err != nil {
-			return nil, err
-		}
-	}
-	d, err := lib.Elaborate(top)
+	d, err := vhdl.ElaborateFiles(top, files...)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ import (
 //     through shared structures. Writing the pooled object's OWN fields
 //     (m.Kind = ...) is of course allowed.
 //
-// Legitimate owner sites (the pending heap, history records, coalescing
+// Legitimate owner sites (the pending queue, history records, coalescing
 // buffers) justify themselves with //govhdlvet:owner.
 //
 // Both rules are deliberately conservative: only bare identifiers are

@@ -39,7 +39,9 @@ type Plan struct {
 	// Wire fault (transport.WithConnWrapper via Plan.Conn).
 
 	// KillAfterWrites hard-closes the connection on write number N+1,
-	// simulating abrupt process death. 0 disables.
+	// simulating abrupt process death. It counts Write calls: a transport
+	// connection's writer puts every frame queued since its last Write into
+	// one, so N writes carry many more frames under load. 0 disables.
 	KillAfterWrites int
 
 	// Fabric faults (WrapFabric).

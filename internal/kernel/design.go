@@ -75,7 +75,8 @@ type Design struct {
 type decl struct {
 	signals []*Signal
 	procs   []*Process
-	// closed is set by the first Build or CloneFresh: no more declarations.
+	// closed is set by the first Build, Graph or CloneFresh: no more
+	// declarations.
 	closed atomic.Bool
 	once   sync.Once
 	graph  *pdes.System // LP graph without models (System.Rebind); set by once
@@ -209,14 +210,15 @@ func (d *Design) Signals() []*Signal { return d.signals }
 // Build maps the design onto a PDES system: every signal and every process
 // becomes an LP, with the static bi-partite edge set of the paper. Build
 // may be called once; the design is frozen afterwards. The LP graph is built
-// by the first Build of the design or of any of its clones and shared by
-// all of them (pdes.System.Rebind).
+// by the first Build or Graph of the design or of any of its clones and
+// shared by all of them (pdes.System.Rebind).
 func (d *Design) Build() *pdes.System {
 	if d.built {
 		return d.sys
 	}
 	d.built = true
-	d.closed.Store(true)
+	builds.Add(1)
+	g := d.Graph()
 	nDrivers, nReads, nWrites := 0, 0, 0
 	for _, s := range d.signals {
 		if s.resolution == nil && len(s.drivers) > 1 {
@@ -228,7 +230,6 @@ func (d *Design) Build() *pdes.System {
 		nReads += len(p.reads)
 		nWrites += len(p.writes)
 	}
-	d.once.Do(d.buildGraph)
 
 	// The models' state comes in one slab per kind, each LP taking a
 	// capacity-capped window of it: a handful of allocations per run instead
@@ -268,9 +269,28 @@ func (d *Design) Build() *pdes.System {
 		fanins, lones, pendings = fanins[r:], lones[w:], pendings[w:]
 		models[p.lpid] = lp
 	}
-	d.sys = d.graph.Rebind(models)
+	d.sys = g.Rebind(models)
 	return d.sys
 }
+
+// Graph returns the design's LP graph without models: the LPs numbered,
+// named and wired exactly as Build maps them, built once and shared with
+// every CloneFresh copy. It is all a caller that only names LPs needs (a
+// trace table), and it allocates no model state. The design accepts no
+// further declarations afterwards.
+func (d *Design) Graph() *pdes.System {
+	d.closed.Store(true)
+	d.once.Do(d.buildGraph)
+	return d.graph
+}
+
+// builds counts the designs that have built their models (BuildCount).
+var builds atomic.Int64
+
+// BuildCount reports how many designs, clones included, have built their
+// models so far in this process: tests use it to check that a path builds
+// no model it does not run.
+func BuildCount() int64 { return builds.Load() }
 
 // buildGraph declares the LPs and the static edges of the design once:
 // signals first, then processes, each in declaration order.

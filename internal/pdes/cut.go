@@ -180,7 +180,7 @@ func (w *worker) captureLP(lp *lpRT) ckptLP {
 	for i := range lp.edges {
 		cl.CC[i] = lp.edges[i].cc
 	}
-	for _, e := range lp.pending.a {
+	for _, e := range lp.pending.Events() {
 		cl.Pending = append(cl.Pending, *e)
 	}
 	for _, e := range lp.orphans {

@@ -19,3 +19,6 @@ func BlobEvents(blob []byte) (evs []Event, again []byte, err error) {
 	again, err = encodeBlob(cw)
 	return evs, again, err
 }
+
+// TopoPartition is topoPartition for package pdes_test.
+func TopoPartition(s *System, parts int) [][]LPID { return topoPartition(s, parts) }

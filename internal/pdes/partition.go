@@ -9,17 +9,19 @@ package pdes
 // protocol traffic itself.
 //
 // The algorithm is deterministic: it iterates only dense slices (never map
-// order) and every tie is broken by LP ID.
+// order) and every tie is broken by LP ID. The frontier is a max-heap keyed
+// by (gain, lowest ID) with lazy invalidation — a gain increment pushes a new
+// entry and stale ones are skipped when they surface — so growing all parts
+// costs O(E log E) over the E wiring edges.
 func topoPartition(s *System, parts int) [][]LPID {
 	n := len(s.lps)
 	owned := make([][]LPID, parts)
 	assigned := make([]int, n)
 	gain := make([]int, n)
-	inFrontier := make([]bool, n)
 	for i := range assigned {
 		assigned[i] = -1
 	}
-	frontier := make([]LPID, 0, 64)
+	var frontier gainHeap
 	touched := make([]LPID, 0, 64)
 	remaining := n
 	next := 0 // scan pointer to the lowest unassigned LP
@@ -32,12 +34,11 @@ func topoPartition(s *System, parts int) [][]LPID {
 		touched = touched[:0]
 		for len(owned[p]) < target {
 			pick := LPID(-1)
-			for _, v := range frontier {
-				if assigned[v] != -1 {
-					continue
-				}
-				if pick == -1 || gain[v] > gain[pick] || (gain[v] == gain[pick] && v < pick) {
-					pick = v
+			for len(frontier) > 0 {
+				top := frontier.pop()
+				if assigned[top.id] == -1 && gain[top.id] == top.gain {
+					pick = top.id
+					break
 				}
 			}
 			if pick == -1 {
@@ -58,19 +59,70 @@ func topoPartition(s *System, parts int) [][]LPID {
 					if assigned[v] != -1 {
 						continue
 					}
-					gain[v]++
-					if !inFrontier[v] {
-						inFrontier[v] = true
-						frontier = append(frontier, v)
+					if gain[v] == 0 {
 						touched = append(touched, v)
 					}
+					gain[v]++
+					frontier.push(gainEntry{gain: gain[v], id: v})
 				}
 			}
 		}
 		for _, v := range touched {
 			gain[v] = 0
-			inFrontier[v] = false
 		}
 	}
 	return owned
+}
+
+// gainEntry is a frontier LP with the gain it had when pushed.
+type gainEntry struct {
+	gain int
+	id   LPID
+}
+
+// gainHeap is a binary max-heap of frontier entries: the highest gain
+// first, the lowest LP ID among equal gains.
+type gainHeap []gainEntry
+
+func (h gainHeap) before(i, j int) bool {
+	if h[i].gain != h[j].gain {
+		return h[i].gain > h[j].gain
+	}
+	return h[i].id < h[j].id
+}
+
+func (h *gainHeap) push(e gainEntry) {
+	*h = append(*h, e)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !a.before(i, parent) {
+			break
+		}
+		a[i], a[parent] = a[parent], a[i]
+		i = parent
+	}
+}
+
+func (h *gainHeap) pop() gainEntry {
+	a := *h
+	top, last := a[0], len(a)-1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		l, r, first := 2*i+1, 2*i+2, i
+		if l < last && a.before(l, first) {
+			first = l
+		}
+		if r < last && a.before(r, first) {
+			first = r
+		}
+		if first == i {
+			break
+		}
+		a[i], a[first] = a[first], a[i]
+		i = first
+	}
+	*h = a
+	return top
 }

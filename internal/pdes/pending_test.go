@@ -215,7 +215,8 @@ func TestPendingSetFreeListBounded(t *testing.T) {
 // BenchmarkPendingSet measures one push plus one pop per op (a hold model
 // over recycled events, so every allocation counted is the structure's own)
 // in the two regimes that bracket its behaviour, next to the same loop over
-// the binary eventHeap it replaced in seq.go and shard.go:
+// the sorted eventQueue that holds an LP's pending events in the parallel
+// runners:
 //
 //   - clustered: IIR-like, 2000 events on at most 5 live timestamps; each
 //     popped event reschedules 1..4 phases ahead, so consecutive pushes keep
@@ -260,9 +261,9 @@ func BenchmarkPendingSet(b *testing.B) {
 			var s pendingSet[*Event]
 			hold(b, func(e *Event) { s.Push(e.TS, e) }, s.Pop)
 		})
-		b.Run(rg.name+"/eventHeap", func(b *testing.B) {
-			var h eventHeap
-			hold(b, h.Push, h.Pop)
+		b.Run(rg.name+"/eventQueue", func(b *testing.B) {
+			var q eventQueue
+			hold(b, q.Push, q.Pop)
 		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 // exactly one goroutine at a time. The sender allocates it in emit and hands
 // it to the destination worker (directly for local deliveries, via the
 // message fabric for remote ones). From then on the receiving worker is the
-// sole owner: the event lives in an LP's pending heap, then either in the
+// sole owner: the event lives in an LP's pending queue, then either in the
 // optimistic history (lp.processed) until fossil collection commits it, or is
 // consumed immediately by a conservative execution. Nothing else retains a
 // pointer: anti-message bookkeeping on the sender side records sends by value

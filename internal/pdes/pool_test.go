@@ -12,7 +12,7 @@ import (
 // switches) never observe a recycled event through a live reference and never
 // free one twice. put poisons the object, get unpoisons it, and checkLive
 // panics on a stale pointer at the routing and execution boundaries — so a
-// premature recycle of anything still reachable from a pending heap, a
+// premature recycle of anything still reachable from a pending queue, a
 // history record, or an in-flight anti-message fails loudly instead of
 // corrupting the run. Half the cases run snapRelay, whose snapshots the
 // engine recycles: there the engine also fails the run when it refills a

@@ -2,77 +2,163 @@ package pdes
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"govhdl/internal/vtime"
 )
 
-func TestEventHeapOrder(t *testing.T) {
+func TestEventQueueOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var h eventHeap
+	var q eventQueue
 	const n = 500
 	for i := 0; i < n; i++ {
-		h.Push(&Event{
+		q.Push(&Event{
 			ID: uint64(i),
 			TS: vtime.VT{PT: vtime.Time(rng.Intn(20)), LT: uint64(rng.Intn(5))},
 		})
 	}
-	if h.Len() != n {
-		t.Fatalf("Len = %d", h.Len())
+	if q.Len() != n {
+		t.Fatalf("Len = %d", q.Len())
 	}
 	prev := vtime.VT{}
 	for i := 0; i < n; i++ {
-		e := h.Pop()
+		e := q.Pop()
 		if e.TS.Less(prev) {
 			t.Fatalf("pop %d out of order: %v after %v", i, e.TS, prev)
 		}
 		prev = e.TS
 	}
-	if h.Pop() != nil {
-		t.Error("empty heap returned non-nil")
+	if q.Pop() != nil {
+		t.Error("empty queue returned non-nil")
 	}
-	if h.MinTS() != vtime.Inf {
-		t.Error("empty heap MinTS != Inf")
+	if q.MinTS() != vtime.Inf {
+		t.Error("empty queue MinTS != Inf")
 	}
 }
 
-func TestEventHeapDeterministicTiebreak(t *testing.T) {
+func TestEventQueueDeterministicTiebreak(t *testing.T) {
 	// Equal timestamps pop in ID order.
-	var h eventHeap
+	var q eventQueue
 	ts := vtime.VT{PT: 5}
 	for _, id := range []uint64{3, 1, 2} {
-		h.Push(&Event{ID: id, TS: ts})
+		q.Push(&Event{ID: id, TS: ts})
 	}
 	for want := uint64(1); want <= 3; want++ {
-		if got := h.Pop().ID; got != want {
+		if got := q.Pop().ID; got != want {
 			t.Fatalf("popped ID %d, want %d", got, want)
 		}
 	}
 }
 
-func TestEventHeapRemoveMatching(t *testing.T) {
-	var h eventHeap
+func TestEventQueueRemoveTwin(t *testing.T) {
+	var q eventQueue
 	for i := 1; i <= 10; i++ {
-		h.Push(&Event{ID: uint64(i), TS: vtime.VT{PT: vtime.Time(i)}})
+		q.Push(&Event{ID: uint64(i), TS: vtime.VT{PT: vtime.Time(i)}})
 	}
-	got := h.RemoveMatching(func(e *Event) bool { return e.ID == 5 })
+	anti := &Event{ID: 5, TS: vtime.VT{PT: 5}, Neg: true}
+	got := q.RemoveTwin(anti)
 	if got == nil || got.ID != 5 {
-		t.Fatalf("RemoveMatching = %v", got)
+		t.Fatalf("RemoveTwin = %v", got)
 	}
-	if h.RemoveMatching(func(e *Event) bool { return e.ID == 5 }) != nil {
+	if q.RemoveTwin(anti) != nil {
 		t.Error("removed twice")
 	}
-	if h.Len() != 9 {
-		t.Fatalf("Len = %d", h.Len())
+	if q.RemoveTwin(&Event{ID: 6, TS: vtime.VT{PT: 7}, Neg: true}) != nil {
+		t.Error("removed an event whose timestamp differs from the anti-message's")
+	}
+	if q.Len() != 9 {
+		t.Fatalf("Len = %d", q.Len())
 	}
 	prev := vtime.VT{}
-	for h.Len() > 0 {
-		e := h.Pop()
+	for q.Len() > 0 {
+		e := q.Pop()
 		if e.TS.Less(prev) {
-			t.Fatal("heap order broken after RemoveMatching")
+			t.Fatal("queue order broken after RemoveTwin")
 		}
 		prev = e.TS
 	}
+}
+
+// FuzzEventQueue runs a tape of pushes (in order, out of order, behind the
+// head), pops and anti-message removals against a sorted-slice reference:
+// pop order, Len, MinTS and the listed events must agree after every step.
+// The backing slice must never outgrow four times the most events ever
+// pending at once (plus a small floor).
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 0, 0, 1, 2, 6, 3, 0, 0})
+	f.Add([]byte{9, 13, 17, 2, 0, 0, 6, 7, 3, 0, 1})
+	f.Add([]byte{1, 5, 9, 13, 17, 0, 0, 0, 2, 2, 2, 3, 7, 11})
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		var q eventQueue
+		var ref []*Event // sorted by (TS, ID)
+		var last vtime.VT
+		id, most := uint64(0), 0
+		for step, b := range tape {
+			arg := int(b >> 2)
+			switch b & 3 {
+			case 0:
+				got := q.Pop()
+				var want *Event
+				if len(ref) > 0 {
+					want, ref = ref[0], ref[1:]
+				}
+				if got != want {
+					t.Fatalf("step %d: Pop = %v, want %v", step, got, want)
+				}
+				if got != nil {
+					last = got.TS
+				}
+			case 1, 2:
+				// In order: at or after the last push; out of order: anywhere
+				// from the last popped timestamp down.
+				ts := vtime.VT{PT: last.PT + vtime.Time(arg%8), LT: uint64(arg / 8)}
+				if b&3 == 2 && last.PT >= vtime.Time(arg%4) {
+					ts = vtime.VT{PT: last.PT - vtime.Time(arg%4), LT: uint64(arg / 4)}
+				}
+				id++
+				e := &Event{ID: id*7919%1000003 + 1, TS: ts}
+				q.Push(e)
+				i := sort.Search(len(ref), func(k int) bool { return eventLess(e, ref[k]) })
+				ref = append(ref[:i], append([]*Event{e}, ref[i:]...)...)
+			case 3:
+				if len(ref) == 0 {
+					if q.RemoveTwin(&Event{ID: 1, Neg: true}) != nil {
+						t.Fatalf("step %d: RemoveTwin found a twin in an empty queue", step)
+					}
+					continue
+				}
+				k := arg % len(ref)
+				want := ref[k]
+				if got := q.RemoveTwin(&Event{ID: want.ID, TS: want.TS, Neg: true}); got != want {
+					t.Fatalf("step %d: RemoveTwin = %v, want %v", step, got, want)
+				}
+				ref = append(ref[:k], ref[k+1:]...)
+				if q.RemoveTwin(&Event{ID: want.ID, TS: want.TS, Neg: true}) != nil {
+					t.Fatalf("step %d: RemoveTwin removed %v twice", step, want)
+				}
+			}
+			most = max(most, len(ref))
+			if q.Len() != len(ref) {
+				t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(ref))
+			}
+			wantMin := vtime.Inf
+			if len(ref) > 0 {
+				wantMin = ref[0].TS
+			}
+			if q.MinTS() != wantMin {
+				t.Fatalf("step %d: MinTS = %v, want %v", step, q.MinTS(), wantMin)
+			}
+			for k, e := range q.Events() {
+				if e != ref[k] {
+					t.Fatalf("step %d: Events()[%d] = %v, want %v", step, k, e, ref[k])
+				}
+			}
+			if c := cap(q.a); c > 4*most+8 {
+				t.Fatalf("step %d: backing slice holds %d slots for at most %d events", step, c, most)
+			}
+		}
+	})
 }
 
 func TestMailboxFIFOPerSender(t *testing.T) {

@@ -31,7 +31,7 @@ type lpRT struct {
 	model Model
 	mode  Mode
 
-	pending   eventHeap
+	pending   eventQueue
 	processed []procRec // optimistic history, nondecreasing event timestamps
 	orphans   []*Event  // anti-messages whose positive has not arrived (defensive)
 

@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -219,6 +220,14 @@ func (w *worker) run() {
 				m := w.msgPool.get()
 				m.Kind, m.Request, m.Processed = msgIdle, true, w.execTotal
 				w.ep.Send(0, m)
+			}
+			if w.requested {
+				// Until the round starts, let the controller run: on one OS
+				// thread it would otherwise wait until Go preempts this
+				// worker (about every 10 ms). One yield is not always
+				// enough: the scheduler now and then resumes the yielding
+				// goroutine first.
+				runtime.Gosched()
 			}
 		case len(w.nullQ) > 0:
 			// No event is executable but promises are still propagating:
@@ -862,8 +871,7 @@ func (w *worker) push(lp *lpRT, e *Event) {
 // annihilate cancels the positive twin of an anti-message, rolling back
 // first if the twin was already processed.
 func (w *worker) annihilate(lp *lpRT, anti *Event) {
-	match := func(e *Event) bool { return e.SameButSign(anti) }
-	if pos := lp.pending.RemoveMatching(match); pos != nil {
+	if pos := lp.pending.RemoveTwin(anti); pos != nil {
 		w.metrics.Annihilated++
 		dbgID(w, "annih-pending", anti, "")
 		w.evPool.put(pos)
@@ -878,7 +886,7 @@ func (w *worker) annihilate(lp *lpRT, anti *Event) {
 					w.sys.Name(lp.decl.id), anti)
 			}
 			w.rollbackTo(lp, k)
-			if pos := lp.pending.RemoveMatching(match); pos != nil {
+			if pos := lp.pending.RemoveTwin(anti); pos != nil {
 				w.metrics.Annihilated++
 				w.evPool.put(pos)
 			}

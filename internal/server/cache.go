@@ -20,6 +20,7 @@ import (
 // read-only.
 type Design struct {
 	// Proto is the elaborated prototype sessions clone their models from.
+	// It is never built: only its clones carry models.
 	Proto *kernel.Design
 	// Lint is the design-lint report of the sources. Lint reads nothing but
 	// the source text, which the cache key covers, so a hit reuses it.

@@ -231,3 +231,20 @@ func TestTopIsCaseInsensitive(t *testing.T) {
 		t.Fatalf("cache: %d entries, %d elaborations; want one of each", st.Entries, st.Elaborations)
 	}
 }
+
+// TestColdSubmitBuildsOneModel checks that a cache miss builds no model of its
+// own: the cached prototype is only ever cloned, so a cold session builds one
+// model (its clone's) and so does every hit.
+func TestColdSubmitBuildsOneModel(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, what := range []string{"cold", "hit"} {
+		before := kernel.BuildCount()
+		id := submit(t, ts, counterRequest()).ID
+		if fin := waitFinished(t, ts, id); fin.State != StateDone {
+			t.Fatalf("%s session: %s (%s)", what, fin.State, fin.Error)
+		}
+		if n := kernel.BuildCount() - before; n != 1 {
+			t.Fatalf("a %s session built %d models, want 1", what, n)
+		}
+	}
+}

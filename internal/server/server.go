@@ -455,7 +455,7 @@ func (sv *Server) elaborate(top string, srcs []SourceRequest) (*Design, int64, e
 	if err != nil {
 		return nil, 0, err
 	}
-	m, err := govhdl.Elaborate(top, files...)
+	proto, err := vhdl.ElaborateFiles(top, files...)
 	if err != nil {
 		return &Design{Lint: rep}, 0, err
 	}
@@ -463,7 +463,9 @@ func (sv *Server) elaborate(top string, srcs []SourceRequest) (*Design, int64, e
 	for _, s := range srcs {
 		srcBytes += len(s.Text)
 	}
-	d := &Design{Proto: m.Design, Lint: rep, Table: trace.NewTable(m.Design)}
+	// The prototype is only ever cloned: its models are never built, and
+	// the table needs only its LP graph.
+	d := &Design{Proto: proto, Lint: rep, Table: trace.NewTable(proto)}
 	return d, designBytes(d, srcBytes), nil
 }
 

@@ -123,10 +123,10 @@ type vcdVar struct {
 }
 
 // NewTable names every LP of the design and declares every signal, in
-// declaration order, with widths derived from the initial values. It builds
-// the design if it is not built yet, which numbers its LPs.
+// declaration order, with widths derived from the initial values. It needs
+// only the design's LP graph (kernel.Design.Graph), so it builds no model.
 func NewTable(d *kernel.Design) *Table {
-	sys := d.Build()
+	sys := d.Graph()
 	t := &Table{name: d.Name, names: make([]string, sys.NumLPs()), ids: make(map[pdes.LPID]string, d.NumSignals())}
 	for lp := range t.names {
 		t.names[lp] = sys.Name(pdes.LPID(lp))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"govhdl/internal/pdes"
 )
@@ -15,10 +16,16 @@ import (
 //
 //	[u32 big-endian body length | body],  body = [type u8 | ...]
 //
-// written with ONE Write, so frames are atomic with respect to concurrent
-// senders (the mutex orders whole frames, never interleaved bytes) and fault
-// injection has a crisp unit to count. Bodies are hand-coded with
-// pdes.WireEncoder (see internal/pdes/wire.go for the primitives):
+// A sender appends whole frames to its connection's pending buffer under
+// the connection's mutex, filling in the length prefix in place, so frames
+// never interleave and each connection stays FIFO. Once the connection runs
+// (Node.startConn), one writer goroutine per connection writes everything
+// pending in one Write as soon as its previous Write returns: one Write may
+// carry several whole frames, and fault injection (faultinject's
+// KillAfterWrites) counts Writes, not frames. The handshake frames, sent
+// before the writer runs, are written one Write each by their sender.
+// Bodies are hand-coded with pdes.WireEncoder (see internal/pdes/wire.go for
+// the primitives):
 //
 //	frameHello      version, total, hosted endpoints
 //	frameHelloAck   ok, diagnosis
@@ -42,101 +49,186 @@ const maxFrameBytes = 16 << 20
 // corrupt or hostile length prefix can never drive allocation.
 const readBufBytes = 32 << 10
 
-// writeBufKeep is the write-buffer capacity a connection keeps between
-// frames; a blob frame's buffer is dropped after the write.
+// writeBufKeep is the capacity a write buffer keeps after its bytes are
+// written; a larger one (it carried a blob frame) is dropped.
 const writeBufKeep = 1 << 20
 
+// closeFlushTimeout bounds how long Close waits for a connection's writer
+// to write what was queued before it.
+const closeFlushTimeout = 5 * time.Second
+
 // conn owns one established connection: a mutex-guarded encoder whose buffer
-// is the outbound frame, and the reader and decode state its drain goroutine
-// uses.
+// holds the frames not yet written, the state of the writer goroutine that
+// writes them, and the reader and decode state its drain goroutine uses.
 type conn struct {
 	c     net.Conn
 	r     frameReader
 	dec   pdes.WireDecoder
 	batch []*pdes.Msg // messages of the frame being decoded
-	mu    sync.Mutex  // serializes writes; guards enc
+	mu    sync.Mutex  // guards enc and the writer state below
 	enc   pdes.WireEncoder
+	// queued is set when the writer starts: from then on a frame waits in
+	// enc for the writer instead of being written by its sender.
+	queued bool
+	// closing lets the writer exit once enc is empty (Close); stopped makes
+	// it exit at once and drops what is queued (fail).
+	closing, stopped bool
+	wake             sync.Cond     // signalled when enc stops being empty, or on closing/stopped
+	written          chan struct{} // closed when the writer exits
 	// hosted is what the process at the other end claimed in its hello (hub
 	// only; nil on a dialer, whose one connection is the hub's).
 	hosted []int
 }
 
 func newConn(c net.Conn) *conn {
-	return &conn{c: c, r: frameReader{br: bufio.NewReaderSize(c, readBufBytes)}}
+	cn := &conn{c: c, r: frameReader{br: bufio.NewReaderSize(c, readBufBytes)}}
+	cn.wake.L = &cn.mu
+	return cn
 }
 
-// begin starts a frame of the given type in the write buffer. The caller
-// holds mu, appends the body through the returned encoder and calls flush.
-func (cn *conn) begin(typ byte) *pdes.WireEncoder {
-	cn.enc.Reset()
+// begin starts a frame of the given type behind those already pending and
+// returns the frame's offset. The caller holds mu, appends the body through
+// the encoder and calls end with the offset.
+func (cn *conn) begin(typ byte) (*pdes.WireEncoder, int) {
+	start := len(cn.enc.B)
 	cn.enc.B = append(cn.enc.B, 0, 0, 0, 0, typ)
-	return &cn.enc
+	return &cn.enc, start
 }
 
-// flush fills in the length prefix and writes the frame.
-func (cn *conn) flush() error {
-	n := len(cn.enc.B) - 4
+// end fills in the length prefix of the frame at start and hands it on: to
+// the writer once it runs, otherwise to one Write of its own. A frame over
+// the limit is taken back and reported.
+func (cn *conn) end(start int) error {
+	n := len(cn.enc.B) - start - 4
 	if n > maxFrameBytes {
+		cn.drop(start)
 		return fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", n, maxFrameBytes)
 	}
-	binary.BigEndian.PutUint32(cn.enc.B, uint32(n))
-	_, err := cn.c.Write(cn.enc.B)
-	if cap(cn.enc.B) > writeBufKeep {
-		cn.enc.B = nil
+	binary.BigEndian.PutUint32(cn.enc.B[start:], uint32(n))
+	if cn.queued {
+		if cn.stopped || cn.closing {
+			cn.drop(start) // nobody writes it any more
+		} else if start == 0 {
+			cn.wake.Signal()
+		}
+		return nil
 	}
+	_, err := cn.c.Write(cn.enc.B)
+	cn.enc.B = keepBuf(cn.enc.B)
 	return err
 }
 
+// drop takes back the frame at start, and the encoder's error with it.
+func (cn *conn) drop(start int) {
+	b := cn.enc.B[:start]
+	cn.enc.Reset()
+	cn.enc.B = b
+}
+
+// keepBuf empties a written buffer, dropping it if it grew past
+// writeBufKeep.
+func keepBuf(b []byte) []byte {
+	if cap(b) > writeBufKeep {
+		return nil
+	}
+	return b[:0]
+}
+
 // sendMsgs frames ms for endpoint dst. An encoding failure (a payload type
-// without a wire tag) comes back as the *pdes.SimError EncodeMsg built.
+// without a wire tag) takes the frame back and comes back as the
+// *pdes.SimError EncodeMsg built.
 func (cn *conn) sendMsgs(dst int, ms ...*pdes.Msg) error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	e := cn.begin(frameMsgs)
+	e, start := cn.begin(frameMsgs)
 	e.Uvarint(uint64(dst))
 	e.Uvarint(uint64(len(ms)))
 	for _, m := range ms {
 		if err := pdes.EncodeMsg(e, m); err != nil {
+			cn.drop(start)
 			return err
 		}
 	}
-	return cn.flush()
+	return cn.end(start)
 }
 
 // forward re-frames a received body unchanged (hub only).
 func (cn *conn) forward(body []byte) error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	cn.enc.Reset()
+	start := len(cn.enc.B)
 	cn.enc.B = append(append(cn.enc.B, 0, 0, 0, 0), body...)
-	return cn.flush()
+	return cn.end(start)
 }
 
 func (cn *conn) sendHello(h hello) error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	e := cn.begin(frameHello)
+	e, start := cn.begin(frameHello)
 	e.Varint(int64(h.Version))
 	e.Varint(int64(h.Total))
 	encodeInts(e, h.Hosted)
-	return cn.flush()
+	return cn.end(start)
 }
 
 func (cn *conn) sendAck(a helloAck) error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	e := cn.begin(frameHelloAck)
+	e, start := cn.begin(frameHelloAck)
 	e.Bool(a.OK)
 	e.String(a.Err)
-	return cn.flush()
+	return cn.end(start)
 }
 
 // sendHeartbeat sends a liveness frame.
 func (cn *conn) sendHeartbeat() error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	cn.begin(frameHeartbeat)
-	return cn.flush()
+	_, start := cn.begin(frameHeartbeat)
+	return cn.end(start)
+}
+
+// write is the connection's writer goroutine: it writes whatever is pending
+// in one Write, as soon as the previous Write returned, swapping the pending
+// buffer with the one it just wrote. It exits when the connection is
+// stopped, or closing with nothing left to write; a failed Write fails the
+// node through lost, as a failed read does.
+func (n *Node) write(cn *conn) {
+	defer n.wg.Done()
+	defer close(cn.written)
+	var out []byte
+	for {
+		cn.mu.Lock()
+		for len(cn.enc.B) == 0 && !cn.closing && !cn.stopped {
+			cn.wake.Wait()
+		}
+		if cn.stopped || len(cn.enc.B) == 0 {
+			cn.mu.Unlock()
+			return
+		}
+		out, cn.enc.B = cn.enc.B, out
+		cn.mu.Unlock()
+		_, err := cn.c.Write(out)
+		out = keepBuf(out)
+		if err != nil {
+			n.lost(cn, fmt.Errorf("transport: write: %w", err))
+			return
+		}
+	}
+}
+
+// stop ends the writer. With flush it first writes what is queued (Close);
+// without, what is queued is dropped (fail).
+func (cn *conn) stop(flush bool) {
+	cn.mu.Lock()
+	if flush {
+		cn.closing = true
+	} else {
+		cn.stopped = true
+		cn.enc.B = cn.enc.B[:0]
+	}
+	cn.wake.Broadcast()
+	cn.mu.Unlock()
 }
 
 func encodeInts(e *pdes.WireEncoder, xs []int) {

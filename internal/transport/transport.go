@@ -8,7 +8,8 @@
 // endpoints it hosts. Messages are routed through the hub, which preserves
 // the per-(sender, receiver) FIFO order the PDES protocol requires: each
 // inbound connection is drained by a single goroutine that forwards
-// messages in arrival order.
+// messages in arrival order, and each connection's frames are written, in
+// the order they were queued, by a single writer goroutine (frame.go).
 //
 // Failure model: the transport is fail-fast. The first connection error —
 // a broken stream, a heartbeat timeout, a send to an unroutable endpoint —
@@ -264,13 +265,17 @@ func (n *Node) fail(err error) {
 			ep.Mailbox.Poison(err)
 		}
 		for _, cn := range conns {
+			cn.stop(false)
 			cn.c.Close()
 		}
 	})
 }
 
-// Close tears the node down deliberately. It is idempotent and waits for
-// every transport goroutine to exit before returning.
+// Close tears the node down deliberately. It first writes every frame
+// queued before it (within closeFlushTimeout), so a hub's last GVT message
+// reaches its peers even when the process exits right after pdes.RunOn, then
+// closes the connections. It is idempotent and waits for every transport
+// goroutine to exit before returning.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		n.closed.Store(true)
@@ -279,6 +284,11 @@ func (n *Node) Close() {
 		conns := append([]*conn(nil), n.live...)
 		n.mu.Unlock()
 		for _, cn := range conns {
+			cn.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+			cn.stop(true)
+		}
+		for _, cn := range conns {
+			<-cn.written
 			cn.c.Close()
 		}
 		n.wg.Wait()
@@ -302,13 +312,17 @@ func newNode(total int, hosted []int, o options) *Node {
 	return n
 }
 
-// startConn begins draining (and, when enabled, heartbeating) an
+// startConn begins writing, draining and (when enabled) heartbeating an
 // established, handshaken connection.
 func (n *Node) startConn(cn *conn) {
+	cn.mu.Lock()
+	cn.queued, cn.written = true, make(chan struct{})
+	cn.mu.Unlock()
 	n.mu.Lock()
 	n.live = append(n.live, cn)
 	n.mu.Unlock()
-	n.wg.Add(1)
+	n.wg.Add(2)
+	go n.write(cn)
 	go n.drain(cn)
 	if n.opts.hbInterval > 0 {
 		n.wg.Add(1)
@@ -436,10 +450,7 @@ func (n *Node) heartbeat(cn *conn) {
 	for {
 		select {
 		case <-t.C:
-			if err := cn.sendHeartbeat(); err != nil {
-				n.lost(cn, fmt.Errorf("transport: heartbeat send: %w", err))
-				return
-			}
+			cn.sendHeartbeat() // a failed write fails the node in the writer
 		case <-n.failed:
 			return
 		case <-n.stopCh:

@@ -90,6 +90,19 @@ type declSite struct {
 	pos  Pos
 }
 
+// ElaborateFiles files parsed design files into a fresh library and
+// elaborates the hierarchy under top. The design is not built: its LP graph
+// and models come from kernel.Design.Graph and Build.
+func ElaborateFiles(top string, files ...*DesignFile) (*kernel.Design, error) {
+	lib := NewLibrary()
+	for _, df := range files {
+		if err := lib.Add(df); err != nil {
+			return nil, err
+		}
+	}
+	return lib.Elaborate(top)
+}
+
 // Elaborate flattens the hierarchy under the named top entity into a kernel
 // design: the paper's post-elaboration model where processes and signals
 // become LPs.

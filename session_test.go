@@ -458,6 +458,25 @@ func TestSessionOneWorkerRunsSequentialKernel(t *testing.T) {
 
 // What only the engine has keeps a one-worker session on it; options the
 // engine refuses are refused on one worker too.
+// TestOneWorkerYieldsToGVTRounds runs a one-worker optimistic session on one
+// OS thread: a worker that requests a GVT round yields, so the controller
+// runs the round then, not when Go next preempts the worker (about every
+// 10 ms, which left this session with one round and no cut).
+func TestOneWorkerYieldsToGVTRounds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cuts := 0
+	res, err := NewSession(fsmFactory(2), SessionOptions{
+		Options:      Options{Protocol: Optimistic, Workers: 1, Until: 1 * US, GVTEvery: 64, CheckpointRounds: 1},
+		OnCheckpoint: func(*pdes.Checkpoint) error { cuts++; return nil },
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds := res.Run.Metrics.GVTRounds; rounds < 10 || cuts < 1 {
+		t.Fatalf("a one-worker session at GOMAXPROCS=1 ran %d GVT rounds and %d cuts, want at least 10 and 1", rounds, cuts)
+	}
+}
+
 func TestSessionOneWorkerEngineCases(t *testing.T) {
 	engine := []SessionOptions{
 		{Options: Options{Protocol: Dynamic, Workers: 1, CheckpointRounds: 1}},
